@@ -98,20 +98,6 @@ class BiPoly:
             n >>= 1
         return acc
 
-    def subs_t(self, num: BiPoly, den: BiPoly) -> BiPoly:
-        """self(t -> num/den) * den^t_degree."""
-        d = self.t_degree
-        acc = BiPoly()
-        for k, c in enumerate(self.coeffs):
-            acc = acc + BiPoly.const(c) * num**k * den ** (d - k)
-        return acc
-
-    def eval_t(self, value: Poly) -> Poly:
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def z_coefficients(self) -> list[Poly]:
         """Transpose: coefficient of z^j as a polynomial in t, for each j."""
         if not self.coeffs:

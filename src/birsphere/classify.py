@@ -36,6 +36,7 @@ from .picard import (
 )
 from .poly import Poly
 from .projmat import ProjMat
+from .scalars import _is_probable_prime
 from .sphere import (
     BaseMobius,
     SphereMap,
@@ -157,7 +158,7 @@ def parse_element(text: str) -> SphereMap:
 # -- routing ------------------------------------------------------------------------------------
 
 
-def classify_spheremap(g: SphereMap, max_order: int | None = None) -> ClassificationReport:
+def classify_spheremap(g: SphereMap) -> ClassificationReport:
     if not g.reality_check():
         return ClassificationReport(
             family="out-of-scope",
@@ -184,15 +185,15 @@ def classify_spheremap(g: SphereMap, max_order: int | None = None) -> Classifica
             }
         )
         g = SphereMap(fiber, BaseMobius.identity() if residual == "id" else BaseMobius.negation())
-    n = g.order(max_order)
+    n = g.order()
     if n is None:
         return ClassificationReport(
             family="reality-only",
-            caveats=["order exceeds the detection cutoff; no family assigned"],
+            caveats=["infinite order; no family assigned"],
         )
     if n == 1:
         return ClassificationReport(family=3, moduli={"angle": [0, 1]}, caveats=["identity map"])
-    if not _is_prime(n):
+    if not _is_probable_prime(n):
         caveats.append(f"order {n} is not prime; reporting the family of the cyclic generator")
     if g.base.kind == "neg":
         report = classify_flip_involution(g)
@@ -209,19 +210,8 @@ def classify_spheremap(g: SphereMap, max_order: int | None = None) -> Classifica
         if n == 2:
             out.moduli["fixed_curve"] = model_to_json(fixed_curve(g.fiber))
         return out
-    report = classify_trivialbase(g.fiber, max_order)
+    report = classify_trivialbase(g.fiber)
     return _from_trivial_report(report, caveats, certificates)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _from_trivial_report(rep: TrivialBaseReport, caveats, certificates) -> ClassificationReport:

@@ -71,7 +71,7 @@ def cmd_classify(args) -> int:
         _emit(report.to_json())
         return 0
     g = _load_element(args.element)
-    report = routing.classify_spheremap(g, args.max_order)
+    report = routing.classify_spheremap(g)
     _emit(report.to_json())
     return 4 if report.family in ("linear-stratum",) and not args.allow_undecided else 0
 
@@ -136,7 +136,7 @@ def cmd_eval(args) -> int:
 
 def cmd_order(args) -> int:
     g = _load_element(args.element)
-    n = g.order(args.max_order)
+    n = g.order()
     _emit({"order": n})
     return 0
 
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="conjugacy family of an element")
     p.add_argument("element", help="builtin:NAME, matrix literal, JSON file, dp4:OP or geiser")
     p.add_argument("--mu", help="surface parameter for dp4 data")
-    p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--allow-undecided", action="store_true")
     p.set_defaults(func=cmd_classify)
 
@@ -255,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order", help="projective order of an element")
     p.add_argument("element")
-    p.add_argument("--max-order", type=int, default=None)
     p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("builtin", help="list builtin element tokens")

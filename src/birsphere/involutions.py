@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
 
 from .bipoly import BiPoly
 from .errors import (
@@ -30,9 +29,9 @@ from .poly import (
     Poly,
     RatFn,
     poly_gcd,
+    poly_square_root,
     real_roots_in_tower_poly,
     square_class_part,
-    squarefree_decomposition,
     sturm_count,
 )
 from .positivity import is_real_positive, norm_factor, v_decomp
@@ -70,7 +69,7 @@ class InvolutionForm:
 
 
 def involution_normal_form(mat: ProjMat) -> InvolutionForm:
-    if mat.order(2) != 2:
+    if mat.order() != 2:
         raise NotInvolution(f"{mat} does not have order 2")
     pat = canonical_pattern(mat)
     if pat.a + pat.a.conj():
@@ -80,21 +79,6 @@ def involution_normal_form(mat: ProjMat) -> InvolutionForm:
     if not p.is_real():
         raise RuntimeError("involution trace part failed to be real")
     return InvolutionForm(p, pat.b)
-
-
-def _poly_square_root(p: Poly) -> Poly:
-    """s with s^2 = p, for real p with even factor multiplicities."""
-    if not p:
-        return p
-    lead = p.lead().as_real()
-    s = Poly.const(CoeffScalar(lead.sqrt()))
-    for factor, mult in squarefree_decomposition(p):
-        if mult % 2:
-            raise ValueError(f"{p} is not a polynomial square")
-        s = s * factor ** (mult // 2)
-    if s * s != p:
-        raise ValueError(f"{p} is not a polynomial square")
-    return s
 
 
 @dataclass(frozen=True)
@@ -126,9 +110,6 @@ class HyperellipticModel:
         s = self.scale(z0)
         return self.value_at(z0) * CoeffScalar(self.content) * s * s
 
-    def same_curve(self, other: HyperellipticModel) -> bool:
-        return self.m == other.m and self.sign == other.sign
-
 
 def fixed_curve(mat: ProjMat) -> HyperellipticModel:
     """The double cover w^2 = -D traced by the fiberwise fixed points,
@@ -146,17 +127,13 @@ def fixed_curve(mat: ProjMat) -> HyperellipticModel:
     sign = sf.lead().as_real().sign() if sf.degree >= 0 else 1
     m = sf if sign > 0 else -sf
     scale2 = neg_d.exact_div(m.scale(Fraction(sign)))
-    return HyperellipticModel(m, sign, _poly_square_root(scale2), content)
+    return HyperellipticModel(m, sign, poly_square_root(scale2), content)
 
 
 def _primitive(p: Poly) -> Poly:
     from .sphere import _primitive_real
 
     return _primitive_real(p)
-
-
-def genus_of_model(model: HyperellipticModel) -> int:
-    return model.genus()
 
 
 def real_locus_class(mat: ProjMat) -> str:
@@ -282,9 +259,6 @@ def _companion_data(form: InvolutionForm) -> tuple[_FracMat, Poly]:
     return alpha, f
 
 
-_TAU_FM = _FracMat(((Poly(), ONE_MINUS_Z2), (Poly.const(1), Poly())))
-
-
 def _move_off_diagonal(mat: ProjMat) -> tuple[ProjMat, ProjMat]:
     """Conjugate a diagonal involution to one with q != 0; returns the new
     matrix and the conjugator g with g mat g^-1 = new."""
@@ -327,8 +301,9 @@ def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate
     form_b = involution_normal_form(mat_b)
     alpha, f = _companion_data(form_a)
     beta0, f_b = _companion_data(form_b)
-    # rescale aligning the companion of B to [[0, f], [1, 0]]
-    u_num, u_den = _ratio_square_root(f, f_b)
+    # rescale aligning the companion of B to [[0, f], [1, 0]]:
+    # u = s / f_b with s^2 = f f_b, so u^2 = f / f_b
+    u_num, u_den = poly_square_root(f * f_b), f_b
     beta = beta0.mul(_FracMat(((u_den, Poly()), (Poly(), u_num)), u_den))
     algebra = _QuadAlgebra(f)
     # closed forms of the twist units alpha^-1 tau conj(alpha), namely
@@ -347,15 +322,6 @@ def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate
     if not cert.verify():
         raise RuntimeError("constructed conjugator failed to verify")
     return cert
-
-
-def _twist_unit(alpha: _FracMat, algebra: _QuadAlgebra):
-    """mu = alpha^-1 tau conj(alpha), as an element of the algebra."""
-    out = alpha.inverse().mul(_TAU_FM).mul(alpha.conj())
-    m, d = out.m, out.d
-    if m[0][0] * d != m[1][1] * d or m[0][1] != algebra.f * m[1][0]:
-        raise RuntimeError("twist unit left the centralizer algebra")
-    return (m[0][0], m[1][0], d)
 
 
 def _hilbert90_multiplicative(w, algebra: _QuadAlgebra):
@@ -389,23 +355,6 @@ def _hilbert90_multiplicative(w, algebra: _QuadAlgebra):
             continue
         return xi
     raise RuntimeError("no invertible Hilbert-90 witness in the trial set")
-
-
-def _ratio_square_root(f: Poly, f_b: Poly) -> tuple[Poly, Poly]:
-    """(num, den) with (num/den)^2 = f / f_b, for real polynomial inputs in
-    the same square class."""
-    prod = f * f_b
-    lead = prod.lead().as_real()
-    monic = prod.scale(prod.lead().inverse())
-    s = Poly.const(CoeffScalar(lead.sqrt()))
-    for factor, mult in squarefree_decomposition(monic):
-        if mult % 2:
-            raise ValueError("determinants are not in the same square class")
-        s = s * factor ** (mult // 2)
-    # (s / f_b)^2 = prod / f_b^2 = f / f_b
-    if s * s != prod:
-        raise ValueError("determinants are not in the same square class")
-    return s, f_b
 
 
 # -- realization ---------------------------------------------------------------------------
@@ -455,19 +404,13 @@ class RotationForm:
         )
 
 
-def _canonical_angle(k: int, n: int) -> tuple[int, int]:
-    k %= n
-    k = min(k, n - k)
-    g = int_gcd(k, n)
-    return (k // g, n // g) if k else (0, 1)
-
-
-def rotation_normal_form(mat: ProjMat, max_order: int | None = None) -> RotationForm:
+def rotation_normal_form(mat: ProjMat) -> RotationForm:
     """Diagonalise a finite-order fiberwise-real map of order > 2 to the
     rotation diag(1, zeta) by a conjugator inside the reality group."""
-    n = mat.order(max_order)
-    if n is None:
-        raise NotFiniteOrder(f"{mat} has infinite order (or order beyond the cutoff)")
+    angle = mat.rotation_angle()
+    if angle is None:
+        raise NotFiniteOrder(f"{mat} has infinite order")
+    k, n = angle
     if n <= 2:
         raise ValueError("rotation normal form needs order > 2")
     pat = canonical_pattern(mat)
@@ -477,30 +420,15 @@ def rotation_normal_form(mat: ProjMat, max_order: int | None = None) -> Rotation
     ]
     trace = pat.a + pat.a.conj()
     det = pat.determinant()
-    ratio = RatFn(trace * trace, det)
-    if not ratio.is_constant():
-        raise NotFiniteOrder("trace invariant is not constant")
-    kappa = ratio.num.lead() / ratio.den.lead() if ratio.num else CoeffScalar(0)
-    angle = None
-    for k in range(1, n):
-        zeta = unit_root(k, n)
-        if zeta + zeta.inverse() + 2 == kappa:
-            angle = k
-            break
-    if angle is None:
-        raise UnsupportedExtension(f"no supported rotation angle matches {mat}")
     # Delta^2 = trace^2 - 4 det = det * (kappa - 4); need det = const * square
-    monic_det = det.scale(det.lead().inverse())
-    s = Poly.const(1)
-    for factor, mult in squarefree_decomposition(monic_det):
-        if mult % 2:
-            raise UnsupportedExtension("determinant is not a square times a constant")
-        s = s * factor ** (mult // 2)
-    const = det.lead() * (kappa - 4)
-    delta = RatFn(s.scale(const.sqrt()))
+    try:
+        delta = RatFn(poly_square_root(trace * trace - det.scale(4)))
+    except ValueError as exc:
+        raise UnsupportedExtension("determinant is not a square times a constant") from exc
     tr = RatFn(trace)
     twod = RatFn(Poly.const(2))
-    zeta = unit_root(angle, n)
+    zeta = unit_root(k, n)
+    targets = [ProjMat.diag(Poly.const(1), Poly.const(u)) for u in (zeta, zeta.inverse())]
     for lam_plus, lam_minus in (
         ((tr + delta) / twod, (tr - delta) / twod),
         ((tr - delta) / twod, (tr + delta) / twod),
@@ -514,11 +442,8 @@ def rotation_normal_form(mat: ProjMat, max_order: int | None = None) -> Rotation
             if not in_reality_group(jmat):
                 continue
             target = jmat * mat * jmat.inverse()
-            for kk in range(1, n):
-                if int_gcd(kk, n) != int_gcd(angle, n):
-                    continue
-                if target == ProjMat.diag(Poly.const(1), Poly.const(unit_root(kk, n))):
-                    return RotationForm(_canonical_angle(kk, n), jmat, target)
+            if target in targets:
+                return RotationForm(angle, jmat, target)
     raise UnsupportedExtension(f"failed to build a rotation conjugator for {mat}")
 
 
@@ -672,18 +597,18 @@ class TrivialBaseReport:
     rotation: RotationForm | None = None
 
 
-def classify_trivialbase(mat: ProjMat, max_order: int | None = None) -> TrivialBaseReport:
+def classify_trivialbase(mat: ProjMat) -> TrivialBaseReport:
     """Sort a finite-order birational diffeomorphism with trivial base
     action into its conjugacy family."""
     if not in_diffeo_group(mat):
         raise NotDiffeomorphism(f"{mat} is not defined at every real point")
-    n = mat.order(max_order)
+    n = mat.order()
     if n is None:
-        raise NotFiniteOrder(f"{mat} has infinite order (or order beyond the cutoff)")
+        raise NotFiniteOrder(f"{mat} has infinite order")
     if n == 1:
         return TrivialBaseReport(family=3, angle=(0, 1))
     if n > 2:
-        rot = rotation_normal_form(mat, max_order)
+        rot = rotation_normal_form(mat)
         return TrivialBaseReport(family=3, angle=rot.angle, rotation=rot)
     model = fixed_curve(mat)
     locus = real_locus_class(mat)

@@ -162,9 +162,3 @@ def parse_matrix(text: str) -> ProjMat:
         raise ParseError(f"trailing input from token {parser.peek()!r}")
     return ProjMat.of(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
 
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"rational number expected, got {text!r}") from exc

@@ -342,6 +342,22 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
+def poly_square_root(p: Poly) -> Poly:
+    """s with s^2 = p: the product of the halved square-free factors, scaled
+    by the tower's root of the leading coefficient.  Raises ValueError when
+    some factor of p has odd multiplicity."""
+    if not p:
+        return p
+    s = Poly.const(p.lead().sqrt())
+    for factor, mult in squarefree_decomposition(p):
+        if mult % 2:
+            raise ValueError(f"{p} is not a polynomial square")
+        s = s * factor ** (mult // 2)
+    if s * s != p:
+        raise ValueError(f"{p} is not a polynomial square")
+    return s
+
+
 # -- Sturm machinery ------------------------------------------------------------
 
 
@@ -477,11 +493,6 @@ def factor_rational_poly(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
         lead_adjust *= lead**mult
         out.append((fp.scale(Fraction(1) / lead), mult))
     return lead_adjust, out
-
-
-def is_irreducible_rational(p: Poly) -> bool:
-    _, factors = factor_rational_poly(p)
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == p.degree
 
 
 def galois_norm_poly(p: Poly) -> Poly:

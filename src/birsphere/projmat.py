@@ -3,19 +3,21 @@
 Entries are polynomials in z (denominators are cleared on construction).
 The canonical form divides out the entry gcd and scales the first nonzero
 entry in row-major order to be monic, so projective equality is a plain
-tuple comparison.  Möbius specialisation to a fiber z = z0 and finite-order
-detection by iterated multiplication live here too.
+tuple comparison.  Möbius specialisation to a fiber z = z0 lives here too,
+as does finite-order detection: a non-scalar matrix has finite order n
+exactly when kappa = trace^2/det is a constant 2 + zeta + 1/zeta for a
+primitive n-th root of unity zeta, so the order is one lookup of kappa in
+the table of the cosines the tower contains.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndeterminateFiber
 from .poly import Poly, RatFn, poly_gcd, _coerce_poly
-from .scalars import CoeffScalar
+from .scalars import CoeffScalar, TowerReal
 
 
 def _rational_content(polys) -> Fraction:
@@ -50,8 +52,28 @@ class Infinity:
 INF = Infinity()
 
 
-def default_max_order() -> int:
-    return int(os.environ.get("BIRSPHERE_MAX_ORDER", "24"))
+# 2cos(2 pi k/n) for every angle (k, n) with gcd(k, n) = 1 and k <= n/2 whose
+# order n a matrix over the tower can have.  Entries lie in Q(i, sqrt(d_1),
+# ...), whose real subfield is multiquadratic, so Q(cos(2 pi/n)) must have a
+# Galois group of exponent 2: n in {1, 2, 3, 4, 5, 6, 8, 10, 12, 24}
+# (Washington, Introduction to Cyclotomic Fields, ch. 2).  This is the only
+# place that lists the roots of unity of the tower.
+def _two_cosines() -> dict[tuple[int, int], TowerReal]:
+    one = TowerReal.from_rational(1)
+    r2, r3, r5, r6 = (TowerReal.sqrt_rational(d) for d in (2, 3, 5, 6))
+    return {
+        (0, 1): 2 * one, (1, 2): -2 * one, (1, 3): -one, (1, 4): 0 * one, (1, 6): one,
+        (1, 5): (r5 - 1) / 2, (2, 5): -(r5 + 1) / 2,
+        (1, 8): r2, (3, 8): -r2,
+        (1, 10): (r5 + 1) / 2, (3, 10): (1 - r5) / 2,
+        (1, 12): r3, (5, 12): -r3,
+        (1, 24): (r6 + r2) / 2, (5, 24): (r6 - r2) / 2,
+        (7, 24): (r2 - r6) / 2, (11, 24): -(r6 + r2) / 2,
+    }
+
+
+TWO_COS = _two_cosines()
+_ANGLE_OF_KAPPA = {CoeffScalar(2 + c): angle for angle, c in TWO_COS.items()}
 
 
 def raw_mul(a, b):
@@ -164,15 +186,25 @@ class ProjMat:
     def is_identity(self) -> bool:
         return self == ProjMat.identity()
 
-    def order(self, max_order: int | None = None) -> int | None:
-        """Least n <= max_order with self^n = 1 in PGL, else None."""
-        limit = default_max_order() if max_order is None else max_order
-        acc = self
-        for n in range(1, limit + 1):
-            if acc.is_identity():
-                return n
-            acc = acc * self
-        return None
+    def rotation_angle(self) -> tuple[int, int] | None:
+        """The angle (k, n) of TWO_COS whose rotation diag(1, exp(2 pi i k/n))
+        is conjugate to self over an algebraic closure; None when self has
+        infinite order (kappa = trace^2/det non-constant, not in the table,
+        or 4 on a unipotent matrix)."""
+        if not self.trace():
+            return (1, 2)
+        ratio = self.eigen_ratio_trace_invariant()
+        if not ratio.is_constant():
+            return None
+        angle = _ANGLE_OF_KAPPA.get(ratio.num.lead() / ratio.den.lead())
+        if angle == (0, 1) and not self.is_identity():
+            return None
+        return angle
+
+    def order(self) -> int | None:
+        """Least n with self^n = 1 in PGL, or None when there is none."""
+        angle = self.rotation_angle()
+        return None if angle is None else angle[1]
 
     def pow(self, n: int) -> ProjMat:
         if n < 0:

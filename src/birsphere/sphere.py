@@ -29,7 +29,7 @@ from .errors import (
 )
 from .poly import ONE_MINUS_Z2, Poly, RatFn, poly_gcd
 from .positivity import is_real_positive
-from .projmat import INF, ProjMat, default_max_order, proportional, raw_mul
+from .projmat import INF, TWO_COS, ProjMat, proportional, raw_mul
 from .scalars import CoeffScalar, TowerReal, scalar
 
 
@@ -327,16 +327,16 @@ class SphereMap:
     def is_identity(self) -> bool:
         return self.base.is_identity() and self.fiber.is_identity()
 
-    def order(self, max_order: int | None = None) -> int | None:
-        limit = default_max_order() if max_order is None else max_order
-        if self.base.kind == "shift":
+    def order(self) -> int | None:
+        kind = self.base.kind
+        if kind == "shift":
             return None
-        acc = self
-        for n in range(1, limit + 1):
-            if acc.is_identity():
-                return n
-            acc = acc.compose(self)
-        return None
+        if kind == "id":
+            return self.fiber.order()
+        # a flipped base action is an involution, so the square has trivial
+        # base and self has twice its order
+        n = self.compose(self).fiber.order()
+        return None if n is None else 2 * n
 
     def reality_check(self) -> bool:
         """Compatibility with the real structure: A(z) tau(z) equals
@@ -572,28 +572,16 @@ def antipodal_map() -> SphereMap:
     return SphereMap(ProjMat.diag(Poly.const(1), Poly.const(-1)), BaseMobius.negation())
 
 
-_UNIT_TABLE: dict[int, tuple[Fraction | None, ...]] = {}
-
-
 def unit_root(k: int, n: int) -> CoeffScalar:
-    """Exact cos + i sin of 2 pi k / n for n in {1, 2, 3, 4, 6, 8, 12}."""
-    half = TowerReal.from_rational(Fraction(1, 2))
-    r2h = TowerReal.sqrt_rational(2) / 2
-    r3h = TowerReal.sqrt_rational(3) / 2
-    primitives = {
-        1: CoeffScalar(1),
-        2: CoeffScalar(-1),
-        3: CoeffScalar(-half, r3h),
-        4: CoeffScalar.i(),
-        6: CoeffScalar(half, r3h),
-        8: CoeffScalar(r2h, r2h),
-        12: CoeffScalar(r3h, half),
-    }
-    if n not in primitives:
-        raise UnsupportedExtension(
-            f"exact rotations support orders dividing 24 with tower cosines, not {n}"
-        )
-    return primitives[n] ** (k % n)
+    """Exact cos + i sin of 2 pi k / n.  The cosine comes from the order
+    table and the sine from the tower's square root, which has none for
+    n = 5 and n = 10 (UnsupportedExtension)."""
+    if n == 1:
+        return CoeffScalar(1)
+    if (1, n) not in TWO_COS:
+        raise UnsupportedExtension(f"cos(2 pi/{n}) does not lie in the quadratic tower")
+    c = TWO_COS[(1, n)] / 2
+    return CoeffScalar(c, (1 - c * c).sqrt()) ** (k % n)
 
 
 def rotation(k: int, n: int) -> SphereMap:
@@ -738,11 +726,9 @@ def classify_sphere_automorphism(rows, swap: bool) -> SphereAutClass:
         raise ValueError("singular matrix")
     if not swap:
         proj = ProjMat.of(*(Poly.const(c) for row in a0 for c in row))
-        n = proj.order()
-        if n is None:
+        angle = proj.rotation_angle()
+        if angle is None:
             raise NotFiniteOrder("matrix has infinite projective order")
-        ratio = proj.eigen_ratio_trace_invariant()
-        angle = _angle_from_trace_invariant(ratio, n)
         return SphereAutClass("rotation", angle, None)
     m = _mat_mul(a0, _mat_conj(a0))
     if m[0][1] or m[1][0] or m[0][0] != m[1][1]:
@@ -799,19 +785,3 @@ def _hilbert90_trials():
             )
             for _ in range(2)
         )
-
-
-def _angle_from_trace_invariant(ratio: RatFn, order: int) -> tuple[int, int]:
-    if not ratio.is_constant():
-        raise NotFiniteOrder("trace invariant is not constant")
-    value = ratio.num.lead() / ratio.den.lead() if ratio.num else CoeffScalar(0)
-    for k in range(0, order + 1):
-        zeta = unit_root(k, order)
-        expected = zeta + zeta.inverse() + 2
-        if expected == value:
-            kk = min(k % order, (order - k) % order)
-            from math import gcd
-
-            g = gcd(kk, order) if kk else 1
-            return (kk // g, order // g) if kk else (0, 1)
-    raise RuntimeError(f"no supported angle matches invariant {ratio}")

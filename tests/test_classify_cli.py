@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from birsphere.classify import (
     classify_dp4_datum,
@@ -183,3 +184,25 @@ def test_cli_linear_stratum_exit_code(capsys):
     assert code == 4  # explicitly-undecided stratum
     code, out, _ = run_cli(capsys, "classify", "builtin:tilde_eta", "--allow-undecided")
     assert code == 0
+
+
+def test_catalogue_golden(capsys):
+    """classify and order print exactly the recorded JSON for every builtin;
+    tests/data/catalogue_cli.json maps each command line to its exit code
+    and stdout."""
+    golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())
+    mismatched = []
+    for command, want in sorted(golden.items()):
+        code, out, _ = run_cli(capsys, *command.split())
+        if (code, out) != (want["exit"], want["stdout"]):
+            mismatched.append(command)
+    assert not mismatched
+
+
+def test_cli_infinite_order(capsys):
+    code, out, _ = run_cli(capsys, "classify", "diag(2+i, 2-i)")
+    payload = json.loads(out)
+    assert code == 0 and payload["family"] == "reality-only"
+    assert payload["caveats"] == ["infinite order; no family assigned"]
+    code, out, _ = run_cli(capsys, "order", "diag(2+i, 2-i)")
+    assert json.loads(out) == {"order": None}

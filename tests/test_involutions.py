@@ -212,6 +212,25 @@ def test_rotation_normal_form_recovery(rng):
             assert nf.verify(mat)
 
 
+def test_twist_unit_closed_form(rng):
+    """alpha^-1 tau conj(alpha) = [[i p, -f], [-1, i p]] / q, the closed form
+    construct_conjugator uses in place of the matrix product."""
+    from conftest import random_poly
+
+    from birsphere.involutions import InvolutionForm, _companion_data, _FracMat
+
+    tau = _FracMat(((Poly(), ONE_MINUS_Z2), (Poly.const(1), Poly())))
+    for _ in range(8):
+        p = random_poly(rng, rng.randint(0, 2), complex_ok=False)
+        q = random_poly(rng, rng.randint(0, 2))
+        alpha, f = _companion_data(InvolutionForm(p, q))
+        unit = alpha.inverse().mul(tau).mul(alpha.conj())
+        closed = ((p.scale(I), -f), (Poly.const(-1), p.scale(I)))
+        for r in range(2):
+            for c in range(2):
+                assert unit.m[r][c] * q == closed[r][c] * unit.d
+
+
 def test_rotation_angle_invariance(rng):
     target = rotation(1, 6).fiber
     angles = set()

@@ -1,11 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from birsphere.classify import classify_spheremap
 from birsphere.errors import BasePointHit, IndeterminateFiber
 from birsphere.poly import ONE_MINUS_Z2, Poly, RatFn
-from birsphere.projmat import INF, ProjMat
+from birsphere.projmat import INF, TWO_COS, ProjMat
 from birsphere.scalars import CoeffScalar, TowerReal
+from birsphere.sphere import FiberPattern, SphereMap, builtin_map, in_diffeo_group
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -39,12 +43,51 @@ def test_orders():
     assert unipotent.inverse() == ProjMat.of(Poly.const(1), Poly.const(-1), Poly(), Poly.const(1))
 
 
-def test_max_order_env(monkeypatch):
-    monkeypatch.setenv("BIRSPHERE_MAX_ORDER", "3")
-    di = ProjMat.diag(Poly.const(1), Poly.const(I))
-    assert di.order() is None
-    monkeypatch.setenv("BIRSPHERE_MAX_ORDER", "4")
-    assert di.order() == 4
+def test_order_table():
+    c = ProjMat.of(Z + Poly.const(1), Poly.const(2), Poly.const(1), Z)
+    for (k, n), two_cos in TWO_COS.items():
+        kappa = CoeffScalar(2 + two_cos)
+        if n == 1:
+            mat = ProjMat.identity()
+        elif n == 2:
+            mat = ProjMat.of(1, 1, 1, -1)
+        else:  # trace kappa and determinant kappa
+            mat = ProjMat.of(Poly.const(kappa - 1), Poly.const(-1), 1, 1)
+        a = c * mat * c.inverse()
+        assert a.order() == n, (k, n)
+        assert a.pow(n).is_identity()
+        for d in range(1, n):
+            if n % d == 0:
+                assert not a.pow(d).is_identity(), (k, n, d)
+    assert ProjMat.of(1, 1, 0, 1).order() is None  # unipotent
+    assert ProjMat.of(Z + Poly.const(2), ONE_MINUS_Z2, 1, Z + Poly.const(2)).order() is None
+    assert ProjMat.diag(1, Poly.const(2 * I)).order() is None  # kappa not real
+
+
+CATALOGUE = ("tau", "upsilon", "antipodal", "tilde_eta", "rot:1/3", "rot:1/4", "rot:1/6",
+             "rot:3/8", "rot:5/12", "rot:5/24", "g1p:1/2", "g2p:1/2")
+
+
+@st.composite
+def diffeo_conjugators(draw):
+    """[[a, b h], [~b, ~a]] with a = a0 + s i z and |b| < a0 - 1 on [-1, 1],
+    so the determinant |a|^2 - |b|^2 (1 - z^2) is positive on R."""
+    small = st.integers(-1, 1)
+    a = Poly([CoeffScalar(draw(st.integers(5, 40))), CoeffScalar(0, draw(small))])
+    b = Poly([CoeffScalar(draw(small), draw(small)), CoeffScalar(draw(small), draw(small))])
+    return FiberPattern(a, b).matrix()
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(CATALOGUE), c=diffeo_conjugators())
+def test_order_and_family_conjugation_invariant(name, c):
+    assert in_diffeo_group(c)
+    g = builtin_map(name)
+    cg = SphereMap.trivial_base(c)
+    h = cg.compose(g).compose(cg.inverse())
+    assert h.order() == g.order()
+    want, have = classify_spheremap(g), classify_spheremap(h)
+    assert (have.family, have.moduli) == (want.family, want.moduli)
 
 
 def test_act_on_fiber():

@@ -231,6 +231,8 @@ def test_builtin_reality_and_orders():
         "rot:1/2": 2,
         "g1p:1/2": 2,
         "g2p:1/2": 2,
+        "rot:1/24": 24,
+        "rot:5/24": 24,
     }
     for name, order in expected.items():
         g = builtin_map(name)
