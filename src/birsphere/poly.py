@@ -1,9 +1,13 @@
 """Polynomials and rational functions in z over the exact scalar field.
 
-Polynomials are dense ascending coefficient lists of CoeffScalar with no
-trailing zero; the zero polynomial is the empty list and reports degree -1
-(standing in for "degree minus infinity").  Two ring involutions act on
-them: coefficientwise conjugation and the substitution z -> -z.
+Polynomials are dense ascending coefficient tuples of CoeffScalar with no
+trailing zero; the zero polynomial is the empty tuple and reports degree -1
+(standing in for "degree minus infinity").  Multiplication and division with
+remainder hand the coefficients to the integer kernel of the scalars module,
+which works on integer numerators over one common denominator per
+polynomial; gcds, exact division, square-free parts and Sturm chains are
+built on those two.  Two ring involutions act on polynomials:
+coefficientwise conjugation and the substitution z -> -z.
 
 Real-root machinery (Sturm chains, root isolation) works for polynomials
 with real tower coefficients, using exact sign decisions.  Real algebraic
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotRealPolynomial
-from .scalars import CoeffScalar, TowerReal, scalar
+from .scalars import CoeffScalar, TowerReal, coeffs_divmod, coeffs_mul, scalar
 
 
 def _coeff(x) -> CoeffScalar:
@@ -119,13 +123,7 @@ class Poly:
             return NotImplemented
         if not self or not other:
             return Poly()
-        out = [CoeffScalar(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        return Poly(coeffs_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -153,23 +151,7 @@ class Poly:
         other = _coerce_poly(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        lead_inv = other.lead().inverse()
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quo = [CoeffScalar(0)] * (dq + 1)
-        for k in range(dq, -1, -1):
-            if len(rem) < len(other.coeffs) + k:
-                continue
-            c = rem[len(other.coeffs) + k - 1] * lead_inv
-            if not c:
-                continue
-            quo[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[j + k] = rem[j + k] - c * b
-            while rem and not rem[-1]:
-                rem.pop()
+        quo, rem = coeffs_divmod(self.coeffs, other.coeffs)
         return Poly(quo), Poly(rem)
 
     def __floordiv__(self, other):
@@ -402,12 +384,15 @@ def sturm_count(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None)
     p = _squarefree_real(p)
     if p.degree == 0:
         return 0
-    chain = sturm_chain(p)
-    vlo = _chain_variations_at(chain, lo, -1)
-    vhi = _chain_variations_at(chain, hi, +1)
-    count = vlo - vhi
+    return _chain_count(sturm_chain(p), lo, hi)
+
+
+def _chain_count(chain: list[Poly], lo: Fraction | None, hi: Fraction | None) -> int:
+    """sturm_count of the square-free chain[0] of positive degree, given its
+    Sturm chain."""
+    count = _chain_variations_at(chain, lo, -1) - _chain_variations_at(chain, hi, +1)
     # V counts roots in (lo, hi]; drop hi when it is a root.
-    if hi is not None and real_sign_at(p, hi) == 0:
+    if hi is not None and real_sign_at(chain[0], hi) == 0:
         count -= 1
     return count
 
@@ -445,7 +430,8 @@ def isolate_real_roots_poly(p: Poly) -> list[tuple[Fraction, Fraction]]:
     if p.degree <= 0:
         return []
     b = cauchy_bound(p)
-    total = sturm_count(p, -b, b)
+    chain = sturm_chain(p)
+    total = _chain_count(chain, -b, b)
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(-b, b, total)]
     while stack:
@@ -458,7 +444,7 @@ def isolate_real_roots_poly(p: Poly) -> list[tuple[Fraction, Fraction]]:
         mid = (lo + hi) / 2
         while real_sign_at(p, mid) == 0:
             mid = (mid + hi) / 2
-        nlo = sturm_count(p, lo, mid)
+        nlo = _chain_count(chain, lo, mid)
         stack.append((lo, mid, nlo))
         stack.append((mid, hi, n - nlo))
     out.sort()

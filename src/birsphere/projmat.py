@@ -17,22 +17,7 @@ from fractions import Fraction
 
 from .errors import IndeterminateFiber
 from .poly import Poly, RatFn, poly_gcd, _coerce_poly
-from .scalars import CoeffScalar, TowerReal
-
-
-def _rational_content(polys) -> Fraction:
-    """Positive rational content across every coefficient fraction of the
-    given polynomials (tower terms and imaginary parts included)."""
-    from math import gcd
-
-    num, den = 0, 1
-    for p in polys:
-        for c in p.coeffs:
-            for part in (c.re, c.im):
-                for frac in part.terms.values():
-                    num = gcd(num, abs(frac.numerator))
-                    den = den * frac.denominator // gcd(den, frac.denominator)
-    return Fraction(num, den) if num else Fraction(1)
+from .scalars import CoeffScalar, TowerReal, rational_content
 
 
 class Infinity:
@@ -125,7 +110,7 @@ class ProjMat:
         nonzero = [p for p in polys if p]
         if not nonzero:
             raise ValueError("zero matrix is not projective")
-        content = _rational_content(nonzero)
+        content = rational_content(c for p in nonzero for c in p.coeffs)
         if content != 1:
             inv = CoeffScalar(Fraction(1) / content)
             polys = [p.scale(inv) for p in polys]

@@ -1,19 +1,25 @@
 """Exact arithmetic in Q(i) extended by square roots of positive rationals.
 
-A real tower element is stored as a finite sum  sum_m  c_m * sqrt(m)  where
-the keys m are distinct squarefree positive integers (m = 1 carries the
-rational part) and the c_m are nonzero Fractions.  Since the square roots of
-distinct squarefree integers are linearly independent over Q, equality is a
-coefficient comparison and the representation is canonical.  Multiplication
-closes because sqrt(m)*sqrt(n) = g*sqrt(mn/g^2) with g = gcd(m, n).
+A real tower element is stored as  (sum_m  n_m * sqrt(m)) / d  where the keys
+m are distinct squarefree positive integers (m = 1 carries the rational
+part), the numerators n_m are nonzero integers and the one denominator d is
+a positive integer with gcd(d, n_1, n_2, ...) = 1; zero is {} over 1.  Since
+the square roots of distinct squarefree integers are linearly independent
+over Q, the representation is canonical and equality is a plain comparison.
+Ring operations are integer arithmetic plus one gcd.  Multiplication closes
+because sqrt(m)*sqrt(n) = g*sqrt(mn/g^2) with g = gcd(m, n).
 
-Signs of nonzero elements are decided by refining rational interval
-enclosures of the square roots; a decided sign never flips under further
-refinement.  Square roots of tower elements are computed by a recursive
-denesting on the primes of the support and raise UnsupportedExtension when
-the result lies outside every real multi-quadratic tower.
+Signs of nonzero elements are decided by refining integer enclosures
+isqrt(m * 4^bits) of the square roots; a decided sign never flips under
+further refinement.  Square roots of tower elements are computed by a
+recursive denesting on the primes of the support and raise
+UnsupportedExtension when the result lies outside every real multi-quadratic
+tower.
 
 Complex scalars are pairs (re, im) of tower reals representing re + im*i.
+Polynomial products and divisions run on integer rows, one per coefficient,
+over one common denominator per polynomial (`coeffs_mul`, `coeffs_divmod`);
+the row layout is private to this module.
 """
 
 from __future__ import annotations
@@ -102,34 +108,25 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, m
 
 
-def _sqrt_interval(m: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of sqrt(m) with width 2^-bits."""
-    scale = 1 << bits
-    lo = math.isqrt(m * scale * scale)
-    return Fraction(lo, scale), Fraction(lo + 1, scale)
-
-
 class TowerReal:
     """Element of Q(sqrt(d_1), ..., sqrt(d_k)) for positive rational d_i."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
-        self._terms = {m: c for m, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def _make(cls, terms: dict[int, Fraction]) -> TowerReal:
-        """Fast constructor for term dicts known to carry no zero values."""
-        out = object.__new__(cls)
-        out._terms = terms
-        return out
+        fracs = {m: Fraction(c) for m, c in (terms or {}).items()}
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        canon = _tower({m: c.numerator * (den // c.denominator) for m, c in fracs.items()}, den)
+        self._num, self._den = canon._num, canon._den
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_rational(cls, q) -> TowerReal:
+        if isinstance(q, int):
+            return _tower({1: q}, 1)
         q = Fraction(q)
-        return cls({1: q}) if q else cls()
+        return _tower({1: q.numerator}, q.denominator)
 
     @classmethod
     def sqrt_rational(cls, q) -> TowerReal:
@@ -138,27 +135,29 @@ class TowerReal:
         if q < 0:
             raise ValueError("nonnegative rational expected")
         if q == 0:
-            return cls()
+            return _TOWER_ZERO
         s, m = squarefree_decompose(q.numerator * q.denominator)
-        return cls({m: Fraction(s, q.denominator)})
+        return _tower({m: s}, q.denominator)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {m: Fraction(c, den) for m, c in self._num.items()}
 
     def is_rational(self) -> bool:
-        return all(m == 1 for m in self._terms)
+        num = self._num
+        return not num or (len(num) == 1 and 1 in num)
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self._terms.get(1, Fraction(0))
+        return Fraction(self._num.get(1, 0), self._den)
 
     def support_primes(self) -> set[int]:
         primes: set[int] = set()
-        for m in self._terms:
+        for m in self._num:
             if m != 1:
                 primes.update(_factorint(m))
         return primes
@@ -169,20 +168,23 @@ class TowerReal:
         other = _coerce_tower(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
+        a, b = self._num, other._num
         if not a:
             return other
         if not b:
             return self
-        terms = dict(a)
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        num = {m: c * fa for m, c in a.items()}
         for m, c in b.items():
-            terms[m] = terms.get(m, _ZERO_FRACTION) + c
-        return TowerReal(terms)
+            num[m] = num.get(m, 0) + c * fb
+        return _tower(num, da * fa)
 
     __radd__ = __add__
 
     def __neg__(self) -> TowerReal:
-        return TowerReal._make({m: -c for m, c in self._terms.items()})
+        return _tower({m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce_tower(other)
@@ -197,31 +199,32 @@ class TowerReal:
         other = _coerce_tower(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
+        a, b = self._num, other._num
         if not a or not b:
             return _TOWER_ZERO
         if len(a) == 1 and 1 in a:
             c = a[1]
-            return TowerReal._make({m: c * d for m, d in b.items()})
-        if len(b) == 1 and 1 in b:
+            num = {m: c * d for m, d in b.items()}
+        elif len(b) == 1 and 1 in b:
             d = b[1]
-            return TowerReal._make({m: c * d for m, c in a.items()})
-        terms: dict[int, Fraction] = {}
-        for m, c in a.items():
-            for n, d in b.items():
-                g = math.gcd(m, n)
-                key = (m // g) * (n // g)
-                terms[key] = terms.get(key, _ZERO_FRACTION) + c * d * g
-        return TowerReal(terms)
+            num = {m: c * d for m, c in a.items()}
+        else:
+            num = {}
+            for m, c in a.items():
+                for n, d in b.items():
+                    g = math.gcd(m, n)
+                    key = (m // g) * (n // g)
+                    num[key] = num.get(key, 0) + c * d * g
+        return _tower(num, self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> TowerReal:
         """Field inverse, via the product of Galois conjugates."""
-        if not self._terms:
+        if not self._num:
             raise ZeroDivisionError("tower zero has no inverse")
         if self.is_rational():
-            return TowerReal.from_rational(1 / self.as_rational())
+            return TowerReal.from_rational(Fraction(self._den, self._num[1]))
         primes = sorted(self.support_primes())
         conj = TowerReal.from_rational(1)
         for mask in range(1, 1 << len(primes)):
@@ -231,11 +234,11 @@ class TowerReal:
         return conj * TowerReal.from_rational(Fraction(1) / denom)
 
     def _galois(self, flips: set[int]) -> TowerReal:
-        terms = {}
-        for m, c in self._terms.items():
+        num = {}
+        for m, c in self._num.items():
             parity = sum(1 for p in flips if m % p == 0)
-            terms[m] = -c if parity % 2 else c
-        return TowerReal(terms)
+            num[m] = -c if parity % 2 else c
+        return _tower(num, self._den)
 
     def __truediv__(self, other):
         other = _coerce_tower(other)
@@ -264,35 +267,34 @@ class TowerReal:
         other = _coerce_tower(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}, decided by interval refinement."""
-        if not self._terms:
+        """Exact sign in {-1, 0, 1}, decided by interval refinement.
+
+        At precision `bits` each sqrt(m) lies in [s, s + 1] / 2^bits with
+        s = isqrt(m * 4^bits), so 2^bits * den * self lies in [S + neg, S + pos]
+        where S = sum c*s and neg, pos sum the negative and positive numerators.
+        """
+        num = self._num
+        if not num:
             return 0
-        if self.is_rational():
-            q = self.as_rational()
-            return (q > 0) - (q < 0)
+        if len(num) == 1 and 1 in num:
+            return 1 if num[1] > 0 else -1
+        neg = sum(c for c in num.values() if c < 0)
+        pos = sum(c for c in num.values() if c > 0)
         bits = 16
         while True:
-            lo = hi = Fraction(0)
-            for m, c in self._terms.items():
-                slo, shi = _sqrt_interval(m, bits)
-                if c >= 0:
-                    lo += c * slo
-                    hi += c * shi
-                else:
-                    lo += c * shi
-                    hi += c * slo
-            if lo > 0:
+            s = sum(c * math.isqrt(m << 2 * bits) for m, c in num.items())
+            if s + neg > 0:
                 return 1
-            if hi < 0:
+            if s + pos < 0:
                 return -1
             bits *= 2
             if bits > 1 << 20:  # unreachable for nonzero exact input
@@ -314,15 +316,17 @@ class TowerReal:
         return -self if self.sign() < 0 else self
 
     def interval(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Rational enclosure with width about 2^-bits per term."""
-        lo = hi = Fraction(0)
-        for m, c in self._terms.items():
-            slo, shi = _sqrt_interval(m, bits)
+        """Rational enclosure with width about 2^-bits per term: each sqrt(m)
+        is replaced by [s, s + 1] / 2^bits with s = isqrt(m * 4^bits)."""
+        lo = hi = 0
+        for m, c in self._num.items():
+            s = c * math.isqrt(m << 2 * bits)
             if c >= 0:
-                lo, hi = lo + c * slo, hi + c * shi
+                lo, hi = lo + s, hi + s + c
             else:
-                lo, hi = lo + c * shi, hi + c * slo
-        return lo, hi
+                lo, hi = lo + s + c, hi + s
+        scale = self._den << bits
+        return Fraction(lo, scale), Fraction(hi, scale)
 
     def __float__(self) -> float:
         lo, hi = self.interval(64)
@@ -349,14 +353,13 @@ class TowerReal:
         if s < 0:
             raise ValueError("square root of negative tower element")
         if s == 0:
-            return TowerReal()
+            return _TOWER_ZERO
         if self.is_rational():
             return TowerReal.sqrt_rational(self.as_rational())
         p = max(self.support_primes())
-        inner = {m: c for m, c in self._terms.items() if m % p == 0}
-        outer = {m: c for m, c in self._terms.items() if m % p != 0}
-        a = TowerReal(outer)
-        bprime = TowerReal({m // p: c for m, c in inner.items()})  # self = a + bprime*sqrt(p)
+        num, den = self._num, self._den
+        a = _tower({m: c for m, c in num.items() if m % p}, den)
+        bprime = _tower({m // p: c for m, c in num.items() if m % p == 0}, den)  # self = a + bprime*sqrt(p)
         try:
             # A root C + D*sqrt(p) needs C, D in the p-free subfield, hence
             # C^2 - D^2 p = +-sqrt(a^2 - p b'^2) must stay p-free as well.
@@ -379,7 +382,7 @@ class TowerReal:
             d = bprime / (2 * c)
         except (UnsupportedExtension, ValueError) as exc:
             raise UnsupportedExtension(f"no tower square root for {self}") from exc
-        root = c + d * TowerReal({p: Fraction(1)})
+        root = c + d * _tower({p: 1}, 1)
         if root * root != self:
             raise UnsupportedExtension(f"no tower square root for {self}")
         return abs(root)
@@ -390,11 +393,11 @@ class TowerReal:
         return f"TowerReal({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for m in sorted(self._terms):
-            c = self._terms[m]
+        for m in sorted(self._num):
+            c = Fraction(self._num[m], self._den)
             if m == 1:
                 parts.append(str(c))
             elif c == 1:
@@ -409,8 +412,26 @@ class TowerReal:
         return out
 
 
-_ZERO_FRACTION = Fraction(0)
-_TOWER_ZERO = TowerReal()
+def _tower(num: dict[int, int], den: int) -> TowerReal:
+    """The TowerReal sum num[m]*sqrt(m)/den for den > 0, brought to canonical
+    form: zero numerators dropped and gcd(den, *numerators) divided out."""
+    if 0 in num.values():
+        num = {m: c for m, c in num.items() if c}
+    if not num:
+        return _TOWER_ZERO
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        den //= g
+        num = {m: c // g for m, c in num.items()}
+    out = object.__new__(TowerReal)
+    out._num = num
+    out._den = den
+    return out
+
+
+_TOWER_ZERO = object.__new__(TowerReal)
+_TOWER_ZERO._num = {}
+_TOWER_ZERO._den = 1
 
 
 def _coerce_tower(x):
@@ -574,7 +595,7 @@ def _coerce_scalar(x):
     if isinstance(x, CoeffScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return CoeffScalar(Fraction(x))
+        return CoeffScalar(x)
     if isinstance(x, TowerReal):
         return CoeffScalar(x)
     return NotImplemented
@@ -596,3 +617,144 @@ def scalar(x) -> CoeffScalar:
 def product(values, start=None):
     """Product of an iterable of scalars."""
     return reduce(lambda a, b: a * b, values, ONE if start is None else start)
+
+
+def rational_content(values) -> Fraction:
+    """Positive rational content of the given scalars: the largest rational
+    r such that every rational coefficient of every real and imaginary part
+    divided by r is an integer; 1 when all values are zero."""
+    num, den = 0, 1
+    for c in values:
+        for part in (c.re, c.im):
+            if part._num:
+                # gcd(part._den, *part._num) == 1, so this is the part's content
+                num = math.gcd(num, *part._num.values())
+                den = math.lcm(den, part._den)
+    return Fraction(num, den) if num else Fraction(1)
+
+
+# -- integer-row kernel for polynomial arithmetic ---------------------------------
+#
+# A coefficient sequence is turned into rows: one dict per coefficient mapping
+# (radicand m, 0 for the real part | 1 for the imaginary part) to an integer
+# numerator, all over one positive common denominator.  Products of keys
+# follow sqrt(m)*sqrt(n) = g*sqrt(mn/g^2) with g = gcd(m, n) and i*i = -1.
+# Only this module knows the layout; poly.py calls coeffs_mul and
+# coeffs_divmod.
+
+_Row = dict[tuple[int, int], int]
+
+
+def _rows(coeffs) -> tuple[list[_Row], int]:
+    # folded per coefficient: star-argument tuples as long as a polynomial
+    # linger in CPython's per-length tuple free lists and raise peak memory
+    den = 1
+    for c in coeffs:
+        den = math.lcm(den, c.re._den, c.im._den)
+    rows = []
+    for c in coeffs:
+        row = {}
+        for part, t in ((c.re, 0), (c.im, 1)):
+            f = den // part._den
+            for m, x in part._num.items():
+                row[m, t] = x * f
+        rows.append(row)
+    return rows, den
+
+
+def _scalar_of_row(row: _Row, den: int) -> CoeffScalar:
+    re: dict[int, int] = {}
+    im: dict[int, int] = {}
+    for (m, t), x in row.items():
+        if t:
+            im[m] = x
+        else:
+            re[m] = x
+    out = object.__new__(CoeffScalar)
+    out.re = _tower(re, den)
+    out.im = _tower(im, den)
+    return out
+
+
+def _key_product(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[tuple[int, int], int]:
+    """Key and integer factor of the product of two basis elements."""
+    (m, s), (n, t) = ka, kb
+    g = math.gcd(m, n)
+    return ((m // g) * (n // g), s ^ t), -g if s & t else g
+
+
+class _ProductTable(dict):
+    """ka -> {kb: _key_product(ka, kb)} for the keys kb of one fixed set of
+    rows, filled on the first use of each ka."""
+
+    def __init__(self, rows: list[_Row]):
+        super().__init__()
+        self.keys_b = {kb for r in rows for kb in r}
+
+    def __missing__(self, ka):
+        t = self[ka] = {kb: _key_product(ka, kb) for kb in self.keys_b}
+        return t
+
+
+def _add_product(acc_rows: list[_Row], offset: int, x: _Row, rows: list[_Row], table: _ProductTable) -> None:
+    """acc_rows[offset + j] += x * rows[j] for every j."""
+    for ka, cx in x.items():
+        t = table[ka]
+        for j, y in enumerate(rows):
+            acc = acc_rows[offset + j]
+            for kb, cy in y.items():
+                k, f = t[kb]
+                acc[k] = acc.get(k, 0) + f * cx * cy
+
+
+def coeffs_mul(a, b) -> list[CoeffScalar]:
+    """Coefficients of the product of two nonempty coefficient sequences
+    (ascending powers): one integer convolution over their rows."""
+    ra, da = _rows(a)
+    rb, db = _rows(b)
+    table = _ProductTable(rb)
+    out: list[_Row] = [{} for _ in range(len(ra) + len(rb) - 1)]
+    for i, x in enumerate(ra):
+        _add_product(out, i, x, rb, table)
+    den = da * db
+    return [_scalar_of_row(r, den) for r in out]
+
+
+def coeffs_divmod(a, b) -> tuple[list[CoeffScalar], list[CoeffScalar]]:
+    """Quotient and remainder coefficients of a divided by b.
+
+    b must be nonempty with a nonzero last coefficient.  The remainder stays
+    in integer rows over one denominator across the steps: each step
+    subtracts top * (b / lead) * z^k and divides out one gcd.
+    """
+    nb = len(b)
+    dq = len(a) - nb
+    if dq < 0:
+        return [], list(a)
+    lead_inv = b[-1].inverse()
+    monic = lead_inv == ONE
+    mon, dm = _rows(b[:-1] if monic else [c * lead_inv for c in b[:-1]])
+    table = _ProductTable(mon)
+    rem, dr = _rows(a)
+    quo: list[CoeffScalar] = [ZERO] * (dq + 1)
+    for k in range(dq, -1, -1):
+        top = rem[k + nb - 1]
+        if not top:
+            continue
+        q = _scalar_of_row(top, dr)
+        quo[k] = q if monic else q * lead_inv
+        # rem/dr - (top/dr) * (mon/dm) z^k = (dm*rem - top*mon z^k) / (dr*dm)
+        live = rem[: k + nb - 1]
+        if dm != 1:
+            live = [{key: x * dm for key, x in r.items()} for r in live]
+        _add_product(live, k, {key: -x for key, x in top.items()}, mon, table)
+        dr *= dm
+        live = [{key: x for key, x in r.items() if x} for r in live]
+        g = dr
+        for r in live:
+            g = math.gcd(g, *r.values())
+        if g != 1:
+            dr //= g
+            live = [{key: x // g for key, x in r.items()} for r in live]
+        rem = live
+    return quo, [_scalar_of_row(r, dr) for r in rem[: nb - 1]]

@@ -657,9 +657,12 @@ def builtin_map(spec: str) -> SphereMap:
     if name == "rot":
         num, _, den = arg.partition("/")
         try:
-            return rotation(int(num), int(den))
+            k, n = int(num), int(den)
         except ValueError as exc:
             raise ParseError(f"rotation spec k/n expected, got {arg!r}") from exc
+        if n <= 0:
+            raise ParseError(f"rotation spec k/n needs n >= 1, got {arg!r}")
+        return rotation(k, n)
     try:
         param = Fraction(arg)
     except (ValueError, ZeroDivisionError) as exc:

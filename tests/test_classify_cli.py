@@ -135,6 +135,10 @@ def test_cli_exit_codes(capsys):
     assert code == 3  # nontrivial base action is outside the fixed-curve surface
     code, _, err = run_cli(capsys, "h2", "builtin:rot:1/3")
     assert code == 5  # base action is not the flip
+    code, _, err = run_cli(capsys, "classify", "builtin:rot:1/0")
+    assert code == 2
+    code, _, err = run_cli(capsys, "classify", "builtin:rot:1/-3")
+    assert code == 2
 
 
 def test_cli_builtin_list(capsys):
@@ -187,9 +191,10 @@ def test_cli_linear_stratum_exit_code(capsys):
 
 
 def test_catalogue_golden(capsys):
-    """classify and order print exactly the recorded JSON for every builtin;
-    tests/data/catalogue_cli.json maps each command line to its exit code
-    and stdout."""
+    """classify, order, member, fix, h2 and eval print exactly the recorded
+    JSON for every builtin, and conj for the builtin pairs of
+    test_decide_conjugacy; tests/data/catalogue_cli.json maps each command
+    line to its exit code and stdout."""
     golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())
     mismatched = []
     for command, want in sorted(golden.items()):
