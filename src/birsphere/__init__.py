@@ -10,6 +10,7 @@ from .errors import (
     IndeterminateFiber,
     InfiniteOrderBase,
     NotAutomorphism,
+    NotConjugate,
     NotDiffeomorphism,
     NotEvenFunction,
     NotFiniteOrder,

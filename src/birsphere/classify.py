@@ -15,13 +15,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InfiniteOrderBase, NotFiniteOrder, ParseError
+from .errors import InfiniteOrderBase, NotConjugate, NotFiniteOrder, ParseError
 from .etatwist import FlipReport, TwistClass, classify_flip_involution, h2_invariant
 from .involutions import (
     HyperellipticModel,
     TrivialBaseReport,
     classify_trivialbase,
-    conj_decision,
     construct_conjugator,
     fixed_curve,
 )
@@ -295,7 +294,9 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
             "conjugate": same,
             "invariants": [h2_invariant(g1).to_json(), h2_invariant(g2).to_json()],
         }
-    if not conj_decision(g1.fiber, g2.fiber):
+    try:
+        cert = construct_conjugator(g1.fiber, g2.fiber)
+    except NotConjugate:
         return {
             "conjugate": False,
             "fixed_curves": [
@@ -303,7 +304,6 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
                 model_to_json(fixed_curve(g2.fiber)),
             ],
         }
-    cert = construct_conjugator(g1.fiber, g2.fiber)
     return {
         "conjugate": True,
         "conjugator": _matrix_json(cert.conjugator),

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .bipoly import BiPoly
 from .errors import (
     HasRealRoot,
+    NotConjugate,
     NotDiffeomorphism,
     NotInvolution,
     NotFiniteOrder,
@@ -39,6 +40,7 @@ from .projmat import ProjMat
 from .scalars import CoeffScalar
 from .sphere import (
     FiberPattern,
+    _primitive_real,
     canonical_pattern,
     fiber_determinant,
     in_diffeo_group,
@@ -116,7 +118,7 @@ def fixed_curve(mat: ProjMat) -> HyperellipticModel:
     reduced to its square-free model."""
     form = involution_normal_form(mat)
     raw = -form.determinant()
-    neg_d = _primitive(raw)
+    neg_d = _primitive_real(raw)
     content = Fraction(1)
     if raw != neg_d:
         ratio = (raw.lead() / neg_d.lead()).as_rational()
@@ -128,12 +130,6 @@ def fixed_curve(mat: ProjMat) -> HyperellipticModel:
     m = sf if sign > 0 else -sf
     scale2 = neg_d.exact_div(m.scale(Fraction(sign)))
     return HyperellipticModel(m, sign, poly_square_root(scale2), content)
-
-
-def _primitive(p: Poly) -> Poly:
-    from .sphere import _primitive_real
-
-    return _primitive_real(p)
 
 
 def real_locus_class(mat: ProjMat) -> str:
@@ -284,14 +280,20 @@ def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate
     u^2 = D_A / D_B, and the reality defect is repaired by a Hilbert-90
     element of the quadratic algebra attached to the common fixed curve.
     """
+    if mat_a != mat_b and not conj_decision(mat_a, mat_b):
+        raise NotConjugate("maps are not conjugate: determinants differ by a non-square")
+    return _build_conjugator(mat_a, mat_b)
+
+
+def _build_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate:
+    """construct_conjugator for a pair known to be conjugate; the pair moved
+    off the diagonal is conjugate as well, so it is not decided again."""
     if mat_a == mat_b:
         return ConjugacyCertificate(mat_a, mat_b, ProjMat.identity())
-    if not conj_decision(mat_a, mat_b):
-        raise ValueError("maps are not conjugate: determinants differ by a non-square")
     moved_a, pre_a = _move_off_diagonal(mat_a)
     moved_b, pre_b = _move_off_diagonal(mat_b)
     if (moved_a, moved_b) != (mat_a, mat_b):
-        inner = construct_conjugator(moved_a, moved_b)
+        inner = _build_conjugator(moved_a, moved_b)
         conj = pre_b.inverse() * inner.conjugator * pre_a
         cert = ConjugacyCertificate(mat_a, mat_b, conj)
         if not cert.verify():

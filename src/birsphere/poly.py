@@ -1,13 +1,22 @@
 """Polynomials and rational functions in z over the exact scalar field.
 
-Polynomials are dense ascending coefficient tuples of CoeffScalar with no
-trailing zero; the zero polynomial is the empty tuple and reports degree -1
-(standing in for "degree minus infinity").  Multiplication and division with
-remainder hand the coefficients to the integer kernel of the scalars module,
-which works on integer numerators over one common denominator per
-polynomial; gcds, exact division, square-free parts and Sturm chains are
-built on those two.  Two ring involutions act on polynomials:
-coefficientwise conjugation and the substitution z -> -z.
+A polynomial is stored as integer rows over one positive denominator, in the
+manner of FLINT's fmpq_poly.  Row k holds coefficient k as a dict
+{(m, t): n} with m a squarefree radicand and t = 0 for the real part, 1 for
+the imaginary part, standing for the sum of n * sqrt(m) * i^t over the
+common denominator.  The form is canonical: no zero numerator, no trailing
+empty row, gcd(den, every numerator) = 1, and the zero polynomial is ()
+over 1 with degree -1 (standing in for "degree minus infinity"), so
+equality is a plain comparison.  The scalars module converts one
+coefficient to and from a row (`CoeffScalar.to_row`, `CoeffScalar.from_row`);
+the polynomial layout is known to this module only.  Every operation works
+on the rows with integer arithmetic: products follow
+sqrt(m)*sqrt(n) = g*sqrt(mn/g^2) with g = gcd(m, n) and i*i = -1, division
+keeps the remainder in rows across its steps, and evaluation is one
+homogenised Horner scheme normalised once.  CoeffScalar values are built
+only when a caller asks for coefficients (`p[k]`, `lead`, `coeffs`).  Rows
+are shared between polynomials and never mutated.  Two ring involutions act
+on polynomials: coefficientwise conjugation and the substitution z -> -z.
 
 Real-root machinery (Sturm chains, root isolation) works for polynomials
 with real tower coefficients, using exact sign decisions.  Real algebraic
@@ -17,33 +26,155 @@ isolating rational interval, refinable on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotRealPolynomial
-from .scalars import CoeffScalar, TowerReal, coeffs_divmod, coeffs_mul, scalar
+from .scalars import CoeffScalar, TowerReal, scalar
+
+_Row = dict[tuple[int, int], int]
+_ONE_KEY = (1, 0)
+_RATIONAL_KEYS = {_ONE_KEY}
 
 
 def _coeff(x) -> CoeffScalar:
     return x if isinstance(x, CoeffScalar) else scalar(x)
 
 
-class Poly:
-    """Dense univariate polynomial over CoeffScalar."""
+# -- the integer-row kernel ---------------------------------------------------------
 
-    __slots__ = ("coeffs",)
+
+def _rows(coeffs) -> tuple[list[_Row], int]:
+    """Rows of a sequence of CoeffScalars over their least common denominator."""
+    parts = [c.to_row() for c in coeffs]
+    den = 1
+    for _, d in parts:
+        den = math.lcm(den, d)
+    return [row if d == den else {k: x * (den // d) for k, x in row.items()} for row, d in parts], den
+
+
+def _key_product(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[tuple[int, int], int]:
+    """Key and integer factor of the product of two basis elements."""
+    (m, s), (n, t) = ka, kb
+    g = math.gcd(m, n)
+    return ((m // g) * (n // g), s ^ t), -g if s & t else g
+
+
+class _ProductTable(dict):
+    """ka -> {kb: _key_product(ka, kb)} for the keys kb of one fixed set of
+    rows, filled on the first use of each ka."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.keys_b = {kb for r in rows for kb in r}
+
+    def __missing__(self, ka):
+        t = self[ka] = {kb: _key_product(ka, kb) for kb in self.keys_b}
+        return t
+
+
+def _add_product(acc_rows: list[_Row], offset: int, x: _Row, rows, table: _ProductTable) -> None:
+    """acc_rows[offset + j] += x * rows[j] for every j; only acc_rows is written."""
+    for ka, cx in x.items():
+        t = table[ka]
+        for j, y in enumerate(rows):
+            acc = acc_rows[offset + j]
+            for kb, cy in y.items():
+                k, f = t[kb]
+                acc[k] = acc.get(k, 0) + f * cx * cy
+
+
+def _new(rows: tuple[_Row, ...], den: int) -> Poly:
+    """A Poly from rows and den already in canonical form."""
+    out = object.__new__(Poly)
+    out._rows = rows
+    out._den = den
+    return out
+
+
+def _poly(rows, den: int) -> Poly:
+    """The Poly sum rows[k] z^k / den for den > 0, brought to canonical form:
+    zero numerators and trailing empty rows dropped, gcd(den, *numerators)
+    divided out."""
+    rows = [r if 0 not in r.values() else {k: x for k, x in r.items() if x} for r in rows]
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows:
+        return _ZERO
+    g = _numerator_gcd(rows, den)
+    if g != 1:
+        den //= g
+        rows = [{k: x // g for k, x in r.items()} for r in rows]
+    return _new(tuple(rows), den)
+
+
+def _numerator_gcd(rows, g: int = 0) -> int:
+    for r in rows:
+        g = math.gcd(g, *r.values())
+        if g == 1:
+            break
+    return g
+
+
+def _divide(a: Poly, b: Poly) -> tuple[list[tuple[int, _Row, int]], Poly, CoeffScalar | None]:
+    """Division of a by the monic associate b / lead(b).
+
+    Returns (steps, remainder, inverse of lead(b) or None when b is monic);
+    a step (k, top, d) says that the monic quotient has coefficient top / d
+    at z^k.  The remainder stays in rows over one denominator across the
+    steps: each step subtracts top * (b / lead) * z^k and divides out one gcd.
+    """
+    if not b._rows:
+        raise ZeroDivisionError("polynomial division by zero")
+    nb = len(b._rows)
+    rem, dr = a._rows, a._den
+    if len(rem) < nb:
+        return [], a, None
+    lead_inv = None if b._rows[-1] == {_ONE_KEY: b._den} else b.lead().inverse()
+    mon = b if lead_inv is None else b.scale(lead_inv)
+    low, dm = mon._rows[:-1], mon._den
+    table = _ProductTable(low)
+    steps = []
+    for k in range(len(rem) - nb, -1, -1):
+        top = rem[k + nb - 1]
+        if not top:
+            continue
+        steps.append((k, top, dr))
+        # rem/dr - (top/dr) * (mon/dm) z^k = (dm*rem - top*mon z^k) / (dr*dm);
+        # the leading terms cancel.  Rows the product writes are copies.
+        if dm == 1:
+            live = list(rem[:k]) + [dict(r) for r in rem[k : k + nb - 1]]
+        else:
+            live = [{key: x * dm for key, x in r.items()} for r in rem[: k + nb - 1]]
+            dr *= dm
+        _add_product(live, k, {key: -x for key, x in top.items()}, low, table)
+        for j in range(k, k + nb - 1):
+            if 0 in live[j].values():
+                live[j] = {key: x for key, x in live[j].items() if x}
+        g = _numerator_gcd(live, dr)
+        if g != 1:
+            dr //= g
+            live = [{key: x // g for key, x in r.items()} for r in live]
+        rem = live
+    return steps, _poly(rem[: nb - 1], dr), lead_inv
+
+
+class Poly:
+    """Dense univariate polynomial over CoeffScalar, stored as integer rows
+    over one denominator (see the module docstring)."""
+
+    __slots__ = ("_rows", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [_coeff(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        p = _poly(*_rows([_coeff(c) for c in coeffs]))
+        self._rows, self._den = p._rows, p._den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, c) -> Poly:
-        return cls([_coeff(c)])
+        return cls([c])
 
     @classmethod
     def z(cls) -> Poly:
@@ -56,34 +187,60 @@ class Poly:
     # -- structure -----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[CoeffScalar, ...]:
+        """The coefficients in ascending powers, built on each access."""
+        den = self._den
+        return tuple(CoeffScalar.from_row(r, den) for r in self._rows)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 marks the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._rows) - 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._rows)
 
     def __getitem__(self, k: int) -> CoeffScalar:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._rows):
+            return CoeffScalar.from_row(self._rows[k], self._den)
         return CoeffScalar(0)
 
     def lead(self) -> CoeffScalar:
-        if not self.coeffs:
+        if not self._rows:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return CoeffScalar.from_row(self._rows[-1], self._den)
 
     def is_real(self) -> bool:
-        return all(c.is_real() for c in self.coeffs)
+        return not any(t for r in self._rows for _, t in r)
 
     def is_rational(self) -> bool:
-        return all(c.is_rational() for c in self.coeffs)
+        return all(r.keys() <= _RATIONAL_KEYS for r in self._rows)
 
     def rational_coeffs(self) -> list[Fraction]:
-        return [c.as_rational() for c in self.coeffs]
+        den = self._den
+        out = []
+        for r in self._rows:
+            if not r.keys() <= _RATIONAL_KEYS:
+                raise ValueError(f"{CoeffScalar.from_row(r, den)} is not rational")
+            out.append(Fraction(r.get(_ONE_KEY, 0), den))
+        return out
 
     def is_even(self) -> bool:
-        return all(not c for k, c in enumerate(self.coeffs) if k % 2)
+        return not any(self._rows[1::2])
+
+    def content(self) -> Fraction:
+        """Positive rational content: the largest rational r such that every
+        rational coefficient of every real and imaginary part divided by r is
+        an integer; 1 for the zero polynomial."""
+        g = _numerator_gcd(self._rows)
+        return Fraction(g, self._den) if g else Fraction(1)
+
+    def primitive(self) -> Poly:
+        """self divided by its content: integer rows over 1."""
+        g = _numerator_gcd(self._rows)
+        if not g:
+            return self
+        return _new(tuple({k: x // g for k, x in r.items()} for r in self._rows), 1)
 
     # -- ring operations -------------------------------------------------------
 
@@ -91,22 +248,35 @@ class Poly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._den, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __add__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] + other[k] for k in range(n)])
+        a, b = self._rows, other._rows
+        if not a:
+            return other
+        if not b:
+            return self
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        if len(a) < len(b):
+            a, b, fa, fb = b, a, fb, fa
+        out = [{k: x * fa for k, x in r.items()} for r in a]
+        for acc, r in zip(out, b):
+            for k, x in r.items():
+                acc[k] = acc.get(k, 0) + x * fb
+        return _poly(out, da * (db // g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _new(tuple({k: -x for k, x in r.items()} for r in self._rows), self._den)
 
     def __sub__(self, other):
         other = _coerce_poly(other)
@@ -121,9 +291,17 @@ class Poly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self or not other:
-            return Poly()
-        return Poly(coeffs_mul(self.coeffs, other.coeffs))
+        ra, rb = self._rows, other._rows
+        if not ra or not rb:
+            return _ZERO
+        if len(ra) > len(rb):
+            # one _add_product call per row of the shorter factor
+            ra, rb = rb, ra
+        table = _ProductTable(rb)
+        out: list[_Row] = [{} for _ in range(len(ra) + len(rb) - 1)]
+        for i, x in enumerate(ra):
+            _add_product(out, i, x, rb, table)
+        return _poly(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -138,27 +316,32 @@ class Poly:
         return result
 
     def scale(self, c) -> Poly:
-        c = _coeff(c)
-        return Poly([a * c for a in self.coeffs])
+        return self * Poly.const(c)
 
     def shift(self, k: int) -> Poly:
         """Multiply by z^k."""
-        if not self:
+        if not self._rows:
             return self
-        return Poly([CoeffScalar(0)] * k + list(self.coeffs))
+        return _new(({},) * k + self._rows, self._den)
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
-        other = _coerce_poly(other)
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        quo, rem = coeffs_divmod(self.coeffs, other.coeffs)
-        return Poly(quo), Poly(rem)
+        steps, rem, lead_inv = _divide(self, _coerce_poly(other))
+        if not steps:
+            return _ZERO, rem
+        den = 1
+        for _, _, d in steps:
+            den = math.lcm(den, d)
+        rows: list[_Row] = [{}] * (steps[0][0] + 1)
+        for k, top, d in steps:
+            rows[k] = top if d == den else {key: x * (den // d) for key, x in top.items()}
+        quo = _poly(rows, den)
+        return (quo if lead_inv is None else quo.scale(lead_inv)), rem
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
     def __mod__(self, other):
-        return self.divmod(other)[1]
+        return _divide(self, _coerce_poly(other))[1]
 
     def exact_div(self, other: Poly) -> Poly:
         q, r = self.divmod(other)
@@ -170,34 +353,44 @@ class Poly:
 
     def conj(self) -> Poly:
         """Coefficientwise complex conjugation."""
-        return Poly([c.conj() for c in self.coeffs])
+        return _new(tuple({(m, t): -x if t else x for (m, t), x in r.items()} for r in self._rows), self._den)
 
     def reflect_z(self) -> Poly:
         """The substitution z -> -z."""
-        return Poly([-c if k % 2 else c for k, c in enumerate(self.coeffs)])
+        return _new(tuple({k: -x for k, x in r.items()} if j % 2 else r for j, r in enumerate(self._rows)), self._den)
 
     def derivative(self) -> Poly:
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return _poly([{key: x * k for key, x in r.items()} for k, r in enumerate(self._rows) if k], self._den)
 
     def __call__(self, x) -> CoeffScalar:
-        x = _coeff(x)
-        acc = CoeffScalar(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Value at x = xr / xd: the integer Horner sum of n_k xr^k xd^(n-k)
+        over the rows, divided once by den * xd^n."""
+        rows = self._rows
+        if not rows:
+            return CoeffScalar(0)
+        xr, xd = _coeff(x).to_row()
+        table = _ProductTable([xr])
+        acc = rows[-1]
+        power = 1
+        for r in reversed(rows[:-1]):
+            power *= xd
+            nxt = {k: c * power for k, c in r.items()}
+            _add_product([nxt], 0, acc, (xr,), table)
+            acc = nxt
+        return CoeffScalar.from_row(acc, self._den * power)
 
     def eval_rational(self, q: Fraction) -> CoeffScalar:
         return self(CoeffScalar(Fraction(q)))
 
     def monic(self) -> Poly:
-        if not self:
+        if not self._rows or self._rows[-1] == {_ONE_KEY: self._den}:
             return self
         return self.scale(self.lead().inverse())
 
     def compose(self, other: Poly) -> Poly:
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly.const(c)
+        acc = _ZERO
+        for r in reversed(self._rows):
+            acc = acc * other + _poly([r], self._den)
         return acc
 
     # -- display -------------------------------------------------------------------
@@ -206,7 +399,7 @@ class Poly:
         return f"Poly({self})"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._rows:
             return "0"
         parts = []
         for k in range(self.degree, -1, -1):
@@ -240,9 +433,10 @@ def _coerce_poly(x):
     return NotImplemented
 
 
+_ZERO = _new((), 1)
 ONE_MINUS_Z2 = Poly([1, 0, -1])
 Z = Poly.z()
-_ONE_TUPLE = Poly.const(1).coeffs
+_ONE = Poly.const(1)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -429,8 +623,14 @@ def isolate_real_roots_poly(p: Poly) -> list[tuple[Fraction, Fraction]]:
     p = _squarefree_real(p)
     if p.degree <= 0:
         return []
+    return _isolate(sturm_chain(p))
+
+
+def _isolate(chain: list[Poly]) -> list[tuple[Fraction, Fraction]]:
+    """isolate_real_roots_poly of the square-free chain[0] of positive
+    degree, given its Sturm chain."""
+    p = chain[0]
     b = cauchy_bound(p)
-    chain = sturm_chain(p)
     total = _chain_count(chain, -b, b)
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(-b, b, total)]
@@ -526,8 +726,9 @@ class RealAlgebraic:
         _, factors = factor_rational_poly(p)
         roots = []
         for f, _ in factors:
+            # irreducible over Q, hence square-free
             canon = _canonical_minpoly(f)
-            for lo, hi in isolate_real_roots_poly(f):
+            for lo, hi in _isolate(sturm_chain(f)):
                 roots.append(cls(canon, lo, hi))
         roots.sort(key=lambda r: r.refined(40)[0])
         return roots
@@ -587,14 +788,18 @@ class RealAlgebraic:
         if self.is_rational():
             return self.as_rational() == other.as_rational()
         a, b = self, other
+        chain = None
         for bits in (16, 32, 64, 128, 256, 512, 1024):
             alo, ahi = a.refined(bits)
             blo, bhi = b.refined(bits)
             if ahi <= blo or bhi <= alo:
                 return False
             ilo, ihi = max(alo, blo), min(ahi, bhi)
-            if ilo < ihi and sturm_count(self.minpoly, ilo, ihi) >= 1:
-                return True
+            if ilo < ihi:
+                # the minimal polynomial is irreducible, hence square-free
+                chain = chain or sturm_chain(self.minpoly)
+                if _chain_count(chain, ilo, ihi) >= 1:
+                    return True
         raise RuntimeError("equality refinement did not converge")
 
     def __hash__(self):
@@ -654,20 +859,8 @@ class RealAlgebraic:
 
 def _canonical_minpoly(p: Poly) -> Poly:
     """Integer-primitive form with positive leading coefficient."""
-    coeffs = p.rational_coeffs()
-    from math import gcd
-
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return Poly.from_rational_coeffs(ints)
+    p = p.primitive()
+    return -p if p.lead().as_rational() < 0 else p
 
 
 def real_roots_in_tower_poly(p: Poly) -> list[RealAlgebraic]:
@@ -684,8 +877,9 @@ def real_roots_in_tower_poly(p: Poly) -> list[RealAlgebraic]:
         return RealAlgebraic.roots_of_rational_poly(p)
     norm = galois_norm_poly(p)
     candidates = RealAlgebraic.roots_of_rational_poly(norm)
+    chain = sturm_chain(p)
     out = []
-    for lo, hi in isolate_real_roots_poly(p):
+    for lo, hi in _isolate(chain):
         hits = []
         for cand in candidates:
             for bits in (16, 32, 64, 128, 256, 512):
@@ -700,7 +894,7 @@ def real_roots_in_tower_poly(p: Poly) -> list[RealAlgebraic]:
             # root of p in (lo,hi) equals cand iff cand's root lies in (lo,hi)
             clo, chi = cand.refined(64)
             mlo, mhi = max(lo, clo), min(hi, chi)
-            if mlo < mhi and sturm_count(p, mlo, mhi) == 1:
+            if mlo < mhi and _chain_count(chain, mlo, mhi) == 1:
                 matched = cand
                 break
         if matched is None:
@@ -746,7 +940,7 @@ class RatFn:
                     num, den = num.exact_div(g), den.exact_div(g)
         else:
             den = Poly.const(1)
-        if den.coeffs == _ONE_TUPLE:
+        if den == _ONE:
             self.num = num
             self.den = den
             return

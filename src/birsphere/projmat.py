@@ -12,12 +12,13 @@ the table of the cosines the tower contains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndeterminateFiber
 from .poly import Poly, RatFn, poly_gcd, _coerce_poly
-from .scalars import CoeffScalar, TowerReal, rational_content
+from .scalars import CoeffScalar, TowerReal
 
 
 class Infinity:
@@ -110,7 +111,8 @@ class ProjMat:
         nonzero = [p for p in polys if p]
         if not nonzero:
             raise ValueError("zero matrix is not projective")
-        content = rational_content(c for p in nonzero for c in p.coeffs)
+        contents = [p.content() for p in nonzero]
+        content = Fraction(math.gcd(*(c.numerator for c in contents)), math.lcm(*(c.denominator for c in contents)))
         if content != 1:
             inv = CoeffScalar(Fraction(1) / content)
             polys = [p.scale(inv) for p in polys]

@@ -17,9 +17,10 @@ UnsupportedExtension when the result lies outside every real multi-quadratic
 tower.
 
 Complex scalars are pairs (re, im) of tower reals representing re + im*i.
-Polynomial products and divisions run on integer rows, one per coefficient,
-over one common denominator per polynomial (`coeffs_mul`, `coeffs_divmod`);
-the row layout is private to this module.
+`CoeffScalar.to_row` and `CoeffScalar.from_row` convert a scalar to and from
+an integer row {(m, 0 for the real part | 1 for the imaginary part): n} over
+one positive denominator; the polynomial module stores its coefficients in
+that form.
 """
 
 from __future__ import annotations
@@ -459,6 +460,34 @@ class CoeffScalar:
     def from_rational(cls, q) -> CoeffScalar:
         return cls(Fraction(q))
 
+    def to_row(self) -> tuple[dict[tuple[int, int], int], int]:
+        """(row, den) with self = sum row[m, t] * sqrt(m) * i^t / den; den is
+        the least common denominator of the two parts, so the row is in
+        lowest terms."""
+        re, im = self.re, self.im
+        den = math.lcm(re._den, im._den)
+        f = den // re._den
+        row = {(m, 0): x * f for m, x in re._num.items()}
+        f = den // im._den
+        for m, x in im._num.items():
+            row[m, 1] = x * f
+        return row, den
+
+    @classmethod
+    def from_row(cls, row: dict[tuple[int, int], int], den: int) -> CoeffScalar:
+        """Inverse of to_row for any den > 0; zero numerators are allowed."""
+        re: dict[int, int] = {}
+        im: dict[int, int] = {}
+        for (m, t), x in row.items():
+            if t:
+                im[m] = x
+            else:
+                re[m] = x
+        out = object.__new__(cls)
+        out.re = _tower(re, den)
+        out.im = _tower(im, den)
+        return out
+
     def conj(self) -> CoeffScalar:
         return CoeffScalar(self.re, -self.im)
 
@@ -617,144 +646,3 @@ def scalar(x) -> CoeffScalar:
 def product(values, start=None):
     """Product of an iterable of scalars."""
     return reduce(lambda a, b: a * b, values, ONE if start is None else start)
-
-
-def rational_content(values) -> Fraction:
-    """Positive rational content of the given scalars: the largest rational
-    r such that every rational coefficient of every real and imaginary part
-    divided by r is an integer; 1 when all values are zero."""
-    num, den = 0, 1
-    for c in values:
-        for part in (c.re, c.im):
-            if part._num:
-                # gcd(part._den, *part._num) == 1, so this is the part's content
-                num = math.gcd(num, *part._num.values())
-                den = math.lcm(den, part._den)
-    return Fraction(num, den) if num else Fraction(1)
-
-
-# -- integer-row kernel for polynomial arithmetic ---------------------------------
-#
-# A coefficient sequence is turned into rows: one dict per coefficient mapping
-# (radicand m, 0 for the real part | 1 for the imaginary part) to an integer
-# numerator, all over one positive common denominator.  Products of keys
-# follow sqrt(m)*sqrt(n) = g*sqrt(mn/g^2) with g = gcd(m, n) and i*i = -1.
-# Only this module knows the layout; poly.py calls coeffs_mul and
-# coeffs_divmod.
-
-_Row = dict[tuple[int, int], int]
-
-
-def _rows(coeffs) -> tuple[list[_Row], int]:
-    # folded per coefficient: star-argument tuples as long as a polynomial
-    # linger in CPython's per-length tuple free lists and raise peak memory
-    den = 1
-    for c in coeffs:
-        den = math.lcm(den, c.re._den, c.im._den)
-    rows = []
-    for c in coeffs:
-        row = {}
-        for part, t in ((c.re, 0), (c.im, 1)):
-            f = den // part._den
-            for m, x in part._num.items():
-                row[m, t] = x * f
-        rows.append(row)
-    return rows, den
-
-
-def _scalar_of_row(row: _Row, den: int) -> CoeffScalar:
-    re: dict[int, int] = {}
-    im: dict[int, int] = {}
-    for (m, t), x in row.items():
-        if t:
-            im[m] = x
-        else:
-            re[m] = x
-    out = object.__new__(CoeffScalar)
-    out.re = _tower(re, den)
-    out.im = _tower(im, den)
-    return out
-
-
-def _key_product(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[tuple[int, int], int]:
-    """Key and integer factor of the product of two basis elements."""
-    (m, s), (n, t) = ka, kb
-    g = math.gcd(m, n)
-    return ((m // g) * (n // g), s ^ t), -g if s & t else g
-
-
-class _ProductTable(dict):
-    """ka -> {kb: _key_product(ka, kb)} for the keys kb of one fixed set of
-    rows, filled on the first use of each ka."""
-
-    def __init__(self, rows: list[_Row]):
-        super().__init__()
-        self.keys_b = {kb for r in rows for kb in r}
-
-    def __missing__(self, ka):
-        t = self[ka] = {kb: _key_product(ka, kb) for kb in self.keys_b}
-        return t
-
-
-def _add_product(acc_rows: list[_Row], offset: int, x: _Row, rows: list[_Row], table: _ProductTable) -> None:
-    """acc_rows[offset + j] += x * rows[j] for every j."""
-    for ka, cx in x.items():
-        t = table[ka]
-        for j, y in enumerate(rows):
-            acc = acc_rows[offset + j]
-            for kb, cy in y.items():
-                k, f = t[kb]
-                acc[k] = acc.get(k, 0) + f * cx * cy
-
-
-def coeffs_mul(a, b) -> list[CoeffScalar]:
-    """Coefficients of the product of two nonempty coefficient sequences
-    (ascending powers): one integer convolution over their rows."""
-    ra, da = _rows(a)
-    rb, db = _rows(b)
-    table = _ProductTable(rb)
-    out: list[_Row] = [{} for _ in range(len(ra) + len(rb) - 1)]
-    for i, x in enumerate(ra):
-        _add_product(out, i, x, rb, table)
-    den = da * db
-    return [_scalar_of_row(r, den) for r in out]
-
-
-def coeffs_divmod(a, b) -> tuple[list[CoeffScalar], list[CoeffScalar]]:
-    """Quotient and remainder coefficients of a divided by b.
-
-    b must be nonempty with a nonzero last coefficient.  The remainder stays
-    in integer rows over one denominator across the steps: each step
-    subtracts top * (b / lead) * z^k and divides out one gcd.
-    """
-    nb = len(b)
-    dq = len(a) - nb
-    if dq < 0:
-        return [], list(a)
-    lead_inv = b[-1].inverse()
-    monic = lead_inv == ONE
-    mon, dm = _rows(b[:-1] if monic else [c * lead_inv for c in b[:-1]])
-    table = _ProductTable(mon)
-    rem, dr = _rows(a)
-    quo: list[CoeffScalar] = [ZERO] * (dq + 1)
-    for k in range(dq, -1, -1):
-        top = rem[k + nb - 1]
-        if not top:
-            continue
-        q = _scalar_of_row(top, dr)
-        quo[k] = q if monic else q * lead_inv
-        # rem/dr - (top/dr) * (mon/dm) z^k = (dm*rem - top*mon z^k) / (dr*dm)
-        live = rem[: k + nb - 1]
-        if dm != 1:
-            live = [{key: x * dm for key, x in r.items()} for r in live]
-        _add_product(live, k, {key: -x for key, x in top.items()}, mon, table)
-        dr *= dm
-        live = [{key: x for key, x in r.items() if x} for r in live]
-        g = dr
-        for r in live:
-            g = math.gcd(g, *r.values())
-        if g != 1:
-            dr //= g
-            live = [{key: x // g for key, x in r.items()} for r in live]
-        rem = live
-    return quo, [_scalar_of_row(r, dr) for r in rem[: nb - 1]]

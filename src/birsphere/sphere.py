@@ -128,19 +128,7 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
 
 def _primitive_real(p: Poly) -> Poly:
     """Divide a rational-coefficient polynomial by its positive content."""
-    if p.is_rational() and p:
-        coeffs = p.rational_coeffs()
-        from math import gcd
-
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in coeffs]
-        g = 0
-        for c in ints:
-            g = gcd(g, abs(c))
-        return Poly.from_rational_coeffs([c // g for c in ints])
-    return p
+    return p.primitive() if p.is_rational() else p
 
 
 def fiber_determinant(mat: ProjMat) -> Poly:

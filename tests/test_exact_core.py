@@ -1,19 +1,22 @@
-"""Differential tests of the integer-backed scalar core.
+"""Differential tests of the integer-backed scalar and polynomial core.
 
 The references below are the plain algorithms the core replaced: tower
 reals as dicts {radicand: Fraction} with exact Fraction enclosures, and
-polynomial multiplication and division as loops of CoeffScalar operations.
-The integer representation must give equal results on every input.
+every polynomial operation as a loop of CoeffScalar operations over the
+coefficient lists the polynomials were built from.  Results are compared
+coefficient by coefficient, so a wrong row constructor cannot hide behind
+Poly equality.  The integer representation must give equal results on every
+input.
 """
 
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from birsphere.poly import Poly
-from birsphere.scalars import ZERO, CoeffScalar, TowerReal, rational_content
+from birsphere.scalars import ZERO, CoeffScalar, TowerReal
 
 RADICANDS = (1, 2, 3, 5, 6)
 
@@ -67,40 +70,65 @@ def ref_sign(a: dict) -> int:
         bits *= 2
 
 
-# -- CoeffScalar-loop reference for polynomial multiplication and division -----------------
+# -- CoeffScalar-loop references for polynomials ------------------------------------------------
 
 
-def ref_poly_mul(a: Poly, b: Poly) -> Poly:
+def trim(cs) -> tuple:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def padded(a, b) -> tuple[list, list]:
+    n = max(len(a), len(b))
+    return list(a) + [ZERO] * (n - len(a)), list(b) + [ZERO] * (n - len(b))
+
+
+def ref_poly_mul(a, b) -> tuple:
+    a, b = trim(a), trim(b)
     if not a or not b:
-        return Poly()
-    out = [CoeffScalar(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
+        return ()
+    out = [CoeffScalar(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
         if not x:
             continue
-        for j, y in enumerate(b.coeffs):
+        for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
-    return Poly(out)
+    return trim(out)
 
 
-def ref_poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    lead_inv = b.lead().inverse()
-    rem = list(a.coeffs)
-    dq = len(rem) - len(b.coeffs)
+def ref_poly_divmod(a, b) -> tuple[tuple, tuple]:
+    a, b = trim(a), trim(b)
+    lead_inv = b[-1].inverse()
+    rem = list(a)
+    dq = len(rem) - len(b)
     if dq < 0:
-        return Poly(), a
+        return (), a
     quo = [CoeffScalar(0)] * (dq + 1)
     for k in range(dq, -1, -1):
-        if len(rem) < len(b.coeffs) + k:
+        if len(rem) < len(b) + k:
             continue
-        c = rem[len(b.coeffs) + k - 1] * lead_inv
+        c = rem[len(b) + k - 1] * lead_inv
         if not c:
             continue
         quo[k] = c
-        for j, y in enumerate(b.coeffs):
+        for j, y in enumerate(b):
             rem[j + k] = rem[j + k] - c * y
         while rem and not rem[-1]:
             rem.pop()
-    return Poly(quo), Poly(rem)
+    return trim(quo), trim(rem)
+
+
+def ref_horner(a, x) -> CoeffScalar:
+    acc = CoeffScalar(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_derivative(a) -> tuple:
+    return trim([k * c for k, c in enumerate(a)][1:])
 
 
 # -- strategies --------------------------------------------------------------------------------
@@ -122,12 +150,18 @@ gaussian_scalars = coeff_scalars((1,))
 scalars_any = st.one_of(gaussian_scalars, coeff_scalars())
 
 
-def polys(coeffs=scalars_any, max_degree=5):
+def coeff_lists(coeffs=scalars_any, max_degree=5):
     # zero coefficients are drawn on purpose, also in the leading position
-    return st.lists(st.one_of(st.just(ZERO), coeffs), max_size=max_degree + 1).map(Poly)
+    return st.lists(st.one_of(st.just(ZERO), coeffs), max_size=max_degree + 1)
 
 
+def polys(coeffs=scalars_any, max_degree=5):
+    return coeff_lists(coeffs, max_degree).map(Poly)
+
+
+nonzero_lists = coeff_lists().filter(lambda cs: any(cs))
 nonzero_polys = polys().filter(bool)
+rational_scalars = st.builds(CoeffScalar, fractions)
 
 
 def assert_canonical(x: TowerReal) -> None:
@@ -198,42 +232,119 @@ def test_rational_content_matches_fractions(values):
     fracs = [f for c in values for part in (c.re, c.im) for f in part.terms.values()]
     num = math.gcd(*(f.numerator for f in fracs))
     den = math.lcm(*(f.denominator for f in fracs))
-    assert rational_content(values) == (Fraction(num, den) if num else 1)
+    assert Poly(values).content() == (Fraction(num, den) if num else 1)
 
 
 # -- polynomials ---------------------------------------------------------------------------------
 
 
 def assert_poly_canonical(p: Poly) -> None:
-    assert not p.coeffs or p.coeffs[-1]
+    rows, den = p._rows, p._den
+    assert type(rows) is tuple and type(den) is int and den > 0
+    assert not rows or rows[-1]
+    for r in rows:
+        assert all(type(x) is int and x != 0 for x in r.values())
+        assert all(t in (0, 1) and m > 0 for m, t in r)
+    assert math.gcd(den, *(x for r in rows for x in r.values())) == 1
+    if not rows:
+        assert den == 1
     for c in p.coeffs:
         assert_canonical(c.re)
         assert_canonical(c.im)
 
 
+@settings(max_examples=200, deadline=None)
+@given(a=coeff_lists(), b=coeff_lists(), c=scalars_any, k=st.integers(0, 3))
+def test_poly_rows_match_coefficient_loops(a, b, c, k):
+    pa, pb = Poly(a), Poly(b)
+    ta = trim(a)
+    assert pa.coeffs == ta
+    assert pa.degree == len(ta) - 1
+    xa, xb = padded(a, b)
+    cases = [
+        (pa + pb, [x + y for x, y in zip(xa, xb)]),
+        (pa - pb, [x - y for x, y in zip(xa, xb)]),
+        (-pa, [-x for x in a]),
+        (pa.scale(c), [x * c for x in a]),
+        (pa.conj(), [x.conj() for x in a]),
+        (pa.reflect_z(), [-x if j % 2 else x for j, x in enumerate(a)]),
+        (pa.derivative(), ref_derivative(a)),
+        (pa.shift(k), [ZERO] * k + list(ta) if ta else []),
+        (pa * pb, ref_poly_mul(a, b)),
+    ]
+    for got, want in cases:
+        assert got.coeffs == trim(want)
+        assert_poly_canonical(got)
+    for j in range(-1, len(ta) + 2):
+        assert pa[j] == (ta[j] if 0 <= j < len(ta) else ZERO)
+    assert pa.is_real() == all(x.is_real() for x in a)
+    assert pa.is_rational() == all(x.is_rational() for x in a)
+    assert pa.is_even() == all(not x for j, x in enumerate(a) if j % 2)
+    if pa.is_rational():
+        assert pa.rational_coeffs() == [x.as_rational() for x in ta]
+
+
 @settings(max_examples=100, deadline=None)
-@given(a=polys(gaussian_scalars), b=polys(gaussian_scalars))
+@given(a=nonzero_lists)
+def test_poly_monic_and_primitive(a):
+    p = Poly(a)
+    ta = trim(a)
+    lead_inv = ta[-1].inverse()
+    assert p.lead() == ta[-1]
+    assert p.monic().coeffs == trim([x * lead_inv for x in a])
+    prim = p.primitive()
+    assert_poly_canonical(prim)
+    assert prim._den == 1
+    assert prim.content() == 1
+    assert prim.coeffs == trim([x / CoeffScalar(p.content()) for x in a])
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=coeff_lists(), x=st.one_of(gaussian_scalars, coeff_scalars(), rational_scalars))
+def test_poly_call_matches_horner_loop(a, x):
+    p = Poly(a)
+    assert p(x) == ref_horner(a, x)
+    if x.is_rational():
+        assert p.eval_rational(x.as_rational()) == ref_horner(a, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=coeff_lists(), b=coeff_lists(), k=st.integers(1, 6))
+def test_poly_equality_and_hash(a, b, k):
+    pa, pb = Poly(a), Poly(b)
+    # the same value reached two ways has one representation
+    again = (pa.scale(k) + pb - pb).scale(Fraction(1, k))
+    assert again == pa and hash(again) == hash(pa)
+    assert (pa == pb) == (trim(a) == trim(b))
+    if pa == pb:
+        assert hash(pa) == hash(pb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=coeff_lists(gaussian_scalars), b=coeff_lists(gaussian_scalars))
 def test_gaussian_poly_mul_matches_reference(a, b):
-    prod = a * b
-    assert prod == ref_poly_mul(a, b)
+    prod = Poly(a) * Poly(b)
+    assert prod.coeffs == ref_poly_mul(a, b)
     assert_poly_canonical(prod)
 
 
 @settings(max_examples=100, deadline=None)
-@given(a=polys(), b=polys())
+@given(a=coeff_lists(), b=coeff_lists())
 def test_tower_poly_mul_matches_reference(a, b):
-    prod = a * b
-    assert prod == ref_poly_mul(a, b)
+    prod = Poly(a) * Poly(b)
+    assert prod.coeffs == ref_poly_mul(a, b)
     assert_poly_canonical(prod)
 
 
 @settings(max_examples=100, deadline=None)
-@given(a=polys(max_degree=7), b=nonzero_polys)
+@given(a=coeff_lists(max_degree=7), b=nonzero_lists)
 def test_poly_divmod_matches_reference(a, b):
-    q, r = a.divmod(b)
-    assert (q, r) == ref_poly_divmod(a, b)
-    assert q * b + r == a
-    assert r.degree < b.degree
+    pa, pb = Poly(a), Poly(b)
+    q, r = pa.divmod(pb)
+    assert (q.coeffs, r.coeffs) == ref_poly_divmod(a, b)
+    assert (pa // pb, pa % pb) == (q, r)
+    assert q * pb + r == pa
+    assert r.degree < pb.degree
     assert_poly_canonical(q)
     assert_poly_canonical(r)
 
@@ -246,3 +357,21 @@ def test_poly_divmod_recovers_exact_quotient(q, b, r):
     q2, r2 = (q * b + r).divmod(b)
     assert (q2, r2) == (q, r)
     assert (q * b).exact_div(b) == q
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=nonzero_lists, b=nonzero_lists, x=scalars_any, k=st.integers(1, 3))
+@example(a=[CoeffScalar(5), CoeffScalar(2), ZERO, CoeffScalar(1)], b=[CoeffScalar(-1), CoeffScalar(1)], x=CoeffScalar(2), k=1)
+def test_poly_operations_leave_operands_unchanged(a, b, x, k):
+    # reflect_z and shift share rows with their input, and the remainder of
+    # a division starts from the dividend's rows: no operation may write them
+    pa, pb = Poly(a), Poly(b)
+    operands = [pa, pb, pa.shift(k), pa.reflect_z(), pb.conj(), pb.monic()]
+    before = [p.coeffs for p in operands]
+    for p in operands:
+        p.scale(x), p.monic(), p.conj(), p.reflect_z(), p.derivative(), p.shift(k), -p
+        p(x), p.content(), p.primitive(), hash(p), p.compose(Poly([x, 1]))
+        for q in operands:
+            p + q, p - q, p * q, p.divmod(q), p % q, p // q
+    assert [p.coeffs for p in operands] == before
+    assert (pa.coeffs, pb.coeffs) == (trim(a), trim(b))

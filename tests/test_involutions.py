@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from birsphere.errors import HasRealRoot, NotDiffeomorphism, NotInvolution
+from birsphere.errors import BirsphereError, HasRealRoot, NotConjugate, NotDiffeomorphism, NotInvolution
 from birsphere.involutions import (
     HyperellipticModel,
+    InvolutionForm,
     basis_equiv_moduli,
     classify_trivialbase,
     conj_decision,
@@ -142,6 +143,26 @@ def test_conjugator_certificates_random(rng):
         assert cert.verify()
         assert in_reality_group(cert.conjugator)
         assert cert.conjugator * a * cert.conjugator.inverse() == b
+
+
+def test_conjugacy_decided_once(monkeypatch, rng):
+    import birsphere.involutions as inv
+
+    calls = []
+    real = inv.conj_decision
+    monkeypatch.setattr(inv, "conj_decision", lambda a, b: calls.append(1) or real(a, b))
+    a = InvolutionForm(Poly.const(1), Poly()).matrix()  # diagonal: moved off it first
+    for _ in range(5):
+        c = random_reality_element(rng, max_degree=1)
+        b = c * a * c.inverse()
+        calls.clear()
+        assert construct_conjugator(a, b).verify()
+        assert len(calls) == (a != b)
+    calls.clear()
+    with pytest.raises(NotConjugate):
+        construct_conjugator(realize_oval(Z + Poly.const(I)), realize_oval(Z + 2 * I))
+    assert len(calls) == 1
+    assert issubclass(NotConjugate, BirsphereError) and issubclass(NotConjugate, ValueError)
 
 
 def test_conjugator_tau_upsilon():

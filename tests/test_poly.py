@@ -155,6 +155,22 @@ def test_tower_coefficient_roots():
         assert sturm_count(p, root.lo, root.hi) == 1
 
 
+def test_square_free_inputs_skip_the_gcd(monkeypatch):
+    import birsphere.poly as poly_mod
+
+    calls = []
+    real = poly_mod.poly_gcd
+    monkeypatch.setattr(poly_mod, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
+    r2 = CoeffScalar(TowerReal.sqrt_rational(2))
+    roots = real_roots_in_tower_poly(Z * Z - Poly.const(r2) * Z - 1)
+    # only the input is reduced; the norm's factors are irreducible
+    assert len(roots) == 2 and len(calls) == 1
+    calls.clear()
+    a = RealAlgebraic(Z * Z - 2, Fraction(1), Fraction(2))
+    b = RealAlgebraic(Z * Z - 2, Fraction(7, 5), Fraction(3, 2))
+    assert a == b and not calls
+
+
 def test_isolation_intervals_disjoint():
     p = (Z - 1) * (Z - 2) * (Z + 3) * (2 * Z - 1)
     ivs = isolate_real_roots_poly(p)
