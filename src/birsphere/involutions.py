@@ -36,7 +36,7 @@ from .poly import (
     sturm_count,
 )
 from .positivity import is_real_positive, norm_factor, v_decomp
-from .projmat import ProjMat
+from .projmat import ProjMat, proportional, raw_mul
 from .scalars import CoeffScalar
 from .sphere import (
     FiberPattern,
@@ -47,6 +47,7 @@ from .sphere import (
     is_orientation_preserving,
     in_reality_group,
     unit_root,
+    x_flip,
 )
 
 
@@ -152,22 +153,25 @@ def conj_decision(mat_a: ProjMat, mat_b: ProjMat) -> bool:
     return sf.degree == 0 and sf.lead().as_real().sign() > 0
 
 
+def _conjugates(conjugator: ProjMat, source: ProjMat, target: ProjMat) -> bool:
+    """C in the reality group and C A C^-1 = B projectively, i.e. C A = B C."""
+    c = conjugator.entries()
+    return in_reality_group(conjugator) and proportional(raw_mul(c, source.entries()), raw_mul(target.entries(), c))
+
+
 @dataclass(frozen=True)
 class ConjugacyCertificate:
+    """conjugator * source * conjugator^-1 = target, conjugator real.  Each
+    one construct_conjugator builds (the inner one of the off-diagonal path
+    too) is verified there exactly once, or RuntimeError is raised; the
+    identity of an equal pair holds trivially.  Callers report it verified."""
+
     source: ProjMat
     target: ProjMat
     conjugator: ProjMat
 
     def verify(self) -> bool:
-        from .projmat import proportional, raw_mul
-
-        if not in_reality_group(self.conjugator):
-            return False
-        # C A C^-1 = B projectively <=> C A = B C
-        return proportional(
-            raw_mul(self.conjugator.entries(), self.source.entries()),
-            raw_mul(self.target.entries(), self.conjugator.entries()),
-        )
+        return _conjugates(self.conjugator, self.source, self.target)
 
 
 class _FracMat:
@@ -396,14 +400,7 @@ class RotationForm:
     target: ProjMat
 
     def verify(self, source: ProjMat) -> bool:
-        from .projmat import proportional, raw_mul
-
-        if not in_reality_group(self.conjugator):
-            return False
-        return proportional(
-            raw_mul(self.conjugator.entries(), source.entries()),
-            raw_mul(self.target.entries(), self.conjugator.entries()),
-        )
+        return _conjugates(self.conjugator, source, self.target)
 
 
 def rotation_normal_form(mat: ProjMat) -> RotationForm:
@@ -616,7 +613,7 @@ def classify_trivialbase(mat: ProjMat) -> TrivialBaseReport:
     locus = real_locus_class(mat)
     if locus == "one_oval":
         if model.degree <= 2:
-            cert = construct_conjugator(mat, x_flip_fiber())
+            cert = construct_conjugator(mat, x_flip().fiber)
             return TrivialBaseReport(family=4, model=model, certificate=cert)
         return TrivialBaseReport(family=7, model=model)
     if model.degree == 0:
@@ -628,7 +625,3 @@ def classify_trivialbase(mat: ProjMat) -> TrivialBaseReport:
         c = model.m[0] / model.m[2]
         return TrivialBaseReport(family="rational-special", model=model, parameter=c)
     return TrivialBaseReport(family=6, model=model)
-
-
-def x_flip_fiber() -> ProjMat:
-    return ProjMat.of(Poly(), -ONE_MINUS_Z2, Poly.const(1), Poly())

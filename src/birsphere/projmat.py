@@ -73,14 +73,15 @@ def raw_mul(a, b):
 
 
 def proportional(p, q) -> bool:
-    """Projective equality of two nonzero entry 4-tuples over a domain."""
-    if not any(p) or not any(q):
+    """Projective equality of two nonzero entry 4-tuples over a domain.
+
+    With k the first index where p[k] != 0, p ~ q iff q[k] != 0 and
+    p[j] q[k] = q[j] p[k] for the other j: then q = (q[k]/p[k]) p, so all
+    six 2x2 minors vanish and the zero patterns agree."""
+    k = next((k for k in range(4) if p[k]), None)
+    if k is None or not q[k]:
         return False
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if p[i] * q[j] != p[j] * q[i]:
-                return False
-    return all(bool(p[k]) == bool(q[k]) for k in range(4))
+    return all(p[j] * q[k] == q[j] * p[k] for j in range(4) if j != k)
 
 
 @dataclass(frozen=True)

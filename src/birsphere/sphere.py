@@ -33,20 +33,24 @@ from .projmat import INF, TWO_COS, ProjMat, proportional, raw_mul
 from .scalars import CoeffScalar, TowerReal, scalar
 
 
+_REALITY_TWIST = ProjMat.of(Poly(), ONE_MINUS_Z2, Poly.const(1), Poly())
+
+
 def reality_twist() -> ProjMat:
     """The matrix [[0, 1-z^2], [1, 0]] expressing the real structure on the
-    fiber coordinate: a fiber map is real iff  twist A twist = conj(A)."""
-    return ProjMat.of(Poly(), ONE_MINUS_Z2, Poly.const(1), Poly())
+    fiber coordinate: real iff  twist A twist = conj(A); one object, built at import."""
+    return _REALITY_TWIST
 
 
 # -- membership and patterns -----------------------------------------------------
 
 
 def in_reality_group(mat: ProjMat) -> bool:
-    """True iff the fiber map commutes with the sphere's real structure."""
-    tw = reality_twist().entries()
-    product = raw_mul(raw_mul(tw, mat.entries()), tw)
-    return proportional(product, tuple(p.conj() for p in mat.entries()))
+    """True iff the fiber map commutes with the sphere's real structure:
+    tw [[a, b], [c, d]] tw = [[h d, h^2 c], [b, h a]] with h = 1 - z^2."""
+    a, b, c, d = mat.entries()
+    h = ONE_MINUS_Z2
+    return proportional((h * d, h * (h * c), b, h * a), (a.conj(), b.conj(), c.conj(), d.conj()))
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
     b_poly = (b * RatFn(den)).as_poly()
     a_poly, b_poly = _strip_common_real_factors(a_poly, b_poly)
     pattern = FiberPattern(a_poly, b_poly)
-    if pattern.matrix() != mat:
+    if not proportional(pattern.lift(), mat.entries()):
         raise RuntimeError(f"pattern construction failed to verify for {mat}")
     return pattern
 
@@ -147,7 +151,8 @@ def in_diffeo_group(mat: ProjMat) -> bool:
     """True iff the map is defined at every real point (either orientation)."""
     if is_orientation_preserving(mat):
         return True
-    return is_orientation_preserving(mat * reality_twist())
+    a, b, c, d = mat.entries()  # mat * reality_twist() in closed form
+    return is_orientation_preserving(ProjMat._canonical([b, ONE_MINUS_Z2 * a, d, ONE_MINUS_Z2 * c]))
 
 
 def contracted_fibers(mat: ProjMat):
@@ -332,8 +337,9 @@ class SphereMap:
         condition when the base action is trivial."""
         num, den = self.base.num_den_polys()
         twist_at_m = (Poly(), den * den - num * num, den * den, Poly())
-        lhs = raw_mul(self.fiber.entries(), reality_twist().entries())
-        rhs = raw_mul(twist_at_m, tuple(p.conj() for p in self.fiber.entries()))
+        a, b, c, d = self.fiber.entries()
+        lhs = (b, ONE_MINUS_Z2 * a, d, ONE_MINUS_Z2 * c)
+        rhs = raw_mul(twist_at_m, (a.conj(), b.conj(), c.conj(), d.conj()))
         return proportional(lhs, rhs)
 
     def trivial_base_part(self) -> SphereMap:

@@ -6,7 +6,9 @@ every polynomial operation as a loop of CoeffScalar operations over the
 coefficient lists the polynomials were built from.  Results are compared
 coefficient by coefficient, so a wrong row constructor cannot hide behind
 Poly equality.  The integer representation must give equal results on every
-input.
+input.  The projective checks are compared with the forms they replaced:
+the six-minor proportionality test and the reality condition written as two
+matrix products with the twist.
 """
 
 import math
@@ -15,8 +17,11 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from birsphere.poly import Poly
+from birsphere.classify import classify_spheremap
+from birsphere.poly import ONE_MINUS_Z2, Poly
+from birsphere.projmat import ProjMat, proportional, raw_mul
 from birsphere.scalars import ZERO, CoeffScalar, TowerReal
+from birsphere.sphere import in_diffeo_group, in_reality_group, reality_twist, y_flip
 
 RADICANDS = (1, 2, 3, 5, 6)
 
@@ -375,3 +380,76 @@ def test_poly_operations_leave_operands_unchanged(a, b, x, k):
             p + q, p - q, p * q, p.divmod(q), p % q, p // q
     assert [p.coeffs for p in operands] == before
     assert (pa.coeffs, pb.coeffs) == (trim(a), trim(b))
+
+
+# -- projective checks --------------------------------------------------------------------------
+
+
+def ref_proportional(p, q) -> bool:
+    """The six-minor test: every 2x2 minor of (p; q) vanishes and the zero
+    patterns agree."""
+    if not any(p) or not any(q):
+        return False
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if p[i] * q[j] != p[j] * q[i]:
+                return False
+    return all(bool(p[k]) == bool(q[k]) for k in range(4))
+
+
+def ref_in_reality_group(mat: ProjMat) -> bool:
+    tw = (Poly(), ONE_MINUS_Z2, Poly.const(1), Poly())
+    product = raw_mul(raw_mul(tw, mat.entries()), tw)
+    return ref_proportional(product, tuple(p.conj() for p in mat.entries()))
+
+
+ZERO4 = (Poly(), Poly(), Poly(), Poly())
+small_polys = st.one_of(polys(gaussian_scalars, max_degree=2), polys(coeff_scalars((1, 2, 3)), max_degree=2))
+quads = st.tuples(small_polys, small_polys, small_polys, small_polys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=quads, q=quads, r=small_polys.filter(bool), j=st.integers(0, 3))
+def test_proportional_matches_six_minors(p, q, r, j):
+    scaled = tuple(r * x for x in p)
+    mismatched = list(scaled)
+    mismatched[j] = Poly() if mismatched[j] else r  # zero patterns differ at j
+    for x, y in ((p, q), (p, scaled), (scaled, p), (p, tuple(mismatched)), (p, ZERO4), (ZERO4, p), (ZERO4, ZERO4)):
+        assert proportional(x, y) == ref_proportional(x, y)
+    assert proportional(p, scaled) == any(p)
+    assert not proportional(p, tuple(mismatched))
+
+
+def member_entries(a, b):
+    return (a, b * ONE_MINUS_Z2, b.conj(), a.conj())
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=small_polys, b=small_polys, e=quads, k=st.integers(0, 3))
+def test_in_reality_group_matches_twist_products(a, b, e, k):
+    candidates = [member_entries(a, b), e]
+    perturbed = list(member_entries(a, b))
+    perturbed[k] = perturbed[k] * Poly([1, 2])  # breaks the pattern unless that entry is 0
+    candidates.append(perturbed)
+    for entries in candidates:
+        try:
+            mat = ProjMat.of(*entries)
+        except ValueError:  # zero matrix or zero determinant
+            continue
+        assert in_reality_group(mat) == ref_in_reality_group(mat)
+        if entries is candidates[0]:
+            assert in_reality_group(mat)
+            h = ONE_MINUS_Z2
+            x, y, z, w = mat.entries()
+            assert ProjMat._canonical([y, h * x, w, h * z]) == mat * reality_twist()
+
+
+def test_reality_twist_is_one_constant():
+    tw = reality_twist()
+    before = [p.coeffs for p in tw.entries()]
+    assert tw == ProjMat.of(Poly(), ONE_MINUS_Z2, Poly.const(1), Poly())
+    oval = ProjMat.of(Poly(), ONE_MINUS_Z2 * Poly([CoeffScalar(0, 1), 1]), Poly([CoeffScalar(0, -1), 1]), Poly())
+    assert in_diffeo_group(oval) and in_diffeo_group(tw)
+    assert classify_spheremap(y_flip()).family == 4
+    assert reality_twist() is tw
+    assert [p.coeffs for p in tw.entries()] == before

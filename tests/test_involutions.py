@@ -165,6 +165,38 @@ def test_conjugacy_decided_once(monkeypatch, rng):
     assert issubclass(NotConjugate, BirsphereError) and issubclass(NotConjugate, ValueError)
 
 
+def test_certificate_verified_once(monkeypatch, rng):
+    import birsphere.involutions as inv
+    from birsphere.classify import classify_spheremap, decide_conjugacy
+    from birsphere.sphere import FiberPattern, SphereMap
+
+    calls = []
+    real = inv.ConjugacyCertificate.verify
+    monkeypatch.setattr(inv.ConjugacyCertificate, "verify", lambda cert: calls.append(1) or real(cert))
+    off_diagonal = InvolutionForm(Poly.const(1), Poly.const(1)).matrix()
+    diagonal = InvolutionForm(Poly.const(1), Poly()).matrix()
+    for a, built in ((off_diagonal, 1), (diagonal, 2)):  # diagonal: an inner and a composed certificate
+        while True:
+            c = random_reality_element(rng, max_degree=1)
+            b = c * a * c.inverse()
+            if b != a and involution_normal_form(b).q:
+                break
+        calls.clear()
+        out = decide_conjugacy(SphereMap.trivial_base(a), SphereMap.trivial_base(b))
+        assert out["conjugate"] and out["verified"]
+        assert len(calls) == built
+    # upsilon is its own family-4 target (identity certificate, never verified),
+    # so classify a diffeomorphic conjugate of it
+    c = FiberPattern(Poly.const(2), Poly.const(1)).matrix()  # determinant z^2 + 3
+    g = c * UPS * c.inverse()
+    assert g != UPS and involution_normal_form(g).q
+    calls.clear()
+    report = classify_spheremap(SphereMap.trivial_base(g))
+    assert report.family == 4
+    assert [cert["verified"] for cert in report.certificates] == [True]
+    assert len(calls) == 1
+
+
 def test_conjugator_tau_upsilon():
     cert = construct_conjugator(TAU, UPS)
     assert cert.verify()
