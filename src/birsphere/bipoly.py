@@ -31,10 +31,6 @@ class BiPoly:
     def t(cls) -> BiPoly:
         return cls([Poly(), Poly.const(1)])
 
-    @property
-    def t_degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __getitem__(self, k: int) -> Poly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]

@@ -15,14 +15,16 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InfiniteOrderBase, NotConjugate, NotFiniteOrder, ParseError
-from .etatwist import FlipReport, TwistClass, classify_flip_involution, h2_invariant
+from .errors import NotConjugate, NotRealityMember, ParseError, UndecidedExact
+from .etatwist import FlipReport, classify_flip_involution, h2_invariant
 from .involutions import (
     HyperellipticModel,
     TrivialBaseReport,
+    _conjugates,
     classify_trivialbase,
     construct_conjugator,
     fixed_curve,
+    rotation_normal_form,
 )
 from .parsing import parse_matrix, parse_poly
 from .picard import (
@@ -33,7 +35,6 @@ from .picard import (
     lattice_make,
     minus_one_classes,
 )
-from .poly import Poly
 from .projmat import ProjMat
 from .scalars import _is_probable_prime
 from .sphere import (
@@ -41,6 +42,7 @@ from .sphere import (
     SphereMap,
     builtin_map,
     reduce_to_trivial_base,
+    x_flip,
 )
 
 
@@ -157,13 +159,29 @@ def parse_element(text: str) -> SphereMap:
 # -- routing ------------------------------------------------------------------------------------
 
 
-def classify_spheremap(g: SphereMap) -> ClassificationReport:
+def _route(g: SphereMap) -> tuple[SphereMap, int | None, list[dict]]:
+    """The routing front shared by classify_spheremap and decide_conjugacy:
+    (g conjugated to base id or neg, its order, base-reduction certificates).
+
+    An interval shift has infinite order and keeps its base; a flipped shift
+    is conjugated to base neg by reduce_to_trivial_base.  Raises
+    NotRealityMember when g does not commute with the real structure."""
     if not g.reality_check():
-        return ClassificationReport(
-            family="out-of-scope",
-            caveats=["element does not commute with the real structure"],
-        )
-    if g.base.kind == "shift":
+        raise NotRealityMember("element does not commute with the real structure")
+    if g.base.kind != "flipped_shift":
+        return g, g.order(), []
+    fiber, residual, conj = reduce_to_trivial_base(g)
+    certificate = {"kind": "base-reduction", "conjugator": spheremap_to_json(conj), "residual_base": residual}
+    g = SphereMap(fiber, BaseMobius.identity() if residual == "id" else BaseMobius.negation())
+    return g, g.order(), [certificate]
+
+
+def classify_spheremap(g: SphereMap) -> ClassificationReport:
+    try:
+        g, n, certificates = _route(g)
+    except NotRealityMember as exc:
+        return ClassificationReport(family="out-of-scope", caveats=[str(exc)])
+    if n is None and g.base.b:  # only an interval shift keeps b != 0 after routing
         return ClassificationReport(
             family="reality-only",
             moduli={"base": str(g.base)},
@@ -172,19 +190,6 @@ def classify_spheremap(g: SphereMap) -> ClassificationReport:
                 "reality verified, no conjugacy family applies"
             ],
         )
-    caveats: list[str] = []
-    certificates: list[dict] = []
-    if g.base.kind == "flipped_shift":
-        fiber, residual, conj = reduce_to_trivial_base(g)
-        certificates.append(
-            {
-                "kind": "base-reduction",
-                "conjugator": spheremap_to_json(conj),
-                "residual_base": residual,
-            }
-        )
-        g = SphereMap(fiber, BaseMobius.identity() if residual == "id" else BaseMobius.negation())
-    n = g.order()
     if n is None:
         return ClassificationReport(
             family="reality-only",
@@ -192,8 +197,9 @@ def classify_spheremap(g: SphereMap) -> ClassificationReport:
         )
     if n == 1:
         return ClassificationReport(family=3, moduli={"angle": [0, 1]}, caveats=["identity map"])
-    if not _is_probable_prime(n):
-        caveats.append(f"order {n} is not prime; reporting the family of the cyclic generator")
+    caveats = [] if _is_probable_prime(n) else [
+        f"order {n} is not prime; reporting the family of the cyclic generator"
+    ]
     if g.base.kind == "neg":
         report = classify_flip_involution(g)
         return _from_flip_report(report, caveats, certificates)
@@ -283,29 +289,48 @@ def classify_dp4_datum(op: str, mu=None) -> ClassificationReport:
 
 
 def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
-    """Conjugacy of two involutions, with a certificate when one is produced."""
-    if g1.base.kind != g2.base.kind:
-        kinds = {g1.base.kind, g2.base.kind}
-        if kinds <= {"id", "neg"}:
-            return {"conjugate": False, "reason": "different base actions"}
-    if g1.base.kind == "neg":
-        same = h2_invariant(g1) == h2_invariant(g2)
-        return {
-            "conjugate": same,
-            "invariants": [h2_invariant(g1).to_json(), h2_invariant(g2).to_json()],
-        }
-    try:
-        cert = construct_conjugator(g1.fiber, g2.fiber)
-    except NotConjugate:
-        return {
-            "conjugate": False,
-            "fixed_curves": [
-                model_to_json(fixed_curve(g1.fiber)),
-                model_to_json(fixed_curve(g2.fiber)),
-            ],
-        }
-    return {
-        "conjugate": True,
-        "conjugator": _matrix_json(cert.conjugator),
-        "verified": True,
-    }
+    """Conjugacy of two finite-order elements, with a verified conjugator
+    when one is produced.
+
+    Both inputs are routed as in classify_spheremap.  Trivial-base elements
+    are decided among trivial-base conjugators: involutions by the square
+    class of the determinant, rotations by their angle.  Base flips of
+    order 2 are decided in the fiber-compatible birational group by the
+    twist class.  Two infinite-order inputs, and base flips of another
+    order, raise UndecidedExact; a non-real input raises NotRealityMember."""
+    routed = []
+    for which, g in (("first", g1), ("second", g2)):
+        try:
+            routed.append(_route(g)[:2])
+        except NotRealityMember as exc:
+            raise NotRealityMember(f"{which} argument: {exc}") from None
+    (r1, n1), (r2, n2) = routed
+    if n1 is None and n2 is None:
+        raise UndecidedExact("conjugacy of infinite-order elements is not decided")
+    if n1 != n2:
+        return {"conjugate": False, "reason": "different orders"}
+    if r1.base.kind != r2.base.kind:
+        return {"conjugate": False, "reason": "different base actions"}
+    if r1.base.kind == "neg":
+        if n1 != 2:
+            raise UndecidedExact(f"conjugacy of base-flip elements of order {n1} is not decided")
+        t1, t2 = h2_invariant(r1), h2_invariant(r2)
+        return {"conjugate": t1 == t2, "invariants": [t1.to_json(), t2.to_json()]}
+    if n1 <= 2:
+        try:
+            conjugator = construct_conjugator(r1.fiber, r2.fiber).conjugator
+        except NotConjugate:
+            return {
+                "conjugate": False,
+                "fixed_curves": [model_to_json(fixed_curve(r1.fiber)), model_to_json(fixed_curve(r2.fiber))],
+            }
+        return {"conjugate": True, "conjugator": _matrix_json(conjugator), "verified": True}
+    ra, rb = rotation_normal_form(r1.fiber), rotation_normal_form(r2.fiber)
+    if ra.angle != rb.angle:
+        return {"conjugate": False, "angles": [list(ra.angle), list(rb.angle)]}
+    # both targets are diag(1, zeta^{+-1}); x_flip swaps the two
+    swap = x_flip().fiber if ra.target != rb.target else ProjMat.identity()
+    conjugator = rb.conjugator.inverse() * swap * ra.conjugator
+    if not _conjugates(conjugator, r1.fiber, r2.fiber):
+        raise RuntimeError("composed rotation conjugator failed to verify")
+    return {"conjugate": True, "conjugator": _matrix_json(conjugator), "verified": True}

@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-undecided", action="store_true")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("conj", help="decide conjugacy of two involutions")
+    p = sub.add_parser("conj", help="decide conjugacy of two finite-order elements")
     p.add_argument("first")
     p.add_argument("second")
     p.set_defaults(func=cmd_conj)

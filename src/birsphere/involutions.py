@@ -175,9 +175,10 @@ class ConjugacyCertificate:
 
 
 class _FracMat:
-    """2x2 polynomial matrix with a scalar polynomial denominator; all
-    arithmetic is performed without fraction reduction (the result is only
-    needed projectively, or compared exactly)."""
+    """2x2 polynomial matrix (a flat entry 4-tuple, as in raw_mul) over a
+    scalar polynomial denominator; all arithmetic is performed without
+    fraction reduction (the result is only needed projectively, or compared
+    exactly)."""
 
     __slots__ = ("m", "d")
 
@@ -186,25 +187,17 @@ class _FracMat:
         self.d = Poly.const(1) if d is None else d
 
     def mul(self, other: _FracMat) -> _FracMat:
-        a, b = self.m, other.m
-        return _FracMat(
-            (
-                (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-                (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-            ),
-            self.d * other.d,
-        )
+        return _FracMat(raw_mul(self.m, other.m), self.d * other.d)
 
     def inverse(self) -> _FracMat:
-        a = self.m
-        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        a, b, c, d = self.m
+        det = a * d - b * c
         if not det:
             raise ZeroDivisionError("singular matrix")
-        adj = ((a[1][1] * self.d, -(a[0][1] * self.d)), (-(a[1][0] * self.d), a[0][0] * self.d))
-        return _FracMat(adj, det)
+        return _FracMat((d * self.d, -(b * self.d), -(c * self.d), a * self.d), det)
 
     def conj(self) -> _FracMat:
-        return _FracMat(tuple(tuple(e.conj() for e in row) for row in self.m), self.d.conj())
+        return _FracMat(tuple(e.conj() for e in self.m), self.d.conj())
 
 
 class _QuadAlgebra:
@@ -241,7 +234,7 @@ class _QuadAlgebra:
 
     def matrix(self, u) -> _FracMat:
         x, y, d = u
-        return _FracMat(((x, self.f * y), (y, x)), d)
+        return _FracMat((x, self.f * y, y, x), d)
 
 
 def _companion_data(form: InvolutionForm) -> tuple[_FracMat, Poly]:
@@ -255,7 +248,7 @@ def _companion_data(form: InvolutionForm) -> tuple[_FracMat, Poly]:
     if not q:
         raise ValueError("off-diagonal involution form required")
     f = -form.determinant()
-    alpha = _FracMat(((Poly(), q * ONE_MINUS_Z2), (Poly.const(-1), p.scale(-i))))
+    alpha = _FracMat((Poly(), q * ONE_MINUS_Z2, Poly.const(-1), p.scale(-i)))
     return alpha, f
 
 
@@ -310,7 +303,7 @@ def _build_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate:
     # rescale aligning the companion of B to [[0, f], [1, 0]]:
     # u = s / f_b with s^2 = f f_b, so u^2 = f / f_b
     u_num, u_den = poly_square_root(f * f_b), f_b
-    beta = beta0.mul(_FracMat(((u_den, Poly()), (Poly(), u_num)), u_den))
+    beta = beta0.mul(_FracMat((u_den, Poly(), Poly(), u_num), u_den))
     algebra = _QuadAlgebra(f)
     # closed forms of the twist units alpha^-1 tau conj(alpha), namely
     # [[i p, -f], [-1, i p]] / q (checked against the matrix product in the
@@ -323,7 +316,7 @@ def _build_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate:
         raise RuntimeError("twist units failed to have norm one")
     xi = _hilbert90_multiplicative(w, algebra)
     gamma = beta.mul(algebra.matrix(xi)).mul(alpha.inverse())
-    conj = ProjMat.of(gamma.m[0][0], gamma.m[0][1], gamma.m[1][0], gamma.m[1][1])
+    conj = ProjMat.of(*gamma.m)
     cert = ConjugacyCertificate(mat_a, mat_b, conj)
     if not cert.verify():
         raise RuntimeError("constructed conjugator failed to verify")
@@ -621,7 +614,13 @@ def classify_trivialbase(mat: ProjMat) -> TrivialBaseReport:
         return TrivialBaseReport(family=3, angle=(1, 2), model=model, certificate=cert)
     if model.degree == 2:
         # rational curve without real points: the one-parameter stratum
-        # conjugate to base-flip representatives; branch points z^2 = -c
-        c = model.m[0] / model.m[2]
+        # conjugate to base-flip representatives.  The shift by the root b of
+        # beta b^2 + 2 (1 + gamma) b + beta in (-1, 1) makes
+        # m = z^2 + beta z + gamma even, with branch points z^2 = -c; the two
+        # roots multiply to 1 and 1 + gamma > |beta| since m > 0 at +-1
+        one = CoeffScalar(1)
+        beta, gamma = model.m[1] / model.m[2], model.m[0] / model.m[2]
+        b = -beta / (one + gamma + ((one + gamma) * (one + gamma) - beta * beta).sqrt())
+        c = (b * b + beta * b + gamma) / (one + beta * b + gamma * b * b)
         return TrivialBaseReport(family="rational-special", model=model, parameter=c)
     return TrivialBaseReport(family=6, model=model)

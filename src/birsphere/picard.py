@@ -531,13 +531,5 @@ def normalize_point_pair(p, q):
     mu = lam.conj() / rho
     if not mu or mu == CoeffScalar(1) or mu == CoeffScalar(-1):
         raise DegenerateConfiguration(f"normalized parameter mu = {mu} is degenerate")
-    scale_first = ((CoeffScalar(1), CoeffScalar(0)), (CoeffScalar(0), lam.inverse()))
-    total = _cmat2_mul(scale_first, a)
-    return total, mu
-
-
-def _cmat2_mul(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
+    lam_inv = lam.inverse()  # diag(1, 1/lam) * a scales the second row
+    return (a[0], (a[1][0] * lam_inv, a[1][1] * lam_inv)), mu

@@ -333,14 +333,16 @@ class SphereMap:
 
     def reality_check(self) -> bool:
         """Compatibility with the real structure: A(z) tau(z) equals
-        tau(m(z)) conj(A)(z) projectively.  Reduces to the plain reality
-        condition when the base action is trivial."""
+        tau(m(z)) conj(A)(z) projectively, i.e. tau(m) A tau = conj(A), as
+        tau(m) = [[0, h_m], [d2, 0]] / d2 is projectively an involution.
+        Reduces to in_reality_group when the base action is trivial."""
         num, den = self.base.num_den_polys()
-        twist_at_m = (Poly(), den * den - num * num, den * den, Poly())
+        d2 = den * den
+        h_m = d2 - num * num
         a, b, c, d = self.fiber.entries()
-        lhs = (b, ONE_MINUS_Z2 * a, d, ONE_MINUS_Z2 * c)
-        rhs = raw_mul(twist_at_m, (a.conj(), b.conj(), c.conj(), d.conj()))
-        return proportional(lhs, rhs)
+        h = ONE_MINUS_Z2
+        lhs = (h_m * d, h_m * (h * c), d2 * b, d2 * (h * a))
+        return proportional(lhs, (a.conj(), b.conj(), c.conj(), d.conj()))
 
     def trivial_base_part(self) -> SphereMap:
         """The composition with a base realisation killing the base action;
@@ -689,27 +691,6 @@ def _const_matrix(rows):
     return tuple(tuple(scalar(c) for c in row) for row in rows)
 
 
-def _mat_mul(a, b):
-    return (
-        (
-            a[0][0] * b[0][0] + a[0][1] * b[1][0],
-            a[0][0] * b[0][1] + a[0][1] * b[1][1],
-        ),
-        (
-            a[1][0] * b[0][0] + a[1][1] * b[1][0],
-            a[1][0] * b[0][1] + a[1][1] * b[1][1],
-        ),
-    )
-
-
-def _mat_conj(a):
-    return tuple(tuple(c.conj() for c in row) for row in a)
-
-
-def _mat_det(a):
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-
 def classify_sphere_automorphism(rows, swap: bool) -> SphereAutClass:
     """Classify a finite-order automorphism of the sphere given by a
     constant matrix (acting on the first ruling) and a swap flag.
@@ -719,39 +700,42 @@ def classify_sphere_automorphism(rows, swap: bool) -> SphereAutClass:
     antipodal map (negative), with a constructive conjugator either way.
     """
     a0 = _const_matrix(rows)
-    if _mat_det(a0) == CoeffScalar(0):
+    flat = a0[0] + a0[1]  # the entry 4-tuple of raw_mul
+
+    def det(m):
+        return m[0] * m[3] - m[1] * m[2]
+
+    if not det(flat):
         raise ValueError("singular matrix")
     if not swap:
-        proj = ProjMat.of(*(Poly.const(c) for row in a0 for c in row))
+        proj = ProjMat.of(*(Poly.const(c) for c in flat))
         angle = proj.rotation_angle()
         if angle is None:
             raise NotFiniteOrder("matrix has infinite projective order")
         return SphereAutClass("rotation", angle, None)
-    m = _mat_mul(a0, _mat_conj(a0))
-    if m[0][1] or m[1][0] or m[0][0] != m[1][1]:
+    m = raw_mul(flat, tuple(c.conj() for c in flat))
+    if m[1] or m[2] or m[0] != m[3]:
         raise NotFiniteOrder("swap element does not square to a scalar")
-    lam = m[0][0]
+    lam = m[0]
     if not lam.is_real():
         raise RuntimeError("scalar of A*conj(A) must be real")
     lam_r = lam.as_real()
     scale = abs(lam_r).sqrt().inverse()
-    a1 = tuple(tuple(c * CoeffScalar(scale) for c in row) for row in a0)
+    a1 = tuple(c * CoeffScalar(scale) for c in flat)
     if lam_r.sign() > 0:
         # additive Hilbert-90: B = C + A1 conj(C) with any C keeping B invertible
-        for c in _hilbert90_trials():
-            bmat = tuple(
-                tuple(c[r][s] + sum(a1[r][k] * c[k][s].conj() for k in range(2)) for s in range(2))
-                for r in range(2)
-            )
-            if _mat_det(bmat):
-                return SphereAutClass("reflection", None, bmat)
+        for rows_c in _hilbert90_trials():
+            c = rows_c[0] + rows_c[1]
+            bmat = tuple(x + y for x, y in zip(c, raw_mul(a1, tuple(e.conj() for e in c))))
+            if det(bmat):
+                return SphereAutClass("reflection", None, (bmat[:2], bmat[2:]))
         raise RuntimeError("no invertible additive Hilbert-90 witness found")
     # negative scalar: antipodal, with basis (v1, A1 conj(v1))
     for v1 in ((CoeffScalar(1), CoeffScalar(0)), (CoeffScalar(0), CoeffScalar(1))):
-        av = tuple(sum(a1[r][k] * v1[k].conj() for k in range(2)) for r in range(2))
-        bmat = ((v1[0], av[0]), (v1[1], av[1]))
-        if _mat_det(bmat):
-            return SphereAutClass("antipodal", None, bmat)
+        av = (a1[0] * v1[0].conj() + a1[1] * v1[1].conj(), a1[2] * v1[0].conj() + a1[3] * v1[1].conj())
+        bmat = (v1[0], av[0], v1[1], av[1])
+        if det(bmat):
+            return SphereAutClass("antipodal", None, (bmat[:2], bmat[2:]))
     raise RuntimeError("no basis of the form (v, A conj(v)) found")
 
 

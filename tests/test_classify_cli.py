@@ -1,5 +1,8 @@
 import json
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from birsphere.classify import (
     classify_dp4_datum,
@@ -70,6 +73,74 @@ def test_decide_conjugacy():
     assert not res["conjugate"]
     res = decide_conjugacy(builtin_map("g2p:1/2"), builtin_map("g2p:-1/2"))
     assert res["conjugate"]
+
+
+def _certificate_verifies(res, g1, g2) -> bool:
+    from birsphere.involutions import _conjugates
+    from birsphere.parsing import parse_poly
+    from birsphere.projmat import ProjMat
+
+    conjugator = ProjMat.of(*(parse_poly(e) for row in res["conjugator"] for e in row))
+    return _conjugates(conjugator, g1.fiber, g2.fiber)
+
+
+def test_conj_rotations(capsys):
+    code, out, _ = run_cli(capsys, "conj", "builtin:rot:1/3", "builtin:rot:2/3")
+    res = json.loads(out)
+    assert code == 0 and res["conjugate"] and res["verified"]
+    assert res["conjugator"] == [["0", "z^2-1"], ["1", "0"]]  # x_flip
+    assert _certificate_verifies(res, builtin_map("rot:1/3"), builtin_map("rot:2/3"))
+    res = decide_conjugacy(builtin_map("rot:1/8"), builtin_map("rot:3/8"))
+    assert res == {"conjugate": False, "angles": [[1, 8], [3, 8]]}
+
+
+def test_conj_infinite_order(capsys):
+    for pair in (("builtin:gb:1/2", "builtin:gb:1/3"), ("diag(2+i, 2-i)", "diag(2+i, 2-i)")):
+        code, out, err = run_cli(capsys, "conj", *pair)
+        assert code == 4 and not out and err.startswith("undecided:")
+    for pair in (("builtin:gb:1/2", "builtin:tau"), ("builtin:tau", "builtin:gb:1/2")):
+        code, out, _ = run_cli(capsys, "conj", *pair)
+        assert code == 0 and json.loads(out) == {"conjugate": False, "reason": "different orders"}
+
+
+def test_conj_typed_errors():
+    from birsphere.errors import NotRealityMember, UndecidedExact
+    from birsphere.poly import Poly
+    from birsphere.projmat import ProjMat
+    from birsphere.scalars import CoeffScalar
+    from birsphere.sphere import BaseMobius, SphereMap
+
+    unreal = parse_element("[[1, 1],[1, 1+z]]")
+    with pytest.raises(NotRealityMember, match="second argument"):
+        decide_conjugacy(builtin_map("tau"), unreal)
+    with pytest.raises(NotRealityMember, match="first argument"):
+        decide_conjugacy(unreal, builtin_map("tau"))
+    order4 = SphereMap(ProjMat.diag(Poly.const(1), Poly.const(CoeffScalar.i())), BaseMobius.negation())
+    assert order4.reality_check() and order4.order() == 4
+    with pytest.raises(UndecidedExact):
+        decide_conjugacy(order4, order4)
+
+
+def test_conj_shifted_base_flip():
+    from birsphere.sphere import interval_shift
+
+    s = interval_shift(Fraction(1, 2))
+    eta = builtin_map("tilde_eta")
+    shifted = s.compose(eta).compose(s.inverse())
+    assert shifted.base.kind == "flipped_shift"
+    assert decide_conjugacy(shifted, eta)["conjugate"]
+    assert decide_conjugacy(eta, shifted)["conjugate"]
+
+
+def test_twist_class_computed_once(monkeypatch):
+    import birsphere.classify as routing
+
+    calls = []
+    real = routing.h2_invariant
+    monkeypatch.setattr(routing, "h2_invariant", lambda g: calls.append(1) or real(g))
+    res = decide_conjugacy(builtin_map("g2p:1/2"), builtin_map("g2p:1/3"))
+    assert not res["conjugate"] and len(res["invariants"]) == 2
+    assert len(calls) == 2
 
 
 def test_dp4_data_route():
@@ -193,8 +264,9 @@ def test_cli_linear_stratum_exit_code(capsys):
 def test_catalogue_golden(capsys):
     """classify, order, member, fix, h2 and eval print exactly the recorded
     JSON for every builtin, and conj for the builtin pairs of
-    test_decide_conjugacy; tests/data/catalogue_cli.json maps each command
-    line to its exit code and stdout."""
+    test_decide_conjugacy, test_conj_rotations and test_conj_infinite_order;
+    tests/data/catalogue_cli.json maps each command line to its exit code
+    and stdout."""
     golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())
     mismatched = []
     for command, want in sorted(golden.items()):

@@ -20,7 +20,7 @@ from birsphere.involutions import (
 from birsphere.poly import ONE_MINUS_Z2, Poly, square_class_part
 from birsphere.projmat import ProjMat
 from birsphere.scalars import CoeffScalar
-from birsphere.sphere import builtin_map, in_reality_group, rotation, x_flip, y_flip
+from birsphere.sphere import builtin_map, in_reality_group, interval_shift, rotation, x_flip, y_flip
 
 from conftest import random_reality_element
 
@@ -272,16 +272,15 @@ def test_twist_unit_closed_form(rng):
 
     from birsphere.involutions import InvolutionForm, _companion_data, _FracMat
 
-    tau = _FracMat(((Poly(), ONE_MINUS_Z2), (Poly.const(1), Poly())))
+    tau = _FracMat((Poly(), ONE_MINUS_Z2, Poly.const(1), Poly()))
     for _ in range(8):
         p = random_poly(rng, rng.randint(0, 2), complex_ok=False)
         q = random_poly(rng, rng.randint(0, 2))
         alpha, f = _companion_data(InvolutionForm(p, q))
         unit = alpha.inverse().mul(tau).mul(alpha.conj())
-        closed = ((p.scale(I), -f), (Poly.const(-1), p.scale(I)))
-        for r in range(2):
-            for c in range(2):
-                assert unit.m[r][c] * q == closed[r][c] * unit.d
+        closed = (p.scale(I), -f, Poly.const(-1), p.scale(I))
+        for entry, want in zip(unit.m, closed):
+            assert entry * q == want * unit.d
 
 
 def test_rotation_angle_invariance(rng):
@@ -303,6 +302,19 @@ def test_classify_trivialbase_families():
     rep = classify_trivialbase(builtin_map("g1p:1/2").fiber)
     assert rep.family == "rational-special"
     assert rep.parameter == CoeffScalar(Fraction(1, 4))
+
+
+def test_rational_special_parameter_under_shifts():
+    """The branch value t^2 stays put when an interval shift moves the
+    fixed curve's m off the even representative."""
+    g = builtin_map("g1p:1/2")
+    for t in (Fraction(1, 2), Fraction(-2, 3)):
+        s = interval_shift(t)
+        rep = classify_trivialbase(s.compose(g).compose(s.inverse()).fiber)
+        if t == Fraction(1, 2):
+            assert str(rep.model.m) == "z^2-50/29*z+89/116"
+        assert rep.family == "rational-special"
+        assert rep.parameter == CoeffScalar(Fraction(1, 4))
 
 
 def test_classify_certificates_attached():

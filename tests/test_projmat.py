@@ -1,15 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from birsphere.classify import classify_spheremap
+from birsphere.classify import classify_spheremap, decide_conjugacy
 from birsphere.errors import BasePointHit, IndeterminateFiber
+from birsphere.involutions import HyperellipticModel, basis_equiv_moduli
+from birsphere.parsing import parse_poly
 from birsphere.poly import ONE_MINUS_Z2, Poly, RatFn
-from birsphere.projmat import INF, TWO_COS, ProjMat
+from birsphere.projmat import INF, TWO_COS, ProjMat, raw_mul
 from birsphere.scalars import CoeffScalar, TowerReal
-from birsphere.sphere import FiberPattern, SphereMap, builtin_map, in_diffeo_group
+from birsphere.sphere import FiberPattern, SphereMap, builtin_map, interval_shift, z_flip
+from test_exact_core import ref_in_reality_group, ref_proportional
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -78,16 +81,60 @@ def diffeo_conjugators(draw):
     return FiberPattern(a, b).matrix()
 
 
+@st.composite
+def sphere_conjugators(draw):
+    """A diffeomorphic fiber conjugator, composed with an interval shift, a
+    z-flip, both, or neither."""
+    c = SphereMap.trivial_base(draw(diffeo_conjugators()))
+    if draw(st.booleans()):
+        c = c.compose(interval_shift(draw(st.sampled_from((Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3))))))
+    if draw(st.booleans()):
+        c = c.compose(z_flip())
+    return c
+
+
+def _curve_model(curve: dict) -> HyperellipticModel:
+    return HyperellipticModel(parse_poly(curve["m"]), 1 if curve["sign"] == "+" else -1, Poly.const(1))
+
+
 @settings(max_examples=30, deadline=None)
-@given(name=st.sampled_from(CATALOGUE), c=diffeo_conjugators())
+@given(name=st.sampled_from(CATALOGUE), c=sphere_conjugators())
+@example(name="g1p:1/2", c=interval_shift(Fraction(1, 2)))
+@example(name="g2p:1/2", c=interval_shift(Fraction(1, 2)).compose(z_flip()))
 def test_order_and_family_conjugation_invariant(name, c):
-    assert in_diffeo_group(c)
+    """Family, order, angle, genus, parameter and twist class agree.  The
+    fixed curve's m is a representative that a shift moves, so it is
+    compared under the interval group, after its sign and degree."""
+    assert c.is_diffeo()
     g = builtin_map(name)
-    cg = SphereMap.trivial_base(c)
-    h = cg.compose(g).compose(cg.inverse())
+    h = c.compose(g).compose(c.inverse())
     assert h.order() == g.order()
     want, have = classify_spheremap(g), classify_spheremap(h)
+    want_curve, have_curve = want.moduli.pop("fixed_curve", None), have.moduli.pop("fixed_curve", None)
     assert (have.family, have.moduli) == (want.family, want.moduli)
+    assert (want_curve is None) == (have_curve is None)
+    if want_curve is not None:
+        model_g, model_h = _curve_model(want_curve), _curve_model(have_curve)
+        assert (model_h.sign, model_h.degree) == (model_g.sign, model_g.degree)
+        assert basis_equiv_moduli(model_g, model_h).status == "equivalent"
+
+
+CONJ_NAMES = ("tau", "upsilon", "antipodal", "tilde_eta", "rot:1/3", "rot:2/3", "rot:1/4", "rot:3/4",
+              "rot:1/8", "rot:3/8", "g1p:1/2", "g1p:-1/2", "g2p:1/2", "g2p:-1/2")
+
+
+@settings(max_examples=20, deadline=None)
+@given(names=st.tuples(st.sampled_from(CONJ_NAMES), st.sampled_from(CONJ_NAMES)),
+       conjugators=st.tuples(sphere_conjugators(), sphere_conjugators()))
+def test_conj_symmetric_with_verified_certificates(names, conjugators):
+    g1, g2 = (c.compose(builtin_map(n)).compose(c.inverse()) for n, c in zip(names, conjugators))
+    forward, backward = decide_conjugacy(g1, g2), decide_conjugacy(g2, g1)
+    assert forward["conjugate"] == backward["conjugate"]
+    for (a, b), res in (((g1, g2), forward), ((g2, g1), backward)):
+        if "conjugator" in res:
+            c = ProjMat.of(*(parse_poly(e) for row in res["conjugator"] for e in row))
+            assert ref_in_reality_group(c)
+            assert ref_proportional(raw_mul(c.entries(), a.fiber.entries()), raw_mul(b.fiber.entries(), c.entries()))
 
 
 def test_act_on_fiber():
