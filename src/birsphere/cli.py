@@ -41,7 +41,6 @@ from .sphere import (
     BUILTIN_NAMES,
     SphereFormula,
     in_diffeo_group,
-    in_reality_group,
 )
 
 EXIT_PARSE = 2
@@ -92,7 +91,7 @@ def cmd_member(args) -> int:
     else:
         mat = g.fiber
     if args.group == "G":
-        ok = g.reality_check() if g.base.kind != "id" else in_reality_group(mat)
+        ok = g.reality_check()
     elif args.group == "H":
         ok = g.reality_check() and in_diffeo_group(mat)
     else:

@@ -5,10 +5,13 @@ forms for higher order.
 An involution with trivial base action has the shape
 [[i*p, q*h], [conj q, -i*p]] with p real; its fixed curve is the double
 cover w^2 = -D with D the pattern determinant, and D's square class in
-R(z)* is a complete conjugacy invariant.  Conjugators are produced
-constructively: both sides are brought to the companion shape
-[[0, -D], [1, 0]], aligned by a square-root rescale, and glued with a
-multiplicative Hilbert-90 witness in the quadratic algebra C(z)[w]/(w^2+D).
+R(z)* is a complete conjugacy invariant.  Conjugators are produced in
+closed form: with f = -D, both sides are companions alpha [[0, f], [1, 0]]
+alpha^-1, aligned by a rescale u in lowest terms, and glued by a
+Hilbert-90 element c + w conj(c) of the algebra C(z)[r]/(r^2 - f), w the
+quotient of the two twist units.  The witness c comes from the finite set
+{1, i, e+ + i e-, i e+ + e-} (e+- the idempotents when f is a square), and
+a proof says one of them works.
 """
 
 from __future__ import annotations
@@ -174,36 +177,10 @@ class ConjugacyCertificate:
         return _conjugates(self.conjugator, self.source, self.target)
 
 
-class _FracMat:
-    """2x2 polynomial matrix (a flat entry 4-tuple, as in raw_mul) over a
-    scalar polynomial denominator; all arithmetic is performed without
-    fraction reduction (the result is only needed projectively, or compared
-    exactly)."""
-
-    __slots__ = ("m", "d")
-
-    def __init__(self, m, d: Poly | None = None):
-        self.m = m
-        self.d = Poly.const(1) if d is None else d
-
-    def mul(self, other: _FracMat) -> _FracMat:
-        return _FracMat(raw_mul(self.m, other.m), self.d * other.d)
-
-    def inverse(self) -> _FracMat:
-        a, b, c, d = self.m
-        det = a * d - b * c
-        if not det:
-            raise ZeroDivisionError("singular matrix")
-        return _FracMat((d * self.d, -(b * self.d), -(c * self.d), a * self.d), det)
-
-    def conj(self) -> _FracMat:
-        return _FracMat(tuple(e.conj() for e in self.m), self.d.conj())
-
-
 class _QuadAlgebra:
-    """The commutative algebra C(z)[w]/(w^2 - f), f a polynomial, with
-    coefficient conjugation.  Elements are (x, y, d) standing for
-    (x + y w)/d; no reduction is performed."""
+    """The commutative algebra C(z)[r]/(r^2 - f), f a real polynomial, with
+    the conjugation of the coefficients (it fixes r).  Elements are triples
+    (x, y, d) standing for (x + y r)/d; no reduction is performed."""
 
     def __init__(self, f: Poly):
         self.f = f
@@ -221,61 +198,63 @@ class _QuadAlgebra:
     def conj(self, u):
         return (u[0].conj(), u[1].conj(), u[2].conj())
 
-    def inverse(self, u):
-        x, y, d = u
-        n = x * x - self.f * y * y
-        if not n:
-            raise ZeroDivisionError("non-invertible element of the quadratic algebra")
-        return (x * d, -(y * d), n)
+    def equal(self, u, v) -> bool:
+        return u[0] * v[2] == v[0] * u[2] and u[1] * v[2] == v[1] * u[2]
 
-    def is_one(self, u) -> bool:
-        x, y, d = u
-        return not y and x == d
+    def is_unit(self, u) -> bool:
+        x, y, _ = u
+        return bool(x * x - self.f * y * y)
 
-    def matrix(self, u) -> _FracMat:
-        x, y, d = u
-        return _FracMat((x, self.f * y, y, x), d)
+    def matrix(self, u):
+        """Multiplication by u on the basis (1, r), up to the denominator."""
+        x, y, _ = u
+        return (x, self.f * y, y, x)
 
 
-def _companion_data(form: InvolutionForm) -> tuple[_FracMat, Poly]:
-    """(alpha, f) with alpha [[0, f], [1, 0]] alpha^-1 = A projectively and
-    alpha^-1 tau conj(alpha) inside the centralizer algebra; f = -D.
+def _companion_data(form: InvolutionForm) -> tuple[tuple, Poly]:
+    """(alpha, f) with alpha [[0, f], [1, 0]] alpha^-1 = A projectively, alpha
+    a flat entry 4-tuple as in raw_mul; f = -D.  The twist unit
+    alpha^-1 tau conj(alpha) is [[i p, -f], [-1, i p]] / q.
 
     Requires q != 0 (callers move diagonal involutions off the diagonal
     first)."""
-    i = CoeffScalar.i()
     p, q = form.p, form.q
     if not q:
         raise ValueError("off-diagonal involution form required")
-    f = -form.determinant()
-    alpha = _FracMat((Poly(), q * ONE_MINUS_Z2, Poly.const(-1), p.scale(-i)))
-    return alpha, f
+    alpha = (Poly(), q * ONE_MINUS_Z2, Poly.const(-1), p.scale(-CoeffScalar.i()))
+    return alpha, -form.determinant()
 
 
 def _move_off_diagonal(mat: ProjMat) -> tuple[ProjMat, ProjMat]:
     """Conjugate a diagonal involution to one with q != 0; returns the new
-    matrix and the conjugator g with g mat g^-1 = new."""
+    matrix and the conjugator g with g mat g^-1 = new.
+
+    The only diagonal involution is [[i p, 0], [0, -i p]], projectively
+    diag(1, -1), and g = [[z, h], [1, z]] moves it to
+    [[1, -2 z h], [2 z, -1]], whose form has p = 1 and q = -2 i z != 0."""
     if involution_normal_form(mat).q:
         return mat, ProjMat.identity()
-    candidates = (
-        FiberPattern(Poly.z(), Poly.const(1)).matrix(),
-        FiberPattern(Poly.const(2), Poly.const(1)).matrix(),
-        FiberPattern(Poly.const(CoeffScalar(1, 1)), Poly.const(1)).matrix(),
-    )
-    for g in candidates:
-        moved = g * mat * g.inverse()
-        if involution_normal_form(moved).q:
-            return moved, g
-    raise RuntimeError("failed to move a diagonal involution off the diagonal")
+    g = FiberPattern(Poly.z(), Poly.const(1)).matrix()
+    return g * mat * g.inverse(), g
 
 
 def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate:
     """An explicit conjugator C in the reality group with C A C^-1 = B.
 
-    Both involutions are written as alpha [[0,-D],[1,0]] alpha^-1, the two
-    companion forms are aligned by the rescale diag(1, u) with
-    u^2 = D_A / D_B, and the reality defect is repaired by a Hilbert-90
-    element of the quadratic algebra attached to the common fixed curve.
+    Both involutions are written as alpha [[0, f], [1, 0]] alpha^-1 with
+    f = -D, the companion of B is aligned to that of A by the rescale
+    diag(1, u) with u^2 = f_A / f_B in lowest terms, and the reality defect
+    is repaired by a Hilbert-90 element xi = c + w conj(c) of the algebra
+    C(z)[r]/(r^2 - f), w = mu_B / mu_A the quotient of the twist units.
+    Since xi mu_A = c mu_A + conj(c) mu_B and alpha mu_A is proportional to
+    tau conj(alpha), proportional to [[-1, i p], [0, conj q]], the conjugator
+    is born without inverses:
+
+        C = beta diag(1, u) M(c mu_A + conj(c) mu_B) [[conj q, -i p], [0, -1]]
+
+    with (p, q) the form of A, beta the companion matrix of B and M(x + y r)
+    = [[x, f y], [y, x]].  The witness c comes from a finite set with a proof
+    (_hilbert90), and C is verified once before it is returned.
     """
     if mat_a != mat_b and not conj_decision(mat_a, mat_b):
         raise NotConjugate("maps are not conjugate: determinants differ by a non-square")
@@ -296,64 +275,75 @@ def _build_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate:
         if not cert.verify():
             raise RuntimeError("composed conjugator failed to verify")
         return cert
-    form_a = involution_normal_form(mat_a)
-    form_b = involution_normal_form(mat_b)
-    alpha, f = _companion_data(form_a)
-    beta0, f_b = _companion_data(form_b)
-    # rescale aligning the companion of B to [[0, f], [1, 0]]:
-    # u = s / f_b with s^2 = f f_b, so u^2 = f / f_b
-    u_num, u_den = poly_square_root(f * f_b), f_b
-    beta = beta0.mul(_FracMat((u_den, Poly(), Poly(), u_num), u_den))
-    algebra = _QuadAlgebra(f)
-    # closed forms of the twist units alpha^-1 tau conj(alpha), namely
-    # [[i p, -f], [-1, i p]] / q (checked against the matrix product in the
-    # tests); the rescale by diag(1, u) twists the second one
-    i = CoeffScalar.i()
-    mu_a = (form_a.p.scale(i), Poly.const(-1), form_a.q)
-    mu_b = (form_b.p.scale(i) * u_num, -u_den, form_b.q * u_num)
-    w = algebra.mul(mu_b, algebra.inverse(mu_a))
-    if not algebra.is_one(algebra.mul(w, algebra.conj(w))):
-        raise RuntimeError("twist units failed to have norm one")
-    xi = _hilbert90_multiplicative(w, algebra)
-    gamma = beta.mul(algebra.matrix(xi)).mul(alpha.inverse())
-    conj = ProjMat.of(*gamma.m)
-    cert = ConjugacyCertificate(mat_a, mat_b, conj)
+    gamma = _conjugator_entries(involution_normal_form(mat_a), involution_normal_form(mat_b))
+    cert = ConjugacyCertificate(mat_a, mat_b, ProjMat.of(*gamma))
     if not cert.verify():
         raise RuntimeError("constructed conjugator failed to verify")
     return cert
 
 
-def _hilbert90_multiplicative(w, algebra: _QuadAlgebra):
-    """xi with xi = w * conj(xi), given w of norm one: xi = C + w*conj(C)."""
-    import random
+def _conjugator_entries(form_a: InvolutionForm, form_b: InvolutionForm):
+    """The entries of the closed-form conjugator of construct_conjugator,
+    before canonicalisation."""
+    _, f = _companion_data(form_a)
+    beta, f_b = _companion_data(form_b)
+    # u = s / f_b with s^2 = f f_b, so u^2 = f / f_b; f / G and f_b / G are
+    # coprime with G = gcd(f, f_b), and dividing out gcd(s, f_b) leaves their
+    # square roots up to constants
+    s = poly_square_root(f * f_b)
+    g = poly_gcd(s, f_b)
+    u_num, u_den = s.exact_div(g), f_b.exact_div(g)
+    algebra = _QuadAlgebra(f)
+    # twist units alpha^-1 tau conj(alpha) in closed form; the rescale by
+    # diag(1, u) twists the second one
+    i = CoeffScalar.i()
+    p, q = form_a.p, form_a.q
+    mu_a = (p.scale(i), Poly.const(-1), q)
+    mu_b = (form_b.p.scale(i) * u_num, -u_den, form_b.q * u_num)
+    if not algebra.equal(algebra.mul(mu_b, algebra.conj(mu_b)), algebra.mul(mu_a, algebra.conj(mu_a))):
+        raise RuntimeError("twist units failed to have equal norms")
+    eta = _hilbert90(algebra, mu_a, mu_b)
+    zero = Poly()
+    tail = raw_mul(algebra.matrix(eta), (q.conj(), -p.scale(i), zero, Poly.const(-1)))
+    return raw_mul(raw_mul(beta, (u_den, zero, zero, u_num)), tail)
 
-    one, zero, zvar = Poly.const(1), Poly(), Poly.z()
-    i = Poly.const(CoeffScalar.i())
-    trials = [
-        (one, zero, one),
-        (i, zero, one),
-        (zero, one, one),
-        (zero, i, one),
-        (zvar, zero, one),
-        (zero, zvar, one),
-    ]
-    rng = random.Random(1729)
-    for _ in range(40):
-        trials.append(
-            (
-                Poly([CoeffScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2)]),
-                Poly([CoeffScalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2)]),
-                one,
-            )
-        )
-    for c in trials:
-        xi = algebra.add(c, algebra.mul(w, algebra.conj(c)))
-        try:
-            algebra.inverse(xi)
-        except ZeroDivisionError:
-            continue
-        return xi
-    raise RuntimeError("no invertible Hilbert-90 witness in the trial set")
+
+def _hilbert90(algebra: _QuadAlgebra, mu_a, mu_b):
+    """eta = c mu_a + conj(c) mu_b for the first c of a finite witness set
+    that makes it a unit.  Then xi = eta / mu_a = c + w conj(c), with
+    w = mu_b / mu_a of norm w conj(w) = 1, is a unit with xi = w conj(xi).
+
+    The set is c = 1, c = i and, when f = s^2, 2s (e+ + i e-) and
+    2s (i e+ + e-) with the idempotents e+- = (1 +- r/s)/2.  Some c in it
+    works:
+    - f is not a square: the algebra is a field, and c = 1, i give
+      xi = 1 + w and i (1 - w), which do not both vanish.
+    - f = s^2: conj(s)^2 = f, so conj(s) = +-s, and x + y r ->
+      (x + y s, x - y s) splits the algebra into two copies of C(z).
+      - conj(s) = -s: conjugation swaps the factors, so w = (v, 1/conj(v));
+        1 + w is singular only for v = -1, i.e. w = -1, and then
+        i (1 - w) = 2i.
+      - conj(s) = s: conjugation acts on each factor, where 1 or i works as
+        in the field case; the four witnesses give the four combinations
+        (1, 1), (i, i), (1, i), (i, 1), and the real scale 2s only scales xi.
+    So the RuntimeError below is unreachable."""
+    for c in _witnesses(algebra.f):
+        eta = algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
+        if algebra.is_unit(eta):
+            return eta
+    raise RuntimeError("no invertible Hilbert-90 witness in the finite set")
+
+
+def _witnesses(f: Poly):
+    one, i = Poly.const(1), Poly.const(CoeffScalar.i())
+    yield one, Poly(), one
+    yield i, Poly(), one
+    try:  # reached only when f = s^2 with conj(s) = s
+        s = poly_square_root(f)
+    except (ValueError, UnsupportedExtension):
+        return
+    yield s * (one + i), one - i, one
+    yield s * (one + i), i - one, one
 
 
 # -- realization ---------------------------------------------------------------------------

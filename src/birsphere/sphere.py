@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .bipoly import BiFrac, BiPoly
 from .errors import (
@@ -45,9 +46,11 @@ def reality_twist() -> ProjMat:
 # -- membership and patterns -----------------------------------------------------
 
 
+@lru_cache(maxsize=512)
 def in_reality_group(mat: ProjMat) -> bool:
     """True iff the fiber map commutes with the sphere's real structure:
-    tw [[a, b], [c, d]] tw = [[h d, h^2 c], [b, h a]] with h = 1 - z^2."""
+    tw [[a, b], [c, d]] tw = [[h d, h^2 c], [b, h a]] with h = 1 - z^2.
+    Cached, so the routing test and canonical_pattern evaluate it once."""
     a, b, c, d = mat.entries()
     h = ONE_MINUS_Z2
     return proportional((h * d, h * (h * c), b, h * a), (a.conj(), b.conj(), c.conj(), d.conj()))
@@ -336,6 +339,8 @@ class SphereMap:
         tau(m(z)) conj(A)(z) projectively, i.e. tau(m) A tau = conj(A), as
         tau(m) = [[0, h_m], [d2, 0]] / d2 is projectively an involution.
         Reduces to in_reality_group when the base action is trivial."""
+        if self.base.is_identity():
+            return in_reality_group(self.fiber)
         num, den = self.base.num_den_polys()
         d2 = den * den
         h_m = d2 - num * num
@@ -722,47 +727,25 @@ def classify_sphere_automorphism(rows, swap: bool) -> SphereAutClass:
     lam_r = lam.as_real()
     scale = abs(lam_r).sqrt().inverse()
     a1 = tuple(c * CoeffScalar(scale) for c in flat)
+
+    def twisted(v):  # A1 conj(v)
+        return (a1[0] * v[0].conj() + a1[1] * v[1].conj(), a1[2] * v[0].conj() + a1[3] * v[1].conj())
+
+    one, zero = CoeffScalar(1), CoeffScalar(0)
     if lam_r.sign() > 0:
-        # additive Hilbert-90: B = C + A1 conj(C) with any C keeping B invertible
-        for rows_c in _hilbert90_trials():
-            c = rows_c[0] + rows_c[1]
-            bmat = tuple(x + y for x, y in zip(c, raw_mul(a1, tuple(e.conj() for e in c))))
+        # Speiser's lemma: v -> A1 conj(v) is a semilinear involution, and the
+        # vectors v + A1 conj(v) for v in (e1, e2, i e1, i e2) are fixed by it
+        # and span C^2, since 2 v = (v + A1 conj(v)) - i (i v + A1 conj(i v));
+        # so two of them form a basis B with A1 conj(B) = B.  The pair
+        # (e1, e2) comes first: B = I + A1.
+        i = CoeffScalar.i()
+        fixed = [tuple(x + y for x, y in zip(v, twisted(v))) for v in ((one, zero), (zero, one), (i, zero), (zero, i))]
+        for u, v in combinations(fixed, 2):
+            bmat = (u[0], v[0], u[1], v[1])
             if det(bmat):
                 return SphereAutClass("reflection", None, (bmat[:2], bmat[2:]))
-        raise RuntimeError("no invertible additive Hilbert-90 witness found")
-    # negative scalar: antipodal, with basis (v1, A1 conj(v1))
-    for v1 in ((CoeffScalar(1), CoeffScalar(0)), (CoeffScalar(0), CoeffScalar(1))):
-        av = (a1[0] * v1[0].conj() + a1[1] * v1[1].conj(), a1[2] * v1[0].conj() + a1[3] * v1[1].conj())
-        bmat = (v1[0], av[0], v1[1], av[1])
-        if det(bmat):
-            return SphereAutClass("antipodal", None, (bmat[:2], bmat[2:]))
-    raise RuntimeError("no basis of the form (v, A conj(v)) found")
-
-
-def _hilbert90_trials():
-    """Constant trial matrices for additive Hilbert-90 witnesses: a fixed
-    asymmetric batch followed by deterministic pseudo-random ones (the
-    singular locus is proper, so a random trial succeeds)."""
-    import random
-
-    one, zero, i = CoeffScalar(1), CoeffScalar(0), CoeffScalar.i()
-    fixed = (
-        ((one, zero), (zero, one)),
-        ((i, zero), (zero, one)),
-        ((one, zero), (zero, i)),
-        ((i, zero), (zero, i)),
-        ((one, zero), (zero, -one)),
-        ((zero, one), (one, zero)),
-        ((one, one), (zero, one)),
-        ((zero, i), (one, zero)),
-    )
-    yield from fixed
-    rng = random.Random(1729)
-    for _ in range(60):
-        yield tuple(
-            tuple(
-                CoeffScalar(Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)))
-                for _ in range(2)
-            )
-            for _ in range(2)
-        )
+        raise RuntimeError("no basis of fixed vectors: unreachable by Speiser's lemma")
+    # negative scalar: antipodal, with basis (e1, A1 conj(e1)); it is one, as
+    # A1 conj(e1) = l e1 would give -e1 = A1 conj(A1 conj(e1)) = |l|^2 e1
+    av = twisted((one, zero))
+    return SphereAutClass("antipodal", None, ((one, av[0]), (zero, av[1])))

@@ -453,3 +453,21 @@ def test_reality_twist_is_one_constant():
     assert classify_spheremap(y_flip()).family == 4
     assert reality_twist() is tw
     assert [p.coeffs for p in tw.entries()] == before
+
+
+def test_no_module_imports_random():
+    """No chance decides: no module of the package imports random."""
+    import ast
+    from pathlib import Path
+
+    import birsphere
+
+    for path in Path(birsphere.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "random" for n in names), f"{path.name} imports random"

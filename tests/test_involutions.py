@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
 
 from birsphere.errors import BirsphereError, HasRealRoot, NotConjugate, NotDiffeomorphism, NotInvolution
 from birsphere.involutions import (
@@ -18,11 +19,12 @@ from birsphere.involutions import (
     rotation_normal_form,
 )
 from birsphere.poly import ONE_MINUS_Z2, Poly, square_class_part
-from birsphere.projmat import ProjMat
+from birsphere.projmat import ProjMat, raw_mul
 from birsphere.scalars import CoeffScalar
 from birsphere.sphere import builtin_map, in_reality_group, interval_shift, rotation, x_flip, y_flip
 
 from conftest import random_reality_element
+from test_exact_core import gaussian_scalars, polys, rational_scalars, ref_in_reality_group, ref_proportional
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -197,6 +199,30 @@ def test_certificate_verified_once(monkeypatch, rng):
     assert len(calls) == 1
 
 
+def test_reality_tested_once_per_input(monkeypatch, rng):
+    """decide_conjugacy evaluates the reality test of each input fiber once:
+    the routing check and canonical_pattern share the cached evaluation."""
+    import birsphere.sphere as sphere
+    from birsphere.classify import decide_conjugacy
+    from birsphere.sphere import SphereMap
+
+    evaluated = []
+    real = sphere.proportional
+    monkeypatch.setattr(sphere, "proportional", lambda p, q: evaluated.append(q) or real(p, q))
+    a = InvolutionForm(Poly.const(1), Poly.const(1)).matrix()
+    for _ in range(3):
+        c = random_reality_element(rng, max_degree=1)
+        b = c * a * c.inverse()
+        sphere.in_reality_group.cache_clear()
+        sphere.canonical_pattern.cache_clear()
+        evaluated.clear()
+        out = decide_conjugacy(SphereMap.trivial_base(a), SphereMap.trivial_base(b))
+        assert out["conjugate"] and out["verified"]
+        for mat in (a, b):
+            conj_entries = tuple(e.conj() for e in mat.entries())
+            assert sum(q == conj_entries for q in evaluated) == 1
+
+
 def test_conjugator_tau_upsilon():
     cert = construct_conjugator(TAU, UPS)
     assert cert.verify()
@@ -205,6 +231,75 @@ def test_conjugator_tau_upsilon():
 def test_conjugator_identity_case():
     cert = construct_conjugator(TAU, TAU)
     assert cert.conjugator.is_identity()
+
+
+def test_hilbert90_witness_set():
+    """The witness c is the first of 1, i, 2s (e+ + i e-), 2s (i e+ + e-) that
+    makes eta = c mu_a + conj(c) mu_b a unit, and xi = eta / mu_a solves
+    xi = w conj(xi) for w = mu_b / mu_a.  Here mu_a = 1, so w = mu_b."""
+    from birsphere.involutions import _hilbert90, _QuadAlgebra
+
+    one, zero, i = Poly.const(1), Poly(), Poly.const(I)
+    s = Z + 1  # conj(s) = s
+    cases = [
+        (Z * Z + 1, (one, zero, one), (one, zero, one)),  # field, w = 1: c = 1
+        (Z * Z + 1, (-one, zero, one), (i, zero, one)),  # field, w = -1: c = i
+        (s * s, (zero, one, s), (s * (one + i), one - i, one)),  # w = r/s = (1, -1)
+        (s * s, (zero, -one, s), (s * (one + i), i - one, one)),  # w = -r/s = (-1, 1)
+        (-(s * s), (one, zero, one), (one, zero, one)),  # f = (i s)^2, conj(i s) = -i s
+        (-(s * s), (-one, zero, one), (i, zero, one)),
+    ]
+    mu_a = (one, zero, one)
+    for f, mu_b, c in cases:
+        algebra = _QuadAlgebra(f)
+        assert algebra.equal(algebra.mul(mu_b, algebra.conj(mu_b)), mu_a)  # norm one
+        eta = _hilbert90(algebra, mu_a, mu_b)
+        assert algebra.is_unit(eta)
+        assert eta == algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
+        assert algebra.equal(algebra.mul(eta, algebra.conj(mu_a)), algebra.mul(mu_b, algebra.conj(eta)))
+
+
+def test_conjugator_entries_born_reduced():
+    """Entry degrees of the closed-form conjugator before canonicalisation,
+    with the rescale u in lowest terms (an unreduced u gives 13-14 and
+    23-25 here)."""
+    from birsphere.involutions import _conjugator_entries
+    from birsphere.sphere import FiberPattern
+
+    pairs = [
+        (InvolutionForm(Poly.const(1), Poly.const(1)), FiberPattern(Z + 2, Poly.const(1)), [5, 6, 4, 5]),
+        (InvolutionForm(Z, Z + Poly.const(I)), FiberPattern(Z + Poly.const(I), Z - 1), [11, 11, 9, 11]),
+    ]
+    for form, pattern, degrees in pairs:
+        a, c = form.matrix(), pattern.matrix()
+        b = c * a * c.inverse()
+        gamma = _conjugator_entries(involution_normal_form(a), involution_normal_form(b))
+        assert [e.degree for e in gamma] == degrees
+        assert construct_conjugator(a, b).conjugator == ProjMat.of(*gamma)
+
+
+real_polys = polys(rational_scalars, max_degree=2)
+complex_polys = polys(gaussian_scalars, max_degree=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=real_polys, q=complex_polys, a=complex_polys, b=complex_polys)
+@example(p=Poly.const(1), q=Poly(), a=Z + 2, b=Z - Poly.const(I))  # diagonal source
+@example(p=Z * Z + 1, q=Poly(), a=Poly.const(1), b=Poly.const(1))
+def test_conjugator_born_reduced_verifies(p, q, a, b):
+    """Every closed-form conjugator of a random conjugate pair passes the
+    reference projective and reality checks."""
+    from birsphere.sphere import FiberPattern
+
+    try:
+        mat_a, c = InvolutionForm(p, q).matrix(), FiberPattern(a, b).matrix()
+    except ValueError:  # zero matrix or zero determinant
+        assume(False)
+    mat_b = c * mat_a * c.inverse()
+    gamma = construct_conjugator(mat_a, mat_b).conjugator
+    g = gamma.entries()
+    assert ref_in_reality_group(gamma)
+    assert ref_proportional(raw_mul(g, mat_a.entries()), raw_mul(mat_b.entries(), g))
 
 
 def test_conj_decision_symmetric_transitive(rng):
@@ -266,21 +361,25 @@ def test_rotation_normal_form_recovery(rng):
 
 
 def test_twist_unit_closed_form(rng):
-    """alpha^-1 tau conj(alpha) = [[i p, -f], [-1, i p]] / q, the closed form
-    construct_conjugator uses in place of the matrix product."""
+    """alpha^-1 tau conj(alpha) = [[i p, -f], [-1, i p]] / q and
+    tau conj(alpha) = h [[-1, i p], [0, conj q]], the closed forms
+    construct_conjugator uses in place of the matrix products."""
     from conftest import random_poly
 
-    from birsphere.involutions import InvolutionForm, _companion_data, _FracMat
+    from birsphere.involutions import InvolutionForm, _companion_data
 
-    tau = _FracMat((Poly(), ONE_MINUS_Z2, Poly.const(1), Poly()))
+    tau = (Poly(), ONE_MINUS_Z2, Poly.const(1), Poly())
     for _ in range(8):
         p = random_poly(rng, rng.randint(0, 2), complex_ok=False)
         q = random_poly(rng, rng.randint(0, 2))
         alpha, f = _companion_data(InvolutionForm(p, q))
-        unit = alpha.inverse().mul(tau).mul(alpha.conj())
+        a, b, c, d = alpha
+        twisted = raw_mul(tau, tuple(e.conj() for e in alpha))
+        unit = raw_mul((d, -b, -c, a), twisted)  # adj(alpha) tau conj(alpha)
         closed = (p.scale(I), -f, Poly.const(-1), p.scale(I))
-        for entry, want in zip(unit.m, closed):
-            assert entry * q == want * unit.d
+        for entry, want in zip(unit, closed):
+            assert entry * q == want * (a * d - b * c)
+        assert twisted == tuple(e * ONE_MINUS_Z2 for e in (Poly.const(-1), p.scale(I), Poly(), q.conj()))
 
 
 def test_rotation_angle_invariance(rng):

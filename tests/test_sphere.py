@@ -384,6 +384,17 @@ def test_reflection_conjugator_relation():
     assert lhs == b
 
 
+def test_reflection_witness_when_first_pair_vanishes():
+    # A1 = -I: v + A1 conj(v) vanishes for v = e1, e2, so the basis comes
+    # from (i e1, i e2) of the finite Speiser set
+    cls = classify_sphere_automorphism(((-1, 0), (0, -1)), swap=True)
+    assert cls.kind == "reflection"
+    two_i = CoeffScalar(0, 2)
+    assert cls.conjugator == ((two_i, CoeffScalar(0)), (CoeffScalar(0), two_i))
+    b = cls.conjugator[0] + cls.conjugator[1]
+    assert raw_mul((-1, 0, 0, -1), tuple(c.conj() for c in b)) == b
+
+
 def test_interval_shift_base_action_on_zero():
     g = interval_shift(Fraction(1, 2))
     assert g.base.apply(CoeffScalar(0)) == CoeffScalar(Fraction(4, 5))
