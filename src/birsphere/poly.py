@@ -21,16 +21,21 @@ on polynomials: coefficientwise conjugation and the substitution z -> -z.
 Real-root machinery (Sturm chains, root isolation) works for polynomials
 with real tower coefficients, using exact sign decisions.  Real algebraic
 numbers are carried as an irreducible rational minimal polynomial plus an
-isolating rational interval, refinable on demand.
+isolating rational interval, refinable on demand.  Minimal polynomials come
+from `factor_rational_poly`: Yun's square-free split here, then Zassenhaus'
+factorisation of each part over Z in the factor module (Berlekamp modulo
+the least suitable prime, Hensel lifting, recombination by exact division).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotRealPolynomial
+from .factor import factor_squarefree, mul
 from .scalars import CoeffScalar, TowerReal, scalar
 
 _Row = dict[tuple[int, int], int]
@@ -651,34 +656,43 @@ def _isolate(chain: list[Poly]) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-# -- rational factorization bridge -----------------------------------------------
+# -- rational factorization -----------------------------------------------------
+
+
+def _integer_coeffs(p: Poly) -> list[int]:
+    """The coefficients of the primitive form of a rational p, ascending."""
+    return [r.get(_ONE_KEY, 0) for r in p.primitive()._rows]
 
 
 def factor_rational_poly(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """Factor a rational-coefficient polynomial into irreducibles over Q.
 
-    Returns (constant, [(monic irreducible factor, multiplicity), ...]).
-    Exact factorization is delegated to sympy's rational factorizer.
-    """
-    import sympy
+    Returns (lead(p), [(monic irreducible factor, multiplicity), ...]), with
+    (0, []) for the zero polynomial and (c, []) for a constant c.  Factors
+    are ordered by degree, then multiplicity, then the primitive integer
+    coefficients from the leading one down (the order the recorded reports
+    were made with).
 
+    `squarefree_decomposition` splits p, and Zassenhaus' algorithm factors
+    each part f, made primitive over Z (`factor.factor_squarefree`): the
+    least prime dividing neither lead(f) nor disc(f) (the search ends, as
+    lead(f) disc(f) != 0), Berlekamp modulo it, Hensel lifting to a modulus
+    above 2 |lead(f)| 2^n ||f||_2 (twice Mignotte's bound), and subsets of
+    the lifted factors in increasing size tried by exact division over Z.
+    The cofactor left when every subset of at most half of the remaining
+    factors has failed is irreducible: one side of a splitting would be
+    such a subset.  The factors must multiply back to p (else RuntimeError).
+    """
     coeffs = p.rational_coeffs()
-    x = sympy.Symbol("x")
-    sp = sympy.Poly(
-        sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(coeffs)),
-        x,
-        domain="QQ",
-    )
-    const, factors = sp.factor_list()
-    out = []
-    lead_adjust = Fraction(const.p, const.q)
-    for f, mult in factors:
-        fr = [Fraction(c.p, c.q) for c in reversed(f.all_coeffs())]
-        fp = Poly.from_rational_coeffs(fr)
-        lead = fp.lead().as_rational()
-        lead_adjust *= lead**mult
-        out.append((fp.scale(Fraction(1) / lead), mult))
-    return lead_adjust, out
+    if p.degree <= 0:
+        return (coeffs[0] if coeffs else Fraction(0)), []
+    found = [(g, mult) for part, mult in squarefree_decomposition(p)
+             for g in factor_squarefree(_integer_coeffs(part))]
+    found.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
+    product = functools.reduce(mul, (g for g, mult in found for _ in range(mult)))
+    if product != _integer_coeffs(_canonical_minpoly(p)):
+        raise RuntimeError(f"factorization of {p} does not multiply back")
+    return coeffs[-1], [(_poly([{_ONE_KEY: c} for c in g], g[-1]), mult) for g, mult in found]
 
 
 def galois_norm_poly(p: Poly) -> Poly:
@@ -730,7 +744,8 @@ class RealAlgebraic:
             canon = _canonical_minpoly(f)
             for lo, hi in _isolate(sturm_chain(f)):
                 roots.append(cls(canon, lo, hi))
-        roots.sort(key=lambda r: r.refined(40)[0])
+        # the roots are distinct: the factors are distinct irreducibles
+        roots.sort(key=functools.cmp_to_key(lambda a, b: -1 if a < b else 1))
         return roots
 
     def is_rational(self) -> bool:
@@ -808,7 +823,10 @@ class RealAlgebraic:
     def __lt__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RealAlgebraic.from_rational(other)
-        if self == other:
+        # a value lies in [lo, hi], strictly inside unless lo = hi
+        if self.hi <= other.lo and self.lo < other.hi:
+            return True
+        if other.hi <= self.lo and other.lo < self.hi or self == other:
             return False
         for bits in (16, 32, 64, 128, 256, 512, 1024):
             alo, ahi = self.refined(bits)

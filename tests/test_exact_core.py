@@ -456,7 +456,8 @@ def test_reality_twist_is_one_constant():
 
 
 def test_no_module_imports_random():
-    """No chance decides: no module of the package imports random."""
+    """No chance decides: no module of the package imports random.  The
+    package runs on the standard library alone: none imports sympy."""
     import ast
     from pathlib import Path
 
@@ -470,4 +471,30 @@ def test_no_module_imports_random():
                 names = [node.module or ""]
             else:
                 continue
-            assert not any(n.split(".")[0] == "random" for n in names), f"{path.name} imports random"
+            for banned in ("random", "sympy"):
+                assert not any(n.split(".")[0] == banned for n in names), f"{path.name} imports {banned}"
+
+
+def test_queries_leave_sympy_unloaded():
+    """A classification and a root isolation through the factoriser, in a
+    fresh interpreter, load no sympy."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import birsphere
+
+    script = (
+        "import sys\n"
+        "from birsphere.cli import main\n"
+        "from birsphere.poly import ONE_MINUS_Z2, Poly\n"
+        "from birsphere.projmat import ProjMat\n"
+        "from birsphere.sphere import contracted_fibers\n"
+        "assert main(['classify', 'builtin:g2p:1/2']) == 0\n"
+        "z = Poly.z()\n"
+        "assert len(contracted_fibers(ProjMat.of(z, ONE_MINUS_Z2, Poly.const(1), z))) == 2\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    src = str(Path(birsphere.__file__).parent.parent)
+    run = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birsphere.errors import NotRealPolynomial
 from birsphere.poly import (
@@ -135,6 +137,105 @@ def test_factor_rational():
     assert const == 1 and polys == ["z^2+1", "z^2+4"]
 
 
+def _sympy_factor(coeffs):
+    """factor_rational_poly's contract computed by sympy.factor_list: the
+    lead, and the monic factors' ascending coefficients with multiplicity."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(coeffs))
+    const, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
+    lead = Fraction(const.p, const.q)
+    out = []
+    for f, mult in factors:
+        fc = [Fraction(c.p, c.q) for c in reversed(f.all_coeffs())]
+        lead *= fc[-1] ** mult
+        out.append(([c / fc[-1] for c in fc], mult))
+    return lead, out
+
+
+def _assert_factors_like_sympy(p):
+    const, factors = factor_rational_poly(p)
+    assert (const, [(f.rational_coeffs(), m) for f, m in factors]) == _sympy_factor(p.rational_coeffs())
+
+
+SD4 = Z**4 - 10 * Z**2 + 1  # the minimal polynomial of sqrt2 + sqrt3
+SD8 = Z**8 - 40 * Z**6 + 352 * Z**4 - 960 * Z**2 + 576  # of sqrt2 + sqrt3 + sqrt5
+# lead 3*5*7*11*13, so the small primes are skipped
+LEAD_15015 = (3 * Z - 1) * (5 * Z + 2) * (7 * Z - 3) * (11 * Z + 4) * (13 * Z - 5) * (Z * Z + 1)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        SD4,
+        SD8,
+        Z**6 + 1,
+        Z**12 - 1,
+        (Z * Z - 2) ** 3 * (Z + 1) ** 2,
+        LEAD_15015,
+        Poly(),
+        Poly.const(Fraction(-7, 3)),
+    ],
+    ids=["SD4", "SD8", "x6+1", "x12-1", "sq-cube", "lead-15015", "zero", "constant"],
+)
+def test_factor_rational_matches_sympy_examples(p):
+    _assert_factors_like_sympy(p)
+
+
+def test_factor_rational_contract_examples():
+    const, factors = factor_rational_poly(Fraction(-2, 3) * SD4 * (Z - Fraction(1, 2)) ** 2)
+    assert const == Fraction(-2, 3) and factors == [(Z - Fraction(1, 2), 2), (SD4, 1)]
+
+
+def test_least_suitable_prime():
+    """The prime is the least one not dividing lead(f) disc(f)."""
+    import sympy
+
+    from birsphere.factor import suitable_prime
+
+    x = sympy.Symbol("x")
+    for p, expected in ((LEAD_15015, 19), (SD8, 7)):
+        f = [int(c) for c in p.rational_coeffs()]
+        sp = sympy.Poly(list(reversed(f)), x)
+        witness = sp.LC() * sp.discriminant()
+        assert all(witness % q == 0 for q in sympy.primerange(2, expected))
+        assert witness % expected != 0
+        assert suitable_prime(f)[0] == expected
+
+
+_COEFF = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80)),
+    st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 2**80)),
+)
+_FACTOR = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.lists(_COEFF, min_size=d, max_size=d), _COEFF.filter(bool), st.integers(1, 3))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FACTOR, min_size=1, max_size=4))
+def test_factor_rational_matches_sympy(parts):
+    p = Poly.const(1)
+    for low, lead, mult in parts:
+        p = p * Poly.from_rational_coeffs([*low, lead]) ** mult
+    _assert_factors_like_sympy(p)
+
+
+def test_real_roots_sorted_exactly():
+    # a is a convergent just below sqrt2: the roots of different factors
+    # agree to more than 40 bits
+    a = Fraction(54608393, 38613965)
+    roots = RealAlgebraic.roots_of_rational_poly((Z - a) * (Z * Z - 2))
+    assert roots[1] == RealAlgebraic.from_rational(a)
+    assert roots[0] < roots[1] < roots[2]
+    assert roots[2].to_tower() == TowerReal.sqrt_rational(2)
+    # a rational value may carry the point interval [a, a]
+    point = RealAlgebraic(roots[1].minpoly, a, a)
+    assert not point < point and not point < roots[1] and roots[0] < point < roots[2]
+
+
 def test_root_isolation_and_real_algebraic():
     roots = RealAlgebraic.roots_of_rational_poly(2 * Z * Z - 1)
     assert len(roots) == 2
@@ -163,8 +264,9 @@ def test_square_free_inputs_skip_the_gcd(monkeypatch):
     monkeypatch.setattr(poly_mod, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
     r2 = CoeffScalar(TowerReal.sqrt_rational(2))
     roots = real_roots_in_tower_poly(Z * Z - Poly.const(r2) * Z - 1)
-    # only the input is reduced; the norm's factors are irreducible
-    assert len(roots) == 2 and len(calls) == 1
+    # one gcd reduces the input and one is the factoriser's square-free
+    # split of the norm; the norm's factors are irreducible, so none more
+    assert len(roots) == 2 and len(calls) == 2
     calls.clear()
     a = RealAlgebraic(Z * Z - 2, Fraction(1), Fraction(2))
     b = RealAlgebraic(Z * Z - 2, Fraction(7, 5), Fraction(3, 2))
