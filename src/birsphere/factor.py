@@ -1,8 +1,11 @@
-"""Factorisation of square-free integer polynomials by Zassenhaus' algorithm,
-as in von zur Gathen & Gerhard, *Modern Computer Algebra* (MCA), ch. 14-15,
-in deterministic integer arithmetic.  A polynomial is a list of Python ints
-in ascending powers with no trailing zero; modulo m its entries lie in
-[0, m).
+"""The integer polynomial kernel: gcd, square-free split and factorisation
+in Z[x], in deterministic integer arithmetic, after von zur Gathen & Gerhard,
+*Modern Computer Algebra* (MCA).  `gcd` is a modular gcd certified by exact
+division (MCA 6.38), `squarefree` is Yun's algorithm (MCA 14.21) on primitive
+parts, written once in `yun` for any ring that supplies its operations, and
+`factor_squarefree` is Zassenhaus' algorithm (MCA ch. 14-15).  A polynomial
+is a list of Python ints in ascending powers with no trailing zero; modulo m
+its entries lie in [0, m).
 """
 
 from __future__ import annotations
@@ -15,6 +18,39 @@ from itertools import combinations, count, zip_longest
 def primes():
     """Every prime in increasing order, without end."""
     return (n for n in count(2) if all(n % q for q in range(2, math.isqrt(n) + 1)))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first 12 prime bases, which decides exactly for
+    odd n > 37 below 3.1 * 10^23 (Sorenson & Webster 2015), far above 2^62."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+_LARGE_PRIMES: list[int] = []
+
+
+def large_primes():
+    """The primes below 2^62 in decreasing order, each found once per process."""
+    for k in count():
+        if k == len(_LARGE_PRIMES):
+            n = _LARGE_PRIMES[-1] - 2 if _LARGE_PRIMES else (1 << 62) - 1
+            while not _is_prime(n):
+                n -= 2
+            _LARGE_PRIMES.append(n)
+        yield _LARGE_PRIMES[k]
 
 
 # -- arithmetic in Z[x] and (Z/m)[x] --------------------------------------------------
@@ -87,7 +123,7 @@ def _gcdex(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
 
 
 def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
-    """a / b over Z for deg b <= deg a, or None when b does not divide a."""
+    """a / b over Z, or None when b does not divide a; a = 0 or deg b <= deg a."""
     r, db = list(a), len(b) - 1
     q = [0] * (len(r) - db)
     for k in range(len(q) - 1, -1, -1):
@@ -98,6 +134,104 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
         for j in range(db):
             r[k + j] -= c * b[j]
     return None if any(r[:db]) else q
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, with positive lead; a is nonzero."""
+    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def gcd(a: list[int], b: list[int]) -> list[int]:
+    """The gcd in Z[x] of a nonzero a and any b, primitive with positive lead:
+    a modular gcd certified by exact division (MCA 6.38).
+
+    Let A, B be the primitive parts, G their gcd and l = gcd(lead A, lead B).
+    For each prime p dividing neither lead (`large_primes`), the monic gcd
+    of A and B modulo p is a multiple of G mod p, so its degree bounds deg G
+    from above; an image of degree 0 proves G = 1.  Images of the least
+    degree seen so far are scaled by l and joined by the Chinese remainder
+    theorem (a lower degree starts the join again, a higher one is
+    discarded), and after each prime the primitive part C of the symmetric
+    residue is tried: if C divides A and B over Z then C divides G, and
+    deg C >= deg G, so C = G.
+
+    The search ends: a prime is unlucky (image of degree above deg G) only if
+    it divides lead(A) lead(B) res(A/G, B/G), a nonzero integer.  Every other
+    image is l / lead(G) G mod p, so once the product of the lucky primes
+    exceeds twice its largest coefficient, C is G.
+    """
+    a = _primitive(a)
+    if not b:
+        return a
+    b = _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return [1]
+    lead = math.gcd(a[-1], b[-1])
+    image, m = None, 1
+    for p in large_primes():
+        if not a[-1] % p or not b[-1] % p:
+            continue
+        g = _gcd(_reduce(a, p), _reduce(b, p), p)
+        if len(g) == 1:
+            return [1]
+        g = [c * lead % p for c in g]
+        if image is None or len(g) < len(image):
+            image, m = g, p
+        elif len(g) > len(image):
+            continue
+        else:
+            u = pow(m, -1, p)
+            image = [x + m * ((y - x) * u % p) for x, y in zip(image, g)]
+            m *= p
+        c = _primitive([x - m if 2 * x > m else x for x in image])
+        if _exact_quotient(a, c) is not None and _exact_quotient(b, c) is not None:
+            return c
+
+
+def yun(f, derivative, sub, gcd, quo) -> list:
+    """Yun's square-free split (MCA 14.21) over any ring of polynomials in
+    characteristic 0, given its derivative, difference, normalised gcd and
+    exact quotient: [(f_k, k)] for the nonconstant f_k with
+    f = c prod f_k^k, the f_k square-free, pairwise coprime and normalised
+    as `gcd` normalises, which f of positive degree must already be.
+
+    With g = gcd(f, f'), w = f / g and y = f' / g, step k starts from
+    w = prod_{j>=k} f_j and y - w' = f_k sum_{j>k} (j - k) f_j' prod_{i>k, i!=j} f_i,
+    up to one constant, so gcd(w, y - w') = f_k: the sum is prime to every
+    f_j with j > k, as they are square-free and pairwise coprime.  Dividing
+    f_k out of w and y - w' gives the same shape for k + 1.  Over Z the f_k
+    are primitive, so by Gauss' lemma every quotient stays integral.
+    """
+    d = derivative(f)
+    g = gcd(f, d)
+    if not derivative(g):
+        return [(f, 1)]
+    w, y = quo(f, g), quo(d, g)
+    out = []
+    k = 1
+    while dw := derivative(w):
+        z = sub(y, dw)
+        h = gcd(w, z)
+        if derivative(h):
+            out.append((h, k))
+            w, y = quo(w, h), quo(z, h)
+        else:
+            y = z
+        k += 1
+    return out
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def squarefree(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's split of a nonconstant f in Z[x]: [(f_k, k)] with
+    f = +-content(f) prod f_k^k and every f_k primitive with positive lead."""
+    return yun(_primitive(f), _derivative, lambda a, b: _trim(_add(a, b, -1)), gcd, _exact_quotient)
 
 
 # -- the three stages ----------------------------------------------------------------
@@ -256,7 +390,7 @@ def suitable_prime(f: list[int]) -> tuple[int, list[int]]:
     for p in primes():
         if f[-1] % p:
             fp = _monic(_reduce(f, p), p)
-            if len(_gcd(fp, _reduce([k * c for k, c in enumerate(fp)][1:], p), p)) == 1:
+            if len(_gcd(fp, _reduce(_derivative(fp), p), p)) == 1:
                 return p, fp
 
 

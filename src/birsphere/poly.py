@@ -18,13 +18,18 @@ only when a caller asks for coefficients (`p[k]`, `lead`, `coeffs`).  Rows
 are shared between polynomials and never mutated.  Two ring involutions act
 on polynomials: coefficientwise conjugation and the substitution z -> -z.
 
-Real-root machinery (Sturm chains, root isolation) works for polynomials
-with real tower coefficients, using exact sign decisions.  Real algebraic
-numbers are carried as an irreducible rational minimal polynomial plus an
-isolating rational interval, refinable on demand.  Minimal polynomials come
-from `factor_rational_poly`: Yun's square-free split here, then Zassenhaus'
-factorisation of each part over Z in the factor module (Berlekamp modulo
-the least suitable prime, Hensel lifting, recombination by exact division).
+Gcds and square-free splits of rational polynomials run on their
+primitive integer coefficient lists in the factor module (a modular gcd
+certified by exact division, Yun's algorithm on Z[x]); polynomials with
+other coefficients use Euclid's algorithm and the same Yun loop over the
+field.  Real-root machinery (Sturm chains, root isolation) works for
+polynomials with real tower coefficients, using exact sign decisions.  Real
+algebraic numbers are carried as an irreducible rational minimal polynomial
+plus an isolating rational interval, refinable on demand.  Minimal
+polynomials come from `factor_rational_poly`: Yun's square-free split, then
+Zassenhaus' factorisation of each part over Z in the factor module
+(Berlekamp modulo the least suitable prime, Hensel lifting, recombination
+by exact division).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotRealPolynomial
-from .factor import factor_squarefree, mul
+from .factor import factor_squarefree, gcd, mul, squarefree, yun
 from .scalars import CoeffScalar, TowerReal, scalar
 
 _Row = dict[tuple[int, int], int]
@@ -445,7 +450,11 @@ _ONE = Poly.const(1)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the scalar field."""
+    """Monic gcd over the scalar field; 0 for two zeros.  Two rational inputs
+    go to the modular integer kernel (`factor.gcd`), the others to Euclid's
+    algorithm."""
+    if a and b and a.is_rational() and b.is_rational():
+        return _from_integers(gcd(_integer_coeffs(a), _integer_coeffs(b)))
     while b:
         b = b.monic()  # keep coefficient growth in check
         a, b = b, a % b
@@ -501,26 +510,13 @@ def square_class_part(p: Poly) -> Poly:
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: p = lead * prod f_k^k with the f_k monic squarefree."""
-    out: list[tuple[Poly, int]] = []
+    """Yun's algorithm (`factor.yun`): p = lead * prod f_k^k with the f_k
+    monic squarefree; on Z[x] (`factor.squarefree`) for a rational p."""
     if p.degree <= 0:
-        return out
-    p = p.monic()
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return [(p, 1)]
-    w = p.exact_div(g)
-    y = p.derivative().exact_div(g)
-    k = 1
-    while w.degree > 0:
-        zpol = y - w.derivative()
-        f = poly_gcd(w, zpol)
-        if f.degree > 0:
-            out.append((f, k))
-        w = w.exact_div(f) if f.degree > 0 else w
-        y = zpol.exact_div(f) if f.degree > 0 else zpol
-        k += 1
-    return out
+        return []
+    if p.is_rational():
+        return [(_from_integers(f), k) for f, k in squarefree(_integer_coeffs(p))]
+    return yun(p.monic(), Poly.derivative, Poly.__sub__, poly_gcd, Poly.exact_div)
 
 
 def poly_square_root(p: Poly) -> Poly:
@@ -608,11 +604,12 @@ def cauchy_bound(p: Poly) -> Fraction:
         n = c.norm()
         if (n - hi).sign() > 0:
             hi = n
-    # |root| <= 1 + max|c_k|/|lead|; bound norm ratio by rational overshoot
-    lo_l, _ = lead.interval(32)
+    # |root| <= 1 + max|c_k|/|lead|; bound norm ratio by rational overshoot.
+    # The enclosure of the positive |lead|^2 narrows to it as bits double.
+    bits = 32
+    while (lo_l := lead.interval(bits)[0]) <= 0:
+        bits *= 2
     _, hi_h = hi.interval(32)
-    if lo_l <= 0:
-        lo_l = lead.interval(256)[0]
     ratio = hi_h / lo_l
     b = Fraction(2) + ratio  # >= 1 + sqrt(ratio)
     return b
@@ -664,6 +661,11 @@ def _integer_coeffs(p: Poly) -> list[int]:
     return [r.get(_ONE_KEY, 0) for r in p.primitive()._rows]
 
 
+def _from_integers(g: list[int]) -> Poly:
+    """The monic Poly of a primitive integer list with positive lead."""
+    return _new(tuple({_ONE_KEY: c} if c else {} for c in g), g[-1])
+
+
 def factor_rational_poly(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """Factor a rational-coefficient polynomial into irreducibles over Q.
 
@@ -673,12 +675,13 @@ def factor_rational_poly(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     coefficients from the leading one down (the order the recorded reports
     were made with).
 
-    `squarefree_decomposition` splits p, and Zassenhaus' algorithm factors
-    each part f, made primitive over Z (`factor.factor_squarefree`): the
-    least prime dividing neither lead(f) nor disc(f) (the search ends, as
-    lead(f) disc(f) != 0), Berlekamp modulo it, Hensel lifting to a modulus
-    above 2 |lead(f)| 2^n ||f||_2 (twice Mignotte's bound), and subsets of
-    the lifted factors in increasing size tried by exact division over Z.
+    Yun's algorithm splits p made primitive over Z (`factor.squarefree`),
+    and Zassenhaus' algorithm factors each part f
+    (`factor.factor_squarefree`): the least prime dividing neither lead(f)
+    nor disc(f) (the search ends, as lead(f) disc(f) != 0), Berlekamp
+    modulo it, Hensel lifting to a modulus above 2 |lead(f)| 2^n ||f||_2
+    (twice Mignotte's bound), and subsets of the lifted factors in
+    increasing size tried by exact division over Z.
     The cofactor left when every subset of at most half of the remaining
     factors has failed is irreducible: one side of a splitting would be
     such a subset.  The factors must multiply back to p (else RuntimeError).
@@ -686,13 +689,12 @@ def factor_rational_poly(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     coeffs = p.rational_coeffs()
     if p.degree <= 0:
         return (coeffs[0] if coeffs else Fraction(0)), []
-    found = [(g, mult) for part, mult in squarefree_decomposition(p)
-             for g in factor_squarefree(_integer_coeffs(part))]
+    found = [(g, mult) for part, mult in squarefree(_integer_coeffs(p)) for g in factor_squarefree(part)]
     found.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
     product = functools.reduce(mul, (g for g, mult in found for _ in range(mult)))
     if product != _integer_coeffs(_canonical_minpoly(p)):
         raise RuntimeError(f"factorization of {p} does not multiply back")
-    return coeffs[-1], [(_poly([{_ONE_KEY: c} for c in g], g[-1]), mult) for g, mult in found]
+    return coeffs[-1], [(_from_integers(g), mult) for g, mult in found]
 
 
 def galois_norm_poly(p: Poly) -> Poly:
@@ -794,6 +796,10 @@ class RealAlgebraic:
         return 1 if lo >= 0 else -1
 
     def __eq__(self, other):
+        """Exact equality.  Both intervals are refined with doubling bits:
+        distinct values end in disjoint intervals, and equal values lie in
+        the overlap of the first refinement, where the isolating property
+        makes the root found there the value of both."""
         if isinstance(other, (int, Fraction)):
             other = RealAlgebraic.from_rational(other)
         if not isinstance(other, RealAlgebraic):
@@ -802,11 +808,11 @@ class RealAlgebraic:
             return False
         if self.is_rational():
             return self.as_rational() == other.as_rational()
-        a, b = self, other
         chain = None
-        for bits in (16, 32, 64, 128, 256, 512, 1024):
-            alo, ahi = a.refined(bits)
-            blo, bhi = b.refined(bits)
+        bits = 16
+        while True:
+            alo, ahi = self.refined(bits)
+            blo, bhi = other.refined(bits)
             if ahi <= blo or bhi <= alo:
                 return False
             ilo, ihi = max(alo, blo), min(ahi, bhi)
@@ -815,12 +821,15 @@ class RealAlgebraic:
                 chain = chain or sturm_chain(self.minpoly)
                 if _chain_count(chain, ilo, ihi) >= 1:
                     return True
-        raise RuntimeError("equality refinement did not converge")
+            bits *= 2
 
     def __hash__(self):
         return hash(self.minpoly)
 
     def __lt__(self, other):
+        """Exact order: once the values are known to differ (`__eq__`), both
+        intervals are refined with doubling bits until they separate, which
+        they do when their widths fall below the distance of the values."""
         if isinstance(other, (int, Fraction)):
             other = RealAlgebraic.from_rational(other)
         # a value lies in [lo, hi], strictly inside unless lo = hi
@@ -828,14 +837,15 @@ class RealAlgebraic:
             return True
         if other.hi <= self.lo and other.lo < self.hi or self == other:
             return False
-        for bits in (16, 32, 64, 128, 256, 512, 1024):
+        bits = 16
+        while True:
             alo, ahi = self.refined(bits)
             blo, bhi = other.refined(bits)
             if ahi <= blo:
                 return True
             if bhi <= alo:
                 return False
-        raise RuntimeError("comparison refinement did not converge")
+            bits *= 2
 
     def __gt__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -884,8 +894,13 @@ def _canonical_minpoly(p: Poly) -> Poly:
 def real_roots_in_tower_poly(p: Poly) -> list[RealAlgebraic]:
     """Real roots of a real tower-coefficient polynomial as RealAlgebraic.
 
-    Each root of p is matched against the rational Galois norm polynomial of
-    p by interval refinement.
+    The root r of p in an isolating interval (lo, hi) is a root of the
+    rational Galois norm polynomial of p, so it is one of the norm's roots
+    whose interval meets (lo, hi); when several do, they are refined with
+    doubling bits.  A rational candidate q is r iff lo < q < hi and p(q) = 0.
+    An irrational one stays while p has a root where its interval meets
+    (lo, hi): r always does, and any other value leaves once its interval
+    no longer holds r, so exactly one candidate remains.
     """
     require_real(p)
     p = _squarefree_real(p)
@@ -893,52 +908,29 @@ def real_roots_in_tower_poly(p: Poly) -> list[RealAlgebraic]:
         return []
     if p.is_rational():
         return RealAlgebraic.roots_of_rational_poly(p)
-    norm = galois_norm_poly(p)
-    candidates = RealAlgebraic.roots_of_rational_poly(norm)
+    candidates = RealAlgebraic.roots_of_rational_poly(galois_norm_poly(p))
     chain = sturm_chain(p)
     out = []
     for lo, hi in _isolate(chain):
-        hits = []
-        for cand in candidates:
-            for bits in (16, 32, 64, 128, 256, 512):
-                clo, chi = cand.refined(bits)
-                if chi <= lo or clo >= hi:
-                    break
-            else:
-                hits.append(cand)
-                continue
-        matched = None
-        for cand in hits:
-            # root of p in (lo,hi) equals cand iff cand's root lies in (lo,hi)
-            clo, chi = cand.refined(64)
-            mlo, mhi = max(lo, clo), min(hi, chi)
-            if mlo < mhi and _chain_count(chain, mlo, mhi) == 1:
-                matched = cand
-                break
-        if matched is None:
-            # refine p's interval until exactly one candidate survives
-            plo, phi = lo, hi
-            slo = real_sign_at(p, plo)
-            for _ in range(2000):
-                mid = (plo + phi) / 2
-                smid = real_sign_at(p, mid)
-                if smid == 0:
-                    matched = RealAlgebraic.from_rational(mid)
-                    break
-                if smid == slo:
-                    plo = mid
-                else:
-                    phi = mid
-                alive = [c for c in candidates if not (c.refined(64)[1] <= plo or c.refined(64)[0] >= phi)]
-                if len(alive) == 1:
-                    cand = alive[0]
-                    clo, chi = cand.refined(64)
-                    matched = RealAlgebraic(cand.minpoly, max(plo, clo), min(phi, chi))
-                    break
-            if matched is None:
-                raise RuntimeError("failed to match tower root against norm polynomial")
-        out.append(matched)
+        near = [c for c in candidates if c.lo < hi and lo < c.hi]
+        bits = 0
+        while len(near) > 1:
+            near = [c for c in near if _may_be_root(chain, lo, hi, c, bits)]
+            bits = 2 * bits or 16
+        out.append(near[0])
     return out
+
+
+def _may_be_root(chain: list[Poly], lo: Fraction, hi: Fraction, c: RealAlgebraic, bits: int) -> bool:
+    """Whether c, refined to 2^-bits (not at all for bits = 0), can still be
+    the root of chain[0] in its isolating interval (lo, hi); exact for a
+    rational c."""
+    if c.is_rational():
+        q = c.as_rational()
+        return lo < q < hi and real_sign_at(chain[0], q) == 0
+    clo, chi = c.refined(bits) if bits else (c.lo, c.hi)
+    mlo, mhi = max(lo, clo), min(hi, chi)
+    return mlo < mhi and _chain_count(chain, mlo, mhi) == 1
 
 
 class RatFn:

@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from birsphere import factor
 from birsphere.errors import NotRealPolynomial
 from birsphere.poly import (
     ONE_MINUS_Z2,
@@ -234,6 +237,10 @@ def test_real_roots_sorted_exactly():
     # a rational value may carry the point interval [a, a]
     point = RealAlgebraic(roots[1].minpoly, a, a)
     assert not point < point and not point < roots[1] and roots[0] < point < roots[2]
+    # q agrees with sqrt2 to 1100 bits, beyond any fixed refinement cap
+    q = Fraction(math.isqrt(2 << 2200), 1 << 1100)
+    roots = RealAlgebraic.roots_of_rational_poly((Z - q) * (Z * Z - 2))
+    assert roots[0] < roots[1] == RealAlgebraic.from_rational(q) < roots[2]
 
 
 def test_root_isolation_and_real_algebraic():
@@ -256,12 +263,34 @@ def test_tower_coefficient_roots():
         assert sturm_count(p, root.lo, root.hi) == 1
 
 
+@pytest.mark.parametrize("e", [40, 70])
+def test_tower_root_near_a_conjugate_root(e):
+    # a is within 2^-e of 1 - sqrt2, the root of the Galois conjugate of
+    # z - 1 - sqrt2, so both are candidates for the root a of p
+    a = Fraction((1 << e) - math.isqrt(2 << 2 * e), 1 << e)
+    r2 = CoeffScalar(TowerReal.sqrt_rational(2))
+    roots = real_roots_in_tower_poly((Z - a) * (Z - 1 - Poly.const(r2)))
+    assert roots[0].is_rational() and roots[0].as_rational() == a
+    assert roots[1].to_tower() == 1 + TowerReal.sqrt_rational(2) and len(roots) == 2
+
+
+def test_isolation_with_a_tiny_lead():
+    # |lead|^2 is below 2^-256, so a 256-bit enclosure of it still holds 0
+    s = TowerReal.sqrt_rational(2) - Fraction(math.isqrt(2 << 280), 1 << 140)
+    p = Poly.const(CoeffScalar(s)) * Z - 1
+    [(lo, hi)] = isolate_real_roots_poly(p)
+    assert p(lo).as_real().sign() == -1 and p(hi).as_real().sign() == 1
+
+
 def test_square_free_inputs_skip_the_gcd(monkeypatch):
+    """Counts the gcds of both kinds: `poly_gcd` and the integer kernel's
+    `factor.gcd`, which the square-free split of a rational p calls."""
     import birsphere.poly as poly_mod
 
     calls = []
-    real = poly_mod.poly_gcd
+    real, real_kernel = poly_mod.poly_gcd, factor.gcd
     monkeypatch.setattr(poly_mod, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
+    monkeypatch.setattr(factor, "gcd", lambda a, b: calls.append(1) or real_kernel(a, b))
     r2 = CoeffScalar(TowerReal.sqrt_rational(2))
     roots = real_roots_in_tower_poly(Z * Z - Poly.const(r2) * Z - 1)
     # one gcd reduces the input and one is the factoriser's square-free
@@ -288,3 +317,107 @@ def test_ratfn_normalisation():
     assert g.den == Poly.const(1)  # monic denominator
     assert f + -f == RatFn(Poly())
     assert f * f.inverse() == RatFn(Poly.const(1))
+
+
+# -- the integer kernel: modular gcd and Yun's split on Z[x] ------------------------------
+
+
+def _euclid_gcd(a: list[int], b: list[int]) -> list[Fraction]:
+    """Reference: the monic gcd over Q by Euclid's algorithm on Fractions."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        while len(a) >= len(b):
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            a = [c - q * b[k - shift] if k >= shift else c for k, c in enumerate(a)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return [c / a[-1] for c in a]
+
+
+def _sympy_poly(coeffs):
+    import sympy
+
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), domain="ZZ")
+
+
+def _from_sympy(f) -> list[int]:
+    """Ascending coefficients of a sympy Poly, primitive with positive lead."""
+    c = [int(x) for x in reversed(f.all_coeffs())]
+    g = math.gcd(*c) * (1 if c[-1] > 0 else -1)
+    return [x // g for x in c]
+
+
+_INT_POLY = st.lists(st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)), min_size=1, max_size=4).filter(
+    lambda c: c[-1] != 0
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_INT_POLY, _INT_POLY, _INT_POLY)
+def test_gcd_matches_sympy_and_euclid(g, u, v):
+    a, b = factor.mul(g, u), factor.mul(g, v)
+    out = factor.gcd(a, b)
+    assert out == _from_sympy(_sympy_poly(a).gcd(_sympy_poly(b)))
+    assert [Fraction(c, out[-1]) for c in out] == _euclid_gcd(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_INT_POLY.filter(lambda c: len(c) > 1), st.integers(1, 3)), min_size=1, max_size=3))
+def test_squarefree_matches_sympy(parts):
+    f = [1]
+    for g, k in parts:
+        for _ in range(k):
+            f = factor.mul(f, g)
+    _, expected = _sympy_poly(f).sqf_list()
+    assert factor.squarefree(f) == [(_from_sympy(h), k) for h, k in expected]
+
+
+@pytest.fixture
+def used_primes(monkeypatch):
+    """The primes drawn from `factor.large_primes`, at most eight."""
+    used = []
+    real = factor.large_primes
+
+    def counted():
+        for p in real():
+            assert len(used) < 8, "the gcd did not settle within eight primes"
+            used.append(p)
+            yield p
+
+    monkeypatch.setattr(factor, "large_primes", counted)
+    return used
+
+
+def test_gcd_discards_an_unlucky_first_image(used_primes):
+    p0, p1 = islice(factor.large_primes(), 2)
+    used_primes.clear()
+    # modulo p0 the cofactors x and x - p0 meet: the image x(x + 1) is too big
+    assert factor.gcd([0, 1, 1], [-p0, 1 - p0, 1]) == [1, 1]
+    assert used_primes == [p0, p1]
+
+
+@pytest.mark.parametrize("unlucky", [False, True])
+def test_gcd_joins_images_over_several_primes(used_primes, unlucky):
+    p0, p1, p2 = islice(factor.large_primes(), 3)
+    used_primes.clear()
+    c = p0 * p2 // 3  # above p0 / 2, so one image cannot hold it
+    assert c % p0
+    # cofactors x and x - p1 meet modulo p1, whose image is dropped
+    cofactors = ([0, 1], [-p1, 1]) if unlucky else ([1, 1], [-1, 1])
+    assert factor.gcd(factor.mul([c, 1], cofactors[0]), factor.mul([c, 1], cofactors[1])) == [c, 1]
+    assert used_primes == ([p0, p1, p2] if unlucky else [p0, p1])
+
+
+def test_gcd_of_coprime_inputs_needs_no_division(used_primes, monkeypatch):
+    monkeypatch.setattr(factor, "_exact_quotient", None)
+    assert factor.gcd([1, 0, 1], [-3, 1]) == [1] and len(used_primes) == 1
+
+
+def test_poly_gcd_edge_cases():
+    assert poly_gcd(Poly(), Poly()) == Poly()
+    assert poly_gcd(Poly(), 2 * Z - 4) == Z - 2 == poly_gcd(2 * Z - 4, Poly())
+    assert poly_gcd(Poly.const(3), Z) == Poly.const(1)
+    assert poly_gcd(Z * Z + 1, Z - 3) == Poly.const(1)
+    assert poly_gcd(Fraction(1, 3) * (Z - 1) * (Z + 2), Fraction(1, 2) * Z - Fraction(1, 2)) == Z - 1
+    assert poly_gcd(-2 * Z * Z + 2, -Z - 1) == Z + 1
