@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import NotConjugate, NotRealityMember, ParseError, UndecidedExact
 from .etatwist import FlipReport, classify_flip_involution, h2_invariant
+from .factor import is_prime
 from .involutions import (
     HyperellipticModel,
     TrivialBaseReport,
@@ -36,7 +37,6 @@ from .picard import (
     minus_one_classes,
 )
 from .projmat import ProjMat
-from .scalars import _is_probable_prime
 from .sphere import (
     BaseMobius,
     SphereMap,
@@ -172,7 +172,7 @@ def _route(g: SphereMap) -> tuple[SphereMap, int | None, list[dict]]:
         return g, g.order(), []
     fiber, residual, conj = reduce_to_trivial_base(g)
     certificate = {"kind": "base-reduction", "conjugator": spheremap_to_json(conj), "residual_base": residual}
-    g = SphereMap(fiber, BaseMobius.identity() if residual == "id" else BaseMobius.negation())
+    g = SphereMap(fiber, BaseMobius.negation())
     return g, g.order(), [certificate]
 
 
@@ -197,7 +197,7 @@ def classify_spheremap(g: SphereMap) -> ClassificationReport:
         )
     if n == 1:
         return ClassificationReport(family=3, moduli={"angle": [0, 1]}, caveats=["identity map"])
-    caveats = [] if _is_probable_prime(n) else [
+    caveats = [] if is_prime(n) else [
         f"order {n} is not prime; reporting the family of the cyclic generator"
     ]
     if g.base.kind == "neg":

@@ -25,34 +25,19 @@ from .poly import (
     RealAlgebraic,
     factor_rational_poly,
 )
-from .projmat import ProjMat
+from .projmat import ProjMat, raw_mul
 from .scalars import CoeffScalar, TowerReal
 from .sphere import SphereMap, canonical_pattern, in_diffeo_group, z_flip
-
-
-def _pattern_lift(mat: ProjMat):
-    from .poly import ONE_MINUS_Z2
-
-    pat = canonical_pattern(mat)
-    return (
-        (pat.a, pat.b * ONE_MINUS_Z2),
-        (pat.b.conj(), pat.a.conj()),
-    )
 
 
 def twisted_square(mat: ProjMat) -> RatFn | None:
     """The scalar mu with  L * L(-z) = mu * Id  on the pattern lift, or
     None when the product is not scalar (the pair is not an involution)."""
-    (a11, a12), (a21, a22) = _pattern_lift(mat)
-    b11, b12, b21, b22 = (p.reflect_z() for p in (a11, a12, a21, a22))
-    m11 = a11 * b11 + a12 * b21
-    m12 = a11 * b12 + a12 * b22
-    m21 = a21 * b11 + a22 * b21
-    m22 = a21 * b12 + a22 * b22
+    lift = canonical_pattern(mat).lift()
+    m11, m12, m21, m22 = raw_mul(lift, tuple(p.reflect_z() for p in lift))
     if m12 or m21 or m11 != m22:
         return None
-    mu = RatFn(m11)
-    return mu
+    return RatFn(m11)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,22 @@ def primes():
     return (n for n in count(2) if all(n % q for q in range(2, math.isqrt(n) + 1)))
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the first 12 prime bases, which decides exactly for
-    odd n > 37 below 3.1 * 10^23 (Sorenson & Webster 2015), far above 2^62."""
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by the first 12 primes, then Miller-Rabin to those
+    bases, which decides exactly below 3.1 * 10^23 (Sorenson & Webster 2015),
+    far above 2^62; beyond that a True is a strong probable prime."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
     d, s = n - 1, 0
     while not d & 1:
         d, s = d >> 1, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -47,7 +56,7 @@ def large_primes():
     for k in count():
         if k == len(_LARGE_PRIMES):
             n = _LARGE_PRIMES[-1] - 2 if _LARGE_PRIMES else (1 << 62) - 1
-            while not _is_prime(n):
+            while not is_prime(n):
                 n -= 2
             _LARGE_PRIMES.append(n)
         yield _LARGE_PRIMES[k]

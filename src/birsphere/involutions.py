@@ -31,7 +31,6 @@ from .errors import (
 from .poly import (
     ONE_MINUS_Z2,
     Poly,
-    RatFn,
     poly_gcd,
     poly_square_root,
     real_roots_in_tower_poly,
@@ -39,9 +38,10 @@ from .poly import (
     sturm_count,
 )
 from .positivity import is_real_positive, norm_factor, v_decomp
-from .projmat import ProjMat, proportional, raw_mul
-from .scalars import CoeffScalar
+from .projmat import TWO_COS, ProjMat, proportional, raw_mul
+from .scalars import CoeffScalar, TowerReal
 from .sphere import (
+    BaseMobius,
     FiberPattern,
     _primitive_real,
     canonical_pattern,
@@ -49,7 +49,6 @@ from .sphere import (
     in_diffeo_group,
     is_orientation_preserving,
     in_reality_group,
-    unit_root,
     x_flip,
 )
 
@@ -387,84 +386,46 @@ class RotationForm:
 
 
 def rotation_normal_form(mat: ProjMat) -> RotationForm:
-    """Diagonalise a finite-order fiberwise-real map of order > 2 to the
-    rotation diag(1, zeta) by a conjugator inside the reality group."""
+    """Conjugate a finite-order fiberwise-real map of order > 2 to the
+    rotation diag(1, zeta^{+-1}) inside the reality group, in closed form.
+
+    Let (a, b) be the pattern of A, t = a + conj(a), and theta = pi k / n for
+    the angle (k, n).  Then kappa = t^2 / det = 4 cos^2(theta), so
+    Delta^2 = t^2 - 4 det = (a - conj(a))^2 + 4 b conj(b) h is
+    -tan^2(theta) t^2, and Delta = i tan(theta) sign(lead t) t.  If b = 0, A is
+    already diagonal and J = 1.  Otherwise put x = conj(a) - a - Delta and
+    J = [[x, -2 b h], [2 conj(b), x]]:
+    - Delta is i times a real polynomial, so conj(Delta) = -Delta and
+      conj(x) = -x; hence J = i [[-i x, 2 i b h], [conj(2 i b), conj(-i x)]]
+      has the pattern shape and lies in the reality group;
+    - det J = -2 Delta x, and x = 0 would force b conj(b) h = 0, so J is
+      invertible;
+    - the columns (x, -2 conj(b)) and (2 b h, x) of adj J are eigenvectors of
+      A for (t + Delta)/2 and (t - Delta)/2, so J A J^-1 = diag(t + Delta,
+      t - Delta), which is diag(1, exp(-+2 i theta)) projectively.
+    tan(theta) = sqrt((1 - cos 2 theta)/(1 + cos 2 theta)) lies in the tower
+    except for n = 5 and 10, where TowerReal.sqrt raises
+    UnsupportedExtension.  J is verified once.
+    """
     angle = mat.rotation_angle()
     if angle is None:
         raise NotFiniteOrder(f"{mat} has infinite order")
-    k, n = angle
-    if n <= 2:
+    if angle[1] <= 2:
         raise ValueError("rotation normal form needs order > 2")
     pat = canonical_pattern(mat)
-    lift = [
-        [RatFn(pat.a), RatFn(pat.b * ONE_MINUS_Z2)],
-        [RatFn(pat.b.conj()), RatFn(pat.a.conj())],
-    ]
-    trace = pat.a + pat.a.conj()
-    det = pat.determinant()
-    # Delta^2 = trace^2 - 4 det = det * (kappa - 4); need det = const * square
-    try:
-        delta = RatFn(poly_square_root(trace * trace - det.scale(4)))
-    except ValueError as exc:
-        raise UnsupportedExtension("determinant is not a square times a constant") from exc
-    tr = RatFn(trace)
-    twod = RatFn(Poly.const(2))
-    zeta = unit_root(k, n)
-    targets = [ProjMat.diag(Poly.const(1), Poly.const(u)) for u in (zeta, zeta.inverse())]
-    for lam_plus, lam_minus in (
-        ((tr + delta) / twod, (tr - delta) / twod),
-        ((tr - delta) / twod, (tr + delta) / twod),
-    ):
-        alpha = _eigen_matrix(lift, lam_plus, lam_minus)
-        if alpha is None:
-            continue
-        for jmat in _rot_conjugator_candidates(alpha):
-            if jmat is None:
-                continue
-            if not in_reality_group(jmat):
-                continue
-            target = jmat * mat * jmat.inverse()
-            if target in targets:
-                return RotationForm(angle, jmat, target)
-    raise UnsupportedExtension(f"failed to build a rotation conjugator for {mat}")
-
-
-def _eigen_matrix(lift, lam_plus: RatFn, lam_minus: RatFn):
-    a11, a12 = lift[0]
-    a21, a22 = lift[1]
-    cols = []
-    for lam in (lam_plus, lam_minus):
-        if a12:
-            cols.append((a12, lam - a11))
-        elif a21:
-            cols.append((lam - a22, a21))
-        else:
-            # already diagonal
-            cols = [(RatFn(Poly.const(1)), RatFn(Poly())), (RatFn(Poly()), RatFn(Poly.const(1)))]
-            break
-    alpha = [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
-    det = alpha[0][0] * alpha[1][1] - alpha[0][1] * alpha[1][0]
-    return alpha if det else None
-
-
-def _rot_conjugator_candidates(alpha):
-    a, b = alpha[0]
-    c, d = alpha[1]
-    zero = RatFn(Poly())
-    one = RatFn(Poly.const(1))
-    h = RatFn(ONE_MINUS_Z2)
-    svals = []
-    if a:
-        svals.append(d / a)
-    if c:
-        svals.append((b / c) / h)
-    det = a * d - b * c
-    inv = ((d / det, -(b / det)), (-(c / det), a / det))
-    for s in svals:
-        try:
-            yield ProjMat.of(inv[0][0], inv[0][1], s * inv[1][0], s * inv[1][1])
-        except (ZeroDivisionError, ValueError):
-            yield None
+    if not pat.b:
+        conjugator, target = ProjMat.identity(), mat
+    else:
+        cos2 = TWO_COS[angle] / 2
+        tan = ((1 - cos2) / (1 + cos2)).sqrt()
+        t = pat.a + pat.a.conj()
+        delta = t.scale(CoeffScalar(0, tan * t.lead().as_real().sign()))
+        x = pat.a.conj() - pat.a - delta
+        conjugator = ProjMat.of(x, pat.b * ONE_MINUS_Z2.scale(-2), pat.b.conj().scale(2), x)
+        target = ProjMat.diag(t + delta, t - delta)
+    if not _conjugates(conjugator, mat, target):
+        raise RuntimeError(f"rotation conjugator failed to verify for {mat}")
+    return RotationForm(angle, conjugator, target)
 
 
 # -- moduli comparison under the interval group ----------------------------------------------
@@ -504,17 +465,10 @@ def _proportionality_minors(transported: BiPoly, target: Poly) -> list[Poly]:
     return minors
 
 
-def _check_candidate(m_from: Poly, m_to: Poly, bval: CoeffScalar) -> bool:
-    num = Poly([bval, CoeffScalar(1)])
-    den = Poly([CoeffScalar(1), bval])
-    d = m_from.degree
-    acc = Poly()
-    for k in range(d + 1):
-        c = m_from[k]
-        if c:
-            acc = acc + (num**k * den ** (d - k)).scale(c)
-    cross = acc * Poly.const(m_to.lead()) - m_to.scale(acc.lead())
-    return not cross
+def _check_candidate(m_from: Poly, m_to: Poly, b: TowerReal) -> bool:
+    """The transport of m_from by shift_b, b in (-1, 1), is proportional to m_to."""
+    moved = BaseMobius.shift(b).substitute_into(m_from)
+    return not (moved * Poly.const(m_to.lead()) - m_to.scale(moved.lead()))
 
 
 def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel) -> ModuliComparison:
@@ -554,11 +508,11 @@ def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel)
             if not (root > Fraction(-1) and root < Fraction(1)):
                 continue
             try:
-                bval = CoeffScalar(root.to_tower())
+                b = root.to_tower()
             except ValueError:
                 undecided = True
                 continue
-            if _check_candidate(source, model_b.m, bval):
+            if _check_candidate(source, model_b.m, b):
                 witness = root.as_rational() if root.is_rational() else root
                 return ModuliComparison("equivalent", witness_b=witness, flipped=flipped)
     if undecided:

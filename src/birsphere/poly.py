@@ -863,18 +863,20 @@ class RealAlgebraic:
         return RealAlgebraic(_canonical_minpoly(mp), -self.hi, -self.lo)
 
     def to_tower(self) -> TowerReal:
-        """Exact tower value for degree <= 2; ValueError otherwise."""
+        """Exact tower value for degree <= 2; ValueError otherwise.  Of the
+        two roots of a quadratic minimal polynomial, exactly one lies in the
+        isolating interval (lo, hi), whose ends are not roots; exact tower
+        comparison finds it."""
         if self.is_rational():
             return TowerReal.from_rational(self.as_rational())
         if self.minpoly.degree == 2:
             c, b, a = (self.minpoly[k].as_rational() for k in range(3))
             disc = TowerReal.from_rational(b * b - 4 * a * c).sqrt()
+            lo, hi = TowerReal.from_rational(self.lo), TowerReal.from_rational(self.hi)
             for root in ((-b + disc) / (2 * a), (-b - disc) / (2 * a)):
-                lo, hi = root.interval(64)
-                rlo, rhi = self.refined(66)
-                if not (hi < rlo or lo > rhi):
+                if lo < root and root < hi:
                     return root
-            raise RuntimeError("no quadratic root matched the interval")
+            raise RuntimeError("no quadratic root in the isolating interval")
         raise ValueError("tower form needs degree <= 2")
 
     def __float__(self) -> float:

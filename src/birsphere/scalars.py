@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import UnsupportedExtension
+from .factor import is_prime
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -50,36 +51,13 @@ def _factorint(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if _is_probable_prime(m):
+        if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
     return factors
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _pollard_rho(n: int) -> int:

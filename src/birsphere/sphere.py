@@ -398,7 +398,12 @@ def reduce_to_trivial_base(g: SphereMap) -> tuple[ProjMat, str, SphereMap]:
     """Conjugate a finite-order map to one whose base action is id or neg.
 
     Returns (fiber, residual kind, conjugator) with
-    conjugator . g . conjugator^-1 = (fiber, residual).
+    conjugator . g . conjugator^-1 = (fiber, residual).  A flipped shift
+    z -> shift_b(-z) fixes the roots of b z^2 - 2 z + b, whose product is 1;
+    the one in (-1, 1) is c = (1 - sqrt(1 - b^2)) / b.  The realisation of
+    shift_{-c} moves c to 0, and a flipped map of {1, -1} fixing 0 is z -> -z,
+    so the residual is always neg.  base_realisation raises
+    UnsupportedExtension when sqrt(1 - c^2) is not in the tower.
     """
     kind = g.base.kind
     if kind == "id" or kind == "neg":
@@ -406,19 +411,12 @@ def reduce_to_trivial_base(g: SphereMap) -> tuple[ProjMat, str, SphereMap]:
     if kind == "shift":
         raise InfiniteOrderBase("interval shifts with b != 0 have infinite order")
     b = g.base.b
-    s = (1 - b * b).sqrt()
-    for c in ((1 - s) / b, (1 + s) / b):
-        if not (TowerReal.from_rational(-1) < c and c < TowerReal.from_rational(1)):
-            continue
-        for param in (c, -c):
-            try:
-                conj = base_realisation(BaseMobius.shift(param))
-            except (UnsupportedExtension, ValueError):
-                continue
-            cand = conj.compose(g).compose(conj.inverse())
-            if cand.base.kind == "neg":
-                return cand.fiber, "neg", conj
-    raise UnsupportedExtension("no tower conjugator reduces this base action")
+    c = (1 - (1 - b * b).sqrt()) / b
+    conj = base_realisation(BaseMobius.shift(-c))
+    reduced = conj.compose(g).compose(conj.inverse())
+    if reduced.base.kind != "neg":
+        raise RuntimeError("base reduction failed to reach z -> -z")
+    return reduced.fiber, "neg", conj
 
 
 # -- the coordinate bridge -----------------------------------------------------------

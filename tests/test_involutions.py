@@ -1,8 +1,13 @@
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from birsphere.classify import _matrix_json, decide_conjugacy
 from birsphere.errors import BirsphereError, HasRealRoot, NotConjugate, NotDiffeomorphism, NotInvolution
 from birsphere.involutions import (
     HyperellipticModel,
@@ -21,7 +26,7 @@ from birsphere.involutions import (
 from birsphere.poly import ONE_MINUS_Z2, Poly, square_class_part
 from birsphere.projmat import ProjMat, raw_mul
 from birsphere.scalars import CoeffScalar
-from birsphere.sphere import builtin_map, in_reality_group, interval_shift, rotation, x_flip, y_flip
+from birsphere.sphere import FiberPattern, SphereMap, builtin_map, in_reality_group, interval_shift, rotation, x_flip, y_flip
 
 from conftest import random_reality_element
 from test_exact_core import gaussian_scalars, polys, rational_scalars, ref_in_reality_group, ref_proportional
@@ -302,6 +307,41 @@ def test_conjugator_born_reduced_verifies(p, q, a, b):
     assert ref_proportional(raw_mul(g, mat_a.entries()), raw_mul(mat_b.entries(), g))
 
 
+ROTATION_ANGLES = [(k, n) for n in (3, 4, 6, 8, 12, 24) for k in range(1, n) if math.gcd(k, n) == 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(angle=st.sampled_from(ROTATION_ANGLES), a=complex_polys, b=complex_polys)
+@example(angle=(1, 3), a=Poly.const(1), b=Poly())  # diagonal: J = 1, and the x_flip swap
+@example(angle=(7, 24), a=Z * Z + Z.scale(2 * I) - 1, b=Z + 3)
+def test_rotation_normal_form_conjugation_invariant(angle, a, b):
+    """For a rotation R and a reality conjugator c of degree <= 2, the normal
+    form of c R c^-1 has the canonical angle, a conjugator in the reality
+    group and the target diag(1, zeta^{+-1}); and conj decides c R c^-1 and
+    R^-1 conjugate, with a certificate that passes the reference checks."""
+    from birsphere.parsing import parse_poly
+
+    k, n = angle
+    try:
+        c = FiberPattern(a, b).matrix()
+    except ValueError:  # zero matrix or zero determinant
+        assume(False)
+    rot = rotation(k, n)
+    mat = c * rot.fiber * c.inverse()
+    nf = rotation_normal_form(mat)
+    assert nf.angle == (min(k, n - k), n)
+    j = nf.conjugator.entries()
+    assert ref_in_reality_group(nf.conjugator)
+    assert nf.target in (rot.fiber, rot.fiber.inverse())
+    assert ref_proportional(raw_mul(j, mat.entries()), raw_mul(nf.target.entries(), j))
+    res = decide_conjugacy(SphereMap.trivial_base(mat), rot.inverse())
+    assert res["conjugate"] and res["verified"]
+    gamma = ProjMat.of(*(parse_poly(e) for row in res["conjugator"] for e in row))
+    g = gamma.entries()
+    assert ref_in_reality_group(gamma)
+    assert ref_proportional(raw_mul(g, mat.entries()), raw_mul(rot.inverse().fiber.entries(), g))
+
+
 def test_conj_decision_symmetric_transitive(rng):
     reps = [TAU, UPS, realize_oval(Z + Poly.const(I)), realize_no_oval(Z * Z + 4)]
     for _ in range(10):
@@ -389,6 +429,26 @@ def test_rotation_angle_invariance(rng):
         c = random_reality_element(rng, max_degree=1)
         angles.add(rotation_normal_form(c * target * c.inverse()).angle)
     assert angles == {(1, 6)}
+
+
+PINS = json.loads((Path(__file__).parent / "data" / "closed_form_pins.json").read_text())
+PIN_CONJUGATORS = {
+    "deg1": FiberPattern(Z + Poly.const(I), Poly.const(1)),
+    "deg2": FiberPattern(Z * Z + Z.scale(2 * I) - 1, Z + 3),
+}
+
+
+@pytest.mark.parametrize("pin", PINS["rotations"], ids=lambda pin: f"{pin['k']}/{pin['n']}")
+def test_rotation_normal_form_pinned(pin):
+    """Conjugator and target on non-diagonal conjugates of orders 3, 8, 12
+    and 24, recorded from the eigenvector search that the closed form
+    replaced: the certificates in reports must not move."""
+    c = PIN_CONJUGATORS[pin["conjugator"]].matrix()
+    mat = c * rotation(pin["k"], pin["n"]).fiber * c.inverse()
+    nf = rotation_normal_form(mat)
+    assert list(nf.angle) == pin["angle"]
+    assert _matrix_json(nf.conjugator) == pin["J"]
+    assert _matrix_json(nf.target) == pin["target"]
 
 
 def test_classify_trivialbase_families():

@@ -14,6 +14,7 @@ from birsphere.poly import (
     Poly,
     RatFn,
     RealAlgebraic,
+    _canonical_minpoly,
     factor_rational_poly,
     isolate_real_roots_poly,
     poly_gcd,
@@ -272,6 +273,25 @@ def test_tower_root_near_a_conjugate_root(e):
     roots = real_roots_in_tower_poly((Z - a) * (Z - 1 - Poly.const(r2)))
     assert roots[0].is_rational() and roots[0].as_rational() == a
     assert roots[1].to_tower() == 1 + TowerReal.sqrt_rational(2) and len(roots) == 2
+
+
+def test_to_tower_picks_the_root_in_the_interval():
+    # the roots 1 +- sqrt(2) 2^-100 lie 2^-99 apart, and the interval ends
+    # 2^-190 below the upper one, so 64-bit enclosures meet both roots
+    d = Fraction(2, 4**100)
+    root = 1 + TowerReal.from_rational(d).sqrt()
+    hi = root.interval(200)[0] - Fraction(1, 1 << 190)
+    minpoly = _canonical_minpoly(Z * Z - Z.scale(2) + Poly.const(1 - d))
+    r = RealAlgebraic(minpoly, hi - 1, hi)
+    assert r.to_tower() == 1 - TowerReal.from_rational(d).sqrt()
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-2, 3000):
+        assert factor.is_prime(n) == (n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))), n
+    # strong pseudoprimes to the first 4 and to the first 9 prime bases
+    assert not factor.is_prime(3215031751) and not factor.is_prime(3825123056546413051)
+    assert factor.is_prime((1 << 61) - 1)
 
 
 def test_isolation_with_a_tiny_lead():

@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from birsphere.bipoly import BiFrac
+from birsphere.classify import _matrix_json
 from birsphere.errors import (
     BasePointHit,
     InfiniteOrderBase,
@@ -15,6 +18,7 @@ from birsphere.sphere import (
     BaseMobius,
     SphereFormula,
     SphereMap,
+    base_realisation,
     boundary_behavior,
     builtin_map,
     canonical_pattern,
@@ -22,6 +26,7 @@ from birsphere.sphere import (
     contracted_fibers,
     coordinate_functions,
     fiber_determinant,
+    flipped_special_involution,
     in_diffeo_group,
     in_reality_group,
     interval_shift,
@@ -264,6 +269,21 @@ def test_reduce_to_trivial_base():
         reduce_to_trivial_base(builtin_map("gb:1/2"))
     h = y_flip()
     assert reduce_to_trivial_base(h)[1] == "id"
+
+
+PINS = json.loads((Path(__file__).parent / "data" / "closed_form_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", PINS["base_reductions"], ids=lambda pin: pin["b"])
+def test_reduce_to_trivial_base_pinned(pin):
+    """The reduced fiber and the conjugator for flipped shifts with base
+    parameter 4/5 and -12/13, recorded from the candidate search that the
+    closed form replaced."""
+    g = base_realisation(BaseMobius.shift(Fraction(pin["b"]))).compose(flipped_special_involution(Fraction(1, 2)))
+    assert g.base.kind == "flipped_shift"
+    fiber, residual, conj = reduce_to_trivial_base(g)
+    assert (_matrix_json(fiber), residual) == (pin["fiber"], pin["residual"])
+    assert (_matrix_json(conj.fiber), str(conj.base)) == (pin["conjugator"], pin["conjugator_base"])
 
 
 # -- formulas ------------------------------------------------------------------------
