@@ -29,6 +29,7 @@ from .projmat import INF, ProjMat
 from .sphere import (
     BaseMobius,
     BoundaryReport,
+    ConjugacyCertificate,
     FiberPattern,
     SphereFormula,
     SphereMap,
@@ -37,6 +38,7 @@ from .sphere import (
     canonical_pattern,
     classify_sphere_automorphism,
     contracted_fibers,
+    diffeo_orientation,
     fiber_determinant,
     in_diffeo_group,
     in_reality_group,
@@ -48,7 +50,6 @@ from .sphere import (
     rotation,
 )
 from .involutions import (
-    ConjugacyCertificate,
     HyperellipticModel,
     InvolutionForm,
     basis_equiv_moduli,

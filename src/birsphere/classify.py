@@ -15,13 +15,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotConjugate, NotRealityMember, ParseError, UndecidedExact
-from .etatwist import FlipReport, classify_flip_involution, h2_invariant
+from .errors import NotConjugate, NotDiffeomorphism, NotRealityMember, ParseError, UndecidedExact
+from .etatwist import classify_flip_involution, h2_invariant
 from .factor import is_prime
 from .involutions import (
     HyperellipticModel,
     TrivialBaseReport,
-    _conjugates,
     classify_trivialbase,
     construct_conjugator,
     fixed_curve,
@@ -39,6 +38,7 @@ from .picard import (
 from .projmat import ProjMat
 from .sphere import (
     BaseMobius,
+    ConjugacyCertificate,
     SphereMap,
     builtin_map,
     reduce_to_trivial_base,
@@ -50,14 +50,14 @@ from .sphere import (
 class ClassificationReport:
     family: object  # 1..8, "linear-stratum", "rational-special", "reality-only", "out-of-scope"
     moduli: dict = field(default_factory=dict)
-    certificates: list = field(default_factory=list)
+    certificates: list[ConjugacyCertificate] = field(default_factory=list)
     caveats: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
             "family": self.family,
             "moduli": self.moduli,
-            "certificates": self.certificates,
+            "certificates": [certificate_json(c) for c in self.certificates],
             "caveats": self.caveats,
         }
 
@@ -86,6 +86,21 @@ def spheremap_to_json(g: SphereMap) -> dict:
         if base.flip:
             base_json["flip"] = True
     return {"fiber": _matrix_json(g.fiber), "base": base_json}
+
+
+def certificate_json(cert: ConjugacyCertificate) -> dict:
+    """The report form of a certificate: a base reduction prints its
+    conjugator as a sphere map and the base it reaches, the others print
+    their fiber matrices."""
+    if cert.kind == "base-reduction":
+        conjugator = spheremap_to_json(cert.conjugator)
+        return {"kind": cert.kind, "conjugator": conjugator, "residual_base": cert.target.base.kind}
+    return {
+        "kind": cert.kind,
+        "target": _matrix_json(cert.target.fiber),
+        "conjugator": _matrix_json(cert.conjugator.fiber),
+        "verified": True,
+    }
 
 
 def _shift_to_interval_t(bq: Fraction) -> Fraction | None:
@@ -159,7 +174,7 @@ def parse_element(text: str) -> SphereMap:
 # -- routing ------------------------------------------------------------------------------------
 
 
-def _route(g: SphereMap) -> tuple[SphereMap, int | None, list[dict]]:
+def _route(g: SphereMap) -> tuple[SphereMap, int | None, list[ConjugacyCertificate]]:
     """The routing front shared by classify_spheremap and decide_conjugacy:
     (g conjugated to base id or neg, its order, base-reduction certificates).
 
@@ -170,10 +185,8 @@ def _route(g: SphereMap) -> tuple[SphereMap, int | None, list[dict]]:
         raise NotRealityMember("element does not commute with the real structure")
     if g.base.kind != "flipped_shift":
         return g, g.order(), []
-    fiber, residual, conj = reduce_to_trivial_base(g)
-    certificate = {"kind": "base-reduction", "conjugator": spheremap_to_json(conj), "residual_base": residual}
-    g = SphereMap(fiber, BaseMobius.negation())
-    return g, g.order(), [certificate]
+    cert = reduce_to_trivial_base(g)
+    return cert.target, cert.target.order(), [cert]
 
 
 def classify_spheremap(g: SphereMap) -> ClassificationReport:
@@ -201,9 +214,12 @@ def classify_spheremap(g: SphereMap) -> ClassificationReport:
         f"order {n} is not prime; reporting the family of the cyclic generator"
     ]
     if g.base.kind == "neg":
-        report = classify_flip_involution(g)
-        return _from_flip_report(report, caveats, certificates)
-    if not g.is_diffeo():
+        flip = classify_flip_involution(g)
+        moduli = {"twist_class": flip.twist_class.to_json()}
+        return ClassificationReport(flip.family, moduli, certificates, caveats + list(flip.caveats))
+    try:
+        report = classify_trivialbase(g.fiber)
+    except NotDiffeomorphism:
         out = ClassificationReport(
             family="out-of-scope",
             caveats=caveats
@@ -215,7 +231,6 @@ def classify_spheremap(g: SphereMap) -> ClassificationReport:
         if n == 2:
             out.moduli["fixed_curve"] = model_to_json(fixed_curve(g.fiber))
         return out
-    report = classify_trivialbase(g.fiber)
     return _from_trivial_report(report, caveats, certificates)
 
 
@@ -233,29 +248,8 @@ def _from_trivial_report(rep: TrivialBaseReport, caveats, certificates) -> Class
             "family; the parameter is the branch value t^2"
         ]
     if rep.certificate is not None:
-        certificates = certificates + [
-            {
-                "kind": "conjugation",
-                "target": _matrix_json(rep.certificate.target),
-                "conjugator": _matrix_json(rep.certificate.conjugator),
-                "verified": True,
-            }
-        ]
-    if rep.rotation is not None:
-        certificates = certificates + [
-            {
-                "kind": "rotation-normal-form",
-                "conjugator": _matrix_json(rep.rotation.conjugator),
-                "target": _matrix_json(rep.rotation.target),
-                "verified": True,
-            }
-        ]
+        certificates = certificates + [rep.certificate]
     return ClassificationReport(rep.family, moduli, certificates, caveats)
-
-
-def _from_flip_report(rep: FlipReport, caveats, certificates) -> ClassificationReport:
-    moduli = {"twist_class": rep.twist_class.to_json()}
-    return ClassificationReport(rep.family, moduli, certificates, caveats + list(rep.caveats))
 
 
 # -- the degree-4 and degree-2 routes ------------------------------------------------------------
@@ -318,19 +312,19 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
         return {"conjugate": t1 == t2, "invariants": [t1.to_json(), t2.to_json()]}
     if n1 <= 2:
         try:
-            conjugator = construct_conjugator(r1.fiber, r2.fiber).conjugator
+            cert = construct_conjugator(r1.fiber, r2.fiber)
         except NotConjugate:
             return {
                 "conjugate": False,
                 "fixed_curves": [model_to_json(fixed_curve(r1.fiber)), model_to_json(fixed_curve(r2.fiber))],
             }
-        return {"conjugate": True, "conjugator": _matrix_json(conjugator), "verified": True}
-    ra, rb = rotation_normal_form(r1.fiber), rotation_normal_form(r2.fiber)
-    if ra.angle != rb.angle:
-        return {"conjugate": False, "angles": [list(ra.angle), list(rb.angle)]}
-    # both targets are diag(1, zeta^{+-1}); x_flip swaps the two
-    swap = x_flip().fiber if ra.target != rb.target else ProjMat.identity()
-    conjugator = rb.conjugator.inverse() * swap * ra.conjugator
-    if not _conjugates(conjugator, r1.fiber, r2.fiber):
-        raise RuntimeError("composed rotation conjugator failed to verify")
-    return {"conjugate": True, "conjugator": _matrix_json(conjugator), "verified": True}
+    else:
+        ra, rb = rotation_normal_form(r1.fiber), rotation_normal_form(r2.fiber)
+        angles = [list(nf.target.fiber.rotation_angle()) for nf in (ra, rb)]
+        if angles[0] != angles[1]:
+            return {"conjugate": False, "angles": angles}
+        # both targets are diag(1, zeta^{+-1}); x_flip swaps the two
+        swap = x_flip().fiber if ra.target != rb.target else ProjMat.identity()
+        conjugator = rb.conjugator.fiber.inverse() * swap * ra.conjugator.fiber
+        cert = ConjugacyCertificate.verified("conjugation", r1, r2, SphereMap.trivial_base(conjugator))
+    return {"conjugate": True, "conjugator": _matrix_json(cert.conjugator.fiber), "verified": True}

@@ -37,11 +37,7 @@ from .picard import (
     sign_map_preserves_quadric,
     verify_anticanonical_dataset,
 )
-from .sphere import (
-    BUILTIN_NAMES,
-    SphereFormula,
-    in_diffeo_group,
-)
+from .sphere import BUILTIN_NAMES, SphereFormula
 
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
@@ -85,15 +81,10 @@ def cmd_conj(args) -> int:
 
 def cmd_member(args) -> int:
     g = _load_element(args.element)
-    if args.group in ("H", "H0") and g.base.kind != "id":
-        part = g.trivial_base_part()
-        mat = part.fiber
-    else:
-        mat = g.fiber
     if args.group == "G":
         ok = g.reality_check()
     elif args.group == "H":
-        ok = g.reality_check() and in_diffeo_group(mat)
+        ok = g.reality_check() and g.is_diffeo()
     else:
         ok = g.reality_check() and g.is_orientation_preserving_diffeo()
     _emit({"group": args.group, "member": ok})

@@ -27,7 +27,7 @@ from .poly import (
 )
 from .projmat import ProjMat, raw_mul
 from .scalars import CoeffScalar, TowerReal
-from .sphere import SphereMap, canonical_pattern, in_diffeo_group, z_flip
+from .sphere import SphereMap, canonical_pattern
 
 
 def twisted_square(mat: ProjMat) -> RatFn | None:
@@ -318,8 +318,7 @@ def classify_flip_involution(pair: SphereMap) -> FlipReport:
     """Family report for an involution acting by z -> -z on the base."""
     if pair.base.kind != "neg":
         raise ValueError("base action must be the flip z -> -z")
-    trivial_part = pair.compose(z_flip().inverse())
-    if not in_diffeo_group(trivial_part.fiber):
+    if not pair.is_diffeo():
         raise NotDiffeomorphism("the pair is not defined at every real point")
     cls = h2_invariant(pair)
     if not cls.is_linear_model():

@@ -38,17 +38,17 @@ from .poly import (
     sturm_count,
 )
 from .positivity import is_real_positive, norm_factor, v_decomp
-from .projmat import TWO_COS, ProjMat, proportional, raw_mul
+from .projmat import TWO_COS, ProjMat, raw_mul
 from .scalars import CoeffScalar, TowerReal
 from .sphere import (
     BaseMobius,
+    ConjugacyCertificate,
     FiberPattern,
+    SphereMap,
     _primitive_real,
     canonical_pattern,
+    diffeo_orientation,
     fiber_determinant,
-    in_diffeo_group,
-    is_orientation_preserving,
-    in_reality_group,
     x_flip,
 )
 
@@ -135,12 +135,18 @@ def fixed_curve(mat: ProjMat) -> HyperellipticModel:
     return HyperellipticModel(m, sign, poly_square_root(scale2), content)
 
 
+def _orientation(mat: ProjMat) -> int:
+    """diffeo_orientation, raising NotDiffeomorphism in place of 0."""
+    orientation = diffeo_orientation(mat)
+    if not orientation:
+        raise NotDiffeomorphism(f"{mat} is not defined at every real point")
+    return orientation
+
+
 def real_locus_class(mat: ProjMat) -> str:
     """'no_real_points' or 'one_oval' for an involution that is a
     birational diffeomorphism."""
-    if not in_diffeo_group(mat):
-        raise NotDiffeomorphism(f"{mat} is not defined at every real point")
-    return "no_real_points" if is_orientation_preserving(mat) else "one_oval"
+    return "no_real_points" if _orientation(mat) > 0 else "one_oval"
 
 
 # -- conjugacy decision and certificates --------------------------------------------------
@@ -153,27 +159,6 @@ def conj_decision(mat_a: ProjMat, mat_b: ProjMat) -> bool:
     db = fiber_determinant(mat_b)
     sf = square_class_part(da * db)
     return sf.degree == 0 and sf.lead().as_real().sign() > 0
-
-
-def _conjugates(conjugator: ProjMat, source: ProjMat, target: ProjMat) -> bool:
-    """C in the reality group and C A C^-1 = B projectively, i.e. C A = B C."""
-    c = conjugator.entries()
-    return in_reality_group(conjugator) and proportional(raw_mul(c, source.entries()), raw_mul(target.entries(), c))
-
-
-@dataclass(frozen=True)
-class ConjugacyCertificate:
-    """conjugator * source * conjugator^-1 = target, conjugator real.  Each
-    one construct_conjugator builds (the inner one of the off-diagonal path
-    too) is verified there exactly once, or RuntimeError is raised; the
-    identity of an equal pair holds trivially.  Callers report it verified."""
-
-    source: ProjMat
-    target: ProjMat
-    conjugator: ProjMat
-
-    def verify(self) -> bool:
-        return _conjugates(self.conjugator, self.source, self.target)
 
 
 class _QuadAlgebra:
@@ -253,32 +238,25 @@ def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate
 
     with (p, q) the form of A, beta the companion matrix of B and M(x + y r)
     = [[x, f y], [y, x]].  The witness c comes from a finite set with a proof
-    (_hilbert90), and C is verified once before it is returned.
+    (_hilbert90), and the "conjugation" certificate is verified once.
     """
     if mat_a != mat_b and not conj_decision(mat_a, mat_b):
         raise NotConjugate("maps are not conjugate: determinants differ by a non-square")
-    return _build_conjugator(mat_a, mat_b)
+    source, target, conjugator = (SphereMap.trivial_base(m) for m in (mat_a, mat_b, _conjugator(mat_a, mat_b)))
+    return ConjugacyCertificate.verified("conjugation", source, target, conjugator)
 
 
-def _build_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate:
-    """construct_conjugator for a pair known to be conjugate; the pair moved
-    off the diagonal is conjugate as well, so it is not decided again."""
+def _conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
+    """construct_conjugator's matrix for a pair known to be conjugate; the
+    pair moved off the diagonal is conjugate as well, so it is not decided
+    again."""
     if mat_a == mat_b:
-        return ConjugacyCertificate(mat_a, mat_b, ProjMat.identity())
+        return ProjMat.identity()
     moved_a, pre_a = _move_off_diagonal(mat_a)
     moved_b, pre_b = _move_off_diagonal(mat_b)
     if (moved_a, moved_b) != (mat_a, mat_b):
-        inner = _build_conjugator(moved_a, moved_b)
-        conj = pre_b.inverse() * inner.conjugator * pre_a
-        cert = ConjugacyCertificate(mat_a, mat_b, conj)
-        if not cert.verify():
-            raise RuntimeError("composed conjugator failed to verify")
-        return cert
-    gamma = _conjugator_entries(involution_normal_form(mat_a), involution_normal_form(mat_b))
-    cert = ConjugacyCertificate(mat_a, mat_b, ProjMat.of(*gamma))
-    if not cert.verify():
-        raise RuntimeError("constructed conjugator failed to verify")
-    return cert
+        return pre_b.inverse() * _conjugator(moved_a, moved_b) * pre_a
+    return ProjMat.of(*_conjugator_entries(involution_normal_form(mat_a), involution_normal_form(mat_b)))
 
 
 def _conjugator_entries(form_a: InvolutionForm, form_b: InvolutionForm):
@@ -375,19 +353,10 @@ def realize_no_oval(f: Poly) -> ProjMat:
 # -- rotation normal form ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RotationForm:
-    angle: tuple[int, int]  # (k, n) with 0 < k <= n/2
-    conjugator: ProjMat
-    target: ProjMat
-
-    def verify(self, source: ProjMat) -> bool:
-        return _conjugates(self.conjugator, source, self.target)
-
-
-def rotation_normal_form(mat: ProjMat) -> RotationForm:
-    """Conjugate a finite-order fiberwise-real map of order > 2 to the
-    rotation diag(1, zeta^{+-1}) inside the reality group, in closed form.
+def rotation_normal_form(mat: ProjMat) -> ConjugacyCertificate:
+    """The "rotation-normal-form" certificate conjugating a finite-order
+    fiberwise-real map of order > 2 to the rotation diag(1, zeta^{+-1})
+    inside the reality group, in closed form.
 
     Let (a, b) be the pattern of A, t = a + conj(a), and theta = pi k / n for
     the angle (k, n).  Then kappa = t^2 / det = 4 cos^2(theta), so
@@ -403,9 +372,15 @@ def rotation_normal_form(mat: ProjMat) -> RotationForm:
     - the columns (x, -2 conj(b)) and (2 b h, x) of adj J are eigenvectors of
       A for (t + Delta)/2 and (t - Delta)/2, so J A J^-1 = diag(t + Delta,
       t - Delta), which is diag(1, exp(-+2 i theta)) projectively.
-    tan(theta) = sqrt((1 - cos 2 theta)/(1 + cos 2 theta)) lies in the tower
-    except for n = 5 and 10, where TowerReal.sqrt raises
-    UnsupportedExtension.  J is verified once.
+    tan(theta) = sqrt((1 - cos 2 theta)/(1 + cos 2 theta)) lies in the tower,
+    as n is never 5 or 10.  Lemma: no reality element over the tower has order
+    5 or 10, so classify and conj meet the prime orders 2 and 3 only.  With
+    a = r + i s, r and s real, the identity above reads
+    tan^2(theta) r^2 = s^2 - b conj(b) h.  At z = +-1, where h = 0, tan(theta)
+    would generate a cyclic quartic field, which lies in no multiquadratic
+    one, so r and s vanish there; then b conj(b) h vanishes to second order,
+    so b(+-1) = 0, and (a, b) / (z^2 - 1) is a smaller pattern of the same
+    map: an infinite descent.  The certificate is verified once.
     """
     angle = mat.rotation_angle()
     if angle is None:
@@ -423,9 +398,8 @@ def rotation_normal_form(mat: ProjMat) -> RotationForm:
         x = pat.a.conj() - pat.a - delta
         conjugator = ProjMat.of(x, pat.b * ONE_MINUS_Z2.scale(-2), pat.b.conj().scale(2), x)
         target = ProjMat.diag(t + delta, t - delta)
-    if not _conjugates(conjugator, mat, target):
-        raise RuntimeError(f"rotation conjugator failed to verify for {mat}")
-    return RotationForm(angle, conjugator, target)
+    source, target, conjugator = (SphereMap.trivial_base(m) for m in (mat, target, conjugator))
+    return ConjugacyCertificate.verified("rotation-normal-form", source, target, conjugator)
 
 
 # -- moduli comparison under the interval group ----------------------------------------------
@@ -530,25 +504,23 @@ class TrivialBaseReport:
     model: HyperellipticModel | None = None
     parameter: object | None = None
     certificate: ConjugacyCertificate | None = None
-    rotation: RotationForm | None = None
 
 
 def classify_trivialbase(mat: ProjMat) -> TrivialBaseReport:
     """Sort a finite-order birational diffeomorphism with trivial base
-    action into its conjugacy family."""
-    if not in_diffeo_group(mat):
-        raise NotDiffeomorphism(f"{mat} is not defined at every real point")
-    n = mat.order()
-    if n is None:
+    action into its conjugacy family; NotDiffeomorphism for a map that is
+    not defined at every real point."""
+    orientation = _orientation(mat)
+    angle = mat.rotation_angle()
+    if angle is None:
         raise NotFiniteOrder(f"{mat} has infinite order")
+    n = angle[1]
     if n == 1:
-        return TrivialBaseReport(family=3, angle=(0, 1))
+        return TrivialBaseReport(family=3, angle=angle)
     if n > 2:
-        rot = rotation_normal_form(mat)
-        return TrivialBaseReport(family=3, angle=rot.angle, rotation=rot)
+        return TrivialBaseReport(family=3, angle=angle, certificate=rotation_normal_form(mat))
     model = fixed_curve(mat)
-    locus = real_locus_class(mat)
-    if locus == "one_oval":
+    if orientation < 0:  # one oval
         if model.degree <= 2:
             cert = construct_conjugator(mat, x_flip().fiber)
             return TrivialBaseReport(family=4, model=model, certificate=cert)

@@ -150,12 +150,19 @@ def is_orientation_preserving(mat: ProjMat) -> bool:
     return is_real_positive(fiber_determinant(mat))
 
 
+def diffeo_orientation(mat: ProjMat) -> int:
+    """1 for a birational diffeomorphism preserving orientation, -1 for one
+    reversing it (mat * reality_twist() preserves it), 0 when the map is not
+    defined at every real point.  Callers that need both facts ask once."""
+    if is_orientation_preserving(mat):
+        return 1
+    a, b, c, d = mat.entries()  # mat * reality_twist() in closed form
+    return -1 if is_orientation_preserving(ProjMat._canonical([b, ONE_MINUS_Z2 * a, d, ONE_MINUS_Z2 * c])) else 0
+
+
 def in_diffeo_group(mat: ProjMat) -> bool:
     """True iff the map is defined at every real point (either orientation)."""
-    if is_orientation_preserving(mat):
-        return True
-    a, b, c, d = mat.entries()  # mat * reality_twist() in closed form
-    return is_orientation_preserving(ProjMat._canonical([b, ONE_MINUS_Z2 * a, d, ONE_MINUS_Z2 * c]))
+    return diffeo_orientation(mat) != 0
 
 
 def contracted_fibers(mat: ProjMat):
@@ -286,9 +293,15 @@ class BaseMobius:
                 acc = acc + (num**k * den ** (d - k)).scale(c)
         return acc
 
-    def substitute_matrix(self, mat: ProjMat) -> ProjMat:
+    def substitute_entries(self, mat: ProjMat) -> tuple[Poly, Poly, Poly, Poly]:
+        """The entries of mat(m(z)) over one common denominator, unreduced."""
+        if self.is_identity():
+            return mat.entries()
         d = max(p.degree for p in mat.entries())
-        return ProjMat._canonical([self.substitute_into(p, d) for p in mat.entries()])
+        return tuple(self.substitute_into(p, d) for p in mat.entries())
+
+    def substitute_matrix(self, mat: ProjMat) -> ProjMat:
+        return ProjMat._canonical(list(self.substitute_entries(mat)))
 
     def __str__(self):
         return self.kind if not self.b else f"{self.kind}({self.b})"
@@ -363,10 +376,8 @@ class SphereMap:
         return in_diffeo_group(self.trivial_base_part().fiber)
 
     def is_orientation_preserving_diffeo(self) -> bool:
-        part = self.trivial_base_part()
-        if not in_diffeo_group(part.fiber):
-            return False
-        return is_orientation_preserving(part.fiber) == (not self.base.flip)
+        # the base flip reverses orientation, the shifts preserve it
+        return diffeo_orientation(self.trivial_base_part().fiber) == self.base.sign()
 
     def __str__(self):
         return f"SphereMap(fiber={self.fiber}, base={self.base})"
@@ -394,29 +405,59 @@ def base_realisation(base: BaseMobius) -> SphereMap:
     return parts
 
 
-def reduce_to_trivial_base(g: SphereMap) -> tuple[ProjMat, str, SphereMap]:
-    """Conjugate a finite-order map to one whose base action is id or neg.
+@dataclass(frozen=True)
+class ConjugacyCertificate:
+    """A real conjugator C with C source C^-1 = target, all sphere maps; kind
+    is "conjugation", "rotation-normal-form" (target diag(1, zeta^{+-1})) or
+    "base-reduction" (target base z -> -z).  `verified` checks it once."""
 
-    Returns (fiber, residual kind, conjugator) with
-    conjugator . g . conjugator^-1 = (fiber, residual).  A flipped shift
-    z -> shift_b(-z) fixes the roots of b z^2 - 2 z + b, whose product is 1;
-    the one in (-1, 1) is c = (1 - sqrt(1 - b^2)) / b.  The realisation of
-    shift_{-c} moves c to 0, and a flipped map of {1, -1} fixing 0 is z -> -z,
-    so the residual is always neg.  base_realisation raises
-    UnsupportedExtension when sqrt(1 - c^2) is not in the tower.
+    kind: str
+    source: SphereMap
+    target: SphereMap
+    conjugator: SphereMap
+
+    @classmethod
+    def verified(cls, kind: str, source: SphereMap, target: SphereMap, conjugator: SphereMap) -> ConjugacyCertificate:
+        cert = cls(kind, source, target, conjugator)
+        if not cert.verify():
+            raise RuntimeError(f"{kind} certificate failed to verify for {source}")
+        return cert
+
+    def verify(self) -> bool:
+        """C is real and C S = T C: exactly on the base, projectively on the
+        fiber, whose two products stay unreduced."""
+        c, s, t = self.conjugator, self.source, self.target
+        return (
+            c.reality_check()
+            and c.base.compose(s.base) == t.base.compose(c.base)
+            and proportional(
+                raw_mul(s.base.substitute_entries(c.fiber), s.fiber.entries()),
+                raw_mul(c.base.substitute_entries(t.fiber), c.fiber.entries()),
+            )
+        )
+
+
+def reduce_to_trivial_base(g: SphereMap) -> ConjugacyCertificate:
+    """The verified "base-reduction" certificate conjugating a flipped shift
+    to a map with base action z -> -z.
+
+    A flipped shift z -> shift_b(-z) fixes the roots of b z^2 - 2 z + b,
+    whose product is 1; the one in (-1, 1) is c = (1 - sqrt(1 - b^2)) / b.
+    The realisation of shift_{-c} moves c to 0, and a flipped map of
+    {1, -1} fixing 0 is z -> -z, which the certificate's base check confirms.
+    base_realisation raises UnsupportedExtension when sqrt(1 - c^2) is not in
+    the tower.
     """
     kind = g.base.kind
-    if kind == "id" or kind == "neg":
-        return g.fiber, kind, SphereMap.identity()
     if kind == "shift":
         raise InfiniteOrderBase("interval shifts with b != 0 have infinite order")
+    if kind != "flipped_shift":
+        raise ValueError(f"base action {kind} needs no reduction")
     b = g.base.b
     c = (1 - (1 - b * b).sqrt()) / b
     conj = base_realisation(BaseMobius.shift(-c))
     reduced = conj.compose(g).compose(conj.inverse())
-    if reduced.base.kind != "neg":
-        raise RuntimeError("base reduction failed to reach z -> -z")
-    return reduced.fiber, "neg", conj
+    return ConjugacyCertificate.verified("base-reduction", g, SphereMap(reduced.fiber, BaseMobius.negation()), conj)
 
 
 # -- the coordinate bridge -----------------------------------------------------------

@@ -275,8 +275,8 @@ def test_criterion_4_conjugacy_certificates(rng):
             assert conj_decision(a, b)
             cert = construct_conjugator(a, b)
             assert cert.verify()
-            assert in_reality_group(cert.conjugator)
-            assert cert.conjugator * a * cert.conjugator.inverse() == b
+            assert in_reality_group(cert.conjugator.fiber)
+            assert cert.conjugator.fiber * a * cert.conjugator.fiber.inverse() == b
         for k in range(1, 21):
             a = realize_no_oval(Z * Z + k)
             b = realize_no_oval((Z * Z + k) * (Z * Z + k + 1))
@@ -393,14 +393,14 @@ def test_criterion_7_rotation_normal_form(rng):
                 c = random_reality_element(rng, max_degree=1)
                 mat = c * target * c.inverse()
                 nf = rotation_normal_form(mat)
-                assert nf.angle == (min(k % n, (n - k) % n), n)
-                assert nf.verify(mat)
-                assert in_reality_group(nf.conjugator)
+                assert nf.target.fiber.rotation_angle() == (min(k % n, (n - k) % n), n)
+                assert nf.source.fiber == mat and nf.verify()
+                assert in_reality_group(nf.conjugator.fiber)
         angles = set()
         target = rotation(1, 6).fiber
         for _ in range(20):
             c = random_reality_element(rng, max_degree=1)
-            angles.add(rotation_normal_form(c * target * c.inverse()).angle)
+            angles.add(rotation_normal_form(c * target * c.inverse()).target.fiber.rotation_angle())
         assert angles == {(1, 6)}
 
 

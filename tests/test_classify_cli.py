@@ -13,7 +13,9 @@ from birsphere.classify import (
     spheremap_to_json,
 )
 from birsphere.cli import main
-from birsphere.sphere import builtin_map
+from birsphere.parsing import parse_poly
+from birsphere.projmat import ProjMat
+from birsphere.sphere import ConjugacyCertificate, SphereMap, builtin_map
 
 
 def run_cli(capsys, *argv):
@@ -58,7 +60,7 @@ def test_classification_table():
 def test_classify_flipped_shift_reduces():
     g = builtin_map("gb:1/2").compose(builtin_map("tilde_eta"))
     report = classify_spheremap(g)
-    assert any(c.get("kind") == "base-reduction" for c in report.certificates)
+    assert any(c["kind"] == "base-reduction" for c in report.to_json()["certificates"])
     assert report.family in (3, 4, 5, 6, 7, 8, "linear-stratum", "rational-special")
 
 
@@ -75,13 +77,12 @@ def test_decide_conjugacy():
     assert res["conjugate"]
 
 
-def _certificate_verifies(res, g1, g2) -> bool:
-    from birsphere.involutions import _conjugates
-    from birsphere.parsing import parse_poly
-    from birsphere.projmat import ProjMat
+def _fiber_from_json(rows) -> SphereMap:
+    return SphereMap.trivial_base(ProjMat.of(*(parse_poly(e) for row in rows for e in row)))
 
-    conjugator = ProjMat.of(*(parse_poly(e) for row in res["conjugator"] for e in row))
-    return _conjugates(conjugator, g1.fiber, g2.fiber)
+
+def _certificate_verifies(res, g1, g2) -> bool:
+    return ConjugacyCertificate("conjugation", g1, g2, _fiber_from_json(res["conjugator"])).verify()
 
 
 def test_conj_rotations(capsys):
@@ -274,6 +275,66 @@ def test_catalogue_golden(capsys):
         if (code, out) != (want["exit"], want["stdout"]):
             mismatched.append(command)
     assert not mismatched
+
+
+def test_catalogue_certificates_verify():
+    """Every certificate in tests/data/catalogue_cli.json verifies once it is
+    parsed back from its JSON: each classify certificate maps the classified
+    element to its target, and each conj conjugator maps the first element
+    to the second.  The one conj `true` without a certificate is g2p:1/2
+    against g2p:-1/2, two base flips decided by their twist class alone (the
+    open ROADMAP item on base flips)."""
+    golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())
+    checked = {"classify": 0, "conj": 0}
+    uncertified = []
+    for command, want in sorted(golden.items()):
+        verb, *args = command.split()
+        if verb == "classify":
+            for cert in json.loads(want["stdout"]).get("certificates", []):
+                source = parse_element(args[0])
+                target, conjugator = _fiber_from_json(cert["target"]), _fiber_from_json(cert["conjugator"])
+                assert ConjugacyCertificate(cert["kind"], source, target, conjugator).verify(), command
+                checked[verb] += 1
+        elif verb == "conj" and want["exit"] == 0:
+            res = json.loads(want["stdout"])
+            if res["conjugate"] and "conjugator" in res:
+                assert _certificate_verifies(res, parse_element(args[0]), parse_element(args[1])), command
+                checked[verb] += 1
+            elif res["conjugate"]:
+                uncertified.append(command)
+    assert checked == {"classify": 54, "conj": 3}
+    assert uncertified == ["conj builtin:g2p:1/2 builtin:g2p:-1/2"]
+
+
+def test_catalogue_classify_tests_positivity_once(monkeypatch):
+    """classify decides membership and orientation from one diffeomorphism
+    test: is_real_positive runs once when the trivial-base part of the map
+    preserves orientation, twice when it reverses it, and never for an
+    interval shift, whose infinite order ends the routing."""
+    import birsphere.involutions as inv
+    import birsphere.positivity as pos
+    import birsphere.sphere as sphere
+
+    calls = []
+    real = pos.is_real_positive
+    for module in (sphere, inv, pos):
+        monkeypatch.setattr(module, "is_real_positive", lambda f: calls.append(1) or real(f))
+    golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())
+    counts = {}
+    for command in sorted(golden):
+        verb, *args = command.split()
+        if verb != "classify" or not args[0].startswith("builtin:"):
+            continue
+        g = parse_element(args[0])
+        calls.clear()
+        classify_spheremap(g)
+        ran = len(calls)
+        if g.base.kind == "shift":
+            counts[command] = (ran, 0)
+        else:
+            counts[command] = (ran, {1: 1, -1: 2}[sphere.diffeo_orientation(g.trivial_base_part().fiber)])
+    assert len(counts) == 59
+    assert [command for command, (ran, want) in counts.items() if ran != want] == []
 
 
 def test_cli_infinite_order(capsys):

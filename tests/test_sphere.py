@@ -16,6 +16,7 @@ from birsphere.projmat import INF, ProjMat, raw_mul
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import (
     BaseMobius,
+    ConjugacyCertificate,
     SphereFormula,
     SphereMap,
     base_realisation,
@@ -259,16 +260,31 @@ def test_interval_shift_is_pythagorean_diffeo():
 def test_reduce_to_trivial_base():
     g = builtin_map("gb:1/2").compose(z_flip())
     assert g.base.kind == "flipped_shift"
-    fiber, residual, conj = reduce_to_trivial_base(g)
-    assert residual == "neg"
+    cert = reduce_to_trivial_base(g)
+    assert cert.kind == "base-reduction" and cert.source == g and cert.verify()
+    conj = cert.conjugator
     check = conj.compose(g).compose(conj.inverse())
-    assert check.base.kind == "neg" and check.fiber == fiber
+    assert cert.target.base.kind == check.base.kind == "neg" and check.fiber == cert.target.fiber
     # spec example: base parameter 4/5 reduces with interval parameter 1/2
     assert conj.base.b == TowerReal.from_rational(Fraction(-1, 2)) or conj.base.b == TowerReal.from_rational(Fraction(1, 2))
     with pytest.raises(InfiniteOrderBase):
         reduce_to_trivial_base(builtin_map("gb:1/2"))
-    h = y_flip()
-    assert reduce_to_trivial_base(h)[1] == "id"
+    with pytest.raises(ValueError):  # base id or neg needs no reduction
+        reduce_to_trivial_base(y_flip())
+
+
+def test_conjugacy_certificate_checks():
+    """verify fails when any one of its three checks fails: the fiber
+    equation, the reality of the conjugator, or the base equation."""
+    rot = rotation(1, 3)
+    assert ConjugacyCertificate("conjugation", rot, rot, SphereMap.identity()).verify()
+    assert not ConjugacyCertificate("conjugation", rot, rot.inverse(), SphereMap.identity()).verify()
+    unreal = SphereMap.trivial_base(ProjMat.diag(Poly.const(1), Poly.const(2)))  # commutes with rot
+    assert not ConjugacyCertificate("conjugation", rot, rot, unreal).verify()
+    g = builtin_map("gb:1/2").compose(z_flip())
+    cert = reduce_to_trivial_base(g)
+    unflipped = SphereMap(cert.target.fiber, BaseMobius.identity())  # the fiber products do not see it
+    assert not ConjugacyCertificate(cert.kind, g, unflipped, cert.conjugator).verify()
 
 
 PINS = json.loads((Path(__file__).parent / "data" / "closed_form_pins.json").read_text())
@@ -281,8 +297,9 @@ def test_reduce_to_trivial_base_pinned(pin):
     closed form replaced."""
     g = base_realisation(BaseMobius.shift(Fraction(pin["b"]))).compose(flipped_special_involution(Fraction(1, 2)))
     assert g.base.kind == "flipped_shift"
-    fiber, residual, conj = reduce_to_trivial_base(g)
-    assert (_matrix_json(fiber), residual) == (pin["fiber"], pin["residual"])
+    cert = reduce_to_trivial_base(g)
+    assert (_matrix_json(cert.target.fiber), cert.target.base.kind) == (pin["fiber"], pin["residual"])
+    conj = cert.conjugator
     assert (_matrix_json(conj.fiber), str(conj.base)) == (pin["conjugator"], pin["conjugator_base"])
 
 
