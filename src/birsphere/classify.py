@@ -89,12 +89,12 @@ def spheremap_to_json(g: SphereMap) -> dict:
 
 
 def certificate_json(cert: ConjugacyCertificate) -> dict:
-    """The report form of a certificate: a base reduction prints its
-    conjugator as a sphere map and the base it reaches, the others print
+    """The report form of a verified certificate: a base reduction prints
+    its conjugator as a sphere map and the base it reaches, the others print
     their fiber matrices."""
     if cert.kind == "base-reduction":
         conjugator = spheremap_to_json(cert.conjugator)
-        return {"kind": cert.kind, "conjugator": conjugator, "residual_base": cert.target.base.kind}
+        return {"kind": cert.kind, "conjugator": conjugator, "residual_base": cert.target.base.kind, "verified": True}
     return {
         "kind": cert.kind,
         "target": _matrix_json(cert.target.fiber),
@@ -319,10 +319,11 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
                 "fixed_curves": [model_to_json(fixed_curve(r1.fiber)), model_to_json(fixed_curve(r2.fiber))],
             }
     else:
-        ra, rb = rotation_normal_form(r1.fiber), rotation_normal_form(r2.fiber)
-        angles = [list(nf.target.fiber.rotation_angle()) for nf in (ra, rb)]
+        # the angle is a conjugacy invariant: equal to that of the normal form
+        angles = [list(r.fiber.rotation_angle()) for r in (r1, r2)]
         if angles[0] != angles[1]:
             return {"conjugate": False, "angles": angles}
+        ra, rb = rotation_normal_form(r1.fiber), rotation_normal_form(r2.fiber)
         # both targets are diag(1, zeta^{+-1}); x_flip swaps the two
         swap = x_flip().fiber if ra.target != rb.target else ProjMat.identity()
         conjugator = rb.conjugator.fiber.inverse() * swap * ra.conjugator.fiber

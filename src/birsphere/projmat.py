@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndeterminateFiber
-from .poly import Poly, RatFn, poly_gcd, _coerce_poly
+from .poly import Poly, poly_gcd, _coerce_poly
 from .scalars import CoeffScalar, TowerReal
 
 
@@ -95,17 +95,8 @@ class ProjMat:
 
     @classmethod
     def of(cls, a11, a12, a21, a22) -> ProjMat:
-        entries = []
-        for e in (a11, a12, a21, a22):
-            if isinstance(e, RatFn):
-                entries.append(e)
-            else:
-                entries.append(RatFn(_coerce_poly(e)))
-        den = Poly.const(1)
-        for e in entries:
-            den = den * e.den
-        polys = [e.num * den.exact_div(e.den) for e in entries]
-        return cls._canonical(polys)
+        """The canonical form of four polynomial or scalar entries."""
+        return cls._canonical([_coerce_poly(e) for e in (a11, a12, a21, a22)])
 
     @classmethod
     def _canonical(cls, polys: list[Poly]) -> ProjMat:
@@ -179,12 +170,12 @@ class ProjMat:
         is conjugate to self over an algebraic closure; None when self has
         infinite order (kappa = trace^2/det non-constant, not in the table,
         or 4 on a unipotent matrix)."""
-        if not self.trace():
+        tr = self.trace()
+        if not tr:
             return (1, 2)
-        ratio = self.eigen_ratio_trace_invariant()
-        if not ratio.is_constant():
-            return None
-        angle = _ANGLE_OF_KAPPA.get(ratio.num.lead() / ratio.den.lead())
+        tr2, det = tr * tr, self.det()
+        kappa = tr2.lead() / det.lead()
+        angle = _ANGLE_OF_KAPPA.get(kappa) if tr2 == det.scale(kappa) else None
         if angle == (0, 1) and not self.is_identity():
             return None
         return angle

@@ -5,8 +5,8 @@ the affine (t, z)-plane by t = x - i*y; fiber-preserving birational maps
 become 2x2 projective matrices over C(z), and compatibility with the real
 structure becomes the condition  tau A tau = conj(A)  with
 tau = [[0, 1-z^2], [1, 0]].  This module provides that bridge: membership
-tests, the normal pattern [[a, b*h], [conj b, conj a]] produced by a
-constructive Hilbert-90 step, determinants and their positivity (the
+tests, the normal pattern [[a, b*h], [conj b, conj a]] read off in closed
+form from A + tau conj(A) tau^-1, determinants and their positivity (the
 birational-diffeomorphism criterion), contracted fibers and boundary-line
 behaviour, maps with nontrivial action on the base interval, exact sphere
 formulas, and the builtin catalogue of named maps.
@@ -28,7 +28,7 @@ from .errors import (
     NotRealityMember,
     UnsupportedExtension,
 )
-from .poly import ONE_MINUS_Z2, Poly, RatFn, poly_gcd
+from .poly import ONE_MINUS_Z2, Poly, poly_gcd
 from .positivity import is_real_positive
 from .projmat import INF, TWO_COS, ProjMat, proportional, raw_mul
 from .scalars import CoeffScalar, TowerReal, scalar
@@ -50,7 +50,8 @@ def reality_twist() -> ProjMat:
 def in_reality_group(mat: ProjMat) -> bool:
     """True iff the fiber map commutes with the sphere's real structure:
     tw [[a, b], [c, d]] tw = [[h d, h^2 c], [b, h a]] with h = 1 - z^2.
-    Cached, so the routing test and canonical_pattern evaluate it once."""
+    Cached for routing; canonical_pattern does not call it, as its closing
+    proportionality check decides the same question."""
     a, b, c, d = mat.entries()
     h = ONE_MINUS_Z2
     return proportional((h * d, h * (h * c), b, h * a), (a.conj(), b.conj(), c.conj(), d.conj()))
@@ -74,10 +75,15 @@ class FiberPattern:
         return self.a * self.a.conj() - self.b * self.b.conj() * ONE_MINUS_Z2
 
 
+def _common_real_factor(a: Poly, b: Poly) -> Poly:
+    """The monic real part gcd(g, conj g) of g = gcd(a, b)."""
+    g = poly_gcd(a, b)
+    return poly_gcd(g, g.conj())
+
+
 def _strip_common_real_factors(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if a and b:
-        g = poly_gcd(a, b)
-        real_part = poly_gcd(g, g.conj())
+        real_part = _common_real_factor(a, b)
         if real_part.degree > 0:
             a, b = a.exact_div(real_part), b.exact_div(real_part)
     # scale by a rational to reduce coefficient clutter (a real scalar keeps the shape)
@@ -105,31 +111,26 @@ def _strip_common_real_factors(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 def canonical_pattern(mat: ProjMat) -> FiberPattern:
     """Rewrite a reality-group element in the shape [[a, b*h], [~b, ~a]].
 
-    The scalar fixing the shape is produced constructively: the quotient
-    relating the matrix to its twisted conjugate is a norm-one unit u, and
-    mu = 1 + u (or i when u = -1) satisfies mu/conj(mu) = u.
+    The sum S = mat + tau conj(mat) tau^-1 = [[A, B], [~B/h, ~A]] with
+    A = a11 + ~a22 and B = a12 + h ~a21 always has the shape, and
+    S = (1 + l) mat when tau conj(mat) tau^-1 = l mat.  With g = gcd(B, h)
+    the pattern is (A (z^2 - 1)/g, -B/g); it is (A, 0) when B = 0, and
+    (-i a11, i ~a21) when S = 0, the case l = -1.  The common real factors
+    are then stripped.  S is proportional to mat exactly when mat is real,
+    so the closing check is the reality test.
     """
-    if not in_reality_group(mat):
-        raise NotRealityMember(f"{mat} does not satisfy the reality condition")
     a11, a12, a21, a22 = mat.entries()
     h = ONE_MINUS_Z2
-    if a11:
-        lam = RatFn(a11 * h, a22.conj())
-    else:
-        lam = RatFn(a12, a21.conj())
-    u = lam / RatFn(h)
-    mu = RatFn(Poly.const(1)) + u
-    if not mu:
-        mu = RatFn(Poly.const(CoeffScalar.i()))
-    a = RatFn(a11) * mu.conj()
-    b = mu * RatFn(a21.conj())
-    den = a.den * a.den.conj() * b.den * b.den.conj()
-    a_poly = (a * RatFn(den)).as_poly()
-    b_poly = (b * RatFn(den)).as_poly()
-    a_poly, b_poly = _strip_common_real_factors(a_poly, b_poly)
-    pattern = FiberPattern(a_poly, b_poly)
+    a, b = a11 + a22.conj(), a12 + h * a21.conj()
+    if b:
+        g = poly_gcd(b, h)
+        a, b = a * (-h).exact_div(g), -b.exact_div(g)
+    elif not a:
+        i = CoeffScalar.i()
+        a, b = a11.scale(-i), a21.conj().scale(i)
+    pattern = FiberPattern(*_strip_common_real_factors(a, b))
     if not proportional(pattern.lift(), mat.entries()):
-        raise RuntimeError(f"pattern construction failed to verify for {mat}")
+        raise NotRealityMember(f"{mat} does not satisfy the reality condition")
     return pattern
 
 
@@ -153,11 +154,15 @@ def is_orientation_preserving(mat: ProjMat) -> bool:
 def diffeo_orientation(mat: ProjMat) -> int:
     """1 for a birational diffeomorphism preserving orientation, -1 for one
     reversing it (mat * reality_twist() preserves it), 0 when the map is not
-    defined at every real point.  Callers that need both facts ask once."""
+    defined at every real point.  Callers that need both facts ask once.
+    mat * reality_twist() has the pattern (b h, a) with determinant -h D / r^2,
+    D the pattern determinant of mat and r the real part of gcd(b h, a)."""
     if is_orientation_preserving(mat):
         return 1
-    a, b, c, d = mat.entries()  # mat * reality_twist() in closed form
-    return -1 if is_orientation_preserving(ProjMat._canonical([b, ONE_MINUS_Z2 * a, d, ONE_MINUS_Z2 * c])) else 0
+    pat = canonical_pattern(mat)
+    r = _common_real_factor(pat.b * ONE_MINUS_Z2, pat.a)
+    det = (-ONE_MINUS_Z2 * pat.determinant()).exact_div(r * r)
+    return -1 if is_real_positive(_primitive_real(det)) else 0
 
 
 def in_diffeo_group(mat: ProjMat) -> bool:

@@ -60,7 +60,8 @@ def test_classification_table():
 def test_classify_flipped_shift_reduces():
     g = builtin_map("gb:1/2").compose(builtin_map("tilde_eta"))
     report = classify_spheremap(g)
-    assert any(c["kind"] == "base-reduction" for c in report.to_json()["certificates"])
+    reductions = [c for c in report.to_json()["certificates"] if c["kind"] == "base-reduction"]
+    assert reductions and all(c["verified"] is True for c in reductions)
     assert report.family in (3, 4, 5, 6, 7, 8, "linear-stratum", "rational-special")
 
 
@@ -93,6 +94,21 @@ def test_conj_rotations(capsys):
     assert _certificate_verifies(res, builtin_map("rot:1/3"), builtin_map("rot:2/3"))
     res = decide_conjugacy(builtin_map("rot:1/8"), builtin_map("rot:3/8"))
     assert res == {"conjugate": False, "angles": [[1, 8], [3, 8]]}
+
+
+def test_conj_different_angles_builds_no_normal_form(monkeypatch):
+    """Rotations of different angles are refuted by the angle alone, before
+    either rotation normal form is built."""
+    import birsphere.classify as classify
+
+    built = []
+    real = classify.rotation_normal_form
+    monkeypatch.setattr(classify, "rotation_normal_form", lambda mat: built.append(mat) or real(mat))
+    res = decide_conjugacy(builtin_map("rot:1/8"), builtin_map("rot:3/8"))
+    assert res == {"conjugate": False, "angles": [[1, 8], [3, 8]]}
+    assert built == []
+    assert decide_conjugacy(builtin_map("rot:1/8"), builtin_map("rot:7/8"))["conjugate"]
+    assert len(built) == 2
 
 
 def test_conj_infinite_order(capsys):

@@ -14,14 +14,27 @@ matrix products with the twist.
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from birsphere.classify import classify_spheremap
-from birsphere.poly import ONE_MINUS_Z2, Poly
+from birsphere.errors import NotRealityMember
+from birsphere.poly import ONE_MINUS_Z2, Poly, RatFn
+from birsphere.positivity import is_real_positive
 from birsphere.projmat import ProjMat, proportional, raw_mul
 from birsphere.scalars import ZERO, CoeffScalar, TowerReal
-from birsphere.sphere import in_diffeo_group, in_reality_group, reality_twist, y_flip
+from birsphere.sphere import (
+    FiberPattern,
+    _primitive_real,
+    _strip_common_real_factors,
+    canonical_pattern,
+    diffeo_orientation,
+    in_diffeo_group,
+    in_reality_group,
+    reality_twist,
+    y_flip,
+)
 
 RADICANDS = (1, 2, 3, 5, 6)
 
@@ -444,6 +457,66 @@ def test_in_reality_group_matches_twist_products(a, b, e, k):
             assert ProjMat._canonical([y, h * x, w, h * z]) == mat * reality_twist()
 
 
+def ref_canonical_pattern(mat: ProjMat) -> FiberPattern:
+    """The Hilbert-90 step through rational functions: the quotient relating
+    mat to its twisted conjugate is a norm-one unit u, and mu = 1 + u (or i
+    when u = -1) satisfies mu/conj(mu) = u."""
+    if not ref_in_reality_group(mat):
+        raise NotRealityMember(f"{mat} does not satisfy the reality condition")
+    a11, a12, a21, a22 = mat.entries()
+    h = ONE_MINUS_Z2
+    lam = RatFn(a11 * h, a22.conj()) if a11 else RatFn(a12, a21.conj())
+    mu = RatFn(Poly.const(1)) + lam / RatFn(h)
+    if not mu:
+        mu = RatFn(Poly.const(CoeffScalar.i()))
+    a = RatFn(a11) * mu.conj()
+    b = mu * RatFn(a21.conj())
+    den = RatFn(a.den * a.den.conj() * b.den * b.den.conj())
+    return FiberPattern(*_strip_common_real_factors((a * den).as_poly(), (b * den).as_poly()))
+
+
+def ref_diffeo_orientation(mat: ProjMat) -> int:
+    """Two canonicalisations: the pattern of mat, then that of mat * tau."""
+
+    def preserving(m):
+        return is_real_positive(_primitive_real(ref_canonical_pattern(m).determinant()))
+
+    if preserving(mat):
+        return 1
+    a, b, c, d = mat.entries()
+    return -1 if preserving(ProjMat._canonical([b, ONE_MINUS_Z2 * a, d, ONE_MINUS_Z2 * c])) else 0
+
+
+TAU = ProjMat.of(Poly(), ONE_MINUS_Z2, Poly.const(1), Poly())
+QUARTER_TURN = ProjMat.diag(Poly.const(1), Poly.const(CoeffScalar.i()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=small_polys, b=small_polys, e=quads, shape=st.sampled_from(("ab", "a0", "0b")))
+@example(a=Poly.const(1), b=Poly(), e=(Poly.const(1), Poly(), Poly(), Poly.const(-1)), shape="ab")
+def test_closed_form_pattern_matches_hilbert90(a, b, e, shape):
+    """canonical_pattern and diffeo_orientation give the (a, b) and the
+    orientation of the rational-function references on reality elements,
+    their products with tau and diag(1, i), and b = 0 and a = 0 shapes.  The
+    matrix e is mostly non-real; the example's diag(1, -1) is the l = -1
+    branch."""
+    a, b = (a, Poly()) if shape == "a0" else (Poly(), b) if shape == "0b" else (a, b)
+    mats = []
+    for entries in (member_entries(a, b), e):
+        try:
+            mats.append(ProjMat.of(*entries))
+        except ValueError:  # zero matrix or zero determinant
+            continue
+    for mat in mats + [m * t for m in mats for t in (TAU, QUARTER_TURN)]:
+        if not ref_in_reality_group(mat):
+            with pytest.raises(NotRealityMember):
+                canonical_pattern(mat)
+            continue
+        pat, ref = canonical_pattern(mat), ref_canonical_pattern(mat)
+        assert (pat.a.coeffs, pat.b.coeffs) == (ref.a.coeffs, ref.b.coeffs)
+        assert diffeo_orientation(mat) == ref_diffeo_orientation(mat)
+
+
 def test_reality_twist_is_one_constant():
     tw = reality_twist()
     before = [p.coeffs for p in tw.entries()]
@@ -457,22 +530,28 @@ def test_reality_twist_is_one_constant():
 
 def test_no_module_imports_random():
     """No chance decides: no module of the package imports random.  The
-    package runs on the standard library alone: none imports sympy."""
+    package runs on the standard library alone: none imports sympy.  Rational
+    functions stay in the twist-class layer: besides the package's public
+    re-export, only etatwist imports RatFn, which poly defines."""
     import ast
     from pathlib import Path
 
     import birsphere
 
+    ratfn_importers = set()
     for path in Path(birsphere.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
+                if any(alias.name == "RatFn" for alias in node.names):
+                    ratfn_importers.add(path.name)
             else:
                 continue
             for banned in ("random", "sympy"):
                 assert not any(n.split(".")[0] == banned for n in names), f"{path.name} imports {banned}"
+    assert ratfn_importers == {"__init__.py", "etatwist.py"}
 
 
 def test_queries_leave_sympy_unloaded():

@@ -205,7 +205,7 @@ def test_certificate_verified_once(monkeypatch, rng):
 
 def test_reality_tested_once_per_input(monkeypatch, rng):
     """decide_conjugacy evaluates the reality test of each input fiber once:
-    the routing check and canonical_pattern share the cached evaluation."""
+    in the cached routing check, as canonical_pattern does not call it."""
     import birsphere.sphere as sphere
     from birsphere.classify import decide_conjugacy
     from birsphere.sphere import SphereMap

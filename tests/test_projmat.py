@@ -8,7 +8,7 @@ from birsphere.classify import classify_spheremap, decide_conjugacy
 from birsphere.errors import BasePointHit, IndeterminateFiber
 from birsphere.involutions import HyperellipticModel, basis_equiv_moduli
 from birsphere.parsing import parse_poly
-from birsphere.poly import ONE_MINUS_Z2, Poly, RatFn
+from birsphere.poly import ONE_MINUS_Z2, Poly
 from birsphere.projmat import INF, TWO_COS, ProjMat, raw_mul
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import FiberPattern, SphereMap, builtin_map, interval_shift, z_flip
@@ -160,10 +160,10 @@ def test_infinity_handling():
 
 
 def test_eigen_ratio_trace_invariant():
-    di = ProjMat.diag(Poly.const(1), Poly.const(I))
-    assert di.eigen_ratio_trace_invariant() == RatFn(Poly.const(2))
-    assert TAU.eigen_ratio_trace_invariant() == RatFn(Poly())
-    assert ProjMat.identity().eigen_ratio_trace_invariant() == RatFn(Poly.const(4))
+    """kappa = trace^2/det is 2, 0 and 4 on these, the angles 1/4, 1/2 and 0."""
+    assert ProjMat.diag(Poly.const(1), Poly.const(I)).rotation_angle() == (1, 4)
+    assert TAU.rotation_angle() == (1, 2)
+    assert ProjMat.identity().rotation_angle() == (0, 1)
 
 
 def test_iterated_action_matches_order(rng):
