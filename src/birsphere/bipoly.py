@@ -1,10 +1,9 @@
 """Polynomials and fractions in a second variable over Poly coefficients.
 
-Used for two jobs: symbolic sphere formulas, where the second variable is
-the fiber coordinate t and identities are checked in the function field of
-the sphere, and branch-divisor transport, where the second variable is the
-interval-map parameter.  Fractions are kept unreduced; equality is decided
-by cross-multiplication, which is exact over an integral domain.
+Used for symbolic sphere formulas: the second variable is the fiber
+coordinate t, and identities are checked in the function field of the
+sphere.  Fractions are kept unreduced; equality is decided by
+cross-multiplication, which is exact over an integral domain.
 """
 
 from __future__ import annotations
@@ -84,25 +83,6 @@ class BiPoly:
         return BiPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> BiPoly:
-        acc, base = BiPoly.const(1), self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def z_coefficients(self) -> list[Poly]:
-        """Transpose: coefficient of z^j as a polynomial in t, for each j."""
-        if not self.coeffs:
-            return []
-        zdeg = max(c.degree for c in self.coeffs)
-        out = []
-        for j in range(zdeg + 1):
-            out.append(Poly([c[j] for c in self.coeffs]))
-        return out
 
     def __repr__(self):
         terms = [f"({c})*t^{k}" for k, c in enumerate(self.coeffs) if c]

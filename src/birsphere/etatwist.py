@@ -26,7 +26,7 @@ from .poly import (
     factor_rational_poly,
 )
 from .projmat import ProjMat, raw_mul
-from .scalars import CoeffScalar, TowerReal
+from .scalars import CoeffScalar
 from .sphere import SphereMap, canonical_pattern
 
 
@@ -179,12 +179,12 @@ def _factor_even_poly(p: Poly) -> Poly:
         raise UnsupportedExtension("even factorization needs rational coefficients")
     const, factors = factor_rational_poly(w_poly)
     i = CoeffScalar.i()
-    acc = Poly.const(_scalar_sqrt_signed(CoeffScalar(Fraction(const))))
+    acc = Poly.const(CoeffScalar(Fraction(const)).sqrt())
     for factor, mult in factors:
         if factor.degree == 1:
             # w - d: z^2 - d = -(z - r)(-z - r) with r^2 = d
             d = -factor[0]
-            r = _scalar_sqrt_signed(d)
+            r = d.sqrt()
             piece = Poly([-r, CoeffScalar(1)]).scale(i)  # i*(z - r); i^2 absorbs the -1
         elif factor.degree == 2:
             # w^2 + p w + q: find G = z^2 + s z + t with G(z) G(-z) = F(z^2)
@@ -192,8 +192,8 @@ def _factor_even_poly(p: Poly) -> Poly:
             piece = None
             for tsign in (1, -1):
                 try:
-                    t = _scalar_sqrt_signed(qw) * CoeffScalar(Fraction(tsign))
-                    s = _scalar_sqrt_signed(2 * t - pw)
+                    t = qw.sqrt() * CoeffScalar(Fraction(tsign))
+                    s = (2 * t - pw).sqrt()
                 except UnsupportedExtension:
                     continue
                 cand = Poly([t, s, CoeffScalar(1)])
@@ -211,14 +211,6 @@ def _factor_even_poly(p: Poly) -> Poly:
         for _ in range(mult):
             acc = acc * piece
     return acc
-
-
-def _scalar_sqrt_signed(c: CoeffScalar) -> CoeffScalar:
-    """A square root of a real scalar: sqrt(c) or i*sqrt(-c)."""
-    r = c.as_real()
-    if r.sign() >= 0:
-        return CoeffScalar(r.sqrt())
-    return CoeffScalar(TowerReal(), (-r).sqrt())
 
 
 # -- the twisted group algebra, for coboundary witnesses ----------------------------------

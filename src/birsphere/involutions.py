@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly
 from .errors import (
     HasRealRoot,
     NotConjugate,
@@ -31,6 +30,7 @@ from .errors import (
 from .poly import (
     ONE_MINUS_Z2,
     Poly,
+    RealAlgebraic,
     poly_gcd,
     poly_square_root,
     real_roots_in_tower_poly,
@@ -41,12 +41,12 @@ from .positivity import is_real_positive, norm_factor, v_decomp
 from .projmat import TWO_COS, ProjMat, raw_mul
 from .scalars import CoeffScalar, TowerReal
 from .sphere import (
-    BaseMobius,
     ConjugacyCertificate,
     FiberPattern,
     SphereMap,
     _primitive_real,
     canonical_pattern,
+    cleared_substitution,
     diffeo_orientation,
     fiber_determinant,
     x_flip,
@@ -408,90 +408,67 @@ def rotation_normal_form(mat: ProjMat) -> ConjugacyCertificate:
 @dataclass(frozen=True)
 class ModuliComparison:
     status: str  # equivalent | inequivalent | undecided_exact
-    witness_b: object | None = None
+    witness_b: object | None = None  # a Fraction, or a TowerReal when irrational
     flipped: bool = False
-
-
-def _transport_poly(m: Poly) -> BiPoly:
-    """(bz+1)^deg * m((z+b)/(bz+1)) as a polynomial in the parameter b."""
-    num = BiPoly([Poly.z(), Poly.const(1)])  # z + b
-    den = BiPoly([Poly.const(1), Poly.z()])  # b z + 1
-    d = m.degree
-    acc = BiPoly()
-    for k in range(d + 1):
-        c = m[k]
-        if c:
-            acc = acc + (num**k * den ** (d - k)) * BiPoly.const(Poly.const(c))
-    return acc
-
-
-def _proportionality_minors(transported: BiPoly, target: Poly) -> list[Poly]:
-    """Polynomials in b whose common roots make the transport proportional
-    to the target."""
-    cols = transported.z_coefficients()  # in the parameter variable
-    tcoeffs = [target[j] for j in range(len(cols))]
-    minors = []
-    for j in range(len(cols)):
-        for k in range(j + 1, len(cols)):
-            minor = cols[j].scale(tcoeffs[k]) - cols[k].scale(tcoeffs[j])
-            if minor:
-                minors.append(minor)
-    return minors
-
-
-def _check_candidate(m_from: Poly, m_to: Poly, b: TowerReal) -> bool:
-    """The transport of m_from by shift_b, b in (-1, 1), is proportional to m_to."""
-    moved = BaseMobius.shift(b).substitute_into(m_from)
-    return not (moved * Poly.const(m_to.lead()) - m_to.scale(moved.lead()))
 
 
 def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel) -> ModuliComparison:
     """Decide whether an interval-preserving base map carries the branch
-    divisor of one fixed-curve model to the other.
+    divisor of one fixed-curve model to the other, in closed form.
 
-    Candidate parameters are cut out by proportionality of the transported
-    polynomial with the target; each real candidate in (-1, 1) is checked
-    exactly when it lies in a quadratic tower, otherwise the comparison is
-    reported undecided.
+    In u = (1 + z)/(1 - z) the shift z -> (z + b)/(1 + b z) is u -> lam u with
+    lam = (1 + b)/(1 - b) > 0, and the flip z -> -z is u -> 1/u.  With
+    (u + 1)^d m((u - 1)/(u + 1)) = sum c_k u^k, d the degree, the shift
+    carries m_a to a multiple of m_b exactly when c^b_k = mu lam^k c^a_k for
+    every k, and the flip reverses the list c^a.  So both lists need one
+    support S, and the ratios r_k = c^b_k / c^a_k need r_k / r_k0 = lam^(k - k0)
+    on S, k0 < k1 its two least indices.  As positive e-th roots are unique,
+    e = k1 - k0, that holds for some lam > 0 exactly when r_k / r_k0 > 0 and
+    (r_k / r_k0)^e = (r_k1 / r_k0)^(k - k0) for k in S; then lam is the
+    positive e-th root of r_k1 / r_k0, and b = (lam - 1)/(lam + 1).  When
+    |S| = 1 every shift works, and b = 0.  The comparison is undecided when
+    lam has no tower form (`RealAlgebraic.to_tower`).
     """
     if model_a.sign != model_b.sign or model_a.degree != model_b.degree:
         return ModuliComparison("inequivalent")
-    if model_a.m == model_b.m:
-        return ModuliComparison("equivalent", witness_b=Fraction(0))
+    source, target = _u_coefficients(model_a), _u_coefficients(model_b)
     undecided = False
     for flipped in (False, True):
-        source = model_a.m.reflect_z() if flipped else model_a.m
-        if source == model_b.m:
-            return ModuliComparison("equivalent", witness_b=Fraction(0), flipped=True)
-        minors = _proportionality_minors(_transport_poly(source), model_b.m)
-        if not minors:
-            return ModuliComparison("equivalent", witness_b=Fraction(0), flipped=flipped)
-        g = minors[0]
-        for minor in minors[1:]:
-            g = poly_gcd(g, minor)
-            if g.degree == 0:
-                break
-        if g.degree == 0:
+        lam = _scaling(source[::-1] if flipped else source, target)
+        if lam is None:
             continue
-        if not g.is_real():
-            real_part = poly_gcd(g, g.conj())
-            if real_part.degree == 0:
-                continue
-            g = real_part
-        for root in real_roots_in_tower_poly(g):
-            if not (root > Fraction(-1) and root < Fraction(1)):
-                continue
-            try:
-                b = root.to_tower()
-            except ValueError:
-                undecided = True
-                continue
-            if _check_candidate(source, model_b.m, b):
-                witness = root.as_rational() if root.is_rational() else root
-                return ModuliComparison("equivalent", witness_b=witness, flipped=flipped)
-    if undecided:
-        return ModuliComparison("undecided_exact")
-    return ModuliComparison("inequivalent")
+        try:
+            lam = lam.to_tower()
+        except ValueError:
+            undecided = True
+            continue
+        b = (lam - 1) / (lam + 1)
+        return ModuliComparison("equivalent", b.as_rational() if b.is_rational() else b, flipped)
+    return ModuliComparison("undecided_exact" if undecided else "inequivalent")
+
+
+def _u_coefficients(model: HyperellipticModel) -> list[TowerReal]:
+    """c_0, ..., c_d with (u + 1)^d m((u - 1)/(u + 1)) = sum c_k u^k."""
+    form = cleared_substitution(model.m, Poly([-1, 1]), Poly([1, 1]), model.degree)
+    return [form[k].as_real() for k in range(model.degree + 1)]
+
+
+def _scaling(source: list[TowerReal], target: list[TowerReal]) -> RealAlgebraic | None:
+    """The lam > 0 with source_k lam^k proportional to target_k, if any."""
+    support = [k for k, c in enumerate(source) if c]
+    if support != [k for k, c in enumerate(target) if c]:
+        return None
+    if len(support) == 1:
+        return RealAlgebraic.from_rational(1)
+    k0, k1 = support[:2]
+    e = k1 - k0
+    r0 = target[k0] / source[k0]
+    rho = target[k1] / source[k1] / r0
+    for k in support:
+        x = target[k] / source[k] / r0
+        if x.sign() < 0 or x**e != rho ** (k - k0):
+            return None
+    return real_roots_in_tower_poly(Poly([-rho] + [0] * (e - 1) + [1]))[-1]
 
 
 # -- family report for trivial-base elements ---------------------------------------------------

@@ -32,6 +32,8 @@ def _mat_vec(m: Matrix, v) -> tuple[Fraction, ...]:
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Product of square matrices, rational or (for the base change N)
+    CoeffScalar."""
     n = len(a)
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
@@ -446,13 +448,6 @@ def anticanonical_matrices(mu) -> dict[str, tuple[tuple[CoeffScalar, ...], ...]]
     return {"gamma1": m1, "gamma2": m2, "gamma": mm, "N": n}
 
 
-def _cmat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
 def _cmat_inverse(a):
     n = len(a)
     aug = [list(row) + [CoeffScalar(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
@@ -478,7 +473,7 @@ def verify_anticanonical_dataset(mu) -> bool:
     n = data["N"]
     n_inv = _cmat_inverse(n)
     for name in ("gamma1", "gamma2", "gamma"):
-        diag = _cmat_mul(n, _cmat_mul(data[name], n_inv))
+        diag = _mat_mul(n, _mat_mul(data[name], n_inv))
         expected = SIGN_MAPS[name]
         for overall in (1, -1):
             ok = True

@@ -25,7 +25,10 @@ other coefficients use Euclid's algorithm and the same Yun loop over the
 field.  Real-root machinery (Sturm chains, root isolation) works for
 polynomials with real tower coefficients, using exact sign decisions.  Real
 algebraic numbers are carried as an irreducible rational minimal polynomial
-plus an isolating rational interval, refinable on demand.  Minimal
+plus an isolating rational interval.  `refined` returns the same number with
+a narrower interval; equality is one Sturm count on the overlap of the two
+intervals, and one `compare` orders two numbers by narrowing both with
+doubling bits, each round continuing from the last.  Minimal
 polynomials come from `factor_rational_poly`: Yun's square-free split, then
 Zassenhaus' factorisation of each part over Z in the factor module
 (Berlekamp modulo the least suitable prime, Hensel lifting, recombination
@@ -724,7 +727,8 @@ def galois_norm_poly(p: Poly) -> Poly:
 @dataclass(frozen=True)
 class RealAlgebraic:
     """Real algebraic number: irreducible rational minimal polynomial plus
-    an isolating open interval (endpoints are not roots)."""
+    an isolating open interval (endpoints are not roots), or for a rational
+    number q possibly the point interval [q, q]."""
 
     minpoly: Poly
     lo: Fraction
@@ -734,7 +738,7 @@ class RealAlgebraic:
     def from_rational(cls, q) -> RealAlgebraic:
         q = Fraction(q)
         mp = Poly.from_rational_coeffs([-q.numerator, q.denominator])
-        return cls(_canonical_minpoly(mp), q - 1, q + 1)
+        return cls(_canonical_minpoly(mp), q, q)
 
     @classmethod
     def roots_of_rational_poly(cls, p: Poly) -> list[RealAlgebraic]:
@@ -747,8 +751,7 @@ class RealAlgebraic:
             for lo, hi in _isolate(sturm_chain(f)):
                 roots.append(cls(canon, lo, hi))
         # the roots are distinct: the factors are distinct irreducibles
-        roots.sort(key=functools.cmp_to_key(lambda a, b: -1 if a < b else 1))
-        return roots
+        return sorted(roots)
 
     def is_rational(self) -> bool:
         return self.minpoly.degree == 1
@@ -758,12 +761,13 @@ class RealAlgebraic:
             raise ValueError("irrational algebraic number")
         return -self.minpoly[0].as_rational() / self.minpoly[1].as_rational()
 
-    def refined(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Bisect the isolating interval until its width is below 2^-bits."""
-        lo, hi = self.lo, self.hi
+    def refined(self, bits: int) -> RealAlgebraic:
+        """This number with its interval bisected below width 2^-bits; a
+        rational number narrows to its point."""
         if self.is_rational():
             q = self.as_rational()
-            return q, q
+            return RealAlgebraic(self.minpoly, q, q)
+        lo, hi = self.lo, self.hi
         target = Fraction(1, 1 << bits)
         slo = real_sign_at(self.minpoly, lo)
         while hi - lo > target:
@@ -776,30 +780,32 @@ class RealAlgebraic:
                 lo = mid
             else:
                 hi = mid
-        return lo, hi
+        return RealAlgebraic(self.minpoly, lo, hi)
+
+    def compare(self, other) -> int:
+        """-1, 0 or 1 as self is below, equal to or above other; exact.
+        Equal values are found by `__eq__`; distinct ones are narrowed with
+        doubling bits, each round continuing from the last, until their
+        intervals separate, which they do once both widths fall below the
+        distance of the values.  A value lies in [lo, hi], strictly inside
+        unless lo = hi."""
+        if not isinstance(other, RealAlgebraic):
+            other = RealAlgebraic.from_rational(other)
+        if self == other:
+            return 0
+        a, b, bits = self, other, 16
+        while a.lo < b.hi and b.lo < a.hi:
+            a, b, bits = a.refined(bits), b.refined(bits), 2 * bits
+        return -1 if a.hi <= b.lo else 1
 
     def sign(self) -> int:
-        if self.is_rational():
-            q = self.as_rational()
-            return (q > 0) - (q < 0)
-        lo, hi = self.lo, self.hi
-        slo = real_sign_at(self.minpoly, lo)
-        while lo < 0 < hi:
-            mid = (lo + hi) / 2
-            smid = real_sign_at(self.minpoly, mid)
-            if smid == 0:
-                raise RuntimeError("rational root of irreducible polynomial")
-            if smid == slo:
-                lo = mid
-            else:
-                hi = mid
-        return 1 if lo >= 0 else -1
+        return self.compare(0)
 
     def __eq__(self, other):
-        """Exact equality.  Both intervals are refined with doubling bits:
-        distinct values end in disjoint intervals, and equal values lie in
-        the overlap of the first refinement, where the isolating property
-        makes the root found there the value of both."""
+        """Exact equality by one Sturm count on the overlap of the two
+        intervals: equal values lie in it, and a root of the common minimal
+        polynomial found there is the one root in each interval, so it is
+        both values."""
         if isinstance(other, (int, Fraction)):
             other = RealAlgebraic.from_rational(other)
         if not isinstance(other, RealAlgebraic):
@@ -807,56 +813,25 @@ class RealAlgebraic:
         if self.minpoly != other.minpoly:
             return False
         if self.is_rational():
-            return self.as_rational() == other.as_rational()
-        chain = None
-        bits = 16
-        while True:
-            alo, ahi = self.refined(bits)
-            blo, bhi = other.refined(bits)
-            if ahi <= blo or bhi <= alo:
-                return False
-            ilo, ihi = max(alo, blo), min(ahi, bhi)
-            if ilo < ihi:
-                # the minimal polynomial is irreducible, hence square-free
-                chain = chain or sturm_chain(self.minpoly)
-                if _chain_count(chain, ilo, ihi) >= 1:
-                    return True
-            bits *= 2
+            return True
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        # the minimal polynomial is irreducible, hence square-free
+        return lo < hi and _chain_count(sturm_chain(self.minpoly), lo, hi) >= 1
 
     def __hash__(self):
         return hash(self.minpoly)
 
     def __lt__(self, other):
-        """Exact order: once the values are known to differ (`__eq__`), both
-        intervals are refined with doubling bits until they separate, which
-        they do when their widths fall below the distance of the values."""
-        if isinstance(other, (int, Fraction)):
-            other = RealAlgebraic.from_rational(other)
-        # a value lies in [lo, hi], strictly inside unless lo = hi
-        if self.hi <= other.lo and self.lo < other.hi:
-            return True
-        if other.hi <= self.lo and other.lo < self.hi or self == other:
-            return False
-        bits = 16
-        while True:
-            alo, ahi = self.refined(bits)
-            blo, bhi = other.refined(bits)
-            if ahi <= blo:
-                return True
-            if bhi <= alo:
-                return False
-            bits *= 2
+        return self.compare(other) < 0
 
     def __gt__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RealAlgebraic.from_rational(other)
-        return other < self
+        return self.compare(other) > 0
 
     def __le__(self, other):
-        return not self.__gt__(other)
+        return self.compare(other) <= 0
 
     def __ge__(self, other):
-        return not self.__lt__(other)
+        return self.compare(other) >= 0
 
     def __neg__(self) -> RealAlgebraic:
         mp = self.minpoly.reflect_z()
@@ -880,8 +855,8 @@ class RealAlgebraic:
         raise ValueError("tower form needs degree <= 2")
 
     def __float__(self) -> float:
-        lo, hi = self.refined(60)
-        return float((lo + hi) / 2)
+        narrow = self.refined(60)
+        return float((narrow.lo + narrow.hi) / 2)
 
     def __repr__(self):
         return f"RealAlgebraic({self.minpoly}, ({self.lo}, {self.hi}))"
@@ -898,11 +873,13 @@ def real_roots_in_tower_poly(p: Poly) -> list[RealAlgebraic]:
 
     The root r of p in an isolating interval (lo, hi) is a root of the
     rational Galois norm polynomial of p, so it is one of the norm's roots
-    whose interval meets (lo, hi); when several do, they are refined with
-    doubling bits.  A rational candidate q is r iff lo < q < hi and p(q) = 0.
-    An irrational one stays while p has a root where its interval meets
-    (lo, hi): r always does, and any other value leaves once its interval
-    no longer holds r, so exactly one candidate remains.
+    whose interval meets (lo, hi); when several do, they are narrowed with
+    doubling bits, each round continuing from the last, and each is
+    returned with its interval as isolated.  A rational candidate q is r iff
+    lo < q < hi and p(q) = 0.  An irrational one stays while p has a root
+    where its interval meets (lo, hi): r always does, and any other value
+    leaves once its interval no longer holds r, so exactly one candidate
+    remains.
     """
     require_real(p)
     p = _squarefree_real(p)
@@ -914,24 +891,23 @@ def real_roots_in_tower_poly(p: Poly) -> list[RealAlgebraic]:
     chain = sturm_chain(p)
     out = []
     for lo, hi in _isolate(chain):
-        near = [c for c in candidates if c.lo < hi and lo < c.hi]
-        bits = 0
+        # pairs (candidate, narrowed candidate)
+        near, bits = [(c, c) for c in candidates if c.lo < hi and lo < c.hi], 16
         while len(near) > 1:
-            near = [c for c in near if _may_be_root(chain, lo, hi, c, bits)]
-            bits = 2 * bits or 16
-        out.append(near[0])
+            near = [(c, n) for c, n in near if _may_be_root(chain, lo, hi, n)]
+            if len(near) > 1:
+                near, bits = [(c, n.refined(bits)) for c, n in near], 2 * bits
+        out.append(near[0][0])
     return out
 
 
-def _may_be_root(chain: list[Poly], lo: Fraction, hi: Fraction, c: RealAlgebraic, bits: int) -> bool:
-    """Whether c, refined to 2^-bits (not at all for bits = 0), can still be
-    the root of chain[0] in its isolating interval (lo, hi); exact for a
-    rational c."""
+def _may_be_root(chain: list[Poly], lo: Fraction, hi: Fraction, c: RealAlgebraic) -> bool:
+    """Whether c can still be the root of chain[0] in its isolating interval
+    (lo, hi); exact for a rational c."""
     if c.is_rational():
         q = c.as_rational()
         return lo < q < hi and real_sign_at(chain[0], q) == 0
-    clo, chi = c.refined(bits) if bits else (c.lo, c.hi)
-    mlo, mhi = max(lo, clo), min(hi, chi)
+    mlo, mhi = max(lo, c.lo), min(hi, c.hi)
     return mlo < mhi and _chain_count(chain, mlo, mhi) == 1
 
 

@@ -143,14 +143,7 @@ class ProjMat:
     def __mul__(self, other: ProjMat) -> ProjMat:
         if not isinstance(other, ProjMat):
             return NotImplemented
-        return ProjMat._canonical(
-            [
-                self.a11 * other.a11 + self.a12 * other.a21,
-                self.a11 * other.a12 + self.a12 * other.a22,
-                self.a21 * other.a11 + self.a22 * other.a21,
-                self.a21 * other.a12 + self.a22 * other.a22,
-            ]
-        )
+        return ProjMat._canonical(list(raw_mul(self.entries(), other.entries())))
 
     def inverse(self) -> ProjMat:
         return ProjMat._canonical([self.a22, -self.a12, -self.a21, self.a11])
@@ -220,11 +213,6 @@ class ProjMat:
                 raise BasePointHit(f"base point on the contracted fiber z = {z0}")
             return INF
         return num / den
-
-    def eigen_ratio_trace_invariant(self) -> RatFn:
-        """The conjugation invariant trace^2 / det as a reduced function."""
-        tr = self.trace()
-        return RatFn(tr * tr, self.det())
 
     def __repr__(self):
         return f"[[{self.a11}, {self.a12}], [{self.a21}, {self.a22}]]"

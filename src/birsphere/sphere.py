@@ -264,11 +264,6 @@ class BaseMobius:
             return 2
         return None
 
-    def matrix(self) -> tuple[tuple[TowerReal, TowerReal], tuple[TowerReal, TowerReal]]:
-        one = TowerReal.from_rational(1)
-        e = TowerReal.from_rational(self.sign())
-        return ((e, self.b), (self.b * e, one))
-
     def apply(self, zval):
         if zval is INF:
             return CoeffScalar(self.b.inverse()) if self.b else INF
@@ -289,14 +284,7 @@ class BaseMobius:
 
     def substitute_into(self, p: Poly, degree: int | None = None) -> Poly:
         """p(m(z)) * den^deg, cleared to a polynomial."""
-        num, den = self.num_den_polys()
-        d = p.degree if degree is None else degree
-        acc = Poly()
-        for k in range(d + 1):
-            c = p[k]
-            if c:
-                acc = acc + (num**k * den ** (d - k)).scale(c)
-        return acc
+        return cleared_substitution(p, *self.num_den_polys(), p.degree if degree is None else degree)
 
     def substitute_entries(self, mat: ProjMat) -> tuple[Poly, Poly, Poly, Poly]:
         """The entries of mat(m(z)) over one common denominator, unreduced."""
@@ -310,6 +298,16 @@ class BaseMobius:
 
     def __str__(self):
         return self.kind if not self.b else f"{self.kind}({self.b})"
+
+
+def cleared_substitution(p: Poly, num: Poly, den: Poly, degree: int) -> Poly:
+    """p(num/den) * den^degree, cleared to a polynomial (degree >= deg p)."""
+    acc = Poly()
+    for k in range(degree + 1):
+        c = p[k]
+        if c:
+            acc = acc + (num**k * den ** (degree - k)).scale(c)
+    return acc
 
 
 # -- sphere maps ---------------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from birsphere.errors import NotEvenFunction
+from birsphere.errors import NotEvenFunction, UnsupportedExtension
 from birsphere.etatwist import (
     TwistClass,
     TwistedAlgebra,
@@ -116,6 +116,10 @@ def test_factor_even_examples():
         assert g * g.reflect_z() == f
     neg = factor_even(RatFn(Poly.const(-9)))
     assert neg * neg.reflect_z() == RatFn(Poly.const(-9))
+    # w^2 -+ w - 1 needs sqrt(-1 +- 2i), whose real part is outside the tower
+    for f in (RatFn(Z**4 - Z * Z - 1), RatFn(Z**4 + Z * Z - 1)):
+        with pytest.raises(UnsupportedExtension, match="no tower splitting of the even factor"):
+            factor_even(f)
 
 
 def test_twisted_algebra_coboundary(rng):

@@ -554,6 +554,47 @@ def test_no_module_imports_random():
     assert ratfn_importers == {"__init__.py", "etatwist.py"}
 
 
+def test_no_undefined_names():
+    """Every name a module of the package loads is bound in that module (by
+    def, class, import, assignment, argument or except target) or is a
+    builtin: an unbound one is a NameError at its first call.  Annotations
+    are exempt, since `from __future__ import annotations` never evaluates
+    them."""
+    import ast
+    import builtins
+    from pathlib import Path
+
+    import birsphere
+
+    undefined = []
+    for path in sorted(Path(birsphere.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound, annotations = set(dir(builtins)), []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+                annotations.append(getattr(node, "returns", None))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.arg):
+                bound.add(node.arg)
+                annotations.append(node.annotation)
+            elif isinstance(node, ast.AnnAssign):
+                annotations.append(node.annotation)
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                bound.add(node.id)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.add(node.name)
+        exempt = {id(sub) for ann in annotations if ann is not None for sub in ast.walk(ann)}
+        undefined += [
+            f"{path.name}:{node.lineno} {node.id}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and id(node) not in exempt and node.id not in bound
+        ]
+    assert undefined == []
+
+
 def test_queries_leave_sympy_unloaded():
     """A classification and a root isolation through the factoriser, in a
     fresh interpreter, load no sympy."""

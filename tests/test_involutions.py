@@ -7,11 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from birsphere.bipoly import BiPoly
 from birsphere.classify import _matrix_json, decide_conjugacy
 from birsphere.errors import BirsphereError, HasRealRoot, NotConjugate, NotDiffeomorphism, NotInvolution
 from birsphere.involutions import (
     HyperellipticModel,
     InvolutionForm,
+    ModuliComparison,
     basis_equiv_moduli,
     classify_trivialbase,
     conj_decision,
@@ -23,10 +25,28 @@ from birsphere.involutions import (
     realize_oval,
     rotation_normal_form,
 )
-from birsphere.poly import ONE_MINUS_Z2, Poly, square_class_part
+from birsphere.poly import (
+    ONE_MINUS_Z2,
+    Poly,
+    poly_gcd,
+    real_roots_in_tower_poly,
+    square_class_part,
+    square_free_part,
+)
 from birsphere.projmat import ProjMat, raw_mul
-from birsphere.scalars import CoeffScalar
-from birsphere.sphere import FiberPattern, SphereMap, builtin_map, in_reality_group, interval_shift, rotation, x_flip, y_flip
+from birsphere.scalars import CoeffScalar, TowerReal
+from birsphere.sphere import (
+    BaseMobius,
+    FiberPattern,
+    SphereMap,
+    builtin_map,
+    in_reality_group,
+    interval_shift,
+    rotation,
+    x_flip,
+    y_flip,
+    z_flip,
+)
 
 from conftest import random_reality_element
 from test_exact_core import gaussian_scalars, polys, rational_scalars, ref_in_reality_group, ref_proportional
@@ -512,3 +532,163 @@ def test_basis_equiv_flip_only():
     m_b = HyperellipticModel((Z * Z + 2 * Z + 2) * (Z * Z + 9), -1, Poly.const(1))
     cmp = basis_equiv_moduli(m_a, m_b)
     assert cmp.status == "equivalent" and cmp.flipped
+
+
+# -- basis_equiv_moduli in closed form against a root search -------------------
+
+
+def _transport_poly(m: Poly) -> BiPoly:
+    """(bz+1)^deg * m((z+b)/(bz+1)) as a polynomial in the parameter b."""
+    num = BiPoly([Z, Poly.const(1)])  # z + b
+    den = BiPoly([Poly.const(1), Z])  # b z + 1
+    d = m.degree
+    acc = BiPoly()
+    for k in range(d + 1):
+        if m[k]:
+            term = BiPoly.const(Poly.const(m[k]))
+            for factor in [num] * k + [den] * (d - k):
+                term = term * factor
+            acc = acc + term
+    return acc
+
+
+def _proportionality_minors(transported: BiPoly, target: Poly) -> list[Poly]:
+    """Polynomials in b whose common roots make the transport proportional
+    to the target."""
+    zdeg = max((c.degree for c in transported.coeffs), default=-1)
+    cols = [Poly([c[j] for c in transported.coeffs]) for j in range(zdeg + 1)]  # in b
+    tcoeffs = [target[j] for j in range(len(cols))]
+    minors = []
+    for j in range(len(cols)):
+        for k in range(j + 1, len(cols)):
+            minor = cols[j].scale(tcoeffs[k]) - cols[k].scale(tcoeffs[j])
+            if minor:
+                minors.append(minor)
+    return minors
+
+
+def ref_basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel) -> ModuliComparison:
+    """The comparison by root search: the gcd of all proportionality minors
+    of the transported polynomial cuts out the candidate parameters, and
+    each real candidate in (-1, 1) with a tower form is checked by
+    substitution."""
+    if model_a.sign != model_b.sign or model_a.degree != model_b.degree:
+        return ModuliComparison("inequivalent")
+    if model_a.m == model_b.m:
+        return ModuliComparison("equivalent", witness_b=Fraction(0))
+    undecided = False
+    for flipped in (False, True):
+        source = model_a.m.reflect_z() if flipped else model_a.m
+        if source == model_b.m:
+            return ModuliComparison("equivalent", witness_b=Fraction(0), flipped=True)
+        minors = _proportionality_minors(_transport_poly(source), model_b.m)
+        if not minors:
+            return ModuliComparison("equivalent", witness_b=Fraction(0), flipped=flipped)
+        g = minors[0]
+        for minor in minors[1:]:
+            g = poly_gcd(g, minor)
+            if g.degree == 0:
+                break
+        if g.degree == 0:
+            continue
+        if not g.is_real():
+            real_part = poly_gcd(g, g.conj())
+            if real_part.degree == 0:
+                continue
+            g = real_part
+        for root in real_roots_in_tower_poly(g):
+            if not (root > Fraction(-1) and root < Fraction(1)):
+                continue
+            try:
+                b = root.to_tower()
+            except ValueError:
+                undecided = True
+                continue
+            moved = BaseMobius.shift(b).substitute_into(source)
+            if not (moved * Poly.const(model_b.m.lead()) - model_b.m.scale(moved.lead())):
+                witness = root.as_rational() if root.is_rational() else b
+                return ModuliComparison("equivalent", witness_b=witness, flipped=flipped)
+    if undecided:
+        return ModuliComparison("undecided_exact")
+    return ModuliComparison("inequivalent")
+
+
+def _model(m: Poly, sign: int = -1) -> HyperellipticModel:
+    return HyperellipticModel(m.monic(), sign, Poly.const(1))
+
+
+@st.composite
+def squarefree_rational_polys(draw):
+    degree = draw(st.integers(2, 6))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=degree + 1, max_size=degree + 1))
+    assume(coeffs[-1] != 0)
+    m = Poly.from_rational_coeffs(coeffs)
+    assume(square_free_part(m).degree == degree)
+    return m.monic()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=squarefree_rational_polys(),
+    b=st.fractions(min_value=-1, max_value=1, max_denominator=12).filter(lambda b: abs(b) < 1),
+    flip=st.booleans(),
+    unrelated=st.one_of(st.none(), squarefree_rational_polys()),
+)
+@example(m=(Z * Z + 1) * (Z * Z + 4), b=Fraction(4, 5), flip=False, unrelated=None)
+@example(m=(Z * Z - 2 * Z + 2) * (Z * Z + 9), b=Fraction(0), flip=True, unrelated=None)
+@example(m=Z * Z - 1, b=Fraction(1, 2), flip=False, unrelated=None)  # one u-coefficient
+def test_basis_equiv_moduli_matches_root_search(m, b, flip, unrelated):
+    """Shifted, flipped and unrelated pairs get the same status, flip and
+    witness from the closed form as from the root search."""
+    target = unrelated or BaseMobius.shift(b).substitute_into(m.reflect_z() if flip else m)
+    got = basis_equiv_moduli(_model(m), _model(target))
+    assert got == ref_basis_equiv_moduli(_model(m), _model(target))
+    if unrelated is None and target.degree == m.degree:
+        assert got.status == "equivalent"
+
+
+def test_basis_equiv_moduli_closed_form_cases():
+    """In u = (1 + z)/(1 - z): u^3 + 3 against 8u^3 + 3 is lam = 2, b = 1/3;
+    against 2u^3 + 3 lam = 2^(1/3) has no tower form; against -8u^3 + 3 the
+    ratio is negative.  m is the form in z: (1 + z)^3 c_3 + (1 - z)^3 c_0."""
+    one_plus, one_minus = Z + 1, 1 - Z
+
+    def form(c3, c0):
+        return _model(one_plus**3 * Poly.const(c3) + one_minus**3 * Poly.const(c0))
+
+    cases = {8: ("equivalent", Fraction(1, 3)), 2: ("undecided_exact", None), -8: ("inequivalent", None)}
+    for c3, (status, witness) in cases.items():
+        got = basis_equiv_moduli(form(1, 3), form(c3, 3))
+        assert (got.status, got.witness_b, got.flipped) == (status, witness, False)
+        assert got == ref_basis_equiv_moduli(form(1, 3), form(c3, 3))
+    # u^2 + 3 against 2u^2 + 3: lam = sqrt(2), and the witness 3 - 2 sqrt(2)
+    # is a TowerReal that BaseMobius.shift takes as it is
+    quad_a, quad_b = _model(one_plus**2 + 3 * one_minus**2), _model(2 * one_plus**2 + 3 * one_minus**2)
+    got = basis_equiv_moduli(quad_a, quad_b)
+    assert got.witness_b == 3 - 2 * TowerReal.sqrt_rational(2)
+    assert BaseMobius.shift(got.witness_b).substitute_into(quad_a.m).monic() == quad_b.m
+
+
+REPRO_ELEMENTS = {
+    "oval z+i": lambda: SphereMap.trivial_base(realize_oval(Z + Poly.const(I))),
+    "oval z^2+2i": lambda: SphereMap.trivial_base(realize_oval(Z * Z + Poly.const(2 * I))),
+    "no-oval z^4+5z^2+6": lambda: SphereMap.trivial_base(realize_no_oval(Z**4 + 5 * Z * Z + 6)),
+    "g1p:1/2": lambda: builtin_map("g1p:1/2"),
+}
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["shift", "shift-flip"])
+@pytest.mark.parametrize("t, b", [(Fraction(1, 3), Fraction(3, 5)), (Fraction(3, 4), Fraction(24, 25)),
+                                  (Fraction(1, 2), Fraction(4, 5))])
+@pytest.mark.parametrize("name", list(REPRO_ELEMENTS))
+def test_basis_equiv_moduli_interval_conjugates(name, t, b, flip):
+    """The fixed curves of g and s g s^-1, s an interval shift by b alone or
+    composed with z_flip: equivalent by the inverse shift, as the root search
+    finds too."""
+    g = REPRO_ELEMENTS[name]()
+    s = interval_shift(t).compose(z_flip()) if flip else interval_shift(t)
+    h = s.compose(g).compose(s.inverse())
+    model_g, model_h = fixed_curve(g.fiber), fixed_curve(h.fiber)
+    got = basis_equiv_moduli(model_g, model_h)
+    assert (got.status, got.witness_b, got.flipped) == ("equivalent", -b, False)
+    assert got == ref_basis_equiv_moduli(model_g, model_h)
