@@ -14,19 +14,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
-from .errors import NotConjugate, NotDiffeomorphism, NotRealityMember, ParseError, UndecidedExact
+from .errors import NotConjugate, NotDiffeomorphism, NotRealityMember, ParseError, UndecidedExact, UnsupportedExtension
 from .etatwist import classify_flip_involution, h2_invariant
 from .factor import is_prime
 from .involutions import (
     HyperellipticModel,
     TrivialBaseReport,
+    basis_equiv_moduli,
     classify_trivialbase,
     construct_conjugator,
     fixed_curve,
     rotation_normal_form,
 )
-from .parsing import parse_matrix, parse_poly
+from .parsing import parse_matrix, parse_poly, parse_scalar
 from .picard import (
     alpha1_matrix,
     alpha2_matrix,
@@ -40,6 +42,7 @@ from .sphere import (
     BaseMobius,
     ConjugacyCertificate,
     SphereMap,
+    base_realisation,
     builtin_map,
     reduce_to_trivial_base,
     x_flip,
@@ -78,11 +81,8 @@ def spheremap_to_json(g: SphereMap) -> dict:
     elif base.kind == "neg":
         base_json = "neg"
     else:
-        if not base.b.is_rational():
-            raise ParseError("only rational interval parameters serialize")
-        bq = base.b.as_rational()
-        t = _shift_to_interval_t(bq)
-        base_json = {"interval_t": str(t)} if t is not None else {"interval_b": str(bq)}
+        t = _shift_to_interval_t(base.b.as_rational()) if base.b.is_rational() else None
+        base_json = {"interval_t": str(t)} if t is not None else {"interval_b": str(base.b)}
         if base.flip:
             base_json["flip"] = True
     return {"fiber": _matrix_json(g.fiber), "base": base_json}
@@ -106,8 +106,6 @@ def certificate_json(cert: ConjugacyCertificate) -> dict:
 def _shift_to_interval_t(bq: Fraction) -> Fraction | None:
     # b = 2t/(1+t^2) <=> t = (1 - sqrt(1-b^2))/b, rational for Pythagorean b
     s2 = 1 - bq * bq
-    from math import isqrt
-
     num, den = s2.numerator, s2.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn != num or rd * rd != den:
@@ -134,7 +132,7 @@ def spheremap_from_json(data: dict) -> SphereMap:
                 t = Fraction(base_json["interval_t"])
                 b = Fraction(2 * t, 1 + t * t)
             else:
-                b = Fraction(base_json["interval_b"])
+                b = parse_scalar(base_json["interval_b"]).as_real()
             base = BaseMobius.shift(b)
             if base_json.get("flip"):
                 base = BaseMobius(base.b, True)
@@ -286,12 +284,16 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
     """Conjugacy of two finite-order elements, with a verified conjugator
     when one is produced.
 
-    Both inputs are routed as in classify_spheremap.  Trivial-base elements
-    are decided among trivial-base conjugators: involutions by the square
-    class of the determinant, rotations by their angle.  Base flips of
-    order 2 are decided in the fiber-compatible birational group by the
-    twist class.  Two infinite-order inputs, and base flips of another
-    order, raise UndecidedExact; a non-real input raises NotRealityMember."""
+    Both inputs are routed as in classify_spheremap.  Trivial-base rotations
+    are decided by their angle.  Trivial-base involutions are decided by
+    their fixed-curve models: equal ones give a trivial-base conjugator;
+    otherwise the base map S of basis_equiv_moduli carries the fixed curve
+    of r1 to that of r2, and the conjugator of (S r1 S^-1, r2) composed with
+    S conjugates r1 to r2 (UnsupportedExtension when S leaves the tower).
+    Base flips of order 2 are decided in the fiber-compatible birational
+    group by the twist class.  Two infinite-order inputs, elements with
+    different base actions and base flips of another order raise
+    UndecidedExact; a non-real input raises NotRealityMember."""
     routed = []
     for which, g in (("first", g1), ("second", g2)):
         try:
@@ -304,7 +306,7 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
     if n1 != n2:
         return {"conjugate": False, "reason": "different orders"}
     if r1.base.kind != r2.base.kind:
-        return {"conjugate": False, "reason": "different base actions"}
+        raise UndecidedExact(f"conjugacy of elements of order {n1} with different base actions is not decided")
     if r1.base.kind == "neg":
         if n1 != 2:
             raise UndecidedExact(f"conjugacy of base-flip elements of order {n1} is not decided")
@@ -314,10 +316,19 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
         try:
             cert = construct_conjugator(r1.fiber, r2.fiber)
         except NotConjugate:
-            return {
-                "conjugate": False,
-                "fixed_curves": [model_to_json(fixed_curve(r1.fiber)), model_to_json(fixed_curve(r2.fiber))],
-            }
+            models = [fixed_curve(r.fiber) for r in (r1, r2)]
+            moduli = basis_equiv_moduli(*models)
+            if moduli.status == "inequivalent":
+                return {"conjugate": False, "fixed_curves": [model_to_json(m) for m in models]}
+            if moduli.status != "equivalent":
+                raise UnsupportedExtension("the interval map between the fixed curves leaves the tower") from None
+            s = base_realisation(BaseMobius(BaseMobius.shift(-moduli.witness_b).b, moduli.flipped))
+            try:
+                inner = construct_conjugator(s.compose(r1).compose(s.inverse()).fiber, r2.fiber)
+            except NotConjugate:
+                raise UndecidedExact("the fixed curves match under an interval map, the moved involutions do not") from None
+            cert = ConjugacyCertificate.verified("conjugation", r1, r2, inner.conjugator.compose(s))
+            return {"conjugate": True, "conjugator": spheremap_to_json(cert.conjugator), "verified": True}
     else:
         # the angle is a conjugacy invariant: equal to that of the normal form
         angles = [list(r.fiber.rotation_angle()) for r in (r1, r2)]

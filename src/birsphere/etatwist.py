@@ -48,10 +48,6 @@ class TwistClass:
     sign: int
     gens: tuple[RealAlgebraic, ...]
 
-    @classmethod
-    def trivial(cls) -> TwistClass:
-        return cls(1, ())
-
     def is_trivial(self) -> bool:
         return self.sign == 1 and not self.gens
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     HasRealRoot,
@@ -32,9 +33,8 @@ from .poly import (
     Poly,
     RealAlgebraic,
     poly_gcd,
-    poly_square_root,
     real_roots_in_tower_poly,
-    square_class_part,
+    squarefree_decomposition,
     sturm_count,
 )
 from .positivity import is_real_positive, norm_factor, v_decomp
@@ -44,11 +44,9 @@ from .sphere import (
     ConjugacyCertificate,
     FiberPattern,
     SphereMap,
-    _primitive_real,
     canonical_pattern,
     cleared_substitution,
     diffeo_orientation,
-    fiber_determinant,
     x_flip,
 )
 
@@ -74,30 +72,28 @@ class InvolutionForm:
 
 
 def involution_normal_form(mat: ProjMat) -> InvolutionForm:
-    if mat.order() != 2:
-        raise NotInvolution(f"{mat} does not have order 2")
+    """The form of an element of order 2.  Its pattern matrix has trace
+    a + conj(a), and a PGL_2 element has order 2 exactly when its trace
+    vanishes: A^2 = tr(A) A - det(A) is scalar for a non-scalar A exactly
+    when tr(A) = 0.  Then a = i p with p real."""
     pat = canonical_pattern(mat)
     if pat.a + pat.a.conj():
-        raise NotInvolution(f"{mat} has nonzero invariant trace")
-    i = CoeffScalar.i()
-    p = pat.a.scale(-i)  # a = i*p
-    if not p.is_real():
-        raise RuntimeError("involution trace part failed to be real")
-    return InvolutionForm(p, pat.b)
+        raise NotInvolution(f"{mat} does not have order 2")
+    return InvolutionForm(pat.a.scale(-CoeffScalar.i()), pat.b)
 
 
 @dataclass(frozen=True)
 class HyperellipticModel:
-    """Canonical fixed-curve datum: w^2 = sign * m(z) with m square-free,
-    monic, positive leading coefficient.  The scale polynomial and positive
-    rational content record the exact relation
+    """Canonical fixed-curve datum: w^2 = sign * m(z) with m square-free and
+    monic.  The monic scale polynomial and the content |lead(-D)|, a Fraction
+    when rational and a TowerReal otherwise, record the exact relation
     -D = content * sign * m * scale^2 to the raw form determinant, for the
-    fiberwise oracle."""
+    fiberwise oracle and the conjugator's square roots."""
 
     m: Poly
     sign: int
     scale: Poly
-    content: Fraction = Fraction(1)
+    content: Fraction | TowerReal = Fraction(1)
 
     @property
     def degree(self) -> int:
@@ -119,20 +115,23 @@ class HyperellipticModel:
 def fixed_curve(mat: ProjMat) -> HyperellipticModel:
     """The double cover w^2 = -D traced by the fiberwise fixed points,
     reduced to its square-free model."""
-    form = involution_normal_form(mat)
-    raw = -form.determinant()
-    neg_d = _primitive_real(raw)
-    content = Fraction(1)
-    if raw != neg_d:
-        ratio = (raw.lead() / neg_d.lead()).as_rational()
-        if neg_d.scale(ratio) != raw:
-            raise RuntimeError("determinant content extraction failed")
-        content = ratio
-    sf = square_class_part(neg_d)
-    sign = sf.lead().as_real().sign() if sf.degree >= 0 else 1
-    m = sf if sign > 0 else -sf
-    scale2 = neg_d.exact_div(m.scale(Fraction(sign)))
-    return HyperellipticModel(m, sign, poly_square_root(scale2), content)
+    return _split(-involution_normal_form(mat).determinant())
+
+
+@lru_cache(maxsize=512)
+def _split(neg_d: Poly) -> HyperellipticModel:
+    """The model of w^2 = -D from one square-free decomposition
+    -D = lead * prod f_k^k, f_k monic: m is the product of the f_k of odd k,
+    scale that of the f_k^(k // 2), and lead = sign * content.  Memoised, so
+    the decision, the conjugator and the report share one split."""
+    m = scale = Poly.const(1)
+    for factor, k in squarefree_decomposition(neg_d):
+        if k % 2:
+            m = m * factor
+        scale = scale * factor ** (k // 2)
+    lead = neg_d.lead().as_real()
+    content = abs(lead.as_rational() if lead.is_rational() else lead)
+    return HyperellipticModel(m, lead.sign(), scale, content)
 
 
 def _orientation(mat: ProjMat) -> int:
@@ -153,12 +152,16 @@ def real_locus_class(mat: ProjMat) -> str:
 
 
 def conj_decision(mat_a: ProjMat, mat_b: ProjMat) -> bool:
-    """Conjugacy of two involutions among fiberwise maps: the determinants
-    must agree up to a square of a real rational function."""
-    da = fiber_determinant(mat_a)
-    db = fiber_determinant(mat_b)
-    sf = square_class_part(da * db)
-    return sf.degree == 0 and sf.lead().as_real().sign() > 0
+    """Conjugacy of two involutions among fiberwise maps: D_a D_b must be a
+    positive constant times the square of a real polynomial.  With
+    -D = content * sign * m * scale^2 (fixed_curve), D_a D_b is a positive
+    constant times sign_a sign_b m_a m_b (scale_a scale_b)^2.  With
+    g = gcd(m_a, m_b), m_a m_b = g^2 (m_a / g)(m_b / g), and the square-free
+    cofactors are coprime, so m_a m_b is a constant times a square exactly
+    when both are constant, i.e. when the monic m_a and m_b are equal; the
+    constant is then positive exactly when the signs agree."""
+    a, b = fixed_curve(mat_a), fixed_curve(mat_b)
+    return (a.m, a.sign) == (b.m, b.sign)
 
 
 class _QuadAlgebra:
@@ -264,10 +267,12 @@ def _conjugator_entries(form_a: InvolutionForm, form_b: InvolutionForm):
     before canonicalisation."""
     _, f = _companion_data(form_a)
     beta, f_b = _companion_data(form_b)
-    # u = s / f_b with s^2 = f f_b, so u^2 = f / f_b; f / G and f_b / G are
-    # coprime with G = gcd(f, f_b), and dividing out gcd(s, f_b) leaves their
-    # square roots up to constants
-    s = poly_square_root(f * f_b)
+    # u = s / f_b with s^2 = f f_b, so u^2 = f / f_b; the two models share m,
+    # so s = sqrt(c_a c_b) m scale_a scale_b.  f / G and f_b / G are coprime
+    # with G = gcd(f, f_b), and dividing out gcd(s, f_b) leaves their square
+    # roots up to constants
+    model_a, model_b = _split(f), _split(f_b)
+    s = (model_a.m * model_a.scale * model_b.scale).scale(CoeffScalar(model_a.content * model_b.content).sqrt())
     g = poly_gcd(s, f_b)
     u_num, u_den = s.exact_div(g), f_b.exact_div(g)
     algebra = _QuadAlgebra(f)
@@ -315,9 +320,12 @@ def _witnesses(f: Poly):
     one, i = Poly.const(1), Poly.const(CoeffScalar.i())
     yield one, Poly(), one
     yield i, Poly(), one
-    try:  # reached only when f = s^2 with conj(s) = s
-        s = poly_square_root(f)
-    except (ValueError, UnsupportedExtension):
+    model = _split(f)  # reached only when f = s^2 with conj(s) = s, so m = 1
+    if model.degree > 0:
+        return
+    try:
+        s = model.scale.scale(CoeffScalar(model.content * model.sign).sqrt())
+    except UnsupportedExtension:
         return
     yield s * (one + i), one - i, one
     yield s * (one + i), i - one, one

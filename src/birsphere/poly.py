@@ -522,22 +522,6 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     return yun(p.monic(), Poly.derivative, Poly.__sub__, poly_gcd, Poly.exact_div)
 
 
-def poly_square_root(p: Poly) -> Poly:
-    """s with s^2 = p: the product of the halved square-free factors, scaled
-    by the tower's root of the leading coefficient.  Raises ValueError when
-    some factor of p has odd multiplicity."""
-    if not p:
-        return p
-    s = Poly.const(p.lead().sqrt())
-    for factor, mult in squarefree_decomposition(p):
-        if mult % 2:
-            raise ValueError(f"{p} is not a polynomial square")
-        s = s * factor ** (mult // 2)
-    if s * s != p:
-        raise ValueError(f"{p} is not a polynomial square")
-    return s
-
-
 # -- Sturm machinery ------------------------------------------------------------
 
 
@@ -947,9 +931,6 @@ class RatFn:
         if not self.is_poly():
             raise ValueError(f"{self} is not polynomial")
         return self.num
-
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
 
     def conj(self) -> RatFn:
         return RatFn(self.num.conj(), self.den.conj())

@@ -15,7 +15,8 @@ from birsphere.classify import (
 from birsphere.cli import main
 from birsphere.parsing import parse_poly
 from birsphere.projmat import ProjMat
-from birsphere.sphere import ConjugacyCertificate, SphereMap, builtin_map
+from birsphere.scalars import TowerReal
+from birsphere.sphere import BaseMobius, ConjugacyCertificate, SphereMap, base_realisation, builtin_map
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +39,11 @@ def test_spheremap_json_roundtrip():
         data = spheremap_to_json(g)
         back = spheremap_from_json(json.loads(json.dumps(data)))
         assert back == g, name
+    # an irrational interval parameter prints as its tower string
+    g = base_realisation(BaseMobius.shift(TowerReal.sqrt_rational(2) / 2)).compose(builtin_map("tilde_eta"))
+    data = spheremap_to_json(g)
+    assert data["base"] == {"interval_b": "1/2*sqrt(2)", "flip": True}
+    assert spheremap_from_json(json.loads(json.dumps(data))) == g
 
 
 def test_classification_table():
@@ -227,6 +233,27 @@ def test_cli_exit_codes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "classify", "builtin:rot:1/-3")
     assert code == 2
+    # a base action is no conjugacy invariant: tilde_eta and tau are both
+    # reflections, rot:1/2 and tau composed with tilde_eta are half-turns,
+    # and classify calls g1p:1/2 conjugate to the base-flip family
+    tau_flip = json.dumps(spheremap_to_json(builtin_map("tau").compose(builtin_map("tilde_eta"))))
+    for first, second in (("builtin:tilde_eta", "builtin:tau"), ("builtin:rot:1/2", tau_flip),
+                          ("builtin:g1p:1/2", "builtin:g2p:1/2")):
+        code, _, err = run_cli(capsys, "conj", first, second)
+        assert code == 4 and "order 2 with different base actions" in err
+
+
+def test_tower_involution_needs_no_root(capsys):
+    """A real involution with tower coefficients: -D has lead 4 - 2 sqrt(2),
+    which has no tower square root, and its fixed-curve model needs none."""
+    mat = "[[z-3+3*sqrt(2), (-1+sqrt(2))*i*z^2+(1-sqrt(2))*i],[(1-sqrt(2))*i, -z+3-3*sqrt(2)]]"
+    curve = {"m": "z^2+(3/2*sqrt(2))*z+4-2*sqrt(2)", "sign": "-"}
+    code, out, _ = run_cli(capsys, "classify", mat)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["family"] == "rational-special" and payload["moduli"]["fixed_curve"] == curve
+    code, out, _ = run_cli(capsys, "fix", mat)
+    assert code == 0 and json.loads(out) == curve | {"genus": 0}
 
 
 def test_cli_builtin_list(capsys):

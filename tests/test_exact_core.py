@@ -595,6 +595,42 @@ def test_no_undefined_names():
     assert undefined == []
 
 
+def test_no_unreferenced_definitions():
+    """Every function, method and class the package defines is referenced by
+    name somewhere in the package, the tests or perfbench: as a name, an
+    attribute, an import, or a string constant that is the name or a dotted
+    path ending in it (tracers and monkeypatches name functions so).  A
+    definition that nothing names is dead code.  Dunder methods are exempt,
+    as the language calls them."""
+    import ast
+    from pathlib import Path
+
+    import birsphere
+
+    package = Path(birsphere.__file__).parent
+    root = package.parent.parent
+    referenced = set()
+    for path in [*package.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value.rpartition(".")[2])
+    unreferenced = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced
+    ]
+    assert unreferenced == []
+
+
 def test_queries_leave_sympy_unloaded():
     """A classification and a root isolation through the factoriser, in a
     fresh interpreter, load no sympy."""

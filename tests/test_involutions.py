@@ -8,8 +8,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from birsphere.bipoly import BiPoly
-from birsphere.classify import _matrix_json, decide_conjugacy
-from birsphere.errors import BirsphereError, HasRealRoot, NotConjugate, NotDiffeomorphism, NotInvolution
+from birsphere.classify import _matrix_json, decide_conjugacy, spheremap_from_json
+from birsphere.errors import (
+    BirsphereError,
+    HasRealRoot,
+    NotConjugate,
+    NotDiffeomorphism,
+    NotInvolution,
+    NotRealityMember,
+)
 from birsphere.involutions import (
     HyperellipticModel,
     InvolutionForm,
@@ -37,8 +44,10 @@ from birsphere.projmat import ProjMat, raw_mul
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import (
     BaseMobius,
+    ConjugacyCertificate,
     FiberPattern,
     SphereMap,
+    base_realisation,
     builtin_map,
     in_reality_group,
     interval_shift,
@@ -84,6 +93,8 @@ def test_involution_normal_form_examples():
     assert not form.q and form.p.degree == 0
     with pytest.raises(NotInvolution):
         involution_normal_form(rotation(1, 4).fiber)
+    with pytest.raises(NotRealityMember):  # the pattern is read before the trace
+        involution_normal_form(ProjMat.diag(Poly.const(1), Poly.const(2)))
 
 
 def test_fixed_curve_examples():
@@ -245,6 +256,29 @@ def test_reality_tested_once_per_input(monkeypatch, rng):
         for mat in (a, b):
             conj_entries = tuple(e.conj() for e in mat.entries())
             assert sum(q == conj_entries for q in evaluated) == 1
+
+
+def test_one_split_per_involution(monkeypatch):
+    """decide_conjugacy splits each determinant once: the decision, the
+    conjugator's square roots and the fixed curves of a false answer all
+    read the memoised fixed-curve models."""
+    import birsphere.involutions as inv
+    import birsphere.poly as poly
+
+    degrees = []
+    real = poly.squarefree_decomposition
+    for module in (poly, inv):  # also the splits inside poly's square-class helpers
+        monkeypatch.setattr(module, "squarefree_decomposition", lambda p: degrees.append(p.degree) or real(p))
+    a = InvolutionForm(Z + 2, Z + Poly.const(I)).matrix()
+    c = FiberPattern(Z + Poly.const(I), Z - 1).matrix()
+    pairs = [(a, c * a * c.inverse(), True, [4, 12]),
+             (realize_no_oval(Z * Z + 3), realize_no_oval((Z * Z + 3) * (Z * Z + 4)), False, [2, 4])]
+    for x, y, conjugate, split_degrees in pairs:
+        inv._split.cache_clear()
+        degrees.clear()
+        out = decide_conjugacy(SphereMap.trivial_base(x), SphereMap.trivial_base(y))
+        assert out["conjugate"] == conjugate
+        assert degrees == split_degrees
 
 
 def test_conjugator_tau_upsilon():
@@ -674,21 +708,35 @@ REPRO_ELEMENTS = {
     "oval z^2+2i": lambda: SphereMap.trivial_base(realize_oval(Z * Z + Poly.const(2 * I))),
     "no-oval z^4+5z^2+6": lambda: SphereMap.trivial_base(realize_no_oval(Z**4 + 5 * Z * Z + 6)),
     "g1p:1/2": lambda: builtin_map("g1p:1/2"),
+    "oval z+1+2i": lambda: SphereMap.trivial_base(realize_oval(Z + 1 + Poly.const(2 * I))),  # m is not even
+    "oval (z-1-i)(z-3i)": lambda: SphereMap.trivial_base(realize_oval((Z - 1 - Poly.const(I)) * (Z - Poly.const(3 * I)))),
 }
 
 
 @pytest.mark.parametrize("flip", [False, True], ids=["shift", "shift-flip"])
 @pytest.mark.parametrize("t, b", [(Fraction(1, 3), Fraction(3, 5)), (Fraction(3, 4), Fraction(24, 25)),
-                                  (Fraction(1, 2), Fraction(4, 5))])
+                                  (Fraction(1, 2), Fraction(4, 5)), (None, TowerReal.sqrt_rational(2) / 2)])
 @pytest.mark.parametrize("name", list(REPRO_ELEMENTS))
 def test_basis_equiv_moduli_interval_conjugates(name, t, b, flip):
     """The fixed curves of g and s g s^-1, s an interval shift by b alone or
-    composed with z_flip: equivalent by the inverse shift, as the root search
-    finds too."""
+    composed with z_flip: equivalent by the inverse shift, composed with the
+    flip when no shift alone carries one m to the other, as the root search
+    finds too.  conj answers
+    true with a base-moving conjugator that verifies after a JSON round
+    trip."""
     g = REPRO_ELEMENTS[name]()
-    s = interval_shift(t).compose(z_flip()) if flip else interval_shift(t)
+    s = interval_shift(t) if t else base_realisation(BaseMobius.shift(b))
+    s = s.compose(z_flip()) if flip else s
     h = s.compose(g).compose(s.inverse())
     model_g, model_h = fixed_curve(g.fiber), fixed_curve(h.fiber)
     got = basis_equiv_moduli(model_g, model_h)
-    assert (got.status, got.witness_b, got.flipped) == ("equivalent", -b, False)
+    if name == "oval z+1+2i" and flip:  # a shift alone also carries m to its mirror image
+        assert got.status == "equivalent"
+    else:
+        assert (got.status, got.witness_b, got.flipped) == ("equivalent", -b, flip and name == "oval (z-1-i)(z-3i)")
     assert got == ref_basis_equiv_moduli(model_g, model_h)
+    out = decide_conjugacy(g, h)
+    assert out["conjugate"] and out["verified"]
+    conjugator = spheremap_from_json(json.loads(json.dumps(out["conjugator"])))
+    assert not conjugator.base.is_identity()
+    assert ConjugacyCertificate("conjugation", g, h, conjugator).verify()
