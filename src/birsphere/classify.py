@@ -22,8 +22,10 @@ from .factor import is_prime
 from .involutions import (
     HyperellipticModel,
     TrivialBaseReport,
+    _conjugator,
     basis_equiv_moduli,
     classify_trivialbase,
+    conj_decision,
     construct_conjugator,
     fixed_curve,
     rotation_normal_form,
@@ -289,7 +291,8 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
     their fixed-curve models: equal ones give a trivial-base conjugator;
     otherwise the base map S of basis_equiv_moduli carries the fixed curve
     of r1 to that of r2, and the conjugator of (S r1 S^-1, r2) composed with
-    S conjugates r1 to r2 (UnsupportedExtension when S leaves the tower).
+    S conjugates r1 to r2 (UnsupportedExtension when S leaves the tower); only
+    the composed certificate is verified.
     Base flips of order 2 are decided in the fiber-compatible birational
     group by the twist class.  Two infinite-order inputs, elements with
     different base actions and base flips of another order raise
@@ -323,11 +326,11 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
             if moduli.status != "equivalent":
                 raise UnsupportedExtension("the interval map between the fixed curves leaves the tower") from None
             s = base_realisation(BaseMobius(BaseMobius.shift(-moduli.witness_b).b, moduli.flipped))
-            try:
-                inner = construct_conjugator(s.compose(r1).compose(s.inverse()).fiber, r2.fiber)
-            except NotConjugate:
-                raise UndecidedExact("the fixed curves match under an interval map, the moved involutions do not") from None
-            cert = ConjugacyCertificate.verified("conjugation", r1, r2, inner.conjugator.compose(s))
+            moved = s.compose(r1).compose(s.inverse()).fiber
+            if not conj_decision(moved, r2.fiber):
+                raise UndecidedExact("the fixed curves match under an interval map, the moved involutions do not")
+            inner = SphereMap.trivial_base(_conjugator(moved, r2.fiber))
+            cert = ConjugacyCertificate.verified("conjugation", r1, r2, inner.compose(s))
             return {"conjugate": True, "conjugator": spheremap_to_json(cert.conjugator), "verified": True}
     else:
         # the angle is a conjugacy invariant: equal to that of the normal form

@@ -86,7 +86,21 @@ def proportional(p, q) -> bool:
 
 @dataclass(frozen=True)
 class ProjMat:
-    """Element of PGL(2, C(z)), stored in canonical polynomial form."""
+    """Element of PGL(2, C(z)), stored in canonical polynomial form: the one
+    representative whose entries have gcd 1 and whose first nonzero entry in
+    row-major order is monic (`_canonical`).
+
+    Three images of a canonical matrix are canonical up to one scalar, so
+    they are built without a gcd chain:
+    - `reflect_z`: z -> -z is a ring automorphism of the coefficient
+      polynomial ring, so the entries keep gcd 1, and the first nonzero
+      entry keeps its place with lead (-1)^deg;
+    - `inverse`: the adjugate (a22, -a12, -a21, a11) has the same entries
+      up to sign and order, so gcd 1; only its first nonzero entry needs
+      scaling to monic;
+    - a product with the identity is the other factor.
+    The constructor is called in this module only (a test guards it), so
+    every ProjMat satisfies the invariant these closed forms rely on."""
 
     a11: Poly
     a12: Poly
@@ -114,12 +128,20 @@ class ProjMat:
             g = poly_gcd(g, p)
         if g.degree > 0:
             polys = [p.exact_div(g) if p else p for p in polys]
-        lead_inv = next(p for p in polys if p).lead().inverse()
-        polys = [p.scale(lead_inv) for p in polys]
-        mat = cls(*polys)
+        mat = cls._monic_lead(polys)
         if not mat.det():
             raise ValueError("matrix has identically zero determinant")
         return mat
+
+    @classmethod
+    def _monic_lead(cls, polys) -> ProjMat:
+        """The matrix of entries with gcd 1, scaled to make the first
+        nonzero one monic."""
+        lead = next(p for p in polys if p).lead()
+        if lead != 1:
+            lead_inv = lead.inverse()
+            polys = [p.scale(lead_inv) for p in polys]
+        return cls(*polys)
 
     @classmethod
     def identity(cls) -> ProjMat:
@@ -143,20 +165,35 @@ class ProjMat:
     def __mul__(self, other: ProjMat) -> ProjMat:
         if not isinstance(other, ProjMat):
             return NotImplemented
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         return ProjMat._canonical(list(raw_mul(self.entries(), other.entries())))
 
     def inverse(self) -> ProjMat:
-        return ProjMat._canonical([self.a22, -self.a12, -self.a21, self.a11])
+        """The adjugate (a22, -a12, -a21, a11) made monic.  Its entries are
+        those of self up to sign and order, so their gcd is 1 and no gcd
+        chain is needed; the determinant is unchanged, so nonzero."""
+        return ProjMat._monic_lead((self.a22, -self.a12, -self.a21, self.a11))
 
     def conj(self) -> ProjMat:
         return ProjMat._canonical([p.conj() for p in self.entries()])
 
     def reflect_z(self) -> ProjMat:
-        """Entrywise substitution z -> -z."""
-        return ProjMat._canonical([p.reflect_z() for p in self.entries()])
+        """Entrywise substitution z -> -z.  It is a ring automorphism, so
+        the entries keep gcd 1 and their contents, and the first nonzero
+        entry stays first with lead (-1)^deg: the image is canonical once
+        all four entries are negated when that degree is odd."""
+        polys = [p.reflect_z() for p in self.entries()]
+        if next(p for p in polys if p).degree % 2:
+            polys = [-p for p in polys]
+        return ProjMat(*polys)
 
     def is_identity(self) -> bool:
-        return self == ProjMat.identity()
+        """A canonical matrix with zero off-diagonal and equal diagonal
+        entries p has gcd p, so p = 1."""
+        return not (self.a12 or self.a21) and self.a11 == self.a22
 
     def rotation_angle(self) -> tuple[int, int] | None:
         """The angle (k, n) of TWO_COS whose rotation diag(1, exp(2 pi i k/n))

@@ -287,13 +287,19 @@ class BaseMobius:
         return cleared_substitution(p, *self.num_den_polys(), p.degree if degree is None else degree)
 
     def substitute_entries(self, mat: ProjMat) -> tuple[Poly, Poly, Poly, Poly]:
-        """The entries of mat(m(z)) over one common denominator, unreduced."""
-        if self.is_identity():
-            return mat.entries()
+        """The entries of mat(m(z)) over one common denominator, unreduced.
+        For b = 0 the denominator is 1 and m(z) = +-z, so the entries are
+        those of mat, or their reflections z -> -z."""
+        if not self.b:
+            return tuple(p.reflect_z() for p in mat.entries()) if self.flip else mat.entries()
         d = max(p.degree for p in mat.entries())
         return tuple(self.substitute_into(p, d) for p in mat.entries())
 
     def substitute_matrix(self, mat: ProjMat) -> ProjMat:
+        """mat(m(z)) in canonical form; for b = 0 it is mat or
+        mat.reflect_z(), canonical in closed form."""
+        if not self.b:
+            return mat.reflect_z() if self.flip else mat
         return ProjMat._canonical(list(self.substitute_entries(mat)))
 
     def __str__(self):
@@ -301,12 +307,19 @@ class BaseMobius:
 
 
 def cleared_substitution(p: Poly, num: Poly, den: Poly, degree: int) -> Poly:
-    """p(num/den) * den^degree, cleared to a polynomial (degree >= deg p)."""
-    acc = Poly()
-    for k in range(degree + 1):
+    """p(num/den) * den^degree, cleared to a polynomial (degree >= deg p).
+
+    Horner's rule on sum_k p_k num^k den^(degree - k): from acc = p[degree],
+    acc -> acc num + den^(degree - k) p_k for k = degree - 1, ..., 0, so each
+    power of den is built once, from the one before."""
+    acc = Poly.const(p[degree])
+    den_power = Poly.const(1)
+    for k in range(degree - 1, -1, -1):
+        den_power = den_power * den
+        acc = acc * num
         c = p[k]
         if c:
-            acc = acc + (num**k * den ** (degree - k)).scale(c)
+            acc = acc + den_power.scale(c)
     return acc
 
 
@@ -375,12 +388,21 @@ class SphereMap:
         assert out.base.is_identity()
         return out
 
+    def _diffeo_fiber(self) -> ProjMat:
+        """A trivial-base fiber with the diffeomorphism membership and the
+        orientation character of trivial_base_part().  For base z -> -z that
+        part is (A(-z), id) = z_flip (A, id) z_flip, a conjugate of (A, id)
+        by a birational diffeomorphism, which preserves both; so for b = 0
+        the fiber A itself decides, and its pattern is the one the twist
+        class reads next."""
+        return self.fiber if not self.base.b else self.trivial_base_part().fiber
+
     def is_diffeo(self) -> bool:
-        return in_diffeo_group(self.trivial_base_part().fiber)
+        return in_diffeo_group(self._diffeo_fiber())
 
     def is_orientation_preserving_diffeo(self) -> bool:
         # the base flip reverses orientation, the shifts preserve it
-        return diffeo_orientation(self.trivial_base_part().fiber) == self.base.sign()
+        return diffeo_orientation(self._diffeo_fiber()) == self.base.sign()
 
     def __str__(self):
         return f"SphereMap(fiber={self.fiber}, base={self.base})"

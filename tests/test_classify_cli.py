@@ -380,6 +380,36 @@ def test_catalogue_classify_tests_positivity_once(monkeypatch):
     assert [command for command, (ran, want) in counts.items() if ran != want] == []
 
 
+
+@pytest.mark.parametrize("shape", [0, 1])
+@pytest.mark.parametrize("name, family", [("g2p:1/2", 8), ("tilde_eta", "linear-stratum"), ("antipodal", 5)])
+def test_flip_classify_work(monkeypatch, name, family, shape):
+    """A base flip conjugated by [[a, b h], [~b, ~a]] in the shape of the
+    benchmark's diffeomorphic conjugators (a = 17 + i z, b = 1 or a = 17,
+    b = 1 + i z) classifies with no cleared substitution and one gcd-chain
+    canonical form, that of the square A(-z) A that decides the order:
+    z -> -z substitutes by reflection, and the diffeomorphism test reads
+    the flip's own fiber."""
+    import birsphere.involutions as inv
+    import birsphere.sphere as sphere
+    from birsphere.poly import Poly
+    from birsphere.scalars import CoeffScalar
+
+    z, i = Poly.z(), CoeffScalar.i()
+    a, b = (Poly.const(17) + z.scale(i), Poly.const(1)) if shape == 0 else (Poly.const(17), Poly.const(1) + z.scale(i))
+    c = sphere.FiberPattern(a, b).matrix()
+    g = builtin_map(name)
+    g = SphereMap(c.reflect_z() * g.fiber * c.inverse(), BaseMobius.negation())
+    substitutions, canonical = [], []
+    real_sub, real_canonical = sphere.cleared_substitution, ProjMat._canonical
+    monkeypatch.setattr(sphere, "cleared_substitution", lambda *args: substitutions.append(1) or real_sub(*args))
+    monkeypatch.setattr(ProjMat, "_canonical", classmethod(lambda cls, polys: canonical.append(1) or real_canonical(polys)))
+    for memo in (sphere.canonical_pattern, sphere.in_reality_group, inv._split):
+        memo.cache_clear()
+    assert classify_spheremap(g).family == family
+    assert (len(substitutions), len(canonical)) == (0, 1)
+
+
 def test_cli_infinite_order(capsys):
     code, out, _ = run_cli(capsys, "classify", "diag(2+i, 2-i)")
     payload = json.loads(out)

@@ -631,6 +631,42 @@ def test_no_unreferenced_definitions():
     assert unreferenced == []
 
 
+
+def test_projmat_constructed_only_in_projmat():
+    """ProjMat's closed forms (reflect_z, inverse, the identity products)
+    are correct only because every ProjMat is canonical, so the constructor
+    is called directly, as ProjMat(...) or as cls(...) inside the class,
+    only by the projmat methods that prove their result canonical:
+    _monic_lead (entries of gcd 1, reached from _canonical and inverse),
+    identity and reflect_z.  Everything else, in the package, the tests and
+    perfbench, goes through ProjMat.of or those methods."""
+    import ast
+    from pathlib import Path
+
+    import birsphere
+
+    package = Path(birsphere.__file__).parent
+    root = package.parent.parent
+    constructors = set()
+
+    def visit(node, path, function, in_projmat):
+        if isinstance(node, ast.ClassDef):
+            in_projmat = node.name == "ProjMat"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "ProjMat" or (name == "cls" and in_projmat):
+                constructors.add((path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function, in_projmat)
+
+    for path in [*package.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]:
+        visit(ast.parse(path.read_text()), path, None, False)
+    assert constructors == {("projmat.py", "_monic_lead"), ("projmat.py", "identity"), ("projmat.py", "reflect_z")}
+
+
 def test_queries_leave_sympy_unloaded():
     """A classification and a root isolation through the factoriser, in a
     fresh interpreter, load no sympy."""

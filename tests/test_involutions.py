@@ -740,3 +740,75 @@ def test_basis_equiv_moduli_interval_conjugates(name, t, b, flip):
     conjugator = spheremap_from_json(json.loads(json.dumps(out["conjugator"])))
     assert not conjugator.base.is_identity()
     assert ConjugacyCertificate("conjugation", g, h, conjugator).verify()
+
+
+# -- cleared substitution and the interval branch of conj ----------------------
+
+
+def ref_cleared_substitution(p: Poly, num: Poly, den: Poly, degree: int) -> Poly:
+    """The sum of p_k num^k den^(degree - k), each term built afresh."""
+    acc = Poly()
+    for k in range(degree + 1):
+        c = p[k]
+        if c:
+            acc = acc + (num**k * den ** (degree - k)).scale(c)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=polys(max_degree=4),
+    extra=st.integers(0, 2),
+    b=st.fractions(min_value=-1, max_value=1, max_denominator=12).filter(lambda b: abs(b) < 1),
+    tower=st.booleans(),
+    flip=st.booleans(),
+)
+def test_cleared_substitution_matches_sum(p, extra, b, tower, flip):
+    """Horner's accumulation equals the sum of separately built powers, for
+    rational and tower b, flipped or not, also above the degree of p."""
+    from birsphere.sphere import cleared_substitution
+
+    shift = BaseMobius.shift(b * TowerReal.sqrt_rational(2) / 2 if tower else b)
+    num, den = BaseMobius(shift.b, flip).num_den_polys()
+    degree = max(p.degree, 0) + extra
+    assert cleared_substitution(p, num, den, degree) == ref_cleared_substitution(p, num, den, degree)
+
+
+def _interval_pair():
+    """realize_no_oval(z^4 + 5 z^2 + 6) and its conjugate by
+    interval_shift(1/3) composed with z_flip: conjugate only through a
+    base-moving map."""
+    g = SphereMap.trivial_base(realize_no_oval(Z**4 + 5 * Z * Z + 6))
+    s = interval_shift(Fraction(1, 3)).compose(z_flip())
+    return g, s.compose(g).compose(s.inverse())
+
+
+def test_interval_branch_verifies_once(monkeypatch):
+    """The interval branch of decide_conjugacy decides the moved pair by its
+    fixed-curve models and verifies only the composed certificate: one
+    verify call, where verifying the inner certificate too made two."""
+    calls = []
+    real = ConjugacyCertificate.verify
+    monkeypatch.setattr(ConjugacyCertificate, "verify", lambda cert: calls.append(cert.kind) or real(cert))
+    g, h = _interval_pair()
+    out = decide_conjugacy(g, h)
+    assert out["conjugate"] and out["verified"]
+    assert calls == ["conjugation"]
+    conjugator = spheremap_from_json(json.loads(json.dumps(out["conjugator"])))
+    assert real(ConjugacyCertificate("conjugation", g, h, conjugator))
+
+
+def test_interval_branch_undecided_moved_pair(monkeypatch, capsys):
+    """A moved pair whose fixed curves differ still raises UndecidedExact,
+    which the CLI reports with exit 4."""
+    import birsphere.classify as classify
+    from birsphere.classify import spheremap_to_json
+    from birsphere.cli import main
+    from birsphere.errors import UndecidedExact
+
+    monkeypatch.setattr(classify, "conj_decision", lambda a, b: False)
+    g, h = _interval_pair()
+    with pytest.raises(UndecidedExact, match="the moved involutions do not"):
+        decide_conjugacy(g, h)
+    code = main(["conj", json.dumps(spheremap_to_json(g)), json.dumps(spheremap_to_json(h))])
+    assert code == 4 and capsys.readouterr().err.startswith("undecided:")

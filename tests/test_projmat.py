@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from birsphere.classify import classify_spheremap, decide_conjugacy, spheremap_from_json
@@ -11,7 +11,15 @@ from birsphere.parsing import parse_poly
 from birsphere.poly import ONE_MINUS_Z2, Poly
 from birsphere.projmat import INF, TWO_COS, ProjMat, raw_mul
 from birsphere.scalars import CoeffScalar, TowerReal
-from birsphere.sphere import ConjugacyCertificate, FiberPattern, SphereMap, builtin_map, interval_shift, z_flip
+from birsphere.sphere import (
+    BaseMobius,
+    ConjugacyCertificate,
+    FiberPattern,
+    SphereMap,
+    builtin_map,
+    interval_shift,
+    z_flip,
+)
 from test_exact_core import ref_in_reality_group, ref_proportional
 
 Z = Poly.z()
@@ -69,6 +77,50 @@ def test_order_table():
 
 CATALOGUE = ("tau", "upsilon", "antipodal", "tilde_eta", "rot:1/3", "rot:1/4", "rot:1/6",
              "rot:3/8", "rot:5/12", "rot:5/24", "g1p:1/2", "g2p:1/2")
+
+
+@st.composite
+def reality_elements(draw):
+    """A reality element from a random pattern of degree <= 2 or the
+    catalogue, or a product of two of them."""
+    from test_exact_core import gaussian_scalars, polys
+
+    def one():
+        if draw(st.booleans()):
+            return builtin_map(draw(st.sampled_from(CATALOGUE))).fiber
+        pat = FiberPattern(draw(polys(gaussian_scalars, max_degree=2)), draw(polys(gaussian_scalars, max_degree=2)))
+        assume(pat.determinant())
+        return pat.matrix()
+
+    return one() * one() if draw(st.booleans()) else one()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=reality_elements())
+@example(m=builtin_map("g2p:1/2").fiber)
+@example(m=builtin_map("antipodal").fiber)
+def test_closed_forms_match_canonical_route(m):
+    """reflect_z, inverse and products with the identity equal the gcd-chain
+    canonical form of the same entries; the flip's substitution is the
+    cleared substitution of z -> -z; and the diffeomorphism test of a flip
+    reads its own fiber, as (A(-z), id) is conjugate to (A, id) by z_flip."""
+    from birsphere.sphere import cleared_substitution, diffeo_orientation
+
+    assert m.reflect_z() == ProjMat._canonical([p.reflect_z() for p in m.entries()])
+    assert m.inverse() == ProjMat._canonical([m.a22, -m.a12, -m.a21, m.a11])
+    one = ProjMat.identity()
+    assert one * m == m * one == m
+    assert m.is_identity() == (m == ProjMat._canonical([Poly.const(1), Poly(), Poly(), Poly.const(1)]))
+    flip = BaseMobius.negation()
+    d = max(p.degree for p in m.entries())
+    assert flip.substitute_entries(m) == tuple(cleared_substitution(p, -Z, Poly.const(1), d) for p in m.entries())
+    assert flip.substitute_matrix(m) == ProjMat._canonical(list(flip.substitute_entries(m)))
+    orientation = diffeo_orientation(m)
+    assert diffeo_orientation(m.reflect_z()) == orientation
+    pair = SphereMap(m, flip)
+    assert pair.trivial_base_part().fiber == m.reflect_z()
+    assert pair.is_diffeo() == (orientation != 0)
+    assert pair.is_orientation_preserving_diffeo() == (orientation == -1)
 
 
 @st.composite
