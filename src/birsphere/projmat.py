@@ -177,9 +177,6 @@ class ProjMat:
         chain is needed; the determinant is unchanged, so nonzero."""
         return ProjMat._monic_lead((self.a22, -self.a12, -self.a21, self.a11))
 
-    def conj(self) -> ProjMat:
-        return ProjMat._canonical([p.conj() for p in self.entries()])
-
     def reflect_z(self) -> ProjMat:
         """Entrywise substitution z -> -z.  It is a ring automorphism, so
         the entries keep gcd 1 and their contents, and the first nonzero
