@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedExtension,
 )
 from .scalars import CoeffScalar, TowerReal
-from .poly import Poly, RatFn, RealAlgebraic, sturm_count, square_free_part, square_class_part
+from .poly import Poly, RealAlgebraic, sturm_count, square_free_part, square_class_part
 from .positivity import is_real_positive, norm_factor, quadratic_decomp, v_decomp
 from .projmat import INF, ProjMat
 from .sphere import (
@@ -58,7 +58,6 @@ from .involutions import (
     construct_conjugator,
     fixed_curve,
     involution_normal_form,
-    real_locus_class,
     realize_no_oval,
     realize_oval,
     rotation_normal_form,
@@ -69,7 +68,6 @@ from .etatwist import (
     factor_even,
     h2_invariant,
     h2_reduce,
-    pair_conjugacy_bir,
     twisted_square,
 )
 from .picard import (

@@ -46,6 +46,7 @@ from .sphere import (
     SphereMap,
     base_realisation,
     builtin_map,
+    diffeo_orientation,
     reduce_to_trivial_base,
     x_flip,
 )
@@ -293,10 +294,12 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
     of r1 to that of r2, and the conjugator of (S r1 S^-1, r2) composed with
     S conjugates r1 to r2 (UnsupportedExtension when S leaves the tower); only
     the composed certificate is verified.
-    Base flips of order 2 are decided in the fiber-compatible birational
-    group by the twist class.  Two infinite-order inputs, elements with
-    different base actions and base flips of another order raise
-    UndecidedExact; a non-real input raises NotRealityMember."""
+    Base flips of order 2 that are diffeomorphisms of different orientation
+    characters are not conjugate among diffeomorphisms; other base flips of
+    order 2 are decided in the fiber-compatible birational group by the
+    twist class.  Two infinite-order inputs, elements with different base
+    actions and base flips of another order raise UndecidedExact; a
+    non-real input raises NotRealityMember."""
     routed = []
     for which, g in (("first", g1), ("second", g2)):
         try:
@@ -313,6 +316,12 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
     if r1.base.kind == "neg":
         if n1 != 2:
             raise UndecidedExact(f"conjugacy of base-flip elements of order {n1} is not decided")
+        # for base z -> -z the fiber carries the diffeomorphism membership
+        # and the orientation character, which conjugation by a diffeomorphism
+        # preserves
+        o1, o2 = (diffeo_orientation(r.fiber) for r in (r1, r2))
+        if o1 and o2 and o1 != o2:
+            return {"conjugate": False, "reason": "different orientation characters"}
         t1, t2 = h2_invariant(r1), h2_invariant(r2)
         return {"conjugate": t1 == t2, "invariants": [t1.to_json(), t2.to_json()]}
     if n1 <= 2:

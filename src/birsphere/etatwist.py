@@ -1,11 +1,11 @@
 """Involutions whose base action is z -> -z, and their complete invariant.
 
 Such a map is a pair (A, flip) with A a fiberwise-real matrix; it is an
-involution exactly when A * A(-z) is a scalar mu, necessarily an even real
-rational function.  The class of mu modulo the norms f(z) * f(-z) is a sign
-together with a multiset of positive reals (one generator z^2 + b for each
-b > 0), computed here by factoring in w = z^2.  Equality of classes decides
-conjugacy among all fiber-compatible birational maps.
+involution exactly when A * A(-z) is a scalar mu on the pattern lift, an
+even real polynomial.  The class of mu modulo the norms f(z) * f(-z) is a
+sign together with a multiset of positive reals (one generator z^2 + b for
+each b > 0), computed here by factoring in w = z^2.  Equality of classes
+decides conjugacy among all fiber-compatible birational maps.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from .errors import (
     NotInvolution,
     UnsupportedExtension,
 )
+from .involutions import _TripleAlgebra
 from .poly import (
+    ONE_MINUS_Z2,
     Poly,
-    RatFn,
     RealAlgebraic,
     factor_rational_poly,
 )
@@ -30,14 +31,14 @@ from .scalars import CoeffScalar
 from .sphere import SphereMap, canonical_pattern
 
 
-def twisted_square(mat: ProjMat) -> RatFn | None:
+def twisted_square(mat: ProjMat) -> Poly | None:
     """The scalar mu with  L * L(-z) = mu * Id  on the pattern lift, or
     None when the product is not scalar (the pair is not an involution)."""
     lift = canonical_pattern(mat).lift()
     m11, m12, m21, m22 = raw_mul(lift, tuple(p.reflect_z() for p in lift))
     if m12 or m21 or m11 != m22:
         return None
-    return RatFn(m11)
+    return m11
 
 
 @dataclass(frozen=True)
@@ -67,16 +68,6 @@ class TwistClass:
         gens.sort()
         return TwistClass(self.sign * other.sign, tuple(gens))
 
-    def __eq__(self, other):
-        if not isinstance(other, TwistClass):
-            return NotImplemented
-        if self.sign != other.sign or len(self.gens) != len(other.gens):
-            return False
-        return all(a == b for a, b in zip(self.gens, other.gens))
-
-    def __hash__(self):
-        return hash((self.sign, len(self.gens)))
-
     def to_json(self) -> dict:
         return {
             "sign": "+" if self.sign > 0 else "-",
@@ -101,19 +92,18 @@ def _even_to_w(p: Poly) -> Poly:
     return Poly(list(p.coeffs[0::2]))
 
 
-def h2_reduce(mu: RatFn) -> TwistClass:
-    """Reduce an even real rational function modulo norms f(z) f(-z).
+def h2_reduce(mu: Poly) -> TwistClass:
+    """Reduce an even real polynomial modulo norms f(z) f(-z).
 
     In the variable w = z^2: a negative constant flips the sign, a real
     w-root d >= 0 of odd multiplicity flips the sign, a real root d < 0
     contributes the generator b = -d, and imaginary root pairs vanish.
     """
-    num, den = mu.num, mu.den
-    if not num:
+    if not mu:
         raise ValueError("zero is not a unit")
-    if not (num.is_real() and den.is_real()):
-        raise NotEvenFunction(f"{mu} is not a real rational function")
-    w_poly = _even_to_w(num) * _even_to_w(den)
+    if not mu.is_real():
+        raise NotEvenFunction(f"{mu} is not a real polynomial")
+    w_poly = _even_to_w(mu)
     if not w_poly.is_rational():
         raise UnsupportedExtension("twist class needs rational coefficients in z^2")
     const, factors = factor_rational_poly(w_poly)
@@ -143,34 +133,17 @@ def h2_invariant(pair: SphereMap) -> TwistClass:
     return h2_reduce(mu)
 
 
-def pair_conjugacy_bir(p1: SphereMap, p2: SphereMap) -> bool:
-    """Conjugacy in the full fiber-compatible birational group: the twist
-    classes agree."""
-    return h2_invariant(p1) == h2_invariant(p2)
+# -- norm factorization in C[z] with z -> -z ------------------------------------------
 
 
-# -- norm factorization in C(z) with z -> -z ------------------------------------------
-
-
-def factor_even(f: RatFn) -> RatFn:
+def factor_even(f: Poly) -> Poly:
     """g with g(z) * g(-z) = f, for f even; exact over the tower.
 
     Linear w-factors split as -(z - r)(-z - r) with r = sqrt of the root;
     quadratic w-factors split with two square roots; higher-degree factors
     raise UnsupportedExtension.
     """
-    if f.reflect_z() != f:
-        raise NotEvenFunction(f"{f} is not even")
-    gnum = _factor_even_poly(f.num)
-    gden = _factor_even_poly(f.den)
-    out = RatFn(gnum, gden)
-    if out * out.reflect_z() != f:
-        raise RuntimeError("even factorization failed to verify")
-    return out
-
-
-def _factor_even_poly(p: Poly) -> Poly:
-    w_poly = _even_to_w(p)
+    w_poly = _even_to_w(f)
     if not w_poly.is_rational():
         raise UnsupportedExtension("even factorization needs rational coefficients")
     const, factors = factor_rational_poly(w_poly)
@@ -206,51 +179,51 @@ def _factor_even_poly(p: Poly) -> Poly:
             )
         for _ in range(mult):
             acc = acc * piece
+    if acc * acc.reflect_z() != f:
+        raise RuntimeError("even factorization failed to verify")
     return acc
 
 
 # -- the twisted group algebra, for coboundary witnesses ----------------------------------
 
 
-class TwistedAlgebra:
+class TwistedAlgebra(_TripleAlgebra):
     """C(z) + C(z) xi with xi^2 = 1 - z^2 and  a(z) xi = xi conj(a)(z);
-    elements are pairs (a, b) standing for a + b xi.  Its unit group is the
+    elements are triples (a, b, d) of polynomials standing for
+    (a + b xi) / d, with d real and hence central.  Its unit group is the
     matrix group of pattern lifts."""
 
     @staticmethod
     def mul(u, v):
-        from .poly import ONE_MINUS_Z2
-
-        a, b = u
-        c, d = v
-        h = RatFn(ONE_MINUS_Z2)
-        return (a * c + b * d.conj() * h, a * d + b * c.conj())
+        a, b, d = u
+        c, e, f = v
+        return (a * c + b * e.conj() * ONE_MINUS_Z2, a * e + b * c.conj(), d * f)
 
     @staticmethod
     def one():
-        return (RatFn(Poly.const(1)), RatFn(Poly()))
+        return (Poly.const(1), Poly(), Poly.const(1))
 
     @staticmethod
     def reflect(u):
-        return (u[0].reflect_z(), u[1].reflect_z())
+        return tuple(p.reflect_z() for p in u)
 
     @staticmethod
     def inverse(u):
-        a, b = u
-        det = a * a.conj() - b * b.conj() * RatFn(Poly([1, 0, -1]))
-        if not det:
+        """(conj(a) d, -b d, N) with the real norm N = a conj(a) - b conj(b) h,
+        as (a + b xi)(conj(a) - b xi) = N."""
+        a, b, d = u
+        norm = a * a.conj() - b * b.conj() * ONE_MINUS_Z2
+        if not norm:
             raise ZeroDivisionError("non-invertible element")
-        return (a.conj() / det, -(b / det))
+        return (a.conj() * d, -b * d, norm)
 
     @classmethod
     def coboundary_witness(cls, u):
         """For u with u * reflect(u) = 1, a unit B with u = B * reflect(B)^-1,
         via B = C + u * reflect(C) over a small trial set."""
-        one = RatFn(Poly.const(1))
-        zero = RatFn(Poly())
-        zvar = RatFn(Poly.z())
-        i = RatFn(Poly.const(CoeffScalar.i()))
-        for c in ((one, zero), (zvar, zero), (i * zvar, zero), (zero, one), (zero, zvar), (u[0], u[1])):
+        one, zero, z = Poly.const(1), Poly(), Poly.z()
+        iz = z.scale(CoeffScalar.i())
+        for c in ((one, zero, one), (z, zero, one), (iz, zero, one), (zero, one, one), (zero, z, one), u):
             cand = cls.add(c, cls.mul(u, cls.reflect(c)))
             try:
                 cls.inverse(cand)
@@ -258,10 +231,6 @@ class TwistedAlgebra:
                 continue
             return cand
         raise RuntimeError("no invertible coboundary witness in the trial set")
-
-    @staticmethod
-    def add(u, v):
-        return (u[0] + v[0], u[1] + v[1])
 
 
 # -- real fixed locus probe and the family report ----------------------------------------------

@@ -142,12 +142,6 @@ def _orientation(mat: ProjMat) -> int:
     return orientation
 
 
-def real_locus_class(mat: ProjMat) -> str:
-    """'no_real_points' or 'one_oval' for an involution that is a
-    birational diffeomorphism."""
-    return "no_real_points" if _orientation(mat) > 0 else "one_oval"
-
-
 # -- conjugacy decision and certificates --------------------------------------------------
 
 
@@ -164,10 +158,25 @@ def conj_decision(mat_a: ProjMat, mat_b: ProjMat) -> bool:
     return (a.m, a.sign) == (b.m, b.sign)
 
 
-class _QuadAlgebra:
+class _TripleAlgebra:
+    """Elements (x, y, d) standing for (x + y r)/d, r the algebra's
+    generator, with d central; sums and equality cross-multiply the
+    denominators, and no reduction is performed."""
+
+    @staticmethod
+    def add(u, v):
+        x1, y1, d1 = u
+        x2, y2, d2 = v
+        return (x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
+
+    @staticmethod
+    def equal(u, v) -> bool:
+        return u[0] * v[2] == v[0] * u[2] and u[1] * v[2] == v[1] * u[2]
+
+
+class _QuadAlgebra(_TripleAlgebra):
     """The commutative algebra C(z)[r]/(r^2 - f), f a real polynomial, with
-    the conjugation of the coefficients (it fixes r).  Elements are triples
-    (x, y, d) standing for (x + y r)/d; no reduction is performed."""
+    the conjugation of the coefficients (it fixes r)."""
 
     def __init__(self, f: Poly):
         self.f = f
@@ -177,16 +186,8 @@ class _QuadAlgebra:
         x2, y2, d2 = v
         return (x1 * x2 + self.f * y1 * y2, x1 * y2 + y1 * x2, d1 * d2)
 
-    def add(self, u, v):
-        x1, y1, d1 = u
-        x2, y2, d2 = v
-        return (x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
-
     def conj(self, u):
         return (u[0].conj(), u[1].conj(), u[2].conj())
-
-    def equal(self, u, v) -> bool:
-        return u[0] * v[2] == v[0] * u[2] and u[1] * v[2] == v[1] * u[2]
 
     def is_unit(self, u) -> bool:
         x, y, _ = u

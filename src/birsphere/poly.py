@@ -449,7 +449,6 @@ def _coerce_poly(x):
 _ZERO = _new((), 1)
 ONE_MINUS_Z2 = Poly([1, 0, -1])
 Z = Poly.z()
-_ONE = Poly.const(1)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -893,119 +892,3 @@ def _may_be_root(chain: list[Poly], lo: Fraction, hi: Fraction, c: RealAlgebraic
         return lo < q < hi and real_sign_at(chain[0], q) == 0
     mlo, mhi = max(lo, c.lo), min(hi, c.hi)
     return mlo < mhi and _chain_count(chain, mlo, mhi) == 1
-
-
-class RatFn:
-    """Quotient of two polynomials, gcd-reduced, monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly | None = None):
-        num = _coerce_poly(num)
-        den = Poly.const(1) if den is None else _coerce_poly(den)
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num:
-            if den.degree > 0 and num.degree > 0:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num, den = num.exact_div(g), den.exact_div(g)
-        else:
-            den = Poly.const(1)
-        if den == _ONE:
-            self.num = num
-            self.den = den
-            return
-        lead_inv = den.lead().inverse()
-        self.num = num.scale(lead_inv)
-        self.den = den.scale(lead_inv)
-
-    @classmethod
-    def const(cls, c) -> RatFn:
-        return cls(Poly.const(c))
-
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
-
-    def as_poly(self) -> Poly:
-        if not self.is_poly():
-            raise ValueError(f"{self} is not polynomial")
-        return self.num
-
-    def conj(self) -> RatFn:
-        return RatFn(self.num.conj(), self.den.conj())
-
-    def reflect_z(self) -> RatFn:
-        return RatFn(self.num.reflect_z(), self.den.reflect_z())
-
-    def __add__(self, other):
-        other = _coerce_ratfn(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _coerce_ratfn(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce_ratfn(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_ratfn(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_ratfn(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _coerce_ratfn(other) / self
-
-    def inverse(self) -> RatFn:
-        return RatFn.const(1) / self
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        other = _coerce_ratfn(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RatFn({self})"
-
-    def __str__(self):
-        if self.is_poly():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-
-def _coerce_ratfn(x):
-    if isinstance(x, RatFn):
-        return x
-    if isinstance(x, Poly):
-        return RatFn(x)
-    if isinstance(x, (int, Fraction, CoeffScalar, TowerReal)):
-        return RatFn(Poly.const(_coeff(x)))
-    return NotImplemented

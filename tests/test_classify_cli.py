@@ -84,6 +84,49 @@ def test_decide_conjugacy():
     assert res["conjugate"]
 
 
+def test_conj_flip_orientation_characters():
+    """The half-turn y_flip o z_flip = (x, -y, -z) preserves orientation and
+    the reflection tilde_eta = (x, y, -z) reverses it; their twist classes
+    agree, but no diffeomorphism conjugates them."""
+    from birsphere.etatwist import h2_invariant
+
+    half_turn, eta = builtin_map("tau").compose(builtin_map("tilde_eta")), builtin_map("tilde_eta")
+    assert half_turn.is_orientation_preserving_diffeo() and not eta.is_orientation_preserving_diffeo()
+    assert h2_invariant(half_turn) == h2_invariant(eta)
+    for pair in ((half_turn, eta), (eta, half_turn)):
+        assert decide_conjugacy(*pair) == {"conjugate": False, "reason": "different orientation characters"}
+
+
+CONJ_CATALOGUE = (
+    "tau", "upsilon", "antipodal", "tilde_eta", "rot:1/2", "rot:1/3", "rot:2/3", "g2p:1/2", "g2p:-1/2", "g2p:1/3"
+)
+
+
+def test_conj_catalogue_answers_are_sound():
+    """Over every ordered pair of a fixed builtin list plus the half-turn
+    y_flip o z_flip, conj either raises a typed UndecidedExact or
+    UnsupportedExtension, answers false, or answers true with a verified
+    conjugator; the one uncertified true is a pair of base flips, and then
+    their twist classes and their orientation characters agree."""
+    from birsphere.errors import UndecidedExact, UnsupportedExtension
+    from birsphere.etatwist import h2_invariant
+
+    maps = [builtin_map(name) for name in CONJ_CATALOGUE]
+    maps.append(builtin_map("tau").compose(builtin_map("tilde_eta")))
+    for g1 in maps:
+        for g2 in maps:
+            try:
+                res = decide_conjugacy(g1, g2)
+            except (UndecidedExact, UnsupportedExtension):
+                continue
+            if not res["conjugate"] or res.get("verified") is True:
+                continue
+            assert g1.base.kind == g2.base.kind == "neg", (g1, g2)
+            assert h2_invariant(g1) == h2_invariant(g2)
+            characters = [(g.is_diffeo(), g.is_orientation_preserving_diffeo()) for g in (g1, g2)]
+            assert characters[0] == characters[1], (g1, g2)
+
+
 def _fiber_from_json(rows) -> SphereMap:
     return SphereMap.trivial_base(ProjMat.of(*(parse_poly(e) for row in rows for e in row)))
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from birsphere.classify import classify_spheremap
 from birsphere.errors import NotRealityMember
-from birsphere.poly import ONE_MINUS_Z2, Poly, RatFn
+from birsphere.poly import ONE_MINUS_Z2, Poly, poly_gcd
 from birsphere.positivity import is_real_positive
 from birsphere.projmat import ProjMat, proportional, raw_mul
 from birsphere.scalars import ZERO, CoeffScalar, TowerReal
@@ -457,22 +457,36 @@ def test_in_reality_group_matches_twist_products(a, b, e, k):
             assert ProjMat._canonical([y, h * x, w, h * z]) == mat * reality_twist()
 
 
+def ref_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """The rational function num/den as a pair in lowest terms with a monic
+    denominator; zero is 0/1."""
+    g = poly_gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    c = den.lead().inverse()
+    return num.scale(c), den.scale(c)
+
+
 def ref_canonical_pattern(mat: ProjMat) -> FiberPattern:
-    """The Hilbert-90 step through rational functions: the quotient relating
-    mat to its twisted conjugate is a norm-one unit u, and mu = 1 + u (or i
-    when u = -1) satisfies mu/conj(mu) = u."""
+    """The Hilbert-90 step through rational functions, each a reduced
+    (numerator, denominator) pair: the quotient relating mat to its twisted
+    conjugate is a norm-one unit u, and mu = 1 + u (or i when u = -1)
+    satisfies mu/conj(mu) = u.  The pattern (a, b) = (a11 conj(mu),
+    mu conj(a21)) is cleared by the product of both denominators and their
+    conjugates; the pairs must be in lowest terms first, or the cleared
+    pattern keeps factors that canonical_pattern does not have."""
     if not ref_in_reality_group(mat):
         raise NotRealityMember(f"{mat} does not satisfy the reality condition")
     a11, a12, a21, a22 = mat.entries()
     h = ONE_MINUS_Z2
-    lam = RatFn(a11 * h, a22.conj()) if a11 else RatFn(a12, a21.conj())
-    mu = RatFn(Poly.const(1)) + lam / RatFn(h)
-    if not mu:
-        mu = RatFn(Poly.const(CoeffScalar.i()))
-    a = RatFn(a11) * mu.conj()
-    b = mu * RatFn(a21.conj())
-    den = RatFn(a.den * a.den.conj() * b.den * b.den.conj())
-    return FiberPattern(*_strip_common_real_factors((a * den).as_poly(), (b * den).as_poly()))
+    lam_num, lam_den = (a11 * h, a22.conj()) if a11 else (a12, a21.conj())
+    mu_num, mu_den = ref_fraction(lam_den * h + lam_num, lam_den * h)
+    if not mu_num:
+        mu_num, mu_den = Poly.const(CoeffScalar.i()), Poly.const(1)
+    a_num, a_den = ref_fraction(a11 * mu_num.conj(), mu_den.conj())
+    b_num, b_den = ref_fraction(mu_num * a21.conj(), mu_den)
+    a = a_num * a_den.conj() * b_den * b_den.conj()
+    b = b_num * a_den * a_den.conj() * b_den.conj()
+    return FiberPattern(*_strip_common_real_factors(a, b))
 
 
 def ref_diffeo_orientation(mat: ProjMat) -> int:
@@ -530,28 +544,28 @@ def test_reality_twist_is_one_constant():
 
 def test_no_module_imports_random():
     """No chance decides: no module of the package imports random.  The
-    package runs on the standard library alone: none imports sympy.  Rational
-    functions stay in the twist-class layer: besides the package's public
-    re-export, only etatwist imports RatFn, which poly defines."""
+    package runs on the standard library alone: none imports sympy.  One
+    polynomial type: no module defines or imports a rational-function type
+    RatFn."""
     import ast
     from pathlib import Path
 
     import birsphere
 
-    ratfn_importers = set()
     for path in Path(birsphere.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                assert node.name != "RatFn", f"{path.name} defines RatFn"
+                continue
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
-                if any(alias.name == "RatFn" for alias in node.names):
-                    ratfn_importers.add(path.name)
+                assert all(alias.name != "RatFn" for alias in node.names), f"{path.name} imports RatFn"
             else:
                 continue
             for banned in ("random", "sympy"):
                 assert not any(n.split(".")[0] == banned for n in names), f"{path.name} imports {banned}"
-    assert ratfn_importers == {"__init__.py", "etatwist.py"}
 
 
 def test_no_undefined_names():

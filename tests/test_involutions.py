@@ -13,7 +13,6 @@ from birsphere.errors import (
     BirsphereError,
     HasRealRoot,
     NotConjugate,
-    NotDiffeomorphism,
     NotInvolution,
     NotRealityMember,
 )
@@ -27,7 +26,6 @@ from birsphere.involutions import (
     construct_conjugator,
     fixed_curve,
     involution_normal_form,
-    real_locus_class,
     realize_no_oval,
     realize_oval,
     rotation_normal_form,
@@ -49,6 +47,7 @@ from birsphere.sphere import (
     SphereMap,
     base_realisation,
     builtin_map,
+    diffeo_orientation,
     in_reality_group,
     interval_shift,
     rotation,
@@ -145,15 +144,16 @@ def test_fixed_curve_fiberwise_oracle(rng):
 
 
 def test_real_locus_class():
-    assert real_locus_class(TAU) == "one_oval"
+    """The real locus of an involution that is a diffeomorphism is read off
+    its orientation: one oval (-1) or no real points (1)."""
+    assert diffeo_orientation(TAU) == -1
     mat = ProjMat.of(Poly.const(2 * I), ONE_MINUS_Z2, Poly.const(1), Poly.const(-2 * I))
-    assert real_locus_class(mat) == "no_real_points"
-    assert real_locus_class(realize_oval(Z + Poly.const(I))) == "one_oval"
+    assert diffeo_orientation(mat) == 1
+    assert diffeo_orientation(realize_oval(Z + Poly.const(I))) == -1
     from birsphere.involutions import InvolutionForm
 
     bad = InvolutionForm(Z, Poly.const(1)).matrix()  # determinant 2z^2 - 1
-    with pytest.raises(NotDiffeomorphism):
-        real_locus_class(bad)
+    assert diffeo_orientation(bad) == 0
 
 
 def test_genus_values():
@@ -411,7 +411,7 @@ def test_realize_oval():
     assert mat.order() == 2
     model = fixed_curve(mat)
     assert model.m == Z**4 - 1 and model.sign == -1  # w^2 = (1-z^2)(z^2+1)
-    assert real_locus_class(mat) == "one_oval"
+    assert diffeo_orientation(mat) == -1  # one oval
     with pytest.raises(HasRealRoot):
         realize_oval(Z - Poly.const(1))
 
@@ -429,7 +429,7 @@ def test_realize_no_oval_roundtrip():
         model = fixed_curve(mat)
         assert model.m == square_class_part(f)
         assert model.sign == -1
-        assert real_locus_class(mat) == "no_real_points"
+        assert diffeo_orientation(mat) == 1  # no real points
 
 
 def test_realize_oval_roundtrip_squarefree(rng):

@@ -12,7 +12,6 @@ from birsphere.errors import NotRealPolynomial
 from birsphere.poly import (
     ONE_MINUS_Z2,
     Poly,
-    RatFn,
     RealAlgebraic,
     _canonical_minpoly,
     factor_rational_poly,
@@ -328,15 +327,6 @@ def test_isolation_intervals_disjoint():
     assert len(ivs) == 4
     for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
         assert b1 <= a2
-
-
-def test_ratfn_normalisation():
-    f = RatFn(Z * Z - 1, Z * Z + Z)
-    assert f.num == Z - 1 and f.den == Z
-    g = RatFn(Z, Poly.const(2))
-    assert g.den == Poly.const(1)  # monic denominator
-    assert f + -f == RatFn(Poly())
-    assert f * f.inverse() == RatFn(Poly.const(1))
 
 
 # -- the integer kernel: modular gcd and Yun's split on Z[x] ------------------------------
