@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedExtension,
 )
 from .scalars import CoeffScalar, TowerReal
-from .poly import Poly, RealAlgebraic, sturm_count, square_free_part, square_class_part
+from .poly import Poly, RealAlgebraic, sturm_count
 from .positivity import is_real_positive, norm_factor, quadratic_decomp, v_decomp
 from .projmat import INF, ProjMat
 from .sphere import (

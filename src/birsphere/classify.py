@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .errors import NotConjugate, NotDiffeomorphism, NotRealityMember, ParseError, UndecidedExact, UnsupportedExtension
+from .errors import NotDiffeomorphism, NotRealityMember, ParseError, UndecidedExact, UnsupportedExtension
 from .etatwist import classify_flip_involution, h2_invariant
 from .factor import is_prime
 from .involutions import (
@@ -26,7 +26,6 @@ from .involutions import (
     basis_equiv_moduli,
     classify_trivialbase,
     conj_decision,
-    construct_conjugator,
     fixed_curve,
     rotation_normal_form,
 )
@@ -284,16 +283,18 @@ def classify_dp4_datum(op: str, mu=None) -> ClassificationReport:
 
 
 def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
-    """Conjugacy of two finite-order elements, with a verified conjugator
-    when one is produced.
+    """Conjugacy of two finite-order elements.  Every `true` but a base
+    flip's carries a conjugator verified once against the inputs; routing,
+    as in classify_spheremap, keeps trivial-base inputs as they are.
 
-    Both inputs are routed as in classify_spheremap.  Trivial-base rotations
-    are decided by their angle.  Trivial-base involutions are decided by
-    their fixed-curve models: equal ones give a trivial-base conjugator;
-    otherwise the base map S of basis_equiv_moduli carries the fixed curve
-    of r1 to that of r2, and the conjugator of (S r1 S^-1, r2) composed with
-    S conjugates r1 to r2 (UnsupportedExtension when S leaves the tower); only
-    the composed certificate is verified.
+    Equal inputs are conjugate by the identity (equal routed maps are not
+    enough: a flipped shift routes to the flip it is conjugate to).
+    Trivial-base rotations are decided by their angle, and trivial-base
+    involutions on one path by their fixed-curve models up to the interval
+    group: basis_equiv_moduli finds the base map S carrying the fixed curve
+    of r1 to that of r2 (S = id for equal models) or refutes one, and the
+    conjugator of (S r1 S^-1, r2) composed with S conjugates r1 to r2
+    (UnsupportedExtension when S leaves the tower).
     Base flips of order 2 that are diffeomorphisms of different orientation
     characters are not conjugate among diffeomorphisms; other base flips of
     order 2 are decided in the fiber-compatible birational group by the
@@ -313,9 +314,11 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
         return {"conjugate": False, "reason": "different orders"}
     if r1.base.kind != r2.base.kind:
         raise UndecidedExact(f"conjugacy of elements of order {n1} with different base actions is not decided")
-    if r1.base.kind == "neg":
-        if n1 != 2:
-            raise UndecidedExact(f"conjugacy of base-flip elements of order {n1} is not decided")
+    if r1.base.kind == "neg" and n1 != 2:
+        raise UndecidedExact(f"conjugacy of base-flip elements of order {n1} is not decided")
+    if g1 == g2:
+        conjugator = SphereMap.identity()
+    elif r1.base.kind == "neg":
         # for base z -> -z the fiber carries the diffeomorphism membership
         # and the orientation character, which conjugation by a diffeomorphism
         # preserves
@@ -324,23 +327,21 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
             return {"conjugate": False, "reason": "different orientation characters"}
         t1, t2 = h2_invariant(r1), h2_invariant(r2)
         return {"conjugate": t1 == t2, "invariants": [t1.to_json(), t2.to_json()]}
-    if n1 <= 2:
-        try:
-            cert = construct_conjugator(r1.fiber, r2.fiber)
-        except NotConjugate:
-            models = [fixed_curve(r.fiber) for r in (r1, r2)]
-            moduli = basis_equiv_moduli(*models)
-            if moduli.status == "inequivalent":
-                return {"conjugate": False, "fixed_curves": [model_to_json(m) for m in models]}
-            if moduli.status != "equivalent":
-                raise UnsupportedExtension("the interval map between the fixed curves leaves the tower") from None
+    elif n1 == 2:
+        models = [fixed_curve(r.fiber) for r in (r1, r2)]
+        moduli = basis_equiv_moduli(*models)
+        if moduli.status == "inequivalent":
+            return {"conjugate": False, "fixed_curves": [model_to_json(m) for m in models]}
+        if moduli.status != "equivalent":
+            raise UnsupportedExtension("the interval map between the fixed curves leaves the tower")
+        if moduli.witness_b or moduli.flipped:
             s = base_realisation(BaseMobius(BaseMobius.shift(-moduli.witness_b).b, moduli.flipped))
             moved = s.compose(r1).compose(s.inverse()).fiber
             if not conj_decision(moved, r2.fiber):
                 raise UndecidedExact("the fixed curves match under an interval map, the moved involutions do not")
-            inner = SphereMap.trivial_base(_conjugator(moved, r2.fiber))
-            cert = ConjugacyCertificate.verified("conjugation", r1, r2, inner.compose(s))
-            return {"conjugate": True, "conjugator": spheremap_to_json(cert.conjugator), "verified": True}
+            conjugator = SphereMap.trivial_base(_conjugator(moved, r2.fiber)).compose(s)
+        else:  # S = id: the equal models have decided the pair
+            conjugator = SphereMap.trivial_base(_conjugator(r1.fiber, r2.fiber))
     else:
         # the angle is a conjugacy invariant: equal to that of the normal form
         angles = [list(r.fiber.rotation_angle()) for r in (r1, r2)]
@@ -349,6 +350,7 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
         ra, rb = rotation_normal_form(r1.fiber), rotation_normal_form(r2.fiber)
         # both targets are diag(1, zeta^{+-1}); x_flip swaps the two
         swap = x_flip().fiber if ra.target != rb.target else ProjMat.identity()
-        conjugator = rb.conjugator.fiber.inverse() * swap * ra.conjugator.fiber
-        cert = ConjugacyCertificate.verified("conjugation", r1, r2, SphereMap.trivial_base(conjugator))
-    return {"conjugate": True, "conjugator": _matrix_json(cert.conjugator.fiber), "verified": True}
+        conjugator = SphereMap.trivial_base(rb.conjugator.fiber.inverse() * swap * ra.conjugator.fiber)
+    ConjugacyCertificate.verified("conjugation", g1, g2, conjugator)
+    shown = _matrix_json(conjugator.fiber) if conjugator.base.kind == "id" else spheremap_to_json(conjugator)
+    return {"conjugate": True, "conjugator": shown, "verified": True}

@@ -59,7 +59,7 @@ class NotDiffeomorphism(BirsphereError):
 
 
 class NotEvenFunction(BirsphereError):
-    """A rational function invariant under z -> -z was required."""
+    """A real polynomial invariant under z -> -z was required."""
 
 
 class NotAutomorphism(BirsphereError):

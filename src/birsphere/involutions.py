@@ -204,8 +204,8 @@ def _companion_data(form: InvolutionForm) -> tuple[tuple, Poly]:
     a flat entry 4-tuple as in raw_mul; f = -D.  The twist unit
     alpha^-1 tau conj(alpha) is [[i p, -f], [-1, i p]] / q.
 
-    Requires q != 0 (callers move diagonal involutions off the diagonal
-    first)."""
+    Requires q != 0 (_conjugator moves the diagonal involution off the
+    diagonal first)."""
     p, q = form.p, form.q
     if not q:
         raise ValueError("off-diagonal involution form required")
@@ -213,17 +213,9 @@ def _companion_data(form: InvolutionForm) -> tuple[tuple, Poly]:
     return alpha, -form.determinant()
 
 
-def _move_off_diagonal(mat: ProjMat) -> tuple[ProjMat, ProjMat]:
-    """Conjugate a diagonal involution to one with q != 0; returns the new
-    matrix and the conjugator g with g mat g^-1 = new.
-
-    The only diagonal involution is [[i p, 0], [0, -i p]], projectively
-    diag(1, -1), and g = [[z, h], [1, z]] moves it to
-    [[1, -2 z h], [2 z, -1]], whose form has p = 1 and q = -2 i z != 0."""
-    if involution_normal_form(mat).q:
-        return mat, ProjMat.identity()
-    g = FiberPattern(Poly.z(), Poly.const(1)).matrix()
-    return g * mat * g.inverse(), g
+# g = [[z, h], [1, z]] moves diag(1, -1) to [[1, -2 z h], [2 z, -1]]
+_OFF_DIAGONAL_MOVER = FiberPattern(Poly.z(), Poly.const(1)).matrix()
+_OFF_DIAGONAL = ProjMat.of(Poly.const(1), (Poly.z() * ONE_MINUS_Z2).scale(-2), Poly.z().scale(2), Poly.const(-1))
 
 
 def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate:
@@ -251,15 +243,20 @@ def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate
 
 
 def _conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
-    """construct_conjugator's matrix for a pair known to be conjugate; the
-    pair moved off the diagonal is conjugate as well, so it is not decided
+    """construct_conjugator's matrix for a pair known to be conjugate.
+
+    The closed form needs q != 0.  The only involution with q = 0 is
+    [[i p, 0], [0, -i p]], projectively diag(1, -1), so at most one of two
+    different ones has it, and the constant _OFF_DIAGONAL_MOVER conjugates
+    it to the constant _OFF_DIAGONAL, whose form has p = 1 and
+    q = -2 i z != 0; that pair is conjugate as well, so it is not decided
     again."""
     if mat_a == mat_b:
         return ProjMat.identity()
-    moved_a, pre_a = _move_off_diagonal(mat_a)
-    moved_b, pre_b = _move_off_diagonal(mat_b)
-    if (moved_a, moved_b) != (mat_a, mat_b):
-        return pre_b.inverse() * _conjugator(moved_a, moved_b) * pre_a
+    if not involution_normal_form(mat_a).q:
+        return _conjugator(_OFF_DIAGONAL, mat_b) * _OFF_DIAGONAL_MOVER
+    if not involution_normal_form(mat_b).q:
+        return _OFF_DIAGONAL_MOVER.inverse() * _conjugator(mat_a, _OFF_DIAGONAL)
     return ProjMat.of(*_conjugator_entries(involution_normal_form(mat_a), involution_normal_form(mat_b)))
 
 
@@ -437,7 +434,12 @@ def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel)
     positive e-th root of r_k1 / r_k0, and b = (lam - 1)/(lam + 1).  When
     |S| = 1 every shift works, and b = 0.  The comparison is undecided when
     lam has no tower form (`RealAlgebraic.to_tower`).
+
+    Equal models are answered first, as the flip-free pass would answer
+    them: c^b = c^a makes every r_k equal to 1, so lam = 1 and b = 0.
     """
+    if (model_a.m, model_a.sign) == (model_b.m, model_b.sign):
+        return ModuliComparison("equivalent", Fraction(0))
     if model_a.sign != model_b.sign or model_a.degree != model_b.degree:
         return ModuliComparison("inequivalent")
     source, target = _u_coefficients(model_a), _u_coefficients(model_b)

@@ -1,4 +1,4 @@
-"""Polynomials and rational functions in z over the exact scalar field.
+"""Polynomials in z over the exact scalar field.
 
 A polynomial is stored as integer rows over one positive denominator, in the
 manner of FLINT's fmpq_poly.  Row k holds coefficient k as a dict
@@ -470,45 +470,6 @@ def require_real(p: Poly) -> None:
 
 def real_sign_at(p: Poly, x: Fraction) -> int:
     return p.eval_rational(x).as_real().sign()
-
-
-def square_free_part(p: Poly) -> Poly:
-    """Product of the distinct irreducible factors of p.
-
-    The result is primitive with leading coefficient +-1, the sign matching
-    the sign of p's leading coefficient when that sign is decidable (real
-    leading coefficient); complex-led inputs come back monic.
-    """
-    if not p:
-        raise ValueError("zero polynomial has no square-free part")
-    if p.degree == 0:
-        lead = p.lead()
-        if lead.is_real():
-            return Poly.const(lead.as_real().sign())
-        return Poly.const(1)
-    g = poly_gcd(p, p.derivative())
-    radical = p.exact_div(g) if g.degree > 0 else p
-    radical = radical.monic()
-    lead = p.lead()
-    if lead.is_real() and lead.as_real().sign() < 0:
-        radical = -radical
-    return radical
-
-
-def square_class_part(p: Poly) -> Poly:
-    """The product of the irreducible factors of odd multiplicity, i.e. the
-    canonical representative of p modulo squares; monic up to the preserved
-    sign of the leading coefficient."""
-    if not p:
-        raise ValueError("zero polynomial has no square class")
-    out = Poly.const(1)
-    for factor, mult in squarefree_decomposition(p):
-        if mult % 2:
-            out = out * factor
-    lead = p.lead()
-    if lead.is_real() and lead.as_real().sign() < 0:
-        out = -out
-    return out
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:

@@ -45,6 +45,22 @@ def random_reality_element(rng, max_degree=2) -> ProjMat:
         return mat
 
 
+def ref_square_class(p: Poly) -> Poly:
+    """The sign of the lead of a rational polynomial p times the monic
+    product of its factors of odd multiplicity: the canonical representative
+    of p modulo squares, from sympy's sqf_list, independent of the package."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.rational_coeffs())]
+    lead, factors = sympy.Poly(coeffs, x, domain="QQ").sqf_list()
+    out = sympy.Poly(sympy.sign(lead), x, domain="QQ")
+    for factor, k in factors:
+        if k % 2:
+            out *= factor
+    return Poly.from_rational_coeffs([Fraction(int(c.p), int(c.q)) for c in reversed(out.all_coeffs())])
+
+
 def random_sphere_point(rng):
     """A random rational point of the real sphere via stereographic data."""
     u = Fraction(rng.randint(-8, 8), rng.randint(1, 5))

@@ -68,7 +68,7 @@ from birsphere.sphere import (
 )
 from birsphere.classify import classify_spheremap, decide_conjugacy
 
-from conftest import random_poly, random_reality_element, random_sphere_point
+from conftest import random_poly, random_reality_element, random_sphere_point, ref_square_class
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -347,12 +347,10 @@ def test_criterion_6_realization_inverse(rng):
             Z.scale(CoeffScalar(1, 1)) + Poly.const(CoeffScalar(2, -1)),
             (Z + Poly.const(CoeffScalar(0, 3))) * (Z * Z + 2),
         ]
-        from birsphere.poly import square_class_part
-
         for beta in oval_inputs:
             mat = realize_oval(beta)
             model = fixed_curve(mat)
-            expected = square_class_part(ONE_MINUS_Z2 * beta * beta.conj())
+            expected = ref_square_class(ONE_MINUS_Z2 * beta * beta.conj())
             sign = expected.lead().as_real().sign()
             assert model.m == (expected if sign > 0 else -expected)
             assert model.sign == sign
@@ -371,7 +369,7 @@ def test_criterion_6_realization_inverse(rng):
         for f in no_oval_inputs:
             mat = realize_no_oval(f)
             model = fixed_curve(mat)
-            assert model.m == square_class_part(f)
+            assert model.m == ref_square_class(f)
             assert model.sign == -1
             a, p = v_decomp(f)
             assert a * a + p * Poly([-1, 0, 1]) == f

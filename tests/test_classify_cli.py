@@ -105,26 +105,34 @@ CONJ_CATALOGUE = (
 def test_conj_catalogue_answers_are_sound():
     """Over every ordered pair of a fixed builtin list plus the half-turn
     y_flip o z_flip, conj either raises a typed UndecidedExact or
-    UnsupportedExtension, answers false, or answers true with a verified
-    conjugator; the one uncertified true is a pair of base flips, and then
-    their twist classes and their orientation characters agree."""
+    UnsupportedExtension, answers false, or answers true with a conjugator
+    that verifies against the inputs as printed.  An uncertified true is a
+    pair of distinct base flips whose twist classes and orientation
+    characters agree; only g2p:1/2 against g2p:-1/2, both ways, is left."""
     from birsphere.errors import UndecidedExact, UnsupportedExtension
     from birsphere.etatwist import h2_invariant
 
+    names = list(CONJ_CATALOGUE) + ["half-turn"]
     maps = [builtin_map(name) for name in CONJ_CATALOGUE]
     maps.append(builtin_map("tau").compose(builtin_map("tilde_eta")))
-    for g1 in maps:
-        for g2 in maps:
+    uncertified = []
+    for name1, g1 in zip(names, maps):
+        for name2, g2 in zip(names, maps):
             try:
                 res = decide_conjugacy(g1, g2)
             except (UndecidedExact, UnsupportedExtension):
                 continue
-            if not res["conjugate"] or res.get("verified") is True:
+            if not res["conjugate"]:
                 continue
-            assert g1.base.kind == g2.base.kind == "neg", (g1, g2)
+            if res.get("verified") is True:
+                assert _certificate_verifies(res, g1, g2), (name1, name2)
+                continue
+            uncertified.append((name1, name2))
+            assert g1 != g2 and g1.base.kind == g2.base.kind == "neg", (g1, g2)
             assert h2_invariant(g1) == h2_invariant(g2)
             characters = [(g.is_diffeo(), g.is_orientation_preserving_diffeo()) for g in (g1, g2)]
             assert characters[0] == characters[1], (g1, g2)
+    assert uncertified == [("g2p:1/2", "g2p:-1/2"), ("g2p:-1/2", "g2p:1/2")]
 
 
 def _fiber_from_json(rows) -> SphereMap:
@@ -132,7 +140,20 @@ def _fiber_from_json(rows) -> SphereMap:
 
 
 def _certificate_verifies(res, g1, g2) -> bool:
-    return ConjugacyCertificate("conjugation", g1, g2, _fiber_from_json(res["conjugator"])).verify()
+    """The printed conjugator, read back as a matrix for a trivial base and
+    as a sphere map otherwise, conjugates g1 to g2."""
+    data = json.loads(json.dumps(res["conjugator"]))
+    conjugator = spheremap_from_json(data) if isinstance(data, dict) else _fiber_from_json(data)
+    return ConjugacyCertificate("conjugation", g1, g2, conjugator).verify()
+
+
+def test_conj_self_pairs_carry_the_identity(capsys):
+    """An element is conjugate to itself by the identity: the order-1 pair,
+    a trivial-base involution and a base flip alike."""
+    identity = [["1", "0"], ["0", "1"]]
+    for name in ("rot:1/1", "tau", "antipodal", "g2p:1/2"):
+        code, out, _ = run_cli(capsys, "conj", f"builtin:{name}", f"builtin:{name}")
+        assert code == 0 and json.loads(out) == {"conjugate": True, "conjugator": identity, "verified": True}, name
 
 
 def test_conj_rotations(capsys):
@@ -194,8 +215,14 @@ def test_conj_shifted_base_flip():
     eta = builtin_map("tilde_eta")
     shifted = s.compose(eta).compose(s.inverse())
     assert shifted.base.kind == "flipped_shift"
-    assert decide_conjugacy(shifted, eta)["conjugate"]
-    assert decide_conjugacy(eta, shifted)["conjugate"]
+    # the routed pair is (eta, eta), yet the identity does not conjugate the
+    # inputs, so it must not be printed for them
+    assert not ConjugacyCertificate("conjugation", shifted, eta, SphereMap.identity()).verify()
+    for pair in ((shifted, eta), (eta, shifted)):
+        res = decide_conjugacy(*pair)
+        assert res["conjugate"] and "conjugator" not in res
+    res = decide_conjugacy(shifted, shifted)
+    assert res["conjugate"] and res["verified"] and _certificate_verifies(res, shifted, shifted)
 
 
 def test_twist_class_computed_once(monkeypatch):
@@ -460,3 +487,21 @@ def test_cli_infinite_order(capsys):
     assert payload["caveats"] == ["infinite order; no family assigned"]
     code, out, _ = run_cli(capsys, "order", "diag(2+i, 2-i)")
     assert json.loads(out) == {"order": None}
+
+
+def test_readme_command_lines(capsys):
+    """Every line of the README's "Command line" block runs and exits 0, and
+    the fix line prints the JSON its comment states."""
+    import shlex
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines
+    for line in lines:
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "birsphere"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (line, err)
+        if argv[0] == "fix":
+            assert json.loads(out) == json.loads(line.split("#", 1)[1])

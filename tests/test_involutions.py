@@ -35,8 +35,6 @@ from birsphere.poly import (
     Poly,
     poly_gcd,
     real_roots_in_tower_poly,
-    square_class_part,
-    square_free_part,
 )
 from birsphere.projmat import ProjMat, raw_mul
 from birsphere.scalars import CoeffScalar, TowerReal
@@ -56,7 +54,7 @@ from birsphere.sphere import (
     z_flip,
 )
 
-from conftest import random_reality_element
+from conftest import random_reality_element, ref_square_class
 from test_exact_core import gaussian_scalars, polys, rational_scalars, ref_in_reality_group, ref_proportional
 
 Z = Poly.z()
@@ -190,6 +188,9 @@ def test_conjugacy_decided_once(monkeypatch, rng):
     real = inv.conj_decision
     monkeypatch.setattr(inv, "conj_decision", lambda a, b: calls.append(1) or real(a, b))
     a = InvolutionForm(Poly.const(1), Poly()).matrix()  # diagonal: moved off it first
+    # the image of the one diagonal involution diag(1, -1) is a constant
+    g = inv._OFF_DIAGONAL_MOVER
+    assert g * a * g.inverse() == inv._OFF_DIAGONAL and inv._conjugator(a, inv._OFF_DIAGONAL) == g
     for _ in range(5):
         c = random_reality_element(rng, max_degree=1)
         b = c * a * c.inverse()
@@ -263,12 +264,11 @@ def test_one_split_per_involution(monkeypatch):
     conjugator's square roots and the fixed curves of a false answer all
     read the memoised fixed-curve models."""
     import birsphere.involutions as inv
-    import birsphere.poly as poly
 
     degrees = []
-    real = poly.squarefree_decomposition
-    for module in (poly, inv):  # also the splits inside poly's square-class helpers
-        monkeypatch.setattr(module, "squarefree_decomposition", lambda p: degrees.append(p.degree) or real(p))
+    real = inv.squarefree_decomposition
+    # _split is the one caller in the decision path
+    monkeypatch.setattr(inv, "squarefree_decomposition", lambda p: degrees.append(p.degree) or real(p))
     a = InvolutionForm(Z + 2, Z + Poly.const(I)).matrix()
     c = FiberPattern(Z + Poly.const(I), Z - 1).matrix()
     pairs = [(a, c * a * c.inverse(), True, [4, 12]),
@@ -427,7 +427,7 @@ def test_realize_no_oval_roundtrip():
         mat = realize_no_oval(f)
         assert mat.order() == 2
         model = fixed_curve(mat)
-        assert model.m == square_class_part(f)
+        assert model.m == ref_square_class(f)
         assert model.sign == -1
         assert diffeo_orientation(mat) == 1  # no real points
 
@@ -436,7 +436,7 @@ def test_realize_oval_roundtrip_squarefree(rng):
     for beta in (Poly.const(1), Z + Poly.const(I), Z * Z + Z.scale(I) + 1):
         mat = realize_oval(beta)
         model = fixed_curve(mat)
-        expected = square_class_part(-ONE_MINUS_Z2.scale(-1) * beta * beta.conj())
+        expected = ref_square_class(-ONE_MINUS_Z2.scale(-1) * beta * beta.conj())
         target = expected if expected.lead().as_real().sign() > 0 else -expected
         assert model.m == target
         assert model.sign == (1 if expected.lead().as_real().sign() > 0 else -1)
@@ -539,7 +539,7 @@ def test_classify_certificates_attached():
 def test_basis_equiv_moduli():
     m_a = fixed_curve(realize_no_oval((Z * Z + 1) * (Z * Z + 4)))
     m_b = fixed_curve(realize_no_oval((Z * Z + 1) * (Z * Z + 9)))
-    assert basis_equiv_moduli(m_a, m_a).status == "equivalent"
+    assert basis_equiv_moduli(m_a, m_a) == ModuliComparison("equivalent", Fraction(0), flipped=False)
     assert basis_equiv_moduli(m_a, m_b).status == "inequivalent"
 
 
@@ -553,7 +553,7 @@ def test_basis_equiv_after_interval_pullback():
         c = m_a.m[k]
         if c:
             acc = acc + (num**k * den ** (m_a.m.degree - k)).scale(c)
-    sf = square_class_part(acc)
+    sf = ref_square_class(acc)
     m_pulled = HyperellipticModel(sf if sf.lead().as_real().sign() > 0 else -sf, m_a.sign, Poly.const(1))
     cmp = basis_equiv_moduli(m_a, m_pulled)
     assert cmp.status == "equivalent"
@@ -657,7 +657,7 @@ def squarefree_rational_polys(draw):
     coeffs = draw(st.lists(st.integers(-5, 5), min_size=degree + 1, max_size=degree + 1))
     assume(coeffs[-1] != 0)
     m = Poly.from_rational_coeffs(coeffs)
-    assume(square_free_part(m).degree == degree)
+    assume(poly_gcd(m, m.derivative()).degree == 0)
     return m.monic()
 
 

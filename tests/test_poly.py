@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from birsphere import factor
 from birsphere.errors import NotRealPolynomial
+from birsphere.involutions import _split
 from birsphere.poly import (
     ONE_MINUS_Z2,
     Poly,
@@ -18,8 +19,7 @@ from birsphere.poly import (
     isolate_real_roots_poly,
     poly_gcd,
     real_roots_in_tower_poly,
-    square_class_part,
-    square_free_part,
+    squarefree_decomposition,
     sturm_count,
 )
 from birsphere.scalars import CoeffScalar, TowerReal
@@ -122,16 +122,24 @@ def test_sturm_against_scanning_oracle():
             prev = s
 
 
-def test_square_free_part_examples():
-    assert square_free_part((Z * Z + 1) ** 2 * (Z * Z + 4)) == (Z * Z + 1) * (Z * Z + 4)
-    assert square_free_part(Z**3) == Z
-    assert square_free_part(-2 * Z * Z + 2) == -(Z * Z - 1)
+def test_squarefree_decomposition_examples():
+    """The radicals (z^2 + 1)(z^2 + 4), z and -(z^2 - 1), read off the split
+    p = lead * prod f_k^k with the f_k monic."""
+    assert squarefree_decomposition((Z * Z + 1) ** 2 * (Z * Z + 4)) == [(Z * Z + 4, 1), (Z * Z + 1, 2)]
+    assert squarefree_decomposition(Z**3) == [(Z, 3)]
+    assert squarefree_decomposition(-2 * Z * Z + 2) == [(Z * Z - 1, 1)]
+    assert _split(-2 * Z * Z + 2).sign == -1
 
 
-def test_square_class_part():
-    assert square_class_part((Z * Z - 1) ** 2) == Poly.const(1)
-    assert square_class_part((Z * Z + 1) ** 2 * (Z * Z + 4)) == Z * Z + 4
-    assert square_class_part(-(Z * Z - 1) ** 2) == Poly.const(-1)
+def test_split_square_class():
+    """The square class of p is sign * m in the fixed-curve model _split(p)."""
+    for p, m, sign in (
+        ((Z * Z - 1) ** 2, Poly.const(1), 1),
+        ((Z * Z + 1) ** 2 * (Z * Z + 4), Z * Z + 4, 1),
+        (-(Z * Z - 1) ** 2, Poly.const(1), -1),
+    ):
+        model = _split(p)
+        assert (model.m, model.sign) == (m, sign)
 
 
 def test_factor_rational():

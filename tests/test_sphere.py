@@ -41,7 +41,7 @@ from birsphere.sphere import (
     z_flip,
 )
 
-from conftest import random_reality_element, random_sphere_point
+from conftest import random_reality_element, random_sphere_point, ref_square_class
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -146,15 +146,13 @@ def test_determinant_positive_outside_interval(rng):
 
 
 def test_determinant_multiplicative_up_to_norm(rng):
-    from birsphere.poly import square_class_part
-
     for _ in range(10):
         a = random_reality_element(rng, max_degree=1)
         b = random_reality_element(rng, max_degree=1)
         dab = fiber_determinant(a * b)
         dprod = fiber_determinant(a) * fiber_determinant(b)
         # equal up to a factor p * conj(p), hence the same square class
-        ratio_class = square_class_part(dab * dprod)
+        ratio_class = ref_square_class(dab * dprod)
         assert ratio_class.degree == 0
         assert ratio_class.lead().as_real().sign() > 0
 
