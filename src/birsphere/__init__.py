@@ -36,7 +36,6 @@ from .sphere import (
     boundary_behavior,
     builtin_map,
     canonical_pattern,
-    classify_sphere_automorphism,
     contracted_fibers,
     diffeo_orientation,
     fiber_determinant,
@@ -79,7 +78,6 @@ from .picard import (
     is_lattice_aut,
     lattice_make,
     minus_one_classes,
-    normalize_point_pair,
 )
 from .classify import ClassificationReport, classify_spheremap, decide_conjugacy
 

@@ -22,11 +22,11 @@ from .factor import is_prime
 from .involutions import (
     HyperellipticModel,
     TrivialBaseReport,
-    _conjugator,
     basis_equiv_moduli,
     classify_trivialbase,
     conj_decision,
     fixed_curve,
+    involution_conjugator,
     rotation_normal_form,
 )
 from .parsing import parse_matrix, parse_poly, parse_scalar
@@ -339,9 +339,9 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
             moved = s.compose(r1).compose(s.inverse()).fiber
             if not conj_decision(moved, r2.fiber):
                 raise UndecidedExact("the fixed curves match under an interval map, the moved involutions do not")
-            conjugator = SphereMap.trivial_base(_conjugator(moved, r2.fiber)).compose(s)
+            conjugator = SphereMap.trivial_base(involution_conjugator(moved, r2.fiber)).compose(s)
         else:  # S = id: the equal models have decided the pair
-            conjugator = SphereMap.trivial_base(_conjugator(r1.fiber, r2.fiber))
+            conjugator = SphereMap.trivial_base(involution_conjugator(r1.fiber, r2.fiber))
     else:
         # the angle is a conjugacy invariant: equal to that of the normal form
         angles = [list(r.fiber.rotation_angle()) for r in (r1, r2)]

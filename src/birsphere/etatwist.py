@@ -49,9 +49,6 @@ class TwistClass:
     sign: int
     gens: tuple[RealAlgebraic, ...]
 
-    def is_trivial(self) -> bool:
-        return self.sign == 1 and not self.gens
-
     def is_linear_model(self) -> bool:
         """True for the two classes realised by linear maps: (+-1, {})."""
         return not self.gens

@@ -21,12 +21,16 @@ def primes():
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12, the least strong pseudoprime to all of _MR_BASES (Sorenson &
+# Webster 2015): 399165290221 * 798330580441.
+PSI_12 = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
     """Trial division by the first 12 primes, then Miller-Rabin to those
-    bases, which decides exactly below 3.1 * 10^23 (Sorenson & Webster 2015),
-    far above 2^62; beyond that a True is a strong probable prime."""
+    bases, which decides exactly below PSI_12 = 318665857834031151167461
+    (about 3.2 * 10^23, far above 2^62); at or beyond it a True is only a
+    strong probable prime, and PSI_12 itself is composite yet passes."""
     if n < 2:
         return False
     for p in _MR_BASES:

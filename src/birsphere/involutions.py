@@ -204,8 +204,8 @@ def _companion_data(form: InvolutionForm) -> tuple[tuple, Poly]:
     a flat entry 4-tuple as in raw_mul; f = -D.  The twist unit
     alpha^-1 tau conj(alpha) is [[i p, -f], [-1, i p]] / q.
 
-    Requires q != 0 (_conjugator moves the diagonal involution off the
-    diagonal first)."""
+    Requires q != 0 (involution_conjugator moves the diagonal involution
+    off the diagonal first)."""
     p, q = form.p, form.q
     if not q:
         raise ValueError("off-diagonal involution form required")
@@ -234,16 +234,18 @@ def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate
 
     with (p, q) the form of A, beta the companion matrix of B and M(x + y r)
     = [[x, f y], [y, x]].  The witness c comes from a finite set with a proof
-    (_hilbert90), and the "conjugation" certificate is verified once.
+    (_hilbert90).  involution_conjugator builds C, and the "conjugation"
+    certificate is verified once.
     """
     if mat_a != mat_b and not conj_decision(mat_a, mat_b):
         raise NotConjugate("maps are not conjugate: determinants differ by a non-square")
-    source, target, conjugator = (SphereMap.trivial_base(m) for m in (mat_a, mat_b, _conjugator(mat_a, mat_b)))
-    return ConjugacyCertificate.verified("conjugation", source, target, conjugator)
+    maps = (SphereMap.trivial_base(m) for m in (mat_a, mat_b, involution_conjugator(mat_a, mat_b)))
+    return ConjugacyCertificate.verified("conjugation", *maps)
 
 
-def _conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
-    """construct_conjugator's matrix for a pair known to be conjugate.
+def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
+    """The conjugator C with C A C^-1 = B of construct_conjugator, for
+    involutions known to be conjugate; nothing is decided or verified here.
 
     The closed form needs q != 0.  The only involution with q = 0 is
     [[i p, 0], [0, -i p]], projectively diag(1, -1), so at most one of two
@@ -254,9 +256,9 @@ def _conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
     if mat_a == mat_b:
         return ProjMat.identity()
     if not involution_normal_form(mat_a).q:
-        return _conjugator(_OFF_DIAGONAL, mat_b) * _OFF_DIAGONAL_MOVER
+        return involution_conjugator(_OFF_DIAGONAL, mat_b) * _OFF_DIAGONAL_MOVER
     if not involution_normal_form(mat_b).q:
-        return _OFF_DIAGONAL_MOVER.inverse() * _conjugator(mat_a, _OFF_DIAGONAL)
+        return _OFF_DIAGONAL_MOVER.inverse() * involution_conjugator(mat_a, _OFF_DIAGONAL)
     return ProjMat.of(*_conjugator_entries(involution_normal_form(mat_a), involution_normal_form(mat_b)))
 
 

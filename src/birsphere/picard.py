@@ -224,25 +224,6 @@ def geiser_action(lat: PicLattice, v) -> Vector:
     return tuple(int(kv * k - vi) for k, vi in zip(lat.canonical, v))
 
 
-def order3_rank_check(lat: PicLattice, rows) -> int:
-    """For an order-3 automorphism of the degree-2 lattice fixing K, the
-    invariant rank together with the real structure is at least 2."""
-    if lat.degree != 2:
-        raise ValueError("degree-2 lattice expected")
-    m = _frac_matrix(rows)
-    if not is_lattice_aut(lat, m):
-        raise NotAutomorphism("matrix does not preserve the lattice data")
-    ident = _identity(lat.rank)
-    if m == ident or _mat_mul(m, _mat_mul(m, m)) != ident:
-        raise ValueError("order-3 matrix expected")
-    rank = invariant_rank(lat, [m, lat.sigma])
-    if rank < 2:
-        raise RuntimeError(
-            "order-3 automorphism with invariant rank < 2 contradicts the classification"
-        )
-    return rank
-
-
 # -- shipped degree-4 matrices (basis f, fbar, E_p, E_pbar, E_q, E_qbar) ------------------
 
 
@@ -361,17 +342,6 @@ class DP4Surface:
         }
         return q1, q2
 
-    def eval_quadric(self, q: dict, point) -> CoeffScalar:
-        pt = [scalar(c) for c in point]
-        acc = CoeffScalar(0)
-        for (i, j), coeff in q.items():
-            acc = acc + coeff * pt[i - 1] * pt[j - 1]
-        return acc
-
-    def on_surface(self, point) -> bool:
-        q1, q2 = self.quadrics()
-        return not self.eval_quadric(q1, point) and not self.eval_quadric(q2, point)
-
 
 SIGN_MAPS = {
     "gamma1": (1, 1, -1, 1, -1),
@@ -380,13 +350,6 @@ SIGN_MAPS = {
     "alpha1": (1, 1, 1, 1, -1),
     "alpha2": (1, 1, -1, 1, 1),
 }
-
-
-def apply_coordinate_auto(name: str, point):
-    if name not in SIGN_MAPS:
-        raise ValueError(f"unknown coordinate automorphism {name!r}")
-    signs = SIGN_MAPS[name]
-    return tuple(scalar(c) * CoeffScalar(Fraction(s)) for c, s in zip(point, signs))
 
 
 def sign_map_preserves_quadric(name: str, q: dict) -> bool:
@@ -490,41 +453,3 @@ def verify_anticanonical_dataset(mu) -> bool:
         else:
             return False
     return True
-
-
-# -- moving point pairs to the standard position ---------------------------------------------
-
-
-def normalize_point_pair(p, q):
-    """Move two imaginary, non-conjugate points of the product of two lines
-    into the standard pair (1:0)(0:1), (1:1)(1:mu).
-
-    p and q are pairs ((r, s), (u, v)) of projective coordinates.  Returns
-    (first_factor_matrix, mu); the sphere automorphism is the pair action
-    of that matrix and its conjugate.  Degenerate configurations (mu in
-    {0, 1, -1} or shared fibers) raise DegenerateConfiguration.
-    """
-    (r1, s1), (u1, v1) = (tuple(scalar(c) for c in f) for f in p)
-    a = ((v1.conj(), -u1.conj()), (-s1, r1))
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if not det:
-        raise DegenerateConfiguration("point shares a fiber with its conjugate")
-    abar = tuple(tuple(c.conj() for c in row) for row in a)
-
-    def act(mat, coord):
-        return (
-            mat[0][0] * coord[0] + mat[0][1] * coord[1],
-            mat[1][0] * coord[0] + mat[1][1] * coord[1],
-        )
-
-    q1, q2 = (tuple(scalar(c) for c in f) for f in q)
-    q1n, q2n = act(a, q1), act(abar, q2)
-    if not q1n[1] or not q2n[1] or not q1n[0] or not q2n[0]:
-        raise DegenerateConfiguration("second point lies on a fiber through the first pair")
-    lam = q1n[0] / q1n[1]
-    rho = q2n[0] / q2n[1]
-    mu = lam.conj() / rho
-    if not mu or mu == CoeffScalar(1) or mu == CoeffScalar(-1):
-        raise DegenerateConfiguration(f"normalized parameter mu = {mu} is degenerate")
-    lam_inv = lam.inverse()  # diag(1, 1/lam) * a scales the second row
-    return (a[0], (a[1][0] * lam_inv, a[1][1] * lam_inv)), mu

@@ -30,13 +30,15 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import UnsupportedExtension
-from .factor import is_prime
+from .factor import PSI_12, is_prime
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
 def _factorint(n: int) -> dict[int, int]:
-    """Factor a positive integer by trial division plus Pollard rho."""
+    """Factor a positive integer by trial division plus Pollard rho.  A
+    cofactor that is_prime passes at or above PSI_12 may be a pseudoprime,
+    so it raises UnsupportedExtension rather than enter a tower form."""
     if n <= 0:
         raise ValueError("positive integer expected")
     factors: dict[int, int] = {}
@@ -52,6 +54,8 @@ def _factorint(n: int) -> dict[int, int]:
         if m == 1:
             continue
         if is_prime(m):
+            if m >= PSI_12:
+                raise UnsupportedExtension(f"primality of {m} is not decided exactly at or above {PSI_12}")
             factors[m] = factors.get(m, 0) + 1
             continue
         d = _pollard_rho(m)

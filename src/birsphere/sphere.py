@@ -17,13 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .bipoly import BiFrac, BiPoly
 from .errors import (
     BasePointHit,
     InfiniteOrderBase,
-    NotFiniteOrder,
     NotOnSphere,
     NotRealityMember,
     UnsupportedExtension,
@@ -742,74 +740,3 @@ def builtin_map(spec: str) -> SphereMap:
 
 
 BUILTIN_NAMES = ("tau", "upsilon", "antipodal", "tilde_eta", "rot:k/n", "gb:t", "g1p:t", "g2p:t")
-
-
-# -- automorphisms of the sphere itself --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SphereAutClass:
-    """Conjugacy datum of a finite-order automorphism of the sphere."""
-
-    kind: str  # rotation | reflection | antipodal
-    angle: tuple[int, int] | None
-    conjugator: tuple[tuple[CoeffScalar, ...], ...] | None
-
-
-def _const_matrix(rows):
-    return tuple(tuple(scalar(c) for c in row) for row in rows)
-
-
-def classify_sphere_automorphism(rows, swap: bool) -> SphereAutClass:
-    """Classify a finite-order automorphism of the sphere given by a
-    constant matrix (acting on the first ruling) and a swap flag.
-
-    Without swap the class is a rotation with its angle; with swap the
-    scalar of A * conj(A) decides between the reflection (positive) and the
-    antipodal map (negative), with a constructive conjugator either way.
-    """
-    a0 = _const_matrix(rows)
-    flat = a0[0] + a0[1]  # the entry 4-tuple of raw_mul
-
-    def det(m):
-        return m[0] * m[3] - m[1] * m[2]
-
-    if not det(flat):
-        raise ValueError("singular matrix")
-    if not swap:
-        proj = ProjMat.of(*(Poly.const(c) for c in flat))
-        angle = proj.rotation_angle()
-        if angle is None:
-            raise NotFiniteOrder("matrix has infinite projective order")
-        return SphereAutClass("rotation", angle, None)
-    m = raw_mul(flat, tuple(c.conj() for c in flat))
-    if m[1] or m[2] or m[0] != m[3]:
-        raise NotFiniteOrder("swap element does not square to a scalar")
-    lam = m[0]
-    if not lam.is_real():
-        raise RuntimeError("scalar of A*conj(A) must be real")
-    lam_r = lam.as_real()
-    scale = abs(lam_r).sqrt().inverse()
-    a1 = tuple(c * CoeffScalar(scale) for c in flat)
-
-    def twisted(v):  # A1 conj(v)
-        return (a1[0] * v[0].conj() + a1[1] * v[1].conj(), a1[2] * v[0].conj() + a1[3] * v[1].conj())
-
-    one, zero = CoeffScalar(1), CoeffScalar(0)
-    if lam_r.sign() > 0:
-        # Speiser's lemma: v -> A1 conj(v) is a semilinear involution, and the
-        # vectors v + A1 conj(v) for v in (e1, e2, i e1, i e2) are fixed by it
-        # and span C^2, since 2 v = (v + A1 conj(v)) - i (i v + A1 conj(i v));
-        # so two of them form a basis B with A1 conj(B) = B.  The pair
-        # (e1, e2) comes first: B = I + A1.
-        i = CoeffScalar.i()
-        fixed = [tuple(x + y for x, y in zip(v, twisted(v))) for v in ((one, zero), (zero, one), (i, zero), (zero, i))]
-        for u, v in combinations(fixed, 2):
-            bmat = (u[0], v[0], u[1], v[1])
-            if det(bmat):
-                return SphereAutClass("reflection", None, (bmat[:2], bmat[2:]))
-        raise RuntimeError("no basis of fixed vectors: unreachable by Speiser's lemma")
-    # negative scalar: antipodal, with basis (e1, A1 conj(e1)); it is one, as
-    # A1 conj(e1) = l e1 would give -e1 = A1 conj(A1 conj(e1)) = |l|^2 e1
-    av = twisted((one, zero))
-    return SphereAutClass("antipodal", None, ((one, av[0]), (zero, av[1])))

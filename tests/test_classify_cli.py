@@ -313,6 +313,16 @@ def test_cli_exit_codes(capsys):
         assert code == 4 and "order 2 with different base actions" in err
 
 
+def test_cli_pseudoprime_radicand_exit_code(capsys):
+    """sqrt(PSI_12 * 399165290221) - 399165290221 * sqrt(798330580441) is 0,
+    so the matrix is the identity; PSI_12 passes the primality test, and the
+    radicand cannot be put in canonical tower form, which exits 3 rather
+    than answer an order for the wrong number."""
+    entry = "1+sqrt(127200349625844970906114293036698881)-399165290221*sqrt(798330580441)"
+    code, out, _ = run_cli(capsys, "order", f"diag(1, {entry})")
+    assert code == 3 and out == ""
+
+
 def test_tower_involution_needs_no_root(capsys):
     """A real involution with tower coefficients: -D has lead 4 - 2 sqrt(2),
     which has no tower square root, and its fixed-curve model needs none."""

@@ -190,7 +190,7 @@ def test_conjugacy_decided_once(monkeypatch, rng):
     a = InvolutionForm(Poly.const(1), Poly()).matrix()  # diagonal: moved off it first
     # the image of the one diagonal involution diag(1, -1) is a constant
     g = inv._OFF_DIAGONAL_MOVER
-    assert g * a * g.inverse() == inv._OFF_DIAGONAL and inv._conjugator(a, inv._OFF_DIAGONAL) == g
+    assert g * a * g.inverse() == inv._OFF_DIAGONAL and inv.involution_conjugator(a, inv._OFF_DIAGONAL) == g
     for _ in range(5):
         c = random_reality_element(rng, max_degree=1)
         b = c * a * c.inverse()

@@ -18,8 +18,10 @@ def _tracing():
 
 def test_traced_names_exist():
     """Every method in tracing.METHODS is in its class's own __dict__, where
-    the tracer looks it up, and construct_conjugator, whose span run.py
-    reads, is defined in the involutions module itself."""
+    the tracer looks it up.  The tracer spans only public functions defined
+    in a layer's own module: construct_conjugator, whose span run.py reads,
+    and involution_conjugator, which decide_conjugacy calls under that
+    public name, are such functions of the involutions module."""
     for layer, classes in _tracing().METHODS.items():
         module = importlib.import_module(f"birsphere.{layer}")
         for cls_name, methods in classes.items():
@@ -27,4 +29,7 @@ def test_traced_names_exist():
             for method in methods:
                 assert method in cls.__dict__, f"{layer}.{cls_name}.{method}"
     involutions = importlib.import_module("birsphere.involutions")
-    assert involutions.construct_conjugator.__module__ == involutions.__name__
+    for name in ("construct_conjugator", "involution_conjugator"):
+        assert getattr(involutions, name).__module__ == involutions.__name__
+    classify = importlib.import_module("birsphere.classify")
+    assert classify.involution_conjugator is involutions.involution_conjugator

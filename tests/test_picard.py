@@ -9,7 +9,6 @@ from birsphere.picard import (
     alpha1_matrix,
     alpha2_matrix,
     anticanonical_matrices,
-    apply_coordinate_auto,
     conic_classes,
     conic_pairs,
     g1_matrix,
@@ -21,8 +20,6 @@ from birsphere.picard import (
     is_lattice_aut,
     lattice_make,
     minus_one_classes,
-    normalize_point_pair,
-    order3_rank_check,
     rejected_half_integer_matrices,
     sign_map_preserves_quadric,
     verify_anticanonical_dataset,
@@ -31,6 +28,16 @@ from birsphere.scalars import CoeffScalar
 
 I = CoeffScalar.i()
 MU_UNIT = CoeffScalar(Fraction(3, 5), Fraction(4, 5))
+
+
+def quadric_value(q, point):
+    """The quadric {(i, j): coeff} of DP4Surface.quadrics at a point of P^4."""
+    return sum((coeff * point[i - 1] * point[j - 1] for (i, j), coeff in q.items()), CoeffScalar(0))
+
+
+def sign_map(name, point):
+    """The coordinate sign map SIGN_MAPS[name] applied to a point of P^4."""
+    return tuple(c * s for c, s in zip(point, SIGN_MAPS[name]))
 
 
 def test_lattice_shapes():
@@ -125,9 +132,8 @@ def test_order3_rank_check():
     cycle = (("E_p", "E_q"), ("E_q", "E_r"), ("E_r", "E_p"))
     for src, dst in cycle + tuple((s + "bar", d + "bar") for s, d in cycle):
         perm[idx[dst]][idx[src]] = 1
-    assert order3_rank_check(lat, perm) >= 2
-    with pytest.raises(ValueError):
-        order3_rank_check(lat, [[1 if i == j else 0 for j in range(8)] for i in range(8)])
+    assert is_lattice_aut(lat, perm)
+    assert invariant_rank(lat, [perm, lat.sigma]) >= 2
 
 
 def test_dp4_surface_and_sign_maps():
@@ -138,7 +144,7 @@ def test_dp4_surface_and_sign_maps():
         assert sign_map_preserves_quadric(name, q2)
     # alpha1 . alpha1 = identity on points
     pt = tuple(CoeffScalar(k) for k in (1, 2, 3, 4, 5))
-    assert apply_coordinate_auto("alpha1", apply_coordinate_auto("alpha1", pt)) == pt
+    assert sign_map("alpha1", sign_map("alpha1", pt)) == pt
     with pytest.raises(DegenerateConfiguration):
         DP4Surface(CoeffScalar(1))
 
@@ -154,9 +160,10 @@ def test_surface_points_map_to_surface_points():
     y3 = y3sq.sqrt()
     y5 = y5sq.sqrt()
     pt = (y1, y2, y3, y4, y5)
-    assert surface.on_surface(pt)
+    assert not quadric_value(q1, pt) and not quadric_value(q2, pt)
     for name in SIGN_MAPS:
-        assert surface.on_surface(apply_coordinate_auto(name, pt))
+        image = sign_map(name, pt)
+        assert not quadric_value(q1, image) and not quadric_value(q2, image)
 
 
 def test_image_rho_check():
@@ -172,22 +179,6 @@ def test_anticanonical_dataset():
     assert verify_anticanonical_dataset(CoeffScalar(2, 1))
     data = anticanonical_matrices(MU_UNIT)
     assert set(data) == {"gamma1", "gamma2", "gamma", "N"}
-
-
-def test_normalize_point_pair():
-    # standard pair comes back with the same mu
-    p = ((CoeffScalar(1), CoeffScalar(0)), (CoeffScalar(0), CoeffScalar(1)))
-    q = ((CoeffScalar(1), CoeffScalar(1)), (CoeffScalar(1), MU_UNIT))
-    mat, mu = normalize_point_pair(p, q)
-    assert mu == MU_UNIT
-    # a moved pair recovers a nondegenerate parameter
-    p2 = ((CoeffScalar(1), I), (CoeffScalar(2), CoeffScalar(1)))
-    q2 = ((CoeffScalar(3), CoeffScalar(1)), (CoeffScalar(1), 2 * I))
-    mat2, mu2 = normalize_point_pair(p2, q2)
-    assert mu2 and mu2 != CoeffScalar(1) and mu2 != CoeffScalar(-1)
-    with pytest.raises(DegenerateConfiguration):
-        # q on the same fiber as p
-        normalize_point_pair(p, ((CoeffScalar(1), CoeffScalar(0)), (CoeffScalar(1), CoeffScalar(5))))
 
 
 def test_sigma_commutes_with_shipped_automorphisms():

@@ -298,6 +298,8 @@ def test_is_prime_matches_trial_division():
         assert factor.is_prime(n) == (n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))), n
     # strong pseudoprimes to the first 4 and to the first 9 prime bases
     assert not factor.is_prime(3215031751) and not factor.is_prime(3825123056546413051)
+    # the least strong pseudoprime to all 12 bases passes: the exact range ends there
+    assert factor.is_prime(factor.PSI_12) and factor.PSI_12 == 399165290221 * 798330580441
     assert factor.is_prime((1 << 61) - 1)
 
 

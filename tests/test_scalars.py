@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from birsphere.errors import UnsupportedExtension
+from birsphere.factor import PSI_12
 from birsphere.scalars import CoeffScalar, TowerReal, squarefree_decompose
 
 
@@ -16,6 +17,16 @@ def test_squarefree_decompose():
     assert squarefree_decompose(12) == (2, 3)
     assert squarefree_decompose(49) == (7, 1)
     assert squarefree_decompose(360) == (6, 10)
+
+
+def test_squarefree_decompose_beyond_the_primality_bound():
+    """PSI_12 = 399165290221 * 798330580441 passes is_prime, so a cofactor
+    at or above it is not trusted as a prime: the square 399165290221^2
+    would stay hidden and one real number would get two tower forms."""
+    with pytest.raises(UnsupportedExtension):
+        squarefree_decompose(PSI_12 * 399165290221)
+    # below the bound the test is exact: PSI_12 - 2 is prime
+    assert squarefree_decompose(4 * (PSI_12 - 2)) == (2, PSI_12 - 2)
 
 
 def test_radicand_normalisation():

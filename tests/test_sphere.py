@@ -12,7 +12,7 @@ from birsphere.errors import (
     NotOnSphere,
 )
 from birsphere.poly import ONE_MINUS_Z2, Poly
-from birsphere.projmat import INF, ProjMat, raw_mul
+from birsphere.projmat import INF, ProjMat
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import (
     BaseMobius,
@@ -23,7 +23,6 @@ from birsphere.sphere import (
     boundary_behavior,
     builtin_map,
     canonical_pattern,
-    classify_sphere_automorphism,
     contracted_fibers,
     coordinate_functions,
     fiber_determinant,
@@ -383,51 +382,13 @@ def test_equivariance_of_members_and_violation_of_nonmembers(rng):
     assert witness is not None
 
 
-# -- automorphism classification ----------------------------------------------------------
+# -- automorphisms of the sphere itself -------------------------------------------------
 
 
-def test_classify_sphere_automorphism():
-    cls = classify_sphere_automorphism(((1, 0), (0, 1)), swap=True)
-    assert cls.kind == "reflection"
-    cls = classify_sphere_automorphism(((0, -1), (1, 0)), swap=True)
-    assert cls.kind == "antipodal"
-    cls = classify_sphere_automorphism(((1, 0), (0, I)), swap=False)
-    assert cls.kind == "rotation" and cls.angle == (1, 4)
-    half = Fraction(1, 2)
-    zeta6 = CoeffScalar(half, TowerReal.sqrt_rational(3) / 2)
-    cls = classify_sphere_automorphism(((1, 0), (0, zeta6)), swap=False)
-    assert cls.angle == (1, 6)
-
-
-def test_classify_swap_conjugators_verify():
-    # reflection case: B^-1 A1 conj(B) = 1 for the produced witness
-    a0 = ((CoeffScalar(0), CoeffScalar(Fraction(2))), (CoeffScalar(Fraction(1, 2)), CoeffScalar(0)))
-    cls = classify_sphere_automorphism(a0, swap=True)
-    assert cls.kind == "reflection"
-    b = cls.conjugator
-    assert b[0][0] * b[1][1] - b[0][1] * b[1][0]
-
-
-def test_reflection_conjugator_relation():
-    # for the produced reflection witness: A1 conj(B) = B, i.e. B^-1 A1 conj(B) = 1
-    from birsphere.sphere import _const_matrix
-
-    a0 = _const_matrix(((0, Fraction(2)), (Fraction(1, 2), 0)))
-    cls = classify_sphere_automorphism(a0, swap=True)
-    b = cls.conjugator[0] + cls.conjugator[1]
-    lhs = raw_mul(a0[0] + a0[1], tuple(c.conj() for c in b))
-    assert lhs == b
-
-
-def test_reflection_witness_when_first_pair_vanishes():
-    # A1 = -I: v + A1 conj(v) vanishes for v = e1, e2, so the basis comes
-    # from (i e1, i e2) of the finite Speiser set
-    cls = classify_sphere_automorphism(((-1, 0), (0, -1)), swap=True)
-    assert cls.kind == "reflection"
-    two_i = CoeffScalar(0, 2)
-    assert cls.conjugator == ((two_i, CoeffScalar(0)), (CoeffScalar(0), two_i))
-    b = cls.conjugator[0] + cls.conjugator[1]
-    assert raw_mul((-1, 0, 0, -1), tuple(c.conj() for c in b)) == b
+def test_rotation_angle_of_constant_diagonals():
+    assert ProjMat.diag(Poly.const(1), Poly.const(I)).rotation_angle() == (1, 4)
+    zeta6 = CoeffScalar(Fraction(1, 2), TowerReal.sqrt_rational(3) / 2)
+    assert ProjMat.diag(Poly.const(1), Poly.const(zeta6)).rotation_angle() == (1, 6)
 
 
 def test_interval_shift_base_action_on_zero():
