@@ -38,10 +38,8 @@ from .sphere import (
     canonical_pattern,
     contracted_fibers,
     diffeo_orientation,
-    fiber_determinant,
     in_diffeo_group,
     in_reality_group,
-    is_orientation_preserving,
     psi_forward,
     psi_inverse,
     reality_twist,

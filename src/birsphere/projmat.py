@@ -72,6 +72,24 @@ def raw_mul(a, b):
     )
 
 
+def angle_of_entries(entries) -> tuple[int, int] | None:
+    """The angle (k, n) of TWO_COS whose rotation diag(1, exp(2 pi i k/n)) is
+    conjugate over an algebraic closure to the matrix of 4 entries, None at
+    infinite order (kappa = trace^2/det non-constant, not in the table, or 4
+    on a unipotent matrix).  kappa and the identity test (zero off-diagonal,
+    equal diagonal) are projective: the entries need not be canonical."""
+    a11, a12, a21, a22 = entries
+    tr = a11 + a22
+    if not tr:
+        return (1, 2)
+    tr2, det = tr * tr, a11 * a22 - a12 * a21
+    kappa = tr2.lead() / det.lead()
+    angle = _ANGLE_OF_KAPPA.get(kappa) if tr2 == det.scale(kappa) else None
+    if angle == (0, 1) and (a12 or a21 or a11 != a22):
+        return None
+    return angle
+
+
 def proportional(p, q) -> bool:
     """Projective equality of two nonzero entry 4-tuples over a domain.
 
@@ -159,9 +177,6 @@ class ProjMat:
     def det(self) -> Poly:
         return self.a11 * self.a22 - self.a12 * self.a21
 
-    def trace(self) -> Poly:
-        return self.a11 + self.a22
-
     def __mul__(self, other: ProjMat) -> ProjMat:
         if not isinstance(other, ProjMat):
             return NotImplemented
@@ -193,19 +208,8 @@ class ProjMat:
         return not (self.a12 or self.a21) and self.a11 == self.a22
 
     def rotation_angle(self) -> tuple[int, int] | None:
-        """The angle (k, n) of TWO_COS whose rotation diag(1, exp(2 pi i k/n))
-        is conjugate to self over an algebraic closure; None when self has
-        infinite order (kappa = trace^2/det non-constant, not in the table,
-        or 4 on a unipotent matrix)."""
-        tr = self.trace()
-        if not tr:
-            return (1, 2)
-        tr2, det = tr * tr, self.det()
-        kappa = tr2.lead() / det.lead()
-        angle = _ANGLE_OF_KAPPA.get(kappa) if tr2 == det.scale(kappa) else None
-        if angle == (0, 1) and not self.is_identity():
-            return None
-        return angle
+        """angle_of_entries of the canonical entries."""
+        return angle_of_entries(self.entries())
 
     def order(self) -> int | None:
         """Least n with self^n = 1 in PGL, or None when there is none."""

@@ -6,17 +6,19 @@ become 2x2 projective matrices over C(z), and compatibility with the real
 structure becomes the condition  tau A tau = conj(A)  with
 tau = [[0, 1-z^2], [1, 0]].  This module provides that bridge: membership
 tests, the normal pattern [[a, b*h], [conj b, conj a]] read off in closed
-form from A + tau conj(A) tau^-1, determinants and their positivity (the
-birational-diffeomorphism criterion), contracted fibers and boundary-line
+form from A + tau conj(A) tau^-1, diffeomorphism membership and orientation
+from a(+-1) and one Sturm count of the stripped determinant D', whose real
+roots all lie in (-1, 1) and are the contracted fibers, boundary-line
 behaviour, maps with nontrivial action on the base interval, exact sphere
 formulas, and the builtin catalogue of named maps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .bipoly import BiFrac, BiPoly
 from .errors import (
@@ -26,9 +28,8 @@ from .errors import (
     NotRealityMember,
     UnsupportedExtension,
 )
-from .poly import ONE_MINUS_Z2, Poly, poly_gcd
-from .positivity import is_real_positive
-from .projmat import INF, TWO_COS, ProjMat, proportional, raw_mul
+from .poly import ONE_MINUS_Z2, Poly, poly_gcd, real_roots_in_tower_poly, sturm_count
+from .projmat import INF, TWO_COS, ProjMat, angle_of_entries, proportional, raw_mul
 from .scalars import CoeffScalar, TowerReal, scalar
 
 
@@ -72,16 +73,36 @@ class FiberPattern:
     def determinant(self) -> Poly:
         return self.a * self.a.conj() - self.b * self.b.conj() * ONE_MINUS_Z2
 
+    @cached_property
+    def stripped_determinant(self) -> tuple[bool, bool, Poly]:
+        """(a(1) = 0, a(-1) = 0, D'): D' is the primitive determinant D
+        divided by z - e for each e = +-1 with a(e) = 0.
 
-def _common_real_factor(a: Poly, b: Poly) -> Poly:
-    """The monic real part gcd(g, conj g) of g = gcd(a, b)."""
-    g = poly_gcd(a, b)
-    return poly_gcd(g, g.conj())
+        Lemma.  If a and b share no real root (true of every canonical
+        pattern: if a or b is 0, the other has none) and h = 1 - z^2, then
+        (i) D = |a|^2 + |b|^2 |h| > 0 outside [-1, 1], where h < 0;
+        (ii) D(e) = |a(e)|^2 for e = +-1; (iii) if a(e) = 0 then b(e) != 0,
+        so e is a simple root of D: dD/dz(e) = 2 e |b(e)|^2.  Hence the real
+        roots of D', the contracted fibers, are those of D in (-1, 1), and
+        D > 0 on R iff a(+-1) != 0 and D' has no real root.  M tau, for M the
+        matrix, has the pattern (b h, a) stripped of r, the real part of
+        gcd(b h, a), which is the product of the z - e with a(e) = 0, so its
+        determinant is -h D / r^2: positive on R iff r^2 = h^2 and -D / h = D'
+        has no real root (with one e it changes sign at the other, with none
+        it vanishes at +-1).  Memoised with the pattern canonical_pattern caches."""
+        north, south = not self.a(1), not self.a(-1)
+        det = _primitive_real(self.determinant())
+        for e, zero in ((1, north), (-1, south)):
+            if zero:
+                det = det.exact_div(Poly([-e, 1]))
+        return north, south, det
 
 
 def _strip_common_real_factors(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if a and b:
-        real_part = _common_real_factor(a, b)
+        # the monic real part gcd(g, conj g) of g = gcd(a, b)
+        g = poly_gcd(a, b)
+        real_part = poly_gcd(g, g.conj())
         if real_part.degree > 0:
             a, b = a.exact_div(real_part), b.exact_div(real_part)
     # scale by a rational to reduce coefficient clutter (a real scalar keeps the shape)
@@ -95,8 +116,6 @@ def _strip_common_real_factors(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         q = mag.as_rational()
         scale = q if scale is None else min(scale, q)
     if scale and scale != 1:
-        import math
-
         # divide by sqrt of a rational square factor when it is one
         root = Fraction(math.isqrt(scale.numerator), math.isqrt(scale.denominator))
         if root * root == scale and root != 1:
@@ -137,30 +156,15 @@ def _primitive_real(p: Poly) -> Poly:
     return p.primitive() if p.is_rational() else p
 
 
-def fiber_determinant(mat: ProjMat) -> Poly:
-    """The pattern determinant a*~a - b*~b*h, primitive; real, positive
-    outside the closed interval [-1, 1]."""
-    return _primitive_real(canonical_pattern(mat).determinant())
-
-
-def is_orientation_preserving(mat: ProjMat) -> bool:
-    """True iff the map is a birational diffeomorphism preserving
-    orientation: the determinant is strictly positive on all of R."""
-    return is_real_positive(fiber_determinant(mat))
-
-
 def diffeo_orientation(mat: ProjMat) -> int:
     """1 for a birational diffeomorphism preserving orientation, -1 for one
     reversing it (mat * reality_twist() preserves it), 0 when the map is not
-    defined at every real point.  Callers that need both facts ask once.
-    mat * reality_twist() has the pattern (b h, a) with determinant -h D / r^2,
-    D the pattern determinant of mat and r the real part of gcd(b h, a)."""
-    if is_orientation_preserving(mat):
-        return 1
-    pat = canonical_pattern(mat)
-    r = _common_real_factor(pat.b * ONE_MINUS_Z2, pat.a)
-    det = (-ONE_MINUS_Z2 * pat.determinant()).exact_div(r * r)
-    return -1 if is_real_positive(_primitive_real(det)) else 0
+    defined at every real point: a(+-1) and one Sturm count of the stripped
+    determinant, whose real roots all lie in (-1, 1) (stripped_determinant)."""
+    north, south, det = canonical_pattern(mat).stripped_determinant
+    if north != south or sturm_count(det):
+        return 0
+    return -1 if north else 1
 
 
 def in_diffeo_group(mat: ProjMat) -> bool:
@@ -170,11 +174,8 @@ def in_diffeo_group(mat: ProjMat) -> bool:
 
 def contracted_fibers(mat: ProjMat):
     """Real z0 in the open interval (-1, 1) whose conic is contracted to a
-    point, i.e. the real roots of the determinant there."""
-    from .poly import real_roots_in_tower_poly
-
-    det = fiber_determinant(mat)
-    return [r for r in real_roots_in_tower_poly(det) if r > Fraction(-1) and r < Fraction(1)]
+    point: the real roots of the stripped determinant, which all lie there."""
+    return real_roots_in_tower_poly(canonical_pattern(mat).stripped_determinant[2])
 
 
 @dataclass(frozen=True)
@@ -190,11 +191,8 @@ class BoundaryReport:
 
 
 def boundary_behavior(mat: ProjMat) -> BoundaryReport:
-    pat = canonical_pattern(mat)
-    return BoundaryReport(
-        north_exchanges=not pat.a(1),
-        south_exchanges=not pat.a(-1),
-    )
+    """The line pair over z = e is exchanged iff a(e) = 0."""
+    return BoundaryReport(*canonical_pattern(mat).stripped_determinant[:2])
 
 
 # -- the base interval group ----------------------------------------------------------
@@ -356,10 +354,10 @@ class SphereMap:
             return None
         if kind == "id":
             return self.fiber.order()
-        # a flipped base action is an involution, so the square has trivial
-        # base and self has twice its order
-        n = self.compose(self).fiber.order()
-        return None if n is None else 2 * n
+        # a flipped base action is an involution: the square has trivial base
+        # and self twice its order; the angle of A(m(z)) A needs no reduction
+        angle = angle_of_entries(raw_mul(self.base.substitute_entries(self.fiber), self.fiber.entries()))
+        return None if angle is None else 2 * angle[1]
 
     def reality_check(self) -> bool:
         """Compatibility with the real structure: A(z) tau(z) equals

@@ -72,3 +72,42 @@ def random_sphere_point(rng):
         CoeffScalar(2 * v / den),
         CoeffScalar((1 - u * u - v * v) / den),
     )
+
+
+def ref_real_roots(p: Poly, lo: Fraction, hi: Fraction) -> list:
+    """The distinct real roots of a rational polynomial p in the open
+    interval (lo, hi), in increasing order, from sympy alone: the isolating
+    intervals of its square-free part and the root counts of its irreducible
+    factors.  Each root is a pair: its minimal polynomial (integer-primitive
+    with positive lead, as a Poly) and a test inside(l, h) telling exactly
+    whether the root lies in the open interval (l, h) with rational ends."""
+    import sympy
+
+    x = sympy.Symbol("x")
+
+    def rational(q):
+        q = Fraction(q)
+        return sympy.Rational(q.numerator, q.denominator)
+
+    def count_open(f, l, h):
+        return f.count_roots(l, h) - (f.eval(l) == 0) - (f.eval(h) == 0) if l < h else 0
+
+    poly = sympy.Poly([rational(c) for c in reversed(p.rational_coeffs())], x, domain="QQ")
+    factors = [f.clear_denoms(convert=True)[1].primitive()[1] for f, _ in poly.factor_list()[1]]
+    out = []
+    for (a, b), _ in poly.sqf_part().intervals():
+        if a == b:  # an exact rational root
+            f = next(f for f in factors if f.eval(a) == 0)
+
+            def inside(l, h, root=a):
+                return rational(l) < root < rational(h)
+        else:  # one root in the open (a, b)
+            f = next(f for f in factors if count_open(f, a, b))
+
+            def inside(l, h, f=f, a=a, b=b):
+                return count_open(f, max(rational(l), a), min(rational(h), b)) == 1
+
+        if inside(lo, hi):
+            f = -f if f.LC() < 0 else f
+            out.append((Poly.from_rational_coeffs([Fraction(int(c)) for c in reversed(f.all_coeffs())]), inside))
+    return out

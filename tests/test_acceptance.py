@@ -58,7 +58,6 @@ from birsphere.sphere import (
     coordinate_functions,
     diffeo_orientation,
     in_reality_group,
-    is_orientation_preserving,
     psi_forward,
     psi_inverse,
     rotation,
@@ -258,7 +257,7 @@ def test_criterion_3_diffeo_criterion(rng):
         assert len(elements) == 50
         agreements = 0
         for mat in elements:
-            p1 = is_orientation_preserving(mat)
+            p1 = diffeo_orientation(mat) == 1
             p2 = not contracted_fibers(mat) and boundary_behavior(mat).preserves_both
             p3 = _fiber_grid_defined(mat)
             assert p1 == p2 == p3, f"criterion mismatch for {mat}: {p1} {p2} {p3}"

@@ -431,19 +431,16 @@ def test_catalogue_certificates_verify():
 
 def test_catalogue_classify_tests_positivity_once(monkeypatch):
     """classify decides membership and orientation from one diffeomorphism
-    test: is_real_positive runs once when the trivial-base part of the map
-    preserves orientation, twice when it reverses it, and never for an
-    interval shift, whose infinite order ends the routing."""
-    import birsphere.involutions as inv
-    import birsphere.positivity as pos
+    test: one Sturm count of the stripped determinant for every map whose
+    trivial-base part is a diffeomorphism, of either orientation, and none
+    for an interval shift, whose infinite order ends the routing."""
     import birsphere.sphere as sphere
 
     calls = []
-    real = pos.is_real_positive
-    for module in (sphere, inv, pos):
-        monkeypatch.setattr(module, "is_real_positive", lambda f: calls.append(1) or real(f))
+    real = sphere.sturm_count
+    monkeypatch.setattr(sphere, "sturm_count", lambda f: calls.append(f) or real(f))
     golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())
-    counts = {}
+    counts, orientations = {}, set()
     for command in sorted(golden):
         verb, *args = command.split()
         if verb != "classify" or not args[0].startswith("builtin:"):
@@ -451,14 +448,12 @@ def test_catalogue_classify_tests_positivity_once(monkeypatch):
         g = parse_element(args[0])
         calls.clear()
         classify_spheremap(g)
-        ran = len(calls)
-        if g.base.kind == "shift":
-            counts[command] = (ran, 0)
-        else:
-            counts[command] = (ran, {1: 1, -1: 2}[sphere.diffeo_orientation(g.trivial_base_part().fiber)])
+        counts[command] = (len(calls), 0 if g.base.kind == "shift" else 1)
+        if g.base.kind != "shift":
+            orientations.add(sphere.diffeo_orientation(g.trivial_base_part().fiber))
     assert len(counts) == 59
+    assert orientations == {1, -1}
     assert [command for command, (ran, want) in counts.items() if ran != want] == []
-
 
 
 @pytest.mark.parametrize("shape", [0, 1])
@@ -466,10 +461,10 @@ def test_catalogue_classify_tests_positivity_once(monkeypatch):
 def test_flip_classify_work(monkeypatch, name, family, shape):
     """A base flip conjugated by [[a, b h], [~b, ~a]] in the shape of the
     benchmark's diffeomorphic conjugators (a = 17 + i z, b = 1 or a = 17,
-    b = 1 + i z) classifies with no cleared substitution and one gcd-chain
-    canonical form, that of the square A(-z) A that decides the order:
-    z -> -z substitutes by reflection, and the diffeomorphism test reads
-    the flip's own fiber."""
+    b = 1 + i z) classifies with no cleared substitution and no gcd-chain
+    canonical form: z -> -z substitutes by reflection, the order reads
+    kappa off the unreduced square A(-z) A, and the diffeomorphism test
+    reads the flip's own fiber."""
     import birsphere.involutions as inv
     import birsphere.sphere as sphere
     from birsphere.poly import Poly
@@ -487,7 +482,7 @@ def test_flip_classify_work(monkeypatch, name, family, shape):
     for memo in (sphere.canonical_pattern, sphere.in_reality_group, inv._split):
         memo.cache_clear()
     assert classify_spheremap(g).family == family
-    assert (len(substitutions), len(canonical)) == (0, 1)
+    assert (len(substitutions), len(canonical)) == (0, 0)
 
 
 def test_cli_infinite_order(capsys):

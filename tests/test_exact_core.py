@@ -15,12 +15,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from birsphere.classify import classify_spheremap
 from birsphere.errors import NotRealityMember
-from birsphere.poly import ONE_MINUS_Z2, Poly, poly_gcd
+from birsphere.poly import ONE_MINUS_Z2, Poly, poly_gcd, sturm_count
 from birsphere.positivity import is_real_positive
 from birsphere.projmat import ProjMat, proportional, raw_mul
 from birsphere.scalars import ZERO, CoeffScalar, TowerReal
@@ -29,12 +29,15 @@ from birsphere.sphere import (
     _primitive_real,
     _strip_common_real_factors,
     canonical_pattern,
+    contracted_fibers,
     diffeo_orientation,
     in_diffeo_group,
     in_reality_group,
     reality_twist,
     y_flip,
 )
+
+from conftest import ref_real_roots
 
 RADICANDS = (1, 2, 3, 5, 6)
 
@@ -529,6 +532,79 @@ def test_closed_form_pattern_matches_hilbert90(a, b, e, shape):
         pat, ref = canonical_pattern(mat), ref_canonical_pattern(mat)
         assert (pat.a.coeffs, pat.b.coeffs) == (ref.a.coeffs, ref.b.coeffs)
         assert diffeo_orientation(mat) == ref_diffeo_orientation(mat)
+
+
+@st.composite
+def stripped_pattern_matrices(draw):
+    """A matrix [[a, b h], [~b, ~a]] over the Gaussian rationals, so its
+    canonical_pattern is stripped and its determinant rational.  a takes the
+    factors z - 1 and z + 1 on demand, a or b may be 0, and b is scaled by 1
+    or 4: with 4 the determinant |a|^2 - 16 |b|^2 h often dips below 0 inside
+    (-1, 1), an engineered non-member."""
+    gaussian = polys(gaussian_scalars, max_degree=2).filter(bool)
+    a, b = draw(gaussian), draw(gaussian)
+    for e in (1, -1):
+        if draw(st.booleans()):
+            a = a * Poly([-e, 1])
+    b = b * Poly.const(draw(st.sampled_from((1, 4))))
+    shape = draw(st.sampled_from(("ab", "ab", "a0", "0b")))
+    a, b = (a, Poly()) if shape == "a0" else (Poly(), b) if shape == "0b" else (a, b)
+    assume(FiberPattern(a, b).determinant())
+    return FiberPattern(a, b).matrix()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=stripped_pattern_matrices())
+@example(mat=TAU)
+@example(mat=ProjMat.of(Poly.z(), ONE_MINUS_Z2, Poly.const(1), Poly.z()))
+def test_stripped_determinant_lemma(mat):
+    """The lemma of FiberPattern.stripped_determinant on canonical patterns:
+    D has no real root outside [-1, 1]; D(e) = 0 for e = +-1 exactly when
+    a(e) = 0, and then e is a simple root; and contracted_fibers are the real
+    roots of D in the open (-1, 1) found by sympy, in number, minimal
+    polynomial (which divides D) and increasing order."""
+    pat = canonical_pattern(mat)
+    det = pat.determinant()
+    assert sturm_count(det, None, Fraction(-1)) == sturm_count(det, Fraction(1), None) == 0
+    north, south, stripped = pat.stripped_determinant
+    for e, zero in ((1, north), (-1, south)):
+        assert zero == (not pat.a(e)) == (not det(e))
+        assert not zero or det.derivative()(e)
+        assert stripped(e)
+    fibers, ref = contracted_fibers(mat), ref_real_roots(det, Fraction(-1), Fraction(1))
+    assert [root.minpoly for root in fibers] == [minpoly for minpoly, _ in ref]
+    for root, (minpoly, inside) in zip(fibers, ref):
+        assert not det % minpoly
+        # a linear minimal polynomial is its root; another one has it in the interval
+        assert root.is_rational() or inside(root.lo, root.hi)
+
+
+def test_membership_builds_one_determinant(monkeypatch):
+    """in_diffeo_group then contracted_fibers on one matrix builds the
+    pattern determinant once and never factors z - 1 or z + 1: a(+-1) = 0
+    is read off the pattern and divided out before any root is sought."""
+    import birsphere.poly as poly_mod
+
+    dets, factored = [], []
+    real_det, real_factor = FiberPattern.determinant, poly_mod.factor_rational_poly
+    monkeypatch.setattr(FiberPattern, "determinant", lambda self: dets.append(1) or real_det(self))
+    monkeypatch.setattr(poly_mod, "factor_rational_poly", lambda p: factored.append(p) or real_factor(p))
+    z = Poly.z()
+    for a, b, member, fibers in (
+        (Poly(), Poly.const(1), True, 0),  # tau: D = z^2 - 1, both ends divided out
+        (z - Poly.const(1), Poly.const(1), False, 1),  # D = 2 z (z - 1): one end, a root at 0
+        (Poly.const(1), Poly.const(2), False, 2),  # D = 4 z^2 - 3
+        (z * z - Poly.const(1), Poly.const(3), True, 0),  # D = (z^2 - 1)(z^2 + 8)
+        (z * z - Poly.const(1), Poly.const(Fraction(1, 2)), False, 2),  # D = (z^2 - 1)(z^2 - 3/4)
+    ):
+        canonical_pattern.cache_clear()
+        mat = FiberPattern(a, b).matrix()
+        dets.clear()
+        factored.clear()
+        assert in_diffeo_group(mat) == member
+        assert len(contracted_fibers(mat)) == fibers
+        assert len(dets) == 1
+        assert all(p(1) and p(-1) for p in factored)
 
 
 def test_reality_twist_is_one_constant():

@@ -25,12 +25,11 @@ from birsphere.sphere import (
     canonical_pattern,
     contracted_fibers,
     coordinate_functions,
-    fiber_determinant,
+    diffeo_orientation,
     flipped_special_involution,
     in_diffeo_group,
     in_reality_group,
     interval_shift,
-    is_orientation_preserving,
     psi_forward,
     psi_inverse,
     reality_twist,
@@ -45,6 +44,12 @@ from conftest import random_reality_element, random_sphere_point, ref_square_cla
 Z = Poly.z()
 I = CoeffScalar.i()
 TAU = reality_twist()
+
+
+def fiber_determinant(mat: ProjMat) -> Poly:
+    """The pattern determinant a*~a - b*~b*h, primitive when rational."""
+    det = canonical_pattern(mat).determinant()
+    return det.primitive() if det.is_rational() else det
 
 
 # -- psi ---------------------------------------------------------------------
@@ -158,8 +163,8 @@ def test_determinant_multiplicative_up_to_norm(rng):
 
 def test_diffeo_memberships():
     d2 = ProjMat.diag(Poly([2 * I, CoeffScalar(1)]), Poly([-2 * I, CoeffScalar(1)]))
-    assert is_orientation_preserving(d2)  # determinant z^2 + 4
-    assert not is_orientation_preserving(TAU)
+    assert diffeo_orientation(d2) == 1  # determinant z^2 + 4
+    assert diffeo_orientation(TAU) != 1
     assert in_diffeo_group(TAU)
     bad = ProjMat.of(Z, ONE_MINUS_Z2, Poly.const(1), Z)  # determinant 2z^2 - 1
     assert not in_diffeo_group(bad)
