@@ -45,6 +45,7 @@ from .sphere import (
     SphereMap,
     base_realisation,
     builtin_map,
+    canonical_pattern,
     diffeo_orientation,
     reduce_to_trivial_base,
     x_flip,
@@ -180,9 +181,15 @@ def _route(g: SphereMap) -> tuple[SphereMap, int | None, list[ConjugacyCertifica
 
     An interval shift has infinite order and keeps its base; a flipped shift
     is conjugated to base neg by reduce_to_trivial_base.  Raises
-    NotRealityMember when g does not commute with the real structure."""
-    if not g.reality_check():
-        raise NotRealityMember("element does not commute with the real structure")
+    NotRealityMember when g does not commute with the real structure; a
+    trivial-base g is tested once, by canonical_pattern's closing check."""
+    try:
+        if g.base.is_identity():
+            canonical_pattern(g.fiber)
+        elif not g.reality_check():
+            raise NotRealityMember
+    except NotRealityMember:
+        raise NotRealityMember("element does not commute with the real structure") from None
     if g.base.kind != "flipped_shift":
         return g, g.order(), []
     cert = reduce_to_trivial_base(g)

@@ -7,11 +7,12 @@ An involution with trivial base action has the shape
 cover w^2 = -D with D the pattern determinant, and D's square class in
 R(z)* is a complete conjugacy invariant.  Conjugators are produced in
 closed form: with f = -D, both sides are companions alpha [[0, f], [1, 0]]
-alpha^-1, aligned by a rescale u in lowest terms, and glued by a
-Hilbert-90 element c + w conj(c) of the algebra C(z)[r]/(r^2 - f), w the
-quotient of the two twist units.  The witness c comes from the finite set
-{1, i, e+ + i e-, i e+ + e-} (e+- the idempotents when f is a square), and
-a proof says one of them works.
+alpha^-1, aligned by a rescale u in lowest terms read off the two models'
+scales, and glued by a Hilbert-90 element c + w conj(c) of the algebra
+C(z)[r]/(r^2 - f), w the quotient of the two twist units.  The witness c
+comes from the finite set {1, i, e+ + i e-, i e+ + e-} (e+- the idempotents
+when f is a square), and a proof says one of them works.  The conjugator is
+born divided by q_B u_num, the factor all its entries share.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .poly import (
     sturm_count,
 )
 from .positivity import is_real_positive, norm_factor, v_decomp
-from .projmat import TWO_COS, ProjMat, raw_mul
+from .projmat import TWO_COS, ProjMat
 from .scalars import CoeffScalar, TowerReal
 from .sphere import (
     ConjugacyCertificate,
@@ -68,6 +69,7 @@ class InvolutionForm:
         )
 
     def determinant(self) -> Poly:
+        """p^2 - q conj(q) h: FiberPattern.determinant of the form's pattern."""
         return self.p * self.p - self.q * self.q.conj() * ONE_MINUS_Z2
 
 
@@ -115,7 +117,15 @@ class HyperellipticModel:
 def fixed_curve(mat: ProjMat) -> HyperellipticModel:
     """The double cover w^2 = -D traced by the fiberwise fixed points,
     reduced to its square-free model."""
-    return _split(-involution_normal_form(mat).determinant())
+    return _split(_neg_determinant(mat))
+
+
+@lru_cache(maxsize=512)
+def _neg_determinant(mat: ProjMat) -> Poly:
+    """-D of an involution, computed once: the key of its split and the f of
+    its conjugator.  D is the determinant of the pattern, p^2 - q conj(q) h."""
+    involution_normal_form(mat)  # NotInvolution unless mat has order 2
+    return -canonical_pattern(mat).determinant()
 
 
 @lru_cache(maxsize=512)
@@ -193,25 +203,6 @@ class _QuadAlgebra(_TripleAlgebra):
         x, y, _ = u
         return bool(x * x - self.f * y * y)
 
-    def matrix(self, u):
-        """Multiplication by u on the basis (1, r), up to the denominator."""
-        x, y, _ = u
-        return (x, self.f * y, y, x)
-
-
-def _companion_data(form: InvolutionForm) -> tuple[tuple, Poly]:
-    """(alpha, f) with alpha [[0, f], [1, 0]] alpha^-1 = A projectively, alpha
-    a flat entry 4-tuple as in raw_mul; f = -D.  The twist unit
-    alpha^-1 tau conj(alpha) is [[i p, -f], [-1, i p]] / q.
-
-    Requires q != 0 (involution_conjugator moves the diagonal involution
-    off the diagonal first)."""
-    p, q = form.p, form.q
-    if not q:
-        raise ValueError("off-diagonal involution form required")
-    alpha = (Poly(), q * ONE_MINUS_Z2, Poly.const(-1), p.scale(-CoeffScalar.i()))
-    return alpha, -form.determinant()
-
 
 # g = [[z, h], [1, z]] moves diag(1, -1) to [[1, -2 z h], [2 z, -1]]
 _OFF_DIAGONAL_MOVER = FiberPattern(Poly.z(), Poly.const(1)).matrix()
@@ -223,19 +214,20 @@ def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate
 
     Both involutions are written as alpha [[0, f], [1, 0]] alpha^-1 with
     f = -D, the companion of B is aligned to that of A by the rescale
-    diag(1, u) with u^2 = f_A / f_B in lowest terms, and the reality defect
-    is repaired by a Hilbert-90 element xi = c + w conj(c) of the algebra
-    C(z)[r]/(r^2 - f), w = mu_B / mu_A the quotient of the twist units.
-    Since xi mu_A = c mu_A + conj(c) mu_B and alpha mu_A is proportional to
-    tau conj(alpha), proportional to [[-1, i p], [0, conj q]], the conjugator
-    is born without inverses:
+    diag(1, u) with u^2 = f_A / f_B in lowest terms, read off the two models'
+    scales, and the reality defect is repaired by a Hilbert-90 element
+    xi = c + w conj(c) of the algebra C(z)[r]/(r^2 - f), w = mu_B / mu_A the
+    quotient of the twist units.  Since xi mu_A = c mu_A + conj(c) mu_B and
+    alpha mu_A is proportional to tau conj(alpha), proportional to
+    [[-1, i p], [0, conj q]], the conjugator is born without inverses:
 
         C = beta diag(1, u) M(c mu_A + conj(c) mu_B) [[conj q, -i p], [0, -1]]
 
     with (p, q) the form of A, beta the companion matrix of B and M(x + y r)
-    = [[x, f y], [y, x]].  The witness c comes from a finite set with a proof
-    (_hilbert90).  involution_conjugator builds C, and the "conjugation"
-    certificate is verified once.
+    = [[x, f y], [y, x]].  Its entries are built already divided by q_B u_num
+    (_conjugator_entries proves the factor).  The witness c comes from a
+    finite set with a proof (_hilbert90).  involution_conjugator builds C,
+    and the "conjugation" certificate is verified once.
     """
     if mat_a != mat_b and not conj_decision(mat_a, mat_b):
         raise NotConjugate("maps are not conjugate: determinants differ by a non-square")
@@ -259,41 +251,74 @@ def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
         return involution_conjugator(_OFF_DIAGONAL, mat_b) * _OFF_DIAGONAL_MOVER
     if not involution_normal_form(mat_b).q:
         return _OFF_DIAGONAL_MOVER.inverse() * involution_conjugator(mat_a, _OFF_DIAGONAL)
-    return ProjMat.of(*_conjugator_entries(involution_normal_form(mat_a), involution_normal_form(mat_b)))
+    return ProjMat.of(*_conjugator_entries(mat_a, mat_b))
 
 
-def _conjugator_entries(form_a: InvolutionForm, form_b: InvolutionForm):
-    """The entries of the closed-form conjugator of construct_conjugator,
-    before canonicalisation."""
-    _, f = _companion_data(form_a)
-    beta, f_b = _companion_data(form_b)
-    # u = s / f_b with s^2 = f f_b, so u^2 = f / f_b; the two models share m,
-    # so s = sqrt(c_a c_b) m scale_a scale_b.  f / G and f_b / G are coprime
-    # with G = gcd(f, f_b), and dividing out gcd(s, f_b) leaves their square
-    # roots up to constants
-    model_a, model_b = _split(f), _split(f_b)
-    s = (model_a.m * model_a.scale * model_b.scale).scale(CoeffScalar(model_a.content * model_b.content).sqrt())
-    g = poly_gcd(s, f_b)
-    u_num, u_den = s.exact_div(g), f_b.exact_div(g)
+def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
+    """The entries of the conjugator C of construct_conjugator, born divided
+    by q_B u_num, before canonicalisation.
+
+    Notation: h = 1 - z^2; (p, q) and (p_B, q_B) the forms of A and B;
+    f = -D_A and f_B = -D_B; the algebra C(z)[r]/(r^2 - f).  With
+    -D = content sign m scale^2 and both models sharing m and sign,
+    u^2 = f / f_B gives u = sqrt(c_A c_B) scale_A / (sign c_B scale_B), in
+    lowest terms u_num / u_den after dividing both by g = gcd(scale_A,
+    scale_B).  The twist units are mu_A = (i p - r)/q and
+    mu_B = nu / (q_B u_num) with nu = i p_B u_num - u_den r.  For the witness
+    c write c (i p - r) = X_a + Y_a r, conj(c) = X_c + Y_c r and
+    conj(c) nu = X_b + Y_b r.  Then eta = c mu_A + conj(c) mu_B is
+    (x + y r)/(q q_B u_num) with x = X_a q_B u_num + X_b q and
+    y = Y_a q_B u_num + Y_b q.  Multiplying out
+    C = beta diag(u_den, u_num) M(x + y r) [[conj q, -i p], [0, -1]], with
+    beta = [[0, q_B h], [-1, -i p_B]], gives the first row
+    q_B u_num h [conj(q) y, -(i p y + x)] and the second row
+    [-conj(q) L(x + y r), i p L(x + y r) + K(x + y r)], where L and K are the
+    r-part and the scalar part of multiplication by i p_B u_num + u_den r:
+    L(X + Y r) = u_den X + i p_B u_num Y, K(X + Y r) = u_den f Y + i p_B u_num X.
+
+    Lemma: for every witness c, L(x + y r) = q_B u_num R1 and
+    K(x + y r) = q_B u_num R2 with
+    R1 = L(c (i p - r)) - Y_c q conj(q_B) u_num h and
+    R2 = K(c (i p - r)) - X_c q conj(q_B) u_num h.
+    Proof: nu (i p_B u_num + u_den r) = -p_B^2 u_num^2 - u_den^2 f, and
+    u_den^2 f = u_num^2 f_B with f_B + p_B^2 = q_B conj(q_B) h, so it is the
+    scalar N = -u_num^2 q_B conj(q_B) h.  So conj(c) nu times
+    i p_B u_num + u_den r is conj(c) N: L(conj(c) nu) = Y_c N and
+    K(conj(c) nu) = X_c N.  L and K are linear, so L(x + y r) =
+    q_B u_num L(c (i p - r)) + q Y_c N = q_B u_num R1, and likewise for K.
+    Hence, with no division,
+
+        C / (q_B u_num) = [[h conj(q) y, -h (i p y + x)], [-conj(q) R1, i p R1 + R2]],
+
+    the same projective matrix, so ProjMat.of runs its gcd chain only on
+    what is left."""
+    form_a, form_b = involution_normal_form(mat_a), involution_normal_form(mat_b)
+    f = _neg_determinant(mat_a)
+    model_a, model_b = _split(f), fixed_curve(mat_b)
+    g = poly_gcd(model_a.scale, model_b.scale)
+    u_num = model_a.scale.exact_div(g).scale(CoeffScalar(model_a.content * model_b.content).sqrt())
+    u_den = model_b.scale.exact_div(g).scale(CoeffScalar(model_b.content * model_b.sign))
     algebra = _QuadAlgebra(f)
-    # twist units alpha^-1 tau conj(alpha) in closed form; the rescale by
-    # diag(1, u) twists the second one
     i = CoeffScalar.i()
-    p, q = form_a.p, form_a.q
-    mu_a = (p.scale(i), Poly.const(-1), q)
-    mu_b = (form_b.p.scale(i) * u_num, -u_den, form_b.q * u_num)
+    p, q = form_a.p.scale(i), form_a.q  # p and p_b are i p_A and i p_B from here on
+    p_b, q_b = form_b.p.scale(i), form_b.q
+    mu_a = (p, Poly.const(-1), q)
+    mu_b = (p_b * u_num, -u_den, q_b * u_num)
     if not algebra.equal(algebra.mul(mu_b, algebra.conj(mu_b)), algebra.mul(mu_a, algebra.conj(mu_a))):
         raise RuntimeError("twist units failed to have equal norms")
-    eta = _hilbert90(algebra, mu_a, mu_b)
-    zero = Poly()
-    tail = raw_mul(algebra.matrix(eta), (q.conj(), -p.scale(i), zero, Poly.const(-1)))
-    return raw_mul(raw_mul(beta, (u_den, zero, zero, u_num)), tail)
+    c, (x, y, _) = _hilbert90(algebra, mu_a, mu_b)
+    x_a, y_a, _ = algebra.mul(c, mu_a)
+    x_c, y_c, _ = algebra.conj(c)
+    defect = q * q_b.conj() * u_num * ONE_MINUS_Z2
+    r1 = u_den * x_a + p_b * u_num * y_a - y_c * defect
+    r2 = u_den * f * y_a + p_b * u_num * x_a - x_c * defect
+    return (q.conj() * ONE_MINUS_Z2 * y, -(ONE_MINUS_Z2 * (p * y + x)), -(q.conj() * r1), p * r1 + r2)
 
 
 def _hilbert90(algebra: _QuadAlgebra, mu_a, mu_b):
-    """eta = c mu_a + conj(c) mu_b for the first c of a finite witness set
-    that makes it a unit.  Then xi = eta / mu_a = c + w conj(c), with
-    w = mu_b / mu_a of norm w conj(w) = 1, is a unit with xi = w conj(xi).
+    """(c, eta) with eta = c mu_a + conj(c) mu_b for the first c of a finite
+    witness set that makes eta a unit.  Then xi = eta / mu_a = c + w conj(c),
+    with w = mu_b / mu_a of norm w conj(w) = 1, is a unit with xi = w conj(xi).
 
     The set is c = 1, c = i and, when f = s^2, 2s (e+ + i e-) and
     2s (i e+ + e-) with the idempotents e+- = (1 +- r/s)/2.  Some c in it
@@ -312,7 +337,7 @@ def _hilbert90(algebra: _QuadAlgebra, mu_a, mu_b):
     for c in _witnesses(algebra.f):
         eta = algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
         if algebra.is_unit(eta):
-            return eta
+            return c, eta
     raise RuntimeError("no invertible Hilbert-90 witness in the finite set")
 
 

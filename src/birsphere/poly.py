@@ -519,19 +519,29 @@ def sturm_count(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None)
     """Number of distinct real roots of p in the open interval (lo, hi).
 
     None endpoints mean -infinity / +infinity.  Endpoint roots are excluded.
+
+    With both ends infinite p need not be square-free.  Its chain ends in
+    g = gcd(p, dp/dz), and dividing every member by g leaves the variation
+    count unchanged wherever g != 0, so at +-infinity.  The divided chain
+    is a Sturm chain of the square-free p/g: consecutive members have no
+    common root, and at a root p (dp/dz) / g^2 = (p^2)' / (2 g^2) goes from
+    negative to positive.  So V(-infinity) - V(+infinity) counts the
+    distinct real roots of p.  A finite end can be a multiple root, where
+    every member vanishes, so p is made square-free first.
     """
     require_real(p)
     if not p:
         raise ValueError("zero polynomial")
-    p = _squarefree_real(p)
+    if lo is not None or hi is not None:
+        p = _squarefree_real(p)
     if p.degree == 0:
         return 0
     return _chain_count(sturm_chain(p), lo, hi)
 
 
 def _chain_count(chain: list[Poly], lo: Fraction | None, hi: Fraction | None) -> int:
-    """sturm_count of the square-free chain[0] of positive degree, given its
-    Sturm chain."""
+    """sturm_count of chain[0] of positive degree, given its Sturm chain;
+    chain[0] is square-free unless both ends are infinite."""
     count = _chain_variations_at(chain, lo, -1) - _chain_variations_at(chain, hi, +1)
     # V counts roots in (lo, hi]; drop hi when it is a root.
     if hi is not None and real_sign_at(chain[0], hi) == 0:

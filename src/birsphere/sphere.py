@@ -49,8 +49,8 @@ def reality_twist() -> ProjMat:
 def in_reality_group(mat: ProjMat) -> bool:
     """True iff the fiber map commutes with the sphere's real structure:
     tw [[a, b], [c, d]] tw = [[h d, h^2 c], [b, h a]] with h = 1 - z^2.
-    Cached for routing; canonical_pattern does not call it, as its closing
-    proportionality check decides the same question."""
+    Routing reads a trivial-base input's reality off canonical_pattern
+    instead.  Memoised: catalogue certificate checks repeat conjugators."""
     a, b, c, d = mat.entries()
     h = ONE_MINUS_Z2
     return proportional((h * d, h * (h * c), b, h * a), (a.conj(), b.conj(), c.conj(), d.conj()))

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from birsphere.classify import classify_spheremap
+from birsphere.classify import _route, classify_spheremap
 from birsphere.errors import NotRealityMember
 from birsphere.poly import ONE_MINUS_Z2, Poly, poly_gcd, sturm_count
 from birsphere.positivity import is_real_positive
@@ -26,6 +26,7 @@ from birsphere.projmat import ProjMat, proportional, raw_mul
 from birsphere.scalars import ZERO, CoeffScalar, TowerReal
 from birsphere.sphere import (
     FiberPattern,
+    SphereMap,
     _primitive_real,
     _strip_common_real_factors,
     canonical_pattern,
@@ -440,9 +441,22 @@ def member_entries(a, b):
     return (a, b * ONE_MINUS_Z2, b.conj(), a.conj())
 
 
+def route_verdict(mat: ProjMat) -> bool:
+    """Whether classify's routing accepts the trivial-base map; a refusal
+    must carry routing's own message."""
+    try:
+        _route(SphereMap.trivial_base(mat))
+    except NotRealityMember as exc:
+        assert str(exc) == "element does not commute with the real structure"
+        return False
+    return True
+
+
 @settings(max_examples=100, deadline=None)
 @given(a=small_polys, b=small_polys, e=quads, k=st.integers(0, 3))
 def test_in_reality_group_matches_twist_products(a, b, e, k):
+    """in_reality_group and the routing of a trivial-base input, which reads
+    reality off canonical_pattern, both equal the twist-product reference."""
     candidates = [member_entries(a, b), e]
     perturbed = list(member_entries(a, b))
     perturbed[k] = perturbed[k] * Poly([1, 2])  # breaks the pattern unless that entry is 0
@@ -452,7 +466,7 @@ def test_in_reality_group_matches_twist_products(a, b, e, k):
             mat = ProjMat.of(*entries)
         except ValueError:  # zero matrix or zero determinant
             continue
-        assert in_reality_group(mat) == ref_in_reality_group(mat)
+        assert in_reality_group(mat) == ref_in_reality_group(mat) == route_verdict(mat)
         if entries is candidates[0]:
             assert in_reality_group(mat)
             h = ONE_MINUS_Z2

@@ -236,8 +236,10 @@ def test_certificate_verified_once(monkeypatch, rng):
 
 
 def test_reality_tested_once_per_input(monkeypatch, rng):
-    """decide_conjugacy evaluates the reality test of each input fiber once:
-    in the cached routing check, as canonical_pattern does not call it."""
+    """decide_conjugacy evaluates the reality test of each input fiber once,
+    in either form: canonical_pattern's closing check, which compares with
+    the entries, or in_reality_group's, which compares with their
+    conjugates."""
     import birsphere.sphere as sphere
     from birsphere.classify import decide_conjugacy
     from birsphere.sphere import SphereMap
@@ -255,20 +257,25 @@ def test_reality_tested_once_per_input(monkeypatch, rng):
         out = decide_conjugacy(SphereMap.trivial_base(a), SphereMap.trivial_base(b))
         assert out["conjugate"] and out["verified"]
         for mat in (a, b):
-            conj_entries = tuple(e.conj() for e in mat.entries())
-            assert sum(q == conj_entries for q in evaluated) == 1
+            forms = (mat.entries(), tuple(e.conj() for e in mat.entries()))
+            assert sum(q in forms for q in evaluated) == 1
 
 
 def test_one_split_per_involution(monkeypatch):
     """decide_conjugacy splits each determinant once: the decision, the
     conjugator's square roots and the fixed curves of a false answer all
-    read the memoised fixed-curve models."""
+    read the memoised fixed-curve models.  It builds no stripped
+    determinant, as it asks for no orientation, so the pattern cache pins
+    no D'."""
     import birsphere.involutions as inv
 
-    degrees = []
+    degrees, stripped = [], []
     real = inv.squarefree_decomposition
     # _split is the one caller in the decision path
     monkeypatch.setattr(inv, "squarefree_decomposition", lambda p: degrees.append(p.degree) or real(p))
+    real_stripped = FiberPattern.stripped_determinant.func
+    counted = property(lambda pat: stripped.append(1) or real_stripped(pat))
+    monkeypatch.setattr(FiberPattern, "stripped_determinant", counted)
     a = InvolutionForm(Z + 2, Z + Poly.const(I)).matrix()
     c = FiberPattern(Z + Poly.const(I), Z - 1).matrix()
     pairs = [(a, c * a * c.inverse(), True, [4, 12]),
@@ -279,6 +286,7 @@ def test_one_split_per_involution(monkeypatch):
         out = decide_conjugacy(SphereMap.trivial_base(x), SphereMap.trivial_base(y))
         assert out["conjugate"] == conjugate
         assert degrees == split_degrees
+    assert not stripped
 
 
 def test_conjugator_tau_upsilon():
@@ -311,33 +319,38 @@ def test_hilbert90_witness_set():
     for f, mu_b, c in cases:
         algebra = _QuadAlgebra(f)
         assert algebra.equal(algebra.mul(mu_b, algebra.conj(mu_b)), mu_a)  # norm one
-        eta = _hilbert90(algebra, mu_a, mu_b)
-        assert algebra.is_unit(eta)
+        witness, eta = _hilbert90(algebra, mu_a, mu_b)
+        assert witness == c and algebra.is_unit(eta)
         assert eta == algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
         assert algebra.equal(algebra.mul(eta, algebra.conj(mu_a)), algebra.mul(mu_b, algebra.conj(eta)))
 
 
 def test_conjugator_entries_born_reduced():
     """Entry degrees of the closed-form conjugator before canonicalisation,
-    with the rescale u in lowest terms (an unreduced u gives 13-14 and
-    23-25 here)."""
+    with the rescale u in lowest terms and the common factor q_B u_num
+    divided out (the undivided product gives 4-6 and 9-11 here, an unreduced
+    u 13-14 and 23-25)."""
     from birsphere.involutions import _conjugator_entries
     from birsphere.sphere import FiberPattern
 
     pairs = [
-        (InvolutionForm(Poly.const(1), Poly.const(1)), FiberPattern(Z + 2, Poly.const(1)), [5, 6, 4, 5]),
-        (InvolutionForm(Z, Z + Poly.const(I)), FiberPattern(Z + Poly.const(I), Z - 1), [11, 11, 9, 11]),
+        (InvolutionForm(Poly.const(1), Poly.const(1)), FiberPattern(Z + 2, Poly.const(1)), [3, 4, 2, 3]),
+        (InvolutionForm(Z, Z + Poly.const(I)), FiberPattern(Z + Poly.const(I), Z - 1), [7, 7, 5, 7]),
     ]
     for form, pattern, degrees in pairs:
         a, c = form.matrix(), pattern.matrix()
         b = c * a * c.inverse()
-        gamma = _conjugator_entries(involution_normal_form(a), involution_normal_form(b))
+        gamma = _conjugator_entries(a, b)
         assert [e.degree for e in gamma] == degrees
         assert construct_conjugator(a, b).conjugator.fiber == ProjMat.of(*gamma)
 
 
 real_polys = polys(rational_scalars, max_degree=2)
 complex_polys = polys(gaussian_scalars, max_degree=2)
+# nonzero by construction: a zero lead becomes 1, so no draw is rejected
+nonzero_complex_polys = st.builds(
+    lambda low, lead: Poly([*low, lead or CoeffScalar(1)]), st.lists(gaussian_scalars, max_size=2), gaussian_scalars
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,6 +371,68 @@ def test_conjugator_born_reduced_verifies(p, q, a, b):
     g = gamma.entries()
     assert ref_in_reality_group(gamma)
     assert ref_proportional(raw_mul(g, mat_a.entries()), raw_mul(mat_b.entries(), g))
+
+
+def _undivided_entries(mat_a, mat_b, hilbert90):
+    """Reference: the conjugator as the plain product
+    beta diag(u_den, u_num) M(x + y r) [[conj q, -i p], [0, -1]], with
+    u = s / f_B reduced by gcd(s, f_B), s = sqrt(c_A c_B) m scale_A scale_B.
+    Returns the entries and q_B u_num."""
+    from birsphere.involutions import _QuadAlgebra, _split
+
+    form_a, form_b = involution_normal_form(mat_a), involution_normal_form(mat_b)
+    f, f_b = -form_a.determinant(), -form_b.determinant()
+    model_a, model_b = _split(f), _split(f_b)
+    s = (model_a.m * model_a.scale * model_b.scale).scale(CoeffScalar(model_a.content * model_b.content).sqrt())
+    g = poly_gcd(s, f_b)
+    u_num, u_den = s.exact_div(g), f_b.exact_div(g)
+    algebra = _QuadAlgebra(f)
+    p, q = form_a.p, form_a.q
+    mu_a = (p.scale(I), Poly.const(-1), q)
+    mu_b = (form_b.p.scale(I) * u_num, -u_den, form_b.q * u_num)
+    _, (x, y, _) = hilbert90(algebra, mu_a, mu_b)
+    zero = Poly()
+    beta = (zero, form_b.q * ONE_MINUS_Z2, Poly.const(-1), form_b.p.scale(-I))
+    tail = raw_mul((x, f * y, y, x), (q.conj(), -p.scale(I), zero, Poly.const(-1)))
+    return raw_mul(raw_mul(beta, (u_den, zero, zero, u_num)), tail), form_b.q * u_num
+
+
+def test_conjugator_entries_divide_the_product():
+    """The entries of _conjugator_entries times q_B u_num are the undivided
+    product, as polynomials, on random conjugate pairs.  The lemma holds for
+    every witness c, so besides the package's own witness the draws force
+    random ones, at least one with an r-part (the split-case witnesses have
+    one; no real involution reaches them, as f = -D < 0 outside [-1, 1])."""
+    from unittest import mock
+
+    import birsphere.involutions as inv
+
+    with_r_part = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=real_polys, q=nonzero_complex_polys, a=complex_polys, b=nonzero_complex_polys,
+           witness=st.none() | st.tuples(complex_polys, complex_polys))
+    @example(p=Poly.const(1), q=Poly.const(1), a=Z + 2, b=Poly.const(1), witness=(Z + 1, Poly.const(1 - I)))
+    def check(p, q, a, b, witness):
+        try:
+            mat_a, g = InvolutionForm(p, q).matrix(), FiberPattern(a, b).matrix()
+        except ValueError:  # zero matrix or zero determinant
+            assume(False)
+        mat_b = g * mat_a * g.inverse()
+        assume(involution_normal_form(mat_a).q and involution_normal_form(mat_b).q)  # off the diagonal
+        hilbert90 = inv._hilbert90
+        if witness is not None and any(witness):
+            def hilbert90(algebra, mu_a, mu_b, c=(*witness, Poly.const(1))):
+                return c, algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
+
+            with_r_part.append(bool(witness[1]))
+        expected, factor = _undivided_entries(mat_a, mat_b, hilbert90)
+        with mock.patch.object(inv, "_hilbert90", hilbert90):
+            entries = inv._conjugator_entries(mat_a, mat_b)
+        assert tuple(e * factor for e in entries) == expected
+
+    check()
+    assert any(with_r_part)
 
 
 ROTATION_ANGLES = [(k, n) for n in (3, 4, 6, 8, 12, 24) for k in range(1, n) if math.gcd(k, n) == 1]
@@ -459,13 +534,12 @@ def test_twist_unit_closed_form(rng):
     construct_conjugator uses in place of the matrix products."""
     from conftest import random_poly
 
-    from birsphere.involutions import InvolutionForm, _companion_data
-
     tau = (Poly(), ONE_MINUS_Z2, Poly.const(1), Poly())
     for _ in range(8):
         p = random_poly(rng, rng.randint(0, 2), complex_ok=False)
         q = random_poly(rng, rng.randint(0, 2))
-        alpha, f = _companion_data(InvolutionForm(p, q))
+        # alpha [[0, f], [1, 0]] alpha^-1 = A projectively, f = -D
+        alpha, f = (Poly(), q * ONE_MINUS_Z2, Poly.const(-1), p.scale(-I)), -InvolutionForm(p, q).determinant()
         a, b, c, d = alpha
         twisted = raw_mul(tau, tuple(e.conj() for e in alpha))
         unit = raw_mul((d, -b, -c, a), twisted)  # adj(alpha) tau conj(alpha)

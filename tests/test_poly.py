@@ -15,6 +15,7 @@ from birsphere.poly import (
     Poly,
     RealAlgebraic,
     _canonical_minpoly,
+    cauchy_bound,
     factor_rational_poly,
     isolate_real_roots_poly,
     poly_gcd,
@@ -70,6 +71,29 @@ def test_sturm_examples():
     # open interval: endpoint roots are excluded
     assert sturm_count(Z * (Z - 1), Fraction(0), Fraction(1)) == 0
     assert sturm_count(Z * (Z - 1), Fraction(-1), Fraction(2)) == 2
+
+
+_ROOT_FACTOR = st.tuples(
+    st.lists(st.integers(-3, 3), min_size=2, max_size=3).filter(lambda c: c[-1]), st.integers(1, 3)
+)
+_END = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_ROOT_FACTOR, min_size=1, max_size=3), _END, _END)
+def test_sturm_counts_repeated_roots_like_sympy(parts, lo, hi):
+    """Products with repeated factors: with both ends infinite the plain
+    chain of p counts its distinct real roots; finite ends, which can be
+    multiple roots, go through the square-free part."""
+    from conftest import ref_real_roots
+
+    p = Poly.const(1)
+    for coeffs, k in parts:
+        p = p * Poly.from_rational_coeffs(coeffs) ** k
+    b = cauchy_bound(p)
+    assert sturm_count(p) == len(ref_real_roots(p, -b, b))
+    if lo < hi:
+        assert sturm_count(p, lo, hi) == len(ref_real_roots(p, lo, hi))
 
 
 def test_sturm_rejects_imaginary():
@@ -325,6 +349,9 @@ def test_square_free_inputs_skip_the_gcd(monkeypatch):
     # one gcd reduces the input and one is the factoriser's square-free
     # split of the norm; the norm's factors are irreducible, so none more
     assert len(roots) == 2 and len(calls) == 2
+    # with both ends infinite the count needs no square-free part either
+    calls.clear()
+    assert sturm_count((Z - 1) ** 2 * (Z + 2) * (Z * Z - 2) ** 3) == 4 and not calls
     calls.clear()
     a = RealAlgebraic(Z * Z - 2, Fraction(1), Fraction(2))
     b = RealAlgebraic(Z * Z - 2, Fraction(7, 5), Fraction(3, 2))
