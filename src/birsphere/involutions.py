@@ -10,8 +10,7 @@ closed form: with f = -D, both sides are companions alpha [[0, f], [1, 0]]
 alpha^-1, aligned by a rescale u in lowest terms read off the two models'
 scales, and glued by a Hilbert-90 element c + w conj(c) of the algebra
 C(z)[r]/(r^2 - f), w the quotient of the two twist units.  The witness c
-comes from the finite set {1, i, e+ + i e-, i e+ + e-} (e+- the idempotents
-when f is a square), and a proof says one of them works.  The conjugator is
+is 1 or i, and a proof says one of them works.  The conjugator is
 born divided by q_B u_num, the factor all its entries share.
 """
 
@@ -27,7 +26,6 @@ from .errors import (
     NotDiffeomorphism,
     NotInvolution,
     NotFiniteOrder,
-    UnsupportedExtension,
 )
 from .poly import (
     ONE_MINUS_Z2,
@@ -225,8 +223,8 @@ def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate
 
     with (p, q) the form of A, beta the companion matrix of B and M(x + y r)
     = [[x, f y], [y, x]].  Its entries are built already divided by q_B u_num
-    (_conjugator_entries proves the factor).  The witness c comes from a
-    finite set with a proof (_hilbert90).  involution_conjugator builds C,
+    (_conjugator_entries proves the factor).  The witness c is 1 or i, with
+    a proof (_hilbert90).  involution_conjugator builds C,
     and the "conjugation" certificate is verified once.
     """
     if mat_a != mat_b and not conj_decision(mat_a, mat_b):
@@ -316,44 +314,27 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
 
 
 def _hilbert90(algebra: _QuadAlgebra, mu_a, mu_b):
-    """(c, eta) with eta = c mu_a + conj(c) mu_b for the first c of a finite
-    witness set that makes eta a unit.  Then xi = eta / mu_a = c + w conj(c),
-    with w = mu_b / mu_a of norm w conj(w) = 1, is a unit with xi = w conj(xi).
+    """(c, eta) with eta = c mu_a + conj(c) mu_b for the first of c = 1, i
+    that makes eta a unit.  Then xi = eta / mu_a = c + w conj(c), with
+    w = mu_b / mu_a of norm w conj(w) = 1, is a unit with xi = w conj(xi).
 
-    The set is c = 1, c = i and, when f = s^2, 2s (e+ + i e-) and
-    2s (i e+ + e-) with the idempotents e+- = (1 +- r/s)/2.  Some c in it
-    works:
+    One of the two works for f = -D, D = p^2 + q conj(q) (z^2 - 1) the
+    determinant of a real involution: the leads of both terms of D are
+    positive, so f has a negative lead and is not s^2 for a real s.
     - f is not a square: the algebra is a field, and c = 1, i give
       xi = 1 + w and i (1 - w), which do not both vanish.
-    - f = s^2: conj(s)^2 = f, so conj(s) = +-s, and x + y r ->
-      (x + y s, x - y s) splits the algebra into two copies of C(z).
-      - conj(s) = -s: conjugation swaps the factors, so w = (v, 1/conj(v));
-        1 + w is singular only for v = -1, i.e. w = -1, and then
-        i (1 - w) = 2i.
-      - conj(s) = s: conjugation acts on each factor, where 1 or i works as
-        in the field case; the four witnesses give the four combinations
-        (1, 1), (i, i), (1, i), (i, 1), and the real scale 2s only scales xi.
+    - f = s^2: conj(s)^2 = f, so conj(s) = +-s, and conj(s) = s is excluded,
+      so conj(s) = -s.  x + y r -> (x + y s, x - y s) splits the algebra
+      into two copies of C(z), which conjugation swaps, so
+      w = (v, 1/conj(v)); 1 + w is singular only for v = -1, i.e. w = -1,
+      and then i (1 - w) = 2i.
     So the RuntimeError below is unreachable."""
-    for c in _witnesses(algebra.f):
+    one = Poly.const(1)
+    for c in ((one, Poly(), one), (Poly.const(CoeffScalar.i()), Poly(), one)):
         eta = algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
         if algebra.is_unit(eta):
             return c, eta
-    raise RuntimeError("no invertible Hilbert-90 witness in the finite set")
-
-
-def _witnesses(f: Poly):
-    one, i = Poly.const(1), Poly.const(CoeffScalar.i())
-    yield one, Poly(), one
-    yield i, Poly(), one
-    model = _split(f)  # reached only when f = s^2 with conj(s) = s, so m = 1
-    if model.degree > 0:
-        return
-    try:
-        s = model.scale.scale(CoeffScalar(model.content * model.sign).sqrt())
-    except UnsupportedExtension:
-        return
-    yield s * (one + i), one - i, one
-    yield s * (one + i), i - one, one
+    raise RuntimeError("no invertible Hilbert-90 witness in {1, i}")
 
 
 # -- realization ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ become 2x2 projective matrices over C(z), and compatibility with the real
 structure becomes the condition  tau A tau = conj(A)  with
 tau = [[0, 1-z^2], [1, 0]].  This module provides that bridge: membership
 tests, the normal pattern [[a, b*h], [conj b, conj a]] read off in closed
-form from A + tau conj(A) tau^-1, diffeomorphism membership and orientation
-from a(+-1) and one Sturm count of the stripped determinant D', whose real
-roots all lie in (-1, 1) and are the contracted fibers, boundary-line
+form from S = A + tau conj(A) tau^-1, which is a constant multiple of A
+exactly when A is real (so neither the pattern nor the reality test takes a
+gcd), diffeomorphism membership and orientation from a(+-1) and one
+memoised Sturm count of the stripped determinant D', whose real roots all
+lie in (-1, 1) and are the contracted fibers, boundary-line
 behaviour, maps with nontrivial action on the base interval, exact sphere
 formulas, and the builtin catalogue of named maps.
 """
@@ -28,7 +30,7 @@ from .errors import (
     NotRealityMember,
     UnsupportedExtension,
 )
-from .poly import ONE_MINUS_Z2, Poly, poly_gcd, real_roots_in_tower_poly, sturm_count
+from .poly import ONE_MINUS_Z2, Poly, real_roots_in_tower_poly, sturm_count
 from .projmat import INF, TWO_COS, ProjMat, angle_of_entries, proportional, raw_mul
 from .scalars import CoeffScalar, TowerReal, scalar
 
@@ -97,15 +99,18 @@ class FiberPattern:
                 det = det.exact_div(Poly([-e, 1]))
         return north, south, det
 
+    @cached_property
+    def contracted_count(self) -> int:
+        """The number of real roots of D', from one Sturm count memoised
+        next to D': the orientation reads it, and the contracted fibers are
+        isolated only when it is positive."""
+        return sturm_count(self.stripped_determinant[2])
 
-def _strip_common_real_factors(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if a and b:
-        # the monic real part gcd(g, conj g) of g = gcd(a, b)
-        g = poly_gcd(a, b)
-        real_part = poly_gcd(g, g.conj())
-        if real_part.degree > 0:
-            a, b = a.exact_div(real_part), b.exact_div(real_part)
-    # scale by a rational to reduce coefficient clutter (a real scalar keeps the shape)
+
+def _rational_rescale(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Divide (a, b) by the square root of the least coefficient norm when
+    that norm is a rational square, to reduce coefficient clutter (a real
+    scalar keeps the shape)."""
     nums = [c for p in (a, b) for c in p.coeffs if c]
     scale = None
     for c in nums:
@@ -116,7 +121,6 @@ def _strip_common_real_factors(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         q = mag.as_rational()
         scale = q if scale is None else min(scale, q)
     if scale and scale != 1:
-        # divide by sqrt of a rational square factor when it is one
         root = Fraction(math.isqrt(scale.numerator), math.isqrt(scale.denominator))
         if root * root == scale and root != 1:
             inv = CoeffScalar(Fraction(1) / root)
@@ -124,31 +128,60 @@ def _strip_common_real_factors(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return a, b
 
 
+def _constant_multiple(lift: tuple[Poly, ...], entries: tuple[Poly, ...]) -> bool:
+    """Whether lift = kappa entries for a constant kappa, given that the
+    first nonzero entry is monic: kappa is then the lead of lift there."""
+    pivot = next(k for k in range(4) if entries[k])
+    if not lift[pivot]:
+        return False
+    kappa = lift[pivot].lead()
+    return all(x == e.scale(kappa) for x, e in zip(lift, entries))
+
+
 @lru_cache(maxsize=512)
 def canonical_pattern(mat: ProjMat) -> FiberPattern:
     """Rewrite a reality-group element in the shape [[a, b*h], [~b, ~a]].
 
-    The sum S = mat + tau conj(mat) tau^-1 = [[A, B], [~B/h, ~A]] with
-    A = a11 + ~a22 and B = a12 + h ~a21 always has the shape, and
-    S = (1 + l) mat when tau conj(mat) tau^-1 = l mat.  With g = gcd(B, h)
-    the pattern is (A (z^2 - 1)/g, -B/g); it is (A, 0) when B = 0, and
-    (-i a11, i ~a21) when S = 0, the case l = -1.  The common real factors
-    are then stripped.  S is proportional to mat exactly when mat is real,
-    so the closing check is the reality test.
+    The sum S = M + tau ~M tau^-1 = [[A, B], [~B/h, ~A]] of the canonical
+    M = mat, with A = m11 + ~m22 and B = m12 + h ~m21, always has the shape.
+    The pattern is (A, B // h), or (-i m11, i ~m21) when S = 0, divided by
+    a rational (_rational_rescale).  M is real exactly when the pattern
+    lifts to kappa M for a constant kappa, read as the lead of the lift at
+    M's first nonzero entry, which is monic; no gcd is taken.
+
+    Lemma.  Let M be real: tau ~M tau^-1 = [[~m22, h ~m21], [~m12/h, ~m11]]
+    = l M, l = P/Q in lowest terms.  The m_ij are coprime.
+    - Q divides m11, m12, m22 and h m21, so a factor of Q not dividing h,
+      or a square factor, would divide all four entries: Q is a squarefree
+      real divisor of h.
+    - X -> tau ~X tau^-1 is an involution (tau^2 = h I), so l ~l = 1 and
+      P ~P is a constant times Q^2.  Every factor of P then divides Q, so P
+      and then Q are constants: l is a constant.
+    - If kappa = 1 + l != 0, then A = kappa m11, B = kappa m12 and
+      ~B/h = kappa m21; so h | B, and (A, B/h) lifts to S = kappa M.
+    - If S = 0, then m22 = -~m11 and m12 = -h ~m21, and (-i m11, i ~m21)
+      lifts to -i M.
+    - In both cases a factor pi of a and b with ~pi | a, b divides a, b,
+      ~a and ~b, hence m11, m12, m21 and m22: the real part of gcd(a, b)
+      is 1, and no common real factor needs stripping.
+    Conversely, let (A, B // h) lift to kappa M.  Then kappa != 1, as
+    A = m11 and B = m12 would give ~m22 = ~m21 = 0 and det M = 0; so
+    h ~m21 = (kappa - 1) m12 makes h | m12 | B, the lift is S, and
+    tau ~M tau^-1 = S - M = (kappa - 1) M.  When S = 0, tau ~M tau^-1 = -M.
+    So the check below refuses exactly the non-real matrices.
     """
     a11, a12, a21, a22 = mat.entries()
     h = ONE_MINUS_Z2
-    a, b = a11 + a22.conj(), a12 + h * a21.conj()
-    if b:
-        g = poly_gcd(b, h)
-        a, b = a * (-h).exact_div(g), -b.exact_div(g)
-    elif not a:
+    a, lift_b = a11 + a22.conj(), a12 + h * a21.conj()
+    if a or lift_b:
+        b = lift_b // h
+    else:
         i = CoeffScalar.i()
         a, b = a11.scale(-i), a21.conj().scale(i)
-    pattern = FiberPattern(*_strip_common_real_factors(a, b))
-    if not proportional(pattern.lift(), mat.entries()):
+        lift_b = b * h
+    if not _constant_multiple((a, lift_b, b.conj(), a.conj()), mat.entries()):
         raise NotRealityMember(f"{mat} does not satisfy the reality condition")
-    return pattern
+    return FiberPattern(*_rational_rescale(a, b))
 
 
 def _primitive_real(p: Poly) -> Poly:
@@ -159,10 +192,12 @@ def _primitive_real(p: Poly) -> Poly:
 def diffeo_orientation(mat: ProjMat) -> int:
     """1 for a birational diffeomorphism preserving orientation, -1 for one
     reversing it (mat * reality_twist() preserves it), 0 when the map is not
-    defined at every real point: a(+-1) and one Sturm count of the stripped
-    determinant, whose real roots all lie in (-1, 1) (stripped_determinant)."""
-    north, south, det = canonical_pattern(mat).stripped_determinant
-    if north != south or sturm_count(det):
+    defined at every real point: a(+-1) and the memoised Sturm count of the
+    stripped determinant, whose real roots all lie in (-1, 1)
+    (stripped_determinant, contracted_count)."""
+    pattern = canonical_pattern(mat)
+    north, south, _ = pattern.stripped_determinant
+    if north != south or pattern.contracted_count:
         return 0
     return -1 if north else 1
 
@@ -174,8 +209,10 @@ def in_diffeo_group(mat: ProjMat) -> bool:
 
 def contracted_fibers(mat: ProjMat):
     """Real z0 in the open interval (-1, 1) whose conic is contracted to a
-    point: the real roots of the stripped determinant, which all lie there."""
-    return real_roots_in_tower_poly(canonical_pattern(mat).stripped_determinant[2])
+    point: the real roots of the stripped determinant, which all lie there,
+    sought only when its memoised Sturm count is positive."""
+    pattern = canonical_pattern(mat)
+    return real_roots_in_tower_poly(pattern.stripped_determinant[2]) if pattern.contracted_count else []
 
 
 @dataclass(frozen=True)

@@ -433,7 +433,10 @@ def test_catalogue_classify_tests_positivity_once(monkeypatch):
     """classify decides membership and orientation from one diffeomorphism
     test: one Sturm count of the stripped determinant for every map whose
     trivial-base part is a diffeomorphism, of either orientation, and none
-    for an interval shift, whose infinite order ends the routing."""
+    for an interval shift, whose infinite order ends the routing.  The count
+    is memoised on the pattern, so each command starts from an empty
+    pattern cache: a matrix met in an earlier command (rot:1/2 and rot:2/4 are
+    one) would read 0."""
     import birsphere.sphere as sphere
 
     calls = []
@@ -446,6 +449,7 @@ def test_catalogue_classify_tests_positivity_once(monkeypatch):
         if verb != "classify" or not args[0].startswith("builtin:"):
             continue
         g = parse_element(args[0])
+        sphere.canonical_pattern.cache_clear()
         calls.clear()
         classify_spheremap(g)
         counts[command] = (len(calls), 0 if g.base.kind == "shift" else 1)

@@ -28,7 +28,6 @@ from birsphere.sphere import (
     FiberPattern,
     SphereMap,
     _primitive_real,
-    _strip_common_real_factors,
     canonical_pattern,
     contracted_fibers,
     diffeo_orientation,
@@ -483,6 +482,32 @@ def ref_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num.scale(c), den.scale(c)
 
 
+def ref_strip_common_real_factors(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """The strip canonical_pattern's lemma proves to be the identity: divide
+    a and b by the monic real part gcd(g, conj g) of g = gcd(a, b), then
+    scale by a rational to reduce coefficient clutter."""
+    if a and b:
+        g = poly_gcd(a, b)
+        real_part = poly_gcd(g, g.conj())
+        if real_part.degree > 0:
+            a, b = a.exact_div(real_part), b.exact_div(real_part)
+    nums = [c for p in (a, b) for c in p.coeffs if c]
+    scale = None
+    for c in nums:
+        mag = c.norm()
+        if not mag.is_rational():
+            scale = None
+            break
+        q = mag.as_rational()
+        scale = q if scale is None else min(scale, q)
+    if scale and scale != 1:
+        root = Fraction(math.isqrt(scale.numerator), math.isqrt(scale.denominator))
+        if root * root == scale and root != 1:
+            inv = CoeffScalar(Fraction(1) / root)
+            a, b = a.scale(inv), b.scale(inv)
+    return a, b
+
+
 def ref_canonical_pattern(mat: ProjMat) -> FiberPattern:
     """The Hilbert-90 step through rational functions, each a reduced
     (numerator, denominator) pair: the quotient relating mat to its twisted
@@ -503,7 +528,7 @@ def ref_canonical_pattern(mat: ProjMat) -> FiberPattern:
     b_num, b_den = ref_fraction(mu_num * a21.conj(), mu_den)
     a = a_num * a_den.conj() * b_den * b_den.conj()
     b = b_num * a_den * a_den.conj() * b_den.conj()
-    return FiberPattern(*_strip_common_real_factors(a, b))
+    return FiberPattern(*ref_strip_common_real_factors(a, b))
 
 
 def ref_diffeo_orientation(mat: ProjMat) -> int:
@@ -546,6 +571,77 @@ def test_closed_form_pattern_matches_hilbert90(a, b, e, shape):
         pat, ref = canonical_pattern(mat), ref_canonical_pattern(mat)
         assert (pat.a.coeffs, pat.b.coeffs) == (ref.a.coeffs, ref.b.coeffs)
         assert diffeo_orientation(mat) == ref_diffeo_orientation(mat)
+
+
+def twisted_sum(mat: ProjMat) -> tuple[Poly, ...]:
+    """S = M + tau conj(M) tau^-1 from the twist products, tau^-1 = tau / h."""
+    h = ONE_MINUS_Z2
+    tw = (Poly(), h, Poly.const(1), Poly())
+    twisted = raw_mul(raw_mul(tw, tuple(p.conj() for p in mat.entries())), tw)
+    return tuple(m + t.exact_div(h) for m, t in zip(mat.entries(), twisted))
+
+
+def constant_ratio(p, q) -> CoeffScalar | None:
+    """The constant kappa with p = kappa q (0 when p = 0), or None."""
+    k = next(k for k in range(4) if q[k])
+    kappa = p[k].lead() * q[k].lead().inverse() if p[k] else CoeffScalar(0)
+    return kappa if all(x == y.scale(kappa) for x, y in zip(p, q)) else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=small_polys, b=small_polys, c=small_polys, d=small_polys, k=st.integers(0, 3))
+@example(a=Poly.const(1), b=Poly.const(1), c=Poly.const(2), d=Poly.z(), k=0)
+def test_canonical_pattern_lemma(a, b, c, d, k):
+    """The lemma of canonical_pattern on reality elements: two patterns,
+    the diagonal diag(a, ~a) (B = 0), the involution with p = a + ~a (S = 0
+    whenever p != 0), products and a conjugate.  S = M + tau ~M tau^-1 is a
+    constant multiple kappa M, the pattern lifts to a constant multiple of
+    M, and the real part of gcd(a, b) is 1, so the reference's gcd strip has
+    nothing to strip; canonical_pattern runs no gcd and no proportional.
+    Multiplying one entry by 1 + 2z raises NotRealityMember exactly when the
+    twist-product reference finds the result non-real."""
+    from unittest import mock
+
+    import birsphere.poly as poly_mod
+    import birsphere.projmat as projmat_mod
+    import birsphere.sphere as sphere_mod
+
+    p = a + a.conj()
+    involution = member_entries(p.scale(CoeffScalar.i()), b)
+    mats = []
+    for entries in (member_entries(a, b), member_entries(c, d), member_entries(a, Poly()), involution):
+        try:
+            mats.append((ProjMat.of(*entries), entries is involution and bool(p)))
+        except ValueError:  # zero matrix or zero determinant
+            continue
+    for (x, _), (y, _) in zip(mats, mats[1:]):
+        mats += [(x * y, False), (y * x * y.inverse(), False)]
+    perturbed = []
+    for mat, _ in mats:
+        entries = list(mat.entries())
+        entries[k] = entries[k] * Poly([1, 2])
+        try:
+            perturbed.append(ProjMat.of(*entries))
+        except ValueError:
+            continue
+    canonical_pattern.cache_clear()
+    work = mock.Mock(side_effect=AssertionError("canonical_pattern took a gcd or a proportional"))
+    with mock.patch.object(poly_mod, "poly_gcd", work), mock.patch.object(projmat_mod, "poly_gcd", work), \
+            mock.patch.object(sphere_mod, "proportional", work):
+        patterns = [canonical_pattern(mat) for mat, _ in mats]
+    for (mat, s_is_zero), pat in zip(mats, patterns):
+        kappa = constant_ratio(twisted_sum(mat), mat.entries())
+        assert kappa is not None and not (s_is_zero and kappa)
+        assert constant_ratio(pat.lift(), mat.entries())
+        g = poly_gcd(pat.a, pat.b)
+        assert poly_gcd(g, g.conj()).degree == 0
+        assert ref_strip_common_real_factors(pat.a, pat.b) == (pat.a, pat.b)
+    for mat in perturbed:
+        if ref_in_reality_group(mat):
+            canonical_pattern(mat)
+        else:
+            with pytest.raises(NotRealityMember):
+                canonical_pattern(mat)
 
 
 @st.composite
@@ -595,14 +691,19 @@ def test_stripped_determinant_lemma(mat):
 
 def test_membership_builds_one_determinant(monkeypatch):
     """in_diffeo_group then contracted_fibers on one matrix builds the
-    pattern determinant once and never factors z - 1 or z + 1: a(+-1) = 0
-    is read off the pattern and divided out before any root is sought."""
+    pattern determinant once, counts the real roots of D' once (the count
+    is memoised on the pattern), and never factors z - 1 or z + 1: a(+-1) = 0
+    is read off the pattern and divided out before any root is sought.  A
+    member, whose count is 0, is never factored; a non-member is factored
+    once."""
     import birsphere.poly as poly_mod
+    import birsphere.sphere as sphere
 
-    dets, factored = [], []
-    real_det, real_factor = FiberPattern.determinant, poly_mod.factor_rational_poly
+    dets, factored, counted = [], [], []
+    real_det, real_factor, real_count = FiberPattern.determinant, poly_mod.factor_rational_poly, sphere.sturm_count
     monkeypatch.setattr(FiberPattern, "determinant", lambda self: dets.append(1) or real_det(self))
     monkeypatch.setattr(poly_mod, "factor_rational_poly", lambda p: factored.append(p) or real_factor(p))
+    monkeypatch.setattr(sphere, "sturm_count", lambda p: counted.append(p) or real_count(p))
     z = Poly.z()
     for a, b, member, fibers in (
         (Poly(), Poly.const(1), True, 0),  # tau: D = z^2 - 1, both ends divided out
@@ -615,9 +716,10 @@ def test_membership_builds_one_determinant(monkeypatch):
         mat = FiberPattern(a, b).matrix()
         dets.clear()
         factored.clear()
+        counted.clear()
         assert in_diffeo_group(mat) == member
         assert len(contracted_fibers(mat)) == fibers
-        assert len(dets) == 1
+        assert (len(dets), len(counted), len(factored)) == (1, 1, 0 if member else 1)
         assert all(p(1) and p(-1) for p in factored)
 
 
