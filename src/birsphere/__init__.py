@@ -10,7 +10,6 @@ from .errors import (
     IndeterminateFiber,
     InfiniteOrderBase,
     NotAutomorphism,
-    NotConjugate,
     NotDiffeomorphism,
     NotEvenFunction,
     NotFiniteOrder,
@@ -51,7 +50,6 @@ from .involutions import (
     InvolutionForm,
     basis_equiv_moduli,
     classify_trivialbase,
-    conj_decision,
     construct_conjugator,
     fixed_curve,
     involution_normal_form,

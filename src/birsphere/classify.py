@@ -24,7 +24,6 @@ from .involutions import (
     TrivialBaseReport,
     basis_equiv_moduli,
     classify_trivialbase,
-    conj_decision,
     fixed_curve,
     involution_conjugator,
     rotation_normal_form,
@@ -69,7 +68,8 @@ class ClassificationReport:
 
 
 def model_to_json(model: HyperellipticModel) -> dict:
-    return {"m": str(model.m), "sign": "+" if model.sign > 0 else "-"}
+    """w^2 = -m: -D has a negative lead for every real involution (HyperellipticModel)."""
+    return {"m": str(model.m), "sign": "-"}
 
 
 def _matrix_json(mat: ProjMat) -> list[list[str]]:
@@ -301,7 +301,15 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
     group: basis_equiv_moduli finds the base map S carrying the fixed curve
     of r1 to that of r2 (S = id for equal models) or refutes one, and the
     conjugator of (S r1 S^-1, r2) composed with S conjugates r1 to r2
-    (UnsupportedExtension when S leaves the tower).
+    (UnsupportedExtension when S leaves the tower).  Lemma: S r1 S^-1 has
+    r2's model, so it is not compared again.  Its fiber is Q (A o sigma^-1)
+    Q^-1, sigma^-1 = num/den the inverse base action of S and A the pattern
+    lift of r1, so its pattern determinant is lam^2 E, lam in C(z) and E
+    = D_A o sigma^-1 cleared by den^(deg D_A), an even power.  sigma keeps
+    |z| > 1, where D_A > 0, so E has a positive lead like every pattern
+    determinant; lam^2 is then real with a positive lead, so lam is real.
+    The model is thus E's square-free part: m_A o sigma^-1 cleared, which
+    is a constant times m_B when basis_equiv_moduli reads "equivalent".
     Base flips of order 2 that are diffeomorphisms of different orientation
     characters are not conjugate among diffeomorphisms; other base flips of
     order 2 are decided in the fiber-compatible birational group by the
@@ -341,14 +349,9 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
             return {"conjugate": False, "fixed_curves": [model_to_json(m) for m in models]}
         if moduli.status != "equivalent":
             raise UnsupportedExtension("the interval map between the fixed curves leaves the tower")
-        if moduli.witness_b or moduli.flipped:
-            s = base_realisation(BaseMobius(BaseMobius.shift(-moduli.witness_b).b, moduli.flipped))
-            moved = s.compose(r1).compose(s.inverse()).fiber
-            if not conj_decision(moved, r2.fiber):
-                raise UndecidedExact("the fixed curves match under an interval map, the moved involutions do not")
-            conjugator = SphereMap.trivial_base(involution_conjugator(moved, r2.fiber)).compose(s)
-        else:  # S = id: the equal models have decided the pair
-            conjugator = SphereMap.trivial_base(involution_conjugator(r1.fiber, r2.fiber))
+        s = base_realisation(BaseMobius(BaseMobius.shift(-moduli.witness_b).b, moduli.flipped))
+        moved = s.compose(r1).compose(s.inverse()).fiber
+        conjugator = SphereMap.trivial_base(involution_conjugator(moved, r2.fiber)).compose(s)
     else:
         # the angle is a conjugacy invariant: equal to that of the normal form
         angles = [list(r.fiber.rotation_angle()) for r in (r1, r2)]

@@ -37,11 +37,6 @@ class NotInvolution(BirsphereError):
     """An element of order 2 was required."""
 
 
-class NotConjugate(BirsphereError, ValueError):
-    """Two involutions are not conjugate: their determinants differ by a
-    non-square."""
-
-
 class NotFiniteOrder(BirsphereError):
     """A finite-order element was required."""
 

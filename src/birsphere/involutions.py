@@ -4,14 +4,17 @@ forms for higher order.
 
 An involution with trivial base action has the shape
 [[i*p, q*h], [conj q, -i*p]] with p real; its fixed curve is the double
-cover w^2 = -D with D the pattern determinant, and D's square class in
-R(z)* is a complete conjugacy invariant.  Conjugators are produced in
-closed form: with f = -D, both sides are companions alpha [[0, f], [1, 0]]
-alpha^-1, aligned by a rescale u in lowest terms read off the two models'
-scales, and glued by a Hilbert-90 element c + w conj(c) of the algebra
-C(z)[r]/(r^2 - f), w the quotient of the two twist units.  The witness c
-is 1 or i, and a proof says one of them works.  The conjugator is
-born divided by q_B u_num, the factor all its entries share.
+cover w^2 = -D with D the pattern determinant.  -D has a negative lead, so
+its square class in R(z)* is -m for one monic square-free m, and m up to
+the interval group is a complete conjugacy invariant, compared once by
+classify.decide_conjugacy (basis_equiv_moduli).  Conjugators are produced
+in closed form: with f = -D, both sides are companions
+alpha [[0, f], [1, 0]] alpha^-1, aligned by a rescale u in lowest terms
+read off the two models' scales, and glued by a Hilbert-90 element
+c + w conj(c) of the algebra C(z)[r]/(r^2 - f), w the quotient of the two
+twist units.  The witness c is 1 or i, and a proof says one of them works.
+The conjugator is born divided by q_B u_num, the factor all its entries
+share.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from functools import lru_cache
 
 from .errors import (
     HasRealRoot,
-    NotConjugate,
     NotDiffeomorphism,
     NotInvolution,
     NotFiniteOrder,
@@ -84,14 +86,14 @@ def involution_normal_form(mat: ProjMat) -> InvolutionForm:
 
 @dataclass(frozen=True)
 class HyperellipticModel:
-    """Canonical fixed-curve datum: w^2 = sign * m(z) with m square-free and
-    monic.  The monic scale polynomial and the content |lead(-D)|, a Fraction
-    when rational and a TowerReal otherwise, record the exact relation
-    -D = content * sign * m * scale^2 to the raw form determinant, for the
-    fiberwise oracle and the conjugator's square roots."""
+    """Canonical fixed-curve datum: w^2 = -m(z) with m square-free and
+    monic.  The monic scale polynomial and the content -lead(-D) > 0, a
+    Fraction when rational and a TowerReal otherwise, record the exact
+    relation -D = -content * m * scale^2 to the raw form determinant, for
+    the fiberwise oracle and the conjugator's square roots.  No sign is
+    kept: -D = -p^2 - |q|^2 (z^2 - 1) has a negative lead (_hilbert90)."""
 
     m: Poly
-    sign: int
     scale: Poly
     content: Fraction | TowerReal = Fraction(1)
 
@@ -104,7 +106,7 @@ class HyperellipticModel:
         return 0 if d <= 2 else (d + 1) // 2 - 1
 
     def value_at(self, z0) -> CoeffScalar:
-        return self.m(z0) * CoeffScalar(Fraction(self.sign))
+        return -self.m(z0)
 
     def raw_value_at(self, z0) -> CoeffScalar:
         """-D(z0) for the normal form this model came from."""
@@ -130,16 +132,16 @@ def _neg_determinant(mat: ProjMat) -> Poly:
 def _split(neg_d: Poly) -> HyperellipticModel:
     """The model of w^2 = -D from one square-free decomposition
     -D = lead * prod f_k^k, f_k monic: m is the product of the f_k of odd k,
-    scale that of the f_k^(k // 2), and lead = sign * content.  Memoised, so
-    the decision, the conjugator and the report share one split."""
+    scale that of the f_k^(k // 2), and lead = -content < 0
+    (HyperellipticModel).  Memoised, so the decision, the conjugator and the
+    report share one split."""
     m = scale = Poly.const(1)
     for factor, k in squarefree_decomposition(neg_d):
         if k % 2:
             m = m * factor
         scale = scale * factor ** (k // 2)
     lead = neg_d.lead().as_real()
-    content = abs(lead.as_rational() if lead.is_rational() else lead)
-    return HyperellipticModel(m, lead.sign(), scale, content)
+    return HyperellipticModel(m, scale, -(lead.as_rational() if lead.is_rational() else lead))
 
 
 def _orientation(mat: ProjMat) -> int:
@@ -151,19 +153,6 @@ def _orientation(mat: ProjMat) -> int:
 
 
 # -- conjugacy decision and certificates --------------------------------------------------
-
-
-def conj_decision(mat_a: ProjMat, mat_b: ProjMat) -> bool:
-    """Conjugacy of two involutions among fiberwise maps: D_a D_b must be a
-    positive constant times the square of a real polynomial.  With
-    -D = content * sign * m * scale^2 (fixed_curve), D_a D_b is a positive
-    constant times sign_a sign_b m_a m_b (scale_a scale_b)^2.  With
-    g = gcd(m_a, m_b), m_a m_b = g^2 (m_a / g)(m_b / g), and the square-free
-    cofactors are coprime, so m_a m_b is a constant times a square exactly
-    when both are constant, i.e. when the monic m_a and m_b are equal; the
-    constant is then positive exactly when the signs agree."""
-    a, b = fixed_curve(mat_a), fixed_curve(mat_b)
-    return (a.m, a.sign) == (b.m, b.sign)
 
 
 class _TripleAlgebra:
@@ -208,7 +197,17 @@ _OFF_DIAGONAL = ProjMat.of(Poly.const(1), (Poly.z() * ONE_MINUS_Z2).scale(-2), P
 
 
 def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate:
-    """An explicit conjugator C in the reality group with C A C^-1 = B.
+    """The "conjugation" certificate of involution_conjugator's C, verified
+    once, for two involutions with one fixed-curve model m.  Nothing is
+    decided here: classify_trivialbase proves its two pairs have one m."""
+    maps = (SphereMap.trivial_base(m) for m in (mat_a, mat_b, involution_conjugator(mat_a, mat_b)))
+    return ConjugacyCertificate.verified("conjugation", *maps)
+
+
+def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
+    """An explicit conjugator C in the reality group with C A C^-1 = B, for
+    involutions with one fixed-curve model m; nothing is decided or
+    verified here.
 
     Both involutions are written as alpha [[0, f], [1, 0]] alpha^-1 with
     f = -D, the companion of B is aligned to that of A by the rescale
@@ -224,25 +223,14 @@ def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate
     with (p, q) the form of A, beta the companion matrix of B and M(x + y r)
     = [[x, f y], [y, x]].  Its entries are built already divided by q_B u_num
     (_conjugator_entries proves the factor).  The witness c is 1 or i, with
-    a proof (_hilbert90).  involution_conjugator builds C,
-    and the "conjugation" certificate is verified once.
-    """
-    if mat_a != mat_b and not conj_decision(mat_a, mat_b):
-        raise NotConjugate("maps are not conjugate: determinants differ by a non-square")
-    maps = (SphereMap.trivial_base(m) for m in (mat_a, mat_b, involution_conjugator(mat_a, mat_b)))
-    return ConjugacyCertificate.verified("conjugation", *maps)
-
-
-def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
-    """The conjugator C with C A C^-1 = B of construct_conjugator, for
-    involutions known to be conjugate; nothing is decided or verified here.
+    a proof (_hilbert90).
 
     The closed form needs q != 0.  The only involution with q = 0 is
     [[i p, 0], [0, -i p]], projectively diag(1, -1), so at most one of two
     different ones has it, and the constant _OFF_DIAGONAL_MOVER conjugates
     it to the constant _OFF_DIAGONAL, whose form has p = 1 and
-    q = -2 i z != 0; that pair is conjugate as well, so it is not decided
-    again."""
+    q = -2 i z != 0, and whose model is m = 1 like diag(1, -1)'s:
+    -D = -(2 z^2 - 1)^2."""
     if mat_a == mat_b:
         return ProjMat.identity()
     if not involution_normal_form(mat_a).q:
@@ -253,13 +241,13 @@ def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
 
 
 def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
-    """The entries of the conjugator C of construct_conjugator, born divided
+    """The entries of the conjugator C of involution_conjugator, born divided
     by q_B u_num, before canonicalisation.
 
     Notation: h = 1 - z^2; (p, q) and (p_B, q_B) the forms of A and B;
     f = -D_A and f_B = -D_B; the algebra C(z)[r]/(r^2 - f).  With
-    -D = content sign m scale^2 and both models sharing m and sign,
-    u^2 = f / f_B gives u = sqrt(c_A c_B) scale_A / (sign c_B scale_B), in
+    -D = -content m scale^2 and both models sharing m,
+    u^2 = f / f_B gives u = sqrt(c_A c_B) scale_A / (-c_B scale_B), in
     lowest terms u_num / u_den after dividing both by g = gcd(scale_A,
     scale_B).  The twist units are mu_A = (i p - r)/q and
     mu_B = nu / (q_B u_num) with nu = i p_B u_num - u_den r.  For the witness
@@ -295,7 +283,7 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
     model_a, model_b = _split(f), fixed_curve(mat_b)
     g = poly_gcd(model_a.scale, model_b.scale)
     u_num = model_a.scale.exact_div(g).scale(CoeffScalar(model_a.content * model_b.content).sqrt())
-    u_den = model_b.scale.exact_div(g).scale(CoeffScalar(model_b.content * model_b.sign))
+    u_den = model_b.scale.exact_div(g).scale(CoeffScalar(-model_b.content))
     algebra = _QuadAlgebra(f)
     i = CoeffScalar.i()
     p, q = form_a.p.scale(i), form_a.q  # p and p_b are i p_A and i p_B from here on
@@ -444,11 +432,12 @@ def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel)
     lam has no tower form (`RealAlgebraic.to_tower`).
 
     Equal models are answered first, as the flip-free pass would answer
-    them: c^b = c^a makes every r_k equal to 1, so lam = 1 and b = 0.
+    them: c^b = c^a makes every r_k equal to 1, so lam = 1 and b = 0.  No
+    sign is compared: both curves are w^2 = -m (HyperellipticModel).
     """
-    if (model_a.m, model_a.sign) == (model_b.m, model_b.sign):
+    if model_a.m == model_b.m:
         return ModuliComparison("equivalent", Fraction(0))
-    if model_a.sign != model_b.sign or model_a.degree != model_b.degree:
+    if model_a.degree != model_b.degree:
         return ModuliComparison("inequivalent")
     source, target = _u_coefficients(model_a), _u_coefficients(model_b)
     undecided = False
@@ -505,7 +494,16 @@ class TrivialBaseReport:
 def classify_trivialbase(mat: ProjMat) -> TrivialBaseReport:
     """Sort a finite-order birational diffeomorphism with trivial base
     action into its conjugacy family; NotDiffeomorphism for a map that is
-    not defined at every real point."""
+    not defined at every real point.
+
+    Lemma: the two certified involutions share their target's model, so
+    construct_conjugator need not decide them.
+    - Orientation-reversing, degree <= 2: a(1) = a(-1) = 0, and then
+      b(+-1) != 0 (FiberPattern.stripped_determinant), so z = +-1 are simple
+      roots of D and z^2 - 1 divides m.  With degree <= 2, m = z^2 - 1, the
+      model of x_flip.
+    - Orientation-preserving, degree 0: m is monic, so m = 1, the model of
+      diag(1, -1)."""
     orientation = _orientation(mat)
     angle = mat.rotation_angle()
     if angle is None:

@@ -47,12 +47,11 @@ def reality_twist() -> ProjMat:
 # -- membership and patterns -----------------------------------------------------
 
 
-@lru_cache(maxsize=512)
 def in_reality_group(mat: ProjMat) -> bool:
     """True iff the fiber map commutes with the sphere's real structure:
     tw [[a, b], [c, d]] tw = [[h d, h^2 c], [b, h a]] with h = 1 - z^2.
     Routing reads a trivial-base input's reality off canonical_pattern
-    instead.  Memoised: catalogue certificate checks repeat conjugators."""
+    instead."""
     a, b, c, d = mat.entries()
     h = ONE_MINUS_Z2
     return proportional((h * d, h * (h * c), b, h * a), (a.conj(), b.conj(), c.conj(), d.conj()))
@@ -145,9 +144,11 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
     The sum S = M + tau ~M tau^-1 = [[A, B], [~B/h, ~A]] of the canonical
     M = mat, with A = m11 + ~m22 and B = m12 + h ~m21, always has the shape.
     The pattern is (A, B // h), or (-i m11, i ~m21) when S = 0, divided by
-    a rational (_rational_rescale).  M is real exactly when the pattern
-    lifts to kappa M for a constant kappa, read as the lead of the lift at
-    M's first nonzero entry, which is monic; no gcd is taken.
+    a rational (_rational_rescale).  S = 0 says tau ~M tau^-1 = -M, which is
+    the reality condition itself, so M is real and needs no further check.
+    Otherwise M is real exactly when the pattern lifts to kappa M for a
+    constant kappa, read as the lead of the lift at M's first nonzero entry,
+    which is monic; no gcd is taken.
 
     Lemma.  Let M be real: tau ~M tau^-1 = [[~m22, h ~m21], [~m12/h, ~m11]]
     = l M, l = P/Q in lowest terms.  The m_ij are coprime.
@@ -167,18 +168,16 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
     Conversely, let (A, B // h) lift to kappa M.  Then kappa != 1, as
     A = m11 and B = m12 would give ~m22 = ~m21 = 0 and det M = 0; so
     h ~m21 = (kappa - 1) m12 makes h | m12 | B, the lift is S, and
-    tau ~M tau^-1 = S - M = (kappa - 1) M.  When S = 0, tau ~M tau^-1 = -M.
-    So the check below refuses exactly the non-real matrices.
+    tau ~M tau^-1 = S - M = (kappa - 1) M.  So the check below refuses
+    exactly the non-real matrices.
     """
     a11, a12, a21, a22 = mat.entries()
     h = ONE_MINUS_Z2
     a, lift_b = a11 + a22.conj(), a12 + h * a21.conj()
-    if a or lift_b:
-        b = lift_b // h
-    else:
+    if not (a or lift_b):  # S = 0: real, and the pattern lifts to -i M
         i = CoeffScalar.i()
-        a, b = a11.scale(-i), a21.conj().scale(i)
-        lift_b = b * h
+        return FiberPattern(*_rational_rescale(a11.scale(-i), a21.conj().scale(i)))
+    b = lift_b // h
     if not _constant_multiple((a, lift_b, b.conj(), a.conj()), mat.entries()):
         raise NotRealityMember(f"{mat} does not satisfy the reality condition")
     return FiberPattern(*_rational_rescale(a, b))

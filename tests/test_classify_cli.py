@@ -483,7 +483,7 @@ def test_flip_classify_work(monkeypatch, name, family, shape):
     real_sub, real_canonical = sphere.cleared_substitution, ProjMat._canonical
     monkeypatch.setattr(sphere, "cleared_substitution", lambda *args: substitutions.append(1) or real_sub(*args))
     monkeypatch.setattr(ProjMat, "_canonical", classmethod(lambda cls, polys: canonical.append(1) or real_canonical(polys)))
-    for memo in (sphere.canonical_pattern, sphere.in_reality_group, inv._split):
+    for memo in (sphere.canonical_pattern, inv._split):
         memo.cache_clear()
     assert classify_spheremap(g).family == family
     assert (len(substitutions), len(canonical)) == (0, 0)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,20 +10,13 @@ from hypothesis import strategies as st
 
 from birsphere.bipoly import BiPoly
 from birsphere.classify import _matrix_json, decide_conjugacy, spheremap_from_json
-from birsphere.errors import (
-    BirsphereError,
-    HasRealRoot,
-    NotConjugate,
-    NotInvolution,
-    NotRealityMember,
-)
+from birsphere.errors import HasRealRoot, NotInvolution, NotRealityMember
 from birsphere.involutions import (
     HyperellipticModel,
     InvolutionForm,
     ModuliComparison,
     basis_equiv_moduli,
     classify_trivialbase,
-    conj_decision,
     construct_conjugator,
     fixed_curve,
     involution_normal_form,
@@ -95,12 +89,10 @@ def test_involution_normal_form_examples():
 
 
 def test_fixed_curve_examples():
-    m = fixed_curve(TAU)
-    assert m.m == Z * Z - 1 and m.sign == -1  # w^2 = 1 - z^2
+    assert fixed_curve(TAU).m == Z * Z - 1  # w^2 = 1 - z^2
     mat = ProjMat.of(Poly.const(2 * I), ONE_MINUS_Z2, Poly.const(1), Poly.const(-2 * I))
-    m = fixed_curve(mat)
-    assert m.m == Z * Z + 3 and m.sign == -1
-    assert fixed_curve(UPS).m == Z * Z - 1 and fixed_curve(UPS).sign == -1
+    assert fixed_curve(mat).m == Z * Z + 3
+    assert fixed_curve(UPS).m == Z * Z - 1
 
 
 def test_fixed_curve_conjugacy_invariant(rng):
@@ -109,11 +101,12 @@ def test_fixed_curve_conjugacy_invariant(rng):
         c = random_reality_element(rng, max_degree=1)
         conj = c * a * c.inverse()
         ma, mc = fixed_curve(a), fixed_curve(conj)
-        assert ma.m == mc.m and ma.sign == mc.sign
+        assert ma.m == mc.m
 
 
 def test_fixed_curve_fiberwise_oracle(rng):
-    """Brute-force fixed points on 20 fibers satisfy w^2 = sign * m(z0)."""
+    """Brute-force fixed points on 20 fibers satisfy w^2 = -m(z0), times the
+    content and the square of the scale."""
     mats = [TAU, UPS, realize_oval(Z + Poly.const(I)), realize_no_oval((Z * Z + 1) * (Z * Z + 4))]
     for _ in range(6):
         mats.append(random_involution(rng, max_degree=1))
@@ -162,11 +155,13 @@ def test_genus_values():
     assert fixed_curve(realize_oval((Z + Poly.const(I)) * (Z + 2 * I))).genus() == 2
 
 
-def test_conj_decision_examples():
-    assert conj_decision(TAU, UPS)
-    a = realize_oval(Z + Poly.const(I))
-    b = realize_oval(Z + 2 * I)
-    assert not conj_decision(a, b)  # (z^2+1)(z^2+4) is not a square class
+def test_decide_conjugacy_involution_examples():
+    out = decide_conjugacy(SphereMap.trivial_base(TAU), SphereMap.trivial_base(UPS))
+    assert out["conjugate"] and out["verified"]
+    a = SphereMap.trivial_base(realize_oval(Z + Poly.const(I)))
+    b = SphereMap.trivial_base(realize_oval(Z + 2 * I))
+    out = decide_conjugacy(a, b)  # (z^2-1)(z^2+1) and (z^2-1)(z^2+4): no interval map
+    assert out == {"conjugate": False, "fixed_curves": [{"m": "z^4-1", "sign": "-"}, {"m": "z^4+3*z^2-4", "sign": "-"}]}
 
 
 def test_conjugator_certificates_random(rng):
@@ -174,7 +169,7 @@ def test_conjugator_certificates_random(rng):
         a = random_involution(rng, max_degree=1)
         c = random_reality_element(rng, max_degree=1)
         b = c * a * c.inverse()
-        assert conj_decision(a, b)
+        assert fixed_curve(a).m == fixed_curve(b).m
         cert = construct_conjugator(a, b)
         assert cert.verify()
         assert in_reality_group(cert.conjugator.fiber)
@@ -182,11 +177,16 @@ def test_conjugator_certificates_random(rng):
 
 
 def test_conjugacy_decided_once(monkeypatch, rng):
+    """decide_conjugacy decides an involution pair once, by
+    basis_equiv_moduli, and a false answer takes that one call too;
+    construct_conjugator decides nothing, also for the diagonal source that
+    _OFF_DIAGONAL_MOVER moves off the diagonal first."""
+    import birsphere.classify as classify
     import birsphere.involutions as inv
 
     calls = []
-    real = inv.conj_decision
-    monkeypatch.setattr(inv, "conj_decision", lambda a, b: calls.append(1) or real(a, b))
+    real = classify.basis_equiv_moduli
+    monkeypatch.setattr(classify, "basis_equiv_moduli", lambda a, b: calls.append(1) or real(a, b))
     a = InvolutionForm(Poly.const(1), Poly()).matrix()  # diagonal: moved off it first
     # the image of the one diagonal involution diag(1, -1) is a constant
     g = inv._OFF_DIAGONAL_MOVER
@@ -196,12 +196,13 @@ def test_conjugacy_decided_once(monkeypatch, rng):
         b = c * a * c.inverse()
         calls.clear()
         assert construct_conjugator(a, b).verify()
-        assert len(calls) == (a != b)
+        out = decide_conjugacy(SphereMap.trivial_base(a), SphereMap.trivial_base(b))
+        assert out["conjugate"] and out["verified"]
+        assert len(calls) == (a != b)  # equal inputs take the identity
     calls.clear()
-    with pytest.raises(NotConjugate):
-        construct_conjugator(realize_oval(Z + Poly.const(I)), realize_oval(Z + 2 * I))
+    x, y = (SphereMap.trivial_base(realize_oval(beta)) for beta in (Z + Poly.const(I), Z + 2 * I))
+    assert not decide_conjugacy(x, y)["conjugate"]
     assert len(calls) == 1
-    assert issubclass(NotConjugate, BirsphereError) and issubclass(NotConjugate, ValueError)
 
 
 def test_certificate_verified_once(monkeypatch, rng):
@@ -236,30 +237,45 @@ def test_certificate_verified_once(monkeypatch, rng):
 
 
 def test_reality_tested_once_per_input(monkeypatch, rng):
-    """decide_conjugacy evaluates the reality test of each input fiber once,
-    in either form: canonical_pattern's check that the pattern lifts to a
-    constant multiple of the entries, or in_reality_group's proportionality
-    with their conjugates."""
+    """decide_conjugacy refuses, or proves real, each input fiber once: by
+    canonical_pattern finding S = 0, which is the reality condition itself,
+    by its check that the pattern lifts to a constant multiple of the
+    entries, or by in_reality_group.  An involution with p != 0 has S = 0;
+    a rotation does not."""
     import birsphere.sphere as sphere
     from birsphere.classify import decide_conjugacy
     from birsphere.sphere import SphereMap
 
-    evaluated = []
-    real_multiple, real_proportional = sphere._constant_multiple, sphere.proportional
-    monkeypatch.setattr(sphere, "_constant_multiple", lambda p, q: evaluated.append(q) or real_multiple(p, q))
-    monkeypatch.setattr(sphere, "proportional", lambda p, q: evaluated.append(q) or real_proportional(p, q))
-    a = InvolutionForm(Poly.const(1), Poly.const(1)).matrix()
-    for _ in range(3):
-        c = random_reality_element(rng, max_degree=1)
-        b = c * a * c.inverse()
-        sphere.in_reality_group.cache_clear()
-        sphere.canonical_pattern.cache_clear()
-        evaluated.clear()
-        out = decide_conjugacy(SphereMap.trivial_base(a), SphereMap.trivial_base(b))
-        assert out["conjugate"] and out["verified"]
-        for mat in (a, b):
-            forms = (mat.entries(), tuple(e.conj() for e in mat.entries()))
-            assert sum(q in forms for q in evaluated) == 1
+    checked, patterns = [], []
+    real_multiple, real_reality, real_rescale = sphere._constant_multiple, sphere.in_reality_group, sphere._rational_rescale
+    monkeypatch.setattr(sphere, "_constant_multiple", lambda p, q: checked.append(q) or real_multiple(p, q))
+    for module in [module for name, module in sys.modules.items() if name.startswith("birsphere")]:
+        if hasattr(module, "in_reality_group"):  # every binding, imported ones too
+            monkeypatch.setattr(module, "in_reality_group", lambda m: checked.append(m.entries()) or real_reality(m))
+    # every pattern canonical_pattern computes ends in _rational_rescale
+    monkeypatch.setattr(
+        sphere, "_rational_rescale", lambda a, b: patterns.append(FiberPattern(a, b).matrix()) or real_rescale(a, b)
+    )
+
+    def s_is_zero(mat):
+        a11, a12, a21, a22 = mat.entries()
+        return not (a11 + a22.conj() or a12 + ONE_MINUS_Z2 * a21.conj())
+
+    kinds = set()
+    for source in (InvolutionForm(Poly.const(1), Poly.const(1)).matrix(), rotation(1, 3).fiber):
+        for _ in range(3):
+            c = random_reality_element(rng, max_degree=1)
+            target = c * source * c.inverse()
+            sphere.canonical_pattern.cache_clear()
+            checked.clear()
+            patterns.clear()
+            out = decide_conjugacy(SphereMap.trivial_base(source), SphereMap.trivial_base(target))
+            assert out["conjugate"] and out["verified"]
+            for mat in (source, target):
+                zero_sum_proofs = patterns.count(mat) if s_is_zero(mat) else 0
+                assert checked.count(mat.entries()) + zero_sum_proofs == 1
+                kinds.add(s_is_zero(mat))
+    assert kinds == {True, False}
 
 
 def test_one_split_per_involution(monkeypatch):
@@ -376,6 +392,47 @@ def test_conjugator_born_reduced_verifies(p, q, a, b):
     assert ref_proportional(raw_mul(g, mat_a.entries()), raw_mul(mat_b.entries(), g))
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=real_polys, q=nonzero_complex_polys, a=complex_polys, b=nonzero_complex_polys)
+def test_neg_determinant_has_negative_lead(p, q, a, b):
+    """For a random real involution, a conjugate of a random form by a
+    random reality element, -D has a negative lead, and its model records
+    -D = -content m scale^2 with content > 0: the curve is w^2 = -m, so the
+    model carries no sign.  q and b are nonzero by construction, so D and
+    |a|^2 + |b|^2 (z^2 - 1) are nonzero and no draw is rejected."""
+    from birsphere.involutions import _neg_determinant
+
+    c = FiberPattern(a, b).matrix()
+    mat = c * InvolutionForm(p, q).matrix() * c.inverse()
+    neg_d, model = _neg_determinant(mat), fixed_curve(mat)
+    assert neg_d.lead().as_real().sign() < 0
+    assert model.content > 0
+    assert neg_d == (model.m * model.scale * model.scale).scale(CoeffScalar(-model.content))
+
+
+PYTHAGOREAN_T = [Fraction(k, n) for n in range(2, 9) for k in range(1 - n, n) if k]
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=real_polys, q=nonzero_complex_polys, t=st.sampled_from(PYTHAGOREAN_T), flip=st.booleans())
+@example(p=Z * Z + 1, q=Z + Poly.const(I), t=Fraction(1, 3), flip=True)
+def test_moved_involution_has_target_model(p, q, t, flip):
+    """For r2 = s r1 s^-1, s a Pythagorean interval shift, composed with
+    z_flip or not: the involution that decide_conjugacy moves by the base map
+    basis_equiv_moduli finds has r2's model, so the moved pair needs no
+    second decision, and conj answers true with a verified conjugator."""
+    r1 = SphereMap.trivial_base(InvolutionForm(p, q).matrix())
+    s = interval_shift(t).compose(z_flip()) if flip else interval_shift(t)
+    r2 = s.compose(r1).compose(s.inverse())
+    moduli = basis_equiv_moduli(fixed_curve(r1.fiber), fixed_curve(r2.fiber))
+    assert moduli.status == "equivalent"
+    back = base_realisation(BaseMobius(BaseMobius.shift(-moduli.witness_b).b, moduli.flipped))
+    moved = back.compose(r1).compose(back.inverse()).fiber
+    assert fixed_curve(moved).m == fixed_curve(r2.fiber).m
+    out = decide_conjugacy(r1, r2)
+    assert out["conjugate"] and out["verified"]
+
+
 def _undivided_entries(mat_a, mat_b, hilbert90):
     """Reference: the conjugator as the plain product
     beta diag(u_den, u_num) M(x + y r) [[conj q, -i p], [0, -1]], with
@@ -473,22 +530,11 @@ def test_rotation_normal_form_conjugation_invariant(angle, a, b):
     assert ref_proportional(raw_mul(g, mat.entries()), raw_mul(rot.inverse().fiber.entries(), g))
 
 
-def test_conj_decision_symmetric_transitive(rng):
-    reps = [TAU, UPS, realize_oval(Z + Poly.const(I)), realize_no_oval(Z * Z + 4)]
-    for _ in range(10):
-        x = rng.choice(reps)
-        y = rng.choice(reps)
-        zz = rng.choice(reps)
-        assert conj_decision(x, y) == conj_decision(y, x)
-        if conj_decision(x, y) and conj_decision(y, zz):
-            assert conj_decision(x, zz)
-
-
 def test_realize_oval():
     mat = realize_oval(Z + Poly.const(I))
     assert mat.order() == 2
     model = fixed_curve(mat)
-    assert model.m == Z**4 - 1 and model.sign == -1  # w^2 = (1-z^2)(z^2+1)
+    assert model.m == Z**4 - 1  # w^2 = (1-z^2)(z^2+1)
     assert diffeo_orientation(mat) == -1  # one oval
     with pytest.raises(HasRealRoot):
         realize_oval(Z - Poly.const(1))
@@ -506,7 +552,6 @@ def test_realize_no_oval_roundtrip():
         assert mat.order() == 2
         model = fixed_curve(mat)
         assert model.m == ref_square_class(f)
-        assert model.sign == -1
         assert diffeo_orientation(mat) == 1  # no real points
 
 
@@ -514,10 +559,8 @@ def test_realize_oval_roundtrip_squarefree(rng):
     for beta in (Poly.const(1), Z + Poly.const(I), Z * Z + Z.scale(I) + 1):
         mat = realize_oval(beta)
         model = fixed_curve(mat)
-        expected = ref_square_class(-ONE_MINUS_Z2.scale(-1) * beta * beta.conj())
-        target = expected if expected.lead().as_real().sign() > 0 else -expected
-        assert model.m == target
-        assert model.sign == (1 if expected.lead().as_real().sign() > 0 else -1)
+        expected = ref_square_class(ONE_MINUS_Z2 * beta * beta.conj())  # the class of -D
+        assert -model.m == expected
 
 
 def test_rotation_normal_form_recovery(rng):
@@ -631,7 +674,7 @@ def test_basis_equiv_after_interval_pullback():
         if c:
             acc = acc + (num**k * den ** (m_a.m.degree - k)).scale(c)
     sf = ref_square_class(acc)
-    m_pulled = HyperellipticModel(sf if sf.lead().as_real().sign() > 0 else -sf, m_a.sign, Poly.const(1))
+    m_pulled = HyperellipticModel(sf if sf.lead().as_real().sign() > 0 else -sf, Poly.const(1))
     cmp = basis_equiv_moduli(m_a, m_pulled)
     assert cmp.status == "equivalent"
     assert cmp.witness_b == b
@@ -639,8 +682,8 @@ def test_basis_equiv_after_interval_pullback():
 
 def test_basis_equiv_flip_only():
     # branch data {1 + i, 1 - i, 3i, -3i} needs the flip to reach its mirror
-    m_a = HyperellipticModel((Z * Z - 2 * Z + 2) * (Z * Z + 9), -1, Poly.const(1))
-    m_b = HyperellipticModel((Z * Z + 2 * Z + 2) * (Z * Z + 9), -1, Poly.const(1))
+    m_a = HyperellipticModel((Z * Z - 2 * Z + 2) * (Z * Z + 9), Poly.const(1))
+    m_b = HyperellipticModel((Z * Z + 2 * Z + 2) * (Z * Z + 9), Poly.const(1))
     cmp = basis_equiv_moduli(m_a, m_b)
     assert cmp.status == "equivalent" and cmp.flipped
 
@@ -683,7 +726,7 @@ def ref_basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticMo
     of the transported polynomial cuts out the candidate parameters, and
     each real candidate in (-1, 1) with a tower form is checked by
     substitution."""
-    if model_a.sign != model_b.sign or model_a.degree != model_b.degree:
+    if model_a.degree != model_b.degree:
         return ModuliComparison("inequivalent")
     if model_a.m == model_b.m:
         return ModuliComparison("equivalent", witness_b=Fraction(0))
@@ -724,8 +767,8 @@ def ref_basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticMo
     return ModuliComparison("inequivalent")
 
 
-def _model(m: Poly, sign: int = -1) -> HyperellipticModel:
-    return HyperellipticModel(m.monic(), sign, Poly.const(1))
+def _model(m: Poly) -> HyperellipticModel:
+    return HyperellipticModel(m.monic(), Poly.const(1))
 
 
 @st.composite
@@ -873,19 +916,3 @@ def test_interval_branch_verifies_once(monkeypatch):
     assert calls == ["conjugation"]
     conjugator = spheremap_from_json(json.loads(json.dumps(out["conjugator"])))
     assert real(ConjugacyCertificate("conjugation", g, h, conjugator))
-
-
-def test_interval_branch_undecided_moved_pair(monkeypatch, capsys):
-    """A moved pair whose fixed curves differ still raises UndecidedExact,
-    which the CLI reports with exit 4."""
-    import birsphere.classify as classify
-    from birsphere.classify import spheremap_to_json
-    from birsphere.cli import main
-    from birsphere.errors import UndecidedExact
-
-    monkeypatch.setattr(classify, "conj_decision", lambda a, b: False)
-    g, h = _interval_pair()
-    with pytest.raises(UndecidedExact, match="the moved involutions do not"):
-        decide_conjugacy(g, h)
-    code = main(["conj", json.dumps(spheremap_to_json(g)), json.dumps(spheremap_to_json(h))])
-    assert code == 4 and capsys.readouterr().err.startswith("undecided:")
