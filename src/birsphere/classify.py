@@ -361,6 +361,6 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
         # both targets are diag(1, zeta^{+-1}); x_flip swaps the two
         swap = x_flip().fiber if ra.target != rb.target else ProjMat.identity()
         conjugator = SphereMap.trivial_base(rb.conjugator.fiber.inverse() * swap * ra.conjugator.fiber)
-    ConjugacyCertificate.verified("conjugation", g1, g2, conjugator)
+    ConjugacyCertificate("conjugation", g1, g2, conjugator).verified()
     shown = _matrix_json(conjugator.fiber) if conjugator.base.kind == "id" else spheremap_to_json(conjugator)
     return {"conjugate": True, "conjugator": shown, "verified": True}

@@ -201,7 +201,7 @@ def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate
     once, for two involutions with one fixed-curve model m.  Nothing is
     decided here: classify_trivialbase proves its two pairs have one m."""
     maps = (SphereMap.trivial_base(m) for m in (mat_a, mat_b, involution_conjugator(mat_a, mat_b)))
-    return ConjugacyCertificate.verified("conjugation", *maps)
+    return ConjugacyCertificate("conjugation", *maps).verified()
 
 
 def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
@@ -382,7 +382,8 @@ def rotation_normal_form(mat: ProjMat) -> ConjugacyCertificate:
     would generate a cyclic quartic field, which lies in no multiquadratic
     one, so r and s vanish there; then b conj(b) h vanishes to second order,
     so b(+-1) = 0, and (a, b) / (z^2 - 1) is a smaller pattern of the same
-    map: an infinite descent.  The certificate is verified once.
+    map: an infinite descent.  The certificate is not verified here: classify
+    verifies it for its report, conj only the one it composes from two.
     """
     angle = mat.rotation_angle()
     if angle is None:
@@ -401,7 +402,7 @@ def rotation_normal_form(mat: ProjMat) -> ConjugacyCertificate:
         conjugator = ProjMat.of(x, pat.b * ONE_MINUS_Z2.scale(-2), pat.b.conj().scale(2), x)
         target = ProjMat.diag(t + delta, t - delta)
     source, target, conjugator = (SphereMap.trivial_base(m) for m in (mat, target, conjugator))
-    return ConjugacyCertificate.verified("rotation-normal-form", source, target, conjugator)
+    return ConjugacyCertificate("rotation-normal-form", source, target, conjugator)
 
 
 # -- moduli comparison under the interval group ----------------------------------------------
@@ -512,7 +513,7 @@ def classify_trivialbase(mat: ProjMat) -> TrivialBaseReport:
     if n == 1:
         return TrivialBaseReport(family=3, angle=angle)
     if n > 2:
-        return TrivialBaseReport(family=3, angle=angle, certificate=rotation_normal_form(mat))
+        return TrivialBaseReport(family=3, angle=angle, certificate=rotation_normal_form(mat).verified())
     model = fixed_curve(mat)
     if orientation < 0:  # one oval
         if model.degree <= 2:

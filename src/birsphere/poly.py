@@ -18,21 +18,23 @@ only when a caller asks for coefficients (`p[k]`, `lead`, `coeffs`).  Rows
 are shared between polynomials and never mutated.  Two ring involutions act
 on polynomials: coefficientwise conjugation and the substitution z -> -z.
 
-Gcds and square-free splits of rational polynomials run on their
-primitive integer coefficient lists in the factor module (a modular gcd
-certified by exact division, Yun's algorithm on Z[x]); polynomials with
-other coefficients use Euclid's algorithm and the same Yun loop over the
-field.  Real-root machinery (Sturm chains, root isolation) works for
-polynomials with real tower coefficients, using exact sign decisions.  Real
+Gcds and square-free splits of rational polynomials run on their primitive
+integer coefficient lists in the factor module (a modular gcd certified by
+exact division, Yun's algorithm on Z[x]); polynomials with other coefficients
+use Euclid's algorithm and the same Yun loop over the field.  Real roots of
+polynomials with real tower coefficients are found with exact sign decisions
+on Euclid's chain of p and dp/dz, divided by its last member into the Sturm
+chain of the square-free part (`sturm_chain`) for isolation and for counts
+with a finite end; a count over the whole line skips the division, which
+moves no sign variation there.  No separate square-free gcd is taken.  Real
 algebraic numbers are carried as an irreducible rational minimal polynomial
 plus an isolating rational interval.  `refined` returns the same number with
 a narrower interval; equality is one Sturm count on the overlap of the two
 intervals, and one `compare` orders two numbers by narrowing both with
-doubling bits, each round continuing from the last.  Minimal
-polynomials come from `factor_rational_poly`: Yun's square-free split, then
-Zassenhaus' factorisation of each part over Z in the factor module
-(Berlekamp modulo the least suitable prime, Hensel lifting, recombination
-by exact division).
+doubling bits, each round continuing from the last.  Minimal polynomials come
+from `factor_rational_poly`: Yun's square-free split, then Zassenhaus'
+factorisation of each part over Z in the factor module (Berlekamp modulo the
+least suitable prime, Hensel lifting, recombination by exact division).
 """
 
 from __future__ import annotations
@@ -485,15 +487,38 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 # -- Sturm machinery ------------------------------------------------------------
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
+def _euclid_chain(p: Poly) -> list[Poly]:
+    """p, dp/dz and the negated remainders, ending in a multiple of gcd(p, p')."""
     require_real(p)
-    chain = [p, p.derivative()]
-    while chain[-1]:
-        rem = chain[-2] % chain[-1]
-        if not rem:
-            break
-        chain.append(-rem)
-    return [q for q in chain if q]
+    chain, q = [p], p.derivative()
+    while q:
+        chain.append(q)
+        q = -(chain[-2] % q)
+    return chain
+
+
+def sturm_chain(p: Poly) -> list[Poly]:
+    """The Sturm chain of the square-free part s of a real p: Euclid's chain
+    of p and dp/dz, every member divided exactly by the monic associate of
+    its last member g = gcd(p, dp/dz).
+
+    Lemma: the divided members are a Sturm chain of s = p/g at every point,
+    finite ends included.
+    - Consecutive divided members have gcd 1: times g, it is the gcd of two
+      consecutive members of Euclid's chain, which is g.
+    - The remainder relations r_(k-1) = q_k r_k - r_(k+1) still hold after
+      the division, so where a middle member vanishes its neighbours have
+      opposite signs.
+    - At a root x0 of multiplicity k, (dp/dz)/g takes the value k lead(p)
+      prod_(r != x0) (x0 - r), r over the other distinct roots, which has
+      the sign of s'(x0); so s (dp/dz)/g goes from - to + across x0.
+    So V(lo) - V(hi) counts the distinct real roots of p in (lo, hi].
+    """
+    chain = _euclid_chain(p)
+    if chain[-1].degree > 0:
+        g = chain[-1].monic()
+        chain = [q.exact_div(g) for q in chain]
+    return chain
 
 
 def _sign_variations(signs) -> int:
@@ -519,39 +544,26 @@ def sturm_count(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None)
     """Number of distinct real roots of p in the open interval (lo, hi).
 
     None endpoints mean -infinity / +infinity.  Endpoint roots are excluded.
-
-    With both ends infinite p need not be square-free.  Its chain ends in
-    g = gcd(p, dp/dz), and dividing every member by g leaves the variation
-    count unchanged wherever g != 0, so at +-infinity.  The divided chain
-    is a Sturm chain of the square-free p/g: consecutive members have no
-    common root, and at a root p (dp/dz) / g^2 = (p^2)' / (2 g^2) goes from
-    negative to positive.  So V(-infinity) - V(+infinity) counts the
-    distinct real roots of p.  A finite end can be a multiple root, where
-    every member vanishes, so p is made square-free first.
     """
     require_real(p)
     if not p:
         raise ValueError("zero polynomial")
-    if lo is not None or hi is not None:
-        p = _squarefree_real(p)
     if p.degree == 0:
         return 0
-    return _chain_count(sturm_chain(p), lo, hi)
+    # at +-infinity a sign reads a lead and a degree parity; dividing by
+    # sturm_chain's monic g keeps the leads and flips the parities alike
+    chain = _euclid_chain(p) if lo is None and hi is None else sturm_chain(p)
+    return _chain_count(chain, lo, hi)
 
 
 def _chain_count(chain: list[Poly], lo: Fraction | None, hi: Fraction | None) -> int:
-    """sturm_count of chain[0] of positive degree, given its Sturm chain;
-    chain[0] is square-free unless both ends are infinite."""
+    """sturm_count of chain[0] of positive degree, given its `sturm_chain`
+    (or, with both ends infinite, its `_euclid_chain`)."""
     count = _chain_variations_at(chain, lo, -1) - _chain_variations_at(chain, hi, +1)
     # V counts roots in (lo, hi]; drop hi when it is a root.
     if hi is not None and real_sign_at(chain[0], hi) == 0:
         count -= 1
     return count
-
-
-def _squarefree_real(p: Poly) -> Poly:
-    g = poly_gcd(p, p.derivative())
-    return p.exact_div(g) if g.degree > 0 else p
 
 
 def cauchy_bound(p: Poly) -> Fraction:
@@ -572,22 +584,10 @@ def cauchy_bound(p: Poly) -> Fraction:
     return b
 
 
-def isolate_real_roots_poly(p: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open rational intervals, each holding one real root of p.
-
-    p must have real tower coefficients; it is squarefree-reduced first.
-    Interval endpoints are never roots.
-    """
-    require_real(p)
-    p = _squarefree_real(p)
-    if p.degree <= 0:
-        return []
-    return _isolate(sturm_chain(p))
-
-
-def _isolate(chain: list[Poly]) -> list[tuple[Fraction, Fraction]]:
-    """isolate_real_roots_poly of the square-free chain[0] of positive
-    degree, given its Sturm chain."""
+def isolate_real_roots_poly(chain: list[Poly]) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint open rational intervals, sorted, each holding one real root
+    of the square-free chain[0] of positive degree, given its `sturm_chain`;
+    interval endpoints are never roots."""
     p = chain[0]
     b = cauchy_bound(p)
     total = _chain_count(chain, -b, b)
@@ -696,13 +696,13 @@ class RealAlgebraic:
 
     @classmethod
     def roots_of_rational_poly(cls, p: Poly) -> list[RealAlgebraic]:
-        """All real roots of a rational polynomial, sorted increasingly."""
+        """All real roots of a rational p, sorted, by irreducible factor."""
         _, factors = factor_rational_poly(p)
         roots = []
         for f, _ in factors:
             # irreducible over Q, hence square-free
             canon = _canonical_minpoly(f)
-            for lo, hi in _isolate(sturm_chain(f)):
+            for lo, hi in isolate_real_roots_poly(sturm_chain(f)):
                 roots.append(cls(canon, lo, hi))
         # the roots are distinct: the factors are distinct irreducibles
         return sorted(roots)
@@ -769,8 +769,7 @@ class RealAlgebraic:
         if self.is_rational():
             return True
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        # the minimal polynomial is irreducible, hence square-free
-        return lo < hi and _chain_count(sturm_chain(self.minpoly), lo, hi) >= 1
+        return lo < hi and sturm_count(self.minpoly, lo, hi) >= 1
 
     def __hash__(self):
         return hash(self.minpoly)
@@ -833,18 +832,18 @@ def real_roots_in_tower_poly(p: Poly) -> list[RealAlgebraic]:
     lo < q < hi and p(q) = 0.  An irrational one stays while p has a root
     where its interval meets (lo, hi): r always does, and any other value
     leaves once its interval no longer holds r, so exactly one candidate
-    remains.
+    remains.  A tower p is first replaced by chain[0] of its `sturm_chain`.
     """
     require_real(p)
-    p = _squarefree_real(p)
     if p.degree <= 0:
         return []
     if p.is_rational():
         return RealAlgebraic.roots_of_rational_poly(p)
-    candidates = RealAlgebraic.roots_of_rational_poly(galois_norm_poly(p))
     chain = sturm_chain(p)
+    p = chain[0]
+    candidates = RealAlgebraic.roots_of_rational_poly(galois_norm_poly(p))
     out = []
-    for lo, hi in _isolate(chain):
+    for lo, hi in isolate_real_roots_poly(chain):
         # pairs (candidate, narrowed candidate)
         near, bits = [(c, c) for c in candidates if c.lo < hi and lo < c.hi], 16
         while len(near) > 1:

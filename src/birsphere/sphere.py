@@ -473,12 +473,11 @@ class ConjugacyCertificate:
     target: SphereMap
     conjugator: SphereMap
 
-    @classmethod
-    def verified(cls, kind: str, source: SphereMap, target: SphereMap, conjugator: SphereMap) -> ConjugacyCertificate:
-        cert = cls(kind, source, target, conjugator)
-        if not cert.verify():
-            raise RuntimeError(f"{kind} certificate failed to verify for {source}")
-        return cert
+    def verified(self) -> ConjugacyCertificate:
+        """This certificate, once `verify` has passed; RuntimeError else."""
+        if not self.verify():
+            raise RuntimeError(f"{self.kind} certificate failed to verify for {self.source}")
+        return self
 
     def verify(self) -> bool:
         """C is real and C S = T C: exactly on the base, projectively on the
@@ -514,7 +513,7 @@ def reduce_to_trivial_base(g: SphereMap) -> ConjugacyCertificate:
     c = (1 - (1 - b * b).sqrt()) / b
     conj = base_realisation(BaseMobius.shift(-c))
     reduced = conj.compose(g).compose(conj.inverse())
-    return ConjugacyCertificate.verified("base-reduction", g, SphereMap(reduced.fiber, BaseMobius.negation()), conj)
+    return ConjugacyCertificate("base-reduction", g, SphereMap(reduced.fiber, BaseMobius.negation()), conj).verified()
 
 
 # -- the coordinate bridge -----------------------------------------------------------

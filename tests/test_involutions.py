@@ -236,6 +236,32 @@ def test_certificate_verified_once(monkeypatch, rng):
     assert len(calls) == 1
 
 
+def test_rotation_verifies_one_certificate(monkeypatch, rng):
+    """conj on two rotations verifies only the composed "conjugation"
+    certificate, not the two normal forms it is built from; classify of a
+    rotation verifies the normal form it prints, once."""
+    from birsphere.classify import classify_spheremap
+
+    calls = []
+    real = ConjugacyCertificate.verify
+    monkeypatch.setattr(ConjugacyCertificate, "verify", lambda cert: calls.append(cert.kind) or real(cert))
+    rot = rotation(1, 3)
+    while True:
+        c = random_reality_element(rng, max_degree=1)
+        moved = SphereMap.trivial_base(c * rot.fiber * c.inverse())
+        if moved != rot:
+            break
+    for other in (moved, rotation(2, 3)):  # rot:2/3 takes the x_flip swap
+        calls.clear()
+        out = decide_conjugacy(rot, other)
+        assert out["conjugate"] and out["verified"]
+        assert calls == ["conjugation"]
+    calls.clear()
+    report = classify_spheremap(moved).to_json()
+    assert [(cert["kind"], cert["verified"]) for cert in report["certificates"]] == [("rotation-normal-form", True)]
+    assert calls == ["rotation-normal-form"]
+
+
 def test_reality_tested_once_per_input(monkeypatch, rng):
     """decide_conjugacy refuses, or proves real, each input fiber once: by
     canonical_pattern finding S = 0, which is the reality condition itself,

@@ -21,6 +21,7 @@ from birsphere.poly import (
     poly_gcd,
     real_roots_in_tower_poly,
     squarefree_decomposition,
+    sturm_chain,
     sturm_count,
 )
 from birsphere.scalars import CoeffScalar, TowerReal
@@ -82,9 +83,9 @@ _END = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
 @settings(max_examples=80, deadline=None)
 @given(st.lists(_ROOT_FACTOR, min_size=1, max_size=3), _END, _END)
 def test_sturm_counts_repeated_roots_like_sympy(parts, lo, hi):
-    """Products with repeated factors: with both ends infinite the plain
-    chain of p counts its distinct real roots; finite ends, which can be
-    multiple roots, go through the square-free part."""
+    """Products with repeated factors: sturm_count counts the distinct real
+    roots, at infinite ends and at finite ends that can be multiple roots
+    alike."""
     from conftest import ref_real_roots
 
     p = Poly.const(1)
@@ -94,6 +95,58 @@ def test_sturm_counts_repeated_roots_like_sympy(parts, lo, hi):
     assert sturm_count(p) == len(ref_real_roots(p, -b, b))
     if lo < hi:
         assert sturm_count(p, lo, hi) == len(ref_real_roots(p, lo, hi))
+
+
+def reference_strip(p: Poly) -> Poly:
+    """p divided by gcd(p, dp/dz): the square-free part that the real-root
+    paths once took before building a Sturm chain."""
+    g = poly_gcd(p, p.derivative())
+    return p.exact_div(g) if g.degree > 0 else p
+
+
+_Q = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _repeated_factor_polys(draw):
+    """(p, multiple roots) with p = c f g^2 (z - q)^3: f a monic quadratic,
+    g monic linear or quadratic, plus sqrt(2) or sqrt(3) in the tower case;
+    the rational multiple roots listed are q and the root of a rational
+    linear g.  Leads are nonzero by construction, so nothing is filtered."""
+    q = draw(_Q)
+    f = Poly.from_rational_coeffs([draw(_Q), draw(_Q), 1])
+    multiples = [q]
+    if draw(st.booleans()):
+        c = draw(_Q)
+        g = Z - c
+        multiples.append(c)
+    else:
+        g = Poly.from_rational_coeffs([draw(_Q), draw(_Q), 1])
+    if draw(st.booleans()):
+        g = g + Poly.const(CoeffScalar(TowerReal.sqrt_rational(draw(st.sampled_from([2, 3])))))
+        multiples = [q]
+    c = draw(st.sampled_from([Fraction(-3), Fraction(1), Fraction(1, 2)]))
+    return (f * g * g * (Z - q) ** 3).scale(c), multiples
+
+
+@settings(max_examples=40, deadline=None)
+@given(_repeated_factor_polys(), st.data())
+def test_divided_chain_matches_the_stripped_reference(drawn, data):
+    """The chain of p divided by its last member answers as the chain of
+    the gcd-stripped p did: the same counts, finite ends at multiple roots
+    included, the same isolating intervals and the same real roots."""
+    p, multiples = drawn
+    s = reference_strip(p)
+    end = st.one_of(st.none(), st.sampled_from(multiples), _Q)
+    lo, hi = data.draw(end), data.draw(end)
+    if lo is not None and hi is not None:
+        lo, hi = min(lo, hi), max(lo, hi) + (lo == hi)
+    assert sturm_chain(p)[0] == s
+    assert sturm_count(p, lo, hi) == sturm_count(s, lo, hi)
+    assert sturm_count(p) == sturm_count(s)
+    assert isolate_real_roots_poly(sturm_chain(p)) == isolate_real_roots_poly(sturm_chain(s))
+    roots = [(r.minpoly, r.lo, r.hi) for r in real_roots_in_tower_poly(p)]
+    assert roots == [(r.minpoly, r.lo, r.hi) for r in real_roots_in_tower_poly(s)]
 
 
 def test_sturm_rejects_imaginary():
@@ -122,7 +175,7 @@ def test_sturm_against_scanning_oracle():
         reduced = p.exact_div(g) if g.degree > 0 else p
         rcoeffs = reduced.rational_coeffs()
         lo, hi = Fraction(-8), Fraction(8)  # beyond the Cauchy bound for these polys
-        intervals = isolate_real_roots_poly(p)
+        intervals = isolate_real_roots_poly(sturm_chain(p))
         assert sturm_count(p, lo, hi) == len(intervals)
         for a, b in intervals:
             assert _horner(rcoeffs, a) * _horner(rcoeffs, b) < 0, (coeffs, a, b)
@@ -332,13 +385,15 @@ def test_isolation_with_a_tiny_lead():
     # |lead|^2 is below 2^-256, so a 256-bit enclosure of it still holds 0
     s = TowerReal.sqrt_rational(2) - Fraction(math.isqrt(2 << 280), 1 << 140)
     p = Poly.const(CoeffScalar(s)) * Z - 1
-    [(lo, hi)] = isolate_real_roots_poly(p)
+    [(lo, hi)] = isolate_real_roots_poly(sturm_chain(p))
     assert p(lo).as_real().sign() == -1 and p(hi).as_real().sign() == 1
 
 
 def test_square_free_inputs_skip_the_gcd(monkeypatch):
     """Counts the gcds of both kinds: `poly_gcd` and the integer kernel's
-    `factor.gcd`, which the square-free split of a rational p calls."""
+    `factor.gcd`, which the square-free split of a rational p calls.  No
+    real-root path takes a gcd of its own: `sturm_chain` divides by the last
+    member of Euclid's chain instead."""
     import birsphere.poly as poly_mod
 
     calls = []
@@ -346,14 +401,17 @@ def test_square_free_inputs_skip_the_gcd(monkeypatch):
     monkeypatch.setattr(poly_mod, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
     monkeypatch.setattr(factor, "gcd", lambda a, b: calls.append(1) or real_kernel(a, b))
     r2 = CoeffScalar(TowerReal.sqrt_rational(2))
-    roots = real_roots_in_tower_poly(Z * Z - Poly.const(r2) * Z - 1)
-    # one gcd reduces the input and one is the factoriser's square-free
-    # split of the norm; the norm's factors are irreducible, so none more
-    assert len(roots) == 2 and len(calls) == 2
-    # with both ends infinite the count needs no square-free part either
+    quadratic = Z * Z - Poly.const(r2) * Z - 1
+    # the one gcd is the factoriser's square-free split of the norm; the
+    # norm's factors are irreducible, so none more, and squaring the input
+    # adds none
+    for p in (quadratic, quadratic**2):
+        calls.clear()
+        assert len(real_roots_in_tower_poly(p)) == 2 and len(calls) == 1
+    # neither infinite nor finite ends need a square-free part
     calls.clear()
-    assert sturm_count((Z - 1) ** 2 * (Z + 2) * (Z * Z - 2) ** 3) == 4 and not calls
-    calls.clear()
+    p = (Z - 1) ** 2 * (Z + 2) * (Z * Z - 2) ** 3
+    assert sturm_count(p) == 4 and sturm_count(p, Fraction(-2), Fraction(1)) == 1 and not calls
     a = RealAlgebraic(Z * Z - 2, Fraction(1), Fraction(2))
     b = RealAlgebraic(Z * Z - 2, Fraction(7, 5), Fraction(3, 2))
     assert a == b and not calls
@@ -361,7 +419,7 @@ def test_square_free_inputs_skip_the_gcd(monkeypatch):
 
 def test_isolation_intervals_disjoint():
     p = (Z - 1) * (Z - 2) * (Z + 3) * (2 * Z - 1)
-    ivs = isolate_real_roots_poly(p)
+    ivs = isolate_real_roots_poly(sturm_chain(p))
     assert len(ivs) == 4
     for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
         assert b1 <= a2
