@@ -1,32 +1,40 @@
 """Polynomials in z over the exact scalar field.
 
-A polynomial is stored as integer rows over one positive denominator, in the
-manner of FLINT's fmpq_poly.  Row k holds coefficient k as a dict
-{(m, t): n} with m a squarefree radicand and t = 0 for the real part, 1 for
-the imaginary part, standing for the sum of n * sqrt(m) * i^t over the
-common denominator.  The form is canonical: no zero numerator, no trailing
-empty row, gcd(den, every numerator) = 1, and the zero polynomial is ()
-over 1 with degree -1 (standing in for "degree minus infinity"), so
-equality is a plain comparison.  The scalars module converts one
-coefficient to and from a row (`CoeffScalar.to_row`, `CoeffScalar.from_row`);
-the polynomial layout is known to this module only.  Every operation works
-on the rows with integer arithmetic: products follow
-sqrt(m)*sqrt(n) = g*sqrt(mn/g^2) with g = gcd(m, n) and i*i = -1, division
-keeps the remainder in rows across its steps, and evaluation is one
-homogenised Horner scheme normalised once.  CoeffScalar values are built
-only when a caller asks for coefficients (`p[k]`, `lead`, `coeffs`).  Rows
-are shared between polynomials and never mutated.  Two ring involutions act
-on polynomials: coefficientwise conjugation and the substitution z -> -z.
+A polynomial is stored as integer coefficient columns over one positive
+denominator, one column per basis element, in the manner of FLINT's
+fmpz_poly kept per component.  The column of key (m, t), with m a squarefree
+radicand and t = 0 for the real part, 1 for the imaginary part, is a tuple of
+integers n_0, n_1, ... standing for the sum over k of n_k * sqrt(m) * i^t *
+z^k over the common denominator.  The form is canonical: every column is
+nonempty and ends in a nonzero entry, gcd(den, every entry) = 1, and the zero
+polynomial is {} over 1 with degree -1 (standing in for "degree minus
+infinity"), so equality is a plain comparison.  The scalars module converts
+one coefficient to and from a row {(m, t): n} (`CoeffScalar.to_row`,
+`CoeffScalar.from_row`), read across the columns at one index; the polynomial
+layout is known to this module only.
+
+The ring operations run on the columns with integer arithmetic.  A product
+is one integer convolution per pair of keys, scaled by the factor that
+sqrt(m)*sqrt(n) = g*sqrt(mn/g^2) with g = gcd(m, n) and i*i = -1 give the
+pair; scaling by a scalar is the same loop against its row, read as columns
+of length one.  Division keeps the remainder as mutable integer columns over
+one denominator across its steps and divides out one gcd per step.
+Evaluation at a rational point is one homogenised integer Horner sum per
+column, normalised once; no workload evaluates at other points, which take a
+Horner loop of CoeffScalar operations.  CoeffScalar values are built only
+when a caller asks for coefficients (`p[k]`, `lead`, `coeffs`).  Columns are
+shared between polynomials and never mutated.  Two ring involutions act on
+polynomials: coefficientwise conjugation and the substitution z -> -z.
 
 Gcds and square-free splits of rational polynomials run on their primitive
-integer coefficient lists in the factor module (a modular gcd certified by
-exact division, Yun's algorithm on Z[x]); polynomials with other coefficients
-use Euclid's algorithm and the same Yun loop over the field.  Real roots of
-polynomials with real tower coefficients are found with exact sign decisions
-on Euclid's chain of p and dp/dz, divided by its last member into the Sturm
-chain of the square-free part (`sturm_chain`) for isolation and for counts
-with a finite end; a count over the whole line skips the division, which
-moves no sign variation there.  No separate square-free gcd is taken.  Real
+integer coefficient lists (the (1, 0) column) in the factor module (a modular
+gcd certified by exact division, Yun's algorithm on Z[x]); polynomials with
+other coefficients use Euclid's algorithm and the same Yun loop over the
+field.  Real roots of polynomials with real tower coefficients are found with
+exact sign decisions on Euclid's chain of p and dp/dz, divided by its last
+member into the Sturm chain of the square-free part (`sturm_chain`) for
+isolation and for counts with a finite end; a count over the whole line skips
+the division, which moves no sign variation there.  No separate square-free gcd is taken.  Real
 algebraic numbers are carried as an irreducible rational minimal polynomial
 plus an isolating rational interval.  `refined` returns the same number with
 a narrower interval; equality is one Sturm count on the overlap of the two
@@ -48,7 +56,8 @@ from .errors import NotRealPolynomial
 from .factor import factor_squarefree, gcd, mul, squarefree, yun
 from .scalars import CoeffScalar, TowerReal, scalar
 
-_Row = dict[tuple[int, int], int]
+_Key = tuple[int, int]
+_Cols = dict[_Key, tuple[int, ...]]
 _ONE_KEY = (1, 0)
 _RATIONAL_KEYS = {_ONE_KEY}
 
@@ -57,133 +66,167 @@ def _coeff(x) -> CoeffScalar:
     return x if isinstance(x, CoeffScalar) else scalar(x)
 
 
-# -- the integer-row kernel ---------------------------------------------------------
+# -- the integer-column kernel ------------------------------------------------------
 
 
-def _rows(coeffs) -> tuple[list[_Row], int]:
-    """Rows of a sequence of CoeffScalars over their least common denominator."""
-    parts = [c.to_row() for c in coeffs]
-    den = 1
-    for _, d in parts:
-        den = math.lcm(den, d)
-    return [row if d == den else {k: x * (den // d) for k, x in row.items()} for row, d in parts], den
-
-
-def _key_product(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[tuple[int, int], int]:
+def _key_product(ka: _Key, kb: _Key) -> tuple[_Key, int]:
     """Key and integer factor of the product of two basis elements."""
     (m, s), (n, t) = ka, kb
     g = math.gcd(m, n)
     return ((m // g) * (n // g), s ^ t), -g if s & t else g
 
 
-class _ProductTable(dict):
-    """ka -> {kb: _key_product(ka, kb)} for the keys kb of one fixed set of
-    rows, filled on the first use of each ka."""
-
-    def __init__(self, rows):
-        super().__init__()
-        self.keys_b = {kb for r in rows for kb in r}
-
-    def __missing__(self, ka):
-        t = self[ka] = {kb: _key_product(ka, kb) for kb in self.keys_b}
-        return t
+def _length(cols) -> int:
+    """The number of coefficients: the longest column's length."""
+    return max(map(len, cols.values()), default=0)
 
 
-def _add_product(acc_rows: list[_Row], offset: int, x: _Row, rows, table: _ProductTable) -> None:
-    """acc_rows[offset + j] += x * rows[j] for every j; only acc_rows is written."""
-    for ka, cx in x.items():
-        t = table[ka]
-        for j, y in enumerate(rows):
-            acc = acc_rows[offset + j]
-            for kb, cy in y.items():
-                k, f = t[kb]
-                acc[k] = acc.get(k, 0) + f * cx * cy
+def _row(cols, k: int) -> dict[_Key, int]:
+    """Coefficient k as a row {key: numerator}; zero numerators may stay."""
+    return {key: c[k] for key, c in cols.items() if k < len(c)}
 
 
-def _new(rows: tuple[_Row, ...], den: int) -> Poly:
-    """A Poly from rows and den already in canonical form."""
+def _new(cols: _Cols, den: int) -> Poly:
+    """A Poly from columns and den already in canonical form."""
     out = object.__new__(Poly)
-    out._rows = rows
+    out._cols = cols
     out._den = den
     return out
 
 
-def _poly(rows, den: int) -> Poly:
-    """The Poly sum rows[k] z^k / den for den > 0, brought to canonical form:
-    zero numerators and trailing empty rows dropped, gcd(den, *numerators)
-    divided out."""
-    rows = [r if 0 not in r.values() else {k: x for k, x in r.items() if x} for r in rows]
-    while rows and not rows[-1]:
-        rows.pop()
-    if not rows:
+def _poly(cols, den: int) -> Poly:
+    """The Poly with integer columns cols (lists or tuples) over den > 0,
+    brought to canonical form: trailing zeros and empty columns dropped,
+    gcd(den, *entries) divided out."""
+    out = {}
+    for key, c in cols.items():
+        n = len(c)
+        while n and not c[n - 1]:
+            n -= 1
+        if n:
+            out[key] = tuple(c[:n])
+    if not out:
         return _ZERO
-    g = _numerator_gcd(rows, den)
+    g = _entry_gcd(out.values(), den)
     if g != 1:
         den //= g
-        rows = [{k: x // g for k, x in r.items()} for r in rows]
-    return _new(tuple(rows), den)
+        out = {key: tuple(x // g for x in c) for key, c in out.items()}
+    return _new(out, den)
 
 
-def _numerator_gcd(rows, g: int = 0) -> int:
-    for r in rows:
-        g = math.gcd(g, *r.values())
+def _from_rows(rows, n: int) -> Poly:
+    """The Poly with coefficient k = row / d for each (k, row, d) in rows,
+    0 <= k < n, and zero elsewhere."""
+    den = 1
+    for _, _, d in rows:
+        den = math.lcm(den, d)
+    cols: dict[_Key, list[int]] = {}
+    for k, row, d in rows:
+        f = den // d
+        for key, x in row.items():
+            c = cols.get(key)
+            if c is None:
+                c = cols[key] = [0] * n
+            c[k] = x * f
+    return _poly(cols, den)
+
+
+def _entry_gcd(cols, g: int = 0) -> int:
+    for c in cols:
+        g = math.gcd(g, *c)
         if g == 1:
             break
     return g
 
 
-def _divide(a: Poly, b: Poly) -> tuple[list[tuple[int, _Row, int]], Poly, CoeffScalar | None]:
+def _product(ca, cb, den: int) -> Poly:
+    """The Poly (ca * cb) / den: one convolution per pair of keys, the
+    shorter column outside."""
+    acc: dict[_Key, list[int]] = {}
+    for ka, xa in ca.items():
+        for kb, xb in cb.items():
+            key, f = _key_product(ka, kb)
+            short, long_ = (xa, xb) if len(xa) <= len(xb) else (xb, xa)
+            n = len(short) + len(long_) - 1
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = [0] * n
+            elif len(out) < n:
+                out.extend([0] * (n - len(out)))
+            for i, x in enumerate(short):
+                if x:
+                    x *= f
+                    for j, y in enumerate(long_, i):
+                        out[j] += x * y
+    return _poly(acc, den)
+
+
+def _divide(a: Poly, b: Poly) -> tuple[list[tuple[int, dict[_Key, int], int]], Poly, CoeffScalar | None]:
     """Division of a by the monic associate b / lead(b).
 
     Returns (steps, remainder, inverse of lead(b) or None when b is monic);
     a step (k, top, d) says that the monic quotient has coefficient top / d
-    at z^k.  The remainder stays in rows over one denominator across the
-    steps: each step subtracts top * (b / lead) * z^k and divides out one gcd.
+    at z^k, top a row.  The remainder stays in mutable integer columns of one
+    length over one denominator across the steps: each step drops the top
+    entry, subtracts top * (b / lead) * z^k and divides out one gcd.
     """
-    if not b._rows:
+    if not b._cols:
         raise ZeroDivisionError("polynomial division by zero")
-    nb = len(b._rows)
-    rem, dr = a._rows, a._den
-    if len(rem) < nb:
+    na, nb = _length(a._cols), _length(b._cols)
+    if na < nb:
         return [], a, None
-    lead_inv = None if b._rows[-1] == {_ONE_KEY: b._den} else b.lead().inverse()
+    lead_inv = None if _row(b._cols, nb - 1) == {_ONE_KEY: b._den} else b.lead().inverse()
     mon = b if lead_inv is None else b.scale(lead_inv)
-    low, dm = mon._rows[:-1], mon._den
-    table = _ProductTable(low)
+    dm = mon._den
+    low = {key: c[: nb - 1] for key, c in mon._cols.items() if any(c[: nb - 1])}
+    rem = {key: list(c) + [0] * (na - len(c)) for key, c in a._cols.items()}
+    dr = a._den
     steps = []
-    for k in range(len(rem) - nb, -1, -1):
-        top = rem[k + nb - 1]
+    for k in range(na - nb, -1, -1):
+        # rem/dr - (top/dr) * (mon/dm) z^k = (dm*rem - top*mon z^k) / (dr*dm);
+        # the leading terms cancel, so the top entry is dropped.
+        top = {key: x for key, c in rem.items() if (x := c.pop())}
         if not top:
             continue
         steps.append((k, top, dr))
-        # rem/dr - (top/dr) * (mon/dm) z^k = (dm*rem - top*mon z^k) / (dr*dm);
-        # the leading terms cancel.  Rows the product writes are copies.
-        if dm == 1:
-            live = list(rem[:k]) + [dict(r) for r in rem[k : k + nb - 1]]
-        else:
-            live = [{key: x * dm for key, x in r.items()} for r in rem[: k + nb - 1]]
+        if dm != 1:
+            rem = {key: [x * dm for x in c] for key, c in rem.items()}
             dr *= dm
-        _add_product(live, k, {key: -x for key, x in top.items()}, low, table)
-        for j in range(k, k + nb - 1):
-            if 0 in live[j].values():
-                live[j] = {key: x for key, x in live[j].items() if x}
-        g = _numerator_gcd(live, dr)
+        for kt, xt in top.items():
+            for kl, cl in low.items():
+                key, f = _key_product(kt, kl)
+                c = rem.get(key)
+                if c is None:
+                    c = rem[key] = [0] * (k + nb - 1)
+                f *= xt
+                for j, y in enumerate(cl, k):
+                    c[j] -= f * y
+        g = _entry_gcd(rem.values(), dr)
         if g != 1:
             dr //= g
-            live = [{key: x // g for key, x in r.items()} for r in live]
-        rem = live
-    return steps, _poly(rem[: nb - 1], dr), lead_inv
+            rem = {key: [x // g for x in c] for key, c in rem.items()}
+    return steps, _poly(rem, dr), lead_inv
+
+
+def _horner(c: tuple[int, ...], r: int, d: int, n: int) -> int:
+    """sum c[j] r^j d^(n-1-j) over j, for len(c) <= n."""
+    acc, pw = c[-1], 1
+    for x in c[-2::-1]:
+        pw *= d
+        acc = acc * r + x * pw
+    return acc * d ** (n - len(c)) if d != 1 else acc
 
 
 class Poly:
-    """Dense univariate polynomial over CoeffScalar, stored as integer rows
-    over one denominator (see the module docstring)."""
+    """Dense univariate polynomial over CoeffScalar, stored as integer
+    coefficient columns over one denominator (see the module docstring)."""
 
-    __slots__ = ("_rows", "_den")
+    __slots__ = ("_cols", "_den")
 
     def __init__(self, coeffs=()):
-        p = _poly(*_rows([_coeff(c) for c in coeffs]))
-        self._rows, self._den = p._rows, p._den
+        coeffs = list(coeffs)
+        p = _from_rows([(k, *_coeff(c).to_row()) for k, c in enumerate(coeffs)], len(coeffs))
+        self._cols, self._den = p._cols, p._den
 
     # -- constructors ------------------------------------------------------
 
@@ -204,58 +247,55 @@ class Poly:
     @property
     def coeffs(self) -> tuple[CoeffScalar, ...]:
         """The coefficients in ascending powers, built on each access."""
-        den = self._den
-        return tuple(CoeffScalar.from_row(r, den) for r in self._rows)
+        cols, den = self._cols, self._den
+        return tuple(CoeffScalar.from_row(_row(cols, k), den) for k in range(_length(cols)))
 
     @property
     def degree(self) -> int:
         """Degree; -1 marks the zero polynomial."""
-        return len(self._rows) - 1
+        return _length(self._cols) - 1
 
     def __bool__(self) -> bool:
-        return bool(self._rows)
+        return bool(self._cols)
 
     def __getitem__(self, k: int) -> CoeffScalar:
-        if 0 <= k < len(self._rows):
-            return CoeffScalar.from_row(self._rows[k], self._den)
-        return CoeffScalar(0)
+        if k < 0:
+            return CoeffScalar(0)
+        return CoeffScalar.from_row(_row(self._cols, k), self._den)
 
     def lead(self) -> CoeffScalar:
-        if not self._rows:
+        if not self._cols:
             raise ValueError("zero polynomial has no leading coefficient")
-        return CoeffScalar.from_row(self._rows[-1], self._den)
+        return self[self.degree]
 
     def is_real(self) -> bool:
-        return not any(t for r in self._rows for _, t in r)
+        return not any(t for _, t in self._cols)
 
     def is_rational(self) -> bool:
-        return all(r.keys() <= _RATIONAL_KEYS for r in self._rows)
+        return self._cols.keys() <= _RATIONAL_KEYS
 
     def rational_coeffs(self) -> list[Fraction]:
+        if not self.is_rational():
+            raise ValueError(f"{next(c for c in self.coeffs if not c.is_rational())} is not rational")
         den = self._den
-        out = []
-        for r in self._rows:
-            if not r.keys() <= _RATIONAL_KEYS:
-                raise ValueError(f"{CoeffScalar.from_row(r, den)} is not rational")
-            out.append(Fraction(r.get(_ONE_KEY, 0), den))
-        return out
+        return [Fraction(x, den) for x in self._cols.get(_ONE_KEY, ())]
 
     def is_even(self) -> bool:
-        return not any(self._rows[1::2])
+        return not any(any(c[1::2]) for c in self._cols.values())
 
     def content(self) -> Fraction:
         """Positive rational content: the largest rational r such that every
         rational coefficient of every real and imaginary part divided by r is
         an integer; 1 for the zero polynomial."""
-        g = _numerator_gcd(self._rows)
+        g = _entry_gcd(self._cols.values())
         return Fraction(g, self._den) if g else Fraction(1)
 
     def primitive(self) -> Poly:
-        """self divided by its content: integer rows over 1."""
-        g = _numerator_gcd(self._rows)
+        """self divided by its content: integer columns over 1."""
+        g = _entry_gcd(self._cols.values())
         if not g:
             return self
-        return _new(tuple({k: x // g for k, x in r.items()} for r in self._rows), 1)
+        return _new({key: tuple(x // g for x in c) for key, c in self._cols.items()}, 1)
 
     # -- ring operations -------------------------------------------------------
 
@@ -263,16 +303,16 @@ class Poly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._den == other._den and self._rows == other._rows
+        return self._den == other._den and self._cols == other._cols
 
     def __hash__(self):
-        return hash((self._den, tuple(frozenset(r.items()) for r in self._rows)))
+        return hash((self._den, frozenset(self._cols.items())))
 
     def __add__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._rows, other._rows
+        a, b = self._cols, other._cols
         if not a:
             return other
         if not b:
@@ -280,18 +320,19 @@ class Poly:
         da, db = self._den, other._den
         g = math.gcd(da, db)
         fa, fb = db // g, da // g
-        if len(a) < len(b):
-            a, b, fa, fb = b, a, fb, fa
-        out = [{k: x * fa for k, x in r.items()} for r in a]
-        for acc, r in zip(out, b):
-            for k, x in r.items():
-                acc[k] = acc.get(k, 0) + x * fb
+        out = {key: [x * fa for x in c] for key, c in a.items()}
+        for key, c in b.items():
+            acc = out.setdefault(key, [])
+            if len(acc) < len(c):
+                acc.extend([0] * (len(c) - len(acc)))
+            for j, x in enumerate(c):
+                acc[j] += x * fb
         return _poly(out, da * (db // g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(tuple({k: -x for k, x in r.items()} for r in self._rows), self._den)
+        return _new({key: tuple(-x for x in c) for key, c in self._cols.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce_poly(other)
@@ -306,17 +347,9 @@ class Poly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        ra, rb = self._rows, other._rows
-        if not ra or not rb:
+        if not self._cols or not other._cols:
             return _ZERO
-        if len(ra) > len(rb):
-            # one _add_product call per row of the shorter factor
-            ra, rb = rb, ra
-        table = _ProductTable(rb)
-        out: list[_Row] = [{} for _ in range(len(ra) + len(rb) - 1)]
-        for i, x in enumerate(ra):
-            _add_product(out, i, x, rb, table)
-        return _poly(out, self._den * other._den)
+        return _product(self._cols, other._cols, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -331,25 +364,20 @@ class Poly:
         return result
 
     def scale(self, c) -> Poly:
-        return self * Poly.const(c)
+        """c * self: the columns times c's row, read as columns of length one."""
+        row, d = _coeff(c).to_row()
+        return _product(self._cols, {key: (x,) for key, x in row.items()}, self._den * d)
 
     def shift(self, k: int) -> Poly:
         """Multiply by z^k."""
-        if not self._rows:
-            return self
-        return _new(({},) * k + self._rows, self._den)
+        pad = (0,) * k
+        return _new({key: pad + c for key, c in self._cols.items()}, self._den)
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         steps, rem, lead_inv = _divide(self, _coerce_poly(other))
         if not steps:
             return _ZERO, rem
-        den = 1
-        for _, _, d in steps:
-            den = math.lcm(den, d)
-        rows: list[_Row] = [{}] * (steps[0][0] + 1)
-        for k, top, d in steps:
-            rows[k] = top if d == den else {key: x * (den // d) for key, x in top.items()}
-        quo = _poly(rows, den)
+        quo = _from_rows(steps, steps[0][0] + 1)
         return (quo if lead_inv is None else quo.scale(lead_inv)), rem
 
     def __floordiv__(self, other):
@@ -368,44 +396,53 @@ class Poly:
 
     def conj(self) -> Poly:
         """Coefficientwise complex conjugation."""
-        return _new(tuple({(m, t): -x if t else x for (m, t), x in r.items()} for r in self._rows), self._den)
+        return _new({(m, t): tuple(-x for x in c) if t else c for (m, t), c in self._cols.items()}, self._den)
 
     def reflect_z(self) -> Poly:
         """The substitution z -> -z."""
-        return _new(tuple({k: -x for k, x in r.items()} if j % 2 else r for j, r in enumerate(self._rows)), self._den)
+        return _new(
+            {key: tuple(-x if j & 1 else x for j, x in enumerate(c)) for key, c in self._cols.items()}, self._den
+        )
 
     def derivative(self) -> Poly:
-        return _poly([{key: x * k for key, x in r.items()} for k, r in enumerate(self._rows) if k], self._den)
+        return _poly({key: [j * x for j, x in enumerate(c)][1:] for key, c in self._cols.items()}, self._den)
 
     def __call__(self, x) -> CoeffScalar:
-        """Value at x = xr / xd: the integer Horner sum of n_k xr^k xd^(n-k)
-        over the rows, divided once by den * xd^n."""
-        rows = self._rows
-        if not rows:
+        """Value at x: `_at_rational` for a rational x, else a Horner loop of
+        CoeffScalar operations."""
+        x = _coeff(x)
+        xr, xd = x.to_row()
+        if xr.keys() <= _RATIONAL_KEYS:
+            return self._at_rational(xr.get(_ONE_KEY, 0), xd)
+        acc = CoeffScalar(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def _at_rational(self, r: int, d: int) -> CoeffScalar:
+        """Value at r / d: one integer Horner sum per column over den * d^(n-1)."""
+        cols, n = self._cols, _length(self._cols)
+        if not n:
             return CoeffScalar(0)
-        xr, xd = _coeff(x).to_row()
-        table = _ProductTable([xr])
-        acc = rows[-1]
-        power = 1
-        for r in reversed(rows[:-1]):
-            power *= xd
-            nxt = {k: c * power for k, c in r.items()}
-            _add_product([nxt], 0, acc, (xr,), table)
-            acc = nxt
-        return CoeffScalar.from_row(acc, self._den * power)
+        return CoeffScalar.from_row({key: _horner(c, r, d, n) for key, c in cols.items()}, self._den * d ** (n - 1))
 
     def eval_rational(self, q: Fraction) -> CoeffScalar:
-        return self(CoeffScalar(Fraction(q)))
+        q = Fraction(q)
+        return self._at_rational(q.numerator, q.denominator)
 
     def monic(self) -> Poly:
-        if not self._rows or self._rows[-1] == {_ONE_KEY: self._den}:
+        if not self._cols:
             return self
-        return self.scale(self.lead().inverse())
+        lead = _row(self._cols, self.degree)
+        if lead == {_ONE_KEY: self._den}:
+            return self
+        return self.scale(CoeffScalar.from_row(lead, self._den).inverse())
 
     def compose(self, other: Poly) -> Poly:
+        cols, den = self._cols, self._den
         acc = _ZERO
-        for r in reversed(self._rows):
-            acc = acc * other + _poly([r], self._den)
+        for k in range(_length(cols) - 1, -1, -1):
+            acc = acc * other + _poly({key: (c[k],) for key, c in cols.items() if k < len(c)}, den)
         return acc
 
     # -- display -------------------------------------------------------------------
@@ -414,7 +451,7 @@ class Poly:
         return f"Poly({self})"
 
     def __str__(self):
-        if not self._rows:
+        if not self._cols:
             return "0"
         parts = []
         for k in range(self.degree, -1, -1):
@@ -448,7 +485,7 @@ def _coerce_poly(x):
     return NotImplemented
 
 
-_ZERO = _new((), 1)
+_ZERO = _new({}, 1)
 ONE_MINUS_Z2 = Poly([1, 0, -1])
 Z = Poly.z()
 
@@ -614,13 +651,13 @@ def isolate_real_roots_poly(chain: list[Poly]) -> list[tuple[Fraction, Fraction]
 
 
 def _integer_coeffs(p: Poly) -> list[int]:
-    """The coefficients of the primitive form of a rational p, ascending."""
-    return [r.get(_ONE_KEY, 0) for r in p.primitive()._rows]
+    """The (1, 0) column of the primitive form of a rational p."""
+    return list(p.primitive()._cols.get(_ONE_KEY, ()))
 
 
 def _from_integers(g: list[int]) -> Poly:
     """The monic Poly of a primitive integer list with positive lead."""
-    return _new(tuple({_ONE_KEY: c} if c else {} for c in g), g[-1])
+    return _new({_ONE_KEY: tuple(g)}, g[-1])
 
 
 def factor_rational_poly(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:

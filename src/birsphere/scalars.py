@@ -19,8 +19,9 @@ tower.
 Complex scalars are pairs (re, im) of tower reals representing re + im*i.
 `CoeffScalar.to_row` and `CoeffScalar.from_row` convert a scalar to and from
 an integer row {(m, 0 for the real part | 1 for the imaginary part): n} over
-one positive denominator; the polynomial module stores its coefficients in
-that form.
+one positive denominator.  A row is the form of one coefficient only: the
+polynomial module reads it across its integer coefficient columns, one per
+key (m, t), and stores no rows.
 """
 
 from __future__ import annotations

@@ -759,17 +759,14 @@ def builtin_map(spec: str) -> SphereMap:
         if n <= 0:
             raise ParseError(f"rotation spec k/n needs n >= 1, got {arg!r}")
         return rotation(k, n)
+    with_param = {"gb": interval_shift, "g1p": special_involution, "g2p": flipped_special_involution}
+    if name not in with_param:
+        raise ParseError(f"unknown builtin {spec!r}")
     try:
         param = Fraction(arg)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"rational parameter expected in {spec!r}") from exc
-    if name == "gb":
-        return interval_shift(param)
-    if name == "g1p":
-        return special_involution(param)
-    if name == "g2p":
-        return flipped_special_involution(param)
-    raise ParseError(f"unknown builtin {spec!r}")
+    return with_param[name](param)
 
 
 BUILTIN_NAMES = ("tau", "upsilon", "antipodal", "tilde_eta", "rot:k/n", "gb:t", "g1p:t", "g2p:t")

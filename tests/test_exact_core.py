@@ -4,7 +4,7 @@ The references below are the plain algorithms the core replaced: tower
 reals as dicts {radicand: Fraction} with exact Fraction enclosures, and
 every polynomial operation as a loop of CoeffScalar operations over the
 coefficient lists the polynomials were built from.  Results are compared
-coefficient by coefficient, so a wrong row constructor cannot hide behind
+coefficient by coefficient, so a wrong column constructor cannot hide behind
 Poly equality.  The integer representation must give equal results on every
 input.  The projective checks are compared with the forms they replaced:
 the six-minor proportionality test and the reality condition written as two
@@ -259,15 +259,19 @@ def test_rational_content_matches_fractions(values):
 # -- polynomials ---------------------------------------------------------------------------------
 
 
+def squarefree_int(m: int) -> bool:
+    return all(m % (q * q) for q in range(2, math.isqrt(m) + 1))
+
+
 def assert_poly_canonical(p: Poly) -> None:
-    rows, den = p._rows, p._den
-    assert type(rows) is tuple and type(den) is int and den > 0
-    assert not rows or rows[-1]
-    for r in rows:
-        assert all(type(x) is int and x != 0 for x in r.values())
-        assert all(t in (0, 1) and m > 0 for m, t in r)
-    assert math.gcd(den, *(x for r in rows for x in r.values())) == 1
-    if not rows:
+    cols, den = p._cols, p._den
+    assert type(cols) is dict and type(den) is int and den > 0
+    for (m, t), c in cols.items():
+        assert type(m) is int and m >= 1 and squarefree_int(m) and t in (0, 1)
+        assert type(c) is tuple and c and c[-1] != 0
+        assert all(type(x) is int for x in c)
+    assert math.gcd(den, *(x for c in cols.values() for x in c)) == 1
+    if not cols:
         assert den == 1
     for c in p.coeffs:
         assert_canonical(c.re)
@@ -303,6 +307,32 @@ def test_poly_rows_match_coefficient_loops(a, b, c, k):
     assert pa.is_even() == all(not x for j, x in enumerate(a) if j % 2)
     if pa.is_rational():
         assert pa.rational_coeffs() == [x.as_rational() for x in ta]
+
+
+def test_scale_and_monic_multiply_columns_directly(monkeypatch):
+    # sqrt(2)*sqrt(6) = 2*sqrt(3): the radicands share the factor 2;
+    # i*i = -1 on the imaginary columns
+    r2, r6 = TowerReal.sqrt_rational(2), TowerReal.sqrt_rational(6)
+    a = [CoeffScalar(r6, 1), ZERO, CoeffScalar(Fraction(1, 3), r6 * 5), CoeffScalar(r6 + 2, Fraction(-2, 7))]
+    p = Poly(a)
+    cases = [(c, [x * c for x in a]) for c in (CoeffScalar(r2), CoeffScalar.i(), CoeffScalar(r2 / 3, -r6))]
+    monic_want = [x * a[-1].inverse() for x in a]
+    init_calls = []
+    init = Poly.__init__
+
+    def counted_init(self, *args):
+        init_calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    for c, want in cases:
+        got = p.scale(c)
+        assert got.coeffs == trim(want)
+        assert_poly_canonical(got)
+    got = p.monic()
+    assert got.coeffs == trim(monic_want)
+    assert_poly_canonical(got)
+    assert init_calls == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -758,6 +788,28 @@ def test_no_module_imports_random():
                 continue
             for banned in ("random", "sympy"):
                 assert not any(n.split(".")[0] == banned for n in names), f"{path.name} imports {banned}"
+
+
+def test_poly_columns_read_only_in_poly():
+    """The polynomial layout is known to the poly module only: no other
+    package module, and nothing in perfbench, reads a Poly's private
+    coefficient columns, by attribute or by name."""
+    import ast
+    from pathlib import Path
+
+    import birsphere
+
+    package = Path(birsphere.__file__).parent
+    paths = [p for p in package.glob("*.py") if p.name != "poly.py"]
+    paths += (package.parent.parent / "perfbench").glob("*.py")
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr == "_cols")
+        or (isinstance(node, ast.Constant) and node.value == "_cols")
+    )
+    assert len(paths) > 10 and readers == []
 
 
 def test_no_undefined_names():

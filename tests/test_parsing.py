@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from birsphere.cli import main
 from birsphere.errors import ParseError
 from birsphere.parsing import parse_matrix, parse_poly, parse_scalar
 from birsphere.poly import Poly
@@ -54,6 +55,20 @@ def test_parse_errors():
         parse_poly("q + 1")
     with pytest.raises(ParseError):
         parse_poly("1/(z+1)")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("nope", "unknown builtin 'nope'"),
+        ("nope:1/2", "unknown builtin 'nope:1/2'"),
+        ("g1p", "rational parameter expected in 'g1p'"),
+        ("tau:1", "builtin tau takes no parameter"),
+    ],
+)
+def test_builtin_parse_messages(spec, message, capsys):
+    assert main(["classify", f"builtin:{spec}"]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
 def test_roundtrip_through_str(rng):
