@@ -1,11 +1,14 @@
-"""The integer polynomial kernel: gcd, square-free split and factorisation
-in Z[x], in deterministic integer arithmetic, after von zur Gathen & Gerhard,
-*Modern Computer Algebra* (MCA).  `gcd` is a modular gcd certified by exact
-division (MCA 6.38), `squarefree` is Yun's algorithm (MCA 14.21) on primitive
-parts, written once in `yun` for any ring that supplies its operations, and
-`factor_squarefree` is Zassenhaus' algorithm (MCA ch. 14-15).  A polynomial
-is a list of Python ints in ascending powers with no trailing zero; modulo m
-its entries lie in [0, m).
+"""The integer polynomial kernel: gcd in Z[x] and Z[i][x], square-free split
+and factorisation in Z[x], in deterministic integer arithmetic, after von zur
+Gathen & Gerhard, *Modern Computer Algebra* (MCA).  `gaussian_gcd` is a
+modular gcd certified by exact division (MCA 6.38), one loop for Z[x] and
+Z[i][x]: real inputs take one image modulo each prime, Gaussian ones the two
+images i -> +-sqrt(-1) modulo primes p = 1 (mod 4); `gcd` is it on Z[x].
+`squarefree` is Yun's algorithm (MCA 14.21) on primitive parts, written once
+in `yun` for any ring that supplies its operations, and `factor_squarefree`
+is Zassenhaus' algorithm (MCA ch. 14-15).  A polynomial is a list of Python
+ints in ascending powers with no trailing zero; modulo m its entries lie in
+[0, m).  A Gaussian polynomial re + i im is a pair (re, im) of such lists.
 """
 
 from __future__ import annotations
@@ -155,52 +158,189 @@ def _primitive(a: list[int]) -> list[int]:
     return a if g == 1 else [c // g for c in a]
 
 
-def gcd(a: list[int], b: list[int]) -> list[int]:
-    """The gcd in Z[x] of a nonzero a and any b, primitive with positive lead:
-    a modular gcd certified by exact division (MCA 6.38).
+# -- the modular gcd over Z and Z[i] -----------------------------------------------------
 
-    Let A, B be the primitive parts, G their gcd and l = gcd(lead A, lead B).
-    For each prime p dividing neither lead (`large_primes`), the monic gcd
-    of A and B modulo p is a multiple of G mod p, so its degree bounds deg G
-    from above; an image of degree 0 proves G = 1.  Images of the least
-    degree seen so far are scaled by l and joined by the Chinese remainder
-    theorem (a lower degree starts the join again, a higher one is
-    discarded), and after each prime the primitive part C of the symmetric
-    residue is tried: if C divides A and B over Z then C divides G, and
-    deg C >= deg G, so C = G.
 
-    The search ends: a prime is unlucky (image of degree above deg G) only if
-    it divides lead(A) lead(B) res(A/G, B/G), a nonzero integer.  Every other
-    image is l / lead(G) G mod p, so once the product of the lucky primes
-    exceeds twice its largest coefficient, C is G.
+_SQRT_MINUS_ONE: dict[int, int] = {}
+
+
+def _sqrt_minus_one(p: int) -> int:
+    """A square root of -1 modulo a prime p = 1 (mod 4), found once per
+    prime: c^((p-1)/4) for the least quadratic non-residue c."""
+    r = _SQRT_MINUS_ONE.get(p)
+    if r is None:
+        c = next(c for c in count(2) if pow(c, p >> 1, p) == p - 1)
+        r = _SQRT_MINUS_ONE[p] = pow(c, p >> 2, p)
+    return r
+
+
+def _zi_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """A gcd in Z[i] of two Gaussian integers given as pairs (re, im):
+    Euclid's algorithm with quotients rounded to the nearest Gaussian
+    integer, so each remainder has at most half the norm of the divisor."""
+    if not (a[1] or b[1]):
+        return math.gcd(a[0], b[0]), 0
+    while b[0] or b[1]:
+        (x, y), (u, v) = a, b
+        n = u * u + v * v
+        s, t = x * u + y * v, y * u - x * v  # a * conj(b) = (a / b) * n
+        q, w = (2 * s + n) // (2 * n), (2 * t + n) // (2 * n)
+        a, b = b, (x - q * u + w * v, y - q * v - w * u)
+    return a
+
+
+def _zi_primitive(re: list[int], im: list[int]) -> tuple[list[int], list[int]]:
+    """re + i im divided by its content in Z[i], times the unit that puts
+    its lead at re > 0, im >= 0.  im is empty or as long as re; with im
+    empty this is `_primitive`."""
+    if not im:
+        return _primitive(re), []
+    g = math.gcd(*re, *im)
+    if g != 1:
+        re, im = [x // g for x in re], [y // g for y in im]
+    c = (0, 0)
+    for z in zip(re, im):
+        c = _zi_gcd(z, c)
+        if c[0] * c[0] + c[1] * c[1] == 1:
+            break
+    else:  # divide by c = a + bi: times (a - bi) / (a^2 + b^2)
+        a, b = c
+        n = a * a + b * b
+        re, im = [(x * a + y * b) // n for x, y in zip(re, im)], [(y * a - x * b) // n for x, y in zip(re, im)]
+    a, b = re[-1], im[-1]
+    if a > 0 and b >= 0:
+        return re, im
+    if a < 0 and b <= 0:
+        return [-x for x in re], [-y for y in im]
+    if b > 0:  # times -i
+        return im, [-x for x in re]
+    return [-y for y in im], re  # times i
+
+
+def _zi_divides(f: tuple[list[int], list[int]], c: tuple[list[int], list[int]]) -> bool:
+    """Whether c divides f in Z[i][x], by long division in which every
+    quotient coefficient must be an exact Gaussian quotient; deg c <= deg f."""
+    (fr, fi), (cr, ci) = f, c
+    if not (fi or ci):
+        return _exact_quotient(fr, cr) is not None
+    rr, ri, ci = list(fr), list(fi) or [0] * len(fr), ci or [0] * len(cr)
+    n, a, b = len(cr) - 1, cr[-1], ci[-1]
+    norm = a * a + b * b
+    for k in range(len(rr) - 1 - n, -1, -1):
+        x, y = rr[k + n], ri[k + n]
+        (q, s), (w, t) = divmod(x * a + y * b, norm), divmod(y * a - x * b, norm)
+        if s or t:
+            return False
+        for j in range(n):
+            rr[k + j] -= q * cr[j] - w * ci[j]
+            ri[k + j] -= q * ci[j] + w * cr[j]
+    return not (any(rr[:n]) or any(ri[:n]))
+
+
+def _content_free(re, im) -> tuple[list[int], list[int]]:
+    """re + i im divided by the gcd of its integer entries, as lists of one
+    length, im left empty when it is zero."""
+    g = math.gcd(*re, *im)
+    if not any(im):
+        return (re if g == 1 else [x // g for x in re]), []
+    n = max(len(re), len(im))
+    return [x // g for x in re] + [0] * (n - len(re)), [y // g for y in im] + [0] * (n - len(im))
+
+
+def _image_gcd(fs, rho: int, p: int) -> list[int] | None:
+    """The monic gcd modulo p of the images of fs under i -> rho, folded
+    from the first; None when a lead vanishes there."""
+    g = None
+    for re, im in fs:
+        f = [(x + rho * y) % p for x, y in zip(re, im)] if im else [x % p for x in re]
+        if not f[-1]:
+            return None
+        g = f if g is None else _gcd(f, g, p)
+        if len(g) == 1:
+            break
+    return g
+
+
+def gcd(*fs: list[int]) -> list[int]:
+    """The gcd in Z[x] of integer polynomials, not all zero, primitive with
+    positive lead: `gaussian_gcd` on real inputs."""
+    return gaussian_gcd(*((f, ()) for f in fs))[0]
+
+
+def gaussian_gcd(*fs) -> tuple[list[int], list[int]]:
+    """The gcd in Z[i][x] of Gaussian integer polynomials, not all zero,
+    each a pair (re, im) of integer lists for re + i im: a modular gcd
+    certified by exact division (MCA 6.38), returned as `_zi_primitive`
+    makes it, with im empty when every input is real.
+
+    Let F_1, ..., F_k be the inputs divided by their integer contents,
+    G their gcd, primitive over Z[i], and l a gcd in Z[i] of their leads.
+    Z[i] is a UFD, so by Gauss' lemma G divides every F_j over Z[i], and
+    lead(G) divides l.  When every input is real, G and l lie in Z and each
+    prime p of `large_primes` gives one image, the reduction modulo p.
+    Otherwise only primes p = 1 (mod 4) are used: p splits in Z[i], and
+    Z[i]/p is F_p x F_p through the two images i -> r and i -> -r, where
+    r = `_sqrt_minus_one(p)`, so a Gaussian integer u + i v modulo p is
+    read back from its images a, b as u = (a + b)/2, v = (a - b)/(2r).
+
+    A prime is skipped when a lead of an F_j vanishes in an image.  In each
+    image the monic gcd of the F_j, folded over them, is a multiple of the
+    image of G, so its degree bounds deg G from above, and an image of
+    degree 0 proves G = 1.  A prime whose two images differ in degree is
+    skipped.  Images of the least degree seen so far are scaled by the
+    images of l and joined by the Chinese remainder theorem (a lower degree
+    starts the join again, a higher one is discarded), and after each prime
+    the primitive part C of the symmetric residue is tried: if C divides
+    every F_j over Z[i] then C divides G, and deg C >= deg G, so C is G up
+    to a unit.
+
+    The search ends.  The H_j = F_j/G have gcd 1, so some Z[i][x]
+    combination of them is a nonzero D in Z[i] (a resultant for k = 2).  An
+    image is unlucky (of degree above deg G) only if its Gaussian prime
+    divides D, and a prime is skipped only if one divides a lead of an F_j:
+    finitely many primes in all.  Every other prime gives the image of
+    l / lead(G) G in Z[i]/p, so once the product of those primes exceeds
+    twice the largest real or imaginary part of l / lead(G) G, C is G.
     """
-    a = _primitive(a)
-    if not b:
-        return a
-    b = _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        return [1]
-    lead = math.gcd(a[-1], b[-1])
+    fs = [_content_free(re, im) for re, im in fs if re or im]
+    fs.sort(key=lambda f: len(f[0]))
+    if len(fs) == 1:
+        return _zi_primitive(*fs[0])
+    if len(fs[0][0]) == 1:
+        return [1], []
+    gaussian = any(im for _, im in fs)
+    lead = reduce(_zi_gcd, ((re[-1], im[-1] if im else 0) for re, im in fs))
     image, m = None, 1
     for p in large_primes():
-        if not a[-1] % p or not b[-1] % p:
+        if gaussian and p % 4 != 1:
             continue
-        g = _gcd(_reduce(a, p), _reduce(b, p), p)
-        if len(g) == 1:
-            return [1]
-        g = [c * lead % p for c in g]
-        if image is None or len(g) < len(image):
+        roots = ((r := _sqrt_minus_one(p)), p - r) if gaussian else (0,)
+        images = []
+        for rho in roots:
+            g = _image_gcd(fs, rho, p)
+            if g is None:
+                break
+            if len(g) == 1:
+                return [1], []
+            l = (lead[0] + rho * lead[1]) % p
+            images.append([c * l % p for c in g])
+        if len(images) < len(roots) or len(images[0]) != len(images[-1]):
+            continue
+        if gaussian:
+            half = (p + 1) >> 1
+            g = ([(x + y) * half % p for x, y in zip(*images)], [(y - x) * r * half % p for x, y in zip(*images)])
+        else:
+            g = (images[0], [])
+        if image is None or len(g[0]) < len(image[0]):
             image, m = g, p
-        elif len(g) > len(image):
+        elif len(g[0]) > len(image[0]):
             continue
         else:
             u = pow(m, -1, p)
-            image = [x + m * ((y - x) * u % p) for x, y in zip(image, g)]
+            image = tuple([x + m * ((y - x) * u % p) for x, y in zip(old, new)] for old, new in zip(image, g))
             m *= p
-        c = _primitive([x - m if 2 * x > m else x for x in image])
-        if _exact_quotient(a, c) is not None and _exact_quotient(b, c) is not None:
+        c = _zi_primitive(*([x - m if 2 * x > m else x for x in col] for col in image))
+        if all(_zi_divides(f, c) for f in fs):
             return c
 
 

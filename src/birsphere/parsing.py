@@ -74,6 +74,8 @@ class _Parser:
                 if tok == "*":
                     acc = acc * rhs
                 else:
+                    if not rhs:
+                        raise ParseError("division by zero")
                     if rhs.degree != 0:
                         raise ParseError("division by a non-constant polynomial")
                     acc = acc.scale(rhs.lead().inverse())
@@ -96,6 +98,8 @@ class _Parser:
                 raise ParseError(f"integer exponent expected, got {tok!r}")
             n = int(tok)
             if neg:
+                if not base:
+                    raise ParseError("division by zero")
                 if base.degree != 0:
                     raise ParseError("negative powers of z are not polynomial")
                 return Poly.const(base.lead().inverse() ** n)

@@ -26,12 +26,14 @@ when a caller asks for coefficients (`p[k]`, `lead`, `coeffs`).  Columns are
 shared between polynomials and never mutated.  Two ring involutions act on
 polynomials: coefficientwise conjugation and the substitution z -> -z.
 
-Gcds and square-free splits of rational polynomials run on their primitive
-integer coefficient lists (the (1, 0) column) in the factor module (a modular
-gcd certified by exact division, Yun's algorithm on Z[x]); polynomials with
-other coefficients use Euclid's algorithm and the same Yun loop over the
-field.  Real roots of polynomials with real tower coefficients are found with
-exact sign decisions on Euclid's chain of p and dp/dz, divided by its last
+Gcds of polynomials over Q(i), rational ones included, run on their (1, 0)
+and (1, 1) columns, the real and imaginary integer numerators, in the factor
+module: one modular gcd over Z[i] certified by exact division, for any number
+of inputs (`poly_gcd`).  Square-free splits of rational polynomials run on
+their primitive (1, 0) column (Yun's algorithm on Z[x]).  Polynomials with
+other tower coefficients use Euclid's algorithm and the same Yun loop over
+the field.  Real roots of polynomials with real tower coefficients are found
+with exact sign decisions on Euclid's chain of p and dp/dz, divided by its last
 member into the Sturm chain of the square-free part (`sturm_chain`) for
 isolation and for counts with a finite end; a count over the whole line skips
 the division, which moves no sign variation there.  No separate square-free gcd is taken.  Real
@@ -53,13 +55,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotRealPolynomial
-from .factor import factor_squarefree, gcd, mul, squarefree, yun
+from .factor import factor_squarefree, gaussian_gcd, mul, squarefree, yun
 from .scalars import CoeffScalar, TowerReal, scalar
 
 _Key = tuple[int, int]
 _Cols = dict[_Key, tuple[int, ...]]
 _ONE_KEY = (1, 0)
+_I_KEY = (1, 1)
 _RATIONAL_KEYS = {_ONE_KEY}
+_GAUSSIAN_KEYS = {_ONE_KEY, _I_KEY}
 
 
 def _coeff(x) -> CoeffScalar:
@@ -490,16 +494,28 @@ ONE_MINUS_Z2 = Poly([1, 0, -1])
 Z = Poly.z()
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the scalar field; 0 for two zeros.  Two rational inputs
-    go to the modular integer kernel (`factor.gcd`), the others to Euclid's
-    algorithm."""
-    if a and b and a.is_rational() and b.is_rational():
-        return _from_integers(gcd(_integer_coeffs(a), _integer_coeffs(b)))
-    while b:
-        b = b.monic()  # keep coefficient growth in check
-        a, b = b, a % b
-    return a.monic() if a else a
+def poly_gcd(*ps: Poly) -> Poly:
+    """Monic gcd over the scalar field of any number of polynomials; 0 when
+    all are zero.  Inputs over Q(i), rational ones included, go in one call
+    to the modular kernel over Z[i] (`factor.gaussian_gcd`), which reads
+    their real and imaginary columns; tower inputs fold Euclid's algorithm
+    over the inputs."""
+    ps = [p for p in ps if p]
+    if len(ps) < 2:
+        return ps[0].monic() if ps else _ZERO
+    if all(p._cols.keys() <= _GAUSSIAN_KEYS for p in ps):
+        re, im = gaussian_gcd(*((p._cols.get(_ONE_KEY, ()), p._cols.get(_I_KEY, ())) for p in ps))
+        if not im:
+            return _from_integers(re)
+        a, b = re[-1], im[-1]  # divide by the lead: times (a - bi) / (a^2 + b^2)
+        cols = {_ONE_KEY: [x * a + y * b for x, y in zip(re, im)], _I_KEY: [y * a - x * b for x, y in zip(re, im)]}
+        return _poly(cols, a * a + b * b)
+    g = ps[0]
+    for b in ps[1:]:
+        while b and g.degree:
+            b = b.monic()  # keep coefficient growth in check
+            g, b = b, g % b
+    return g.monic()
 
 
 def require_real(p: Poly) -> None:

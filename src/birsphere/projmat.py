@@ -1,10 +1,11 @@
 """Rank-2 projective matrices over the function field of the line.
 
 Entries are polynomials in z (denominators are cleared on construction).
-The canonical form divides out the entry gcd and scales the first nonzero
-entry in row-major order to be monic, so projective equality is a plain
-tuple comparison.  Möbius specialisation to a fiber z = z0 lives here too,
-as does finite-order detection: a non-scalar matrix has finite order n
+The canonical form divides out the entry gcd, taken in one `poly_gcd` call
+over the nonzero entries, and scales the first nonzero entry in row-major
+order to be monic, so projective equality is a plain tuple comparison.
+Möbius specialisation to a fiber z = z0 lives here too, as does
+finite-order detection: a non-scalar matrix has finite order n
 exactly when kappa = trace^2/det is a constant 2 + zeta + 1/zeta for a
 primitive n-th root of unity zeta, so the order is one lookup of kappa in
 the table of the cosines the tower contains.
@@ -109,7 +110,7 @@ class ProjMat:
     row-major order is monic (`_canonical`).
 
     Three images of a canonical matrix are canonical up to one scalar, so
-    they are built without a gcd chain:
+    they are built without a gcd:
     - `reflect_z`: z -> -z is a ring automorphism of the coefficient
       polynomial ring, so the entries keep gcd 1, and the first nonzero
       entry keeps its place with lead (-1)^deg;
@@ -141,9 +142,7 @@ class ProjMat:
             inv = CoeffScalar(Fraction(1) / content)
             polys = [p.scale(inv) for p in polys]
             nonzero = [p for p in polys if p]
-        g = nonzero[0]
-        for p in nonzero[1:]:
-            g = poly_gcd(g, p)
+        g = poly_gcd(*nonzero)
         if g.degree > 0:
             polys = [p.exact_div(g) if p else p for p in polys]
         mat = cls._monic_lead(polys)
@@ -189,7 +188,7 @@ class ProjMat:
     def inverse(self) -> ProjMat:
         """The adjugate (a22, -a12, -a21, a11) made monic.  Its entries are
         those of self up to sign and order, so their gcd is 1 and no gcd
-        chain is needed; the determinant is unchanged, so nonzero."""
+        is needed; the determinant is unchanged, so nonzero."""
         return ProjMat._monic_lead((self.a22, -self.a12, -self.a21, self.a11))
 
     def reflect_z(self) -> ProjMat:

@@ -313,6 +313,21 @@ def test_cli_exit_codes(capsys):
         assert code == 4 and "order 2 with different base actions" in err
 
 
+def test_python_m_birsphere_runs_the_cli():
+    """`python -m birsphere` runs the command line from a checkout with
+    src on the path, without an installed entry point."""
+    import os
+    import subprocess
+    import sys
+
+    import birsphere
+
+    src = str(Path(birsphere.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "birsphere", "builtin"], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0 and "tau" in json.loads(proc.stdout)["builtins"]
+
+
 def test_cli_pseudoprime_radicand_exit_code(capsys):
     """sqrt(PSI_12 * 399165290221) - 399165290221 * sqrt(798330580441) is 0,
     so the matrix is the identity; PSI_12 passes the primality test, and the

@@ -71,6 +71,14 @@ def test_builtin_parse_messages(spec, message, capsys):
     assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
+@pytest.mark.parametrize("entry", ["1/0", "0^-1", "z/(z-z)"])
+def test_division_by_zero_parse_message(entry, capsys):
+    """A zero divisor is reported as such, not as a non-constant one: the
+    zero polynomial has degree -1."""
+    assert main(["order", f"[[{entry},1],[1,0]]"]) == 2
+    assert capsys.readouterr().err == "parse error: division by zero\n"
+
+
 def test_roundtrip_through_str(rng):
     from conftest import random_poly
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -479,19 +480,25 @@ def test_squarefree_matches_sympy(parts):
     assert factor.squarefree(f) == [(_from_sympy(h), k) for h, k in expected]
 
 
-@pytest.fixture
-def used_primes(monkeypatch):
-    """The primes drawn from `factor.large_primes`, at most eight."""
-    used = []
+def _counted_primes(used: list, limit: int):
+    """`factor.large_primes`, recording each prime drawn in used and failing
+    once more than limit are drawn."""
     real = factor.large_primes
 
     def counted():
         for p in real():
-            assert len(used) < 8, "the gcd did not settle within eight primes"
+            assert len(used) < limit, f"the gcd did not settle within {limit} primes"
             used.append(p)
             yield p
 
-    monkeypatch.setattr(factor, "large_primes", counted)
+    return counted
+
+
+@pytest.fixture
+def used_primes(monkeypatch):
+    """The primes drawn from `factor.large_primes`, at most eight."""
+    used = []
+    monkeypatch.setattr(factor, "large_primes", _counted_primes(used, 8))
     return used
 
 
@@ -520,6 +527,154 @@ def test_gcd_of_coprime_inputs_needs_no_division(used_primes, monkeypatch):
     assert factor.gcd([1, 0, 1], [-3, 1]) == [1] and len(used_primes) == 1
 
 
+# -- the kernel over Z[i]: Gaussian inputs --------------------------------------------------
+
+
+def _q(re, im=0) -> tuple[Fraction, Fraction]:
+    return Fraction(re), Fraction(im)
+
+
+def _qmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _qinv(a):
+    n = a[0] * a[0] + a[1] * a[1]
+    return a[0] / n, -a[1] / n
+
+
+def _monic_q(f):
+    inv = _qinv(f[-1])
+    return [_qmul(c, inv) for c in f]
+
+
+def _gaussian_euclid(*fs) -> list[tuple[Fraction, Fraction]]:
+    """Reference: the monic gcd over Q(i) by Euclid's algorithm on pairs of
+    Fractions, folded over the inputs, each a list of such pairs."""
+    g = []
+    for f in fs:
+        a, b = list(g), list(f)
+        while b:
+            while len(a) >= len(b):
+                q, shift = _qmul(a[-1], _qinv(b[-1])), len(a) - len(b)
+                for k, c in enumerate(b):
+                    d = _qmul(q, c)
+                    a[k + shift] = (a[k + shift][0] - d[0], a[k + shift][1] - d[1])
+                while a and not any(a[-1]):
+                    a.pop()
+            a, b = b, a
+        g = _monic_q(a)
+    return g
+
+
+def _gaussian_pair(f):
+    """A list of Gaussian integer pairs as the kernel's (re, im) input."""
+    return [int(c[0]) for c in f], [int(c[1]) for c in f]
+
+
+def _pair_to_q(out):
+    re, im = out
+    return [_q(x, im[k] if im else 0) for k, x in enumerate(re)]
+
+
+def _gmul(f, g):
+    out = [(0, 0)] * (len(f) + len(g) - 1)
+    for j, x in enumerate(f):
+        for k, y in enumerate(g):
+            p = _qmul(x, y)
+            out[j + k] = (out[j + k][0] + p[0], out[j + k][1] + p[1])
+    return out
+
+
+def _sympy_gcd_qi(fs):
+    """The monic gcd over QQ_I from sympy, as pairs of Fractions."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    polys = [sympy.Poly([sympy.Integer(int(a)) + sympy.I * sympy.Integer(int(b)) for a, b in reversed(f)], x,
+                        domain="QQ_I") for f in fs]
+    g = functools.reduce(lambda a, b: a.gcd(b), polys)
+    out = []
+    for c in reversed(g.all_coeffs()):
+        re, im = (sympy.Rational(part) for part in (sympy.re(c), sympy.im(c)))
+        out.append((Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q))))
+    return out
+
+
+_GAUSSIAN_INT = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+_GAUSSIAN_POLY = st.lists(st.tuples(_GAUSSIAN_INT, _GAUSSIAN_INT), min_size=1, max_size=4).filter(lambda f: any(f[-1]))
+_CONTENTS = st.sampled_from([(1, 0), (1, 1), (0, 2)])  # 1, 1 + i, 2i
+_SHARED = st.sampled_from([[(1, 0)], [(1, 0), (0, 0), (-1, 0)]])  # 1, 1 - z^2
+
+
+@settings(max_examples=120, deadline=None)
+@given(_GAUSSIAN_POLY, _GAUSSIAN_POLY, _GAUSSIAN_POLY, _SHARED, _CONTENTS, _CONTENTS, st.booleans())
+def test_gaussian_gcd_matches_sympy_and_euclid(g, u, v, shared, ca, cb, conjugate):
+    """Cofactors over Z[i] sharing g (and 1 - z^2), with Gaussian contents
+    and 2^70-sized coefficients; with `conjugate`, the conjugate of the first
+    input joins as a third one.  The kernel must settle within 16 primes."""
+    from unittest import mock
+
+    a = _gmul([ca], _gmul(shared, _gmul(g, u)))
+    b = _gmul([cb], _gmul(shared, _gmul(g, v)))
+    fs = [a, b] + ([[(x, -y) for x, y in a]] if conjugate else [])
+    with mock.patch.object(factor, "large_primes", _counted_primes([], 16)):
+        out = factor.gaussian_gcd(*map(_gaussian_pair, fs))
+    assert factor._zi_primitive(*out) == out
+    expected = _gaussian_euclid(*([_q(*c) for c in f] for f in fs))
+    assert _monic_q(_pair_to_q(out)) == expected == _sympy_gcd_qi(fs)
+
+
+@pytest.fixture
+def gaussian_primes(used_primes):
+    """The first primes of `factor.large_primes` and, apart, the first three
+    that are 1 mod 4, with their square roots of -1; no prime counts as used."""
+    drawn = list(islice(factor.large_primes(), 8))
+    used_primes.clear()
+    split = [p for p in drawn if p % 4 == 1][:3]
+    return drawn, split, [factor._sqrt_minus_one(p) for p in split]
+
+
+def _drawn_through(drawn, p):
+    return drawn[: drawn.index(p) + 1]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_gaussian_gcd_skips_a_lead_vanishing_in_one_image(used_primes, gaussian_primes, sign):
+    drawn, (q0, q1, _), (r0, r1, _) = gaussian_primes
+    # the lead r0 - sign*i vanishes under i -> sign*r0 modulo q0, but not under
+    # i -> -sign*r0, nor modulo q1
+    assert (r0 - r1) % q1 and (r0 + r1) % q1
+    f = ([-1, 1 - r0, r0], [0, sign, -sign])  # (z - 1)((r0 - sign*i) z + 1)
+    assert factor.gaussian_gcd(f, ([-2, 1, 1], [])) == ([-1, 1], [0, 0])
+    assert used_primes == _drawn_through(drawn, q1)
+
+
+def test_gaussian_gcd_discards_images_of_unequal_degree(used_primes, gaussian_primes):
+    drawn, (q0, q1, _), (r0, r1, _) = gaussian_primes
+    # z - i and z - r0 meet under i -> r0 modulo q0 only
+    assert (r0 - r1) % q1 and (r0 + r1) % q1
+    f = ([0, -1, 1], [1, -1, 0])  # (z - 1)(z - i)
+    assert factor.gaussian_gcd(f, ([r0, -1 - r0, 1], [])) == ([-1, 1], [0, 0])
+    assert used_primes == _drawn_through(drawn, q1)
+
+
+def test_gaussian_gcd_joins_two_primes(used_primes, gaussian_primes):
+    drawn, (q0, q1, _), _ = gaussian_primes
+    c = q0 * q1 // 3  # above q0 / 2, so one image cannot hold it
+    g = [(c, c), (1, 0)]  # z + c(1 + i)
+    fs = [_gmul(g, [(1, 0), (1, 0)]), _gmul(g, [(0, -1), (1, 0)])]
+    assert factor.gaussian_gcd(*map(_gaussian_pair, fs)) == ([c, 1], [c, 0])
+    assert used_primes == _drawn_through(drawn, q1)
+
+
+def test_gaussian_gcd_of_coprime_inputs_needs_no_division(used_primes, gaussian_primes, monkeypatch):
+    drawn, (q0, _, _), _ = gaussian_primes
+    monkeypatch.setattr(factor, "_zi_divides", None)
+    assert factor.gaussian_gcd(([0, 0, 1], [1]), ([-3, 1], [])) == ([1], [])
+    assert used_primes == _drawn_through(drawn, q0)
+
+
 def test_poly_gcd_edge_cases():
     assert poly_gcd(Poly(), Poly()) == Poly()
     assert poly_gcd(Poly(), 2 * Z - 4) == Z - 2 == poly_gcd(2 * Z - 4, Poly())
@@ -527,3 +682,8 @@ def test_poly_gcd_edge_cases():
     assert poly_gcd(Z * Z + 1, Z - 3) == Poly.const(1)
     assert poly_gcd(Fraction(1, 3) * (Z - 1) * (Z + 2), Fraction(1, 2) * Z - Fraction(1, 2)) == Z - 1
     assert poly_gcd(-2 * Z * Z + 2, -Z - 1) == Z + 1
+    # variadic: over Q(i) in one kernel call, over the tower by Euclid
+    assert poly_gcd(Z * Z - 1, Z - 1, Z + 1) == Poly.const(1)
+    assert poly_gcd((Z - I) * (Z + 1), (Z - I) * (Z - 2), (Z - I) * Z.scale(I), Poly()) == Z - I
+    r2 = CoeffScalar(TowerReal.sqrt_rational(2))
+    assert poly_gcd((Z - 1) * (Z + r2), (Z - 1) * Z, Z * Z - 1) == Z - 1

@@ -33,6 +33,17 @@ def test_canonical_form():
     assert ProjMat.of(*(p.scale(7) for p in TAU.entries())) == TAU
 
 
+def test_gaussian_canonical_form_takes_no_euclid_step(monkeypatch):
+    """The entry gcd of a matrix over Q(i) is one call of the modular
+    kernel over Z[i]: no polynomial remainder is taken."""
+    calls = []
+    real_mod = Poly.__mod__
+    monkeypatch.setattr(Poly, "__mod__", lambda a, b: calls.append(1) or real_mod(a, b))
+    entries = [Z + I, Z.scale(2) - 3 * I, Poly.const(1 + I), Z * Z + 1 + I]
+    mat = ProjMat.of(*(ONE_MINUS_Z2 * (Z - 2 * I) * e for e in entries))
+    assert mat == ProjMat.of(*entries) and not calls
+
+
 def test_products_and_inverses(rng):
     from conftest import random_reality_element
 
