@@ -27,12 +27,10 @@ from .positivity import is_real_positive, norm_factor, quadratic_decomp, v_decom
 from .projmat import INF, ProjMat
 from .sphere import (
     BaseMobius,
-    BoundaryReport,
     ConjugacyCertificate,
     FiberPattern,
     SphereFormula,
     SphereMap,
-    boundary_behavior,
     builtin_map,
     canonical_pattern,
     contracted_fibers,

@@ -119,12 +119,9 @@ def _shift_to_interval_t(bq: Fraction) -> Fraction | None:
 def spheremap_from_json(data: dict) -> SphereMap:
     try:
         rows = data["fiber"]
-        fiber = ProjMat.of(
-            parse_poly(rows[0][0]),
-            parse_poly(rows[0][1]),
-            parse_poly(rows[1][0]),
-            parse_poly(rows[1][1]),
-        )
+        if len(rows) != 2 or not all(isinstance(row, list) and len(row) == 2 for row in rows):
+            raise TypeError
+        fiber = ProjMat.of(*(parse_poly(entry) for row in rows for entry in row))
         base_json = data.get("base", "id")
         if base_json == "id":
             base = BaseMobius.identity()
@@ -136,11 +133,12 @@ def spheremap_from_json(data: dict) -> SphereMap:
                 b = Fraction(2 * t, 1 + t * t)
             else:
                 b = parse_scalar(base_json["interval_b"]).as_real()
-            base = BaseMobius.shift(b)
-            if base_json.get("flip"):
-                base = BaseMobius(base.b, True)
+            base = BaseMobius(BaseMobius.shift(b).b, bool(base_json.get("flip")))
         return SphereMap(fiber, base)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
+        raise ParseError('malformed sphere map JSON: expected {"fiber": [["a11", "a12"], ["a21", "a22"]], '
+                         '"base": "id", "neg" or {"interval_t" or "interval_b": "q", "flip": true}}') from exc
+    except ValueError as exc:
         raise ParseError(f"malformed sphere map JSON: {exc}") from exc
 
 

@@ -197,10 +197,6 @@ class TwistedAlgebra(_TripleAlgebra):
         return (a * c + b * e.conj() * ONE_MINUS_Z2, a * e + b * c.conj(), d * f)
 
     @staticmethod
-    def one():
-        return (Poly.const(1), Poly(), Poly.const(1))
-
-    @staticmethod
     def reflect(u):
         return tuple(p.reflect_z() for p in u)
 

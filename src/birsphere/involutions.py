@@ -105,14 +105,6 @@ class HyperellipticModel:
         d = self.degree
         return 0 if d <= 2 else (d + 1) // 2 - 1
 
-    def value_at(self, z0) -> CoeffScalar:
-        return -self.m(z0)
-
-    def raw_value_at(self, z0) -> CoeffScalar:
-        """-D(z0) for the normal form this model came from."""
-        s = self.scale(z0)
-        return self.value_at(z0) * CoeffScalar(self.content) * s * s
-
 
 def fixed_curve(mat: ProjMat) -> HyperellipticModel:
     """The double cover w^2 = -D traced by the fiberwise fixed points,

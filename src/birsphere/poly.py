@@ -372,11 +372,6 @@ class Poly:
         row, d = _coeff(c).to_row()
         return _product(self._cols, {key: (x,) for key, x in row.items()}, self._den * d)
 
-    def shift(self, k: int) -> Poly:
-        """Multiply by z^k."""
-        pad = (0,) * k
-        return _new({key: pad + c for key, c in self._cols.items()}, self._den)
-
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         steps, rem, lead_inv = _divide(self, _coerce_poly(other))
         if not steps:
@@ -441,13 +436,6 @@ class Poly:
         if lead == {_ONE_KEY: self._den}:
             return self
         return self.scale(CoeffScalar.from_row(lead, self._den).inverse())
-
-    def compose(self, other: Poly) -> Poly:
-        cols, den = self._cols, self._den
-        acc = _ZERO
-        for k in range(_length(cols) - 1, -1, -1):
-            acc = acc * other + _poly({key: (c[k],) for key, c in cols.items() if k < len(c)}, den)
-        return acc
 
     # -- display -------------------------------------------------------------------
 

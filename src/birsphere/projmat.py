@@ -215,17 +215,6 @@ class ProjMat:
         angle = self.rotation_angle()
         return None if angle is None else angle[1]
 
-    def pow(self, n: int) -> ProjMat:
-        if n < 0:
-            return self.inverse().pow(-n)
-        acc, base = ProjMat.identity(), self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def act_on_fiber(self, t, z0) -> CoeffScalar | Infinity:
         """Möbius action of the specialised matrix on t in the fiber z = z0.
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 
 from .errors import UnsupportedExtension
 from .factor import PSI_12, is_prime
@@ -439,10 +438,6 @@ class CoeffScalar:
     def i(cls) -> CoeffScalar:
         return cls(0, 1)
 
-    @classmethod
-    def from_rational(cls, q) -> CoeffScalar:
-        return cls(Fraction(q))
-
     def to_row(self) -> tuple[dict[tuple[int, int], int], int]:
         """(row, den) with self = sum row[m, t] * sqrt(m) * i^t / den; den is
         the least common denominator of the two parts, so the row is in
@@ -614,8 +609,6 @@ def _coerce_scalar(x):
 
 
 ZERO = CoeffScalar(0)
-ONE = CoeffScalar(1)
-I = CoeffScalar.i()
 
 
 def scalar(x) -> CoeffScalar:
@@ -624,8 +617,3 @@ def scalar(x) -> CoeffScalar:
     if out is NotImplemented:
         raise TypeError(f"cannot coerce {x!r} to CoeffScalar")
     return out
-
-
-def product(values, start=None):
-    """Product of an iterable of scalars."""
-    return reduce(lambda a, b: a * b, values, ONE if start is None else start)

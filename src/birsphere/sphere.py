@@ -10,9 +10,9 @@ form from S = A + tau conj(A) tau^-1, which is a constant multiple of A
 exactly when A is real (so neither the pattern nor the reality test takes a
 gcd), diffeomorphism membership and orientation from a(+-1) and one
 memoised Sturm count of the stripped determinant D', whose real roots all
-lie in (-1, 1) and are the contracted fibers, boundary-line
-behaviour, maps with nontrivial action on the base interval, exact sphere
-formulas, and the builtin catalogue of named maps.
+lie in (-1, 1) and are the contracted fibers, maps with nontrivial action
+on the base interval, exact images of sphere points, and the builtin
+catalogue of named maps.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .bipoly import BiFrac, BiPoly
 from .errors import (
     BasePointHit,
     InfiniteOrderBase,
@@ -214,23 +213,6 @@ def contracted_fibers(mat: ProjMat):
     return real_roots_in_tower_poly(pattern.stripped_determinant[2]) if pattern.contracted_count else []
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
-    """Behaviour on the two pairs of imaginary lines over z = 1 and z = -1."""
-
-    north_exchanges: bool
-    south_exchanges: bool
-
-    @property
-    def preserves_both(self) -> bool:
-        return not (self.north_exchanges or self.south_exchanges)
-
-
-def boundary_behavior(mat: ProjMat) -> BoundaryReport:
-    """The line pair over z = e is exchanged iff a(e) = 0."""
-    return BoundaryReport(*canonical_pattern(mat).stripped_determinant[:2])
-
-
 # -- the base interval group ----------------------------------------------------------
 
 
@@ -260,11 +242,6 @@ class BaseMobius:
             raise ValueError("interval parameter must lie in (-1, 1)")
         return cls(b, False)
 
-    @classmethod
-    def flipped_shift(cls, b) -> BaseMobius:
-        m = cls.shift(b)
-        return cls(m.b, True)
-
     @property
     def kind(self) -> str:
         if not self.b:
@@ -288,13 +265,6 @@ class BaseMobius:
         if self.flip:
             return self  # flipped shifts are involutions
         return BaseMobius(-self.b, False)
-
-    def order(self) -> int | None:
-        if self.kind == "id":
-            return 1
-        if self.flip:
-            return 2
-        return None
 
     def apply(self, zval):
         if zval is INF:
@@ -380,9 +350,6 @@ class SphereMap:
     def inverse(self) -> SphereMap:
         minv = self.base.inverse()
         return SphereMap(minv.substitute_matrix(self.fiber.inverse()), minv)
-
-    def is_identity(self) -> bool:
-        return self.base.is_identity() and self.fiber.is_identity()
 
     def order(self) -> int | None:
         kind = self.base.kind
@@ -539,7 +506,7 @@ def psi_forward(point):
     imaginary base points (w = z = 0)."""
     w, x, y, z = (scalar(c) for c in point)
     if not on_sphere((w, x, y, z)):
-        raise NotOnSphere(f"{point} does not satisfy w^2 = x^2+y^2+z^2")
+        raise NotOnSphere(f"({', '.join(str(c) for c in (w, x, y, z))}) does not satisfy w^2 = x^2+y^2+z^2")
     i = CoeffScalar.i()
     if not w and not z:
         raise BasePointHit("the two imaginary points with w = z = 0 are blown up")
@@ -612,35 +579,6 @@ class SphereFormula:
         timg = self.mapping.fiber.act_on_fiber(tval, zval)
         zimg = self.mapping.base.apply(zval)
         return psi_inverse(timg, zimg)
-
-    def symbolic_xyz(self) -> tuple[BiFrac, BiFrac, BiFrac]:
-        """The images (X, Y, Z) as elements of C(z)(t) with
-        x = (t^2 + h)/(2t), y = i (t^2 - h)/(2t)."""
-        a11, a12, a21, a22 = self.mapping.fiber.entries()
-        tvar = BiPoly.t()
-        tnum = BiPoly.const(a11) * tvar + BiPoly.const(a12)
-        tden = BiPoly.const(a21) * tvar + BiPoly.const(a22)
-        tprime = BiFrac(tnum, tden)
-        mnum, mden = self.mapping.base.num_den_polys()
-        h_at_m = BiFrac(BiPoly.const(mden * mden - mnum * mnum), BiPoly.const(mden * mden))
-        i = CoeffScalar.i()
-        two = BiFrac(BiPoly.const(Poly.const(2)))
-        x_img = (tprime * tprime + h_at_m) / (two * tprime)
-        y_img = (tprime * tprime - h_at_m) * BiFrac(BiPoly.const(Poly.const(i))) / (two * tprime)
-        z_img = BiFrac(BiPoly.const(mnum), BiPoly.const(mden))
-        return x_img, y_img, z_img
-
-
-def coordinate_functions() -> tuple[BiFrac, BiFrac, BiFrac]:
-    """(x, y, z) as elements of the sphere's function field C(z)(t)."""
-    tvar = BiPoly.t()
-    h = BiPoly.const(ONE_MINUS_Z2)
-    i = CoeffScalar.i()
-    two = BiFrac(BiPoly.const(Poly.const(2)))
-    x = BiFrac(tvar * tvar + h) / (two * BiFrac(tvar))
-    y = BiFrac((tvar * tvar - h) * BiPoly.const(Poly.const(i))) / (two * BiFrac(tvar))
-    z = BiFrac(BiPoly([Poly.z()]))
-    return x, y, z
 
 
 # -- builtins --------------------------------------------------------------------------

@@ -61,6 +61,46 @@ def ref_square_class(p: Poly) -> Poly:
     return Poly.from_rational_coeffs([Fraction(int(c.p), int(c.q)) for c in reversed(out.all_coeffs())])
 
 
+def sympy_poly(p: Poly, var):
+    """p as a sympy expression in var, each coefficient exact:
+    sum x * sqrt(m) * i^t / den over its row (CoeffScalar.to_row)."""
+    import sympy
+
+    def coeff(c):
+        row, den = c.to_row()
+        return sum(x * sympy.sqrt(m) * sympy.I**t for (m, t), x in row.items()) / sympy.Integer(den)
+
+    return sum(coeff(c) * var**k for k, c in enumerate(p.coeffs))
+
+
+def sphere_coordinates(t, z):
+    """(x, y, z) in the function field C(z)(t) of the sphere, with
+    x = (t^2 + h)/(2t), y = i (t^2 - h)/(2t) and h = 1 - z^2."""
+    import sympy
+
+    h = 1 - z**2
+    return (t**2 + h) / (2 * t), sympy.I * (t**2 - h) / (2 * t), z
+
+
+def sphere_formula(g, t, z):
+    """The images (X, Y, Z) of x, y, z under a sphere map g, in C(z)(t):
+    sphere_coordinates at t' = (a11 t + a12)/(a21 t + a22) and z' = m(z),
+    from g's fiber matrix and its base action m = num/den."""
+    a11, a12, a21, a22 = (sympy_poly(p, z) for p in g.fiber.entries())
+    num, den = (sympy_poly(p, z) for p in g.base.num_den_polys())
+    tprime, zprime = (a11 * t + a12) / (a21 * t + a22), num / den
+    x, y, _ = sphere_coordinates(tprime, zprime)
+    return x, y, zprime
+
+
+def same_function(u, v) -> bool:
+    """u == v in C(z)(t): the numerator of u - v over one denominator
+    expands to 0."""
+    import sympy
+
+    return sympy.expand(sympy.numer(sympy.together(u - v))) == 0
+
+
 def random_sphere_point(rng):
     """A random rational point of the real sphere via stereographic data."""
     u = Fraction(rng.randint(-8, 8), rng.randint(1, 5))

@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-from birsphere.bipoly import BiFrac
 from birsphere.errors import BasePointHit
 from birsphere.etatwist import (
     TwistClass,
@@ -51,10 +50,9 @@ from birsphere.sphere import (
     FiberPattern,
     SphereFormula,
     SphereMap,
-    boundary_behavior,
     builtin_map,
+    canonical_pattern,
     contracted_fibers,
-    coordinate_functions,
     diffeo_orientation,
     in_reality_group,
     psi_forward,
@@ -66,7 +64,15 @@ from birsphere.sphere import (
 )
 from birsphere.classify import classify_spheremap, decide_conjugacy
 
-from conftest import random_poly, random_reality_element, random_sphere_point, ref_square_class
+from conftest import (
+    random_poly,
+    random_reality_element,
+    random_sphere_point,
+    ref_square_class,
+    same_function,
+    sphere_coordinates,
+    sphere_formula,
+)
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -133,9 +139,12 @@ def test_criterion_1_psi_roundtrip(rng):
 
 def test_criterion_2_reality(rng):
     with criterion(2, "reflection formula symbolic; equivariance for members, witnesses against"):
-        x, y, z = coordinate_functions()
-        X, Y, Z_ = SphereFormula(y_flip()).symbolic_xyz()
-        assert X == x and Y == BiFrac(-y.num, y.den) and Z_ == z
+        import sympy
+
+        t, zs = sympy.symbols("t z")
+        images = sphere_formula(y_flip(), t, zs)
+        x, y, z = sphere_coordinates(t, zs)
+        assert all(same_function(u, v) for u, v in zip(images, (x, -y, z)))
         for _ in range(50):
             mat = random_reality_element(rng, max_degree=2)
             formula = SphereFormula(SphereMap.trivial_base(mat))
@@ -257,7 +266,7 @@ def test_criterion_3_diffeo_criterion(rng):
         agreements = 0
         for mat in elements:
             p1 = diffeo_orientation(mat) == 1
-            p2 = not contracted_fibers(mat) and boundary_behavior(mat).preserves_both
+            p2 = not contracted_fibers(mat) and not any(canonical_pattern(mat).stripped_determinant[:2])
             p3 = _fiber_grid_defined(mat)
             assert p1 == p2 == p3, f"criterion mismatch for {mat}: {p1} {p2} {p3}"
             agreements += 1
@@ -311,22 +320,24 @@ def test_criterion_5_fixed_curve_oracle(rng):
                     t = (2 * I * p + root * CoeffScalar(Fraction(sgn))) / (2 * qbar)
                     assert qbar * t * t - 2 * I * p * t - q * h == CoeffScalar(0)
                     w = qbar * t - I * p
-                    assert w * w == model.raw_value_at(zval)
+                    assert w * w == -form.determinant()(zval)
                 checked += 1
+            neg_d = (model.m * model.scale * model.scale).scale(-CoeffScalar(model.content))
+            assert -form.determinant() == neg_d
             # real locus class against the model sign on the open interval:
             # no real points (orientation 1) or one oval (orientation -1)
             orientation = diffeo_orientation(mat)
             if not orientation:
                 continue
             for sample in (Fraction(0), Fraction(1, 2), Fraction(-2, 5)):
-                val = model.value_at(CoeffScalar(sample)).as_real().sign()
+                val = (-model.m(CoeffScalar(sample))).as_real().sign()
                 if orientation == 1:
                     assert val < 0  # w^2 < 0: no real branch anywhere
                 else:
                     assert val > 0  # one oval over the whole open interval
             if orientation == -1:
                 for sample in (Fraction(3, 2), Fraction(-2)):
-                    assert model.value_at(CoeffScalar(sample)).as_real().sign() < 0
+                    assert (-model.m(CoeffScalar(sample))).as_real().sign() < 0
 
 
 def test_criterion_6_realization_inverse(rng):
@@ -431,7 +442,7 @@ def test_criterion_8_h2_suite(rng):
                 u = alg.mul(b, alg.reflect(alg.inverse(b)))
             except ZeroDivisionError:
                 continue
-            assert alg.equal(alg.mul(u, alg.reflect(u)), alg.one())
+            assert alg.equal(alg.mul(u, alg.reflect(u)), (Poly.const(1), Poly(), Poly.const(1)))
             witness = alg.coboundary_witness(u)
             assert alg.equal(alg.mul(witness, alg.inverse(alg.reflect(witness))), u)
             witnesses += 1

@@ -328,6 +328,41 @@ def test_python_m_birsphere_runs_the_cli():
     assert proc.returncode == 0 and "tau" in json.loads(proc.stdout)["builtins"]
 
 
+def test_closed_pipe_ends_the_cli_quietly():
+    """A reader that has closed its end of the pipe (`birsphere builtin |
+    head -0`) ends the command with exit 0 and nothing on stderr."""
+    import os
+    import subprocess
+    import sys
+
+    import birsphere
+
+    env = dict(os.environ, PYTHONPATH=str(Path(birsphere.__file__).parent.parent))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "birsphere", "builtin"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_error_messages_print_values_not_python_text(capsys):
+    """An off-sphere point prints its coordinates through str, and sphere-map
+    JSON of the wrong shape names the shape it expects; exit codes 5 and 2."""
+    code, _, err = run_cli(capsys, "eval", "builtin:tau", "--point", "1,0,0,0")
+    assert (code, err) == (5, "error: (1, 0, 0, 0) does not satisfy w^2 = x^2+y^2+z^2\n")
+    expected = (
+        'parse error: malformed sphere map JSON: expected {"fiber": [["a11", "a12"], ["a21", "a22"]], '
+        '"base": "id", "neg" or {"interval_t" or "interval_b": "q", "flip": true}}\n'
+    )
+    for text in ('{"fiber": 3}', '{"fiber": [[1]]}', '{"fiber": ["ab", "cd"]}', '{"fiber": [["1", "0"], ["0"]]}',
+                 '{"fiber": [["1", "0"], ["0", "1"]], "base": "up"}', "{}"):
+        code, _, err = run_cli(capsys, "order", text)
+        assert (code, err) == (2, expected), text
+
+
 def test_cli_pseudoprime_radicand_exit_code(capsys):
     """sqrt(PSI_12 * 399165290221) - 399165290221 * sqrt(798330580441) is 0,
     so the matrix is the identity; PSI_12 passes the primality test, and the

@@ -279,8 +279,8 @@ def assert_poly_canonical(p: Poly) -> None:
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=coeff_lists(), b=coeff_lists(), c=scalars_any, k=st.integers(0, 3))
-def test_poly_rows_match_coefficient_loops(a, b, c, k):
+@given(a=coeff_lists(), b=coeff_lists(), c=scalars_any)
+def test_poly_rows_match_coefficient_loops(a, b, c):
     pa, pb = Poly(a), Poly(b)
     ta = trim(a)
     assert pa.coeffs == ta
@@ -294,7 +294,6 @@ def test_poly_rows_match_coefficient_loops(a, b, c, k):
         (pa.conj(), [x.conj() for x in a]),
         (pa.reflect_z(), [-x if j % 2 else x for j, x in enumerate(a)]),
         (pa.derivative(), ref_derivative(a)),
-        (pa.shift(k), [ZERO] * k + list(ta) if ta else []),
         (pa * pb, ref_poly_mul(a, b)),
     ]
     for got, want in cases:
@@ -411,17 +410,17 @@ def test_poly_divmod_recovers_exact_quotient(q, b, r):
 
 
 @settings(max_examples=60, deadline=None)
-@given(a=nonzero_lists, b=nonzero_lists, x=scalars_any, k=st.integers(1, 3))
-@example(a=[CoeffScalar(5), CoeffScalar(2), ZERO, CoeffScalar(1)], b=[CoeffScalar(-1), CoeffScalar(1)], x=CoeffScalar(2), k=1)
-def test_poly_operations_leave_operands_unchanged(a, b, x, k):
-    # reflect_z and shift share rows with their input, and the remainder of
-    # a division starts from the dividend's rows: no operation may write them
+@given(a=nonzero_lists, b=nonzero_lists, x=scalars_any)
+@example(a=[CoeffScalar(5), CoeffScalar(2), ZERO, CoeffScalar(1)], b=[CoeffScalar(-1), CoeffScalar(1)], x=CoeffScalar(2))
+def test_poly_operations_leave_operands_unchanged(a, b, x):
+    # reflect_z shares rows with its input, and the remainder of a division
+    # starts from the dividend's rows: no operation may write them
     pa, pb = Poly(a), Poly(b)
-    operands = [pa, pb, pa.shift(k), pa.reflect_z(), pb.conj(), pb.monic()]
+    operands = [pa, pb, pa.reflect_z(), pb.conj(), pb.monic()]
     before = [p.coeffs for p in operands]
     for p in operands:
-        p.scale(x), p.monic(), p.conj(), p.reflect_z(), p.derivative(), p.shift(k), -p
-        p(x), p.content(), p.primitive(), hash(p), p.compose(Poly([x, 1]))
+        p.scale(x), p.monic(), p.conj(), p.reflect_z(), p.derivative(), -p
+        p(x), p.content(), p.primitive(), hash(p)
         for q in operands:
             p + q, p - q, p * q, p.divmod(q), p % q, p // q
     assert [p.coeffs for p in operands] == before
@@ -853,14 +852,9 @@ def test_no_undefined_names():
     assert undefined == []
 
 
-# Definitions kept for the tests alone: each is an oracle of an acceptance
-# criterion or the basis of an open roadmap item.
+# Definitions kept for the tests alone: each is the basis of an open
+# roadmap item, the certified base-flip conjugator.
 TEST_ONLY_DEFINITIONS = {
-    "symbolic_xyz",  # criterion 2: exact sphere formulas of a map
-    "coordinate_functions",  # criterion 2: the x, y, z those formulas act on
-    "boundary_behavior",  # criterion 3: boundary-line behaviour
-    "preserves_both",  # criterion 3: the report's verdict
-    "raw_value_at",  # criterion 5: the unreduced model, the reduced one's oracle
     "TwistedAlgebra",  # criterion 8: the twisted algebra of a class
     "coboundary_witness",  # criterion 8: its coboundary witnesses
     "factor_even",  # the base-flip certificate is to be built from it
@@ -868,14 +862,20 @@ TEST_ONLY_DEFINITIONS = {
 
 
 def test_no_unreferenced_definitions():
-    """Every function, method and class the package defines has a caller:
-    it is named in another package module than __init__.py or in perfbench,
-    as a name, an attribute, an import, or a string constant that is the
-    name or a dotted path ending in it (tracers name functions so).  A
-    reference from the tests or an export from __init__.py does not count;
-    TEST_ONLY_DEFINITIONS lists the few definitions kept for the tests.
-    Dunder methods are exempt, as the language calls them."""
+    """Every function, method and class the package defines has a caller
+    outside its own body, in a package module other than __init__.py or in
+    perfbench.  A method (a def or class in a class body) is called through
+    an attribute, or a string constant that is its name or a dotted path
+    ending in it (tracers name methods so).  Any other definition is called
+    that way too, or through a bare name in its own module or in a module
+    that imports it from there or from the package.  A reference from the
+    tests or an export from __init__.py does not count; TEST_ONLY_DEFINITIONS
+    lists the few definitions kept for the tests.  Dunder methods are
+    exempt, as the language calls them.  The check goes by name, so a method
+    stays blind to a same-named method of another class (Poly.compose and
+    SphereMap.compose) or a same-named attribute."""
     import ast
+    from collections import defaultdict
     from pathlib import Path
 
     import birsphere
@@ -883,32 +883,43 @@ def test_no_unreferenced_definitions():
     package = Path(birsphere.__file__).parent
     root = package.parent.parent
     modules = sorted(path for path in package.glob("*.py") if path.name != "__init__.py")
-    referenced = set()
-    for path in [*modules, *(root / "perfbench").glob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
+    trees = {path: ast.parse(path.read_text()) for path in [*modules, *(root / "perfbench").glob("*.py")]}
+    bare, dotted = defaultdict(list), defaultdict(list)  # name -> [(path, node id)]
+    imports = defaultdict(set)  # path -> {(last part of the source module, name)}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                bare[node.id].append((path, id(node)))
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name.rpartition(".")[2])
+                dotted[node.attr].append((path, id(node)))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                referenced.add(node.value.rpartition(".")[2])
-    defined = {
-        (path.name, node.lineno, node.name)
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-    }
+                dotted[node.value.rpartition(".")[2]].append((path, id(node)))
+            elif isinstance(node, ast.ImportFrom):
+                imports[path].update(((node.module or "").rpartition(".")[2], a.name) for a in node.names)
+
+    def called(path, node, method) -> bool:
+        body = {id(sub) for sub in ast.walk(node)}
+        sources = {(path.stem, node.name), (package.name, node.name)}
+        if any(where != path or ref not in body for where, ref in dotted[node.name]):
+            return True
+        return not method and any(
+            ref not in body if where == path else bool(sources & imports[where]) for where, ref in bare[node.name]
+        )
+
+    unreferenced = set()
+    for path in modules:
+        tree = trees[path]
+        members = {id(child) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for child in cls.body}
+        unreferenced |= {
+            (path.name, node.lineno, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and not called(path, node, id(node) in members)
+        }
     # an exempt definition that gains a caller, or goes, leaves the set
-    assert TEST_ONLY_DEFINITIONS <= {name for _, _, name in defined} - referenced
-    unreferenced = sorted(
-        f"{module}:{line} {name}"
-        for module, line, name in defined
-        if name not in referenced | TEST_ONLY_DEFINITIONS
-    )
-    assert unreferenced == []
+    assert TEST_ONLY_DEFINITIONS <= {name for _, _, name in unreferenced}
+    assert sorted(f"{m}:{line} {name}" for m, line, name in unreferenced if name not in TEST_ONLY_DEFINITIONS) == []
 
 
 def test_projmat_constructed_only_in_projmat():

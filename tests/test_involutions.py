@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from birsphere.bipoly import BiPoly
 from birsphere.classify import _matrix_json, decide_conjugacy, spheremap_from_json
 from birsphere.errors import HasRealRoot, NotInvolution, NotRealityMember
 from birsphere.involutions import (
@@ -130,8 +129,9 @@ def test_fixed_curve_fiberwise_oracle(rng):
                 t = (2 * I * p + root * CoeffScalar(Fraction(sgn))) / (2 * qbar)
                 assert qbar * t * t - 2 * I * p * t - q * h == CoeffScalar(0)
                 w = qbar * t - I * p
-                assert w * w == model.raw_value_at(zval)
+                assert w * w == -form.determinant()(zval)
             checked += 1
+        assert -form.determinant() == (model.m * model.scale * model.scale).scale(-CoeffScalar(model.content))
 
 
 def test_real_locus_class():
@@ -339,7 +339,7 @@ def test_conjugator_tau_upsilon():
 
 def test_conjugator_identity_case():
     cert = construct_conjugator(TAU, TAU)
-    assert cert.conjugator.is_identity()
+    assert cert.conjugator == SphereMap.identity()
 
 
 def test_hilbert90_witness_set():
@@ -717,26 +717,33 @@ def test_basis_equiv_flip_only():
 # -- basis_equiv_moduli in closed form against a root search -------------------
 
 
-def _transport_poly(m: Poly) -> BiPoly:
-    """(bz+1)^deg * m((z+b)/(bz+1)) as a polynomial in the parameter b."""
-    num = BiPoly([Z, Poly.const(1)])  # z + b
-    den = BiPoly([Poly.const(1), Z])  # b z + 1
+def _transport_poly(m: Poly) -> list[Poly]:
+    """(bz+1)^deg * m((z+b)/(bz+1)) as a list of its coefficients of
+    z^0, z^1, ..., each a polynomial in the parameter b."""
+    B = Poly.z()  # the parameter b
+
+    def mul(u: list[Poly], v: list[Poly]) -> list[Poly]:
+        out = [Poly()] * (len(u) + len(v) - 1)
+        for j, x in enumerate(u):
+            for k, y in enumerate(v):
+                out[j + k] = out[j + k] + x * y
+        return out
+
+    num, den = [B, Poly.const(1)], [Poly.const(1), B]  # z + b, b z + 1
     d = m.degree
-    acc = BiPoly()
+    acc = [Poly()] * (d + 1)
     for k in range(d + 1):
         if m[k]:
-            term = BiPoly.const(Poly.const(m[k]))
+            term = [Poly.const(m[k])]
             for factor in [num] * k + [den] * (d - k):
-                term = term * factor
-            acc = acc + term
+                term = mul(term, factor)
+            acc = [x + y for x, y in zip(acc, term)]
     return acc
 
 
-def _proportionality_minors(transported: BiPoly, target: Poly) -> list[Poly]:
-    """Polynomials in b whose common roots make the transport proportional
-    to the target."""
-    zdeg = max((c.degree for c in transported.coeffs), default=-1)
-    cols = [Poly([c[j] for c in transported.coeffs]) for j in range(zdeg + 1)]  # in b
+def _proportionality_minors(cols: list[Poly], target: Poly) -> list[Poly]:
+    """Polynomials in b whose common roots make the transport, given by its
+    coefficients of z^j, proportional to the target."""
     tcoeffs = [target[j] for j in range(len(cols))]
     minors = []
     for j in range(len(cols)):

@@ -77,10 +77,10 @@ def test_order_table():
             mat = ProjMat.of(Poly.const(kappa - 1), Poly.const(-1), 1, 1)
         a = c * mat * c.inverse()
         assert a.order() == n, (k, n)
-        assert a.pow(n).is_identity()
-        for d in range(1, n):
-            if n % d == 0:
-                assert not a.pow(d).is_identity(), (k, n, d)
+        power = ProjMat.identity()
+        for d in range(1, n + 1):  # a^d, from the product loop
+            power = power * a
+            assert power.is_identity() == (d == n), (k, n, d)
     assert ProjMat.of(1, 1, 0, 1).order() is None  # unipotent
     assert ProjMat.of(Z + Poly.const(2), ONE_MINUS_Z2, 1, Z + Poly.const(2)).order() is None
     assert ProjMat.diag(1, Poly.const(2 * I)).order() is None  # kappa not real

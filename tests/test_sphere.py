@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from birsphere.bipoly import BiFrac
 from birsphere.classify import _matrix_json
 from birsphere.errors import (
     BasePointHit,
@@ -20,11 +19,9 @@ from birsphere.sphere import (
     SphereFormula,
     SphereMap,
     base_realisation,
-    boundary_behavior,
     builtin_map,
     canonical_pattern,
     contracted_fibers,
-    coordinate_functions,
     diffeo_orientation,
     flipped_special_involution,
     in_diffeo_group,
@@ -39,7 +36,14 @@ from birsphere.sphere import (
     z_flip,
 )
 
-from conftest import random_reality_element, random_sphere_point, ref_square_class
+from conftest import (
+    random_reality_element,
+    random_sphere_point,
+    ref_square_class,
+    same_function,
+    sphere_coordinates,
+    sphere_formula,
+)
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -179,24 +183,25 @@ def test_contracted_fibers():
     assert contracted_fibers(ProjMat.identity()) == []
 
 
+def exchanges(mat: ProjMat) -> tuple[bool, bool]:
+    """Whether the map exchanges the two imaginary lines over z = 1 and
+    over z = -1: a(e) = 0, the first two entries of stripped_determinant."""
+    return canonical_pattern(mat).stripped_determinant[:2]
+
+
 def test_boundary_behavior():
-    rep = boundary_behavior(TAU)
-    assert rep.north_exchanges and rep.south_exchanges
-    rep = boundary_behavior(ProjMat.identity())
-    assert rep.preserves_both
+    assert exchanges(TAU) == (True, True)
+    assert exchanges(ProjMat.identity()) == (False, False)
     from birsphere.sphere import FiberPattern
 
-    rep = boundary_behavior(FiberPattern(Poly([1, -1]), Poly.const(1)).matrix())
-    assert rep.north_exchanges and not rep.south_exchanges
+    assert exchanges(FiberPattern(Poly([1, -1]), Poly.const(1)).matrix()) == (True, False)
 
 
 def test_boundary_flips_under_twist(rng):
     for _ in range(10):
         mat = random_reality_element(rng)
-        rep = boundary_behavior(mat)
-        flipped = boundary_behavior(TAU * mat)
-        assert flipped.north_exchanges != rep.north_exchanges
-        assert flipped.south_exchanges != rep.south_exchanges
+        north, south = exchanges(mat)
+        assert exchanges(TAU * mat) == (not north, not south)
 
 
 # -- base actions and sphere maps ----------------------------------------------------
@@ -210,10 +215,8 @@ def test_base_mobius_group():
     # velocity addition: (1/3 + 1/2)/(1 + 1/6)
     assert ab.b == TowerReal.from_rational(Fraction(5, 7))
     assert a.compose(a.inverse()).is_identity()
-    flip = BaseMobius.flipped_shift(Fraction(4, 5))
-    assert flip.compose(flip).is_identity()
-    assert flip.order() == 2
-    assert BaseMobius.shift(Fraction(1, 3)).order() is None
+    flip = BaseMobius(BaseMobius.shift(Fraction(4, 5)).b, True)
+    assert flip.kind == "flipped_shift" and flip.compose(flip).is_identity()
     assert flip.apply(CoeffScalar(1)) == CoeffScalar(-1)
     assert flip.apply(CoeffScalar(-1)) == CoeffScalar(1)
 
@@ -223,7 +226,7 @@ def test_spheremap_composition_law(rng):
     g2 = builtin_map("g2p:1/3")
     comp = g1.compose(g2)
     assert comp.reality_check()
-    assert g1.compose(g1.inverse()).is_identity()
+    assert g1.compose(g1.inverse()) == SphereMap.identity()
     assert comp.base == g1.base.compose(g2.base)
 
 
@@ -309,34 +312,31 @@ def test_reduce_to_trivial_base_pinned(pin):
 
 
 def test_symbolic_formulas_match_named_maps():
-    x, y, z = coordinate_functions()
-    checks = {
-        "tau": (x, -1 * BiFrac(y.num, y.den), z),
-        "upsilon": (BiFrac(-x.num, x.den), y, z),
-        "tilde_eta": (x, y, BiFrac(-z.num, z.den)),
-    }
-    for name, (ex, ey, ez) in checks.items():
-        X, Y, Z_ = SphereFormula(builtin_map(name)).symbolic_xyz()
-        assert X == ex and Y == ey and Z_ == ez, name
+    """The builtin reflections act on the coordinate functions of C(z)(t)
+    exactly as their names say."""
+    import sympy
+
+    t, zs = sympy.symbols("t z")
+    x, y, z = sphere_coordinates(t, zs)
+    checks = {"tau": (x, -y, z), "upsilon": (-x, y, z), "tilde_eta": (x, y, -z)}
+    for name, expected in checks.items():
+        images = sphere_formula(builtin_map(name), t, zs)
+        assert all(same_function(u, v) for u, v in zip(images, expected)), name
 
 
 def test_rotation_formula_matches_classical_rotation():
     # r_theta : (x, y, z) -> (x cos - y sin, x sin + y cos, z)
-    x, y, z = coordinate_functions()
-    half = Fraction(1, 2)
-    cases = {
-        (1, 4): (CoeffScalar(0), CoeffScalar(1)),
-        (1, 2): (CoeffScalar(-1), CoeffScalar(0)),
-        (1, 3): (CoeffScalar(-half), CoeffScalar(TowerReal.sqrt_rational(3) / 2)),
-        (1, 6): (CoeffScalar(half), CoeffScalar(TowerReal.sqrt_rational(3) / 2)),
-    }
+    import sympy
+
+    t, zs = sympy.symbols("t z")
+    x, y, z = sphere_coordinates(t, zs)
+    half, root3 = sympy.Rational(1, 2), sympy.sqrt(3) / 2
+    cases = {(1, 4): (0, 1), (1, 2): (-1, 0), (1, 3): (-half, root3), (1, 6): (half, root3)}
     for (k, n), (c, s) in cases.items():
-        X, Y, Z_ = SphereFormula(rotation(k, n)).symbolic_xyz()
-        cf = BiFrac(Poly.const(c))
-        sf = BiFrac(Poly.const(s))
-        assert X == cf * x - sf * y, (k, n)
-        assert Y == sf * x + cf * y, (k, n)
-        assert Z_ == z
+        X, Y, Z_ = sphere_formula(rotation(k, n), t, zs)
+        assert same_function(X, c * x - s * y), (k, n)
+        assert same_function(Y, s * x + c * y), (k, n)
+        assert same_function(Z_, z)
 
 
 def test_formula_eval_fixed_points():
