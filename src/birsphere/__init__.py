@@ -36,7 +36,6 @@ from .sphere import (
     contracted_fibers,
     diffeo_orientation,
     in_diffeo_group,
-    in_reality_group,
     psi_forward,
     psi_inverse,
     reality_twist,

@@ -44,7 +44,6 @@ from .sphere import (
     SphereMap,
     base_realisation,
     builtin_map,
-    canonical_pattern,
     diffeo_orientation,
     reduce_to_trivial_base,
     x_flip,
@@ -129,7 +128,11 @@ def spheremap_from_json(data: dict) -> SphereMap:
             base = BaseMobius.negation()
         else:
             if "interval_t" in base_json:
-                t = Fraction(base_json["interval_t"])
+                try:
+                    t = Fraction(base_json["interval_t"])
+                except (ValueError, ZeroDivisionError):
+                    raise ParseError(f"malformed sphere map JSON: interval_t must be a rational, "
+                                     f"got {base_json['interval_t']!r}") from None
                 b = Fraction(2 * t, 1 + t * t)
             else:
                 b = parse_scalar(base_json["interval_b"]).as_real()
@@ -179,15 +182,10 @@ def _route(g: SphereMap) -> tuple[SphereMap, int | None, list[ConjugacyCertifica
 
     An interval shift has infinite order and keeps its base; a flipped shift
     is conjugated to base neg by reduce_to_trivial_base.  Raises
-    NotRealityMember when g does not commute with the real structure; a
-    trivial-base g is tested once, by canonical_pattern's closing check."""
-    try:
-        if g.base.is_identity():
-            canonical_pattern(g.fiber)
-        elif not g.reality_check():
-            raise NotRealityMember
-    except NotRealityMember:
-        raise NotRealityMember("element does not commute with the real structure") from None
+    NotRealityMember when g does not commute with the real structure
+    (SphereMap.reality_check, memoised for b = 0)."""
+    if not g.reality_check():
+        raise NotRealityMember("element does not commute with the real structure")
     if g.base.kind != "flipped_shift":
         return g, g.order(), []
     cert = reduce_to_trivial_base(g)

@@ -20,7 +20,6 @@ share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -88,14 +87,14 @@ def involution_normal_form(mat: ProjMat) -> InvolutionForm:
 class HyperellipticModel:
     """Canonical fixed-curve datum: w^2 = -m(z) with m square-free and
     monic.  The monic scale polynomial and the content -lead(-D) > 0, a
-    Fraction when rational and a TowerReal otherwise, record the exact
-    relation -D = -content * m * scale^2 to the raw form determinant, for
-    the fiberwise oracle and the conjugator's square roots.  No sign is
-    kept: -D = -p^2 - |q|^2 (z^2 - 1) has a negative lead (_hilbert90)."""
+    TowerReal, record the exact relation -D = -content * m * scale^2 to the
+    raw form determinant, for the fiberwise oracle and the conjugator's
+    square roots.  No sign is kept: -D = -p^2 - |q|^2 (z^2 - 1) has a
+    negative lead (_hilbert90)."""
 
     m: Poly
     scale: Poly
-    content: Fraction | TowerReal = Fraction(1)
+    content: TowerReal = TowerReal.from_rational(1)
 
     @property
     def degree(self) -> int:
@@ -132,8 +131,7 @@ def _split(neg_d: Poly) -> HyperellipticModel:
         if k % 2:
             m = m * factor
         scale = scale * factor ** (k // 2)
-    lead = neg_d.lead().as_real()
-    return HyperellipticModel(m, scale, -(lead.as_rational() if lead.is_rational() else lead))
+    return HyperellipticModel(m, scale, -neg_d.lead().as_real())
 
 
 def _orientation(mat: ProjMat) -> int:
@@ -403,7 +401,7 @@ def rotation_normal_form(mat: ProjMat) -> ConjugacyCertificate:
 @dataclass(frozen=True)
 class ModuliComparison:
     status: str  # equivalent | inequivalent | undecided_exact
-    witness_b: object | None = None  # a Fraction, or a TowerReal when irrational
+    witness_b: TowerReal | None = None
     flipped: bool = False
 
 
@@ -429,7 +427,7 @@ def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel)
     sign is compared: both curves are w^2 = -m (HyperellipticModel).
     """
     if model_a.m == model_b.m:
-        return ModuliComparison("equivalent", Fraction(0))
+        return ModuliComparison("equivalent", TowerReal())
     if model_a.degree != model_b.degree:
         return ModuliComparison("inequivalent")
     source, target = _u_coefficients(model_a), _u_coefficients(model_b)
@@ -444,7 +442,7 @@ def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel)
             undecided = True
             continue
         b = (lam - 1) / (lam + 1)
-        return ModuliComparison("equivalent", b.as_rational() if b.is_rational() else b, flipped)
+        return ModuliComparison("equivalent", b, flipped)
     return ModuliComparison("undecided_exact" if undecided else "inequivalent")
 
 

@@ -287,13 +287,6 @@ class Poly:
     def is_even(self) -> bool:
         return not any(any(c[1::2]) for c in self._cols.values())
 
-    def content(self) -> Fraction:
-        """Positive rational content: the largest rational r such that every
-        rational coefficient of every real and imaginary part divided by r is
-        an integer; 1 for the zero polynomial."""
-        g = _entry_gcd(self._cols.values())
-        return Fraction(g, self._den) if g else Fraction(1)
-
     def primitive(self) -> Poly:
         """self divided by its content: integer columns over 1."""
         g = _entry_gcd(self._cols.values())

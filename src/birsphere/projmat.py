@@ -4,7 +4,10 @@ Entries are polynomials in z (denominators are cleared on construction).
 The canonical form divides out the entry gcd, taken in one `poly_gcd` call
 over the nonzero entries, and scales the first nonzero entry in row-major
 order to be monic, so projective equality is a plain tuple comparison.
-Möbius specialisation to a fiber z = z0 lives here too, as does
+This is the one place a matrix is normalised: later normal forms (the
+sphere's real pattern) read the canonical entries as they stand.
+Möbius action of a scalar matrix (on a fiber z = z0, or on the conic at
+infinity by leading terms) lives here too, as does
 finite-order detection: a non-scalar matrix has finite order n
 exactly when kappa = trace^2/det is a constant 2 + zeta + 1/zeta for a
 primitive n-th root of unity zeta, so the order is one lookup of kappa in
@@ -13,11 +16,9 @@ the table of the cosines the tower contains.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import IndeterminateFiber
+from .errors import BasePointHit, IndeterminateFiber
 from .poly import Poly, poly_gcd, _coerce_poly
 from .scalars import CoeffScalar, TowerReal
 
@@ -133,15 +134,14 @@ class ProjMat:
 
     @classmethod
     def _canonical(cls, polys: list[Poly]) -> ProjMat:
+        """The package's one normalisation of a matrix: divide by the entry
+        gcd (`poly_gcd`, whose Z[i] kernel removes each input's content
+        itself), then scale the first nonzero entry to monic, which absorbs
+        any rational content left.  Outside this module it is reached
+        through `ProjMat.of` only (a test guards this)."""
         nonzero = [p for p in polys if p]
         if not nonzero:
             raise ValueError("zero matrix is not projective")
-        contents = [p.content() for p in nonzero]
-        content = Fraction(math.gcd(*(c.numerator for c in contents)), math.lcm(*(c.denominator for c in contents)))
-        if content != 1:
-            inv = CoeffScalar(Fraction(1) / content)
-            polys = [p.scale(inv) for p in polys]
-            nonzero = [p for p in polys if p]
         g = poly_gcd(*nonzero)
         if g.degree > 0:
             polys = [p.exact_div(g) if p else p for p in polys]
@@ -216,29 +216,31 @@ class ProjMat:
         return None if angle is None else angle[1]
 
     def act_on_fiber(self, t, z0) -> CoeffScalar | Infinity:
-        """Möbius action of the specialised matrix on t in the fiber z = z0.
-
-        t may be a scalar or INF.  Raises IndeterminateFiber when all four
-        entries vanish at z0; on a rank-1 specialisation the single 0/0
-        point raises BasePointHit and every other point maps to the
-        constant image.
-        """
-        from .errors import BasePointHit
-
+        """Möbius action of the specialised matrix on t in the fiber z = z0
+        (mobius_action).  t may be a scalar or INF.  Raises
+        IndeterminateFiber when all four entries vanish at z0."""
         z0 = z0 if isinstance(z0, CoeffScalar) else CoeffScalar(z0)
-        a, b, c, d = (p(z0) for p in self.entries())
-        if not (a or b or c or d):
+        entries = [p(z0) for p in self.entries()]
+        if not any(entries):
             raise IndeterminateFiber(f"matrix vanishes identically at z = {z0}")
-        if t is INF:
-            num, den = a, c
-        else:
-            t = t if isinstance(t, CoeffScalar) else CoeffScalar(t)
-            num, den = a * t + b, c * t + d
-        if not den:
-            if not num:
-                raise BasePointHit(f"base point on the contracted fiber z = {z0}")
-            return INF
-        return num / den
+        return mobius_action(entries, t, f"the contracted fiber z = {z0}")
 
     def __repr__(self):
         return f"[[{self.a11}, {self.a12}], [{self.a21}, {self.a22}]]"
+
+
+def mobius_action(entries, t, where: str) -> CoeffScalar | Infinity:
+    """Möbius action of the scalar matrix [[a, b], [c, d]], not all zero, on
+    t, a scalar or INF.  On a rank-1 matrix every point maps to the constant
+    image but the single 0/0 point, which raises BasePointHit naming where."""
+    a, b, c, d = entries
+    if t is INF:
+        num, den = a, c
+    else:
+        t = t if isinstance(t, CoeffScalar) else CoeffScalar(t)
+        num, den = a * t + b, c * t + d
+    if not den:
+        if not num:
+            raise BasePointHit(f"base point on {where}")
+        return INF
+    return num / den

@@ -4,11 +4,13 @@ Over C the sphere minus two imaginary conjugate points is identified with
 the affine (t, z)-plane by t = x - i*y; fiber-preserving birational maps
 become 2x2 projective matrices over C(z), and compatibility with the real
 structure becomes the condition  tau A tau = conj(A)  with
-tau = [[0, 1-z^2], [1, 0]].  This module provides that bridge: membership
-tests, the normal pattern [[a, b*h], [conj b, conj a]] read off in closed
-form from S = A + tau conj(A) tau^-1, which is a constant multiple of A
-exactly when A is real (so neither the pattern nor the reality test takes a
-gcd), diffeomorphism membership and orientation from a(+-1) and one
+tau = [[0, 1-z^2], [1, 0]].  This module provides that bridge: the one
+reality test (SphereMap.reality_check), the normal pattern
+[[a, b*h], [conj b, conj a]] read off in closed form from
+S = A + tau conj(A) tau^-1, which is a constant multiple of A exactly when
+A is real (so the pattern takes no gcd and no rescale, and for a trivial
+or flipped base its closing check is the reality test), diffeomorphism
+membership and orientation from a(+-1) and one
 memoised Sturm count of the stripped determinant D', whose real roots all
 lie in (-1, 1) and are the contracted fibers, maps with nontrivial action
 on the base interval, exact images of sphere points, and the builtin
@@ -17,7 +19,6 @@ catalogue of named maps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -30,7 +31,7 @@ from .errors import (
     UnsupportedExtension,
 )
 from .poly import ONE_MINUS_Z2, Poly, real_roots_in_tower_poly, sturm_count
-from .projmat import INF, TWO_COS, ProjMat, angle_of_entries, proportional, raw_mul
+from .projmat import INF, TWO_COS, ProjMat, angle_of_entries, mobius_action, proportional, raw_mul
 from .scalars import CoeffScalar, TowerReal, scalar
 
 
@@ -44,16 +45,6 @@ def reality_twist() -> ProjMat:
 
 
 # -- membership and patterns -----------------------------------------------------
-
-
-def in_reality_group(mat: ProjMat) -> bool:
-    """True iff the fiber map commutes with the sphere's real structure:
-    tw [[a, b], [c, d]] tw = [[h d, h^2 c], [b, h a]] with h = 1 - z^2.
-    Routing reads a trivial-base input's reality off canonical_pattern
-    instead."""
-    a, b, c, d = mat.entries()
-    h = ONE_MINUS_Z2
-    return proportional((h * d, h * (h * c), b, h * a), (a.conj(), b.conj(), c.conj(), d.conj()))
 
 
 @dataclass(frozen=True)
@@ -105,27 +96,6 @@ class FiberPattern:
         return sturm_count(self.stripped_determinant[2])
 
 
-def _rational_rescale(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Divide (a, b) by the square root of the least coefficient norm when
-    that norm is a rational square, to reduce coefficient clutter (a real
-    scalar keeps the shape)."""
-    nums = [c for p in (a, b) for c in p.coeffs if c]
-    scale = None
-    for c in nums:
-        mag = c.norm()
-        if not mag.is_rational():
-            scale = None
-            break
-        q = mag.as_rational()
-        scale = q if scale is None else min(scale, q)
-    if scale and scale != 1:
-        root = Fraction(math.isqrt(scale.numerator), math.isqrt(scale.denominator))
-        if root * root == scale and root != 1:
-            inv = CoeffScalar(Fraction(1) / root)
-            a, b = a.scale(inv), b.scale(inv)
-    return a, b
-
-
 def _constant_multiple(lift: tuple[Poly, ...], entries: tuple[Poly, ...]) -> bool:
     """Whether lift = kappa entries for a constant kappa, given that the
     first nonzero entry is monic: kappa is then the lead of lift there."""
@@ -142,8 +112,9 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
 
     The sum S = M + tau ~M tau^-1 = [[A, B], [~B/h, ~A]] of the canonical
     M = mat, with A = m11 + ~m22 and B = m12 + h ~m21, always has the shape.
-    The pattern is (A, B // h), or (-i m11, i ~m21) when S = 0, divided by
-    a rational (_rational_rescale).  S = 0 says tau ~M tau^-1 = -M, which is
+    The pattern is (A, B // h), or (-i m11, i ~m21) when S = 0, as it
+    stands: M is already ProjMat's one normal form, and a pattern is
+    projective, so no rescale follows.  S = 0 says tau ~M tau^-1 = -M, which is
     the reality condition itself, so M is real and needs no further check.
     Otherwise M is real exactly when the pattern lifts to kappa M for a
     constant kappa, read as the lead of the lift at M's first nonzero entry,
@@ -168,18 +139,19 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
     A = m11 and B = m12 would give ~m22 = ~m21 = 0 and det M = 0; so
     h ~m21 = (kappa - 1) m12 makes h | m12 | B, the lift is S, and
     tau ~M tau^-1 = S - M = (kappa - 1) M.  So the check below refuses
-    exactly the non-real matrices.
+    exactly the non-real matrices, and SphereMap.reality_check reads a
+    b = 0 map's reality off it.
     """
     a11, a12, a21, a22 = mat.entries()
     h = ONE_MINUS_Z2
     a, lift_b = a11 + a22.conj(), a12 + h * a21.conj()
     if not (a or lift_b):  # S = 0: real, and the pattern lifts to -i M
         i = CoeffScalar.i()
-        return FiberPattern(*_rational_rescale(a11.scale(-i), a21.conj().scale(i)))
+        return FiberPattern(a11.scale(-i), a21.conj().scale(i))
     b = lift_b // h
     if not _constant_multiple((a, lift_b, b.conj(), a.conj()), mat.entries()):
         raise NotRealityMember(f"{mat} does not satisfy the reality condition")
-    return FiberPattern(*_rational_rescale(a, b))
+    return FiberPattern(a, b)
 
 
 def _primitive_real(p: Poly) -> Poly:
@@ -302,7 +274,7 @@ class BaseMobius:
         mat.reflect_z(), canonical in closed form."""
         if not self.b:
             return mat.reflect_z() if self.flip else mat
-        return ProjMat._canonical(list(self.substitute_entries(mat)))
+        return ProjMat.of(*self.substitute_entries(mat))
 
     def __str__(self):
         return self.kind if not self.b else f"{self.kind}({self.b})"
@@ -366,9 +338,17 @@ class SphereMap:
         """Compatibility with the real structure: A(z) tau(z) equals
         tau(m(z)) conj(A)(z) projectively, i.e. tau(m) A tau = conj(A), as
         tau(m) = [[0, h_m], [d2, 0]] / d2 is projectively an involution.
-        Reduces to in_reality_group when the base action is trivial."""
-        if self.base.is_identity():
-            return in_reality_group(self.fiber)
+        This is the package's one reality test.  For b = 0, m(z) = +-z keeps
+        h = 1 - z^2, so tau(m(z)) = tau(z) and the condition is the fiber's
+        own: it holds exactly when the memoised canonical_pattern(fiber)
+        succeeds, whose closing check refuses exactly the non-real matrices;
+        the diffeomorphism check that follows reads the same pattern."""
+        if not self.base.b:
+            try:
+                canonical_pattern(self.fiber)
+            except NotRealityMember:
+                return False
+            return True
         num, den = self.base.num_den_polys()
         d2 = den * den
         h_m = d2 - num * num
@@ -570,12 +550,11 @@ class SphereFormula:
             return POLE_NORTH if image_z == CoeffScalar(1) else POLE_SOUTH
         tval, zval = psi_forward(point)
         if zval is INF:
-            # the conic at infinity maps within itself; act by leading terms
+            # the conic at infinity maps within itself; act by the leading
+            # terms, which may have rank 1
             entries = self.mapping.fiber.entries()
             d = max(p.degree for p in entries)
-            top = ProjMat._canonical([Poly.const(p[d]) if p[d] else Poly() for p in entries])
-            tval = top.act_on_fiber(tval, 0)
-            return psi_inverse(tval, INF)
+            return psi_inverse(mobius_action([p[d] for p in entries], tval, "the conic at infinity"), INF)
         timg = self.mapping.fiber.act_on_fiber(tval, zval)
         zimg = self.mapping.base.apply(zval)
         return psi_inverse(timg, zimg)

@@ -6,7 +6,7 @@ import pytest
 from birsphere.poly import Poly
 from birsphere.projmat import ProjMat
 from birsphere.scalars import CoeffScalar
-from birsphere.sphere import FiberPattern, in_reality_group
+from birsphere.sphere import FiberPattern, SphereMap
 
 
 @pytest.fixture
@@ -41,8 +41,19 @@ def random_reality_element(rng, max_degree=2) -> ProjMat:
             mat = pat.matrix()
         except ValueError:
             continue
-        assert in_reality_group(mat)
+        assert SphereMap.trivial_base(mat).reality_check()
         return mat
+
+
+def same_up_to_positive_rational(p, q) -> bool:
+    """Whether the polynomial tuples p and q satisfy p = r q for a single
+    positive rational r: the one factor by which two real patterns of one
+    matrix may differ, as a pattern is kept as it is read off."""
+    k = next((k for k in range(len(q)) if q[k]), None)
+    if k is None or not p[k]:
+        return k is None and not any(p)
+    r = p[k].lead() / q[k].lead()
+    return r.is_rational() and r.as_rational() > 0 and all(x == y.scale(r) for x, y in zip(p, q))
 
 
 def ref_square_class(p: Poly) -> Poly:

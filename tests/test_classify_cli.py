@@ -16,7 +16,14 @@ from birsphere.cli import main
 from birsphere.parsing import parse_poly
 from birsphere.projmat import ProjMat
 from birsphere.scalars import TowerReal
-from birsphere.sphere import BaseMobius, ConjugacyCertificate, SphereMap, base_realisation, builtin_map
+from birsphere.sphere import (
+    BUILTIN_NAMES,
+    BaseMobius,
+    ConjugacyCertificate,
+    SphereMap,
+    base_realisation,
+    builtin_map,
+)
 
 
 def run_cli(capsys, *argv):
@@ -361,6 +368,55 @@ def test_error_messages_print_values_not_python_text(capsys):
                  '{"fiber": [["1", "0"], ["0", "1"]], "base": "up"}', "{}"):
         code, _, err = run_cli(capsys, "order", text)
         assert (code, err) == (2, expected), text
+
+
+def test_bad_interval_parameter_is_a_parse_error(capsys):
+    """A sphere-map JSON interval_t that is not a rational exits 2 with a
+    message naming the field, not Python's own text."""
+    for text in ("1/0", "abc"):
+        element = json.dumps({"fiber": [["1", "0"], ["0", "1"]], "base": {"interval_t": text}})
+        code, out, err = run_cli(capsys, "order", element)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: malformed sphere map JSON: interval_t must be a rational, got {text!r}\n"
+
+
+def test_eval_on_the_conic_at_infinity_with_rank_one_leading_terms(capsys):
+    """At a point with w = 0 eval acts by the leading coefficients, which
+    may form a rank-1 matrix: the constant image, or the one 0/0 point."""
+    point = "0,1,0,i"  # w = 0: the chart point (INF, INF)
+    for mat, payload in (
+        ("[[z, 1],[1, 2]]", {"defined": False, "reason": "(INF, INF) is a base point of the inverse chart"}),
+        ("[[z, 0],[z, 1]]", {"defined": True, "image": ["0", "1", "-i", "0"]}),
+        ("[[1, z],[2, 3]]", {"defined": False, "reason": "base point on the conic at infinity"}),
+    ):
+        code, out, err = run_cli(capsys, "eval", mat, "--point", point)
+        assert (code, json.loads(out), err) == (0, payload, ""), mat
+
+
+def test_commands_without_a_golden_pin(capsys):
+    """Answers no golden file pins, checked against facts that do not come
+    from the code.  A real del Pezzo surface of degree d has K^2 = d and 0
+    (the quadric P^1 x P^1), 6, 16 or 56 (-1)-classes for d = 8, 6, 4, 2;
+    builtin lists the builtin tokens; a sphere map read back from its JSON
+    is the same map, through the CLI too; and a matrix literal or diag(...)
+    spells the builtin whose fiber it writes out."""
+    for degree, classes in ((8, 0), (6, 6), (4, 16), (2, 56)):
+        code, out, _ = run_cli(capsys, "picard", "counts", str(degree))
+        payload = json.loads(out)
+        assert (code, payload["k_square"], payload["minus_one_classes"]) == (0, degree, classes)
+    code, out, _ = run_cli(capsys, "builtin")
+    assert (code, json.loads(out)) == (0, {"builtins": list(BUILTIN_NAMES)})
+    maps = {name: builtin_map(name) for name in (*CONJ_CATALOGUE, "gb:1/3")}
+    maps["flipped shift"] = builtin_map("gb:1/3").compose(builtin_map("tilde_eta"))
+    assert maps["flipped shift"].base.kind == "flipped_shift"
+    for name, g in maps.items():
+        text = json.dumps(spheremap_to_json(g))
+        assert spheremap_from_json(json.loads(text)) == g, name
+        code, out, _ = run_cli(capsys, "order", text)
+        assert (code, json.loads(out)) == (0, {"order": g.order()}), name
+    for text, name in (("[[0, 1-z^2],[1, 0]]", "tau"), ("[[0, z^2-1],[1, 0]]", "upsilon"),
+                       ("diag(1, -1)", "rot:1/2"), ("diag(1, i)", "rot:1/4")):
+        assert parse_element(text) == builtin_map(name), text
 
 
 def test_cli_pseudoprime_radicand_exit_code(capsys):

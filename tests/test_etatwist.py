@@ -25,18 +25,19 @@ from birsphere.sphere import (
     z_flip,
 )
 
-from conftest import random_reality_element
+from conftest import random_reality_element, same_up_to_positive_rational
 
 Z = Poly.z()
 I = CoeffScalar.i()
 
 
 def test_twisted_square_examples():
-    assert twisted_square(ProjMat.identity()) == Poly.const(1)
+    """Each square is read off the fiber's pattern, so it is pinned up to
+    the square of that pattern's positive rational factor."""
     d = ProjMat.diag(Poly([2, I]), Poly([2, -I]))  # diag(iz+2, -iz+2)
-    assert twisted_square(d) == Z * Z + 4
-    assert twisted_square(y_flip().fiber) == -(Z * Z) + 1
-    assert twisted_square(antipodal_map().fiber) == Poly.const(-1)
+    for mat, square in ((ProjMat.identity(), Poly.const(1)), (d, Z * Z + 4), (y_flip().fiber, -(Z * Z) + 1),
+                        (antipodal_map().fiber, Poly.const(-1))):
+        assert same_up_to_positive_rational((twisted_square(mat),), (square,))
     # non-involution: the twisted product is not scalar
     a = Poly([CoeffScalar(1, 1), CoeffScalar(1)])  # z + 1 + i
     not_inv = ProjMat.diag(a, a.conj())

@@ -25,6 +25,7 @@ from birsphere.positivity import is_real_positive
 from birsphere.projmat import ProjMat, proportional, raw_mul
 from birsphere.scalars import ZERO, CoeffScalar, TowerReal
 from birsphere.sphere import (
+    BaseMobius,
     FiberPattern,
     SphereMap,
     _primitive_real,
@@ -32,12 +33,11 @@ from birsphere.sphere import (
     contracted_fibers,
     diffeo_orientation,
     in_diffeo_group,
-    in_reality_group,
     reality_twist,
     y_flip,
 )
 
-from conftest import ref_real_roots
+from conftest import ref_real_roots, same_up_to_positive_rational
 
 RADICANDS = (1, 2, 3, 5, 6)
 
@@ -250,10 +250,18 @@ def test_tower_inverse_is_canonical(a):
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(scalars_any, max_size=4))
 def test_rational_content_matches_fractions(values):
+    """primitive divides by the content that Fraction's gcd and lcm give."""
+    p = Poly(values)
+    assert p.primitive().scale(CoeffScalar(ref_content(values))) == p
+
+
+def ref_content(values) -> Fraction:
+    """The largest rational r such that every rational coefficient of every
+    real and imaginary part divided by r is an integer; 1 for no nonzero one."""
     fracs = [f for c in values for part in (c.re, c.im) for f in part.terms.values()]
     num = math.gcd(*(f.numerator for f in fracs))
     den = math.lcm(*(f.denominator for f in fracs))
-    assert Poly(values).content() == (Fraction(num, den) if num else 1)
+    return Fraction(num, den) if num else Fraction(1)
 
 
 # -- polynomials ---------------------------------------------------------------------------------
@@ -345,8 +353,8 @@ def test_poly_monic_and_primitive(a):
     prim = p.primitive()
     assert_poly_canonical(prim)
     assert prim._den == 1
-    assert prim.content() == 1
-    assert prim.coeffs == trim([x / CoeffScalar(p.content()) for x in a])
+    assert ref_content(prim.coeffs) == 1
+    assert prim.coeffs == trim([x / CoeffScalar(ref_content(a)) for x in a])
 
 
 @settings(max_examples=150, deadline=None)
@@ -420,7 +428,7 @@ def test_poly_operations_leave_operands_unchanged(a, b, x):
     before = [p.coeffs for p in operands]
     for p in operands:
         p.scale(x), p.monic(), p.conj(), p.reflect_z(), p.derivative(), -p
-        p(x), p.content(), p.primitive(), hash(p)
+        p(x), p.primitive(), hash(p)
         for q in operands:
             p + q, p - q, p * q, p.divmod(q), p % q, p // q
     assert [p.coeffs for p in operands] == before
@@ -442,9 +450,13 @@ def ref_proportional(p, q) -> bool:
     return all(bool(p[k]) == bool(q[k]) for k in range(4))
 
 
-def ref_in_reality_group(mat: ProjMat) -> bool:
+def ref_in_reality_group(mat: ProjMat, m: Poly = Poly.z()) -> bool:
+    """tau(m(z)) mat tau(z) = conj(mat) projectively, tau(z) = [[0, 1 - z^2],
+    [1, 0]], as two twist products: the reality condition of the map with
+    fiber mat and base action z -> m(z) = +-z."""
+    tw_m = (Poly(), Poly.const(1) - m * m, Poly.const(1), Poly())
     tw = (Poly(), ONE_MINUS_Z2, Poly.const(1), Poly())
-    product = raw_mul(raw_mul(tw, mat.entries()), tw)
+    product = raw_mul(raw_mul(tw_m, mat.entries()), tw)
     return ref_proportional(product, tuple(p.conj() for p in mat.entries()))
 
 
@@ -469,11 +481,11 @@ def member_entries(a, b):
     return (a, b * ONE_MINUS_Z2, b.conj(), a.conj())
 
 
-def route_verdict(mat: ProjMat) -> bool:
-    """Whether classify's routing accepts the trivial-base map; a refusal
-    must carry routing's own message."""
+def route_verdict(g: SphereMap) -> bool:
+    """Whether classify's routing accepts the map; a refusal must carry
+    routing's own message."""
     try:
-        _route(SphereMap.trivial_base(mat))
+        _route(g)
     except NotRealityMember as exc:
         assert str(exc) == "element does not commute with the real structure"
         return False
@@ -482,9 +494,10 @@ def route_verdict(mat: ProjMat) -> bool:
 
 @settings(max_examples=100, deadline=None)
 @given(a=small_polys, b=small_polys, e=quads, k=st.integers(0, 3))
-def test_in_reality_group_matches_twist_products(a, b, e, k):
-    """in_reality_group and the routing of a trivial-base input, which reads
-    reality off canonical_pattern, both equal the twist-product reference."""
+def test_reality_check_matches_twist_products(a, b, e, k):
+    """SphereMap.reality_check with base z -> z or z -> -z, which reads
+    reality off canonical_pattern, and routing's verdict on the same map all
+    equal the twist-product reference for that base."""
     candidates = [member_entries(a, b), e]
     perturbed = list(member_entries(a, b))
     perturbed[k] = perturbed[k] * Poly([1, 2])  # breaks the pattern unless that entry is 0
@@ -494,9 +507,11 @@ def test_in_reality_group_matches_twist_products(a, b, e, k):
             mat = ProjMat.of(*entries)
         except ValueError:  # zero matrix or zero determinant
             continue
-        assert in_reality_group(mat) == ref_in_reality_group(mat) == route_verdict(mat)
+        for base, m in ((BaseMobius.identity(), Poly.z()), (BaseMobius.negation(), -Poly.z())):
+            g = SphereMap(mat, base)
+            assert g.reality_check() == ref_in_reality_group(mat, m) == route_verdict(g)
         if entries is candidates[0]:
-            assert in_reality_group(mat)
+            assert ref_in_reality_group(mat)
             h = ONE_MINUS_Z2
             x, y, z, w = mat.entries()
             assert ProjMat._canonical([y, h * x, w, h * z]) == mat * reality_twist()
@@ -513,27 +528,12 @@ def ref_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 def ref_strip_common_real_factors(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """The strip canonical_pattern's lemma proves to be the identity: divide
-    a and b by the monic real part gcd(g, conj g) of g = gcd(a, b), then
-    scale by a rational to reduce coefficient clutter."""
+    a and b by the monic real part gcd(g, conj g) of g = gcd(a, b)."""
     if a and b:
         g = poly_gcd(a, b)
         real_part = poly_gcd(g, g.conj())
         if real_part.degree > 0:
             a, b = a.exact_div(real_part), b.exact_div(real_part)
-    nums = [c for p in (a, b) for c in p.coeffs if c]
-    scale = None
-    for c in nums:
-        mag = c.norm()
-        if not mag.is_rational():
-            scale = None
-            break
-        q = mag.as_rational()
-        scale = q if scale is None else min(scale, q)
-    if scale and scale != 1:
-        root = Fraction(math.isqrt(scale.numerator), math.isqrt(scale.denominator))
-        if root * root == scale and root != 1:
-            inv = CoeffScalar(Fraction(1) / root)
-            a, b = a.scale(inv), b.scale(inv)
     return a, b
 
 
@@ -580,11 +580,11 @@ QUARTER_TURN = ProjMat.diag(Poly.const(1), Poly.const(CoeffScalar.i()))
 @given(a=small_polys, b=small_polys, e=quads, shape=st.sampled_from(("ab", "a0", "0b")))
 @example(a=Poly.const(1), b=Poly(), e=(Poly.const(1), Poly(), Poly(), Poly.const(-1)), shape="ab")
 def test_closed_form_pattern_matches_hilbert90(a, b, e, shape):
-    """canonical_pattern and diffeo_orientation give the (a, b) and the
-    orientation of the rational-function references on reality elements,
-    their products with tau and diag(1, i), and b = 0 and a = 0 shapes.  The
-    matrix e is mostly non-real; the example's diag(1, -1) is the l = -1
-    branch."""
+    """canonical_pattern and diffeo_orientation give the (a, b), up to a
+    positive rational factor, and the orientation of the rational-function
+    references on reality elements, their products with tau and diag(1, i),
+    and b = 0 and a = 0 shapes.  The matrix e is mostly non-real; the
+    example's diag(1, -1) is the l = -1 branch."""
     a, b = (a, Poly()) if shape == "a0" else (Poly(), b) if shape == "0b" else (a, b)
     mats = []
     for entries in (member_entries(a, b), e):
@@ -598,7 +598,7 @@ def test_closed_form_pattern_matches_hilbert90(a, b, e, shape):
                 canonical_pattern(mat)
             continue
         pat, ref = canonical_pattern(mat), ref_canonical_pattern(mat)
-        assert (pat.a.coeffs, pat.b.coeffs) == (ref.a.coeffs, ref.b.coeffs)
+        assert same_up_to_positive_rational((pat.a, pat.b), (ref.a, ref.b))
         assert diffeo_orientation(mat) == ref_diffeo_orientation(mat)
 
 
@@ -955,6 +955,25 @@ def test_projmat_constructed_only_in_projmat():
     for path in [*package.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]:
         visit(ast.parse(path.read_text()), path, None, False)
     assert constructors == {("projmat.py", "_monic_lead"), ("projmat.py", "identity"), ("projmat.py", "reflect_z")}
+
+
+def test_canonical_form_called_only_in_projmat():
+    """ProjMat._canonical is the one normalisation of a matrix; package
+    modules outside projmat.py reach it through ProjMat.of, and tests may
+    call it directly."""
+    import ast
+    from pathlib import Path
+
+    import birsphere
+
+    callers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in Path(birsphere.__file__).parent.glob("*.py")
+        if path.name != "projmat.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_canonical"
+    )
+    assert callers == []
 
 
 def test_queries_leave_sympy_unloaded():

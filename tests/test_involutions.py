@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +38,6 @@ from birsphere.sphere import (
     base_realisation,
     builtin_map,
     diffeo_orientation,
-    in_reality_group,
     interval_shift,
     rotation,
     x_flip,
@@ -47,7 +45,7 @@ from birsphere.sphere import (
     z_flip,
 )
 
-from conftest import random_reality_element, ref_square_class
+from conftest import random_reality_element, ref_square_class, same_up_to_positive_rational
 from test_exact_core import gaussian_scalars, polys, rational_scalars, ref_in_reality_group, ref_proportional
 
 Z = Poly.z()
@@ -78,7 +76,7 @@ def test_involution_normal_form_examples():
     assert not form.p and form.q.degree == 0
     mat = ProjMat.of(Poly.const(2 * I), ONE_MINUS_Z2, Poly.const(1), Poly.const(-2 * I))
     form = involution_normal_form(mat)
-    assert (form.p, form.q) in ((Poly.const(2), Poly.const(1)), (Poly.const(-2), Poly.const(-1)))
+    assert any(same_up_to_positive_rational((form.p, form.q), (Poly.const(s * 2), Poly.const(s))) for s in (1, -1))
     form = involution_normal_form(ProjMat.diag(Poly.const(1), Poly.const(-1)))
     assert not form.q and form.p.degree == 0
     with pytest.raises(NotInvolution):
@@ -172,7 +170,7 @@ def test_conjugator_certificates_random(rng):
         assert fixed_curve(a).m == fixed_curve(b).m
         cert = construct_conjugator(a, b)
         assert cert.verify()
-        assert in_reality_group(cert.conjugator.fiber)
+        assert ref_in_reality_group(cert.conjugator.fiber)
         assert cert.conjugator.fiber * a * cert.conjugator.fiber.inverse() == b
 
 
@@ -265,23 +263,24 @@ def test_rotation_verifies_one_certificate(monkeypatch, rng):
 def test_reality_tested_once_per_input(monkeypatch, rng):
     """decide_conjugacy refuses, or proves real, each input fiber once: by
     canonical_pattern finding S = 0, which is the reality condition itself,
-    by its check that the pattern lifts to a constant multiple of the
-    entries, or by in_reality_group.  An involution with p != 0 has S = 0;
-    a rotation does not."""
+    or by its check that the pattern lifts to a constant multiple of the
+    entries.  Routing's SphereMap.reality_check and the decision read that
+    memoised pattern.  An involution with p != 0 has S = 0; a rotation does
+    not."""
     import birsphere.sphere as sphere
     from birsphere.classify import decide_conjugacy
     from birsphere.sphere import SphereMap
 
     checked, patterns = [], []
-    real_multiple, real_reality, real_rescale = sphere._constant_multiple, sphere.in_reality_group, sphere._rational_rescale
+    real_multiple, real_pattern = sphere._constant_multiple, sphere.FiberPattern
     monkeypatch.setattr(sphere, "_constant_multiple", lambda p, q: checked.append(q) or real_multiple(p, q))
-    for module in [module for name, module in sys.modules.items() if name.startswith("birsphere")]:
-        if hasattr(module, "in_reality_group"):  # every binding, imported ones too
-            monkeypatch.setattr(module, "in_reality_group", lambda m: checked.append(m.entries()) or real_reality(m))
-    # every pattern canonical_pattern computes ends in _rational_rescale
-    monkeypatch.setattr(
-        sphere, "_rational_rescale", lambda a, b: patterns.append(FiberPattern(a, b).matrix()) or real_rescale(a, b)
-    )
+
+    def recorded(a, b):  # canonical_pattern builds every pattern it returns here
+        pat = real_pattern(a, b)
+        patterns.append(pat.matrix())
+        return pat
+
+    monkeypatch.setattr(sphere, "FiberPattern", recorded)
 
     def s_is_zero(mat):
         a11, a12, a21, a22 = mat.entries()
@@ -432,7 +431,7 @@ def test_neg_determinant_has_negative_lead(p, q, a, b):
     mat = c * InvolutionForm(p, q).matrix() * c.inverse()
     neg_d, model = _neg_determinant(mat), fixed_curve(mat)
     assert neg_d.lead().as_real().sign() < 0
-    assert model.content > 0
+    assert isinstance(model.content, TowerReal) and model.content > 0
     assert neg_d == (model.m * model.scale * model.scale).scale(CoeffScalar(-model.content))
 
 
@@ -685,7 +684,8 @@ def test_classify_certificates_attached():
 def test_basis_equiv_moduli():
     m_a = fixed_curve(realize_no_oval((Z * Z + 1) * (Z * Z + 4)))
     m_b = fixed_curve(realize_no_oval((Z * Z + 1) * (Z * Z + 9)))
-    assert basis_equiv_moduli(m_a, m_a) == ModuliComparison("equivalent", Fraction(0), flipped=False)
+    assert basis_equiv_moduli(m_a, m_a) == ModuliComparison("equivalent", TowerReal(), flipped=False)
+    assert isinstance(basis_equiv_moduli(m_a, m_a).witness_b, TowerReal)
     assert basis_equiv_moduli(m_a, m_b).status == "inequivalent"
 
 
@@ -703,7 +703,7 @@ def test_basis_equiv_after_interval_pullback():
     m_pulled = HyperellipticModel(sf if sf.lead().as_real().sign() > 0 else -sf, Poly.const(1))
     cmp = basis_equiv_moduli(m_a, m_pulled)
     assert cmp.status == "equivalent"
-    assert cmp.witness_b == b
+    assert isinstance(cmp.witness_b, TowerReal) and cmp.witness_b == b
 
 
 def test_basis_equiv_flip_only():

@@ -25,7 +25,6 @@ from birsphere.sphere import (
     diffeo_orientation,
     flipped_special_involution,
     in_diffeo_group,
-    in_reality_group,
     interval_shift,
     psi_forward,
     psi_inverse,
@@ -40,6 +39,7 @@ from conftest import (
     random_reality_element,
     random_sphere_point,
     ref_square_class,
+    same_up_to_positive_rational,
     same_function,
     sphere_coordinates,
     sphere_formula,
@@ -111,9 +111,10 @@ def test_psi_roundtrip_random(rng):
 
 
 def test_reality_membership():
-    assert in_reality_group(TAU)
-    assert in_reality_group(ProjMat.diag(Poly.const(1), Poly.const(I)))
-    assert not in_reality_group(ProjMat.of(Poly.const(1), Poly.const(1), Poly(), Poly.const(1)))
+    for base in (BaseMobius.identity(), BaseMobius.negation()):
+        assert SphereMap(TAU, base).reality_check()
+        assert SphereMap(ProjMat.diag(Poly.const(1), Poly.const(I)), base).reality_check()
+        assert not SphereMap(ProjMat.of(Poly.const(1), Poly.const(1), Poly(), Poly.const(1)), base).reality_check()
 
 
 def test_canonical_pattern_examples():
@@ -123,7 +124,7 @@ def test_canonical_pattern_examples():
     assert not pat.b
     assert pat.matrix() == ProjMat.diag(Poly.const(1), Poly.const(I))
     pat = canonical_pattern(ProjMat.of(Z, ONE_MINUS_Z2, Poly.const(1), Z))
-    assert (pat.a, pat.b) == (Z, Poly.const(1))
+    assert same_up_to_positive_rational((pat.a, pat.b), (Z, Poly.const(1)))
 
 
 def test_pattern_matrix_roundtrip(rng):
