@@ -135,7 +135,11 @@ def spheremap_from_json(data: dict) -> SphereMap:
                                      f"got {base_json['interval_t']!r}") from None
                 b = Fraction(2 * t, 1 + t * t)
             else:
-                b = parse_scalar(base_json["interval_b"]).as_real()
+                try:
+                    b = parse_scalar(base_json["interval_b"]).as_real()
+                except (ParseError, ValueError, ZeroDivisionError):
+                    raise ParseError(f"malformed sphere map JSON: interval_b must be a real constant, "
+                                     f"got {base_json['interval_b']!r}") from None
             base = BaseMobius(BaseMobius.shift(b).b, bool(base_json.get("flip")))
         return SphereMap(fiber, base)
     except (KeyError, TypeError) as exc:

@@ -5,7 +5,8 @@ modular gcd certified by exact division (MCA 6.38), one loop for Z[x] and
 Z[i][x]: real inputs take one image modulo each prime, Gaussian ones the two
 images i -> +-sqrt(-1) modulo primes p = 1 (mod 4); `gcd` is it on Z[x].
 `squarefree` is Yun's algorithm (MCA 14.21) on primitive parts, written once
-in `yun` for any ring that supplies its operations, and `factor_squarefree`
+in `yun` for any ring that supplies its operations, `squarefree_part` is one
+gcd and one exact division, and `factor_squarefree`
 is Zassenhaus' algorithm (MCA ch. 14-15).  A polynomial is a list of Python
 ints in ascending powers with no trailing zero; modulo m its entries lie in
 [0, m).  A Gaussian polynomial re + i im is a pair (re, im) of such lists.
@@ -385,6 +386,14 @@ def squarefree(f: list[int]) -> list[tuple[list[int], int]]:
     """Yun's split of a nonconstant f in Z[x]: [(f_k, k)] with
     f = +-content(f) prod f_k^k and every f_k primitive with positive lead."""
     return yun(_primitive(f), _derivative, lambda a, b: _trim(_add(a, b, -1)), gcd, _exact_quotient)
+
+
+def squarefree_part(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for a nonconstant f in Z[x]: one `gcd`, then one exact
+    division (the gcd is primitive, so by Gauss' lemma the quotient is
+    integral); it has the roots of f, each once."""
+    g = gcd(f, _derivative(f))
+    return f if len(g) == 1 else _exact_quotient(f, g)
 
 
 # -- the three stages ----------------------------------------------------------------

@@ -32,15 +32,23 @@ module: one modular gcd over Z[i] certified by exact division, for any number
 of inputs (`poly_gcd`).  Square-free splits of rational polynomials run on
 their primitive (1, 0) column (Yun's algorithm on Z[x]).  Polynomials with
 other tower coefficients use Euclid's algorithm and the same Yun loop over
-the field.  Real roots of polynomials with real tower coefficients are found
-with exact sign decisions on Euclid's chain of p and dp/dz, divided by its last
-member into the Sturm chain of the square-free part (`sturm_chain`) for
-isolation and for counts with a finite end; a count over the whole line skips
-the division, which moves no sign variation there.  No separate square-free gcd is taken.  Real
-algebraic numbers are carried as an irreducible rational minimal polynomial
-plus an isolating rational interval.  `refined` returns the same number with
-a narrower interval; equality is one Sturm count on the overlap of the two
-intervals, and one `compare` orders two numbers by narrowing both with
+the field.  Real roots of polynomials with rational coefficients are
+counted and isolated on integer lists: the square-free part of the integer
+column (one modular gcd, `factor.squarefree_part`), then Descartes' rule of
+signs with bisection by Taylor shifts and halvings (Vincent-Collins-Akritas,
+in the integer form of Rouillier and Zimmermann), with no remainder
+sequence.  Real roots of polynomials with other real tower coefficients are
+found with exact sign decisions on Euclid's chain of p and dp/dz, divided by
+its last member into the Sturm chain of the square-free part
+(`sturm_chain`) for isolation and for counts with a finite end; a count over
+the whole line skips the division, which moves no sign variation there.
+The dispatch is the coefficient type alone, and both isolations bisect at
+the same points into the same intervals.  Real algebraic numbers are
+carried as an irreducible rational minimal polynomial plus an isolating
+rational interval.  `refined` returns the same number with a narrower
+interval; equality is one Descartes count on the overlap of the two
+intervals (the minimal polynomial is square-free, so no gcd is taken), and
+one `compare` orders two numbers by narrowing both with
 doubling bits, each round continuing from the last.  Minimal polynomials come
 from `factor_rational_poly`: Yun's square-free split, then Zassenhaus'
 factorisation of each part over Z in the factor module (Berlekamp modulo the
@@ -51,11 +59,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import NotRealPolynomial
-from .factor import factor_squarefree, gaussian_gcd, mul, squarefree, yun
+from .factor import factor_squarefree, gaussian_gcd, mul, squarefree, squarefree_part, yun
 from .scalars import CoeffScalar, TowerReal, scalar
 
 _Key = tuple[int, int]
@@ -518,7 +528,7 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     return yun(p.monic(), Poly.derivative, Poly.__sub__, poly_gcd, Poly.exact_div)
 
 
-# -- Sturm machinery ------------------------------------------------------------
+# -- Sturm machinery: real roots of tower polynomials ------------------------------
 
 
 def _euclid_chain(p: Poly) -> list[Poly]:
@@ -574,22 +584,6 @@ def _chain_variations_at(chain, x: Fraction | None, side: int) -> int:
     return _sign_variations(signs)
 
 
-def sturm_count(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
-    """Number of distinct real roots of p in the open interval (lo, hi).
-
-    None endpoints mean -infinity / +infinity.  Endpoint roots are excluded.
-    """
-    require_real(p)
-    if not p:
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return 0
-    # at +-infinity a sign reads a lead and a degree parity; dividing by
-    # sturm_chain's monic g keeps the leads and flips the parities alike
-    chain = _euclid_chain(p) if lo is None and hi is None else sturm_chain(p)
-    return _chain_count(chain, lo, hi)
-
-
 def _chain_count(chain: list[Poly], lo: Fraction | None, hi: Fraction | None) -> int:
     """sturm_count of chain[0] of positive degree, given its `sturm_chain`
     (or, with both ends infinite, its `_euclid_chain`)."""
@@ -600,8 +594,213 @@ def _chain_count(chain: list[Poly], lo: Fraction | None, hi: Fraction | None) ->
     return count
 
 
+# -- Descartes' rule: real roots of rational polynomials on integer lists -----------
+
+
+def _shift(a: list[int], c: int = 1) -> list[int]:
+    """a(x + c) by Horner's scheme: pass k replaces the top k entries of a
+    by their running sums from the top weighted by c, s_j = a_j + c s_(j+1),
+    for k = n + 1 down to 2.  A negative c shifts a(-x) by -c."""
+    if c <= 0:
+        return _reflect(_shift(_reflect(a), -c)) if c else list(a)
+    b = a[::-1]
+    step = operator.add if c == 1 else lambda acc, x: acc * c + x
+    for k in range(len(b), 1, -1):
+        b[:k] = accumulate(b[:k], step)
+    return b[::-1]
+
+
+def _scale(a: list[int], c: int, d: int) -> list[int]:
+    """d^n a(c x / d) for n = len(a) - 1: entry k times c^k d^(n-k)."""
+    n = len(a) - 1
+    if c == 1 and d == 2:
+        return [x << (n - k) for k, x in enumerate(a)]
+    cs, ds = [1], [1]
+    for _ in range(n):
+        cs.append(cs[-1] * c)
+        ds.append(ds[-1] * d)
+    return [x * cs[k] * ds[n - k] for k, x in enumerate(a)]
+
+
+def _reflect(a: list[int]) -> list[int]:
+    """a(-x)."""
+    return [-x if k & 1 else x for k, x in enumerate(a)]
+
+
+def _on_unit(s: list[int], lo: Fraction, hi: Fraction) -> list[int]:
+    """A positive multiple of s(lo + (hi - lo) t), whose roots in (0, 1)
+    are those of s in (lo, hi).  With m = (hi - lo) / r and lo / (hi - lo)
+    = p / r in lowest terms, lo + (hi - lo) t = m (p + r t): s is scaled by
+    m, shifted by the integer p (-1 on the symmetric (-b, b)) and scaled by
+    r, so the shift multiplies by no large number."""
+    w = hi - lo
+    pr = lo / w
+    m = w / pr.denominator
+    return _scale(_shift(_scale(s, m.numerator, m.denominator), pr.numerator), pr.denominator, 1)
+
+
+def _descartes(q: list[int]) -> int:
+    """Descartes' bound V of q on (0, 1): the sign variations of
+    Q(y) = (1 + y)^n q(1 / (1 + y)), n = len(q) - 1, the Taylor shift by 1
+    of q reversed.  y -> 1 / (1 + y) maps (0, inf) onto (0, 1), so the
+    positive roots of Q are the roots of q in (0, 1).
+
+    Lemma.  For a square-free q, V is at least the number N of roots of q
+    in (0, 1), and V = N (mod 2); so V <= 1 is N exactly.  This is
+    Descartes' rule of signs for Q, whose positive roots are simple as q is
+    square-free: they number at most V, and V is odd exactly when Q's
+    lowest and highest nonzero entries differ in sign, that is when Q has
+    an odd number of positive roots.  A root of q at 1 is a factor y of Q,
+    and a root at 0 (or a zero top entry) lowers the degree of Q; neither
+    adds a variation, so q may have them.
+    """
+    return _variations(_shift(q[::-1]))
+
+
+def _variations(a: list[int]) -> int:
+    signs = [x > 0 for x in a if x]
+    return sum(map(operator.ne, signs, signs[1:]))
+
+
+def _unit_count(q: list[int]) -> int:
+    """The number of roots in (0, 1) of a square-free q in Z[x]: Vincent-
+    Collins-Akritas bisection (Collins & Akritas, SYMSAC 1976) in the
+    integer form of Rouillier & Zimmermann (J. Comput. Appl. Math. 162,
+    2004).  A q with `_descartes` bound V <= 1 has V roots there; any other
+    is split into its halves, the left one 2^n q(x / 2) and the right one
+    its Taylor shift by 1, 2^n q((x + 1) / 2), each on (0, 1) again.  A
+    root at the midpoint 1/2 is a zero constant entry of the right half,
+    counted once; it is an end of both halves, where V does not see it.
+
+    Termination, by the two-circle theorem (Alesina & Galuzzi 1998;
+    Krandick & Mehlhorn 2006): V = 0 on an interval (a, b) when the open
+    disc with diameter (a, b) holds no root, and V = 1 when the union of
+    the two open discs circumscribing the equilateral triangles on (a, b)
+    holds exactly one root.  That union contains the disc and lies within
+    (b - a) sqrt(3) / 2 of the midpoint, and it is symmetric about the real
+    line.  So once b - a is below sep / sqrt(3), sep the least distance
+    between two roots of q, the union holds at most one root, which is then
+    real: every interval has V <= 1.  Halving reaches that width after
+    finitely many levels.
+    """
+    count, todo = 0, [q]
+    while todo:
+        q = todo.pop()
+        v = _descartes(q)
+        if v <= 1:
+            count += v
+            continue
+        left = _scale(q, 1, 2)
+        right = _shift(left)
+        count += not right[0]
+        todo += (left, right)
+    return count
+
+
+def _positive_count(q: list[int]) -> int:
+    """The number of roots in (0, inf) of a square-free q in Z[x]: those in
+    (0, 1), those in (1, inf) as the roots in (0, 1) of x^n q(1 / x), and 1."""
+    return _unit_count(q) + _unit_count(q[::-1]) + (not sum(q))
+
+
+def _column_count(s: list[int], lo: Fraction | None, hi: Fraction | None) -> int:
+    """sturm_count of a square-free s in Z[x] of positive degree, lo < hi:
+    the whole line as (0, inf) for s and for s(-x), plus 0; a lower end lo
+    as (0, inf) for s(lo + x); an upper end hi as the lower end -hi of
+    s(-x); and a finite interval by one transform onto (0, 1)."""
+    if lo is None and hi is None:
+        return _positive_count(s) + _positive_count(_reflect(s)) + (not s[0])
+    if lo is None:
+        s, lo, hi = _reflect(s), -hi, None
+    if hi is None:
+        return _positive_count(_shift(_scale(s, 1, lo.denominator), lo.numerator))
+    return _unit_count(_on_unit(s, lo, hi))
+
+
+def _column_isolate(s: list[int], b: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """isolate_real_roots_poly for a square-free s in Z[x] of positive
+    degree whose real roots lie in (-b, b).
+
+    The intervals are those of the Sturm tree on (-b, b): it splits an
+    interval that holds two or more roots at its midpoint, moved halfway
+    to the upper end while it is a root, and reports an interval that holds
+    one.  This tree makes the same splits; a node's count is its
+    `_descartes` bound V when V <= 1, and otherwise the sum of its
+    children's counts (no split point is a root).  A node with count >= 2
+    has V >= 2 and is split in both trees, so the Sturm tree is this tree
+    cut at its topmost nodes of count 1, which are reported: from each leaf
+    with V = 1, the last node of count 1 on its way up (counts only grow
+    from child to parent).  The root's count is taken first over the whole
+    line, on the small entries of s: with 0 or 1 roots no transform of s
+    onto (-b, b), whose entries carry b's digits n times, is made.
+    """
+    total = _column_count(s, None, None)
+    if total <= 1:
+        return [(-b, b)] * total
+    nodes: list[list] = []  # [lo, hi, parent, count]
+    leaves = []
+    todo = [(-b, b, _on_unit(s, -b, b), -1)]
+    while todo:
+        lo, hi, q, parent = todo.pop()
+        v = _descartes(q)
+        if not v:
+            continue
+        k = len(nodes)
+        nodes.append([lo, hi, parent, 0])
+        if v == 1:
+            leaves.append(k)
+            while k >= 0:
+                nodes[k][3] += 1
+                k = nodes[k][2]
+            continue
+        mid, left = (lo + hi) / 2, _scale(q, 1, 2)
+        right, j = _shift(left), 1
+        while not right[0]:  # mid is a root: the right half of the right half
+            mid, j = (mid + hi) / 2, j + 1
+            right = _shift(_scale(right, 1, 2))
+            left = _scale(q, (1 << j) - 1, 1 << j)
+        todo += [(mid, hi, right, k), (lo, mid, left, k)]
+    out = []
+    for k in leaves:
+        while (up := nodes[k][2]) >= 0 and nodes[up][3] == 1:
+            k = up
+        out.append((nodes[k][0], nodes[k][1]))
+    return sorted(out)
+
+
+# -- real-root entry points ---------------------------------------------------------
+
+
+def sturm_count(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
+    """Number of distinct real roots of p in the open interval (lo, hi).
+
+    None endpoints mean -infinity / +infinity.  Endpoint roots are excluded.
+    A rational p is counted on the square-free part of its integer column
+    (`factor.squarefree_part`, one gcd) by Descartes' rule
+    (`_column_count`); a tower p by its Sturm chain, or over the whole line
+    by Euclid's chain undivided: at +-infinity a sign reads a lead and a
+    degree parity, and dividing by sturm_chain's monic g keeps the leads and
+    flips the parities alike.
+    """
+    require_real(p)
+    if not p:
+        raise ValueError("zero polynomial")
+    lo, hi = (None if e is None else Fraction(e) for e in (lo, hi))
+    if p.degree == 0 or (lo is not None and hi is not None and lo >= hi):
+        return 0
+    if p.is_rational():
+        return _column_count(squarefree_part(_integer_coeffs(p)), lo, hi)
+    chain = _euclid_chain(p) if lo is None and hi is None else sturm_chain(p)
+    return _chain_count(chain, lo, hi)
+
+
 def cauchy_bound(p: Poly) -> Fraction:
     """Rational bound B with all real roots of p in (-B, B)."""
+    if p.is_rational():
+        # the tower path's value: 2 + max c_k^2 (1 + 2^-32) / lead^2
+        c = p._cols[_ONE_KEY]
+        top = max((x * x for x in c[:-1]), default=0)
+        return 2 + Fraction(top * ((1 << 32) + 1), c[-1] ** 2 << 32)
     lead, hi = p.lead().norm(), TowerReal.from_rational(0)
     for c in p.coeffs[:-1]:
         n = c.norm()
@@ -618,12 +817,17 @@ def cauchy_bound(p: Poly) -> Fraction:
     return b
 
 
-def isolate_real_roots_poly(chain: list[Poly]) -> list[tuple[Fraction, Fraction]]:
+def isolate_real_roots_poly(s: Poly, chain: list[Poly] | None = None) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals, sorted, each holding one real root
-    of the square-free chain[0] of positive degree, given its `sturm_chain`;
-    interval endpoints are never roots."""
-    p = chain[0]
-    b = cauchy_bound(p)
+    of the square-free real s of positive degree; interval endpoints are
+    never roots.  Both paths bisect (-b, b), b = `cauchy_bound(s)`, at the
+    same points into the same intervals.  A rational s runs on its integer
+    column by Descartes' rule (`_column_isolate`); a tower s on its
+    `sturm_chain`, which a caller holding it passes as chain."""
+    b = cauchy_bound(s)
+    if s.is_rational():
+        return _column_isolate(_integer_coeffs(s), b)
+    chain = chain or sturm_chain(s)
     total = _chain_count(chain, -b, b)
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(-b, b, total)]
@@ -635,7 +839,7 @@ def isolate_real_roots_poly(chain: list[Poly]) -> list[tuple[Fraction, Fraction]
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        while real_sign_at(p, mid) == 0:
+        while real_sign_at(s, mid) == 0:
             mid = (mid + hi) / 2
         nlo = _chain_count(chain, lo, mid)
         stack.append((lo, mid, nlo))
@@ -736,7 +940,7 @@ class RealAlgebraic:
         for f, _ in factors:
             # irreducible over Q, hence square-free
             canon = _canonical_minpoly(f)
-            for lo, hi in isolate_real_roots_poly(sturm_chain(f)):
+            for lo, hi in isolate_real_roots_poly(f):
                 roots.append(cls(canon, lo, hi))
         # the roots are distinct: the factors are distinct irreducibles
         return sorted(roots)
@@ -790,7 +994,8 @@ class RealAlgebraic:
         return self.compare(0)
 
     def __eq__(self, other):
-        """Exact equality by one Sturm count on the overlap of the two
+        """Exact equality by one Descartes count (`_column_count`, no gcd:
+        the minimal polynomial is irreducible) on the overlap of the two
         intervals: equal values lie in it, and a root of the common minimal
         polynomial found there is the one root in each interval, so it is
         both values."""
@@ -803,7 +1008,7 @@ class RealAlgebraic:
         if self.is_rational():
             return True
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return lo < hi and sturm_count(self.minpoly, lo, hi) >= 1
+        return lo < hi and _column_count(_integer_coeffs(self.minpoly), lo, hi) >= 1
 
     def __hash__(self):
         return hash(self.minpoly)
@@ -877,7 +1082,7 @@ def real_roots_in_tower_poly(p: Poly) -> list[RealAlgebraic]:
     p = chain[0]
     candidates = RealAlgebraic.roots_of_rational_poly(galois_norm_poly(p))
     out = []
-    for lo, hi in isolate_real_roots_poly(chain):
+    for lo, hi in isolate_real_roots_poly(p, chain):
         # pairs (candidate, narrowed candidate)
         near, bits = [(c, c) for c in candidates if c.lo < hi and lo < c.hi], 16
         while len(near) > 1:

@@ -253,6 +253,10 @@ class TowerReal:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        """A rational value hashes as its Fraction, so that values equal to
+        ints and Fractions find the same dict entries."""
+        if self.is_rational():
+            return hash(Fraction(self._num.get(1, 0), self._den))
         return hash((self._den, frozenset(self._num.items())))
 
     def __bool__(self) -> bool:
@@ -557,7 +561,9 @@ class CoeffScalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        """A real value hashes as its TowerReal (and so a rational one as
+        its Fraction), as it compares equal to it."""
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

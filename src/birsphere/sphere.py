@@ -11,7 +11,7 @@ S = A + tau conj(A) tau^-1, which is a constant multiple of A exactly when
 A is real (so the pattern takes no gcd and no rescale, and for a trivial
 or flipped base its closing check is the reality test), diffeomorphism
 membership and orientation from a(+-1) and one
-memoised Sturm count of the stripped determinant D', whose real roots all
+memoised real-root count of the stripped determinant D', whose real roots all
 lie in (-1, 1) and are the contracted fibers, maps with nontrivial action
 on the base interval, exact images of sphere points, and the builtin
 catalogue of named maps.
@@ -90,9 +90,10 @@ class FiberPattern:
 
     @cached_property
     def contracted_count(self) -> int:
-        """The number of real roots of D', from one Sturm count memoised
-        next to D': the orientation reads it, and the contracted fibers are
-        isolated only when it is positive."""
+        """The number of real roots of D', from one `sturm_count` memoised
+        next to D' (Descartes' rule on its integer column when D' is
+        rational, as it is for every map over Q(i)): the orientation reads
+        it, and the contracted fibers are isolated only when it is positive."""
         return sturm_count(self.stripped_determinant[2])
 
 
@@ -162,8 +163,8 @@ def _primitive_real(p: Poly) -> Poly:
 def diffeo_orientation(mat: ProjMat) -> int:
     """1 for a birational diffeomorphism preserving orientation, -1 for one
     reversing it (mat * reality_twist() preserves it), 0 when the map is not
-    defined at every real point: a(+-1) and the memoised Sturm count of the
-    stripped determinant, whose real roots all lie in (-1, 1)
+    defined at every real point: a(+-1) and the memoised real-root count of
+    the stripped determinant, whose real roots all lie in (-1, 1)
     (stripped_determinant, contracted_count)."""
     pattern = canonical_pattern(mat)
     north, south, _ = pattern.stripped_determinant
@@ -180,7 +181,7 @@ def in_diffeo_group(mat: ProjMat) -> bool:
 def contracted_fibers(mat: ProjMat):
     """Real z0 in the open interval (-1, 1) whose conic is contracted to a
     point: the real roots of the stripped determinant, which all lie there,
-    sought only when its memoised Sturm count is positive."""
+    sought only when its memoised real-root count is positive."""
     pattern = canonical_pattern(mat)
     return real_roots_in_tower_poly(pattern.stripped_determinant[2]) if pattern.contracted_count else []
 

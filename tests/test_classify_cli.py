@@ -371,13 +371,16 @@ def test_error_messages_print_values_not_python_text(capsys):
 
 
 def test_bad_interval_parameter_is_a_parse_error(capsys):
-    """A sphere-map JSON interval_t that is not a rational exits 2 with a
-    message naming the field, not Python's own text."""
-    for text in ("1/0", "abc"):
-        element = json.dumps({"fiber": [["1", "0"], ["0", "1"]], "base": {"interval_t": text}})
-        code, out, err = run_cli(capsys, "order", element)
-        assert (code, out) == (2, "")
-        assert err == f"parse error: malformed sphere map JSON: interval_t must be a rational, got {text!r}\n"
+    """A sphere-map JSON interval_t that is not a rational, or interval_b
+    that is not a real constant, exits 2 with a message naming the field,
+    not Python's own text or the scalar parser's."""
+    for field, kind, texts in (("interval_t", "a rational", ("1/0", "abc")),
+                               ("interval_b", "a real constant", ("1/0", "abc", "i"))):
+        for text in texts:
+            element = json.dumps({"fiber": [["1", "0"], ["0", "1"]], "base": {field: text}})
+            code, out, err = run_cli(capsys, "order", element)
+            assert (code, out) == (2, "")
+            assert err == f"parse error: malformed sphere map JSON: {field} must be {kind}, got {text!r}\n"
 
 
 def test_eval_on_the_conic_at_infinity_with_rank_one_leading_terms(capsys):

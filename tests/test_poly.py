@@ -16,6 +16,8 @@ from birsphere.poly import (
     Poly,
     RealAlgebraic,
     _canonical_minpoly,
+    _chain_count,
+    _euclid_chain,
     cauchy_bound,
     factor_rational_poly,
     isolate_real_roots_poly,
@@ -145,9 +147,66 @@ def test_divided_chain_matches_the_stripped_reference(drawn, data):
     assert sturm_chain(p)[0] == s
     assert sturm_count(p, lo, hi) == sturm_count(s, lo, hi)
     assert sturm_count(p) == sturm_count(s)
-    assert isolate_real_roots_poly(sturm_chain(p)) == isolate_real_roots_poly(sturm_chain(s))
+    assert isolate_real_roots_poly(s, sturm_chain(p)) == isolate_real_roots_poly(s)
     roots = [(r.minpoly, r.lo, r.hi) for r in real_roots_in_tower_poly(p)]
     assert roots == [(r.minpoly, r.lo, r.hi) for r in real_roots_in_tower_poly(s)]
+
+
+def _sturm_reference_count(p: Poly, lo, hi) -> int:
+    """sturm_count as the Sturm chain computes it, for any real p."""
+    if p.degree <= 0 or (lo is not None and hi is not None and lo >= hi):
+        return 0
+    return _chain_count(_euclid_chain(p) if lo is None and hi is None else sturm_chain(p), lo, hi)
+
+
+def _sturm_reference_isolation(s: Poly) -> list[tuple[Fraction, Fraction]]:
+    """The Sturm isolation of a square-free real s: bisect (-b, b) at
+    midpoints, each moved halfway to the upper end while it is a root, and
+    report the intervals that hold one root."""
+    chain = sturm_chain(s)
+    b = cauchy_bound(s)
+    out, todo = [], [(-b, b, _chain_count(chain, -b, b))]
+    while todo:
+        lo, hi, n = todo.pop()
+        if n == 1:
+            out.append((lo, hi))
+        elif n > 1:
+            mid = (lo + hi) / 2
+            while not s.eval_rational(mid):
+                mid = (mid + hi) / 2
+            left = _chain_count(chain, lo, mid)
+            todo += [(lo, mid, left), (mid, hi, n - left)]
+    return sorted(out)
+
+
+# roots at 0 (the first split point of (-b, b)), at dyadic split points of
+# (0, 1) and (-1, 1), and elsewhere; factors with 2^70-sized coefficients
+# and a tiny lead; every root may be multiple
+_DYADIC = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1)])
+_BIG = st.integers(-(2**70), 2**70)
+_DIFF_FACTOR = st.one_of(
+    st.builds(lambda q: Z - q, st.one_of(_DYADIC, _Q)),
+    st.builds(lambda a, b: Poly.from_rational_coeffs([a, b, 1]), st.one_of(_Q, _BIG), st.one_of(_Q, _BIG)),
+    st.builds(lambda a, c: Poly.from_rational_coeffs([a, 1, Fraction(1, c)]), _Q, st.sampled_from([2**70, 3])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_DIFF_FACTOR, st.integers(1, 2)), min_size=1, max_size=4), st.data())
+def test_descartes_matches_the_sturm_reference(parts, data):
+    """Counts and isolating intervals of rational polynomials by Descartes'
+    rule equal those of the Sturm chain: counts over finite, one-sided and
+    infinite ends, ends at roots included, and the intervals exactly."""
+    p = Poly.const(data.draw(st.sampled_from([1, -3, Fraction(1, 2)])))
+    for f, k in parts:
+        p = p * f**k
+    roots = [-f[0].as_rational() for f, _ in parts if f.degree == 1]
+    end = st.one_of(st.none(), st.sampled_from(roots) if roots else _DYADIC, _DYADIC, _Q)
+    for _ in range(3):
+        lo, hi = data.draw(end), data.draw(end)
+        assert sturm_count(p, lo, hi) == _sturm_reference_count(p, lo, hi)
+    s = sturm_chain(p)[0]
+    assert isolate_real_roots_poly(s) == _sturm_reference_isolation(s)
 
 
 def test_sturm_rejects_imaginary():
@@ -176,7 +235,7 @@ def test_sturm_against_scanning_oracle():
         reduced = p.exact_div(g) if g.degree > 0 else p
         rcoeffs = reduced.rational_coeffs()
         lo, hi = Fraction(-8), Fraction(8)  # beyond the Cauchy bound for these polys
-        intervals = isolate_real_roots_poly(sturm_chain(p))
+        intervals = isolate_real_roots_poly(reduced)
         assert sturm_count(p, lo, hi) == len(intervals)
         for a, b in intervals:
             assert _horner(rcoeffs, a) * _horner(rcoeffs, b) < 0, (coeffs, a, b)
@@ -386,41 +445,58 @@ def test_isolation_with_a_tiny_lead():
     # |lead|^2 is below 2^-256, so a 256-bit enclosure of it still holds 0
     s = TowerReal.sqrt_rational(2) - Fraction(math.isqrt(2 << 280), 1 << 140)
     p = Poly.const(CoeffScalar(s)) * Z - 1
-    [(lo, hi)] = isolate_real_roots_poly(sturm_chain(p))
+    [(lo, hi)] = isolate_real_roots_poly(p)
     assert p(lo).as_real().sign() == -1 and p(hi).as_real().sign() == 1
 
 
 def test_square_free_inputs_skip_the_gcd(monkeypatch):
     """Counts the gcds of both kinds: `poly_gcd` and the integer kernel's
-    `factor.gcd`, which the square-free split of a rational p calls.  No
-    real-root path takes a gcd of its own: `sturm_chain` divides by the last
-    member of Euclid's chain instead."""
+    `factor.gcd`.  A rational count takes exactly one, `factor.gcd(c, c')`
+    for the square-free part of its integer column c; an irreducible
+    minimal polynomial is square-free already, so equality of real
+    algebraic numbers takes none.  Tower counts divide Euclid's chain by its
+    last member and take none, and tower root finding takes only the
+    factoriser's square-free split of the norm."""
     import birsphere.poly as poly_mod
 
-    calls = []
-    real, real_kernel = poly_mod.poly_gcd, factor.gcd
-    monkeypatch.setattr(poly_mod, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
-    monkeypatch.setattr(factor, "gcd", lambda a, b: calls.append(1) or real_kernel(a, b))
+    calls = {"poly_gcd": 0, "factor.gcd": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(poly_mod, "poly_gcd", counted("poly_gcd", poly_mod.poly_gcd))
+    monkeypatch.setattr(factor, "gcd", counted("factor.gcd", factor.gcd))
+
+    def gcds(run, *args):
+        """run(*args) and the gcds of each kind that it takes."""
+        calls.update({"poly_gcd": 0, "factor.gcd": 0})
+        return run(*args), calls["poly_gcd"], calls["factor.gcd"]
+
     r2 = CoeffScalar(TowerReal.sqrt_rational(2))
     quadratic = Z * Z - Poly.const(r2) * Z - 1
-    # the one gcd is the factoriser's square-free split of the norm; the
-    # norm's factors are irreducible, so none more, and squaring the input
-    # adds none
+    # the norm's factors are irreducible, so isolating them takes no gcd,
+    # and squaring the input adds none
     for p in (quadratic, quadratic**2):
-        calls.clear()
-        assert len(real_roots_in_tower_poly(p)) == 2 and len(calls) == 1
-    # neither infinite nor finite ends need a square-free part
-    calls.clear()
+        assert gcds(lambda: len(real_roots_in_tower_poly(p))) == (2, 0, 1)
+        assert gcds(sturm_count, p) == (2, 0, 0)
+        assert gcds(sturm_count, p, Fraction(0), Fraction(3)) == (1, 0, 0)
     p = (Z - 1) ** 2 * (Z + 2) * (Z * Z - 2) ** 3
-    assert sturm_count(p) == 4 and sturm_count(p, Fraction(-2), Fraction(1)) == 1 and not calls
+    for lo, hi, n in ((None, None, 4), (Fraction(-2), Fraction(1), 1), (Fraction(-2), None, 3), (None, Fraction(1), 2)):
+        assert gcds(sturm_count, p, lo, hi) == (n, 0, 1)
+    assert gcds(sturm_count, Z**3 - 2) == (1, 0, 1)
     a = RealAlgebraic(Z * Z - 2, Fraction(1), Fraction(2))
     b = RealAlgebraic(Z * Z - 2, Fraction(7, 5), Fraction(3, 2))
-    assert a == b and not calls
+    c = RealAlgebraic(Z * Z - 2, Fraction(-2), Fraction(-1))
+    assert gcds(lambda: (a == b, a == c)) == ((True, False), 0, 0)
 
 
 def test_isolation_intervals_disjoint():
     p = (Z - 1) * (Z - 2) * (Z + 3) * (2 * Z - 1)
-    ivs = isolate_real_roots_poly(sturm_chain(p))
+    ivs = isolate_real_roots_poly(p)
     assert len(ivs) == 4
     for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
         assert b1 <= a2

@@ -118,3 +118,18 @@ def test_conj_fixes_exactly_reals():
     assert z.conj() == z
     w = CoeffScalar(TowerReal(), sqrt2())
     assert w.conj() != w
+
+
+def test_equal_values_of_every_kind_hash_alike():
+    """Equal values are one dict key whatever their kind: a rational
+    TowerReal hashes as its Fraction, a real CoeffScalar as its TowerReal."""
+    for q in (2, -7, 0, Fraction(3, 4), Fraction(-5, 12)):
+        kinds = (q, Fraction(q), TowerReal.from_rational(q), CoeffScalar(q), CoeffScalar(TowerReal.from_rational(q)))
+        assert all(a == b for a in kinds for b in kinds)
+        table = {kinds[0]: q}
+        for key in kinds[1:]:
+            table[key] = q
+        assert len(table) == 1 and all(table[key] == q for key in kinds)
+    r = sqrt2() / 3 + 1
+    assert {r: 1, CoeffScalar(r): 2} == {r: 2}
+    assert len({CoeffScalar(1, 1), CoeffScalar(1), 1}) == 2

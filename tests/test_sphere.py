@@ -401,3 +401,32 @@ def test_interval_shift_base_action_on_zero():
     g = interval_shift(Fraction(1, 2))
     assert g.base.apply(CoeffScalar(0)) == CoeffScalar(Fraction(4, 5))
     assert g.is_orientation_preserving_diffeo()
+
+
+def test_degree_ladder_builds_no_euclid_chain(monkeypatch):
+    """The H0 member [[(z+2i)^n+3, (1-z^2)(z^n+1)], [z^n+1, (z-2i)^n+3]]
+    at n = 128, whose stripped determinant D' has degree 258, and a
+    non-member product at n = 32: in_diffeo_group and contracted_fibers
+    answer both without building Euclid's chain, as D' is rational.  Counted,
+    not timed.  (Factoring the degree-260 D' of the n = 128 product takes
+    seconds in Zassenhaus' algorithm, which this test does not measure.)"""
+    import birsphere.poly as poly_mod
+    from birsphere.sphere import FiberPattern
+
+    chains = []
+    real = poly_mod._euclid_chain
+    monkeypatch.setattr(poly_mod, "_euclid_chain", lambda p: chains.append(p) or real(p))
+    i = Poly.const(CoeffScalar.i())
+
+    def h0(n):
+        return ProjMat.of((Z + 2 * i) ** n + 3, ONE_MINUS_Z2 * (Z**n + 1), Z**n + 1, (Z - 2 * i) ** n + 3)
+
+    non_member = FiberPattern(Poly.const(1), Poly.const(2)).matrix()  # D' = 4 z^2 - 3
+    root = TowerReal.sqrt_rational(3) / 2
+    for mat, member, degree in ((h0(128), True, 258), (h0(32) * non_member, False, 68)):
+        canonical_pattern.cache_clear()
+        d_prime = canonical_pattern(mat).stripped_determinant[2]
+        assert d_prime.is_rational() and d_prime.degree == degree
+        assert in_diffeo_group(mat) == member
+        assert [r.to_tower() for r in contracted_fibers(mat)] == ([] if member else [-root, root])
+    assert chains == []
