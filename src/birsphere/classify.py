@@ -30,6 +30,7 @@ from .involutions import (
 )
 from .parsing import parse_matrix, parse_poly, parse_scalar
 from .picard import (
+    DP4Surface,
     alpha1_matrix,
     alpha2_matrix,
     geiser_matrix,
@@ -38,6 +39,7 @@ from .picard import (
     minus_one_classes,
 )
 from .projmat import ProjMat
+from .scalars import scalar
 from .sphere import (
     BaseMobius,
     ConjugacyCertificate,
@@ -263,8 +265,13 @@ def _from_trivial_report(rep: TrivialBaseReport, caveats, certificates) -> Class
 
 
 def classify_dp4_datum(op: str, mu=None) -> ClassificationReport:
-    """Family report for a named automorphism of the blown-up surfaces."""
+    """Family report for a named automorphism of the blown-up surfaces.  A
+    surface parameter mu is checked by DP4Surface (DegenerateConfiguration
+    for mu in {0, 1, -1}) and reported; it applies to the degree-4 surface
+    only, so with geiser it is a ParseError."""
     if op == "geiser":
+        if mu is not None:
+            raise ParseError("--mu applies to dp4:alpha1 and dp4:alpha2 only")
         lat = lattice_make(2)
         rank = invariant_rank(lat, [geiser_matrix(lat), lat.sigma])
         return ClassificationReport(
@@ -281,7 +288,7 @@ def classify_dp4_datum(op: str, mu=None) -> ClassificationReport:
         rank = invariant_rank(lat, [mat, lat.sigma])
         moduli = {"surface_degree": 4, "operator": op, "invariant_rank": rank}
         if mu is not None:
-            moduli["mu"] = str(mu)
+            moduli["mu"] = str(DP4Surface(scalar(mu)).mu)
         return ClassificationReport(family=2, moduli=moduli)
     raise ParseError(f"unknown surface operator {op!r} (expected alpha1, alpha2 or geiser)")
 

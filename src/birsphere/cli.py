@@ -22,6 +22,7 @@ from .etatwist import h2_invariant
 from .involutions import fixed_curve
 from .parsing import parse_scalar
 from .picard import (
+    SIGN_MAPS,
     DP4Surface,
     alpha1_matrix,
     alpha2_matrix,
@@ -64,9 +65,12 @@ def _emit(payload) -> None:
 def cmd_classify(args) -> int:
     if args.element.startswith("dp4:") or args.element.startswith("geiser"):
         op = args.element.split(":", 1)[-1] if ":" in args.element else "geiser"
-        report = routing.classify_dp4_datum(op, mu=args.mu)
+        mu = None if args.mu is None else parse_scalar(args.mu)
+        report = routing.classify_dp4_datum(op, mu=mu)
         _emit(report.to_json())
         return 0
+    if args.mu is not None:
+        raise ParseError("--mu applies to dp4:alpha1 and dp4:alpha2 only")
     g = _load_element(args.element)
     report = routing.classify_spheremap(g)
     _emit(report.to_json())
@@ -157,6 +161,9 @@ def cmd_picard(args) -> int:
             "g1": g1_matrix,
             "g2": g2_matrix,
         }
+        ops = {"rank": mats, "aut": (*mats, "rejected1", "rejected2"), "preserves": SIGN_MAPS}.get(args.check)
+        if ops is not None and args.op not in ops:
+            raise ParseError(f"unknown --op {args.op!r} for --check {args.check} (expected {', '.join(ops)})")
         lat = lattice_make(4)
         if args.check == "rank":
             mat = mats[args.op]()

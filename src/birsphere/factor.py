@@ -1,15 +1,18 @@
 """The integer polynomial kernel: gcd in Z[x] and Z[i][x], square-free split
 and factorisation in Z[x], in deterministic integer arithmetic, after von zur
-Gathen & Gerhard, *Modern Computer Algebra* (MCA).  `gaussian_gcd` is a
-modular gcd certified by exact division (MCA 6.38), one loop for Z[x] and
+Gathen & Gerhard, *Modern Computer Algebra* (MCA).  `gaussian_cofactors` is
+a modular gcd certified by exact division (MCA 6.38), one loop for Z[x] and
 Z[i][x]: real inputs take one image modulo each prime, Gaussian ones the two
-images i -> +-sqrt(-1) modulo primes p = 1 (mod 4); `gcd` is it on Z[x].
-`squarefree` is Yun's algorithm (MCA 14.21) on primitive parts, written once
-in `yun` for any ring that supplies its operations, `squarefree_part` is one
-gcd and one exact division, and `factor_squarefree`
-is Zassenhaus' algorithm (MCA ch. 14-15).  A polynomial is a list of Python
-ints in ascending powers with no trailing zero; modulo m its entries lie in
-[0, m).  A Gaussian polynomial re + i im is a pair (re, im) of such lists.
+images i -> +-sqrt(-1) modulo primes p = 1 (mod 4).  The certifying
+divisions (`_zi_quotient`, which returns None on a remainder) yield the
+cofactors, the inputs divided by the gcd, so a caller that divides by the
+gcd divides nothing again; `gaussian_gcd` is its gcd alone and `gcd` that on
+Z[x].  `squarefree` is Yun's algorithm (MCA 14.21) on primitive parts,
+written once in `yun` for any ring that supplies its operations,
+`squarefree_part` is one gcd and one exact division, and
+`factor_squarefree` is Zassenhaus' algorithm (MCA ch. 14-15).  A polynomial
+is a list of Python ints in ascending powers with no trailing zero; modulo m
+its entries lie in [0, m).  A Gaussian polynomial re + i im is a pair (re, im) of such lists.
 """
 
 from __future__ import annotations
@@ -218,34 +221,39 @@ def _zi_primitive(re: list[int], im: list[int]) -> tuple[list[int], list[int]]:
     return [-y for y in im], re  # times i
 
 
-def _zi_divides(f: tuple[list[int], list[int]], c: tuple[list[int], list[int]]) -> bool:
-    """Whether c divides f in Z[i][x], by long division in which every
-    quotient coefficient must be an exact Gaussian quotient; deg c <= deg f."""
+def _zi_quotient(f, c) -> tuple[list[int], list[int]] | None:
+    """f / c in Z[i][x] as a pair (re, im), or None when c does not divide
+    f: long division in which every quotient coefficient must be an exact
+    Gaussian quotient; deg c <= deg f, and im is empty when f and c are
+    real."""
     (fr, fi), (cr, ci) = f, c
     if not (fi or ci):
-        return _exact_quotient(fr, cr) is not None
+        q = _exact_quotient(fr, cr)
+        return None if q is None else (q, [])
     rr, ri, ci = list(fr), list(fi) or [0] * len(fr), ci or [0] * len(cr)
     n, a, b = len(cr) - 1, cr[-1], ci[-1]
     norm = a * a + b * b
+    qr, qi = [0] * (len(rr) - n), [0] * (len(rr) - n)
     for k in range(len(rr) - 1 - n, -1, -1):
         x, y = rr[k + n], ri[k + n]
         (q, s), (w, t) = divmod(x * a + y * b, norm), divmod(y * a - x * b, norm)
         if s or t:
-            return False
+            return None
+        qr[k], qi[k] = q, w
         for j in range(n):
             rr[k + j] -= q * cr[j] - w * ci[j]
             ri[k + j] -= q * ci[j] + w * cr[j]
-    return not (any(rr[:n]) or any(ri[:n]))
+    return None if any(rr[:n]) or any(ri[:n]) else (qr, qi)
 
 
-def _content_free(re, im) -> tuple[list[int], list[int]]:
-    """re + i im divided by the gcd of its integer entries, as lists of one
-    length, im left empty when it is zero."""
+def _content_free(re, im) -> tuple[int, list[int], list[int]]:
+    """(g, re / g, im / g) for g the gcd of the integer entries of re + i im,
+    as lists of one length, im left empty when it is zero."""
     g = math.gcd(*re, *im)
     if not any(im):
-        return (re if g == 1 else [x // g for x in re]), []
+        return g, (re if g == 1 else [x // g for x in re]), []
     n = max(len(re), len(im))
-    return [x // g for x in re] + [0] * (n - len(re)), [y // g for y in im] + [0] * (n - len(im))
+    return g, [x // g for x in re] + [0] * (n - len(re)), [y // g for y in im] + [0] * (n - len(im))
 
 
 def _image_gcd(fs, rho: int, p: int) -> list[int] | None:
@@ -270,9 +278,20 @@ def gcd(*fs: list[int]) -> list[int]:
 
 def gaussian_gcd(*fs) -> tuple[list[int], list[int]]:
     """The gcd in Z[i][x] of Gaussian integer polynomials, not all zero,
-    each a pair (re, im) of integer lists for re + i im: a modular gcd
-    certified by exact division (MCA 6.38), returned as `_zi_primitive`
-    makes it, with im empty when every input is real.
+    each a pair (re, im) of integer lists for re + i im: the gcd of
+    `gaussian_cofactors`."""
+    return gaussian_cofactors(*fs)[0]
+
+
+def gaussian_cofactors(*fs) -> tuple[tuple[list[int], list[int]], list]:
+    """(G, [f / G for each input f, in input order]) for Gaussian integer
+    polynomials f, not all zero, each a pair (re, im) of integer lists for
+    re + i im.  G is their gcd in Z[i][x], found by a modular gcd certified
+    by exact division (MCA 6.38) and returned as `_zi_primitive` makes it,
+    with im empty when every input is real.  The quotients are those of the
+    divisions that certify G, each of an input divided by its integer
+    content, times that content; with G = 1 they are the inputs as given,
+    and a zero input has quotient 0.
 
     Let F_1, ..., F_k be the inputs divided by their integer contents,
     G their gcd, primitive over Z[i], and l a gcd in Z[i] of their leads.
@@ -303,12 +322,14 @@ def gaussian_gcd(*fs) -> tuple[list[int], list[int]]:
     l / lead(G) G in Z[i]/p, so once the product of those primes exceeds
     twice the largest real or imaginary part of l / lead(G) G, C is G.
     """
-    fs = [_content_free(re, im) for re, im in fs if re or im]
-    fs.sort(key=lambda f: len(f[0]))
+    n, coprime = len(fs), (([1], []), list(fs))
+    parts = sorted(((k, *_content_free(re, im)) for k, (re, im) in enumerate(fs) if re or im),
+                   key=lambda part: len(part[2]))
+    fs = [(re, im) for _, _, re, im in parts]
     if len(fs) == 1:
-        return _zi_primitive(*fs[0])
+        return _divide_all(parts, n, _zi_primitive(*fs[0]))
     if len(fs[0][0]) == 1:
-        return [1], []
+        return coprime
     gaussian = any(im for _, im in fs)
     lead = reduce(_zi_gcd, ((re[-1], im[-1] if im else 0) for re, im in fs))
     image, m = None, 1
@@ -322,7 +343,7 @@ def gaussian_gcd(*fs) -> tuple[list[int], list[int]]:
             if g is None:
                 break
             if len(g) == 1:
-                return [1], []
+                return coprime
             l = (lead[0] + rho * lead[1]) % p
             images.append([c * l % p for c in g])
         if len(images) < len(roots) or len(images[0]) != len(images[-1]):
@@ -341,8 +362,22 @@ def gaussian_gcd(*fs) -> tuple[list[int], list[int]]:
             image = tuple([x + m * ((y - x) * u % p) for x, y in zip(old, new)] for old, new in zip(image, g))
             m *= p
         c = _zi_primitive(*([x - m if 2 * x > m else x for x in col] for col in image))
-        if all(_zi_divides(f, c) for f in fs):
-            return c
+        found = _divide_all(parts, n, c)
+        if found:
+            return found
+
+
+def _divide_all(parts, n: int, c):
+    """(c, quotients) when c divides every content-free input (k, g, re, im)
+    of parts, with the quotient of input k times its content g at place k of
+    n (zero elsewhere); None at the first input c does not divide."""
+    out = [([], [])] * n
+    for k, g, re, im in parts:
+        q = _zi_quotient((re, im), c)
+        if q is None:
+            return None
+        out[k] = q if g == 1 else ([x * g for x in q[0]], [y * g for y in q[1]])
+    return c, out
 
 
 def yun(f, derivative, sub, gcd, quo) -> list:

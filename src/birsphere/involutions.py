@@ -32,7 +32,8 @@ from .poly import (
     ONE_MINUS_Z2,
     Poly,
     RealAlgebraic,
-    poly_gcd,
+    cofactors,
+    dot,
     real_roots_in_tower_poly,
     squarefree_decomposition,
     sturm_count,
@@ -69,7 +70,7 @@ class InvolutionForm:
 
     def determinant(self) -> Poly:
         """p^2 - q conj(q) h: FiberPattern.determinant of the form's pattern."""
-        return self.p * self.p - self.q * self.q.conj() * ONE_MINUS_Z2
+        return dot(((1, self.p, self.p), (-1, self.q * ONE_MINUS_Z2, self.q.conj())))
 
 
 def involution_normal_form(mat: ProjMat) -> InvolutionForm:
@@ -148,17 +149,18 @@ def _orientation(mat: ProjMat) -> int:
 class _TripleAlgebra:
     """Elements (x, y, d) standing for (x + y r)/d, r the algebra's
     generator, with d central; sums and equality cross-multiply the
-    denominators, and no reduction is performed."""
+    denominators, each part one fused sum of products (`dot`), and no
+    reduction is performed."""
 
     @staticmethod
     def add(u, v):
         x1, y1, d1 = u
         x2, y2, d2 = v
-        return (x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
+        return (dot(((1, x1, d2), (1, x2, d1))), dot(((1, y1, d2), (1, y2, d1))), d1 * d2)
 
     @staticmethod
     def equal(u, v) -> bool:
-        return u[0] * v[2] == v[0] * u[2] and u[1] * v[2] == v[1] * u[2]
+        return not (dot(((1, u[0], v[2]), (-1, v[0], u[2]))) or dot(((1, u[1], v[2]), (-1, v[1], u[2]))))
 
 
 class _QuadAlgebra(_TripleAlgebra):
@@ -171,14 +173,14 @@ class _QuadAlgebra(_TripleAlgebra):
     def mul(self, u, v):
         x1, y1, d1 = u
         x2, y2, d2 = v
-        return (x1 * x2 + self.f * y1 * y2, x1 * y2 + y1 * x2, d1 * d2)
+        return (dot(((1, x1, x2), (1, self.f * y1, y2))), dot(((1, x1, y2), (1, y1, x2))), d1 * d2)
 
     def conj(self, u):
         return (u[0].conj(), u[1].conj(), u[2].conj())
 
     def is_unit(self, u) -> bool:
         x, y, _ = u
-        return bool(x * x - self.f * y * y)
+        return bool(dot(((1, x, x), (-1, self.f * y, y))))
 
 
 # g = [[z, h], [1, z]] moves diag(1, -1) to [[1, -2 z h], [2 z, -1]]
@@ -239,7 +241,7 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
     -D = -content m scale^2 and both models sharing m,
     u^2 = f / f_B gives u = sqrt(c_A c_B) scale_A / (-c_B scale_B), in
     lowest terms u_num / u_den after dividing both by g = gcd(scale_A,
-    scale_B).  The twist units are mu_A = (i p - r)/q and
+    scale_B), their `cofactors`.  The twist units are mu_A = (i p - r)/q and
     mu_B = nu / (q_B u_num) with nu = i p_B u_num - u_den r.  For the witness
     c write c (i p - r) = X_a + Y_a r, conj(c) = X_c + Y_c r and
     conj(c) nu = X_b + Y_b r.  Then eta = c mu_A + conj(c) mu_B is
@@ -271,24 +273,29 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
     form_a, form_b = involution_normal_form(mat_a), involution_normal_form(mat_b)
     f = _neg_determinant(mat_a)
     model_a, model_b = _split(f), fixed_curve(mat_b)
-    g = poly_gcd(model_a.scale, model_b.scale)
-    u_num = model_a.scale.exact_div(g).scale(CoeffScalar(model_a.content * model_b.content).sqrt())
-    u_den = model_b.scale.exact_div(g).scale(CoeffScalar(-model_b.content))
+    u_num, u_den = cofactors(model_a.scale, model_b.scale)
+    u_num = u_num.scale(CoeffScalar(model_a.content * model_b.content).sqrt())
+    u_den = u_den.scale(CoeffScalar(-model_b.content))
     algebra = _QuadAlgebra(f)
     i = CoeffScalar.i()
     p, q = form_a.p.scale(i), form_a.q  # p and p_b are i p_A and i p_B from here on
-    p_b, q_b = form_b.p.scale(i), form_b.q
+    p_bu = form_b.p.scale(i) * u_num
+    q_b = form_b.q
     mu_a = (p, Poly.const(-1), q)
-    mu_b = (p_b * u_num, -u_den, q_b * u_num)
+    mu_b = (p_bu, -u_den, q_b * u_num)
     if not algebra.equal(algebra.mul(mu_b, algebra.conj(mu_b)), algebra.mul(mu_a, algebra.conj(mu_a))):
         raise RuntimeError("twist units failed to have equal norms")
     c, (x, y, _) = _hilbert90(algebra, mu_a, mu_b)
     x_a, y_a, _ = algebra.mul(c, mu_a)
     x_c, y_c, _ = algebra.conj(c)
     defect = q * q_b.conj() * u_num * ONE_MINUS_Z2
-    r1 = u_den * x_a + p_b * u_num * y_a - y_c * defect
-    r2 = u_den * f * y_a + p_b * u_num * x_a - x_c * defect
-    return (q.conj() * ONE_MINUS_Z2 * y, -(ONE_MINUS_Z2 * (p * y + x)), -(q.conj() * r1), p * r1 + r2)
+    r1 = dot(((1, u_den, x_a), (1, p_bu, y_a), (-1, y_c, defect)))
+    return (
+        q.conj() * ONE_MINUS_Z2 * y,
+        dot(((-1, ONE_MINUS_Z2 * p, y), (-1, ONE_MINUS_Z2, x))),
+        -(q.conj() * r1),
+        dot(((1, p, r1), (1, u_den * f, y_a), (1, p_bu, x_a), (-1, x_c, defect))),  # i p R1 + R2
+    )
 
 
 def _hilbert90(algebra: _QuadAlgebra, mu_a, mu_b):

@@ -17,19 +17,29 @@ The ring operations run on the columns with integer arithmetic.  A product
 is one integer convolution per pair of keys, scaled by the factor that
 sqrt(m)*sqrt(n) = g*sqrt(mn/g^2) with g = gcd(m, n) and i*i = -1 give the
 pair; scaling by a scalar is the same loop against its row, read as columns
-of length one.  Division keeps the remainder as mutable integer columns over
+of length one.  A sum of products +-a*b (`dot`: determinants, matrix
+products, the cross-multiplied tests of the conjugator's algebra) runs the
+same loop over all its terms at the least common denominator, into one set
+of columns normalised once, and a single product is its one-term case, so
+there is one convolution loop.  Division keeps the remainder as mutable integer columns over
 one denominator across its steps and divides out one gcd per step.
 Evaluation at a rational point is one homogenised integer Horner sum per
 column, normalised once; no workload evaluates at other points, which take a
 Horner loop of CoeffScalar operations.  CoeffScalar values are built only
-when a caller asks for coefficients (`p[k]`, `lead`, `coeffs`).  Columns are
+when a caller asks for coefficients (`p[k]`, `lead`, `coeffs`); the text of
+a polynomial is printed from its integer entries, each x / den reduced by
+one gcd, as CoeffScalar and TowerReal would print it.  Columns are
 shared between polynomials and never mutated.  Two ring involutions act on
 polynomials: coefficientwise conjugation and the substitution z -> -z.
 
 Gcds of polynomials over Q(i), rational ones included, run on their (1, 0)
 and (1, 1) columns, the real and imaginary integer numerators, in the factor
 module: one modular gcd over Z[i] certified by exact division, for any number
-of inputs (`poly_gcd`).  Square-free splits of rational polynomials run on
+of inputs (`poly_gcd`).  The certifying divisions also give each input's
+quotient, so `cofactors`, the inputs divided by their gcd, takes one kernel
+call and one integer pass, and divides nothing again; over the tower it is
+`poly_gcd` and `exact_div`.  `monic_lead` divides by a lead over Q(i) with
+its inverse's integer row.  Square-free splits of rational polynomials run on
 their primitive (1, 0) column (Yun's algorithm on Z[x]).  Polynomials with
 other tower coefficients use Euclid's algorithm and the same Yun loop over
 the field.  Real roots of polynomials with rational coefficients are
@@ -65,7 +75,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import NotRealPolynomial
-from .factor import factor_squarefree, gaussian_gcd, mul, squarefree, squarefree_part, yun
+from .factor import factor_squarefree, gaussian_cofactors, gaussian_gcd, mul, squarefree, squarefree_part, yun
 from .scalars import CoeffScalar, TowerReal, scalar
 
 _Key = tuple[int, int]
@@ -153,26 +163,39 @@ def _entry_gcd(cols, g: int = 0) -> int:
     return g
 
 
-def _product(ca, cb, den: int) -> Poly:
-    """The Poly (ca * cb) / den: one convolution per pair of keys, the
-    shorter column outside."""
+def _product(terms, den: int) -> Poly:
+    """The Poly (sum of f * ca * cb over the terms (f, ca, cb)) / den, f an
+    integer: one convolution per pair of keys of a term, the shorter column
+    outside, all accumulated into one set of columns and normalised once."""
     acc: dict[_Key, list[int]] = {}
-    for ka, xa in ca.items():
-        for kb, xb in cb.items():
-            key, f = _key_product(ka, kb)
-            short, long_ = (xa, xb) if len(xa) <= len(xb) else (xb, xa)
-            n = len(short) + len(long_) - 1
-            out = acc.get(key)
-            if out is None:
-                out = acc[key] = [0] * n
-            elif len(out) < n:
-                out.extend([0] * (n - len(out)))
-            for i, x in enumerate(short):
-                if x:
-                    x *= f
-                    for j, y in enumerate(long_, i):
-                        out[j] += x * y
+    for f0, ca, cb in terms:
+        for ka, xa in ca.items():
+            for kb, xb in cb.items():
+                key, f = _key_product(ka, kb)
+                f *= f0
+                short, long_ = (xa, xb) if len(xa) <= len(xb) else (xb, xa)
+                n = len(short) + len(long_) - 1
+                out = acc.get(key)
+                if out is None:
+                    out = acc[key] = [0] * n
+                elif len(out) < n:
+                    out.extend([0] * (n - len(out)))
+                for i, x in enumerate(short):
+                    if x:
+                        x *= f
+                        for j, y in enumerate(long_, i):
+                            out[j] += x * y
     return _poly(acc, den)
+
+
+def dot(terms) -> Poly:
+    """The sum of s * a * b over the terms (s, a, b), s an integer and a, b
+    polynomials, in one integer pass: each product is brought to the least
+    common multiple of the products' denominators and accumulated into one
+    set of columns (`_product`), normalised once."""
+    terms = [(s, a, b) for s, a, b in terms if a._cols and b._cols]
+    den = math.lcm(*(a._den * b._den for _, a, b in terms))
+    return _product([(s * (den // (a._den * b._den)), a._cols, b._cols) for s, a, b in terms], den)
 
 
 def _divide(a: Poly, b: Poly) -> tuple[list[tuple[int, dict[_Key, int], int]], Poly, CoeffScalar | None]:
@@ -313,7 +336,18 @@ class Poly:
         return self._den == other._den and self._cols == other._cols
 
     def __hash__(self):
-        return hash((self._den, frozenset(self._cols.items())))
+        """A constant hashes as its CoeffScalar (the zero polynomial as 0),
+        as it compares equal to it, and so to an int or a Fraction."""
+        cols, den = self._cols, self._den
+        for c in cols.values():
+            if len(c) > 1:
+                return hash((den, frozenset(cols.items())))
+        if not cols.keys() <= _GAUSSIAN_KEYS:
+            return hash(self[0])
+        re, im = (cols[key][0] if key in cols else 0 for key in (_ONE_KEY, _I_KEY))
+        if den != 1:
+            re, im = Fraction(re, den), Fraction(im, den)
+        return hash((re, im)) if im else hash(re)
 
     def __add__(self, other):
         other = _coerce_poly(other)
@@ -356,7 +390,7 @@ class Poly:
             return NotImplemented
         if not self._cols or not other._cols:
             return _ZERO
-        return _product(self._cols, other._cols, self._den * other._den)
+        return _product(((1, self._cols, other._cols),), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -373,7 +407,7 @@ class Poly:
     def scale(self, c) -> Poly:
         """c * self: the columns times c's row, read as columns of length one."""
         row, d = _coeff(c).to_row()
-        return _product(self._cols, {key: (x,) for key, x in row.items()}, self._den * d)
+        return _product(((1, self._cols, {key: (x,) for key, x in row.items()}),), self._den * d)
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         steps, rem, lead_inv = _divide(self, _coerce_poly(other))
@@ -433,12 +467,8 @@ class Poly:
         return self._at_rational(q.numerator, q.denominator)
 
     def monic(self) -> Poly:
-        if not self._cols:
-            return self
-        lead = _row(self._cols, self.degree)
-        if lead == {_ONE_KEY: self._den}:
-            return self
-        return self.scale(CoeffScalar.from_row(lead, self._den).inverse())
+        """self divided by its lead (`monic_lead`); zero stays zero."""
+        return monic_lead([self])[0] if self._cols else self
 
     # -- display -------------------------------------------------------------------
 
@@ -446,14 +476,18 @@ class Poly:
         return f"Poly({self})"
 
     def __str__(self):
-        if not self._cols:
+        """Terms from the top degree down, each coefficient printed from its
+        integer entries as CoeffScalar prints it (`_coeff_str`)."""
+        cols, den = self._cols, self._den
+        if not cols:
             return "0"
+        keys = sorted(cols)
         parts = []
-        for k in range(self.degree, -1, -1):
-            c = self[k]
-            if not c:
+        for k in range(_length(cols) - 1, -1, -1):
+            row = [(key, x) for key in keys if k < len(cols[key]) and (x := cols[key][k])]
+            if not row:
                 continue
-            cs = str(c)
+            cs = _coeff_str(row, den)
             if k == 0:
                 parts.append(cs)
                 continue
@@ -466,10 +500,31 @@ class Poly:
                 parts.append(f"({cs})*{zpow}")
             else:
                 parts.append(f"{cs}*{zpow}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return _joined(parts)
+
+
+def _joined(parts: list[str]) -> str:
+    """parts joined by "+", but where a part starts with "-"."""
+    return parts[0] + "".join(p if p[0] == "-" else "+" + p for p in parts[1:])
+
+
+def _coeff_str(row: list[tuple[_Key, int]], den: int) -> str:
+    """The text of the coefficient sum x sqrt(m) i^t / den over the nonzero
+    entries ((m, t), x) of row, sorted by key, as `CoeffScalar.__str__`
+    prints it: the real part, then the imaginary part as i, -i or (...)*i,
+    each part's terms by increasing m as `TowerReal.__str__` prints them."""
+    re, im = [], []
+    for (m, t), x in row:
+        g = math.gcd(x, den)
+        c = str(x // g) if g == den else f"{x // g}/{den // g}"
+        if m != 1:
+            c = f"{c[:-1]}sqrt({m})" if c in ("1", "-1") else f"{c}*sqrt({m})"
+        (im if t else re).append(c)
+    if not im:
+        return _joined(re)
+    i = _joined(im)
+    i = "i" if i == "1" else "-i" if i == "-1" else f"({i})*i"
+    return _joined([*re, i]) if re else i
 
 
 def _coerce_poly(x):
@@ -485,6 +540,25 @@ ONE_MINUS_Z2 = Poly([1, 0, -1])
 Z = Poly.z()
 
 
+def monic_lead(ps) -> list[Poly]:
+    """ps times the inverse of the lead of the first nonzero one, which
+    makes it monic: one column product each against the inverse's row.  A
+    lead (a + b i) / d over Q(i) has the integer row d (a - b i) over
+    a^2 + b^2; a tower lead is inverted as a CoeffScalar."""
+    first = next(p for p in ps if p)
+    cols, den = first._cols, first._den
+    lead = _row(cols, _length(cols) - 1)
+    if lead == {_ONE_KEY: den}:
+        return list(ps)
+    if lead.keys() <= _GAUSSIAN_KEYS:
+        a, b = lead.get(_ONE_KEY, 0), lead.get(_I_KEY, 0)
+        row, d = {_ONE_KEY: a * den, _I_KEY: -b * den}, a * a + b * b
+    else:
+        row, d = CoeffScalar.from_row(lead, den).inverse().to_row()
+    inv = {key: (x,) for key, x in row.items() if x}
+    return [_product(((1, p._cols, inv),), p._den * d) if p else p for p in ps]
+
+
 def poly_gcd(*ps: Poly) -> Poly:
     """Monic gcd over the scalar field of any number of polynomials; 0 when
     all are zero.  Inputs over Q(i), rational ones included, go in one call
@@ -496,17 +570,35 @@ def poly_gcd(*ps: Poly) -> Poly:
         return ps[0].monic() if ps else _ZERO
     if all(p._cols.keys() <= _GAUSSIAN_KEYS for p in ps):
         re, im = gaussian_gcd(*((p._cols.get(_ONE_KEY, ()), p._cols.get(_I_KEY, ())) for p in ps))
-        if not im:
-            return _from_integers(re)
-        a, b = re[-1], im[-1]  # divide by the lead: times (a - bi) / (a^2 + b^2)
-        cols = {_ONE_KEY: [x * a + y * b for x, y in zip(re, im)], _I_KEY: [y * a - x * b for x, y in zip(re, im)]}
-        return _poly(cols, a * a + b * b)
+        return _poly({_ONE_KEY: re, _I_KEY: im}, 1).monic() if im else _from_integers(re)
     g = ps[0]
     for b in ps[1:]:
         while b and g.degree:
             b = b.monic()  # keep coefficient growth in check
             g, b = b, g % b
     return g.monic()
+
+
+def cofactors(*ps: Poly) -> list[Poly]:
+    """p / poly_gcd(*ps) for each p of ps, not all zero.  Inputs over Q(i)
+    take the quotients of the one kernel call that certifies their gcd G
+    (`factor.gaussian_cofactors`): an input's columns over its denominator
+    are G times the quotient over that denominator, so the quotient times
+    lead(G), over the same denominator, is its cofactor by the monic gcd,
+    in one integer pass.  Tower inputs take poly_gcd and exact_div."""
+    if all(p._cols.keys() <= _GAUSSIAN_KEYS for p in ps):
+        (re, im), quotients = gaussian_cofactors(*((p._cols.get(_ONE_KEY, ()), p._cols.get(_I_KEY, ())) for p in ps))
+        if len(re) == 1:
+            return list(ps)
+        a, b = re[-1], im[-1] if im else 0
+        out = []
+        for p, (qr, qi) in zip(ps, quotients):  # (qr + i qi)(a + i b) over p's denominator
+            qi = qi or [0] * len(qr)
+            cols = {_ONE_KEY: [x * a - y * b for x, y in zip(qr, qi)], _I_KEY: [x * b + y * a for x, y in zip(qr, qi)]}
+            out.append(_poly(cols, p._den))
+        return out
+    g = poly_gcd(*ps)
+    return [p.exact_div(g) if p else p for p in ps]
 
 
 def require_real(p: Poly) -> None:
@@ -1011,7 +1103,8 @@ class RealAlgebraic:
         return lo < hi and _column_count(_integer_coeffs(self.minpoly), lo, hi) >= 1
 
     def __hash__(self):
-        return hash(self.minpoly)
+        """A rational value hashes as its Fraction, which it equals."""
+        return hash(self.as_rational()) if self.is_rational() else hash(self.minpoly)
 
     def __lt__(self, other):
         return self.compare(other) < 0

@@ -1,9 +1,13 @@
 """Rank-2 projective matrices over the function field of the line.
 
 Entries are polynomials in z (denominators are cleared on construction).
-The canonical form divides out the entry gcd, taken in one `poly_gcd` call
-over the nonzero entries, and scales the first nonzero entry in row-major
-order to be monic, so projective equality is a plain tuple comparison.
+The canonical form replaces the entries by their cofactors, the entries
+divided by their gcd (`poly.cofactors`: over Q(i) the quotients of the one
+kernel call that certifies the gcd, so nothing is divided twice), and
+scales the first nonzero entry in row-major order to be monic, so
+projective equality is a plain tuple comparison.  Products and
+determinants of entries are fused sums of products (`poly.dot`), each
+normalised once.
 This is the one place a matrix is normalised: later normal forms (the
 sphere's real pattern) read the canonical entries as they stand.
 Möbius action of a scalar matrix (on a fiber z = z0, or on the conic at
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BasePointHit, IndeterminateFiber
-from .poly import Poly, poly_gcd, _coerce_poly
+from .poly import Poly, _coerce_poly, cofactors, dot, monic_lead
 from .scalars import CoeffScalar, TowerReal
 
 
@@ -67,10 +71,10 @@ _ANGLE_OF_KAPPA = {CoeffScalar(2 + c): angle for angle, c in TWO_COS.items()}
 def raw_mul(a, b):
     """Product of two matrices given as flat entry 4-tuples, unreduced."""
     return (
-        a[0] * b[0] + a[1] * b[2],
-        a[0] * b[1] + a[1] * b[3],
-        a[2] * b[0] + a[3] * b[2],
-        a[2] * b[1] + a[3] * b[3],
+        dot(((1, a[0], b[0]), (1, a[1], b[2]))),
+        dot(((1, a[0], b[1]), (1, a[1], b[3]))),
+        dot(((1, a[2], b[0]), (1, a[3], b[2]))),
+        dot(((1, a[2], b[1]), (1, a[3], b[3]))),
     )
 
 
@@ -84,7 +88,7 @@ def angle_of_entries(entries) -> tuple[int, int] | None:
     tr = a11 + a22
     if not tr:
         return (1, 2)
-    tr2, det = tr * tr, a11 * a22 - a12 * a21
+    tr2, det = tr * tr, dot(((1, a11, a22), (-1, a12, a21)))
     kappa = tr2.lead() / det.lead()
     angle = _ANGLE_OF_KAPPA.get(kappa) if tr2 == det.scale(kappa) else None
     if angle == (0, 1) and (a12 or a21 or a11 != a22):
@@ -101,7 +105,7 @@ def proportional(p, q) -> bool:
     k = next((k for k in range(4) if p[k]), None)
     if k is None or not q[k]:
         return False
-    return all(p[j] * q[k] == q[j] * p[k] for j in range(4) if j != k)
+    return not any(dot(((1, p[j], q[k]), (-1, q[j], p[k]))) for j in range(4) if j != k)
 
 
 @dataclass(frozen=True)
@@ -134,18 +138,15 @@ class ProjMat:
 
     @classmethod
     def _canonical(cls, polys: list[Poly]) -> ProjMat:
-        """The package's one normalisation of a matrix: divide by the entry
-        gcd (`poly_gcd`, whose Z[i] kernel removes each input's content
-        itself), then scale the first nonzero entry to monic, which absorbs
-        any rational content left.  Outside this module it is reached
-        through `ProjMat.of` only (a test guards this)."""
-        nonzero = [p for p in polys if p]
-        if not nonzero:
+        """The package's one normalisation of a matrix: the entries' cofactors
+        by their gcd (`cofactors`: over Q(i) the quotients the gcd kernel
+        certifies it with, so no entry is divided again), then the first
+        nonzero entry scaled to monic in integers (`monic_lead`), which
+        absorbs any rational content left.  Outside this module it is reached through `ProjMat.of` only
+        (a test guards this)."""
+        if not any(polys):
             raise ValueError("zero matrix is not projective")
-        g = poly_gcd(*nonzero)
-        if g.degree > 0:
-            polys = [p.exact_div(g) if p else p for p in polys]
-        mat = cls._monic_lead(polys)
+        mat = cls._monic_lead(cofactors(*polys))
         if not mat.det():
             raise ValueError("matrix has identically zero determinant")
         return mat
@@ -153,12 +154,8 @@ class ProjMat:
     @classmethod
     def _monic_lead(cls, polys) -> ProjMat:
         """The matrix of entries with gcd 1, scaled to make the first
-        nonzero one monic."""
-        lead = next(p for p in polys if p).lead()
-        if lead != 1:
-            lead_inv = lead.inverse()
-            polys = [p.scale(lead_inv) for p in polys]
-        return cls(*polys)
+        nonzero one monic (`monic_lead`, one integer pass)."""
+        return cls(*monic_lead(polys))
 
     @classmethod
     def identity(cls) -> ProjMat:
@@ -174,7 +171,7 @@ class ProjMat:
         return (self.a11, self.a12, self.a21, self.a22)
 
     def det(self) -> Poly:
-        return self.a11 * self.a22 - self.a12 * self.a21
+        return dot(((1, self.a11, self.a22), (-1, self.a12, self.a21)))
 
     def __mul__(self, other: ProjMat) -> ProjMat:
         if not isinstance(other, ProjMat):

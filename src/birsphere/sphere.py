@@ -30,7 +30,7 @@ from .errors import (
     NotRealityMember,
     UnsupportedExtension,
 )
-from .poly import ONE_MINUS_Z2, Poly, real_roots_in_tower_poly, sturm_count
+from .poly import ONE_MINUS_Z2, Poly, dot, real_roots_in_tower_poly, sturm_count
 from .projmat import INF, TWO_COS, ProjMat, angle_of_entries, mobius_action, proportional, raw_mul
 from .scalars import CoeffScalar, TowerReal, scalar
 
@@ -62,7 +62,7 @@ class FiberPattern:
         return (self.a, self.b * ONE_MINUS_Z2, self.b.conj(), self.a.conj())
 
     def determinant(self) -> Poly:
-        return self.a * self.a.conj() - self.b * self.b.conj() * ONE_MINUS_Z2
+        return dot(((1, self.a, self.a.conj()), (-1, self.b * ONE_MINUS_Z2, self.b.conj())))
 
     @cached_property
     def stripped_determinant(self) -> tuple[bool, bool, Poly]:

@@ -15,7 +15,7 @@ from birsphere.classify import (
 from birsphere.cli import main
 from birsphere.parsing import parse_poly
 from birsphere.projmat import ProjMat
-from birsphere.scalars import TowerReal
+from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import (
     BUILTIN_NAMES,
     BaseMobius,
@@ -295,6 +295,30 @@ def test_cli_picard(capsys):
     assert payload["swaps_with_minus_k"] and payload["invariant_rank"] == 1
     code, out, _ = run_cli(capsys, "picard", "dp4", "--check", "rho", "--mu", "3/5+4/5i")
     assert json.loads(out)["extra_symmetry"] is True
+
+
+@pytest.mark.parametrize("check, valid", [
+    ("rank", "alpha1, alpha2, g1, g2"),
+    ("aut", "alpha1, alpha2, g1, g2, rejected1, rejected2"),
+    ("preserves", "gamma1, gamma2, gamma, alpha1, alpha2"),
+])
+def test_picard_dp4_unknown_op_is_a_parse_error(capsys, check, valid):
+    code, out, err = run_cli(capsys, "picard", "dp4", "--check", check, "--op", "foo")
+    assert code == 2 and not out and f"(expected {valid})" in err and "'foo'" in err
+
+
+def test_classify_dp4_mu_is_parsed_and_checked(capsys):
+    code, out, _ = run_cli(capsys, "classify", "dp4:alpha1", "--mu", "3/5+4/5i")
+    assert code == 0 and json.loads(out)["moduli"]["mu"] == str(CoeffScalar(Fraction(3, 5), Fraction(4, 5)))
+    for bad in ("zz", "1/0", "z"):
+        code, out, _ = run_cli(capsys, "classify", "dp4:alpha1", "--mu", bad)
+        assert code == 2 and not out
+    for degenerate in ("0", "1", "-1", "2/2"):
+        code, out, err = run_cli(capsys, "classify", "dp4:alpha2", "--mu", degenerate)
+        assert code == 5 and not out and "mu must avoid" in err
+    for element in ("geiser", "dp4:geiser", "builtin:tau"):
+        code, out, err = run_cli(capsys, "classify", element, "--mu", "2")
+        assert code == 2 and not out and "--mu applies to dp4:alpha1 and dp4:alpha2 only" in err
 
 
 def test_cli_exit_codes(capsys):

@@ -655,7 +655,7 @@ def test_canonical_pattern_lemma(a, b, c, d, k):
             continue
     canonical_pattern.cache_clear()
     work = mock.Mock(side_effect=AssertionError("canonical_pattern took a gcd or a proportional"))
-    with mock.patch.object(poly_mod, "poly_gcd", work), mock.patch.object(projmat_mod, "poly_gcd", work), \
+    with mock.patch.object(poly_mod, "poly_gcd", work), mock.patch.object(projmat_mod, "cofactors", work), \
             mock.patch.object(sphere_mod, "proportional", work):
         patterns = [canonical_pattern(mat) for mat, _ in mats]
     for (mat, s_is_zero), pat in zip(mats, patterns):

@@ -1,0 +1,224 @@
+"""The conjugator path's integer passes against references built from the
+plain ring operations: fused sums of products (`dot`), the gcd kernel's
+cofactors in the canonical form, and `Poly.__str__` from integer columns;
+plus counts of the work one certified pair and one classification take."""
+
+import sys
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from birsphere import factor
+from birsphere import involutions as involutions_mod
+from birsphere import poly as poly_mod
+from birsphere import sphere as sphere_mod
+from birsphere.classify import classify_spheremap, decide_conjugacy
+from birsphere.involutions import InvolutionForm
+from birsphere.poly import ONE_MINUS_Z2, Poly, RealAlgebraic, cofactors, dot, poly_gcd
+from birsphere.projmat import ProjMat
+from birsphere.scalars import CoeffScalar, TowerReal
+from birsphere.sphere import FiberPattern, SphereMap, builtin_map
+from test_exact_core import coeff_scalars, gaussian_scalars, polys, ref_poly_mul, trim
+
+Z = Poly.z()
+I = CoeffScalar.i()
+SQRT2, SQRT3 = TowerReal.sqrt_rational(2), TowerReal.sqrt_rational(3)
+
+gaussian_polys = polys(gaussian_scalars, max_degree=3)
+tower_polys = polys(coeff_scalars((1, 2, 3)), max_degree=3)
+terms = st.lists(st.tuples(st.sampled_from((1, -1)), gaussian_polys | tower_polys, gaussian_polys | tower_polys),
+                 max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms)
+@example([(1, Z.scale(Fraction(1, 3)), Z + 1), (-1, Poly.const(Fraction(1, 2)), Z * Z), (1, Poly(), Z)])
+@example([(1, Z, Z.scale(I)), (-1, Z.scale(I), Z)])  # cancels to zero
+def test_dot_matches_products_and_differences(terms):
+    """dot(terms) is the sum of the products, each added or subtracted, and
+    its coefficients are those of schoolbook products of CoeffScalars."""
+    expected, coeffs = Poly(), ()
+    for s, a, b in terms:
+        expected = expected + a * b if s > 0 else expected - a * b
+        product = ref_poly_mul(a.coeffs, b.coeffs)
+        n = max(len(coeffs), len(product))
+        pad = [CoeffScalar(0)] * n
+        coeffs = trim(x + s * y for x, y in zip((*coeffs, *pad)[:n], (*product, *pad)[:n]))
+    out = dot(terms)
+    assert out == expected and out.coeffs == coeffs
+
+
+def _reference_canonical(entries) -> tuple[Poly, ...] | None:
+    """The canonical entries as the gcd and four divisions give them:
+    poly_gcd, exact_div by it, then the first nonzero entry made monic;
+    None for a zero matrix or a zero determinant."""
+    nonzero = [e for e in entries if e]
+    if not nonzero:
+        return None
+    g = poly_gcd(*nonzero)
+    entries = [e.exact_div(g) if e else e for e in entries]
+    lead = next(e for e in entries if e).lead().inverse()
+    entries = tuple(e.scale(lead) for e in entries)
+    return entries if entries[0] * entries[3] - entries[1] * entries[2] else None
+
+
+factors = st.sampled_from((Poly.const(1), Z - 2, Z.scale(I) + 3, Z * Z + 1, (Z - I) * (Z + Fraction(1, 2)),
+                           Z + CoeffScalar(SQRT2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(gaussian_polys, gaussian_polys, gaussian_polys, gaussian_polys) | st.tuples(
+    tower_polys, gaussian_polys, gaussian_polys, tower_polys), factors)
+@example((Z, Poly(), Poly(), Poly.const(3)), Z * Z + 1)
+@example((Z.scale(I), Poly.const(2), Z + 1, Z - I), (Z - I) * (Z + Fraction(1, 2)))
+def test_canonical_form_matches_gcd_then_division(entries, common):
+    """ProjMat.of on entries sharing a common factor of degree 0 to 2, over
+    Q(i) and over the tower, against the reference; cofactors times the
+    monic gcd give the inputs back."""
+    entries = tuple(e * common for e in entries)
+    expected = _reference_canonical(entries)
+    try:
+        mat = ProjMat.of(*entries)
+    except ValueError:
+        assert expected is None
+        return
+    assert mat.entries() == expected
+    g = poly_gcd(*entries)
+    assert all(c * g == e for c, e in zip(cofactors(*entries), entries))
+
+
+def test_quotient_routine_returns_none_on_a_non_divisor():
+    """_zi_quotient returns f / c when c divides f over Z[i], and None when a
+    quotient coefficient is not a Gaussian integer or a remainder is left."""
+    quotient = factor._zi_quotient
+    assert quotient(([2, 3, 1], []), ([1, 1], [])) == ([2, 1], [])  # (z + 1)(z + 2)
+    assert quotient(([2, 3, 2], []), ([1, 1], [])) is None  # remainder 1
+    assert quotient(([1, 0, 2], []), ([1, 2], [])) is None  # 2z^2 + 1 = z (2z + 1) - z + 1: -1/2
+    assert quotient(([1, 1], []), ([1, 2], [])) is None  # 1/2 is not an integer
+    # (z - i)(z + 1 + i) = z^2 + z + 1 - i, which is -2i at z = -i
+    assert quotient(([1, 1, 1], [-1, 0, 0]), ([0, 1], [-1, 0])) == ([1, 1], [1, 0])
+    assert quotient(([1, 1, 1], [-1, 0, 0]), ([0, 1], [1, 0])) is None
+    assert quotient(([0, 1], [1, 0]), ([0, 2], [0, 0])) is None  # (z + i) / 2z: 1/2 is not in Z[i]
+    assert quotient(([0, 2], [0, 2]), ([1], [1])) == ([0, 2], [0, 0])  # (2 + 2i) z = (1 + i) 2z
+
+
+def _old_poly_str(p: Poly) -> str:
+    """Poly.__str__ as it was written on CoeffScalar and TowerReal objects:
+    the reference the integer-column printer must match character for
+    character."""
+    if not p:
+        return "0"
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = p[k]
+        if not c:
+            continue
+        cs = str(c)
+        if k == 0:
+            parts.append(cs)
+            continue
+        zpow = "z" if k == 1 else f"z^{k}"
+        if cs == "1":
+            parts.append(zpow)
+        elif cs == "-1":
+            parts.append(f"-{zpow}")
+        elif any(s in cs[1:] for s in "+-") or "*" in cs or "i" in cs:
+            parts.append(f"({cs})*{zpow}")
+        else:
+            parts.append(f"{cs}*{zpow}")
+    out = parts[0]
+    for part in parts[1:]:
+        out += part if part.startswith("-") else "+" + part
+    return out
+
+
+special_scalars = st.sampled_from((
+    CoeffScalar(0), CoeffScalar(1), CoeffScalar(-1), CoeffScalar(0, 1), CoeffScalar(0, -1),
+    CoeffScalar(0, Fraction(-3, 2)), CoeffScalar(1, -1), CoeffScalar(SQRT2), CoeffScalar(-SQRT3),
+    CoeffScalar(0, SQRT2), CoeffScalar(SQRT2 + 1, -SQRT3 / 2), CoeffScalar(Fraction(-1, 3), SQRT2 - SQRT3),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(special_scalars | coeff_scalars((1, 2, 3, 6)), max_degree=4))
+@example(Poly([CoeffScalar(0, -1), 1, CoeffScalar(0, 1), -1]))
+def test_str_matches_the_coeffscalar_formatter(p):
+    assert str(p) == _old_poly_str(p)
+
+
+def test_equal_constants_of_every_kind_are_one_dict_key():
+    """A constant Poly equals its int, Fraction, TowerReal and CoeffScalar,
+    and a rational RealAlgebraic its Fraction, so each finds the others'
+    dict entries."""
+    for q in (2, 0, -7, Fraction(3, 4)):
+        kinds = (q, Fraction(q), TowerReal.from_rational(q), CoeffScalar(q), Poly.const(q))
+        table = {}
+        for key in kinds:
+            table[key] = q
+        assert len(table) == 1 and all(table[key] == q for key in kinds)
+    assert {Poly.const(2): "a"}.get(2) == "a" and {Poly(): "zero"}.get(0) == "zero"
+    table = {RealAlgebraic.from_rational(Fraction(1, 2)): "half"}
+    assert table.get(Fraction(1, 2)) == "half"
+    assert {Poly.const(CoeffScalar(1, 2)): 1}.get(CoeffScalar(1, 2)) == 1
+    assert {Poly.const(CoeffScalar(SQRT2)): 1}.get(SQRT2) == 1
+
+
+# -- counted work on fixed inputs ----------------------------------------------------------
+
+
+def _count_work(run):
+    """run() with `poly._product` calls counted, and Poly.exact_div calls
+    made inside ProjMat._canonical; the memoised layers start empty."""
+    for memo in (sphere_mod.canonical_pattern, involutions_mod._neg_determinant, involutions_mod._split):
+        memo.cache_clear()
+    counts = {"product": 0, "canonical_exact_div": 0}
+    product, exact_div = poly_mod._product, Poly.exact_div
+    canonical_code = ProjMat._canonical.__func__.__code__
+
+    def counted_product(*args):
+        counts["product"] += 1
+        return product(*args)
+
+    def counted_exact_div(self, other):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not canonical_code:
+            frame = frame.f_back
+        counts["canonical_exact_div"] += frame is not None
+        return exact_div(self, other)
+
+    poly_mod._product, Poly.exact_div = counted_product, counted_exact_div
+    try:
+        result = run()
+    finally:
+        poly_mod._product, Poly.exact_div = product, exact_div
+    return result, counts
+
+
+def test_certify_and_classify_work_is_counted():
+    """One certified involution pair and one conjugate of rot:1/2, both over
+    Q(i).  The canonical form divides no entry (the gcd kernel's cofactors
+    replace poly_gcd and exact_div), and the column products are pinned:
+    87 for the pair and 98 for the classification, against 114 and 127
+    when every sum of products was formed product by product."""
+    a = InvolutionForm(Z + 2, Z.scale(I) + 1 - I).matrix()
+    c = FiberPattern(Z + 2 + I, Poly.const(CoeffScalar(1, 1))).matrix()
+    pair = SphereMap.trivial_base(a), SphereMap.trivial_base(c * a * c.inverse())
+    answer, counts = _count_work(lambda: decide_conjugacy(*pair))
+    assert answer["conjugate"] and answer["verified"]
+    assert counts == {"product": 87, "canonical_exact_div": 0}
+
+    mover = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix()  # det 8 + 2 z^2 > 0
+    rotation = SphereMap.trivial_base(mover * builtin_map("rot:1/2").fiber * mover.inverse())
+    report, counts = _count_work(lambda: classify_spheremap(rotation))
+    assert report.family == 3 and report.moduli["angle"] == [1, 2]
+    assert counts == {"product": 98, "canonical_exact_div": 0}
+
+
+def test_determinants_match_the_ring_operations():
+    """InvolutionForm.determinant and FiberPattern.determinant, fused sums
+    of products, against the same formulas in plain ring operations."""
+    form = InvolutionForm(Z + 2, Z.scale(I) + 1 - I)
+    assert form.determinant() == form.p * form.p - form.q * form.q.conj() * ONE_MINUS_Z2
+    pattern = FiberPattern(Z + I, Poly.const(3))
+    assert pattern.determinant() == pattern.a * pattern.a.conj() - pattern.b * pattern.b.conj() * ONE_MINUS_Z2

@@ -746,7 +746,7 @@ def test_gaussian_gcd_joins_two_primes(used_primes, gaussian_primes):
 
 def test_gaussian_gcd_of_coprime_inputs_needs_no_division(used_primes, gaussian_primes, monkeypatch):
     drawn, (q0, _, _), _ = gaussian_primes
-    monkeypatch.setattr(factor, "_zi_divides", None)
+    monkeypatch.setattr(factor, "_zi_quotient", None)
     assert factor.gaussian_gcd(([0, 0, 1], [1]), ([-3, 1], [])) == ([1], [])
     assert used_primes == _drawn_through(drawn, q0)
 
