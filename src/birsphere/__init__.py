@@ -15,6 +15,7 @@ from .errors import (
     NotFiniteOrder,
     NotInvolution,
     NotOnSphere,
+    NotRationalPolynomial,
     NotRealPolynomial,
     NotRealityMember,
     ParseError,

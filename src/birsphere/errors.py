@@ -13,6 +13,10 @@ class NotRealPolynomial(BirsphereError):
     """A real polynomial was required but the input has imaginary coefficients."""
 
 
+class NotRationalPolynomial(BirsphereError):
+    """A polynomial with rational coefficients was required."""
+
+
 class UnsupportedExtension(BirsphereError):
     """The exact answer lives outside every real multi-quadratic tower."""
 

@@ -42,25 +42,22 @@ call and one integer pass, and divides nothing again; over the tower it is
 its inverse's integer row.  Square-free splits of rational polynomials run on
 their primitive (1, 0) column (Yun's algorithm on Z[x]).  Polynomials with
 other tower coefficients use Euclid's algorithm and the same Yun loop over
-the field.  Real roots of polynomials with rational coefficients are
-counted and isolated on integer lists: the square-free part of the integer
-column (one modular gcd, `factor.squarefree_part`), then Descartes' rule of
-signs with bisection by Taylor shifts and halvings (Vincent-Collins-Akritas,
-in the integer form of Rouillier and Zimmermann), with no remainder
-sequence.  Real roots of polynomials with other real tower coefficients are
-found with exact sign decisions on Euclid's chain of p and dp/dz, divided by
-its last member into the Sturm chain of the square-free part
-(`sturm_chain`) for isolation and for counts with a finite end; a count over
-the whole line skips the division, which moves no sign variation there.
-The dispatch is the coefficient type alone, and both isolations bisect at
-the same points into the same intervals.  Real algebraic numbers are
-carried as an irreducible rational minimal polynomial plus an isolating
-rational interval.  `refined` returns the same number with a narrower
-interval; equality is one Descartes count on the overlap of the two
-intervals (the minimal polynomial is square-free, so no gcd is taken), and
-one `compare` orders two numbers by narrowing both with
-doubling bits, each round continuing from the last.  Minimal polynomials come
-from `factor_rational_poly`: Yun's square-free split, then Zassenhaus'
+the field.  Real roots are counted and isolated by one algorithm, on
+integer lists: the square-free part of the integer column (one modular gcd,
+`factor.squarefree_part`), then Descartes' rule of signs with bisection by
+Taylor shifts and halvings (Vincent-Collins-Akritas, in the integer form of
+Rouillier and Zimmermann), with no remainder sequence.  A polynomial with
+other real tower coefficients answers through the rational Galois norm of
+its square-free part s: of the isolating intervals of the norm's
+square-free part, those across which s changes sign hold its roots, one
+each (`_tower_intervals`).  The dispatch is the coefficient type alone.
+Real algebraic numbers are carried as an irreducible rational minimal
+polynomial plus an isolating rational interval.  `refined` returns the same
+number with a narrower interval; equality is one Descartes count on the
+overlap of the two intervals (the minimal polynomial is square-free, so no
+gcd is taken), and one `compare` orders two numbers by narrowing both with
+doubling bits, each round continuing from the last.  Minimal polynomials
+come from `factor_rational_poly`: Yun's square-free split, then Zassenhaus'
 factorisation of each part over Z in the factor module (Berlekamp modulo the
 least suitable prime, Hensel lifting, recombination by exact division).
 """
@@ -74,9 +71,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import NotRealPolynomial
+from .errors import NotRationalPolynomial, NotRealPolynomial
 from .factor import factor_squarefree, gaussian_cofactors, gaussian_gcd, mul, squarefree, squarefree_part, yun
-from .scalars import CoeffScalar, TowerReal, scalar
+from .scalars import CoeffScalar, TowerReal, _factorint, scalar
 
 _Key = tuple[int, int]
 _Cols = dict[_Key, tuple[int, ...]]
@@ -585,7 +582,8 @@ def cofactors(*ps: Poly) -> list[Poly]:
     (`factor.gaussian_cofactors`): an input's columns over its denominator
     are G times the quotient over that denominator, so the quotient times
     lead(G), over the same denominator, is its cofactor by the monic gcd,
-    in one integer pass.  Tower inputs take poly_gcd and exact_div."""
+    in one integer pass.  Tower inputs take poly_gcd and exact_div, which a
+    gcd of 1 skips."""
     if all(p._cols.keys() <= _GAUSSIAN_KEYS for p in ps):
         (re, im), quotients = gaussian_cofactors(*((p._cols.get(_ONE_KEY, ()), p._cols.get(_I_KEY, ())) for p in ps))
         if len(re) == 1:
@@ -598,7 +596,7 @@ def cofactors(*ps: Poly) -> list[Poly]:
             out.append(_poly(cols, p._den))
         return out
     g = poly_gcd(*ps)
-    return [p.exact_div(g) if p else p for p in ps]
+    return [p.exact_div(g) if p else p for p in ps] if g.degree else list(ps)
 
 
 def require_real(p: Poly) -> None:
@@ -618,72 +616,6 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     if p.is_rational():
         return [(_from_integers(f), k) for f, k in squarefree(_integer_coeffs(p))]
     return yun(p.monic(), Poly.derivative, Poly.__sub__, poly_gcd, Poly.exact_div)
-
-
-# -- Sturm machinery: real roots of tower polynomials ------------------------------
-
-
-def _euclid_chain(p: Poly) -> list[Poly]:
-    """p, dp/dz and the negated remainders, ending in a multiple of gcd(p, p')."""
-    require_real(p)
-    chain, q = [p], p.derivative()
-    while q:
-        chain.append(q)
-        q = -(chain[-2] % q)
-    return chain
-
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    """The Sturm chain of the square-free part s of a real p: Euclid's chain
-    of p and dp/dz, every member divided exactly by the monic associate of
-    its last member g = gcd(p, dp/dz).
-
-    Lemma: the divided members are a Sturm chain of s = p/g at every point,
-    finite ends included.
-    - Consecutive divided members have gcd 1: times g, it is the gcd of two
-      consecutive members of Euclid's chain, which is g.
-    - The remainder relations r_(k-1) = q_k r_k - r_(k+1) still hold after
-      the division, so where a middle member vanishes its neighbours have
-      opposite signs.
-    - At a root x0 of multiplicity k, (dp/dz)/g takes the value k lead(p)
-      prod_(r != x0) (x0 - r), r over the other distinct roots, which has
-      the sign of s'(x0); so s (dp/dz)/g goes from - to + across x0.
-    So V(lo) - V(hi) counts the distinct real roots of p in (lo, hi].
-    """
-    chain = _euclid_chain(p)
-    if chain[-1].degree > 0:
-        g = chain[-1].monic()
-        chain = [q.exact_div(g) for q in chain]
-    return chain
-
-
-def _sign_variations(signs) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def _chain_variations_at(chain, x: Fraction | None, side: int) -> int:
-    # x None means -infinity (side=-1) or +infinity (side=+1)
-    signs = []
-    for q in chain:
-        if x is None:
-            s = q.lead().as_real().sign()
-            if side < 0 and q.degree % 2:
-                s = -s
-        else:
-            s = real_sign_at(q, x)
-        signs.append(s)
-    return _sign_variations(signs)
-
-
-def _chain_count(chain: list[Poly], lo: Fraction | None, hi: Fraction | None) -> int:
-    """sturm_count of chain[0] of positive degree, given its `sturm_chain`
-    (or, with both ends infinite, its `_euclid_chain`)."""
-    count = _chain_variations_at(chain, lo, -1) - _chain_variations_at(chain, hi, +1)
-    # V counts roots in (lo, hi]; drop hi when it is a root.
-    if hi is not None and real_sign_at(chain[0], hi) == 0:
-        count -= 1
-    return count
 
 
 # -- Descartes' rule: real roots of rational polynomials on integer lists -----------
@@ -813,16 +745,16 @@ def _column_isolate(s: list[int], b: Fraction) -> list[tuple[Fraction, Fraction]
     """isolate_real_roots_poly for a square-free s in Z[x] of positive
     degree whose real roots lie in (-b, b).
 
-    The intervals are those of the Sturm tree on (-b, b): it splits an
-    interval that holds two or more roots at its midpoint, moved halfway
+    The intervals are those of the exact-count tree on (-b, b): it splits
+    an interval that holds two or more roots at its midpoint, moved halfway
     to the upper end while it is a root, and reports an interval that holds
     one.  This tree makes the same splits; a node's count is its
     `_descartes` bound V when V <= 1, and otherwise the sum of its
     children's counts (no split point is a root).  A node with count >= 2
-    has V >= 2 and is split in both trees, so the Sturm tree is this tree
-    cut at its topmost nodes of count 1, which are reported: from each leaf
-    with V = 1, the last node of count 1 on its way up (counts only grow
-    from child to parent).  The root's count is taken first over the whole
+    has V >= 2 and is split in both trees, so the exact-count tree is this
+    tree cut at its topmost nodes of count 1, which are reported: from each
+    leaf with V = 1, the last node of count 1 on its way up (counts only
+    grow from child to parent).  The root's count is taken first over the whole
     line, on the small entries of s: with 0 or 1 roots no transform of s
     onto (-b, b), whose entries carry b's digits n times, is made.
     """
@@ -869,10 +801,8 @@ def sturm_count(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None)
     None endpoints mean -infinity / +infinity.  Endpoint roots are excluded.
     A rational p is counted on the square-free part of its integer column
     (`factor.squarefree_part`, one gcd) by Descartes' rule
-    (`_column_count`); a tower p by its Sturm chain, or over the whole line
-    by Euclid's chain undivided: at +-infinity a sign reads a lead and a
-    degree parity, and dividing by sturm_chain's monic g keeps the leads and
-    flips the parities alike.
+    (`_column_count`); a tower p through its rational Galois norm
+    (`_tower_intervals`).
     """
     require_real(p)
     if not p:
@@ -882,62 +812,58 @@ def sturm_count(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None)
         return 0
     if p.is_rational():
         return _column_count(squarefree_part(_integer_coeffs(p)), lo, hi)
-    chain = _euclid_chain(p) if lo is None and hi is None else sturm_chain(p)
-    return _chain_count(chain, lo, hi)
+    return len(_tower_intervals(p, lo, hi)[1])
+
+
+def _tower_intervals(p: Poly, lo: Fraction | None, hi: Fraction | None) -> tuple[Poly, list]:
+    """(n, intervals) for a real p of positive degree with a coefficient
+    outside Q: n is the square-free part of the rational Galois norm of the
+    square-free part s = p / gcd(p, dp/dz) (`cofactors`), as an integer
+    column, and the intervals, sorted, are the isolating intervals (a, b) of
+    n (`isolate_real_roots_poly`), cut to (max(lo, a), min(hi, b)), that
+    hold a root of p, one each; None ends cut nothing.
+
+    Lemma.  Every root of s is a root of n.  An isolating interval (a, b) of
+    n holds exactly one root of n, so it holds at most one root of s, and
+    that root is simple; its ends are not roots of n.
+    - So s changes sign across (a, b) exactly when p has a root there.
+    - On the cut interval the test still holds, and a cut end that is a root
+      of s gives a sign product of 0, so that root, which is not in the open
+      interval, is excluded.
+    Every root of p is in one of the intervals of n, so none is missed.
+    """
+    s = cofactors(p, p.derivative())[0]
+    norm = galois_norm_poly(s)
+    n = _new({_ONE_KEY: tuple(squarefree_part(_integer_coeffs(norm)))}, 1)
+    out = []
+    for a, b in isolate_real_roots_poly(n):
+        a, b = a if lo is None else max(lo, a), b if hi is None else min(hi, b)
+        if a < b and real_sign_at(s, a) * real_sign_at(s, b) < 0:
+            out.append((a, b))
+    return n, out
 
 
 def cauchy_bound(p: Poly) -> Fraction:
-    """Rational bound B with all real roots of p in (-B, B)."""
-    if p.is_rational():
-        # the tower path's value: 2 + max c_k^2 (1 + 2^-32) / lead^2
-        c = p._cols[_ONE_KEY]
-        top = max((x * x for x in c[:-1]), default=0)
-        return 2 + Fraction(top * ((1 << 32) + 1), c[-1] ** 2 << 32)
-    lead, hi = p.lead().norm(), TowerReal.from_rational(0)
-    for c in p.coeffs[:-1]:
-        n = c.norm()
-        if (n - hi).sign() > 0:
-            hi = n
-    # |root| <= 1 + max|c_k|/|lead|; bound norm ratio by rational overshoot.
-    # The enclosure of the positive |lead|^2 narrows to it as bits double.
-    bits = 32
-    while (lo_l := lead.interval(bits)[0]) <= 0:
-        bits *= 2
-    _, hi_h = hi.interval(32)
-    ratio = hi_h / lo_l
-    b = Fraction(2) + ratio  # >= 1 + sqrt(ratio)
-    return b
+    """Rational bound B with all real roots of a rational p in (-B, B):
+    2 + max c_k^2 (1 + 2^-32) / lead^2 over p's coefficients c_k, above
+    1 + max |c_k| / |lead|, Cauchy's bound, as 1 + x < 2 + x^2.  The factor
+    1 + 2^-32 sets the bisection points, and so every recorded interval.
+    NotRationalPolynomial for any other p."""
+    if not p.is_rational():
+        raise NotRationalPolynomial(f"rational polynomial required, got {p}")
+    c = p._cols[_ONE_KEY]
+    top = max((x * x for x in c[:-1]), default=0)
+    return 2 + Fraction(top * ((1 << 32) + 1), c[-1] ** 2 << 32)
 
 
-def isolate_real_roots_poly(s: Poly, chain: list[Poly] | None = None) -> list[tuple[Fraction, Fraction]]:
+def isolate_real_roots_poly(s: Poly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals, sorted, each holding one real root
-    of the square-free real s of positive degree; interval endpoints are
-    never roots.  Both paths bisect (-b, b), b = `cauchy_bound(s)`, at the
-    same points into the same intervals.  A rational s runs on its integer
-    column by Descartes' rule (`_column_isolate`); a tower s on its
-    `sturm_chain`, which a caller holding it passes as chain."""
-    b = cauchy_bound(s)
-    if s.is_rational():
-        return _column_isolate(_integer_coeffs(s), b)
-    chain = chain or sturm_chain(s)
-    total = _chain_count(chain, -b, b)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-b, b, total)]
-    while stack:
-        lo, hi, n = stack.pop()
-        if n == 0:
-            continue
-        if n == 1:
-            out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        while real_sign_at(s, mid) == 0:
-            mid = (mid + hi) / 2
-        nlo = _chain_count(chain, lo, mid)
-        stack.append((lo, mid, nlo))
-        stack.append((mid, hi, n - nlo))
-    out.sort()
-    return out
+    of the square-free rational s of positive degree; interval endpoints
+    are never roots.  Descartes' rule bisects (-b, b), b = `cauchy_bound(s)`,
+    on s's integer column (`_column_isolate`).  Any other s raises
+    NotRationalPolynomial (a tower s answers through its rational Galois
+    norm: `real_roots_in_tower_poly`)."""
+    return _column_isolate(_integer_coeffs(s), cauchy_bound(s))
 
 
 # -- rational factorization -----------------------------------------------------
@@ -987,19 +913,21 @@ def factor_rational_poly(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
 def galois_norm_poly(p: Poly) -> Poly:
     """Product of the Galois conjugates of a real tower polynomial.
 
-    The result has rational coefficients and is divisible by p (over the
-    tower); roots of p are among its roots.
+    The conjugates are those of every subset of the primes dividing p's
+    radicands: the conjugate flipping a subset negates each column (m, 0)
+    whose radicand m has an odd number of its primes.  The result has
+    rational coefficients and is divisible by p (over the tower); roots of
+    p are among its roots.
     """
     require_real(p)
-    primes: set[int] = set()
-    for c in p.coeffs:
-        primes.update(c.as_real().support_primes())
+    cols = p._cols
+    primes = sorted({q for m, _ in cols if m != 1 for q in _factorint(m)})
     result = p
-    primes = sorted(primes)
     for mask in range(1, 1 << len(primes)):
-        flips = {q for k, q in enumerate(primes) if mask >> k & 1}
-        conj = Poly([CoeffScalar(c.as_real()._galois(flips)) for c in p.coeffs])
-        result = result * conj
+        flips = [q for k, q in enumerate(primes) if mask >> k & 1]
+        odd = {m for m, _ in cols if sum(m % q == 0 for q in flips) & 1}
+        conj = {(m, t): tuple(-x for x in c) if m in odd else c for (m, t), c in cols.items()}
+        result = result * _new(conj, p._den)
     if not result.is_rational():
         raise ValueError("norm polynomial is not rational")
     return result
@@ -1156,41 +1084,30 @@ def _canonical_minpoly(p: Poly) -> Poly:
 def real_roots_in_tower_poly(p: Poly) -> list[RealAlgebraic]:
     """Real roots of a real tower-coefficient polynomial as RealAlgebraic.
 
-    The root r of p in an isolating interval (lo, hi) is a root of the
-    rational Galois norm polynomial of p, so it is one of the norm's roots
-    whose interval meets (lo, hi); when several do, they are narrowed with
-    doubling bits, each round continuing from the last, and each is
-    returned with its interval as isolated.  A rational candidate q is r iff
-    lo < q < hi and p(q) = 0.  An irrational one stays while p has a root
-    where its interval meets (lo, hi): r always does, and any other value
-    leaves once its interval no longer holds r, so exactly one candidate
-    remains.  A tower p is first replaced by chain[0] of its `sturm_chain`.
+    A rational p is factored (`roots_of_rational_poly`).  Otherwise each
+    root r of p lies in an interval (lo, hi) of `_tower_intervals`, which
+    holds no other root of the square-free part n of p's rational Galois
+    norm, so r is the one root of n, as `roots_of_rational_poly(n)`
+    isolates it (by n's irreducible factors, which are the norm's), whose
+    value lies in (lo, hi).  The roots of n whose intervals meet (lo, hi)
+    are narrowed with doubling bits, each round continuing from the last,
+    until one is left: the ends are not roots of n, so every other value
+    leaves once its interval no longer meets (lo, hi).  It is returned with
+    its interval as isolated.
     """
     require_real(p)
     if p.degree <= 0:
         return []
     if p.is_rational():
         return RealAlgebraic.roots_of_rational_poly(p)
-    chain = sturm_chain(p)
-    p = chain[0]
-    candidates = RealAlgebraic.roots_of_rational_poly(galois_norm_poly(p))
+    n, intervals = _tower_intervals(p, None, None)
+    candidates = RealAlgebraic.roots_of_rational_poly(n)
     out = []
-    for lo, hi in isolate_real_roots_poly(p, chain):
+    for lo, hi in intervals:
         # pairs (candidate, narrowed candidate)
         near, bits = [(c, c) for c in candidates if c.lo < hi and lo < c.hi], 16
         while len(near) > 1:
-            near = [(c, n) for c, n in near if _may_be_root(chain, lo, hi, n)]
-            if len(near) > 1:
-                near, bits = [(c, n.refined(bits)) for c, n in near], 2 * bits
+            near, bits = [(c, n.refined(bits)) for c, n in near], 2 * bits
+            near = [(c, n) for c, n in near if n.lo < hi and lo < n.hi]
         out.append(near[0][0])
     return out
-
-
-def _may_be_root(chain: list[Poly], lo: Fraction, hi: Fraction, c: RealAlgebraic) -> bool:
-    """Whether c can still be the root of chain[0] in its isolating interval
-    (lo, hi); exact for a rational c."""
-    if c.is_rational():
-        q = c.as_rational()
-        return lo < q < hi and real_sign_at(chain[0], q) == 0
-    mlo, mhi = max(lo, c.lo), min(hi, c.hi)
-    return mlo < mhi and _chain_count(chain, mlo, mhi) == 1

@@ -21,6 +21,7 @@ the table of the cosines the tower contains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BasePointHit, IndeterminateFiber
 from .poly import Poly, _coerce_poly, cofactors, dot, monic_lead
@@ -169,6 +170,16 @@ class ProjMat:
 
     def entries(self) -> tuple[Poly, Poly, Poly, Poly]:
         return (self.a11, self.a12, self.a21, self.a22)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.entries())
+
+    def __hash__(self):
+        """The dataclass hash of the entries, computed once per matrix: a
+        ProjMat is immutable, and lru_cache hashes the same one on every
+        lookup."""
+        return self._hash
 
     def det(self) -> Poly:
         return dot(((1, self.a11, self.a22), (-1, self.a12, self.a21)))

@@ -92,7 +92,8 @@ class FiberPattern:
     def contracted_count(self) -> int:
         """The number of real roots of D', from one `sturm_count` memoised
         next to D' (Descartes' rule on its integer column when D' is
-        rational, as it is for every map over Q(i)): the orientation reads
+        rational, as it is for every map over Q(i) and for a tower constant
+        times a rational polynomial, `_primitive_real`): the orientation reads
         it, and the contracted fibers are isolated only when it is positive."""
         return sturm_count(self.stripped_determinant[2])
 
@@ -156,8 +157,17 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
 
 
 def _primitive_real(p: Poly) -> Poly:
-    """Divide a rational-coefficient polynomial by its positive content."""
-    return p.primitive() if p.is_rational() else p
+    """p divided by its positive content when p is rational; otherwise p
+    made monic, and then made primitive if that made it rational.  A
+    determinant D read here has a positive lead (D > 0 outside [-1, 1]), so
+    neither division changes a sign.  A D over the tower is often a tower
+    constant times a rational polynomial, whose real roots are then counted
+    on its integer column and not through a Galois norm."""
+    if not p.is_rational():
+        p = p.monic()
+        if not p.is_rational():
+            return p
+    return p.primitive()
 
 
 def diffeo_orientation(mat: ProjMat) -> int:

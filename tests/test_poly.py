@@ -9,22 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birsphere import factor
-from birsphere.errors import NotRealPolynomial
+from birsphere.errors import NotRationalPolynomial, NotRealPolynomial
 from birsphere.involutions import _split
 from birsphere.poly import (
     ONE_MINUS_Z2,
     Poly,
     RealAlgebraic,
     _canonical_minpoly,
-    _chain_count,
-    _euclid_chain,
     cauchy_bound,
     factor_rational_poly,
+    galois_norm_poly,
     isolate_real_roots_poly,
     poly_gcd,
     real_roots_in_tower_poly,
+    real_sign_at,
     squarefree_decomposition,
-    sturm_chain,
     sturm_count,
 )
 from birsphere.scalars import CoeffScalar, TowerReal
@@ -107,6 +106,54 @@ def reference_strip(p: Poly) -> Poly:
     return p.exact_div(g) if g.degree > 0 else p
 
 
+# -- the Sturm oracle: real-root counts and isolation by Sturm's theorem --------------------
+
+
+def _euclid_chain(p: Poly) -> list[Poly]:
+    """p, dp/dz and the negated remainders, ending in a multiple of gcd(p, p')."""
+    chain, q = [p], p.derivative()
+    while q:
+        chain.append(q)
+        q = -(chain[-2] % q)
+    return chain
+
+
+def sturm_chain(p: Poly) -> list[Poly]:
+    """The Sturm chain of the square-free part s of a real p: Euclid's chain
+    of p and dp/dz, every member divided exactly by the monic associate of
+    its last member g = gcd(p, dp/dz).  Consecutive divided members have
+    gcd 1, the remainder relations still hold, and (dp/dz)/g has the sign of
+    s' at every root, so V(lo) - V(hi) counts the distinct real roots of p
+    in (lo, hi]."""
+    chain = _euclid_chain(p)
+    if chain[-1].degree > 0:
+        g = chain[-1].monic()
+        chain = [q.exact_div(g) for q in chain]
+    return chain
+
+
+def _chain_variations_at(chain, x: Fraction | None, side: int) -> int:
+    """Sign variations of the chain at x; None is -infinity (side -1) or
+    +infinity (side +1)."""
+    signs = []
+    for q in chain:
+        if x is None:
+            s = q.lead().as_real().sign()
+            s = -s if side < 0 and q.degree % 2 else s
+        else:
+            s = real_sign_at(q, x)
+        if s:
+            signs.append(s)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _chain_count(chain: list[Poly], lo: Fraction | None, hi: Fraction | None) -> int:
+    """The roots of chain[0] in (lo, hi), given its Sturm chain: V counts
+    (lo, hi], so hi is dropped when it is a root."""
+    count = _chain_variations_at(chain, lo, -1) - _chain_variations_at(chain, hi, +1)
+    return count - (hi is not None and real_sign_at(chain[0], hi) == 0)
+
+
 _Q = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
@@ -134,10 +181,11 @@ def _repeated_factor_polys(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_repeated_factor_polys(), st.data())
-def test_divided_chain_matches_the_stripped_reference(drawn, data):
-    """The chain of p divided by its last member answers as the chain of
-    the gcd-stripped p did: the same counts, finite ends at multiple roots
-    included, the same isolating intervals and the same real roots."""
+def test_counts_and_roots_match_the_stripped_reference(drawn, data):
+    """p with multiple roots answers as its gcd-stripped s does, on the
+    rational and the tower path alike: the counts of the Sturm oracle, at
+    finite ends at multiple roots too, and the same real roots with the same
+    intervals."""
     p, multiples = drawn
     s = reference_strip(p)
     end = st.one_of(st.none(), st.sampled_from(multiples), _Q)
@@ -145,9 +193,8 @@ def test_divided_chain_matches_the_stripped_reference(drawn, data):
     if lo is not None and hi is not None:
         lo, hi = min(lo, hi), max(lo, hi) + (lo == hi)
     assert sturm_chain(p)[0] == s
-    assert sturm_count(p, lo, hi) == sturm_count(s, lo, hi)
-    assert sturm_count(p) == sturm_count(s)
-    assert isolate_real_roots_poly(s, sturm_chain(p)) == isolate_real_roots_poly(s)
+    assert sturm_count(p, lo, hi) == sturm_count(s, lo, hi) == _sturm_reference_count(s, lo, hi)
+    assert sturm_count(p) == sturm_count(s) == _sturm_reference_count(s, None, None)
     roots = [(r.minpoly, r.lo, r.hi) for r in real_roots_in_tower_poly(p)]
     assert roots == [(r.minpoly, r.lo, r.hi) for r in real_roots_in_tower_poly(s)]
 
@@ -160,7 +207,7 @@ def _sturm_reference_count(p: Poly, lo, hi) -> int:
 
 
 def _sturm_reference_isolation(s: Poly) -> list[tuple[Fraction, Fraction]]:
-    """The Sturm isolation of a square-free real s: bisect (-b, b) at
+    """The Sturm isolation of a square-free rational s: bisect (-b, b) at
     midpoints, each moved halfway to the upper end while it is a root, and
     report the intervals that hold one root."""
     chain = sturm_chain(s)
@@ -207,6 +254,72 @@ def test_descartes_matches_the_sturm_reference(parts, data):
         assert sturm_count(p, lo, hi) == _sturm_reference_count(p, lo, hi)
     s = sturm_chain(p)[0]
     assert isolate_real_roots_poly(s) == _sturm_reference_isolation(s)
+
+
+def _reference_norm(p: Poly) -> Poly:
+    """The Galois norm from CoeffScalar coefficients: p times its conjugate
+    for every nonempty subset of the primes of its coefficients' radicands,
+    each rebuilt coefficient by coefficient (`TowerReal._galois`)."""
+    primes = sorted(set().union(*(c.as_real().support_primes() for c in p.coeffs)))
+    result = p
+    for mask in range(1, 1 << len(primes)):
+        flips = {q for k, q in enumerate(primes) if mask >> k & 1}
+        result = result * Poly([CoeffScalar(c.as_real()._galois(flips)) for c in p.coeffs])
+    return result
+
+
+_SQRT = st.sampled_from([2, 3, 6]).map(lambda d: CoeffScalar(TowerReal.sqrt_rational(d)))
+# rational roots (ends at roots), z - q - a sqrt(d), and quadratics with a
+# tower coefficient; each factor may be squared
+_TOWER_FACTOR = st.one_of(
+    st.builds(lambda q: Z - q, st.one_of(_DYADIC, _Q)),
+    st.builds(lambda q, a, r: Z - q - Poly.const(r * a), _Q, st.sampled_from([1, -1, Fraction(1, 2)]), _SQRT),
+    st.builds(lambda b, c, r: Z * Z + Z.scale(r + b) + c, _Q, _Q, _SQRT),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(_TOWER_FACTOR, st.integers(1, 2)), min_size=1, max_size=3), st.data())
+def test_tower_paths_match_the_sturm_oracle(parts, data):
+    """Tower polynomials, counted and solved through their rational Galois
+    norm, against the Sturm oracle: counts at None ends, finite ends and
+    ends at roots, and real roots that number as many as the oracle counts,
+    increase strictly, and are roots of p: a rational one is a zero of p,
+    and an irrational one, narrowed until its interval holds no other root
+    of the norm, has an oracle count of 1 there.  The norm equals the one
+    rebuilt coefficient by coefficient."""
+    p = Poly.const(data.draw(st.sampled_from([1, -3, CoeffScalar(TowerReal.sqrt_rational(2)) - 1])))
+    for f, k in parts:
+        p = p * f**k
+    norm = galois_norm_poly(p)
+    assert norm == _reference_norm(p)
+    roots = [-f[0].as_rational() for f, _ in parts if f.degree == 1 and f.is_rational()]
+    end = st.one_of(st.none(), st.sampled_from(roots) if roots else _DYADIC, _DYADIC, _Q)
+    for _ in range(3):
+        lo, hi = data.draw(end), data.draw(end)
+        assert sturm_count(p, lo, hi) == _sturm_reference_count(p, lo, hi)
+    found = real_roots_in_tower_poly(p)
+    assert len(found) == sturm_count(p) == _sturm_reference_count(p, None, None)
+    assert all(a < b for a, b in zip(found, found[1:]))
+    for r in found:
+        if r.is_rational():
+            assert not p.eval_rational(r.as_rational())
+            continue
+        bits = 16
+        while sturm_count(norm, r.lo, r.hi) > 1:
+            r, bits = r.refined(bits), 2 * bits
+        assert _sturm_reference_count(p, r.lo, r.hi) == 1
+
+
+def test_rational_paths_reject_other_input():
+    """isolate_real_roots_poly and cauchy_bound take rational polynomials
+    only; a tower or Gaussian one is a typed error, not wrong intervals."""
+    r2 = CoeffScalar(TowerReal.sqrt_rational(2))
+    for p in (Z * Z - Poly.const(r2), Z + Poly.const(I)):
+        with pytest.raises(NotRationalPolynomial):
+            isolate_real_roots_poly(p)
+        with pytest.raises(NotRationalPolynomial):
+            cauchy_bound(p)
 
 
 def test_sturm_rejects_imaginary():
@@ -442,11 +555,13 @@ def test_is_prime_matches_trial_division():
 
 
 def test_isolation_with_a_tiny_lead():
-    # |lead|^2 is below 2^-256, so a 256-bit enclosure of it still holds 0
+    # the lead s is below 2^-140, so its root 1/s lies beyond 2^140
     s = TowerReal.sqrt_rational(2) - Fraction(math.isqrt(2 << 280), 1 << 140)
     p = Poly.const(CoeffScalar(s)) * Z - 1
-    [(lo, hi)] = isolate_real_roots_poly(p)
-    assert p(lo).as_real().sign() == -1 and p(hi).as_real().sign() == 1
+    [root] = real_roots_in_tower_poly(p)
+    assert root.to_tower() == 1 / s
+    assert sturm_count(p) == sturm_count(p, root.lo, root.hi) == 1
+    assert p(root.lo).as_real().sign() == -1 and p(root.hi).as_real().sign() == 1
 
 
 def test_square_free_inputs_skip_the_gcd(monkeypatch):
@@ -454,9 +569,11 @@ def test_square_free_inputs_skip_the_gcd(monkeypatch):
     `factor.gcd`.  A rational count takes exactly one, `factor.gcd(c, c')`
     for the square-free part of its integer column c; an irreducible
     minimal polynomial is square-free already, so equality of real
-    algebraic numbers takes none.  Tower counts divide Euclid's chain by its
-    last member and take none, and tower root finding takes only the
-    factoriser's square-free split of the norm."""
+    algebraic numbers takes none.  A tower count takes one of each: the
+    tower gcd(p, p') of its square-free part s (`cofactors`), and the
+    integer gcd of the square-free part n of s's norm; tower root finding
+    also takes the factoriser's square-free split of n, which is one gcd
+    however often a factor divides the norm."""
     import birsphere.poly as poly_mod
 
     calls = {"poly_gcd": 0, "factor.gcd": 0}
@@ -479,11 +596,13 @@ def test_square_free_inputs_skip_the_gcd(monkeypatch):
     r2 = CoeffScalar(TowerReal.sqrt_rational(2))
     quadratic = Z * Z - Poly.const(r2) * Z - 1
     # the norm's factors are irreducible, so isolating them takes no gcd,
-    # and squaring the input adds none
+    # and squaring the input adds none: the norm is of its square-free part
     for p in (quadratic, quadratic**2):
-        assert gcds(lambda: len(real_roots_in_tower_poly(p))) == (2, 0, 1)
-        assert gcds(sturm_count, p) == (2, 0, 0)
-        assert gcds(sturm_count, p, Fraction(0), Fraction(3)) == (1, 0, 0)
+        assert gcds(lambda: len(real_roots_in_tower_poly(p))) == (2, 1, 2)
+        assert gcds(sturm_count, p) == (2, 1, 1)
+        assert gcds(sturm_count, p, Fraction(0), Fraction(3)) == (1, 1, 1)
+    # z - 3 divides the norm twice, and n once
+    assert gcds(lambda: len(real_roots_in_tower_poly(quadratic * (Z - 3)))) == (3, 1, 2)
     p = (Z - 1) ** 2 * (Z + 2) * (Z * Z - 2) ** 3
     for lo, hi, n in ((None, None, 4), (Fraction(-2), Fraction(1), 1), (Fraction(-2), None, 3), (None, Fraction(1), 2)):
         assert gcds(sturm_count, p, lo, hi) == (n, 0, 1)

@@ -403,19 +403,27 @@ def test_interval_shift_base_action_on_zero():
     assert g.is_orientation_preserving_diffeo()
 
 
-def test_degree_ladder_builds_no_euclid_chain(monkeypatch):
+def _count_norms(monkeypatch) -> list:
+    """The list that every later galois_norm_poly call appends its input to."""
+    import birsphere.poly as poly_mod
+
+    norms = []
+    real = poly_mod.galois_norm_poly
+    monkeypatch.setattr(poly_mod, "galois_norm_poly", lambda p: norms.append(p) or real(p))
+    return norms
+
+
+def test_degree_ladder_takes_no_galois_norm(monkeypatch):
     """The H0 member [[(z+2i)^n+3, (1-z^2)(z^n+1)], [z^n+1, (z-2i)^n+3]]
     at n = 128, whose stripped determinant D' has degree 258, and a
     non-member product at n = 32: in_diffeo_group and contracted_fibers
-    answer both without building Euclid's chain, as D' is rational.  Counted,
-    not timed.  (Factoring the degree-260 D' of the n = 128 product takes
-    seconds in Zassenhaus' algorithm, which this test does not measure.)"""
-    import birsphere.poly as poly_mod
+    answer both on the integer column of D', with no Galois norm, as D'
+    is rational.  Counted, not timed.  (Factoring the degree-260 D' of the
+    n = 128 product takes seconds in Zassenhaus' algorithm, which this test
+    does not measure.)"""
     from birsphere.sphere import FiberPattern
 
-    chains = []
-    real = poly_mod._euclid_chain
-    monkeypatch.setattr(poly_mod, "_euclid_chain", lambda p: chains.append(p) or real(p))
+    norms = _count_norms(monkeypatch)
     i = Poly.const(CoeffScalar.i())
 
     def h0(n):
@@ -429,4 +437,29 @@ def test_degree_ladder_builds_no_euclid_chain(monkeypatch):
         assert d_prime.is_rational() and d_prime.degree == degree
         assert in_diffeo_group(mat) == member
         assert [r.to_tower() for r in contracted_fibers(mat)] == ([] if member else [-root, root])
-    assert chains == []
+    assert norms == []
+
+
+def test_tower_determinants_are_counted_on_integer_columns(monkeypatch):
+    """Conjugates of rot:1/8, rot:1/12 and a no-oval involution by a
+    diffeomorphism of shape [[5, (1 + i z) h], [1 - i z, 5]] have
+    determinants over the tower that are a tower constant times a rational
+    polynomial.  Made monic, each D' is rational, so classification counts
+    its real roots by Descartes' rule and takes no Galois norm."""
+    import birsphere.sphere as sphere_mod
+    from birsphere.classify import classify_spheremap
+    from birsphere.involutions import realize_no_oval
+    from birsphere.sphere import FiberPattern
+
+    norms = _count_norms(monkeypatch)
+    counted = []
+    real = sphere_mod.sturm_count
+    monkeypatch.setattr(sphere_mod, "sturm_count", lambda p: counted.append(p) or real(p))
+    mover = FiberPattern(Poly.const(5), Z.scale(CoeffScalar.i()) + 1).matrix()  # det z^4 + 24 > 0
+    no_oval = SphereMap.trivial_base(realize_no_oval((Z * Z + 1) * (Z * Z + 2)))
+    for g, family in ((builtin_map("rot:1/8"), 3), (builtin_map("rot:1/12"), 3), (no_oval, 6)):
+        canonical_pattern.cache_clear()
+        counted.clear()
+        assert classify_spheremap(SphereMap.trivial_base(mover * g.fiber * mover.inverse())).family == family
+        assert counted and all(d.is_rational() for d in counted)
+    assert norms == []
