@@ -14,6 +14,7 @@ from pathlib import Path
 from . import classify as routing
 from .errors import (
     BirsphereError,
+    InfiniteOrderBase,
     ParseError,
     UndecidedExact,
     UnsupportedExtension,
@@ -99,6 +100,8 @@ def cmd_member(args) -> int:
 
 def cmd_fix(args) -> int:
     g = _load_element(args.element)
+    if g.base.kind == "shift":
+        raise InfiniteOrderBase("interval shifts with b != 0 have infinite order, so they fix no curve")
     if g.base.kind != "id":
         raise UnsupportedExtension("fixed curves are computed for trivial base action")
     model = fixed_curve(g.fiber)

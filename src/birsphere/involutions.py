@@ -27,6 +27,7 @@ from .errors import (
     NotDiffeomorphism,
     NotInvolution,
     NotFiniteOrder,
+    UnsupportedExtension,
 )
 from .poly import (
     ONE_MINUS_Z2,
@@ -44,6 +45,7 @@ from .scalars import CoeffScalar, TowerReal
 from .sphere import (
     ConjugacyCertificate,
     FiberPattern,
+    InvolutionForm,
     SphereMap,
     canonical_pattern,
     cleared_substitution,
@@ -55,33 +57,12 @@ from .sphere import (
 # -- normal forms and fixed curves ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvolutionForm:
-    """The pair (p, q) with matrix [[i*p, q*h], [conj q, -i*p]], p real."""
-
-    p: Poly
-    q: Poly
-
-    def matrix(self) -> ProjMat:
-        i = CoeffScalar.i()
-        return ProjMat.of(
-            self.p.scale(i), self.q * ONE_MINUS_Z2, self.q.conj(), self.p.scale(-i)
-        )
-
-    def determinant(self) -> Poly:
-        """p^2 - q conj(q) h: FiberPattern.determinant of the form's pattern."""
-        return dot(((1, self.p, self.p), (-1, self.q * ONE_MINUS_Z2, self.q.conj())))
-
-
 def involution_normal_form(mat: ProjMat) -> InvolutionForm:
-    """The form of an element of order 2.  Its pattern matrix has trace
-    a + conj(a), and a PGL_2 element has order 2 exactly when its trace
-    vanishes: A^2 = tr(A) A - det(A) is scalar for a non-scalar A exactly
-    when tr(A) = 0.  Then a = i p with p real."""
-    pat = canonical_pattern(mat)
-    if pat.a + pat.a.conj():
+    """The form of an element of order 2, memoised on its pattern (FiberPattern.involution_form)."""
+    form = canonical_pattern(mat).involution_form
+    if form is None:
         raise NotInvolution(f"{mat} does not have order 2")
-    return InvolutionForm(pat.a.scale(-CoeffScalar.i()), pat.b)
+    return form
 
 
 @dataclass(frozen=True)
@@ -108,31 +89,25 @@ class HyperellipticModel:
 
 def fixed_curve(mat: ProjMat) -> HyperellipticModel:
     """The double cover w^2 = -D traced by the fiberwise fixed points,
-    reduced to its square-free model."""
-    return _split(_neg_determinant(mat))
-
-
-@lru_cache(maxsize=512)
-def _neg_determinant(mat: ProjMat) -> Poly:
-    """-D of an involution, computed once: the key of its split and the f of
-    its conjugator.  D is the determinant of the pattern, p^2 - q conj(q) h."""
+    reduced to its square-free model; D = p^2 - q conj(q) h is memoised on
+    the pattern, and keys the split."""
     involution_normal_form(mat)  # NotInvolution unless mat has order 2
-    return -canonical_pattern(mat).determinant()
+    return _split(canonical_pattern(mat).determinant())
 
 
 @lru_cache(maxsize=512)
-def _split(neg_d: Poly) -> HyperellipticModel:
+def _split(d: Poly) -> HyperellipticModel:
     """The model of w^2 = -D from one square-free decomposition
-    -D = lead * prod f_k^k, f_k monic: m is the product of the f_k of odd k,
-    scale that of the f_k^(k // 2), and lead = -content < 0
+    D = lead * prod f_k^k, f_k monic: m is the product of the f_k of odd k,
+    scale that of the f_k^(k // 2), and lead = content > 0
     (HyperellipticModel).  Memoised, so the decision, the conjugator and the
     report share one split."""
     m = scale = Poly.const(1)
-    for factor, k in squarefree_decomposition(neg_d):
+    for factor, k in squarefree_decomposition(d):
         if k % 2:
             m = m * factor
         scale = scale * factor ** (k // 2)
-    return HyperellipticModel(m, scale, -neg_d.lead().as_real())
+    return HyperellipticModel(m, scale, d.lead().as_real())
 
 
 def _orientation(mat: ProjMat) -> int:
@@ -271,8 +246,8 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
     the same projective matrix, so ProjMat.of runs its gcd chain only on
     what is left."""
     form_a, form_b = involution_normal_form(mat_a), involution_normal_form(mat_b)
-    f = _neg_determinant(mat_a)
-    model_a, model_b = _split(f), fixed_curve(mat_b)
+    model_a, model_b = fixed_curve(mat_a), fixed_curve(mat_b)
+    f = -canonical_pattern(mat_a).determinant()
     u_num, u_den = cofactors(model_a.scale, model_b.scale)
     u_num = u_num.scale(CoeffScalar(model_a.content * model_b.content).sqrt())
     u_den = u_den.scale(CoeffScalar(-model_b.content))
@@ -285,8 +260,7 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
     mu_b = (p_bu, -u_den, q_b * u_num)
     if not algebra.equal(algebra.mul(mu_b, algebra.conj(mu_b)), algebra.mul(mu_a, algebra.conj(mu_a))):
         raise RuntimeError("twist units failed to have equal norms")
-    c, (x, y, _) = _hilbert90(algebra, mu_a, mu_b)
-    x_a, y_a, _ = algebra.mul(c, mu_a)
+    c, (x_a, y_a, _), (x, y, _) = _hilbert90(algebra, mu_a, mu_b)
     x_c, y_c, _ = algebra.conj(c)
     defect = q * q_b.conj() * u_num * ONE_MINUS_Z2
     r1 = dot(((1, u_den, x_a), (1, p_bu, y_a), (-1, y_c, defect)))
@@ -299,8 +273,8 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
 
 
 def _hilbert90(algebra: _QuadAlgebra, mu_a, mu_b):
-    """(c, eta) with eta = c mu_a + conj(c) mu_b for the first of c = 1, i
-    that makes eta a unit.  Then xi = eta / mu_a = c + w conj(c), with
+    """(c, c mu_a, eta) with eta = c mu_a + conj(c) mu_b for the first of
+    c = 1, i that makes eta a unit.  Then xi = eta / mu_a = c + w conj(c), with
     w = mu_b / mu_a of norm w conj(w) = 1, is a unit with xi = w conj(xi).
 
     One of the two works for f = -D, D = p^2 + q conj(q) (z^2 - 1) the
@@ -316,9 +290,10 @@ def _hilbert90(algebra: _QuadAlgebra, mu_a, mu_b):
     So the RuntimeError below is unreachable."""
     one = Poly.const(1)
     for c in ((one, Poly(), one), (Poly.const(CoeffScalar.i()), Poly(), one)):
-        eta = algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
+        c_mu_a = algebra.mul(c, mu_a)
+        eta = algebra.add(c_mu_a, algebra.mul(algebra.conj(c), mu_b))
         if algebra.is_unit(eta):
-            return c, eta
+            return c, c_mu_a, eta
     raise RuntimeError("no invertible Hilbert-90 witness in {1, i}")
 
 
@@ -427,7 +402,9 @@ def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel)
     (r_k / r_k0)^e = (r_k1 / r_k0)^(k - k0) for k in S; then lam is the
     positive e-th root of r_k1 / r_k0, and b = (lam - 1)/(lam + 1).  When
     |S| = 1 every shift works, and b = 0.  The comparison is undecided when
-    lam has no tower form (`RealAlgebraic.to_tower`).
+    lam has no tower form (`RealAlgebraic.to_tower`).  A symmetric model passes
+    both orientations: one whose shift base_realisation builds (sqrt(lam) in
+    the tower) comes first.
 
     Equal models are answered first, as the flip-free pass would answer
     them: c^b = c^a makes every r_k equal to 1, so lam = 1 and b = 0.  No
@@ -438,7 +415,7 @@ def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel)
     if model_a.degree != model_b.degree:
         return ModuliComparison("inequivalent")
     source, target = _u_coefficients(model_a), _u_coefficients(model_b)
-    undecided = False
+    undecided, found = False, []
     for flipped in (False, True):
         lam = _scaling(source[::-1] if flipped else source, target)
         if lam is None:
@@ -448,9 +425,13 @@ def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel)
         except ValueError:
             undecided = True
             continue
-        b = (lam - 1) / (lam + 1)
-        return ModuliComparison("equivalent", b, flipped)
-    return ModuliComparison("undecided_exact" if undecided else "inequivalent")
+        found.append(ModuliComparison("equivalent", (lam - 1) / (lam + 1), flipped))
+        try:
+            lam.sqrt()  # base_realisation's sqrt(1 - b^2) is 2 sqrt(lam)/(lam + 1)
+            return found[-1]
+        except UnsupportedExtension:
+            continue
+    return found[0] if found else ModuliComparison("undecided_exact" if undecided else "inequivalent")
 
 
 def _u_coefficients(model: HyperellipticModel) -> list[TowerReal]:

@@ -16,6 +16,8 @@ finite-order detection: a non-scalar matrix has finite order n
 exactly when kappa = trace^2/det is a constant 2 + zeta + 1/zeta for a
 primitive n-th root of unity zeta, so the order is one lookup of kappa in
 the table of the cosines the tower contains.
+A ProjMat is immutable, so its hash and its rotation angle (hence its
+order) are memoised on it: each is computed once per matrix.
 """
 
 from __future__ import annotations
@@ -214,13 +216,18 @@ class ProjMat:
         entries p has gcd p, so p = 1."""
         return not (self.a12 or self.a21) and self.a11 == self.a22
 
-    def rotation_angle(self) -> tuple[int, int] | None:
-        """angle_of_entries of the canonical entries."""
+    @cached_property
+    def _angle(self) -> tuple[int, int] | None:
         return angle_of_entries(self.entries())
+
+    def rotation_angle(self) -> tuple[int, int] | None:
+        """angle_of_entries of the canonical entries, computed once per
+        matrix: the order, the family report and the normal form share it."""
+        return self._angle
 
     def order(self) -> int | None:
         """Least n with self^n = 1 in PGL, or None when there is none."""
-        angle = self.rotation_angle()
+        angle = self._angle
         return None if angle is None else angle[1]
 
     def act_on_fiber(self, t, z0) -> CoeffScalar | Infinity:

@@ -10,11 +10,13 @@ reality test (SphereMap.reality_check), the normal pattern
 S = A + tau conj(A) tau^-1, which is a constant multiple of A exactly when
 A is real (so the pattern takes no gcd and no rescale, and for a trivial
 or flipped base its closing check is the reality test), diffeomorphism
-membership and orientation from a(+-1) and one
-memoised real-root count of the stripped determinant D', whose real roots all
-lie in (-1, 1) and are the contracted fibers, maps with nontrivial action
-on the base interval, exact images of sphere points, and the builtin
-catalogue of named maps.
+membership and orientation from a(+-1) and the real-root count of the
+stripped determinant D', whose real roots all lie in (-1, 1) and are the
+contracted fibers, maps with nontrivial action on the base interval, exact
+images of sphere points, and the builtin catalogue of named maps.
+canonical_pattern is memoised per matrix, and a pattern memoises what is
+read off it: its determinant D, D' with its real-root count, and the
+involution form of an element of order 2.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     UnsupportedExtension,
 )
 from .poly import ONE_MINUS_Z2, Poly, dot, real_roots_in_tower_poly, sturm_count
-from .projmat import INF, TWO_COS, ProjMat, angle_of_entries, mobius_action, proportional, raw_mul
+from .projmat import INF, TWO_COS, ProjMat, angle_of_entries, proportional, raw_mul
 from .scalars import CoeffScalar, TowerReal, scalar
 
 
@@ -61,8 +63,23 @@ class FiberPattern:
         """GL lift with exact entries (no projective rescaling)."""
         return (self.a, self.b * ONE_MINUS_Z2, self.b.conj(), self.a.conj())
 
-    def determinant(self) -> Poly:
+    @cached_property
+    def _determinant(self) -> Poly:
         return dot(((1, self.a, self.a.conj()), (-1, self.b * ONE_MINUS_Z2, self.b.conj())))
+
+    def determinant(self) -> Poly:
+        """D = a conj(a) - b h conj(b), once per pattern: D' and a fixed curve share it."""
+        return self._determinant
+
+    @cached_property
+    def involution_form(self) -> InvolutionForm | None:
+        """The form (-i a, b) when the pattern matrix has order 2, else None.
+        Its trace is a + conj(a), and a PGL_2 element has order 2 exactly
+        when its trace vanishes: A^2 = tr(A) A - det(A) is scalar for a
+        non-scalar A exactly when tr(A) = 0.  Then a = i p with p real."""
+        if self.a + self.a.conj():
+            return None
+        return InvolutionForm(self.a.scale(-CoeffScalar.i()), self.b)
 
     @cached_property
     def stripped_determinant(self) -> tuple[bool, bool, Poly]:
@@ -96,6 +113,24 @@ class FiberPattern:
         times a rational polynomial, `_primitive_real`): the orientation reads
         it, and the contracted fibers are isolated only when it is positive."""
         return sturm_count(self.stripped_determinant[2])
+
+
+@dataclass(frozen=True)
+class InvolutionForm:
+    """The pair (p, q) with matrix [[i*p, q*h], [conj q, -i*p]], p real."""
+
+    p: Poly
+    q: Poly
+
+    def matrix(self) -> ProjMat:
+        i = CoeffScalar.i()
+        return ProjMat.of(
+            self.p.scale(i), self.q * ONE_MINUS_Z2, self.q.conj(), self.p.scale(-i)
+        )
+
+    def determinant(self) -> Poly:
+        """p^2 - q conj(q) h: FiberPattern.determinant of the form's pattern."""
+        return dot(((1, self.p, self.p), (-1, self.q * ONE_MINUS_Z2, self.q.conj())))
 
 
 def _constant_multiple(lift: tuple[Poly, ...], entries: tuple[Poly, ...]) -> bool:
@@ -543,6 +578,14 @@ def _is_pole(point) -> int | None:
     return None
 
 
+def _shift_half(point, e: int):
+    """gb:e/2, e = +-1, as a linear map of P^3: its base z -> (z + b)/(bz + 1),
+    b = 4e/5, and fiber diag(3/5, 1 + bz) give (w, x - iy, z) -> (w + bz,
+    3(x - iy)/5, z + bw), times 5 here.  _shift_half(., -e) is its inverse."""
+    w, x, y, z = point
+    return (5 * w + 4 * e * z, 3 * x, 3 * y, 5 * z + 4 * e * w)
+
+
 class SphereFormula:
     """The rational self-map of the sphere induced by a SphereMap."""
 
@@ -561,11 +604,13 @@ class SphereFormula:
             return POLE_NORTH if image_z == CoeffScalar(1) else POLE_SOUTH
         tval, zval = psi_forward(point)
         if zval is INF:
-            # the conic at infinity maps within itself; act by the leading
-            # terms, which may have rank 1
-            entries = self.mapping.fiber.entries()
-            d = max(p.degree for p in entries)
-            return psi_inverse(mobius_action([p[d] for p in entries], tval, "the conic at infinity"), INF)
+            # the chart sends the whole conic w = 0 to (INF, INF): g = s^-1 (s g s^-1) s
+            # for s = gb:e/2, which moves it to z/w = 5e/4, where the chart is a local
+            # isomorphism; e keeps s from moving g's image of it, z/w = 1/b, to w = 0
+            e = -1 if self.mapping.base.b.sign() < 0 else 1
+            shift = interval_shift(Fraction(e, 2))
+            moved = SphereFormula(shift.compose(self.mapping).compose(shift.inverse()))
+            return _normalize_point(_shift_half(moved.eval(_shift_half(point, e)), -e))
         timg = self.mapping.fiber.act_on_fiber(tval, zval)
         zimg = self.mapping.base.apply(zval)
         return psi_inverse(timg, zimg)

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,9 +21,15 @@ from birsphere.sphere import (
     BUILTIN_NAMES,
     BaseMobius,
     ConjugacyCertificate,
+    SphereFormula,
     SphereMap,
+    _normalize_point,
     base_realisation,
     builtin_map,
+    on_sphere,
+    psi_inverse,
+    rotation,
+    unit_root,
 )
 
 
@@ -327,7 +334,9 @@ def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "order", "not a matrix")
     assert code == 2
     code, _, err = run_cli(capsys, "fix", "builtin:gb:1/2")
-    assert code == 3  # nontrivial base action is outside the fixed-curve surface
+    assert code == 5 and "infinite order" in err  # an interval shift fixes no curve
+    code, _, err = run_cli(capsys, "fix", "builtin:tilde_eta")
+    assert code == 3  # base flips are outside the fixed-curve surface
     code, _, err = run_cli(capsys, "h2", "builtin:rot:1/3")
     assert code == 5  # base action is not the flip
     code, _, err = run_cli(capsys, "classify", "builtin:rot:1/0")
@@ -408,16 +417,52 @@ def test_bad_interval_parameter_is_a_parse_error(capsys):
 
 
 def test_eval_on_the_conic_at_infinity_with_rank_one_leading_terms(capsys):
-    """At a point with w = 0 eval acts by the leading coefficients, which
-    may form a rank-1 matrix: the constant image, or the one 0/0 point."""
+    """At a point with w = 0, which the chart sends to (INF, INF) whatever
+    its place on the conic, eval answers the limit of the map there, also
+    when the leading coefficients form a rank-1 matrix.  Approach the point
+    along t = s z, z -> INF, with s = (x - iy)/z = -i its place on the
+    conic: [[z, 1], [1, 2]] gives t/z -> 1, the point s = 1 of the conic,
+    (0, 0, 1, -i) (worked by hand); [[z, 0], [z, 1]] and [[1, z], [2, 3]]
+    give t -> 1 and t -> (1 + 1/s)/2 on the line z/w = INF, which the
+    inverse chart maps to (0, 1, -i, 0)."""
     point = "0,1,0,i"  # w = 0: the chart point (INF, INF)
     for mat, payload in (
-        ("[[z, 1],[1, 2]]", {"defined": False, "reason": "(INF, INF) is a base point of the inverse chart"}),
+        ("[[z, 1],[1, 2]]", {"defined": True, "image": ["0", "0", "1", "-i"]}),
         ("[[z, 0],[z, 1]]", {"defined": True, "image": ["0", "1", "-i", "0"]}),
-        ("[[1, z],[2, 3]]", {"defined": False, "reason": "base point on the conic at infinity"}),
+        ("[[1, z],[2, 3]]", {"defined": True, "image": ["0", "1", "-i", "0"]}),
     ):
         code, out, err = run_cli(capsys, "eval", mat, "--point", point)
         assert (code, json.loads(out), err) == (0, payload, ""), mat
+
+
+def test_eval_of_automorphisms_on_the_conic_at_infinity(capsys):
+    """tau, (x, y, z) -> (x, -y, z), fixes (0, 1, 0, i), and the half-turn
+    diag(1, -1), (x, y) -> (-x, -y), sends it to (0, -1, 0, i); the chart
+    alone sent both points to (INF, INF) and answered "undefined".  On
+    random points of the conic, rotations act as the linear rotation about
+    the z-axis and the interval shifts gb:+-1/2 as their linear maps (also
+    at finite points), and eval agrees with composition."""
+    for element, image in (("builtin:tau", ["0", "1", "0", "i"]), ("diag(1,-1)", ["0", "1", "0", "-i"])):
+        code, out, err = run_cli(capsys, "eval", element, "--point", "0,1,0,i")
+        assert (code, json.loads(out), err) == (0, {"defined": True, "image": image}, ""), element
+    rng = random.Random(31)
+    for _ in range(6):
+        s = CoeffScalar(Fraction(rng.randint(1, 9), rng.randint(1, 5)), Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        point = (0, s * s - 1, CoeffScalar.i() * (s * s + 1), 2 * s)  # x - iy = s z, x + iy = -z/s
+        assert on_sphere(point)
+        for k, n in ((1, 4), (1, 3), (1, 8)):
+            zeta = unit_root(k, n)  # x + iy -> zeta (x + iy), x - iy -> (x - iy) / zeta
+            w, x, y, z = point
+            plus, minus = zeta * (x + CoeffScalar.i() * y), (x - CoeffScalar.i() * y) / zeta
+            rotated = (w, (plus + minus) / 2, (plus - minus) / (2 * CoeffScalar.i()), z)
+            assert SphereFormula(rotation(k, n)).eval(point) == _normalize_point(rotated)
+        for e in (1, -1):  # gb:e/2 is the linear map eval uses, here and at a finite point
+            for p in (point, psi_inverse(s, CoeffScalar(Fraction(rng.randint(-9, 9), 7)))):
+                w, x, y, z = p
+                shifted = _normalize_point((5 * w + 4 * e * z, 3 * x, 3 * y, 5 * z + 4 * e * w))
+                assert SphereFormula(builtin_map(f"gb:{e}/2")).eval(p) == shifted
+        f, g = builtin_map("tau"), builtin_map("gb:-1/3")
+        assert SphereFormula(f.compose(g)).eval(point) == SphereFormula(f).eval(SphereFormula(g).eval(point))
 
 
 def test_commands_without_a_golden_pin(capsys):

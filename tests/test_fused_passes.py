@@ -10,9 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from birsphere import factor
-from birsphere import involutions as involutions_mod
 from birsphere import poly as poly_mod
-from birsphere import sphere as sphere_mod
 from birsphere.classify import classify_spheremap, decide_conjugacy
 from birsphere.involutions import InvolutionForm
 from birsphere.poly import ONE_MINUS_Z2, Poly, RealAlgebraic, cofactors, dot, poly_gcd
@@ -20,6 +18,7 @@ from birsphere.projmat import ProjMat
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import FiberPattern, SphereMap, builtin_map
 from test_exact_core import coeff_scalars, gaussian_scalars, polys, ref_poly_mul, trim
+from test_memos import clear_lru_caches
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -169,9 +168,8 @@ def test_equal_constants_of_every_kind_are_one_dict_key():
 
 def _count_work(run):
     """run() with `poly._product` calls counted, and Poly.exact_div calls
-    made inside ProjMat._canonical; the memoised layers start empty."""
-    for memo in (sphere_mod.canonical_pattern, involutions_mod._neg_determinant, involutions_mod._split):
-        memo.cache_clear()
+    made inside ProjMat._canonical; the package's lru_caches start empty."""
+    clear_lru_caches()
     counts = {"product": 0, "canonical_exact_div": 0}
     product, exact_div = poly_mod._product, Poly.exact_div
     canonical_code = ProjMat._canonical.__func__.__code__
@@ -199,20 +197,23 @@ def test_certify_and_classify_work_is_counted():
     """One certified involution pair and one conjugate of rot:1/2, both over
     Q(i).  The canonical form divides no entry (the gcd kernel's cofactors
     replace poly_gcd and exact_div), and the column products are pinned:
-    87 for the pair and 98 for the classification, against 114 and 127
-    when every sum of products was formed product by product."""
+    80 for the pair and 88 for the classification.  They were 87 and 98
+    before the angle, the pattern determinant and the involution form were
+    memoised on their objects and the conjugator reused Hilbert-90's
+    c mu_A, and 114 and 127 when every sum of products was formed product
+    by product."""
     a = InvolutionForm(Z + 2, Z.scale(I) + 1 - I).matrix()
     c = FiberPattern(Z + 2 + I, Poly.const(CoeffScalar(1, 1))).matrix()
     pair = SphereMap.trivial_base(a), SphereMap.trivial_base(c * a * c.inverse())
     answer, counts = _count_work(lambda: decide_conjugacy(*pair))
     assert answer["conjugate"] and answer["verified"]
-    assert counts == {"product": 87, "canonical_exact_div": 0}
+    assert counts == {"product": 80, "canonical_exact_div": 0}
 
     mover = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix()  # det 8 + 2 z^2 > 0
     rotation = SphereMap.trivial_base(mover * builtin_map("rot:1/2").fiber * mover.inverse())
     report, counts = _count_work(lambda: classify_spheremap(rotation))
     assert report.family == 3 and report.moduli["angle"] == [1, 2]
-    assert counts == {"product": 98, "canonical_exact_div": 0}
+    assert counts == {"product": 88, "canonical_exact_div": 0}
 
 
 def test_determinants_match_the_ring_operations():

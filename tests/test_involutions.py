@@ -37,6 +37,7 @@ from birsphere.sphere import (
     SphereMap,
     base_realisation,
     builtin_map,
+    canonical_pattern,
     diffeo_orientation,
     interval_shift,
     rotation,
@@ -343,7 +344,7 @@ def test_conjugator_identity_case():
 
 def test_hilbert90_witness_set():
     """The witness c is the first of 1, i that makes eta = c mu_a +
-    conj(c) mu_b a unit, and xi = eta / mu_a solves xi = w conj(xi) for
+    conj(c) mu_b a unit, returned with c mu_a, and xi = eta / mu_a solves xi = w conj(xi) for
     w = mu_b / mu_a.  Here mu_a = 1, so w = mu_b.  f is a non-square or
     -s^2 with s real, as -D of a real involution always is."""
     from birsphere.involutions import _hilbert90, _QuadAlgebra
@@ -360,8 +361,8 @@ def test_hilbert90_witness_set():
     for f, mu_b, c in cases:
         algebra = _QuadAlgebra(f)
         assert algebra.equal(algebra.mul(mu_b, algebra.conj(mu_b)), mu_a)  # norm one
-        witness, eta = _hilbert90(algebra, mu_a, mu_b)
-        assert witness == c and algebra.is_unit(eta)
+        witness, c_mu_a, eta = _hilbert90(algebra, mu_a, mu_b)
+        assert witness == c and c_mu_a == algebra.mul(c, mu_a) and algebra.is_unit(eta)
         assert eta == algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
         assert algebra.equal(algebra.mul(eta, algebra.conj(mu_a)), algebra.mul(mu_b, algebra.conj(eta)))
 
@@ -425,11 +426,9 @@ def test_neg_determinant_has_negative_lead(p, q, a, b):
     -D = -content m scale^2 with content > 0: the curve is w^2 = -m, so the
     model carries no sign.  q and b are nonzero by construction, so D and
     |a|^2 + |b|^2 (z^2 - 1) are nonzero and no draw is rejected."""
-    from birsphere.involutions import _neg_determinant
-
     c = FiberPattern(a, b).matrix()
     mat = c * InvolutionForm(p, q).matrix() * c.inverse()
-    neg_d, model = _neg_determinant(mat), fixed_curve(mat)
+    neg_d, model = -canonical_pattern(mat).determinant(), fixed_curve(mat)
     assert neg_d.lead().as_real().sign() < 0
     assert isinstance(model.content, TowerReal) and model.content > 0
     assert neg_d == (model.m * model.scale * model.scale).scale(CoeffScalar(-model.content))
@@ -441,6 +440,7 @@ PYTHAGOREAN_T = [Fraction(k, n) for n in range(2, 9) for k in range(1 - n, n) if
 @settings(max_examples=25, deadline=None)
 @given(p=real_polys, q=nonzero_complex_polys, t=st.sampled_from(PYTHAGOREAN_T), flip=st.booleans())
 @example(p=Z * Z + 1, q=Z + Poly.const(I), t=Fraction(1, 3), flip=True)
+@example(p=Poly(), q=(Z * Z + Z + 1).scale(I) + Z, t=Fraction(-1, 2), flip=True)  # a symmetric model
 def test_moved_involution_has_target_model(p, q, t, flip):
     """For r2 = s r1 s^-1, s a Pythagorean interval shift, composed with
     z_flip or not: the involution that decide_conjugacy moves by the base map
@@ -467,7 +467,7 @@ def _undivided_entries(mat_a, mat_b, hilbert90):
 
     form_a, form_b = involution_normal_form(mat_a), involution_normal_form(mat_b)
     f, f_b = -form_a.determinant(), -form_b.determinant()
-    model_a, model_b = _split(f), _split(f_b)
+    model_a, model_b = _split(-f), _split(-f_b)
     s = (model_a.m * model_a.scale * model_b.scale).scale(CoeffScalar(model_a.content * model_b.content).sqrt())
     g = poly_gcd(s, f_b)
     u_num, u_den = s.exact_div(g), f_b.exact_div(g)
@@ -475,7 +475,7 @@ def _undivided_entries(mat_a, mat_b, hilbert90):
     p, q = form_a.p, form_a.q
     mu_a = (p.scale(I), Poly.const(-1), q)
     mu_b = (form_b.p.scale(I) * u_num, -u_den, form_b.q * u_num)
-    _, (x, y, _) = hilbert90(algebra, mu_a, mu_b)
+    _, _, (x, y, _) = hilbert90(algebra, mu_a, mu_b)
     zero = Poly()
     beta = (zero, form_b.q * ONE_MINUS_Z2, Poly.const(-1), form_b.p.scale(-I))
     tail = raw_mul((x, f * y, y, x), (q.conj(), -p.scale(I), zero, Poly.const(-1)))
@@ -508,7 +508,8 @@ def test_conjugator_entries_divide_the_product():
         hilbert90 = inv._hilbert90
         if witness is not None and any(witness):
             def hilbert90(algebra, mu_a, mu_b, c=(*witness, Poly.const(1))):
-                return c, algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
+                c_mu_a = algebra.mul(c, mu_a)
+                return c, c_mu_a, algebra.add(c_mu_a, algebra.mul(algebra.conj(c), mu_b))
 
             with_r_part.append(bool(witness[1]))
         expected, factor = _undivided_entries(mat_a, mat_b, hilbert90)

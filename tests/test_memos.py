@@ -1,0 +1,180 @@
+"""The package's memos: every `lru_cache` and `cached_property` is listed
+here, so adding one is a reviewed decision; each per-matrix invariant is
+computed once per object (counted), and the memoised values equal the
+formulas they cache on fresh objects."""
+
+import ast
+import importlib
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import birsphere
+from birsphere import projmat as projmat_mod
+from birsphere import sphere as sphere_mod
+from birsphere.classify import classify_spheremap, decide_conjugacy
+from birsphere.involutions import InvolutionForm
+from birsphere.poly import ONE_MINUS_Z2, Poly
+from birsphere.projmat import ProjMat, angle_of_entries
+from birsphere.scalars import CoeffScalar
+from birsphere.sphere import FiberPattern, SphereMap, builtin_map, canonical_pattern
+from test_exact_core import gaussian_scalars, polys
+
+Z = Poly.z()
+I = CoeffScalar.i()
+
+# (module, qualified name) -> decorator.  The per-object memos cache an
+# invariant of an immutable object on it; the lru_caches are keyed by a
+# matrix (the pattern) or by the pattern determinant D (the fixed-curve
+# split).
+PACKAGE_MEMOS = {
+    ("projmat", "ProjMat._hash"): "cached_property",
+    ("projmat", "ProjMat._angle"): "cached_property",
+    ("sphere", "FiberPattern._determinant"): "cached_property",
+    ("sphere", "FiberPattern.involution_form"): "cached_property",
+    ("sphere", "FiberPattern.stripped_determinant"): "cached_property",
+    ("sphere", "FiberPattern.contracted_count"): "cached_property",
+    ("sphere", "canonical_pattern"): "lru_cache",
+    ("involutions", "_split"): "lru_cache",
+}
+MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def package_memos() -> dict[tuple[str, str], str]:
+    """Every memoising decorator in src/birsphere, found by an AST scan:
+    (module, qualified name) -> decorator name."""
+    found = {}
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in child.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                    if name in MEMO_DECORATORS:
+                        found[(module, f"{prefix}{child.name}")] = name
+
+    for path in sorted(Path(birsphere.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def clear_lru_caches() -> None:
+    """Empty every lru_cache of the package, as package_memos finds them."""
+    for (module, name), decorator in package_memos().items():
+        if decorator != "cached_property":
+            getattr(importlib.import_module(f"birsphere.{module}"), name).cache_clear()
+
+
+def test_every_package_memo_is_listed():
+    assert package_memos() == PACKAGE_MEMOS
+
+
+# -- counted: one computation per object ------------------------------------------------
+
+MOVER = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix()  # det 8 + 2 z^2 > 0: a diffeomorphism
+
+
+def _conjugate(name: str) -> SphereMap:
+    """A fresh conjugate of a builtin trivial-base map by MOVER."""
+    return SphereMap.trivial_base(MOVER * builtin_map(name).fiber * MOVER.inverse())
+
+
+def test_classify_forms_the_input_angle_once(monkeypatch):
+    """The order in routing, the family report and the rotation normal form
+    read one angle of the input fiber."""
+    calls = Counter()
+
+    def counted(entries):
+        calls[tuple(entries)] += 1
+        return real(entries)
+
+    real = projmat_mod.angle_of_entries
+    monkeypatch.setattr(projmat_mod, "angle_of_entries", counted)
+    for name, angle in (("rot:1/2", [1, 2]), ("rot:1/3", [1, 3]), ("rot:1/8", [1, 8])):
+        g = _conjugate(name)
+        report = classify_spheremap(g)
+        assert report.family == 3 and report.moduli["angle"] == angle
+        assert calls[g.fiber.entries()] == 1, name
+
+
+def test_classify_forms_an_involutions_determinant_once(monkeypatch):
+    """The orientation (through D') and the fixed curve (through -D) of an
+    involution read one pattern determinant."""
+    clear_lru_caches()
+    for name, family in (("upsilon", 4), ("tau", 4)):
+        g = _conjugate(name)
+        pattern = canonical_pattern(g.fiber)
+        formed = []
+
+        def counted(terms):
+            formed.append(terms[0][1] is pattern.a)
+            return real(terms)
+
+        real = sphere_mod.dot
+        monkeypatch.setattr(sphere_mod, "dot", counted)
+        report = classify_spheremap(g)
+        monkeypatch.setattr(sphere_mod, "dot", real)
+        assert report.family == family and report.moduli["fixed_curve"]["m"] == "z^2-1"
+        assert formed.count(True) == 1, name
+
+
+def test_certify_builds_each_involution_form_once(monkeypatch):
+    """A certified pair builds the involution form of each matrix once: the
+    order-2 test, the conjugator's off-diagonal check and its closed form
+    read one form, memoised on the pattern."""
+    clear_lru_caches()
+    built = Counter()
+    real = InvolutionForm.__init__
+
+    def counted(self, p, q):
+        built[(p, q)] += 1
+        real(self, p, q)
+
+    a = InvolutionForm(Z + 2, Z.scale(I) + 1 - I).matrix()
+    c = FiberPattern(Z + 2 + I, Poly.const(CoeffScalar(1, 1))).matrix()
+    b = c * a * c.inverse()
+    monkeypatch.setattr(InvolutionForm, "__init__", counted)
+    answer = decide_conjugacy(SphereMap.trivial_base(a), SphereMap.trivial_base(b))
+    assert answer["conjugate"] and answer["verified"]
+    assert len(built) == 2 and set(built.values()) == {1}, built
+
+
+# -- memoised values on fresh objects ----------------------------------------------------
+
+entries = polys(gaussian_scalars, max_degree=2)
+ROTATIONS = [builtin_map(f"rot:{k}/{n}").fiber for k, n in ((1, 2), (1, 3), (1, 4), (1, 6), (1, 8), (5, 12))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(entries, entries, entries, entries), st.sampled_from(ROTATIONS), st.booleans(),
+       entries, entries)
+def test_memoised_invariants_match_their_formulas(quad, rotation, conjugate, a, b):
+    """On fresh matrices (random ones, mostly non-real and of infinite
+    order, and conjugates of rotations of finite order), the memoised angle
+    and order are angle_of_entries of the entries; on fresh patterns the
+    memoised determinant is a conj(a) - b h conj(b) in ring operations, and
+    the involution form is (-i a, b) exactly when a + conj(a) = 0.  A second
+    read returns the same object."""
+    try:
+        mat = ProjMat.of(*quad)
+    except ValueError:  # zero matrix or zero determinant
+        mat = ProjMat.of(Z + 2, 1, Fraction(1, 3), Z.scale(I))
+    if conjugate:
+        mat = mat * rotation * mat.inverse()
+    angle = angle_of_entries(mat.entries())
+    assert mat.rotation_angle() == angle and mat.rotation_angle() is mat.rotation_angle()
+    assert mat.order() == (None if angle is None else angle[1])
+    for pattern in (FiberPattern(a, b), FiberPattern(a - a.conj(), b)):
+        det = pattern.a * pattern.a.conj() - pattern.b * ONE_MINUS_Z2 * pattern.b.conj()
+        assert pattern.determinant() == det and pattern.determinant() is pattern.determinant()
+        form = pattern.involution_form
+        if pattern.a + pattern.a.conj():
+            assert form is None
+        else:
+            assert form == InvolutionForm(pattern.a.scale(-I), pattern.b) and pattern.involution_form is form

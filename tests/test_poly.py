@@ -378,18 +378,18 @@ def test_squarefree_decomposition_examples():
     assert squarefree_decomposition((Z * Z + 1) ** 2 * (Z * Z + 4)) == [(Z * Z + 4, 1), (Z * Z + 1, 2)]
     assert squarefree_decomposition(Z**3) == [(Z, 3)]
     assert squarefree_decomposition(-2 * Z * Z + 2) == [(Z * Z - 1, 1)]
-    model = _split(-2 * Z * Z + 2)
+    model = _split(2 * Z * Z - 2)
     assert (model.m, model.content) == (Z * Z - 1, 2)
 
 
 def test_split_square_class():
-    """The square class of p is -m in the fixed-curve model _split(p), for p
-    of negative lead, as -D always has."""
+    """The square class of p is -m in the fixed-curve model _split(-p) of
+    D = -p, for p of negative lead, as -D always has."""
     for p, m in (
         (-(Z * Z - 1) ** 2, Poly.const(1)),
         (-3 * (Z * Z + 1) ** 2 * (Z * Z + 4), Z * Z + 4),
     ):
-        model = _split(p)
+        model = _split(-p)
         assert model.m == m and p == (m * model.scale * model.scale).scale(CoeffScalar(-model.content))
 
 
