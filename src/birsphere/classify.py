@@ -317,11 +317,12 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
     determinant; lam^2 is then real with a positive lead, so lam is real.
     The model is thus E's square-free part: m_A o sigma^-1 cleared, which
     is a constant times m_B when basis_equiv_moduli reads "equivalent".
-    Base flips of order 2 that are diffeomorphisms of different orientation
-    characters are not conjugate among diffeomorphisms; other base flips of
-    order 2 are decided in the fiber-compatible birational group by the
-    twist class.  Two infinite-order inputs, elements with different base
-    actions and base flips of another order raise UndecidedExact; a
+    Two diffeomorphisms of different orientation characters are not
+    conjugate among diffeomorphisms, which is all that decides a pair with
+    different base actions (trivial and z -> -z); base flips of order 2 that
+    agree there are decided in the fiber-compatible birational group by the
+    twist class.  Two infinite-order inputs, other elements with different
+    base actions and base flips of another order raise UndecidedExact; a
     non-real input raises NotRealityMember."""
     routed = []
     for which, g in (("first", g1), ("second", g2)):
@@ -335,6 +336,10 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
     if n1 != n2:
         return {"conjugate": False, "reason": "different orders"}
     if r1.base.kind != r2.base.kind:
+        if r1.is_diffeo() and r2.is_diffeo() and (
+            r1.is_orientation_preserving_diffeo() != r2.is_orientation_preserving_diffeo()
+        ):
+            return {"conjugate": False, "reason": "different orientation characters"}
         raise UndecidedExact(f"conjugacy of elements of order {n1} with different base actions is not decided")
     if r1.base.kind == "neg" and n1 != 2:
         raise UndecidedExact(f"conjugacy of base-flip elements of order {n1} is not decided")

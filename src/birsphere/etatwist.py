@@ -26,19 +26,21 @@ from .poly import (
     RealAlgebraic,
     factor_rational_poly,
 )
-from .projmat import ProjMat, raw_mul
+from .projmat import ProjMat
 from .scalars import CoeffScalar
 from .sphere import SphereMap, canonical_pattern
 
 
 def twisted_square(mat: ProjMat) -> Poly | None:
     """The scalar mu with  L * L(-z) = mu * Id  on the pattern lift, or
-    None when the product is not scalar (the pair is not an involution)."""
-    lift = canonical_pattern(mat).lift()
-    m11, m12, m21, m22 = raw_mul(lift, tuple(p.reflect_z() for p in lift))
-    if m12 or m21 or m11 != m22:
+    None when the product is not scalar (the pair is not an involution):
+    the pattern product P P(-z) = (a', b') lifts to a scalar exactly when
+    b' = 0 and a' is real, and mu is then a'."""
+    pattern = canonical_pattern(mat)
+    square = pattern * pattern.reflect_z()
+    if square.b or not square.a.is_real():
         return None
-    return m11
+    return square.a
 
 
 @dataclass(frozen=True)

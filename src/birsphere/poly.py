@@ -23,6 +23,8 @@ same loop over all its terms at the least common denominator, into one set
 of columns normalised once, and a single product is its one-term case, so
 there is one convolution loop.  Division keeps the remainder as mutable integer columns over
 one denominator across its steps and divides out one gcd per step.
+Multiplication by h = 1 - z^2, the sphere's conic, and exact division by it
+are one integer recurrence per column (`times_h`, `over_h`).
 Evaluation at a rational point is one homogenised integer Horner sum per
 column, normalised once; no workload evaluates at other points, which take a
 Horner loop of CoeffScalar operations.  CoeffScalar values are built only
@@ -413,9 +415,6 @@ class Poly:
         quo = _from_rows(steps, steps[0][0] + 1)
         return (quo if lead_inv is None else quo.scale(lead_inv)), rem
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def __mod__(self, other):
         return _divide(self, _coerce_poly(other))[1]
 
@@ -535,6 +534,35 @@ def _coerce_poly(x):
 _ZERO = _new({}, 1)
 ONE_MINUS_Z2 = Poly([1, 0, -1])
 Z = Poly.z()
+
+
+def times_h(p: Poly) -> Poly:
+    """p (1 - z^2) in one integer pass: entry k of a column is c_k - c_(k-2).
+    The top entry is -c_top != 0, and h is primitive, so the content is kept
+    (Gauss's lemma) and the columns are canonical as built."""
+    return _new({key: tuple(x - y for x, y in zip((*c, 0, 0), (0, 0, *c))) for key, c in p._cols.items()}, p._den)
+
+
+def over_h(p: Poly) -> Poly | None:
+    """p / (1 - z^2) when 1 - z^2 divides p, else None, in one integer pass.
+
+    Lemma.  For a column c of length n, put q_k = c_k + q_(k-2) for k < n
+    (q_(-1) = q_(-2) = 0) and Q = sum q_k z^k.  Then (1 - z^2) Q has entry
+    q_k - q_(k-2) = c_k below n and -q_(n-2), -q_(n-1) at n and n + 1, so
+    (1 - z^2) Q = c - z^n (q_(n-2) + q_(n-1) z).  A quotient of c satisfies
+    the same recurrence and has length n - 2, so one exists exactly when
+    q_(n-2) = q_(n-1) = 0, and it is then Q.  h is rational, so p divides
+    column by column.  A quotient's top entry is -c_top != 0, and its
+    content is p's (Gauss's lemma), so it is canonical as built."""
+    cols = {}
+    for key, c in p._cols.items():
+        q = list(c)
+        for k in range(2, len(q)):
+            q[k] += q[k - 2]
+        if any(q[-2:]):
+            return None
+        cols[key] = tuple(q[:-2])
+    return _new(cols, p._den)
 
 
 def monic_lead(ps) -> list[Poly]:

@@ -91,10 +91,16 @@ def angle_of_entries(entries) -> tuple[int, int] | None:
     tr = a11 + a22
     if not tr:
         return (1, 2)
-    tr2, det = tr * tr, dot(((1, a11, a22), (-1, a12, a21)))
+    return angle_of_trace(tr, dot(((1, a11, a22), (-1, a12, a21))), not (a12 or a21 or a11 != a22))
+
+
+def angle_of_trace(tr: Poly, det: Poly, is_scalar: bool) -> tuple[int, int] | None:
+    """The angle of a matrix from its nonzero trace, its determinant and
+    whether it is scalar (angle_of_entries)."""
+    tr2 = tr * tr
     kappa = tr2.lead() / det.lead()
     angle = _ANGLE_OF_KAPPA.get(kappa) if tr2 == det.scale(kappa) else None
-    if angle == (0, 1) and (a12 or a21 or a11 != a22):
+    if angle == (0, 1) and not is_scalar:
         return None
     return angle
 

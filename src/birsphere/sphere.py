@@ -17,6 +17,14 @@ images of sphere points, and the builtin catalogue of named maps.
 canonical_pattern is memoised per matrix, and a pattern memoises what is
 read off it: its determinant D, D' with its real-root count, and the
 involution form of an element of order 2.
+The group's arithmetic runs on patterns, two entries each: a product is two
+fused sums, the reflection z -> -z acts entrywise (h is even), and two
+patterns give one map when a b' = a' b and a ~a' is real (b ~b' when
+a = a' = 0).  So a certificate whose bases do not move is checked as
+P_C P_S proportional to P_T P_C, each factor reflected where a base flips,
+and a base flip's order and twisted square are one pattern product.  Maps
+with a moving base (b != 0), and non-real inputs, have no pattern and keep
+the unreduced 4-entry products of `raw_mul` and `proportional`.
 """
 
 from __future__ import annotations
@@ -32,8 +40,8 @@ from .errors import (
     NotRealityMember,
     UnsupportedExtension,
 )
-from .poly import ONE_MINUS_Z2, Poly, dot, real_roots_in_tower_poly, sturm_count
-from .projmat import INF, TWO_COS, ProjMat, angle_of_entries, proportional, raw_mul
+from .poly import ONE_MINUS_Z2, Poly, dot, over_h, real_roots_in_tower_poly, sturm_count, times_h
+from .projmat import INF, TWO_COS, ProjMat, angle_of_entries, angle_of_trace, proportional, raw_mul
 from .scalars import CoeffScalar, TowerReal, scalar
 
 
@@ -51,21 +59,64 @@ def reality_twist() -> ProjMat:
 
 @dataclass(frozen=True)
 class FiberPattern:
-    """The normal shape (a, b) with matrix [[a, b*h], [conj b, conj a]]."""
+    """The normal shape (a, b) with lift [[a, b*h], [conj b, conj a]].
+
+    The reality group's arithmetic acts on the two entries: a product, the
+    reflection z -> -z and the projective comparison never form the lift."""
 
     a: Poly
     b: Poly
 
     def matrix(self) -> ProjMat:
-        return ProjMat.of(self.a, self.b * ONE_MINUS_Z2, self.b.conj(), self.a.conj())
+        return ProjMat.of(self.a, times_h(self.b), self.b.conj(), self.a.conj())
 
-    def lift(self) -> tuple[Poly, Poly, Poly, Poly]:
-        """GL lift with exact entries (no projective rescaling)."""
-        return (self.a, self.b * ONE_MINUS_Z2, self.b.conj(), self.a.conj())
+    def __mul__(self, other: FiberPattern) -> FiberPattern:
+        """The pattern of the product of the two lifts, two fused sums.
+
+        Lemma.  [[a1, b1 h], [~b1, ~a1]] [[a2, b2 h], [~b2, ~a2]] has the top
+        row (a1 a2 + h b1 ~b2, (a1 b2 + b1 ~a2) h) and the bottom row
+        (~b1 a2 + ~a1 ~b2, h ~b1 b2 + ~a1 ~a2), the conjugates of the top
+        entries (h is real) in swapped order: it is the lift of
+        (a1 a2 + h b1 ~b2, a1 b2 + b1 ~a2)."""
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return FiberPattern(
+            dot(((1, a1, a2), (1, times_h(b1), b2.conj()))), dot(((1, a1, b2), (1, b1, a2.conj())))
+        )
+
+    def reflect_z(self) -> FiberPattern:
+        """The pattern of the lift at -z: h is even, so it is (a(-z), b(-z))."""
+        return FiberPattern(self.a.reflect_z(), self.b.reflect_z())
+
+    def proportional_to(self, other: FiberPattern) -> bool:
+        """Whether the two lifts are proportional, that is the two patterns
+        give one map; both patterns are nonzero.
+
+        Lemma.  L' = lam L for lam in C(z) reads a' = lam a, b' = lam b,
+        ~a' = lam ~a and ~b' = lam ~b.  The last two are the conjugates of
+        the first two exactly when lam = ~lam, as a or b is nonzero.  So the
+        lifts are proportional iff (a', b') = lam (a, b) for a real lam:
+        a b' = a' b (if a = 0 then a' b = 0 with b != 0, so a' = 0), and
+        lam = a'/a real, which holds exactly when a' ~a, or its conjugate
+        a ~a', is real; or, when a = a' = 0, lam = b'/b real, that is b ~b'
+        real.  A nonzero a with a' = 0 would give b' = 0 by the first test,
+        which (a', b') != 0 excludes."""
+        a, b, a2, b2 = self.a, self.b, other.a, other.b
+        if dot(((1, a, b2), (-1, a2, b))):
+            return False
+        return (a * a2.conj() if a else b * b2.conj()).is_real()
+
+    def angle(self) -> tuple[int, int] | None:
+        """angle_of_entries of the lift, read off the pattern: the trace is
+        a + ~a, the determinant is memoised, and the lift is scalar exactly
+        when b = 0 and a is real."""
+        tr = self.a + self.a.conj()
+        if not tr:
+            return (1, 2)
+        return angle_of_trace(tr, self.determinant(), not self.b and self.a.is_real())
 
     @cached_property
     def _determinant(self) -> Poly:
-        return dot(((1, self.a, self.a.conj()), (-1, self.b * ONE_MINUS_Z2, self.b.conj())))
+        return dot(((1, self.a, self.a.conj()), (-1, times_h(self.b), self.b.conj())))
 
     def determinant(self) -> Poly:
         """D = a conj(a) - b h conj(b), once per pattern: D' and a fixed curve share it."""
@@ -125,12 +176,12 @@ class InvolutionForm:
     def matrix(self) -> ProjMat:
         i = CoeffScalar.i()
         return ProjMat.of(
-            self.p.scale(i), self.q * ONE_MINUS_Z2, self.q.conj(), self.p.scale(-i)
+            self.p.scale(i), times_h(self.q), self.q.conj(), self.p.scale(-i)
         )
 
     def determinant(self) -> Poly:
         """p^2 - q conj(q) h: FiberPattern.determinant of the form's pattern."""
-        return dot(((1, self.p, self.p), (-1, self.q * ONE_MINUS_Z2, self.q.conj())))
+        return dot(((1, self.p, self.p), (-1, times_h(self.q), self.q.conj())))
 
 
 def _constant_multiple(lift: tuple[Poly, ...], entries: tuple[Poly, ...]) -> bool:
@@ -149,13 +200,14 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
 
     The sum S = M + tau ~M tau^-1 = [[A, B], [~B/h, ~A]] of the canonical
     M = mat, with A = m11 + ~m22 and B = m12 + h ~m21, always has the shape.
-    The pattern is (A, B // h), or (-i m11, i ~m21) when S = 0, as it
+    The pattern is (A, B/h), or (-i m11, i ~m21) when S = 0, as it
     stands: M is already ProjMat's one normal form, and a pattern is
     projective, so no rescale follows.  S = 0 says tau ~M tau^-1 = -M, which is
     the reality condition itself, so M is real and needs no further check.
-    Otherwise M is real exactly when the pattern lifts to kappa M for a
-    constant kappa, read as the lead of the lift at M's first nonzero entry,
-    which is monic; no gcd is taken.
+    Otherwise M is real exactly when h divides B (one exact integer pass,
+    `over_h`) and the pattern lifts to kappa M for a constant kappa, read as
+    the lead of the lift at M's first nonzero entry, which is monic; no gcd
+    is taken.
 
     Lemma.  Let M be real: tau ~M tau^-1 = [[~m22, h ~m21], [~m12/h, ~m11]]
     = l M, l = P/Q in lowest terms.  The m_ij are coprime.
@@ -166,13 +218,14 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
       P ~P is a constant times Q^2.  Every factor of P then divides Q, so P
       and then Q are constants: l is a constant.
     - If kappa = 1 + l != 0, then A = kappa m11, B = kappa m12 and
-      ~B/h = kappa m21; so h | B, and (A, B/h) lifts to S = kappa M.
+      ~B/h = kappa m21; so h | B, and (A, B/h) lifts to S = kappa M.  So
+      h not dividing B already proves M non-real.
     - If S = 0, then m22 = -~m11 and m12 = -h ~m21, and (-i m11, i ~m21)
       lifts to -i M.
     - In both cases a factor pi of a and b with ~pi | a, b divides a, b,
       ~a and ~b, hence m11, m12, m21 and m22: the real part of gcd(a, b)
       is 1, and no common real factor needs stripping.
-    Conversely, let (A, B // h) lift to kappa M.  Then kappa != 1, as
+    Conversely, let h | B and (A, B/h) lift to kappa M.  Then kappa != 1, as
     A = m11 and B = m12 would give ~m22 = ~m21 = 0 and det M = 0; so
     h ~m21 = (kappa - 1) m12 makes h | m12 | B, the lift is S, and
     tau ~M tau^-1 = S - M = (kappa - 1) M.  So the check below refuses
@@ -180,13 +233,12 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
     b = 0 map's reality off it.
     """
     a11, a12, a21, a22 = mat.entries()
-    h = ONE_MINUS_Z2
-    a, lift_b = a11 + a22.conj(), a12 + h * a21.conj()
+    a, lift_b = a11 + a22.conj(), a12 + times_h(a21.conj())
     if not (a or lift_b):  # S = 0: real, and the pattern lifts to -i M
         i = CoeffScalar.i()
         return FiberPattern(a11.scale(-i), a21.conj().scale(i))
-    b = lift_b // h
-    if not _constant_multiple((a, lift_b, b.conj(), a.conj()), mat.entries()):
+    b = over_h(lift_b)
+    if b is None or not _constant_multiple((a, lift_b, b.conj(), a.conj()), mat.entries()):
         raise NotRealityMember(f"{mat} does not satisfy the reality condition")
     return FiberPattern(a, b)
 
@@ -369,15 +421,33 @@ class SphereMap:
         minv = self.base.inverse()
         return SphereMap(minv.substitute_matrix(self.fiber.inverse()), minv)
 
+    def pattern(self) -> FiberPattern | None:
+        """The memoised canonical_pattern of the fiber when the base keeps
+        h = 1 - z^2 (b = 0) and the fiber is real; None for a moving base or
+        a non-real fiber."""
+        if self.base.b:
+            return None
+        try:
+            return canonical_pattern(self.fiber)
+        except NotRealityMember:
+            return None
+
     def order(self) -> int | None:
+        """A flipped base action is an involution, so the square has trivial
+        base and self twice its order.  For base z -> -z and a real fiber A
+        the square's fiber A(-z) A is the pattern product P(-z) P, whose
+        angle is read off the pattern (FiberPattern.angle); without a
+        pattern the square is the unreduced 4-entry product."""
         kind = self.base.kind
         if kind == "shift":
             return None
         if kind == "id":
             return self.fiber.order()
-        # a flipped base action is an involution: the square has trivial base
-        # and self twice its order; the angle of A(m(z)) A needs no reduction
-        angle = angle_of_entries(raw_mul(self.base.substitute_entries(self.fiber), self.fiber.entries()))
+        pattern = self.pattern()
+        if pattern is None:
+            angle = angle_of_entries(raw_mul(self.base.substitute_entries(self.fiber), self.fiber.entries()))
+        else:
+            angle = (pattern.reflect_z() * pattern).angle()
         return None if angle is None else 2 * angle[1]
 
     def reality_check(self) -> bool:
@@ -387,20 +457,16 @@ class SphereMap:
         This is the package's one reality test.  For b = 0, m(z) = +-z keeps
         h = 1 - z^2, so tau(m(z)) = tau(z) and the condition is the fiber's
         own: it holds exactly when the memoised canonical_pattern(fiber)
-        succeeds, whose closing check refuses exactly the non-real matrices;
-        the diffeomorphism check that follows reads the same pattern."""
+        succeeds (SphereMap.pattern), whose closing check refuses exactly
+        the non-real matrices; the diffeomorphism check and the certificate
+        that follow read the same pattern."""
         if not self.base.b:
-            try:
-                canonical_pattern(self.fiber)
-            except NotRealityMember:
-                return False
-            return True
+            return self.pattern() is not None
         num, den = self.base.num_den_polys()
         d2 = den * den
         h_m = d2 - num * num
         a, b, c, d = self.fiber.entries()
-        h = ONE_MINUS_Z2
-        lhs = (h_m * d, h_m * (h * c), d2 * b, d2 * (h * a))
+        lhs = (h_m * d, h_m * times_h(c), d2 * b, d2 * times_h(a))
         return proportional(lhs, (a.conj(), b.conj(), c.conj(), d.conj()))
 
     def trivial_base_part(self) -> SphereMap:
@@ -474,15 +540,23 @@ class ConjugacyCertificate:
 
     def verify(self) -> bool:
         """C is real and C S = T C: exactly on the base, projectively on the
-        fiber, whose two products stay unreduced."""
+        fiber.  When no base moves (b = 0), the fibers are compared as
+        patterns: C S is P_C(sigma_S) P_S and T C is P_T(sigma_C) P_C, with
+        P(sigma) the pattern reflected z -> -z for a base flip; C's pattern
+        is its reality check, and S's and T's are memoised
+        (FiberPattern.__mul__, proportional_to).  A map without a pattern (a
+        moving base, or a non-real source or target) keeps the two
+        unreduced 4-entry products."""
         c, s, t = self.conjugator, self.source, self.target
-        return (
-            c.reality_check()
-            and c.base.compose(s.base) == t.base.compose(c.base)
-            and proportional(
-                raw_mul(s.base.substitute_entries(c.fiber), s.fiber.entries()),
-                raw_mul(c.base.substitute_entries(t.fiber), c.fiber.entries()),
-            )
+        if not (c.reality_check() and c.base.compose(s.base) == t.base.compose(c.base)):
+            return False
+        pc, ps, pt = (m.pattern() for m in (c, s, t))
+        if ps is not None and pt is not None and pc is not None:
+            lhs = (pc.reflect_z() if s.base.flip else pc) * ps
+            return lhs.proportional_to((pt.reflect_z() if c.base.flip else pt) * pc)
+        return proportional(
+            raw_mul(s.base.substitute_entries(c.fiber), s.fiber.entries()),
+            raw_mul(c.base.substitute_entries(t.fiber), c.fiber.entries()),
         )
 
 

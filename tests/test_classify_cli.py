@@ -122,21 +122,31 @@ def test_conj_catalogue_answers_are_sound():
     UnsupportedExtension, answers false, or answers true with a conjugator
     that verifies against the inputs as printed.  An uncertified true is a
     pair of distinct base flips whose twist classes and orientation
-    characters agree; only g2p:1/2 against g2p:-1/2, both ways, is left."""
+    characters agree; only g2p:1/2 against g2p:-1/2, both ways, is left.
+    Of the pairs of one order with different base actions (trivial and
+    z -> -z), exactly the 20 diffeomorphism pairs whose orientation
+    characters differ read false for that reason, and the other 16 stay
+    undecided."""
     from birsphere.errors import UndecidedExact, UnsupportedExtension
     from birsphere.etatwist import h2_invariant
 
     names = list(CONJ_CATALOGUE) + ["half-turn"]
     maps = [builtin_map(name) for name in CONJ_CATALOGUE]
     maps.append(builtin_map("tau").compose(builtin_map("tilde_eta")))
-    uncertified = []
+    uncertified, by_orientation, undecided = [], [], []
     for name1, g1 in zip(names, maps):
         for name2, g2 in zip(names, maps):
             try:
                 res = decide_conjugacy(g1, g2)
-            except (UndecidedExact, UnsupportedExtension):
+            except UndecidedExact:
+                undecided.append((name1, name2))
+                continue
+            except UnsupportedExtension:
                 continue
             if not res["conjugate"]:
+                if g1.base.kind != g2.base.kind and res.get("reason") != "different orders":
+                    assert res == {"conjugate": False, "reason": "different orientation characters"}
+                    by_orientation.append((name1, name2))
                 continue
             if res.get("verified") is True:
                 assert _certificate_verifies(res, g1, g2), (name1, name2)
@@ -147,6 +157,17 @@ def test_conj_catalogue_answers_are_sound():
             characters = [(g.is_diffeo(), g.is_orientation_preserving_diffeo()) for g in (g1, g2)]
             assert characters[0] == characters[1], (g1, g2)
     assert uncertified == [("g2p:1/2", "g2p:-1/2"), ("g2p:-1/2", "g2p:1/2")]
+    characters = [(g.is_diffeo(), g.is_orientation_preserving_diffeo()) for g in maps]
+    across = [
+        (names[j], names[k], characters[j][0] and characters[k][0] and characters[j][1] != characters[k][1])
+        for j, g1 in enumerate(maps)
+        for k, g2 in enumerate(maps)
+        if g1.base.kind != g2.base.kind and g1.order() == g2.order()
+    ]
+    assert by_orientation == [(n1, n2) for n1, n2, differ in across if differ]
+    assert undecided == [(n1, n2) for n1, n2, differ in across if not differ]
+    assert len(by_orientation) == 20 and len(undecided) == 16
+    assert {("tau", "g2p:1/2"), ("tau", "half-turn"), ("rot:1/2", "antipodal")} <= set(by_orientation)
 
 
 def _fiber_from_json(rows) -> SphereMap:

@@ -400,7 +400,7 @@ def test_poly_divmod_matches_reference(a, b):
     pa, pb = Poly(a), Poly(b)
     q, r = pa.divmod(pb)
     assert (q.coeffs, r.coeffs) == ref_poly_divmod(a, b)
-    assert (pa // pb, pa % pb) == (q, r)
+    assert pa % pb == r
     assert q * pb + r == pa
     assert r.degree < pb.degree
     assert_poly_canonical(q)
@@ -430,7 +430,7 @@ def test_poly_operations_leave_operands_unchanged(a, b, x):
         p.scale(x), p.monic(), p.conj(), p.reflect_z(), p.derivative(), -p
         p(x), p.primitive(), hash(p)
         for q in operands:
-            p + q, p - q, p * q, p.divmod(q), p % q, p // q
+            p + q, p - q, p * q, p.divmod(q), p % q
     assert [p.coeffs for p in operands] == before
     assert (pa.coeffs, pb.coeffs) == (trim(a), trim(b))
 
@@ -661,7 +661,7 @@ def test_canonical_pattern_lemma(a, b, c, d, k):
     for (mat, s_is_zero), pat in zip(mats, patterns):
         kappa = constant_ratio(twisted_sum(mat), mat.entries())
         assert kappa is not None and not (s_is_zero and kappa)
-        assert constant_ratio(pat.lift(), mat.entries())
+        assert constant_ratio(member_entries(pat.a, pat.b), mat.entries())
         g = poly_gcd(pat.a, pat.b)
         assert poly_gcd(g, g.conj()).degree == 0
         assert ref_strip_common_real_factors(pat.a, pat.b) == (pat.a, pat.b)

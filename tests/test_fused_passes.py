@@ -197,23 +197,24 @@ def test_certify_and_classify_work_is_counted():
     """One certified involution pair and one conjugate of rot:1/2, both over
     Q(i).  The canonical form divides no entry (the gcd kernel's cofactors
     replace poly_gcd and exact_div), and the column products are pinned:
-    80 for the pair and 88 for the classification.  They were 87 and 98
-    before the angle, the pattern determinant and the involution form were
-    memoised on their objects and the conjugator reused Hilbert-90's
-    c mu_A, and 114 and 127 when every sum of products was formed product
-    by product."""
+    68 for the pair and 76 for the classification.  They were 80 and 88
+    before certificates were verified on patterns and h = 1 - z^2 was
+    multiplied by a shift of columns (`times_h`), 87 and 98 before the
+    angle, the pattern determinant and the involution form were memoised on
+    their objects and the conjugator reused Hilbert-90's c mu_A, and 114
+    and 127 when every sum of products was formed product by product."""
     a = InvolutionForm(Z + 2, Z.scale(I) + 1 - I).matrix()
     c = FiberPattern(Z + 2 + I, Poly.const(CoeffScalar(1, 1))).matrix()
     pair = SphereMap.trivial_base(a), SphereMap.trivial_base(c * a * c.inverse())
     answer, counts = _count_work(lambda: decide_conjugacy(*pair))
     assert answer["conjugate"] and answer["verified"]
-    assert counts == {"product": 80, "canonical_exact_div": 0}
+    assert counts == {"product": 68, "canonical_exact_div": 0}
 
     mover = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix()  # det 8 + 2 z^2 > 0
     rotation = SphereMap.trivial_base(mover * builtin_map("rot:1/2").fiber * mover.inverse())
     report, counts = _count_work(lambda: classify_spheremap(rotation))
     assert report.family == 3 and report.moduli["angle"] == [1, 2]
-    assert counts == {"product": 88, "canonical_exact_div": 0}
+    assert counts == {"product": 76, "canonical_exact_div": 0}
 
 
 def test_determinants_match_the_ring_operations():
