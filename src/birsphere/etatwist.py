@@ -21,14 +21,13 @@ from .errors import (
 )
 from .involutions import _TripleAlgebra
 from .poly import (
-    ONE_MINUS_Z2,
     Poly,
     RealAlgebraic,
     factor_rational_poly,
 )
 from .projmat import ProjMat
 from .scalars import CoeffScalar
-from .sphere import SphereMap, canonical_pattern
+from .sphere import FiberPattern, SphereMap, canonical_pattern
 
 
 def twisted_square(mat: ProjMat) -> Poly | None:
@@ -194,9 +193,10 @@ class TwistedAlgebra(_TripleAlgebra):
 
     @staticmethod
     def mul(u, v):
-        a, b, d = u
-        c, e, f = v
-        return (a * c + b * e.conj() * ONE_MINUS_Z2, a * e + b * c.conj(), d * f)
+        """The pattern product of (a, b) and (c, e) (`FiberPattern.__mul__`),
+        over d f: xi c = conj(c) xi and xi e xi = conj(e) h."""
+        p = FiberPattern(u[0], u[1]) * FiberPattern(v[0], v[1])
+        return (p.a, p.b, u[2] * v[2])
 
     @staticmethod
     def reflect(u):
@@ -205,9 +205,9 @@ class TwistedAlgebra(_TripleAlgebra):
     @staticmethod
     def inverse(u):
         """(conj(a) d, -b d, N) with the real norm N = a conj(a) - b conj(b) h,
-        as (a + b xi)(conj(a) - b xi) = N."""
+        as (a + b xi)(conj(a) - b xi) = N: the determinant of the pattern."""
         a, b, d = u
-        norm = a * a.conj() - b * b.conj() * ONE_MINUS_Z2
+        norm = FiberPattern(a, b).determinant()
         if not norm:
             raise ZeroDivisionError("non-invertible element")
         return (a.conj() * d, -b * d, norm)

@@ -8,16 +8,17 @@ integers n_0, n_1, ... standing for the sum over k of n_k * sqrt(m) * i^t *
 z^k over the common denominator.  The form is canonical: every column is
 nonempty and ends in a nonzero entry, gcd(den, every entry) = 1, and the zero
 polynomial is {} over 1 with degree -1 (standing in for "degree minus
-infinity"), so equality is a plain comparison.  The scalars module converts
-one coefficient to and from a row {(m, t): n} (`CoeffScalar.to_row`,
-`CoeffScalar.from_row`), read across the columns at one index; the polynomial
-layout is known to this module only.
+infinity"), so equality is a plain comparison.  A coefficient is the
+row {(m, t): n} of the entries at one index over the same denominator, which
+is the layout of a scalar (scalars module): this module reads a scalar's row
+directly and builds a coefficient from the entries at one index with one gcd,
+and the polynomial layout is known to this module only.
 
 The ring operations run on the columns with integer arithmetic.  A product
 is one integer convolution per pair of keys, scaled by the factor that
 sqrt(m)*sqrt(n) = g*sqrt(mn/g^2) with g = gcd(m, n) and i*i = -1 give the
-pair; scaling by a scalar is the same loop against its row, read as columns
-of length one.  A sum of products +-a*b (`dot`: determinants, matrix
+pair (the scalars' `_key_product`); scaling by a scalar is the same loop
+against its row, read as columns of length one.  A sum of products +-a*b (`dot`: determinants, matrix
 products, the cross-multiplied tests of the conjugator's algebra) runs the
 same loop over all its terms at the least common denominator, into one set
 of columns normalised once, and a single product is its one-term case, so
@@ -29,8 +30,8 @@ Evaluation at a rational point is one homogenised integer Horner sum per
 column, normalised once; no workload evaluates at other points, which take a
 Horner loop of CoeffScalar operations.  CoeffScalar values are built only
 when a caller asks for coefficients (`p[k]`, `lead`, `coeffs`); the text of
-a polynomial is printed from its integer entries, each x / den reduced by
-one gcd, as CoeffScalar and TowerReal would print it.  Columns are
+a polynomial is printed from its integer entries by the scalars' printer
+(`_coeff_str`), each x / den reduced by one gcd.  Columns are
 shared between polynomials and never mutated.  Two ring involutions act on
 polynomials: coefficientwise conjugation and the substitution z -> -z.
 
@@ -75,13 +76,22 @@ from itertools import accumulate
 
 from .errors import NotRationalPolynomial, NotRealPolynomial
 from .factor import factor_squarefree, gaussian_cofactors, gaussian_gcd, mul, squarefree, squarefree_part, yun
-from .scalars import CoeffScalar, TowerReal, _factorint, scalar
+from .scalars import (
+    _I_KEY,
+    _ONE_KEY,
+    _RATIONAL_KEYS,
+    CoeffScalar,
+    TowerReal,
+    _coeff_str,
+    _factorint,
+    _joined,
+    _Key,
+    _key_product,
+    _scalar,
+    scalar,
+)
 
-_Key = tuple[int, int]
 _Cols = dict[_Key, tuple[int, ...]]
-_ONE_KEY = (1, 0)
-_I_KEY = (1, 1)
-_RATIONAL_KEYS = {_ONE_KEY}
 _GAUSSIAN_KEYS = {_ONE_KEY, _I_KEY}
 
 
@@ -90,13 +100,6 @@ def _coeff(x) -> CoeffScalar:
 
 
 # -- the integer-column kernel ------------------------------------------------------
-
-
-def _key_product(ka: _Key, kb: _Key) -> tuple[_Key, int]:
-    """Key and integer factor of the product of two basis elements."""
-    (m, s), (n, t) = ka, kb
-    g = math.gcd(m, n)
-    return ((m // g) * (n // g), s ^ t), -g if s & t else g
 
 
 def _length(cols) -> int:
@@ -260,8 +263,8 @@ class Poly:
     __slots__ = ("_cols", "_den")
 
     def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
-        p = _from_rows([(k, *_coeff(c).to_row()) for k, c in enumerate(coeffs)], len(coeffs))
+        coeffs = [_coeff(c) for c in coeffs]
+        p = _from_rows([(k, c._num, c._den) for k, c in enumerate(coeffs)], len(coeffs))
         self._cols, self._den = p._cols, p._den
 
     # -- constructors ------------------------------------------------------
@@ -284,7 +287,7 @@ class Poly:
     def coeffs(self) -> tuple[CoeffScalar, ...]:
         """The coefficients in ascending powers, built on each access."""
         cols, den = self._cols, self._den
-        return tuple(CoeffScalar.from_row(_row(cols, k), den) for k in range(_length(cols)))
+        return tuple(_scalar(_row(cols, k), den) for k in range(_length(cols)))
 
     @property
     def degree(self) -> int:
@@ -297,7 +300,7 @@ class Poly:
     def __getitem__(self, k: int) -> CoeffScalar:
         if k < 0:
             return CoeffScalar(0)
-        return CoeffScalar.from_row(_row(self._cols, k), self._den)
+        return _scalar(_row(self._cols, k), self._den)
 
     def lead(self) -> CoeffScalar:
         if not self._cols:
@@ -337,16 +340,11 @@ class Poly:
     def __hash__(self):
         """A constant hashes as its CoeffScalar (the zero polynomial as 0),
         as it compares equal to it, and so to an int or a Fraction."""
-        cols, den = self._cols, self._den
+        cols = self._cols
         for c in cols.values():
             if len(c) > 1:
-                return hash((den, frozenset(cols.items())))
-        if not cols.keys() <= _GAUSSIAN_KEYS:
-            return hash(self[0])
-        re, im = (cols[key][0] if key in cols else 0 for key in (_ONE_KEY, _I_KEY))
-        if den != 1:
-            re, im = Fraction(re, den), Fraction(im, den)
-        return hash((re, im)) if im else hash(re)
+                return hash((self._den, frozenset(cols.items())))
+        return hash(self[0])
 
     def __add__(self, other):
         other = _coerce_poly(other)
@@ -405,8 +403,8 @@ class Poly:
 
     def scale(self, c) -> Poly:
         """c * self: the columns times c's row, read as columns of length one."""
-        row, d = _coeff(c).to_row()
-        return _product(((1, self._cols, {key: (x,) for key, x in row.items()}),), self._den * d)
+        c = _coeff(c)
+        return _product(((1, self._cols, {key: (x,) for key, x in c._num.items()}),), self._den * c._den)
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         steps, rem, lead_inv = _divide(self, _coerce_poly(other))
@@ -443,9 +441,8 @@ class Poly:
         """Value at x: `_at_rational` for a rational x, else a Horner loop of
         CoeffScalar operations."""
         x = _coeff(x)
-        xr, xd = x.to_row()
-        if xr.keys() <= _RATIONAL_KEYS:
-            return self._at_rational(xr.get(_ONE_KEY, 0), xd)
+        if x.is_rational():
+            return self._at_rational(x._num.get(_ONE_KEY, 0), x._den)
         acc = CoeffScalar(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -456,7 +453,7 @@ class Poly:
         cols, n = self._cols, _length(self._cols)
         if not n:
             return CoeffScalar(0)
-        return CoeffScalar.from_row({key: _horner(c, r, d, n) for key, c in cols.items()}, self._den * d ** (n - 1))
+        return _scalar({key: _horner(c, r, d, n) for key, c in cols.items()}, self._den * d ** (n - 1))
 
     def eval_rational(self, q: Fraction) -> CoeffScalar:
         q = Fraction(q)
@@ -473,7 +470,7 @@ class Poly:
 
     def __str__(self):
         """Terms from the top degree down, each coefficient printed from its
-        integer entries as CoeffScalar prints it (`_coeff_str`)."""
+        integer entries as a scalar prints it (`_coeff_str`)."""
         cols, den = self._cols, self._den
         if not cols:
             return "0"
@@ -499,34 +496,10 @@ class Poly:
         return _joined(parts)
 
 
-def _joined(parts: list[str]) -> str:
-    """parts joined by "+", but where a part starts with "-"."""
-    return parts[0] + "".join(p if p[0] == "-" else "+" + p for p in parts[1:])
-
-
-def _coeff_str(row: list[tuple[_Key, int]], den: int) -> str:
-    """The text of the coefficient sum x sqrt(m) i^t / den over the nonzero
-    entries ((m, t), x) of row, sorted by key, as `CoeffScalar.__str__`
-    prints it: the real part, then the imaginary part as i, -i or (...)*i,
-    each part's terms by increasing m as `TowerReal.__str__` prints them."""
-    re, im = [], []
-    for (m, t), x in row:
-        g = math.gcd(x, den)
-        c = str(x // g) if g == den else f"{x // g}/{den // g}"
-        if m != 1:
-            c = f"{c[:-1]}sqrt({m})" if c in ("1", "-1") else f"{c}*sqrt({m})"
-        (im if t else re).append(c)
-    if not im:
-        return _joined(re)
-    i = _joined(im)
-    i = "i" if i == "1" else "-i" if i == "-1" else f"({i})*i"
-    return _joined([*re, i]) if re else i
-
-
 def _coerce_poly(x):
     if isinstance(x, Poly):
         return x
-    if isinstance(x, (int, Fraction, CoeffScalar, TowerReal)):
+    if isinstance(x, (int, Fraction, CoeffScalar)):
         return Poly([_coeff(x)])
     return NotImplemented
 
@@ -567,21 +540,15 @@ def over_h(p: Poly) -> Poly | None:
 
 def monic_lead(ps) -> list[Poly]:
     """ps times the inverse of the lead of the first nonzero one, which
-    makes it monic: one column product each against the inverse's row.  A
-    lead (a + b i) / d over Q(i) has the integer row d (a - b i) over
-    a^2 + b^2; a tower lead is inverted as a CoeffScalar."""
+    makes it monic: one column product each against the inverse's row."""
     first = next(p for p in ps if p)
     cols, den = first._cols, first._den
     lead = _row(cols, _length(cols) - 1)
     if lead == {_ONE_KEY: den}:
         return list(ps)
-    if lead.keys() <= _GAUSSIAN_KEYS:
-        a, b = lead.get(_ONE_KEY, 0), lead.get(_I_KEY, 0)
-        row, d = {_ONE_KEY: a * den, _I_KEY: -b * den}, a * a + b * b
-    else:
-        row, d = CoeffScalar.from_row(lead, den).inverse().to_row()
-    inv = {key: (x,) for key, x in row.items() if x}
-    return [_product(((1, p._cols, inv),), p._den * d) if p else p for p in ps]
+    inv = _scalar(lead, den).inverse()
+    row = {key: (x,) for key, x in inv._num.items()}
+    return [_product(((1, p._cols, row),), p._den * inv._den) if p else p for p in ps]
 
 
 def poly_gcd(*ps: Poly) -> Poly:

@@ -1,27 +1,32 @@
 """Exact arithmetic in Q(i) extended by square roots of positive rationals.
 
-A real tower element is stored as  (sum_m  n_m * sqrt(m)) / d  where the keys
-m are distinct squarefree positive integers (m = 1 carries the rational
-part), the numerators n_m are nonzero integers and the one denominator d is
-a positive integer with gcd(d, n_1, n_2, ...) = 1; zero is {} over 1.  Since
-the square roots of distinct squarefree integers are linearly independent
-over Q, the representation is canonical and equality is a plain comparison.
-Ring operations are integer arithmetic plus one gcd.  Multiplication closes
-because sqrt(m)*sqrt(n) = g*sqrt(mn/g^2) with g = gcd(m, n).
+A scalar is stored as a row {(m, t): n} over one denominator d, standing for
+the sum of n * sqrt(m) * i^t / d over the row: the keys m are distinct
+squarefree positive integers (m = 1 carries the rational part), t is 0 for
+the real part and 1 for the imaginary part, the numerators n are nonzero
+integers and d is a positive integer with gcd(d, every n) = 1; zero is {}
+over 1.  This is the layout of one coefficient of a polynomial: the poly
+module keeps one integer column per key, and reads a coefficient's row
+across its columns at one index.  Since the sqrt(m) i^t of distinct keys are
+linearly independent over Q, the form is canonical and equality is a plain
+comparison.
 
-Signs of nonzero elements are decided by refining integer enclosures
+There is one arithmetic on rows: a canonicaliser (`_scalar`: zero
+numerators dropped, one gcd divided out), one sum, one product on the table
+sqrt(m) sqrt(n) = g sqrt(mn/g^2) with g = gcd(m, n) and i i = -1
+(`_key_product`), and one inverse: with i = sqrt(-1), the field is
+multiquadratic, and a product of Galois conjugates makes any nonzero value
+rational.  `TowerReal` is the case t = 0: a `CoeffScalar` with a real row,
+plus what needs an order, the sign, comparisons, rational enclosures and
+square roots.  An operation on TowerReals, ints and Fractions gives a
+TowerReal, and one with a complex `CoeffScalar` operand gives a CoeffScalar.
+
+Signs of nonzero real scalars are decided by refining integer enclosures
 isqrt(m * 4^bits) of the square roots; a decided sign never flips under
-further refinement.  Square roots of tower elements are computed by a
+further refinement.  Square roots of real scalars are computed by a
 recursive denesting on the primes of the support and raise
 UnsupportedExtension when the result lies outside every real multi-quadratic
 tower.
-
-Complex scalars are pairs (re, im) of tower reals representing re + im*i.
-`CoeffScalar.to_row` and `CoeffScalar.from_row` convert a scalar to and from
-an integer row {(m, 0 for the real part | 1 for the imaginary part): n} over
-one positive denominator.  A row is the form of one coefficient only: the
-polynomial module reads it across its integer coefficient columns, one per
-key (m, t), and stores no rows.
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ from .errors import UnsupportedExtension
 from .factor import PSI_12, is_prime
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+_Key = tuple[int, int]
+_ONE_KEY = (1, 0)
+_I_KEY = (1, 1)
+_RATIONAL_KEYS = {_ONE_KEY}
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -82,8 +92,20 @@ def _pollard_rho(n: int) -> int:
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Return (s, m) with n = s^2 * m and m squarefree, for n > 0."""
+    """Return (s, m) with n = s^2 * m and m squarefree, for n > 0.  The
+    small primes are divided out first, and a cofactor that is a square is
+    taken whole, unfactored: a square root that exists never factors."""
     s, m = 1, 1
+    for p in _SMALL_PRIMES:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        m *= p ** (e % 2)
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, m
     for p, e in _factorint(n).items():
         s *= p ** (e // 2)
         if e % 2:
@@ -91,151 +113,162 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, m
 
 
-class TowerReal:
-    """Element of Q(sqrt(d_1), ..., sqrt(d_k)) for positive rational d_i."""
+def _key_product(ka: _Key, kb: _Key) -> tuple[_Key, int]:
+    """Key and integer factor of the product of two basis elements."""
+    (m, s), (n, t) = ka, kb
+    g = math.gcd(m, n)
+    return ((m // g) * (n // g), s ^ t), -g if s & t else g
+
+
+class CoeffScalar:
+    """Element of Q(i) extended by a real quadratic tower, stored as a row
+    over one denominator (see the module docstring)."""
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, terms: dict[int, Fraction] | None = None):
-        fracs = {m: Fraction(c) for m, c in (terms or {}).items()}
-        den = math.lcm(*(c.denominator for c in fracs.values()))
-        canon = _tower({m: c.numerator * (den // c.denominator) for m, c in fracs.items()}, den)
-        self._num, self._den = canon._num, canon._den
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, q) -> TowerReal:
-        if isinstance(q, int):
-            return _tower({1: q}, 1)
-        q = Fraction(q)
-        return _tower({1: q.numerator}, q.denominator)
+    def __init__(self, re=0, im=0):
+        """The scalar re + im*i, for ints, Fractions or scalars re and im."""
+        x = scalar(re)
+        if im:
+            x = x + scalar(im) * _I
+        self._num, self._den = x._num, x._den
 
     @classmethod
-    def sqrt_rational(cls, q) -> TowerReal:
-        """Exact square root of a nonnegative rational."""
-        q = Fraction(q)
-        if q < 0:
-            raise ValueError("nonnegative rational expected")
-        if q == 0:
-            return _TOWER_ZERO
-        s, m = squarefree_decompose(q.numerator * q.denominator)
-        return _tower({m: s}, q.denominator)
+    def i(cls) -> CoeffScalar:
+        return _I
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def terms(self) -> dict[int, Fraction]:
-        den = self._den
-        return {m: Fraction(c, den) for m, c in self._num.items()}
+    def re(self) -> TowerReal:
+        return _scalar({key: x for key, x in self._num.items() if not key[1]}, self._den, TowerReal)
+
+    @property
+    def im(self) -> TowerReal:
+        return _scalar({(m, 0): x for (m, t), x in self._num.items() if t}, self._den, TowerReal)
+
+    def conj(self) -> CoeffScalar:
+        return _new({(m, t): -x if t else x for (m, t), x in self._num.items()}, self._den, type(self))
+
+    def is_real(self) -> bool:
+        return not any(t for _, t in self._num)
 
     def is_rational(self) -> bool:
-        num = self._num
-        return not num or (len(num) == 1 and 1 in num)
+        return self._num.keys() <= _RATIONAL_KEYS
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self._num.get(1, 0), self._den)
+            raise ValueError(f"{self} is not rational")
+        return Fraction(self._num.get(_ONE_KEY, 0), self._den)
+
+    def as_real(self) -> TowerReal:
+        if not self.is_real():
+            raise ValueError(f"{self} is not real")
+        return _as(self, TowerReal)
+
+    def norm(self) -> TowerReal:
+        """The real value |self|^2."""
+        return _as(self * self.conj(), TowerReal)
 
     def support_primes(self) -> set[int]:
         primes: set[int] = set()
-        for m in self._num:
+        for m, _ in self._num:
             if m != 1:
                 primes.update(_factorint(m))
         return primes
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other) -> TowerReal:
-        other = _coerce_tower(other)
+    def __add__(self, other):
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        cls = _kind(self, other)
         a, b = self._num, other._num
         if not a:
-            return other
+            return _as(other, cls)
         if not b:
-            return self
+            return _as(self, cls)
         da, db = self._den, other._den
         g = math.gcd(da, db)
         fa, fb = db // g, da // g
-        num = {m: c * fa for m, c in a.items()}
-        for m, c in b.items():
-            num[m] = num.get(m, 0) + c * fb
-        return _tower(num, da * fa)
+        num = {key: x * fa for key, x in a.items()}
+        for key, x in b.items():
+            num[key] = num.get(key, 0) + x * fb
+        return _scalar(num, da * fa, cls)
 
     __radd__ = __add__
 
-    def __neg__(self) -> TowerReal:
-        return _tower({m: -c for m, c in self._num.items()}, self._den)
+    def __neg__(self):
+        return _new({key: -x for key, x in self._num.items()}, self._den, type(self))
 
     def __sub__(self, other):
-        other = _coerce_tower(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce_tower(other) + (-self)
+        return _coerce(other) + (-self)
 
-    def __mul__(self, other) -> TowerReal:
-        other = _coerce_tower(other)
+    def __mul__(self, other):
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        cls = _kind(self, other)
         a, b = self._num, other._num
         if not a or not b:
-            return _TOWER_ZERO
-        if len(a) == 1 and 1 in a:
-            c = a[1]
-            num = {m: c * d for m, d in b.items()}
-        elif len(b) == 1 and 1 in b:
-            d = b[1]
-            num = {m: c * d for m, c in a.items()}
+            return _new({}, 1, cls)
+        if len(a) == 1 and _ONE_KEY in a:
+            c = a[_ONE_KEY]
+            num = {key: c * x for key, x in b.items()}
+        elif len(b) == 1 and _ONE_KEY in b:
+            c = b[_ONE_KEY]
+            num = {key: c * x for key, x in a.items()}
         else:
             num = {}
-            for m, c in a.items():
-                for n, d in b.items():
-                    g = math.gcd(m, n)
-                    key = (m // g) * (n // g)
-                    num[key] = num.get(key, 0) + c * d * g
-        return _tower(num, self._den * other._den)
+            for ka, x in a.items():
+                for kb, y in b.items():
+                    key, f = _key_product(ka, kb)
+                    num[key] = num.get(key, 0) + f * x * y
+        return _scalar(num, self._den * other._den, cls)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> TowerReal:
-        """Field inverse, via the product of Galois conjugates."""
-        if not self._num:
-            raise ZeroDivisionError("tower zero has no inverse")
-        if self.is_rational():
-            return TowerReal.from_rational(Fraction(self._den, self._num[1]))
-        primes = sorted(self.support_primes())
-        conj = TowerReal.from_rational(1)
-        for mask in range(1, 1 << len(primes)):
-            flips = {p for k, p in enumerate(primes) if mask >> k & 1}
-            conj = conj * self._galois(flips)
-        denom = (self * conj).as_rational()
-        return conj * TowerReal.from_rational(Fraction(1) / denom)
+    def inverse(self):
+        """Field inverse, via a product of Galois conjugates.
 
-    def _galois(self, flips: set[int]) -> TowerReal:
-        num = {}
-        for m, c in self._num.items():
-            parity = sum(1 for p in flips if m % p == 0)
-            num[m] = -c if parity % 2 else c
-        return _tower(num, self._den)
+        Lemma.  With i = sqrt(-1), self lies in the multiquadratic field
+        Q(i, sqrt(p_1), ..., sqrt(p_k)) of its support primes, whose
+        automorphisms flip the signs of the generators independently and
+        commute.  For a generator g with automorphism s, y s(y) is fixed by
+        s, and by every automorphism fixing y.  So folding y <- y s(y) over
+        the generators whose s moves y, from y = self, ends in a y fixed by
+        every automorphism, a nonzero rational, and self times the product
+        of the factors s(y) taken is that y: their product over y is the
+        inverse.  That takes two products per generator."""
+        if not self._num:
+            raise ZeroDivisionError("scalar zero has no inverse")
+        acc, y = _new({_ONE_KEY: 1}, 1, type(self)), self
+        for p in (-1, *sorted(self.support_primes())):  # -1 stands for i
+            s = _flipped(y, p)
+            if s is not None:
+                acc, y = s * acc, y * s
+        return acc * Fraction(y._den, y._num[_ONE_KEY])
 
     def __truediv__(self, other):
-        other = _coerce_tower(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _coerce_tower(other) * self.inverse()
+        return _coerce(other) * self.inverse()
 
-    def __pow__(self, n: int) -> TowerReal:
+    def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = TowerReal.from_rational(1)
+        result = _new({_ONE_KEY: 1}, 1, type(self))
         base = self
         while n:
             if n & 1:
@@ -246,21 +279,91 @@ class TowerReal:
 
     # -- comparisons ---------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        other = _coerce_tower(other)
+    def __eq__(self, other):
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        """A rational value hashes as its Fraction, so that values equal to
-        ints and Fractions find the same dict entries."""
-        if self.is_rational():
-            return hash(Fraction(self._num.get(1, 0), self._den))
-        return hash((self._den, frozenset(self._num.items())))
+        """A rational value hashes as its Fraction, so that equal scalars of
+        either kind, ints and Fractions find the same dict entries."""
+        num = self._num
+        if num.keys() <= _RATIONAL_KEYS:
+            return hash(Fraction(num.get(_ONE_KEY, 0), self._den))
+        return hash((self._den, frozenset(num.items())))
 
-    def __bool__(self) -> bool:
+    def __bool__(self):
         return bool(self._num)
+
+    # -- square roots ----------------------------------------------------------
+
+    def sqrt(self) -> CoeffScalar:
+        """A complex square root within the tower, or UnsupportedExtension."""
+        if not self:
+            return CoeffScalar(0)
+        if self.is_real():
+            r = self.as_real()
+            if r.sign() >= 0:
+                return CoeffScalar(r.sqrt())
+            return CoeffScalar(0, (-r).sqrt())
+        re, im = self.re, self.im
+        try:
+            mod = self.norm().sqrt()
+            re_root = ((mod + re) / 2).sqrt()
+            im_root = ((mod - re) / 2).sqrt()
+        except (UnsupportedExtension, ValueError) as exc:
+            raise UnsupportedExtension(f"no tower square root for {self}") from exc
+        cand = CoeffScalar(re_root, im_root if im.sign() >= 0 else -im_root)
+        if cand * cand != self:
+            raise UnsupportedExtension(f"no tower square root for {self}")
+        return cand
+
+    # -- display -----------------------------------------------------------------
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    def __str__(self):
+        return _coeff_str(sorted(self._num.items()), self._den) if self._num else "0"
+
+
+class TowerReal(CoeffScalar):
+    """Element of Q(sqrt(d_1), ..., sqrt(d_k)) for positive rational d_i:
+    a scalar whose row has real keys (m, 0) only."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: dict[int, Fraction] | None = None):
+        fracs = {m: Fraction(c) for m, c in (terms or {}).items()}
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        canon = _scalar({(m, 0): c.numerator * (den // c.denominator) for m, c in fracs.items()}, den, TowerReal)
+        self._num, self._den = canon._num, canon._den
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def from_rational(cls, q) -> TowerReal:
+        return _coerce(q if isinstance(q, int) else Fraction(q))
+
+    @classmethod
+    def sqrt_rational(cls, q) -> TowerReal:
+        """Exact square root of a nonnegative rational."""
+        q = Fraction(q)
+        if q < 0:
+            raise ValueError("nonnegative rational expected")
+        s, m = squarefree_decompose(q.numerator * q.denominator) if q else (0, 1)
+        return _scalar({(m, 0): s}, q.denominator, TowerReal)
+
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        den = self._den
+        return {m: Fraction(x, den) for (m, _), x in self._num.items()}
+
+    # The tracer in perfbench spans real inverses apart from complex ones.
+    inverse = CoeffScalar.inverse
+
+    # -- order ---------------------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}, decided by interval refinement.
@@ -272,13 +375,13 @@ class TowerReal:
         num = self._num
         if not num:
             return 0
-        if len(num) == 1 and 1 in num:
-            return 1 if num[1] > 0 else -1
+        if len(num) == 1 and _ONE_KEY in num:
+            return 1 if num[_ONE_KEY] > 0 else -1
         neg = sum(c for c in num.values() if c < 0)
         pos = sum(c for c in num.values() if c > 0)
         bits = 16
         while True:
-            s = sum(c * math.isqrt(m << 2 * bits) for m, c in num.items())
+            s = sum(c * math.isqrt(m << 2 * bits) for (m, _), c in num.items())
             if s + neg > 0:
                 return 1
             if s + pos < 0:
@@ -306,7 +409,7 @@ class TowerReal:
         """Rational enclosure with width about 2^-bits per term: each sqrt(m)
         is replaced by [s, s + 1] / 2^bits with s = isqrt(m * 4^bits)."""
         lo = hi = 0
-        for m, c in self._num.items():
+        for (m, _), c in self._num.items():
             s = c * math.isqrt(m << 2 * bits)
             if c >= 0:
                 lo, hi = lo + s, hi + s + c
@@ -329,36 +432,47 @@ class TowerReal:
         support primes bottoms out in rational squares.  Inputs whose root
         generates a non-multiquadratic field (e.g. sqrt(2 - sqrt(2))) raise
         UnsupportedExtension.
-        """
-        return self._sqrt(budget=[256])
 
-    def _sqrt(self, budget: list[int]) -> TowerReal:
-        budget[0] -= 1
-        if budget[0] <= 0:
-            raise UnsupportedExtension(f"no tower square root found for {self}")
+        Termination.  Let P be the support primes of an input x, p the
+        largest, and x = a + b sqrt(p) with a, b in F = Q(sqrt(P - {p})).
+        Suppose x = r^2 with r in a multiquadratic field L, taken to contain
+        sqrt(p).  Let s be the automorphism of L that fixes F and flips
+        sqrt(p).  Every automorphism t of L that fixes x has t(r) = +-r, and
+        t commutes with s, so N = r s(r) is fixed by t, and by s: N lies in
+        F, and N^2 = x s(x) = a^2 - p b^2.  So disc, the root of a^2 - p b^2,
+        is +-N and lies in F, and one outside F proves that x has no root.
+        Then the inputs of the recursive calls, a^2 - p b^2 and (a +- disc)/2,
+        lie in F, and their support primes are among P - {p}.  So the
+        recursion is at most k = |P| deep, and an input with k support primes
+        takes at most 1 + 3 + ... + 3^k = (3^(k+1) - 1)/2 calls of `_sqrt`.
+        """
+        return self._sqrt()
+
+    def _sqrt(self) -> TowerReal:
         s = self.sign()
         if s < 0:
             raise ValueError("square root of negative tower element")
         if s == 0:
-            return _TOWER_ZERO
+            return self
         if self.is_rational():
             return TowerReal.sqrt_rational(self.as_rational())
-        p = max(self.support_primes())
+        primes = self.support_primes()
+        p = max(primes)
         num, den = self._num, self._den
-        a = _tower({m: c for m, c in num.items() if m % p}, den)
-        bprime = _tower({m // p: c for m, c in num.items() if m % p == 0}, den)  # self = a + bprime*sqrt(p)
+        a = _scalar({(m, 0): c for (m, _), c in num.items() if m % p}, den, TowerReal)
+        bprime = _scalar({(m // p, 0): c for (m, _), c in num.items() if m % p == 0}, den, TowerReal)
         try:
-            # A root C + D*sqrt(p) needs C, D in the p-free subfield, hence
-            # C^2 - D^2 p = +-sqrt(a^2 - p b'^2) must stay p-free as well.
-            disc = (a * a - bprime * bprime * p)._sqrt(budget)
-            if p in disc.support_primes():
+            # self = a + bprime*sqrt(p); a root C + D*sqrt(p) has C^2 - D^2 p
+            # = +-disc in the p-free subfield F (see Termination).
+            disc = (a * a - bprime * bprime * p)._sqrt()
+            if not disc.support_primes() <= primes - {p}:
                 raise UnsupportedExtension(f"no tower square root for {self}")
             c = None
             for chalf in ((a + disc) / 2, (a - disc) / 2):
                 if not chalf or chalf.sign() < 0:
                     continue
                 try:
-                    cand = chalf._sqrt(budget)
+                    cand = chalf._sqrt()
                 except (UnsupportedExtension, ValueError):
                     continue
                 if cand and p not in cand.support_primes():
@@ -369,257 +483,101 @@ class TowerReal:
             d = bprime / (2 * c)
         except (UnsupportedExtension, ValueError) as exc:
             raise UnsupportedExtension(f"no tower square root for {self}") from exc
-        root = c + d * _tower({p: 1}, 1)
+        root = c + d * _new({(p, 0): 1}, 1, TowerReal)
         if root * root != self:
             raise UnsupportedExtension(f"no tower square root for {self}")
         return abs(root)
 
-    # -- display -----------------------------------------------------------------
 
-    def __repr__(self) -> str:
-        return f"TowerReal({self})"
-
-    def __str__(self) -> str:
-        if not self._num:
-            return "0"
-        parts = []
-        for m in sorted(self._num):
-            c = Fraction(self._num[m], self._den)
-            if m == 1:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(f"sqrt({m})")
-            elif c == -1:
-                parts.append(f"-sqrt({m})")
-            else:
-                parts.append(f"{c}*sqrt({m})")
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
-
-
-def _tower(num: dict[int, int], den: int) -> TowerReal:
-    """The TowerReal sum num[m]*sqrt(m)/den for den > 0, brought to canonical
-    form: zero numerators dropped and gcd(den, *numerators) divided out."""
-    if 0 in num.values():
-        num = {m: c for m, c in num.items() if c}
-    if not num:
-        return _TOWER_ZERO
-    g = math.gcd(den, *num.values())
-    if g != 1:
-        den //= g
-        num = {m: c // g for m, c in num.items()}
-    out = object.__new__(TowerReal)
+def _new(num: dict[_Key, int], den: int, cls=CoeffScalar):
+    """A scalar of class cls from a row and den already in canonical form."""
+    out = object.__new__(cls)
     out._num = num
     out._den = den
     return out
 
 
-_TOWER_ZERO = object.__new__(TowerReal)
-_TOWER_ZERO._num = {}
-_TOWER_ZERO._den = 1
+def _scalar(num: dict[_Key, int], den: int, cls=CoeffScalar):
+    """The scalar of class cls with row num over den > 0, brought to
+    canonical form: zero numerators dropped and gcd(den, *numerators)
+    divided out."""
+    if 0 in num.values():
+        num = {key: x for key, x in num.items() if x}
+    if not num:
+        return _new({}, 1, cls)
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        den //= g
+        num = {key: x // g for key, x in num.items()}
+    return _new(num, den, cls)
 
 
-def _coerce_tower(x):
-    if isinstance(x, TowerReal):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return TowerReal.from_rational(x)
-    return NotImplemented
+def _as(x: CoeffScalar, cls):
+    """x as a scalar of class cls, sharing its row."""
+    return x if type(x) is cls else _new(x._num, x._den, cls)
 
 
-class CoeffScalar:
-    """Element re + im*i of Q(i) extended by a real quadratic tower."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, TowerReal) else TowerReal.from_rational(re)
-        self.im = im if isinstance(im, TowerReal) else TowerReal.from_rational(im)
-
-    @classmethod
-    def i(cls) -> CoeffScalar:
-        return cls(0, 1)
-
-    def to_row(self) -> tuple[dict[tuple[int, int], int], int]:
-        """(row, den) with self = sum row[m, t] * sqrt(m) * i^t / den; den is
-        the least common denominator of the two parts, so the row is in
-        lowest terms."""
-        re, im = self.re, self.im
-        den = math.lcm(re._den, im._den)
-        f = den // re._den
-        row = {(m, 0): x * f for m, x in re._num.items()}
-        f = den // im._den
-        for m, x in im._num.items():
-            row[m, 1] = x * f
-        return row, den
-
-    @classmethod
-    def from_row(cls, row: dict[tuple[int, int], int], den: int) -> CoeffScalar:
-        """Inverse of to_row for any den > 0; zero numerators are allowed."""
-        re: dict[int, int] = {}
-        im: dict[int, int] = {}
-        for (m, t), x in row.items():
-            if t:
-                im[m] = x
-            else:
-                re[m] = x
-        out = object.__new__(cls)
-        out.re = _tower(re, den)
-        out.im = _tower(im, den)
-        return out
-
-    def conj(self) -> CoeffScalar:
-        return CoeffScalar(self.re, -self.im)
-
-    def is_real(self) -> bool:
-        return not self.im
-
-    def is_rational(self) -> bool:
-        return self.im.sign() == 0 and self.re.is_rational()
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.re.as_rational()
-
-    def as_real(self) -> TowerReal:
-        if not self.is_real():
-            raise ValueError(f"{self} is not real")
-        return self.re
-
-    def norm(self) -> TowerReal:
-        """The real value |self|^2."""
-        return self.re * self.re + self.im * self.im
-
-    def __add__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CoeffScalar(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CoeffScalar(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce_scalar(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            return CoeffScalar(self.re * other.re)
-        return CoeffScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> CoeffScalar:
-        n = self.norm()
-        if not n:
-            raise ZeroDivisionError("scalar zero has no inverse")
-        ninv = n.inverse()
-        return CoeffScalar(self.re * ninv, -self.im * ninv)
-
-    def __truediv__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce_scalar(other) * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = CoeffScalar(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        """A real value hashes as its TowerReal (and so a rational one as
-        its Fraction), as it compares equal to it."""
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def sqrt(self) -> CoeffScalar:
-        """A complex square root within the tower, or UnsupportedExtension."""
-        if not self:
-            return CoeffScalar(0)
-        if self.is_real():
-            r = self.re
-            if r.sign() >= 0:
-                return CoeffScalar(r.sqrt())
-            return CoeffScalar(0, (-r).sqrt())
-        try:
-            mod = self.norm().sqrt()
-            re2 = (mod + self.re) / 2
-            im2 = (mod - self.re) / 2
-            re_root = re2.sqrt()
-            im_root = im2.sqrt()
-        except (UnsupportedExtension, ValueError) as exc:
-            raise UnsupportedExtension(f"no tower square root for {self}") from exc
-        cand = CoeffScalar(re_root, im_root if self.im.sign() >= 0 else -im_root)
-        if cand * cand != self:
-            raise UnsupportedExtension(f"no tower square root for {self}")
-        return cand
-
-    def __repr__(self):
-        return f"CoeffScalar({self})"
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        im = str(self.im)
-        im_part = "i" if im == "1" else "-i" if im == "-1" else f"({im})*i"
-        if not self.re:
-            return im_part
-        joiner = "" if im_part.startswith("-") else "+"
-        return f"{self.re}{joiner}{im_part}"
+def _kind(a: CoeffScalar, b: CoeffScalar):
+    """The class of a result of a and b: TowerReal only when both are."""
+    return TowerReal if type(a) is TowerReal and type(b) is TowerReal else CoeffScalar
 
 
-def _coerce_scalar(x):
+def _flipped(x: CoeffScalar, p: int):
+    """The conjugate of x that flips sqrt(p), for a prime p, or i for p = -1;
+    None when it fixes x."""
+    num = x._num
+    moved = [key for key in num if (key[1] if p < 0 else key[0] % p == 0)]
+    if not moved:
+        return None
+    out = dict(num)
+    for key in moved:
+        out[key] = -out[key]
+    return _new(out, x._den, type(x))
+
+
+def _coerce(x):
+    """x itself if it is a scalar, an int or a Fraction as a rational
+    TowerReal, and NotImplemented for anything else."""
     if isinstance(x, CoeffScalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return CoeffScalar(x)
-    if isinstance(x, TowerReal):
-        return CoeffScalar(x)
+    if isinstance(x, int):
+        return _new({_ONE_KEY: x} if x else {}, 1, TowerReal)
+    if isinstance(x, Fraction):
+        return _new({_ONE_KEY: x.numerator} if x else {}, x.denominator, TowerReal)
     return NotImplemented
-
-
-ZERO = CoeffScalar(0)
 
 
 def scalar(x) -> CoeffScalar:
     """Coerce an int, Fraction, TowerReal or CoeffScalar to CoeffScalar."""
-    out = _coerce_scalar(x)
+    out = _coerce(x)
     if out is NotImplemented:
         raise TypeError(f"cannot coerce {x!r} to CoeffScalar")
-    return out
+    return _as(out, CoeffScalar)
+
+
+def _joined(parts: list[str]) -> str:
+    """parts joined by "+", but where a part starts with "-"."""
+    return parts[0] + "".join(p if p[0] == "-" else "+" + p for p in parts[1:])
+
+
+def _coeff_str(row: list[tuple[_Key, int]], den: int) -> str:
+    """The text of the scalar sum x sqrt(m) i^t / den over the nonzero
+    entries ((m, t), x) of row, sorted by key: the real part, then the
+    imaginary part as i, -i or (...)*i, each part's terms by increasing m.
+    Scalars and polynomial coefficients print with it."""
+    re, im = [], []
+    for (m, t), x in row:
+        g = math.gcd(x, den)
+        c = str(x // g) if g == den else f"{x // g}/{den // g}"
+        if m != 1:
+            c = f"{c[:-1]}sqrt({m})" if c in ("1", "-1") else f"{c}*sqrt({m})"
+        (im if t else re).append(c)
+    if not im:
+        return _joined(re)
+    i = _joined(im)
+    i = "i" if i == "1" else "-i" if i == "-1" else f"({i})*i"
+    return _joined([*re, i]) if re else i
+
+
+_I = _new({_I_KEY: 1}, 1)
+ZERO = CoeffScalar(0)

@@ -74,14 +74,14 @@ def ref_square_class(p: Poly) -> Poly:
 
 def sympy_poly(p: Poly, var):
     """p as a sympy expression in var, each coefficient exact:
-    sum x * sqrt(m) * i^t / den over its row (CoeffScalar.to_row)."""
+    the sum of q * sqrt(m) over the terms {m: q} of its real part, plus i
+    times that of its imaginary part."""
     import sympy
 
-    def coeff(c):
-        row, den = c.to_row()
-        return sum(x * sympy.sqrt(m) * sympy.I**t for (m, t), x in row.items()) / sympy.Integer(den)
+    def part(t):
+        return sum((sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(m) for m, q in t.terms.items()), sympy.Integer(0))
 
-    return sum(coeff(c) * var**k for k, c in enumerate(p.coeffs))
+    return sum((part(c.re) + sympy.I * part(c.im)) * var**k for k, c in enumerate(p.coeffs))
 
 
 def sphere_coordinates(t, z):

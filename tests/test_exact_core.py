@@ -247,6 +247,51 @@ def test_tower_inverse_is_canonical(a):
         assert x * inv == TowerReal.from_rational(1)
 
 
+def ref_neg(a: dict) -> dict:
+    return {m: -c for m, c in a.items()}
+
+
+def ref_complex_mul(x: tuple, y: tuple) -> tuple:
+    """(a + b i)(c + d i) on pairs of reference dicts."""
+    (a, b), (c, d) = x, y
+    return ref_add(ref_mul(a, c), ref_neg(ref_mul(b, d))), ref_add(ref_mul(a, d), ref_mul(b, c))
+
+
+def parts(x: CoeffScalar) -> tuple:
+    return x.re.terms, x.im.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=tower_terms((1, 2, 3, 6)), b=tower_terms((1, 2, 3, 6)), c=tower_terms((1, 2, 3, 6)), d=tower_terms((1, 2, 3, 6)))
+def test_one_layout_matches_fraction_reference(a, b, c, d):
+    """Scalars of Q(i, sqrt 2, sqrt 3) against the dict-of-Fraction
+    reference, read back through the public parts re and im: sums,
+    products, conjugates, inverses (their product with the scalar is 1 in
+    the reference), signs of the parts, and square roots of squares (a
+    root's reference square is the square, and a real root is not
+    negative)."""
+    x, y = CoeffScalar(TowerReal(a), TowerReal(b)), CoeffScalar(TowerReal(c), TowerReal(d))
+    a, b, c, d = ({m: q for m, q in t.items() if q} for t in (a, b, c, d))
+    assert parts(x) == (a, b)
+    assert parts(x + y) == (ref_add(a, c), ref_add(b, d))
+    assert parts(x - y) == (ref_add(a, ref_neg(c)), ref_add(b, ref_neg(d)))
+    assert parts(x * y) == ref_complex_mul((a, b), (c, d))
+    assert parts(x.conj()) == (a, ref_neg(b))
+    assert x.re.sign() == ref_sign(a) and x.im.sign() == ref_sign(b)
+    for v in (x, x.re, x.im, x + y, x * y, x.conj()):
+        assert_canonical(v)
+    if x:
+        inv = x.inverse()
+        assert_canonical(inv)
+        assert ref_complex_mul((a, b), parts(inv)) == ({1: Fraction(1)}, {})
+    square = ref_complex_mul((a, b), (a, b))
+    root = (x * x).sqrt()
+    assert ref_complex_mul(parts(root), parts(root)) == square
+    real_root = (x.re * x.re).sqrt()
+    assert ref_mul(real_root.terms, real_root.terms) == ref_mul(a, a) and ref_sign(real_root.terms) >= 0
+    assert type(real_root) is TowerReal and type(x.re * x.re) is TowerReal and type(x.re * x) is CoeffScalar
+
+
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(scalars_any, max_size=4))
 def test_rational_content_matches_fractions(values):
@@ -790,25 +835,40 @@ def test_no_module_imports_random():
 
 
 def test_poly_columns_read_only_in_poly():
-    """The polynomial layout is known to the poly module only: no other
-    package module, and nothing in perfbench, reads a Poly's private
-    coefficient columns, by attribute or by name."""
+    """The coefficient layout is known to two modules only.  No package
+    module but poly, and nothing in perfbench, reads a Poly's private
+    coefficient columns; no package module but scalars and poly, and nothing
+    in perfbench, reads a scalar's private row or denominator; by attribute
+    or by name.  A scalar is stored as the row that a coefficient is across
+    the columns, so nothing converts between them: the names to_row and
+    from_row are gone from the package, the tests and perfbench."""
     import ast
     from pathlib import Path
 
     import birsphere
 
     package = Path(birsphere.__file__).parent
-    paths = [p for p in package.glob("*.py") if p.name != "poly.py"]
-    paths += (package.parent.parent / "perfbench").glob("*.py")
+    root = package.parent.parent
+    sources = [*package.glob("*.py"), *(root / "perfbench").glob("*.py")]
+    owners = {"_cols": {"poly.py"}, "_num": {"poly.py", "scalars.py"}, "_den": {"poly.py", "scalars.py"}}
     readers = sorted(
-        f"{path.name}:{node.lineno}"
-        for path in paths
+        f"{path.name}:{node.lineno}:{name}"
+        for path in sources
         for node in ast.walk(ast.parse(path.read_text()))
-        if (isinstance(node, ast.Attribute) and node.attr == "_cols")
-        or (isinstance(node, ast.Constant) and node.value == "_cols")
+        for name, modules in owners.items()
+        if not (path.parent == package and path.name in modules)
+        and (
+            (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.Constant) and node.value == name)
+        )
     )
-    assert len(paths) > 10 and readers == []
+    converters = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in [*sources, *(root / "tests").glob("*.py")]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)} & {"to_row", "from_row"}
+    )
+    assert len(sources) > 10 and readers == [] and converters == []
 
 
 def test_no_undefined_names():

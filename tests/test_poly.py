@@ -259,12 +259,18 @@ def test_descartes_matches_the_sturm_reference(parts, data):
 def _reference_norm(p: Poly) -> Poly:
     """The Galois norm from CoeffScalar coefficients: p times its conjugate
     for every nonempty subset of the primes of its coefficients' radicands,
-    each rebuilt coefficient by coefficient (`TowerReal._galois`)."""
+    each rebuilt coefficient by coefficient from its terms {m: q}, the term
+    negated when an odd number of the subset's primes divide m."""
     primes = sorted(set().union(*(c.as_real().support_primes() for c in p.coeffs)))
     result = p
     for mask in range(1, 1 << len(primes)):
-        flips = {q for k, q in enumerate(primes) if mask >> k & 1}
-        result = result * Poly([CoeffScalar(c.as_real()._galois(flips)) for c in p.coeffs])
+        flips = [q for k, q in enumerate(primes) if mask >> k & 1]
+
+        def conj(c):
+            terms = c.as_real().terms.items()
+            return TowerReal({m: -x if sum(m % q == 0 for q in flips) % 2 else x for m, x in terms})
+
+        result = result * Poly([conj(c) for c in p.coeffs])
     return result
 
 

@@ -122,14 +122,52 @@ def test_conj_fixes_exactly_reals():
 
 def test_equal_values_of_every_kind_hash_alike():
     """Equal values are one dict key whatever their kind: a rational
-    TowerReal hashes as its Fraction, a real CoeffScalar as its TowerReal."""
+    TowerReal hashes as its Fraction, a real CoeffScalar as its TowerReal,
+    and so do the parts re and im of a complex CoeffScalar."""
     for q in (2, -7, 0, Fraction(3, 4), Fraction(-5, 12)):
-        kinds = (q, Fraction(q), TowerReal.from_rational(q), CoeffScalar(q), CoeffScalar(TowerReal.from_rational(q)))
+        kinds = (
+            q,
+            Fraction(q),
+            TowerReal.from_rational(q),
+            CoeffScalar(q),
+            CoeffScalar(TowerReal.from_rational(q)),
+            CoeffScalar(q, Fraction(1, 7)).re,
+            CoeffScalar(sqrt2(), q).im,
+        )
         assert all(a == b for a in kinds for b in kinds)
         table = {kinds[0]: q}
         for key in kinds[1:]:
             table[key] = q
         assert len(table) == 1 and all(table[key] == q for key in kinds)
     r = sqrt2() / 3 + 1
-    assert {r: 1, CoeffScalar(r): 2} == {r: 2}
+    assert {r: 1, CoeffScalar(r): 2, CoeffScalar(r, 5).re: 3, CoeffScalar(sqrt2() * 6, r * 3).im / 3: 4} == {r: 4}
     assert len({CoeffScalar(1, 1), CoeffScalar(1), 1}) == 2
+
+
+def test_sqrt_calls_are_bounded_by_the_support(monkeypatch):
+    """The termination argument of TowerReal.sqrt: an input with k support
+    primes takes at most (3^(k+1) - 1)/2 calls of _sqrt, whether it has a
+    root or not.  3 + sqrt(2) has none, as 3^2 - 2 = 7 is no rational
+    square: its discriminant's root sqrt(7) lies outside Q."""
+    calls = []
+    inner = TowerReal._sqrt
+
+    def counted(self):
+        calls.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(TowerReal, "_sqrt", counted)
+    s3, s5 = TowerReal.sqrt_rational(3), TowerReal.sqrt_rational(5)
+    roots = [1 + sqrt2(), sqrt2() + s3, 1 + sqrt2() - s3 / 2, sqrt2() + s3 + s5, 2 * sqrt2() - s3 + s5 / 3 + 1]
+    for x in [r * r for r in roots] + [3 + sqrt2(), 2 - sqrt2(), 5 + sqrt2() + s3]:
+        calls.clear()
+        try:
+            root = x.sqrt()
+        except UnsupportedExtension:
+            root = None
+        k = len(x.support_primes())
+        assert len(calls) <= (3 ** (k + 1) - 1) // 2, (x, len(calls))
+        assert root is None or (root * root == x and root.sign() >= 0)
+    assert [r * r for r in roots] and all(abs(r) == (r * r).sqrt() for r in roots)
+    with pytest.raises(UnsupportedExtension):
+        (3 + sqrt2()).sqrt()
