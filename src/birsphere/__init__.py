@@ -1,6 +1,14 @@
 """Exact classification toolkit for birational maps and birational
 diffeomorphisms of the real sphere compatible with its conic-bundle
-projection onto the line."""
+projection onto the line.
+
+Importing the package loads the layers a classification or conjugacy
+answer runs through: errors, scalars, factor, poly, projmat, sphere,
+involutions, etatwist and classify.  The layers no such answer reaches
+load on first use: parsing (the text grammar of literals), picard (the
+lattices of the blown-up surfaces) and positivity (the decompositions
+behind `realize_no_oval`).  Their public names stay reachable here through
+the module `__getattr__`."""
 
 from .errors import (
     BasePointHit,
@@ -24,7 +32,6 @@ from .errors import (
 )
 from .scalars import CoeffScalar, TowerReal
 from .poly import Poly, RealAlgebraic, sturm_count
-from .positivity import is_real_positive, norm_factor, quadratic_decomp, v_decomp
 from .projmat import INF, ProjMat
 from .sphere import (
     BaseMobius,
@@ -63,17 +70,37 @@ from .etatwist import (
     h2_reduce,
     twisted_square,
 )
-from .picard import (
-    DP4Surface,
-    PicLattice,
-    geiser_action,
-    image_rho_check,
-    invariant_rank,
-    is_lattice_aut,
-    lattice_make,
-    minus_one_classes,
-)
 from .classify import ClassificationReport, classify_spheremap, decide_conjugacy
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_DEFERRED_MODULES = ("parsing", "picard", "positivity")
+_DEFERRED = {
+    **dict.fromkeys(
+        (
+            "DP4Surface",
+            "PicLattice",
+            "geiser_action",
+            "image_rho_check",
+            "invariant_rank",
+            "is_lattice_aut",
+            "lattice_make",
+            "minus_one_classes",
+        ),
+        "picard",
+    ),
+    **dict.fromkeys(("is_real_positive", "norm_factor", "quadratic_decomp", "v_decomp"), "positivity"),
+}
+
+
+def __getattr__(name):
+    """A deferred submodule, or a public name of one, imported on first use (PEP 562)."""
+    from importlib import import_module
+
+    if name in _DEFERRED_MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name in _DEFERRED:
+        return getattr(import_module(f"{__name__}.{_DEFERRED[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_DEFERRED_MODULES) | set(_DEFERRED))
 __version__ = "0.1.0"

@@ -28,16 +28,6 @@ from .involutions import (
     involution_conjugator,
     rotation_normal_form,
 )
-from .parsing import parse_matrix, parse_poly, parse_scalar
-from .picard import (
-    DP4Surface,
-    alpha1_matrix,
-    alpha2_matrix,
-    geiser_matrix,
-    invariant_rank,
-    lattice_make,
-    minus_one_classes,
-)
 from .projmat import ProjMat
 from .scalars import scalar
 from .sphere import (
@@ -118,6 +108,8 @@ def _shift_to_interval_t(bq: Fraction) -> Fraction | None:
 
 
 def spheremap_from_json(data: dict) -> SphereMap:
+    from .parsing import parse_poly, parse_scalar
+
     try:
         rows = data["fiber"]
         if len(rows) != 2 or not all(isinstance(row, list) and len(row) == 2 for row in rows):
@@ -153,12 +145,15 @@ def spheremap_from_json(data: dict) -> SphereMap:
 
 def parse_element(text: str) -> SphereMap:
     """Accept builtin:NAME, a matrix literal (trivial base), a diag(...)
-    shorthand, or inline/loaded JSON."""
+    shorthand, or inline/loaded JSON.  The text grammar loads on the
+    first literal: a builtin needs none of it."""
     text = text.strip()
     if text.startswith("builtin:"):
         return builtin_map(text[len("builtin:") :])
     if text.startswith("{"):
         return spheremap_from_json(json.loads(text))
+    from .parsing import parse_matrix, parse_poly
+
     if text.startswith("diag(") and text.endswith(")"):
         inner = text[len("diag(") : -1]
         depth, cut = 0, None
@@ -269,6 +264,16 @@ def classify_dp4_datum(op: str, mu=None) -> ClassificationReport:
     surface parameter mu is checked by DP4Surface (DegenerateConfiguration
     for mu in {0, 1, -1}) and reported; it applies to the degree-4 surface
     only, so with geiser it is a ParseError."""
+    from .picard import (
+        DP4Surface,
+        alpha1_matrix,
+        alpha2_matrix,
+        geiser_matrix,
+        invariant_rank,
+        lattice_make,
+        minus_one_classes,
+    )
+
     if op == "geiser":
         if mu is not None:
             raise ParseError("--mu applies to dp4:alpha1 and dp4:alpha2 only")

@@ -21,25 +21,6 @@ from .errors import (
 )
 from .etatwist import h2_invariant
 from .involutions import fixed_curve
-from .parsing import parse_scalar
-from .picard import (
-    SIGN_MAPS,
-    DP4Surface,
-    alpha1_matrix,
-    alpha2_matrix,
-    conic_pairs,
-    g1_matrix,
-    g2_matrix,
-    geiser_matrix,
-    image_rho_check,
-    invariant_rank,
-    is_lattice_aut,
-    lattice_make,
-    minus_one_classes,
-    rejected_half_integer_matrices,
-    sign_map_preserves_quadric,
-    verify_anticanonical_dataset,
-)
 from .sphere import BUILTIN_NAMES, SphereFormula
 
 EXIT_PARSE = 2
@@ -65,6 +46,8 @@ def _emit(payload) -> None:
 
 def cmd_classify(args) -> int:
     if args.element.startswith("dp4:") or args.element.startswith("geiser"):
+        from .parsing import parse_scalar
+
         op = args.element.split(":", 1)[-1] if ":" in args.element else "geiser"
         mu = None if args.mu is None else parse_scalar(args.mu)
         report = routing.classify_dp4_datum(op, mu=mu)
@@ -117,6 +100,8 @@ def cmd_h2(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .parsing import parse_scalar
+
     g = _load_element(args.element)
     coords = [parse_scalar(c) for c in args.point.split(",")]
     if len(coords) != 4:
@@ -146,6 +131,26 @@ def cmd_builtin(args) -> int:
 
 
 def cmd_picard(args) -> int:
+    from .picard import (
+        SIGN_MAPS,
+        DP4Surface,
+        alpha1_matrix,
+        alpha2_matrix,
+        conic_pairs,
+        g1_matrix,
+        g2_matrix,
+        geiser_action,
+        geiser_matrix,
+        image_rho_check,
+        invariant_rank,
+        is_lattice_aut,
+        lattice_make,
+        minus_one_classes,
+        rejected_half_integer_matrices,
+        sign_map_preserves_quadric,
+        verify_anticanonical_dataset,
+    )
+
     if args.picard_cmd == "counts":
         lat = lattice_make(args.degree)
         payload = {
@@ -158,6 +163,8 @@ def cmd_picard(args) -> int:
         _emit(payload)
         return 0
     if args.picard_cmd == "dp4":
+        from .parsing import parse_scalar
+
         mats = {
             "alpha1": alpha1_matrix,
             "alpha2": alpha2_matrix,
@@ -200,8 +207,6 @@ def cmd_picard(args) -> int:
         lat = lattice_make(2)
         nu = geiser_matrix(lat)
         classes = minus_one_classes(lat)
-        from .picard import geiser_action
-
         ok = all(
             geiser_action(lat, c) == tuple(-k - ci for k, ci in zip(lat.canonical, c))
             for c in classes

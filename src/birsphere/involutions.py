@@ -39,7 +39,6 @@ from .poly import (
     squarefree_decomposition,
     sturm_count,
 )
-from .positivity import is_real_positive, norm_factor, v_decomp
 from .projmat import TWO_COS, ProjMat
 from .scalars import CoeffScalar, TowerReal
 from .sphere import (
@@ -314,6 +313,8 @@ def realize_oval(beta: Poly) -> ProjMat:
 def realize_no_oval(f: Poly) -> ProjMat:
     """An orientation-preserving involution with fixed curve w^2 = -f, for
     strictly positive f, via the a^2 + P*(z^2-1) decomposition."""
+    from .positivity import is_real_positive, norm_factor, v_decomp
+
     if not is_real_positive(f):
         raise ValueError("strictly positive polynomial required")
     a, p = v_decomp(f)

@@ -325,7 +325,12 @@ class BaseMobius:
         return -1 if self.flip else 1
 
     def compose(self, other: BaseMobius) -> BaseMobius:
-        # shift_a flip^e shift_b flip^f = shift_{a (+) eps*b} flip^(e+f)
+        # shift_a flip^e shift_b flip^f = shift_{a (+) eps*b} flip^(e+f);
+        # with the identity that is (b + 0)/(1 + 0) = b, so no division
+        if other.is_identity():
+            return self
+        if self.is_identity():
+            return other
         eb = -other.b if self.flip else other.b
         num = self.b + eb
         den = 1 + self.b * eb
@@ -413,7 +418,14 @@ class SphereMap:
     def identity(cls) -> SphereMap:
         return cls(ProjMat.identity(), BaseMobius.identity())
 
+    def is_identity(self) -> bool:
+        return self.base.is_identity() and self.fiber.is_identity()
+
     def compose(self, other: SphereMap) -> SphereMap:
+        if other.is_identity():
+            return self
+        if self.is_identity():
+            return other
         fiber = other.base.substitute_matrix(self.fiber) * other.fiber
         return SphereMap(fiber, self.base.compose(other.base))
 

@@ -231,6 +231,21 @@ def test_spheremap_composition_law(rng):
     assert comp.base == g1.base.compose(g2.base)
 
 
+def test_identity_operand_composes_without_division(monkeypatch):
+    """Composing with the identity, on either side, returns the other
+    operand and inverts no scalar: (b + 0)/(1 + 0) = b."""
+    g = builtin_map("gb:1/2")
+    flipped = SphereMap(g.fiber, BaseMobius(g.base.b, True))
+    inverses = []
+    for cls in (CoeffScalar, TowerReal):  # TowerReal binds the inverse on its own class
+        monkeypatch.setattr(cls, "inverse", lambda self, real=cls.inverse: inverses.append(self) or real(self))
+    ident = SphereMap.identity()
+    for h in (g, flipped, builtin_map("tau")):
+        assert h.compose(ident) is h and ident.compose(h) is h
+        assert h.base.compose(ident.base) == h.base == ident.base.compose(h.base)
+    assert inverses == []
+
+
 def test_builtin_reality_and_orders():
     expected = {
         "tau": 2,
