@@ -4,11 +4,11 @@ projection onto the line.
 
 Importing the package loads the layers a classification or conjugacy
 answer runs through: errors, scalars, factor, poly, projmat, sphere,
-involutions, etatwist and classify.  The layers no such answer reaches
-load on first use: parsing (the text grammar of literals), picard (the
-lattices of the blown-up surfaces) and positivity (the decompositions
-behind `realize_no_oval`).  Their public names stay reachable here through
-the module `__getattr__`."""
+involutions and classify.  The layers most answers never reach load on
+first use: etatwist (the twist classes of base-flip involutions), parsing
+(the text grammar of literals), picard (the lattices of the blown-up
+surfaces) and positivity (the decompositions behind `realize_no_oval`).
+Their public names stay reachable here through the module `__getattr__`."""
 
 from .errors import (
     BasePointHit,
@@ -62,18 +62,14 @@ from .involutions import (
     realize_oval,
     rotation_normal_form,
 )
-from .etatwist import (
-    TwistClass,
-    classify_flip_involution,
-    factor_even,
-    h2_invariant,
-    h2_reduce,
-    twisted_square,
-)
 from .classify import ClassificationReport, classify_spheremap, decide_conjugacy
 
-_DEFERRED_MODULES = ("parsing", "picard", "positivity")
+_DEFERRED_MODULES = ("etatwist", "parsing", "picard", "positivity")
 _DEFERRED = {
+    **dict.fromkeys(
+        ("TwistClass", "classify_flip_involution", "factor_even", "h2_invariant", "h2_reduce", "twisted_square"),
+        "etatwist",
+    ),
     **dict.fromkeys(
         (
             "DP4Surface",

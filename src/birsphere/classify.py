@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import NotDiffeomorphism, NotRealityMember, ParseError, UndecidedExact, UnsupportedExtension
-from .etatwist import classify_flip_involution, h2_invariant
 from .factor import is_prime
 from .involutions import (
     HyperellipticModel,
@@ -218,6 +217,8 @@ def classify_spheremap(g: SphereMap) -> ClassificationReport:
         f"order {n} is not prime; reporting the family of the cyclic generator"
     ]
     if g.base.kind == "neg":
+        from .etatwist import classify_flip_involution
+
         flip = classify_flip_involution(g)
         moduli = {"twist_class": flip.twist_class.to_json()}
         return ClassificationReport(flip.family, moduli, certificates, caveats + list(flip.caveats))
@@ -351,6 +352,8 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
     if g1 == g2:
         conjugator = SphereMap.identity()
     elif r1.base.kind == "neg":
+        from .etatwist import h2_invariant
+
         # for base z -> -z the fiber carries the diffeomorphism membership
         # and the orientation character, which conjugation by a diffeomorphism
         # preserves

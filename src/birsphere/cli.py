@@ -19,7 +19,6 @@ from .errors import (
     UndecidedExact,
     UnsupportedExtension,
 )
-from .etatwist import h2_invariant
 from .involutions import fixed_curve
 from .sphere import BUILTIN_NAMES, SphereFormula
 
@@ -93,6 +92,8 @@ def cmd_fix(args) -> int:
 
 
 def cmd_h2(args) -> int:
+    from .etatwist import h2_invariant
+
     g = _load_element(args.element)
     cls = h2_invariant(g)
     _emit(cls.to_json())

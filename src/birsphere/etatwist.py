@@ -110,7 +110,7 @@ def h2_reduce(mu: Poly) -> TwistClass:
     for factor, mult in factors:
         if mult % 2 == 0:
             continue
-        for root in RealAlgebraic.roots_of_rational_poly(factor):
+        for root in RealAlgebraic.roots_of_irreducible(factor):
             if root.sign() >= 0:
                 sign = -sign
             else:

@@ -20,7 +20,7 @@ share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import (
     HasRealRoot,
@@ -38,6 +38,7 @@ from .poly import (
     real_roots_in_tower_poly,
     squarefree_decomposition,
     sturm_count,
+    times_h,
 )
 from .projmat import TWO_COS, ProjMat
 from .scalars import CoeffScalar, TowerReal
@@ -162,6 +163,27 @@ _OFF_DIAGONAL_MOVER = FiberPattern(Poly.z(), Poly.const(1)).matrix()
 _OFF_DIAGONAL = ProjMat.of(Poly.const(1), (Poly.z() * ONE_MINUS_Z2).scale(-2), Poly.z().scale(2), Poly.const(-1))
 
 
+# The catalogue matrices certificates are built against, each once, on first use.
+
+
+@cache
+def _flip_fiber() -> ProjMat:
+    """x_flip's fiber, the involution of model m = z^2 - 1."""
+    return x_flip().fiber
+
+
+@cache
+def _diagonal_involution() -> ProjMat:
+    """diag(1, -1), the involution of model m = 1."""
+    return ProjMat.diag(Poly.const(1), Poly.const(-1))
+
+
+@cache
+def _mover_inverse() -> ProjMat:
+    """_OFF_DIAGONAL_MOVER^-1, which moves _OFF_DIAGONAL back to diag(1, -1)."""
+    return _OFF_DIAGONAL_MOVER.inverse()
+
+
 def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate:
     """The "conjugation" certificate of involution_conjugator's C, verified
     once, for two involutions with one fixed-curve model m.  Nothing is
@@ -187,9 +209,9 @@ def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
         C = beta diag(1, u) M(c mu_A + conj(c) mu_B) [[conj q, -i p], [0, -1]]
 
     with (p, q) the form of A, beta the companion matrix of B and M(x + y r)
-    = [[x, f y], [y, x]].  Its entries are built already divided by q_B u_num
-    (_conjugator_entries proves the factor).  The witness c is 1 or i, with
-    a proof (_hilbert90).
+    = [[x, f y], [y, x]].  Its entries are built already divided by q_B u_num,
+    and its bottom row is the conjugate of its top row (_conjugator_entries
+    proves both).  The witness c is 1 or i, with a proof (_hilbert90).
 
     The closed form needs q != 0.  The only involution with q = 0 is
     [[i p, 0], [0, -i p]], projectively diag(1, -1), so at most one of two
@@ -202,7 +224,7 @@ def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
     if not involution_normal_form(mat_a).q:
         return involution_conjugator(_OFF_DIAGONAL, mat_b) * _OFF_DIAGONAL_MOVER
     if not involution_normal_form(mat_b).q:
-        return _OFF_DIAGONAL_MOVER.inverse() * involution_conjugator(mat_a, _OFF_DIAGONAL)
+        return _mover_inverse() * involution_conjugator(mat_a, _OFF_DIAGONAL)
     return ProjMat.of(*_conjugator_entries(mat_a, mat_b))
 
 
@@ -211,39 +233,37 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
     by q_B u_num, before canonicalisation.
 
     Notation: h = 1 - z^2; (p, q) and (p_B, q_B) the forms of A and B;
-    f = -D_A and f_B = -D_B; the algebra C(z)[r]/(r^2 - f).  With
-    -D = -content m scale^2 and both models sharing m,
-    u^2 = f / f_B gives u = sqrt(c_A c_B) scale_A / (-c_B scale_B), in
-    lowest terms u_num / u_den after dividing both by g = gcd(scale_A,
-    scale_B), their `cofactors`.  The twist units are mu_A = (i p - r)/q and
-    mu_B = nu / (q_B u_num) with nu = i p_B u_num - u_den r.  For the witness
-    c write c (i p - r) = X_a + Y_a r, conj(c) = X_c + Y_c r and
-    conj(c) nu = X_b + Y_b r.  Then eta = c mu_A + conj(c) mu_B is
-    (x + y r)/(q q_B u_num) with x = X_a q_B u_num + X_b q and
-    y = Y_a q_B u_num + Y_b q.  Multiplying out
-    C = beta diag(u_den, u_num) M(x + y r) [[conj q, -i p], [0, -1]], with
-    beta = [[0, q_B h], [-1, -i p_B]], gives the first row
-    q_B u_num h [conj(q) y, -(i p y + x)] and the second row
-    [-conj(q) L(x + y r), i p L(x + y r) + K(x + y r)], where L and K are the
-    r-part and the scalar part of multiplication by i p_B u_num + u_den r:
-    L(X + Y r) = u_den X + i p_B u_num Y, K(X + Y r) = u_den f Y + i p_B u_num X.
+    f = -D_A and f_B = -D_B; the algebra C(z)[r]/(r^2 - f), whose
+    conjugation ~ acts on the coefficients.  With -D = -content m scale^2
+    and both models sharing m, u^2 = f / f_B gives u = sqrt(c_A c_B)
+    scale_A / (-c_B scale_B), in lowest terms u_num / u_den after dividing
+    both by g = gcd(scale_A, scale_B), their `cofactors`; u_num and u_den
+    are real.  The twist units are mu_A = (i p - r)/q and
+    mu_B = nu / (q_B u_num) with nu = i p_B u_num - u_den r, and for the
+    witness c, eta = c mu_A + ~c mu_B is (x + y r)/(q q_B u_num).
+    Multiplying out C = beta diag(u_den, u_num) M(x + y r) [[~q, -i p],
+    [0, -1]], with beta = [[0, q_B h], [-1, -i p_B]], gives the first row
+    q_B u_num h [~q y, -(i p y + x)] and the second row [-~q L, i p L + K],
+    where L and K are the r-part and the scalar part of
+    (i p_B u_num + u_den r)(x + y r) = -~nu (x + y r).
 
-    Lemma: for every witness c, L(x + y r) = q_B u_num R1 and
-    K(x + y r) = q_B u_num R2 with
-    R1 = L(c (i p - r)) - Y_c q conj(q_B) u_num h and
-    R2 = K(c (i p - r)) - X_c q conj(q_B) u_num h.
-    Proof: nu (i p_B u_num + u_den r) = -p_B^2 u_num^2 - u_den^2 f, and
-    u_den^2 f = u_num^2 f_B with f_B + p_B^2 = q_B conj(q_B) h, so it is the
-    scalar N = -u_num^2 q_B conj(q_B) h.  So conj(c) nu times
-    i p_B u_num + u_den r is conj(c) N: L(conj(c) nu) = Y_c N and
-    K(conj(c) nu) = X_c N.  L and K are linear, so L(x + y r) =
-    q_B u_num L(c (i p - r)) + q Y_c N = q_B u_num R1, and likewise for K.
-    Hence, with no division,
+    Lemma: with a = h ~q y and b = -(i p y + x),
 
-        C / (q_B u_num) = [[h conj(q) y, -h (i p y + x)], [-conj(q) R1, i p R1 + R2]],
+        C / (q_B u_num) = [[a, b h], [~b, ~a]],
 
-    the same projective matrix, so ProjMat.of runs its gcd chain only on
-    what is left."""
+    the lift of the pattern (a, b): the bottom row is the conjugate of the
+    top row, with factor 1, for every witness c.
+    Proof, by the reality argument of _hilbert90: the twist units have equal
+    norms (checked below), so eta ~mu_A = c mu_A ~mu_A + ~c mu_B ~mu_A =
+    mu_B ~eta.  Times q_B u_num ~q this reads
+    (x + y r)(-i p - r)/q = nu (~x + ~y r)/(~q_B u_num), and its conjugate,
+    negated, reads -~nu (x + y r) = q_B u_num (~x + ~y r)(r - i p)/~q, as p,
+    p_B, u_num and u_den are real.  Its r-part and scalar part give
+    L = q_B u_num (~x - i p ~y)/~q and K = q_B u_num (f ~y - i p ~x)/~q.  So
+    -~q L = q_B u_num ~b, and i p L + K = q_B u_num (p^2 + f) ~y/~q =
+    q_B u_num h q ~y = q_B u_num ~a, as f + p^2 = q ~q h.  Dividing by
+    q_B u_num, the matrix is the same projectively, so ProjMat.of runs its
+    gcd chain only on what is left, and the bottom row is two conjugations."""
     form_a, form_b = involution_normal_form(mat_a), involution_normal_form(mat_b)
     model_a, model_b = fixed_curve(mat_a), fixed_curve(mat_b)
     f = -canonical_pattern(mat_a).determinant()
@@ -252,23 +272,14 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
     u_den = u_den.scale(CoeffScalar(-model_b.content))
     algebra = _QuadAlgebra(f)
     i = CoeffScalar.i()
-    p, q = form_a.p.scale(i), form_a.q  # p and p_b are i p_A and i p_B from here on
-    p_bu = form_b.p.scale(i) * u_num
-    q_b = form_b.q
+    p, q = form_a.p.scale(i), form_a.q  # p is i p_A from here on
     mu_a = (p, Poly.const(-1), q)
-    mu_b = (p_bu, -u_den, q_b * u_num)
+    mu_b = (form_b.p.scale(i) * u_num, -u_den, form_b.q * u_num)
     if not algebra.equal(algebra.mul(mu_b, algebra.conj(mu_b)), algebra.mul(mu_a, algebra.conj(mu_a))):
         raise RuntimeError("twist units failed to have equal norms")
-    c, (x_a, y_a, _), (x, y, _) = _hilbert90(algebra, mu_a, mu_b)
-    x_c, y_c, _ = algebra.conj(c)
-    defect = q * q_b.conj() * u_num * ONE_MINUS_Z2
-    r1 = dot(((1, u_den, x_a), (1, p_bu, y_a), (-1, y_c, defect)))
-    return (
-        q.conj() * ONE_MINUS_Z2 * y,
-        dot(((-1, ONE_MINUS_Z2 * p, y), (-1, ONE_MINUS_Z2, x))),
-        -(q.conj() * r1),
-        dot(((1, p, r1), (1, u_den * f, y_a), (1, p_bu, x_a), (-1, x_c, defect))),  # i p R1 + R2
-    )
+    _, _, (x, y, _) = _hilbert90(algebra, mu_a, mu_b)
+    a, b = times_h(q.conj() * y), -(p * y + x)
+    return a, times_h(b), b.conj(), a.conj()
 
 
 def _hilbert90(algebra: _QuadAlgebra, mu_a, mu_b):
@@ -367,15 +378,25 @@ def rotation_normal_form(mat: ProjMat) -> ConjugacyCertificate:
     if not pat.b:
         conjugator, target = ProjMat.identity(), mat
     else:
-        cos2 = TWO_COS[angle] / 2
-        tan = ((1 - cos2) / (1 + cos2)).sqrt()
         t = pat.a + pat.a.conj()
-        delta = t.scale(CoeffScalar(0, tan * t.lead().as_real().sign()))
-        x = pat.a.conj() - pat.a - delta
+        k, target = _rotation_target(angle, t.lead().as_real().sign())
+        x = pat.a.conj() - pat.a - t.scale(k)
         conjugator = ProjMat.of(x, pat.b * ONE_MINUS_Z2.scale(-2), pat.b.conj().scale(2), x)
-        target = ProjMat.diag(t + delta, t - delta)
     source, target, conjugator = (SphereMap.trivial_base(m) for m in (mat, target, conjugator))
     return ConjugacyCertificate("rotation-normal-form", source, target, conjugator)
+
+
+@cache
+def _rotation_target(angle: tuple[int, int], sign: int) -> tuple[CoeffScalar, ProjMat]:
+    """(k, diag(1 + k, 1 - k)) with k = i sign tan(theta), for the angle and
+    theta of rotation_normal_form and the sign of lead(t), computed once.
+
+    Lemma: Delta = k t, so t +- Delta = t (1 +- k), and diag(t + Delta,
+    t - Delta) is projectively the constant diag(1 + k, 1 - k).  The
+    canonical form is unique, so this is the target the entries give."""
+    cos2 = TWO_COS[angle] / 2
+    k = CoeffScalar(0, ((1 - cos2) / (1 + cos2)).sqrt() * sign)
+    return k, ProjMat.diag(1 + k, 1 - k)
 
 
 # -- moduli comparison under the interval group ----------------------------------------------
@@ -496,11 +517,11 @@ def classify_trivialbase(mat: ProjMat) -> TrivialBaseReport:
     model = fixed_curve(mat)
     if orientation < 0:  # one oval
         if model.degree <= 2:
-            cert = construct_conjugator(mat, x_flip().fiber)
+            cert = construct_conjugator(mat, _flip_fiber())
             return TrivialBaseReport(family=4, model=model, certificate=cert)
         return TrivialBaseReport(family=7, model=model)
     if model.degree == 0:
-        cert = construct_conjugator(mat, ProjMat.diag(Poly.const(1), Poly.const(-1)))
+        cert = construct_conjugator(mat, _diagonal_involution())
         return TrivialBaseReport(family=3, angle=(1, 2), model=model, certificate=cert)
     if model.degree == 2:
         # rational curve without real points: the one-parameter stratum

@@ -951,14 +951,15 @@ class RealAlgebraic:
     def roots_of_rational_poly(cls, p: Poly) -> list[RealAlgebraic]:
         """All real roots of a rational p, sorted, by irreducible factor."""
         _, factors = factor_rational_poly(p)
-        roots = []
-        for f, _ in factors:
-            # irreducible over Q, hence square-free
-            canon = _canonical_minpoly(f)
-            for lo, hi in isolate_real_roots_poly(f):
-                roots.append(cls(canon, lo, hi))
         # the roots are distinct: the factors are distinct irreducibles
-        return sorted(roots)
+        return sorted(root for f, _ in factors for root in cls.roots_of_irreducible(f))
+
+    @classmethod
+    def roots_of_irreducible(cls, f: Poly) -> list[RealAlgebraic]:
+        """All real roots of a rational f irreducible over Q, sorted: f is
+        square-free, so its roots are isolated directly, with no factoring."""
+        canon = _canonical_minpoly(f)
+        return [cls(canon, lo, hi) for lo, hi in isolate_real_roots_poly(f)]
 
     def is_rational(self) -> bool:
         return self.minpoly.degree == 1

@@ -261,11 +261,11 @@ def test_conj_shifted_base_flip():
 
 
 def test_twist_class_computed_once(monkeypatch):
-    import birsphere.classify as routing
+    import birsphere.etatwist as etatwist
 
     calls = []
-    real = routing.h2_invariant
-    monkeypatch.setattr(routing, "h2_invariant", lambda g: calls.append(1) or real(g))
+    real = etatwist.h2_invariant
+    monkeypatch.setattr(etatwist, "h2_invariant", lambda g: calls.append(1) or real(g))
     res = decide_conjugacy(builtin_map("g2p:1/2"), builtin_map("g2p:1/3"))
     assert not res["conjugate"] and len(res["invariants"]) == 2
     assert len(calls) == 2

@@ -197,8 +197,9 @@ def test_certify_and_classify_work_is_counted():
     """One certified involution pair and one conjugate of rot:1/2, both over
     Q(i).  The canonical form divides no entry (the gcd kernel's cofactors
     replace poly_gcd and exact_div), and the column products are pinned:
-    68 for the pair and 76 for the classification.  They were 80 and 88
-    before certificates were verified on patterns and h = 1 - z^2 was
+    59 for the pair and 67 for the classification.  They were 68 and 76
+    before the conjugator's bottom row was built as the conjugate of its top
+    row, 80 and 88 before certificates were verified on patterns and h = 1 - z^2 was
     multiplied by a shift of columns (`times_h`), 87 and 98 before the
     angle, the pattern determinant and the involution form were memoised on
     their objects and the conjugator reused Hilbert-90's c mu_A, and 114
@@ -208,13 +209,58 @@ def test_certify_and_classify_work_is_counted():
     pair = SphereMap.trivial_base(a), SphereMap.trivial_base(c * a * c.inverse())
     answer, counts = _count_work(lambda: decide_conjugacy(*pair))
     assert answer["conjugate"] and answer["verified"]
-    assert counts == {"product": 68, "canonical_exact_div": 0}
+    assert counts == {"product": 59, "canonical_exact_div": 0}
 
     mover = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix()  # det 8 + 2 z^2 > 0
     rotation = SphereMap.trivial_base(mover * builtin_map("rot:1/2").fiber * mover.inverse())
     report, counts = _count_work(lambda: classify_spheremap(rotation))
     assert report.family == 3 and report.moduli["angle"] == [1, 2]
-    assert counts == {"product": 76, "canonical_exact_div": 0}
+    assert counts == {"product": 67, "canonical_exact_div": 0}
+
+
+def test_rotation_target_and_twist_class_work_is_counted(monkeypatch):
+    """A second rotation of an angle already seen takes no tower square
+    root and no tower gcd for its target: the one tower poly_gcd left is
+    the canonical form of its conjugator J.  The twist class of a conjugate
+    of g2p:1/2 factors once, in h2_reduce: the roots of its irreducible
+    factors are isolated without factoring them again."""
+    from birsphere import etatwist
+    from birsphere.involutions import rotation_normal_form
+    from birsphere.sphere import canonical_pattern
+
+    counts = {"sqrt": 0, "tower_gcd": 0, "factor": 0}
+    sqrt, gcd, factor_rational = TowerReal.sqrt, poly_mod.poly_gcd, poly_mod.factor_rational_poly
+
+    def counted_sqrt(self):
+        counts["sqrt"] += 1
+        return sqrt(self)
+
+    def counted_gcd(*ps):
+        counts["tower_gcd"] += not all(p._cols.keys() <= poly_mod._GAUSSIAN_KEYS for p in ps)
+        return gcd(*ps)
+
+    def counted_factor(p):
+        counts["factor"] += 1
+        return factor_rational(p)
+
+    movers = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix(), FiberPattern(Z + 2 + I, Poly.const(1 + I)).matrix()
+    monkeypatch.setattr(TowerReal, "sqrt", counted_sqrt)
+    monkeypatch.setattr(poly_mod, "poly_gcd", counted_gcd)
+    for name in ("rot:1/3", "rot:1/8", "rot:1/12", "rot:1/24"):
+        first, second = (c * builtin_map(name).fiber * c.inverse() for c in movers)
+        traces = [canonical_pattern(m).a + canonical_pattern(m).a.conj() for m in (first, second)]
+        assert len({t.lead().as_real().sign() for t in traces}) == 1, name  # one memo key
+        assert rotation_normal_form(first).verify()
+        counts.update(sqrt=0, tower_gcd=0)
+        assert rotation_normal_form(second).verify()
+        assert (counts["sqrt"], counts["tower_gcd"]) == (0, 1), name
+
+    monkeypatch.setattr(poly_mod, "factor_rational_poly", counted_factor)
+    monkeypatch.setattr(etatwist, "factor_rational_poly", counted_factor)
+    mover = SphereMap.trivial_base(movers[0])
+    g = mover.compose(builtin_map("g2p:1/2")).compose(mover.inverse())
+    twist = etatwist.h2_reduce(etatwist.twisted_square(g.fiber))
+    assert counts["factor"] == 1 and twist == etatwist.h2_invariant(builtin_map("g2p:1/2"))
 
 
 def test_determinants_match_the_ring_operations():

@@ -556,6 +556,36 @@ def test_rotation_normal_form_conjugation_invariant(angle, a, b):
     assert ref_proportional(raw_mul(g, mat.entries()), raw_mul(rot.inverse().fiber.entries(), g))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from((3, 4, 6, 8, 12, 24)), a=nonzero_complex_polys, b=nonzero_complex_polys, negate=st.booleans())
+def test_rotation_target_is_the_entries_target(n, a, b, negate):
+    """Oracle for the memoised rotation target: for a conjugate of rot:1/n by
+    a random reality element (a, b), and for t or -t, the traces of its
+    patterns (a', b') and (-a', -b'), which lift to one map and give both
+    signs of lead(t), the memo's (k, target) for that sign is k t = Delta and
+    target = diag(t + Delta, t - Delta), Delta = i sign tan(theta) t with
+    tan(theta) the tower's square root of (1 - cos 2 theta)/(1 + cos 2
+    theta), as computed per query before the memo; the certificate
+    verifies.  a and b are nonzero, so c R c^-1 is not diagonal and J is
+    built."""
+    from birsphere.involutions import _rotation_target
+    from birsphere.projmat import TWO_COS
+
+    c = FiberPattern(a, b).matrix()
+    mat = c * rotation(1, n).fiber * c.inverse()
+    pattern = canonical_pattern(mat)
+    t = pattern.a + pattern.a.conj()
+    sign = t.lead().as_real().sign()
+    cert = rotation_normal_form(mat)
+    assert pattern.b and cert.verify() and cert.target.fiber == _rotation_target((1, n), sign)[1]
+    if negate:
+        t, sign = -t, -sign
+    cos2 = TWO_COS[(1, n)] / 2
+    delta = t.scale(CoeffScalar(0, ((1 - cos2) / (1 + cos2)).sqrt() * sign))
+    k, target = _rotation_target((1, n), sign)
+    assert t.scale(k) == delta and target == ProjMat.diag(t + delta, t - delta)
+
+
 def test_realize_oval():
     mat = realize_oval(Z + Poly.const(I))
     assert mat.order() == 2

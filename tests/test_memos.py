@@ -29,7 +29,9 @@ I = CoeffScalar.i()
 # (module, qualified name) -> decorator.  The per-object memos cache an
 # invariant of an immutable object on it; the lru_caches are keyed by a
 # matrix (the pattern) or by the pattern determinant D (the fixed-curve
-# split).
+# split); the caches hold constants built on first use: the rotation
+# target per angle and sign, and the catalogue involutions certificates
+# are built against.
 PACKAGE_MEMOS = {
     ("projmat", "ProjMat._hash"): "cached_property",
     ("projmat", "ProjMat._angle"): "cached_property",
@@ -39,6 +41,10 @@ PACKAGE_MEMOS = {
     ("sphere", "FiberPattern.contracted_count"): "cached_property",
     ("sphere", "canonical_pattern"): "lru_cache",
     ("involutions", "_split"): "lru_cache",
+    ("involutions", "_flip_fiber"): "cache",
+    ("involutions", "_diagonal_involution"): "cache",
+    ("involutions", "_mover_inverse"): "cache",
+    ("involutions", "_rotation_target"): "cache",
 }
 MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
 

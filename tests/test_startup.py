@@ -1,6 +1,7 @@
 """What `import birsphere` loads, and the command line run from a fresh
 interpreter.  The in-process tests cannot see a missing deferred import:
-their modules import parsing, picard and positivity at collection."""
+their modules import etatwist, parsing, picard and positivity at
+collection."""
 
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import birsphere
+from test_memos import PACKAGE_MEMOS
 
 SRC = str(Path(birsphere.__file__).parent.parent)
 
@@ -63,6 +65,32 @@ def test_queries_leave_deferred_layers_unloaded():
         "assert birsphere.lattice_make is birsphere.picard.lattice_make\n"
         "assert birsphere.v_decomp is birsphere.positivity.v_decomp\n"
         "assert sorted(loaded()) == sorted(DEFERRED)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": SRC}, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_import_builds_no_memo_and_flip_free_queries_leave_etatwist_unloaded():
+    """In a fresh interpreter, `import birsphere` leaves every cache of the
+    package empty, so no rotation target or catalogue involution is built
+    at import; a conjugacy decision, a classification and a membership query
+    with trivial base leave the base-flip layer etatwist unloaded, and a
+    base-flip classification loads it."""
+    memos = sorted(key for key, decorator in PACKAGE_MEMOS.items() if decorator != "cached_property")
+    script = (
+        "import sys\n"
+        "import birsphere\n"
+        f"for module, name in {memos!r}:\n"
+        "    info = getattr(sys.modules[f'birsphere.{module}'], name).cache_info()\n"
+        "    assert info.currsize == 0, (name, info)\n"
+        "from birsphere import builtin_map, classify_spheremap, contracted_fibers, decide_conjugacy, in_diffeo_group\n"
+        "assert decide_conjugacy(builtin_map('g1p:1/2'), builtin_map('g1p:-1/2'))['conjugate'] is True\n"
+        "assert classify_spheremap(builtin_map('rot:1/3')).family == 3\n"
+        "assert in_diffeo_group(builtin_map('tau').fiber) and contracted_fibers(builtin_map('tau').fiber) == []\n"
+        "assert 'birsphere.etatwist' not in sys.modules\n"
+        "assert classify_spheremap(builtin_map('g2p:1/2')).family == 8\n"
+        "assert 'birsphere.etatwist' in sys.modules\n"
     )
     run = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": SRC}, capture_output=True, text=True,
                          timeout=120)
