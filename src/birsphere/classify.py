@@ -21,6 +21,7 @@ from .factor import is_prime
 from .involutions import (
     HyperellipticModel,
     TrivialBaseReport,
+    _flip_fiber,
     basis_equiv_moduli,
     classify_trivialbase,
     fixed_curve,
@@ -37,7 +38,6 @@ from .sphere import (
     builtin_map,
     diffeo_orientation,
     reduce_to_trivial_base,
-    x_flip,
 )
 
 
@@ -379,7 +379,7 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
             return {"conjugate": False, "angles": angles}
         ra, rb = rotation_normal_form(r1.fiber), rotation_normal_form(r2.fiber)
         # both targets are diag(1, zeta^{+-1}); x_flip swaps the two
-        swap = x_flip().fiber if ra.target != rb.target else ProjMat.identity()
+        swap = _flip_fiber() if ra.target != rb.target else ProjMat.identity()
         conjugator = SphereMap.trivial_base(rb.conjugator.fiber.inverse() * swap * ra.conjugator.fiber)
     ConjugacyCertificate("conjugation", g1, g2, conjugator).verified()
     shown = _matrix_json(conjugator.fiber) if conjugator.base.kind == "id" else spheremap_to_json(conjugator)

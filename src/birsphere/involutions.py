@@ -14,7 +14,8 @@ read off the two models' scales, and glued by a Hilbert-90 element
 c + w conj(c) of the algebra C(z)[r]/(r^2 - f), w the quotient of the two
 twist units.  The witness c is 1 or i, and a proof says one of them works.
 The conjugator is born divided by q_B u_num, the factor all its entries
-share.
+share, as the lift of a pattern, and is canonicalised on the pattern's two
+entries.
 """
 
 from __future__ import annotations
@@ -123,19 +124,15 @@ def _orientation(mat: ProjMat) -> int:
 
 class _TripleAlgebra:
     """Elements (x, y, d) standing for (x + y r)/d, r the algebra's
-    generator, with d central; sums and equality cross-multiply the
-    denominators, each part one fused sum of products (`dot`), and no
-    reduction is performed."""
+    generator, with d central; a sum cross-multiplies the denominators,
+    each part one fused sum of products (`dot`), and no reduction is
+    performed."""
 
     @staticmethod
     def add(u, v):
         x1, y1, d1 = u
         x2, y2, d2 = v
         return (dot(((1, x1, d2), (1, x2, d1))), dot(((1, y1, d2), (1, y2, d1))), d1 * d2)
-
-    @staticmethod
-    def equal(u, v) -> bool:
-        return not (dot(((1, u[0], v[2]), (-1, v[0], u[2]))) or dot(((1, u[1], v[2]), (-1, v[1], u[2]))))
 
 
 class _QuadAlgebra(_TripleAlgebra):
@@ -158,9 +155,12 @@ class _QuadAlgebra(_TripleAlgebra):
         return bool(dot(((1, x, x), (-1, self.f * y, y))))
 
 
-# g = [[z, h], [1, z]] moves diag(1, -1) to [[1, -2 z h], [2 z, -1]]
-_OFF_DIAGONAL_MOVER = FiberPattern(Poly.z(), Poly.const(1)).matrix()
+# The lift [[z, h], [1, z]] of the pattern (z, 1) moves diag(1, -1) to
+# [[1, -2 z h], [2 z, -1]]; its adjugate, the lift of (z, -1), moves it back
+# (the adjugate of the lift of (a, b) is the lift of (~a, -b)).
+_MOVER, _MOVER_BACK = FiberPattern(Poly.z(), Poly.const(1)), FiberPattern(Poly.z(), Poly.const(-1))
 _OFF_DIAGONAL = ProjMat.of(Poly.const(1), (Poly.z() * ONE_MINUS_Z2).scale(-2), Poly.z().scale(2), Poly.const(-1))
+_IDENTITY = FiberPattern(Poly.const(1), Poly())
 
 
 # The catalogue matrices certificates are built against, each once, on first use.
@@ -176,12 +176,6 @@ def _flip_fiber() -> ProjMat:
 def _diagonal_involution() -> ProjMat:
     """diag(1, -1), the involution of model m = 1."""
     return ProjMat.diag(Poly.const(1), Poly.const(-1))
-
-
-@cache
-def _mover_inverse() -> ProjMat:
-    """_OFF_DIAGONAL_MOVER^-1, which moves _OFF_DIAGONAL back to diag(1, -1)."""
-    return _OFF_DIAGONAL_MOVER.inverse()
 
 
 def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate:
@@ -209,28 +203,39 @@ def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
         C = beta diag(1, u) M(c mu_A + conj(c) mu_B) [[conj q, -i p], [0, -1]]
 
     with (p, q) the form of A, beta the companion matrix of B and M(x + y r)
-    = [[x, f y], [y, x]].  Its entries are built already divided by q_B u_num,
-    and its bottom row is the conjugate of its top row (_conjugator_entries
-    proves both).  The witness c is 1 or i, with a proof (_hilbert90).
+    = [[x, f y], [y, x]].  Divided by q_B u_num it is the lift of a pattern
+    (a, b) (_conjugator_entries proves both), and C is returned as the
+    canonical form of that lift, born with its pattern
+    (FiberPattern.lift_matrix), so its content is taken on two entries and
+    its reality is not derived again.  The witness c is 1 or i, with a proof
+    (_hilbert90).
 
     The closed form needs q != 0.  The only involution with q = 0 is
     [[i p, 0], [0, -i p]], projectively diag(1, -1), so at most one of two
-    different ones has it, and the constant _OFF_DIAGONAL_MOVER conjugates
-    it to the constant _OFF_DIAGONAL, whose form has p = 1 and
-    q = -2 i z != 0, and whose model is m = 1 like diag(1, -1)'s:
-    -D = -(2 z^2 - 1)^2."""
+    different ones has it, and the constant lift of _MOVER conjugates it to
+    the constant _OFF_DIAGONAL, whose form has p = 1 and q = -2 i z != 0,
+    and whose model is m = 1 like diag(1, -1)'s: -D = -(2 z^2 - 1)^2."""
+    return _conjugator_pattern(mat_a, mat_b).lift_matrix()
+
+
+def _conjugator_pattern(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
+    """A pattern of involution_conjugator's C, times _MOVER or _MOVER_BACK
+    where A or B has q = 0.  Its D is nonzero, as lift_matrix requires: the
+    movers are invertible, and for q, q_B != 0 the undivided product has
+    determinant -q_B h u_den u_num ~q (x^2 - f y^2), eta = (x + y r)/d,
+    which is nonzero exactly as the Hilbert-90 witness makes eta a unit."""
     if mat_a == mat_b:
-        return ProjMat.identity()
+        return _IDENTITY
     if not involution_normal_form(mat_a).q:
-        return involution_conjugator(_OFF_DIAGONAL, mat_b) * _OFF_DIAGONAL_MOVER
+        return _conjugator_pattern(_OFF_DIAGONAL, mat_b) * _MOVER
     if not involution_normal_form(mat_b).q:
-        return _mover_inverse() * involution_conjugator(mat_a, _OFF_DIAGONAL)
-    return ProjMat.of(*_conjugator_entries(mat_a, mat_b))
+        return _MOVER_BACK * _conjugator_pattern(mat_a, _OFF_DIAGONAL)
+    return _conjugator_entries(mat_a, mat_b)
 
 
-def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
-    """The entries of the conjugator C of involution_conjugator, born divided
-    by q_B u_num, before canonicalisation.
+def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
+    """The pattern (a, b) of the conjugator C of involution_conjugator, whose
+    lift is C born divided by q_B u_num.
 
     Notation: h = 1 - z^2; (p, q) and (p_B, q_B) the forms of A and B;
     f = -D_A and f_B = -D_B; the algebra C(z)[r]/(r^2 - f), whose
@@ -247,6 +252,13 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
     where L and K are the r-part and the scalar part of
     (i p_B u_num + u_den r)(x + y r) = -~nu (x + y r).
 
+    Lemma: the twist units have equal norms, so nothing checks them.
+    mu_A ~mu_A = (p^2 + f)/(q ~q) = h, as f + p^2 = q ~q h, and mu_B ~mu_B =
+    (p_B^2 u_num^2 + u_den^2 f)/(q_B ~q_B u_num^2) is h exactly when
+    u_den^2 f = u_num^2 f_B, that is u^2 = f / f_B, which holds as both
+    models share m: f / f_B = c_A scale_A^2 / (c_B scale_B^2) = u^2.  The
+    callers prove the shared m; verify checks every printed conjugator.
+
     Lemma: with a = h ~q y and b = -(i p y + x),
 
         C / (q_B u_num) = [[a, b h], [~b, ~a]],
@@ -254,7 +266,7 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
     the lift of the pattern (a, b): the bottom row is the conjugate of the
     top row, with factor 1, for every witness c.
     Proof, by the reality argument of _hilbert90: the twist units have equal
-    norms (checked below), so eta ~mu_A = c mu_A ~mu_A + ~c mu_B ~mu_A =
+    norms (above), so eta ~mu_A = c mu_A ~mu_A + ~c mu_B ~mu_A =
     mu_B ~eta.  Times q_B u_num ~q this reads
     (x + y r)(-i p - r)/q = nu (~x + ~y r)/(~q_B u_num), and its conjugate,
     negated, reads -~nu (x + y r) = q_B u_num (~x + ~y r)(r - i p)/~q, as p,
@@ -262,30 +274,26 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat):
     L = q_B u_num (~x - i p ~y)/~q and K = q_B u_num (f ~y - i p ~x)/~q.  So
     -~q L = q_B u_num ~b, and i p L + K = q_B u_num (p^2 + f) ~y/~q =
     q_B u_num h q ~y = q_B u_num ~a, as f + p^2 = q ~q h.  Dividing by
-    q_B u_num, the matrix is the same projectively, so ProjMat.of runs its
-    gcd chain only on what is left, and the bottom row is two conjugations."""
+    q_B u_num, the matrix is the same projectively, so lift_matrix takes
+    the content of what is left, and the bottom row is two conjugations."""
     form_a, form_b = involution_normal_form(mat_a), involution_normal_form(mat_b)
     model_a, model_b = fixed_curve(mat_a), fixed_curve(mat_b)
-    f = -canonical_pattern(mat_a).determinant()
+    algebra = _QuadAlgebra(-canonical_pattern(mat_a).determinant())
     u_num, u_den = cofactors(model_a.scale, model_b.scale)
     u_num = u_num.scale(CoeffScalar(model_a.content * model_b.content).sqrt())
     u_den = u_den.scale(CoeffScalar(-model_b.content))
-    algebra = _QuadAlgebra(f)
     i = CoeffScalar.i()
     p, q = form_a.p.scale(i), form_a.q  # p is i p_A from here on
     mu_a = (p, Poly.const(-1), q)
     mu_b = (form_b.p.scale(i) * u_num, -u_den, form_b.q * u_num)
-    if not algebra.equal(algebra.mul(mu_b, algebra.conj(mu_b)), algebra.mul(mu_a, algebra.conj(mu_a))):
-        raise RuntimeError("twist units failed to have equal norms")
-    _, _, (x, y, _) = _hilbert90(algebra, mu_a, mu_b)
-    a, b = times_h(q.conj() * y), -(p * y + x)
-    return a, times_h(b), b.conj(), a.conj()
+    x, y, _ = _hilbert90(algebra, mu_a, mu_b)
+    return FiberPattern(times_h(q.conj() * y), -(p * y + x))
 
 
 def _hilbert90(algebra: _QuadAlgebra, mu_a, mu_b):
-    """(c, c mu_a, eta) with eta = c mu_a + conj(c) mu_b for the first of
-    c = 1, i that makes eta a unit.  Then xi = eta / mu_a = c + w conj(c), with
-    w = mu_b / mu_a of norm w conj(w) = 1, is a unit with xi = w conj(xi).
+    """eta = c mu_a + conj(c) mu_b for the first of c = 1, i that makes eta
+    a unit.  Then xi = eta / mu_a = c + w conj(c), with w = mu_b / mu_a of
+    norm w conj(w) = 1, is a unit with xi = w conj(xi).
 
     One of the two works for f = -D, D = p^2 + q conj(q) (z^2 - 1) the
     determinant of a real involution: the leads of both terms of D are
@@ -300,10 +308,9 @@ def _hilbert90(algebra: _QuadAlgebra, mu_a, mu_b):
     So the RuntimeError below is unreachable."""
     one = Poly.const(1)
     for c in ((one, Poly(), one), (Poly.const(CoeffScalar.i()), Poly(), one)):
-        c_mu_a = algebra.mul(c, mu_a)
-        eta = algebra.add(c_mu_a, algebra.mul(algebra.conj(c), mu_b))
+        eta = algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
         if algebra.is_unit(eta):
-            return c, c_mu_a, eta
+            return eta
     raise RuntimeError("no invertible Hilbert-90 witness in {1, i}")
 
 
@@ -352,7 +359,8 @@ def rotation_normal_form(mat: ProjMat) -> ConjugacyCertificate:
     J = [[x, -2 b h], [2 conj(b), x]]:
     - Delta is i times a real polynomial, so conj(Delta) = -Delta and
       conj(x) = -x; hence J = i [[-i x, 2 i b h], [conj(2 i b), conj(-i x)]]
-      has the pattern shape and lies in the reality group;
+      is built as the lift of the pattern (-i x, 2 i b)
+      (FiberPattern.lift_matrix), in the reality group;
     - det J = -2 Delta x, and x = 0 would force b conj(b) h = 0, so J is
       invertible;
     - the columns (x, -2 conj(b)) and (2 b h, x) of adj J are eigenvectors of
@@ -381,7 +389,7 @@ def rotation_normal_form(mat: ProjMat) -> ConjugacyCertificate:
         t = pat.a + pat.a.conj()
         k, target = _rotation_target(angle, t.lead().as_real().sign())
         x = pat.a.conj() - pat.a - t.scale(k)
-        conjugator = ProjMat.of(x, pat.b * ONE_MINUS_Z2.scale(-2), pat.b.conj().scale(2), x)
+        conjugator = FiberPattern(x.scale(-CoeffScalar.i()), pat.b.scale(CoeffScalar(0, 2))).lift_matrix()
     source, target, conjugator = (SphereMap.trivial_base(m) for m in (mat, target, conjugator))
     return ConjugacyCertificate("rotation-normal-form", source, target, conjugator)
 

@@ -17,7 +17,8 @@ exactly when kappa = trace^2/det is a constant 2 + zeta + 1/zeta for a
 primitive n-th root of unity zeta, so the order is one lookup of kappa in
 the table of the cosines the tower contains.
 A ProjMat is immutable, so its hash and its rotation angle (hence its
-order) are memoised on it: each is computed once per matrix.
+order) are memoised on it: each is computed once per matrix.  A matrix
+built from a real pattern (`of_coprime`) carries that pattern from birth.
 """
 
 from __future__ import annotations
@@ -140,6 +141,11 @@ class ProjMat:
     a21: Poly
     a22: Poly
 
+    # The real pattern (sphere.FiberPattern) a matrix is born with, set by
+    # of_coprime on that matrix alone: every other reads this class default,
+    # so it costs them no memory.  Not a field: equality ignores it.
+    born_pattern = None
+
     @classmethod
     def of(cls, a11, a12, a21, a22) -> ProjMat:
         """The canonical form of four polynomial or scalar entries."""
@@ -158,6 +164,16 @@ class ProjMat:
         mat = cls._monic_lead(cofactors(*polys))
         if not mat.det():
             raise ValueError("matrix has identically zero determinant")
+        return mat
+
+    @classmethod
+    def of_coprime(cls, polys, read_pattern) -> ProjMat:
+        """The canonical form of four entries of gcd 1 and nonzero
+        determinant, both proved by the caller, born with the real pattern
+        read_pattern reads off it (sphere.FiberPattern.lift_matrix): the
+        first nonzero entry made monic, with no gcd and no determinant."""
+        mat = cls._monic_lead(polys)
+        object.__setattr__(mat, "born_pattern", read_pattern(mat))
         return mat
 
     @classmethod

@@ -40,7 +40,7 @@ from .errors import (
     NotRealityMember,
     UnsupportedExtension,
 )
-from .poly import ONE_MINUS_Z2, Poly, dot, over_h, real_roots_in_tower_poly, sturm_count, times_h
+from .poly import ONE_MINUS_Z2, Poly, dot, over_h, real_cofactors, real_roots_in_tower_poly, sturm_count, times_h
 from .projmat import INF, TWO_COS, ProjMat, angle_of_entries, angle_of_trace, proportional, raw_mul
 from .scalars import CoeffScalar, TowerReal, scalar
 
@@ -68,7 +68,27 @@ class FiberPattern:
     b: Poly
 
     def matrix(self) -> ProjMat:
-        return ProjMat.of(self.a, times_h(self.b), self.b.conj(), self.a.conj())
+        """lift_matrix, with ValueError for D = 0 (the zero pattern too)."""
+        if not self.determinant():
+            raise ValueError("matrix has identically zero determinant")
+        return self.lift_matrix()
+
+    def lift_matrix(self) -> ProjMat:
+        """The canonical form of the lift L, for a pattern whose D != 0 the
+        caller proves, born with the pattern canonical_pattern reads off it,
+        by canonical_pattern's own closed form less its closing check, which
+        L's reality makes redundant: one two-entry gcd (`real_cofactors`),
+        no four-entry gcd, no determinant, and no reality check downstream
+        (SphereMap.pattern).
+
+        Lemma.  The content of L is G = gcd(a, b, ~a, ~b).  Every factor of G
+        divides all four entries.  Conversely, let pi = z - c divide all four
+        to order e: if c != +-1, pi is prime to h, so pi^e | b; if c = +-1, pi
+        is real, so pi^e | ~b gives pi^e | b.  So L / G is the lift of
+        (a, b) / G, G real, with entries of gcd 1, and the canonical matrix is
+        a constant times it, which is real."""
+        a, b = real_cofactors(self.a, self.b)
+        return ProjMat.of_coprime((a, times_h(b), b.conj(), a.conj()), _summed_pattern)
 
     def __mul__(self, other: FiberPattern) -> FiberPattern:
         """The pattern of the product of the two lifts, two fused sums.
@@ -228,18 +248,29 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
     Conversely, let h | B and (A, B/h) lift to kappa M.  Then kappa != 1, as
     A = m11 and B = m12 would give ~m22 = ~m21 = 0 and det M = 0; so
     h ~m21 = (kappa - 1) m12 makes h | m12 | B, the lift is S, and
-    tau ~M tau^-1 = S - M = (kappa - 1) M.  So the check below refuses
-    exactly the non-real matrices, and SphereMap.reality_check reads a
-    b = 0 map's reality off it.
+    tau ~M tau^-1 = S - M = (kappa - 1) M.  So the closing check
+    (`_summed_pattern`, checked) refuses exactly the non-real matrices, and
+    SphereMap.reality_check reads a b = 0 map's reality off it.  A matrix
+    born from a pattern is real, and reads the same closed form unchecked
+    (FiberPattern.lift_matrix).
     """
+    pattern = _summed_pattern(mat, checked=True)
+    if pattern is None:
+        raise NotRealityMember(f"{mat} does not satisfy the reality condition")
+    return pattern
+
+
+def _summed_pattern(mat: ProjMat, checked: bool = False) -> FiberPattern | None:
+    """canonical_pattern's closed form on a real mat; checked, None for a
+    non-real one (its lemma's closing check, which S = 0 needs not)."""
     a11, a12, a21, a22 = mat.entries()
     a, lift_b = a11 + a22.conj(), a12 + times_h(a21.conj())
     if not (a or lift_b):  # S = 0: real, and the pattern lifts to -i M
         i = CoeffScalar.i()
         return FiberPattern(a11.scale(-i), a21.conj().scale(i))
     b = over_h(lift_b)
-    if b is None or not _constant_multiple((a, lift_b, b.conj(), a.conj()), mat.entries()):
-        raise NotRealityMember(f"{mat} does not satisfy the reality condition")
+    if checked and (b is None or not _constant_multiple((a, lift_b, b.conj(), a.conj()), mat.entries())):
+        return None
     return FiberPattern(a, b)
 
 
@@ -434,11 +465,14 @@ class SphereMap:
         return SphereMap(minv.substitute_matrix(self.fiber.inverse()), minv)
 
     def pattern(self) -> FiberPattern | None:
-        """The memoised canonical_pattern of the fiber when the base keeps
-        h = 1 - z^2 (b = 0) and the fiber is real; None for a moving base or
-        a non-real fiber."""
+        """The fiber's pattern when the base keeps h = 1 - z^2 (b = 0) and the
+        fiber is real, the one it was born with (FiberPattern.lift_matrix) or
+        the memoised canonical_pattern; None for a moving base or a non-real
+        fiber."""
         if self.base.b:
             return None
+        if self.fiber.born_pattern is not None:
+            return self.fiber.born_pattern
         try:
             return canonical_pattern(self.fiber)
         except NotRealityMember:
@@ -468,10 +502,10 @@ class SphereMap:
         tau(m) = [[0, h_m], [d2, 0]] / d2 is projectively an involution.
         This is the package's one reality test.  For b = 0, m(z) = +-z keeps
         h = 1 - z^2, so tau(m(z)) = tau(z) and the condition is the fiber's
-        own: it holds exactly when the memoised canonical_pattern(fiber)
-        succeeds (SphereMap.pattern), whose closing check refuses exactly
-        the non-real matrices; the diffeomorphism check and the certificate
-        that follow read the same pattern."""
+        own: it holds exactly when the fiber has a pattern (SphereMap.pattern),
+        one it was born with or the memoised canonical_pattern, whose closing
+        check refuses exactly the non-real matrices; the diffeomorphism check
+        and the certificate that follow read the same pattern."""
         if not self.base.b:
             return self.pattern() is not None
         num, den = self.base.num_den_polys()
@@ -555,7 +589,8 @@ class ConjugacyCertificate:
         fiber.  When no base moves (b = 0), the fibers are compared as
         patterns: C S is P_C(sigma_S) P_S and T C is P_T(sigma_C) P_C, with
         P(sigma) the pattern reflected z -> -z for a base flip; C's pattern
-        is its reality check, and S's and T's are memoised
+        is its reality check, the one C was born with if it was built from
+        a pattern (FiberPattern.lift_matrix), and S's and T's are memoised
         (FiberPattern.__mul__, proportional_to).  A map without a pattern (a
         moving base, or a non-real source or target) keeps the two
         unreduced 4-entry products."""

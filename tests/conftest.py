@@ -45,6 +45,12 @@ def random_reality_element(rng, max_degree=2) -> ProjMat:
         return mat
 
 
+def same_triple(u, v) -> bool:
+    """(x1 + y1 r)/d1 = (x2 + y2 r)/d2 in the package's triple algebras
+    (_QuadAlgebra, TwistedAlgebra), cross-multiplied."""
+    return u[0] * v[2] == v[0] * u[2] and u[1] * v[2] == v[1] * u[2]
+
+
 def same_up_to_positive_rational(p, q) -> bool:
     """Whether the polynomial tuples p and q satisfy p = r q for a single
     positive rational r: the one factor by which two real patterns of one

@@ -13,7 +13,7 @@ from birsphere import factor
 from birsphere import poly as poly_mod
 from birsphere.classify import classify_spheremap, decide_conjugacy
 from birsphere.involutions import InvolutionForm
-from birsphere.poly import ONE_MINUS_Z2, Poly, RealAlgebraic, cofactors, dot, poly_gcd
+from birsphere.poly import ONE_MINUS_Z2, Poly, RealAlgebraic, cofactors, dot, poly_gcd, real_cofactors
 from birsphere.projmat import ProjMat
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import FiberPattern, SphereMap, builtin_map
@@ -85,6 +85,21 @@ def test_canonical_form_matches_gcd_then_division(entries, common):
     assert mat.entries() == expected
     g = poly_gcd(*entries)
     assert all(c * g == e for c, e in zip(cofactors(*entries), entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(gaussian_polys, gaussian_polys) | st.tuples(tower_polys, gaussian_polys), factors, factors)
+@example((Z, Poly.const(1)), Z - I, Z * Z + 1)  # a non-real and a real common factor
+@example((Poly(), Z.scale(I) + 1), Z.scale(I) + 3, Poly.const(1))  # one nonzero entry, non-real
+def test_real_cofactors_divide_by_the_lift_content(pair, common, other):
+    """real_cofactors(a, b), from a gcd of two entries, divides a and b by
+    gcd(a, b, ~a, ~b), the reference gcd of the lift's four entries: the
+    non-real part of gcd(a, b) stays."""
+    a, b = (e * common * other for e in pair)
+    if not (a or b):
+        return
+    g = poly_gcd(a, b, a.conj(), b.conj())
+    assert real_cofactors(a, b) == (a.exact_div(g), b.exact_div(g))
 
 
 def test_quotient_routine_returns_none_on_a_non_divisor():
@@ -197,9 +212,12 @@ def test_certify_and_classify_work_is_counted():
     """One certified involution pair and one conjugate of rot:1/2, both over
     Q(i).  The canonical form divides no entry (the gcd kernel's cofactors
     replace poly_gcd and exact_div), and the column products are pinned:
-    59 for the pair and 67 for the classification.  They were 68 and 76
-    before the conjugator's bottom row was built as the conjugate of its top
-    row, 80 and 88 before certificates were verified on patterns and h = 1 - z^2 was
+    44 for the pair and 51 for the classification.  They were 59 and 67
+    before the conjugator was born as a pattern (its content taken on two
+    entries, no determinant and no reality check formed for it) and the
+    twist units' norms, equal by construction, stopped being compared; 68
+    and 76 before the conjugator's bottom row was built as the conjugate of
+    its top row, 80 and 88 before certificates were verified on patterns and h = 1 - z^2 was
     multiplied by a shift of columns (`times_h`), 87 and 98 before the
     angle, the pattern determinant and the involution form were memoised on
     their objects and the conjugator reused Hilbert-90's c mu_A, and 114
@@ -209,13 +227,63 @@ def test_certify_and_classify_work_is_counted():
     pair = SphereMap.trivial_base(a), SphereMap.trivial_base(c * a * c.inverse())
     answer, counts = _count_work(lambda: decide_conjugacy(*pair))
     assert answer["conjugate"] and answer["verified"]
-    assert counts == {"product": 59, "canonical_exact_div": 0}
+    assert counts == {"product": 44, "canonical_exact_div": 0}
 
     mover = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix()  # det 8 + 2 z^2 > 0
     rotation = SphereMap.trivial_base(mover * builtin_map("rot:1/2").fiber * mover.inverse())
     report, counts = _count_work(lambda: classify_spheremap(rotation))
     assert report.family == 3 and report.moduli["angle"] == [1, 2]
-    assert counts == {"product": 67, "canonical_exact_div": 0}
+    assert counts == {"product": 51, "canonical_exact_div": 0}
+
+
+def test_conjugator_gcd_takes_two_entries_and_verify_reads_its_born_pattern(monkeypatch):
+    """involution_conjugator takes every gcd kernel call on two entries,
+    never on the four of the lift, and verify reads the conjugator's
+    reality off the pattern it was born with: no canonical_pattern call on
+    it.  Pairs with q != 0, and with the diagonal source or target that the
+    mover moves."""
+    from birsphere import sphere as sphere_mod
+    from birsphere.involutions import involution_conjugator
+    from birsphere.sphere import ConjugacyCertificate, canonical_pattern
+
+    kernel_inputs, read = [], []
+    kernel = poly_mod.gaussian_cofactors
+    monkeypatch.setattr(poly_mod, "gaussian_cofactors", lambda *fs: kernel_inputs.append(len(fs)) or kernel(*fs))
+    monkeypatch.setattr(sphere_mod, "canonical_pattern", lambda mat: read.append(mat) or canonical_pattern(mat))
+    a = InvolutionForm(Z + 2, Z.scale(I) + 1 - I).matrix()
+    diagonal = InvolutionForm(Poly.const(1), Poly()).matrix()
+    c = FiberPattern(Z + 2 + I, Poly.const(CoeffScalar(1, 1))).matrix()
+    moved = c * diagonal * c.inverse()
+    for source, target in ((a, c * a * c.inverse()), (diagonal, moved), (moved, diagonal)):
+        canonical_pattern(source), canonical_pattern(target)  # the inputs' patterns, memoised
+        kernel_inputs.clear()
+        conjugator = involution_conjugator(source, target)
+        assert kernel_inputs and set(kernel_inputs) == {2}
+        read.clear()
+        cert = ConjugacyCertificate("conjugation", *(SphereMap.trivial_base(m) for m in (source, target, conjugator)))
+        assert cert.verify() and conjugator not in read
+
+
+def test_rotation_swap_is_the_catalogue_flip():
+    """A rot:1/3 pair whose normal-form targets differ, diag(1, zeta) and
+    diag(1, zeta^2), as given and conjugated, is swapped by the x_flip fiber
+    built once (involutions._flip_fiber): the decision builds no ProjMat.of
+    of it."""
+    from unittest import mock
+
+    from birsphere.involutions import _flip_fiber
+
+    flip = _flip_fiber()
+    built = []
+    of = ProjMat.of
+    mover = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix()
+    first, second = builtin_map("rot:1/3"), builtin_map("rot:2/3")
+    pairs = [(first, second), (first, SphereMap.trivial_base(mover * second.fiber * mover.inverse()))]
+    with mock.patch.object(ProjMat, "of", lambda *entries: built.append(of(*entries)) or built[-1]):
+        for g1, g2 in pairs:
+            answer = decide_conjugacy(g1, g2)
+            assert answer["conjugate"] and answer["verified"]
+    assert built and flip not in built
 
 
 def test_rotation_target_and_twist_class_work_is_counted(monkeypatch):

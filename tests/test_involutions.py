@@ -46,7 +46,7 @@ from birsphere.sphere import (
     z_flip,
 )
 
-from conftest import random_reality_element, ref_square_class, same_up_to_positive_rational
+from conftest import random_reality_element, ref_square_class, same_triple, same_up_to_positive_rational
 from test_exact_core import gaussian_scalars, polys, rational_scalars, ref_in_reality_group, ref_proportional
 
 Z = Poly.z()
@@ -179,7 +179,7 @@ def test_conjugacy_decided_once(monkeypatch, rng):
     """decide_conjugacy decides an involution pair once, by
     basis_equiv_moduli, and a false answer takes that one call too;
     construct_conjugator decides nothing, also for the diagonal source that
-    _OFF_DIAGONAL_MOVER moves off the diagonal first."""
+    the lift of _MOVER moves off the diagonal first."""
     import birsphere.classify as classify
     import birsphere.involutions as inv
 
@@ -188,7 +188,7 @@ def test_conjugacy_decided_once(monkeypatch, rng):
     monkeypatch.setattr(classify, "basis_equiv_moduli", lambda a, b: calls.append(1) or real(a, b))
     a = InvolutionForm(Poly.const(1), Poly()).matrix()  # diagonal: moved off it first
     # the image of the one diagonal involution diag(1, -1) is a constant
-    g = inv._OFF_DIAGONAL_MOVER
+    g = inv._MOVER.matrix()
     assert g * a * g.inverse() == inv._OFF_DIAGONAL and inv.involution_conjugator(a, inv._OFF_DIAGONAL) == g
     for _ in range(5):
         c = random_reality_element(rng, max_degree=1)
@@ -277,9 +277,8 @@ def test_reality_tested_once_per_input(monkeypatch, rng):
     monkeypatch.setattr(sphere, "_constant_multiple", lambda p, q: checked.append(q) or real_multiple(p, q))
 
     def recorded(a, b):  # canonical_pattern builds every pattern it returns here
-        pat = real_pattern(a, b)
-        patterns.append(pat.matrix())
-        return pat
+        patterns.append(ProjMat.of(a, ONE_MINUS_Z2 * b, b.conj(), a.conj()))  # its lift, canonical
+        return real_pattern(a, b)
 
     monkeypatch.setattr(sphere, "FiberPattern", recorded)
 
@@ -343,9 +342,9 @@ def test_conjugator_identity_case():
 
 
 def test_hilbert90_witness_set():
-    """The witness c is the first of 1, i that makes eta = c mu_a +
-    conj(c) mu_b a unit, returned with c mu_a, and xi = eta / mu_a solves xi = w conj(xi) for
-    w = mu_b / mu_a.  Here mu_a = 1, so w = mu_b.  f is a non-square or
+    """_hilbert90 returns eta = c mu_a + conj(c) mu_b for the first witness c
+    of 1, i that makes it a unit, and xi = eta / mu_a solves xi = w conj(xi)
+    for w = mu_b / mu_a.  Here mu_a = 1, so w = mu_b.  f is a non-square or
     -s^2 with s real, as -D of a real involution always is."""
     from birsphere.involutions import _hilbert90, _QuadAlgebra
 
@@ -360,11 +359,12 @@ def test_hilbert90_witness_set():
     mu_a = (one, zero, one)
     for f, mu_b, c in cases:
         algebra = _QuadAlgebra(f)
-        assert algebra.equal(algebra.mul(mu_b, algebra.conj(mu_b)), mu_a)  # norm one
-        witness, c_mu_a, eta = _hilbert90(algebra, mu_a, mu_b)
-        assert witness == c and c_mu_a == algebra.mul(c, mu_a) and algebra.is_unit(eta)
-        assert eta == algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
-        assert algebra.equal(algebra.mul(eta, algebra.conj(mu_a)), algebra.mul(mu_b, algebra.conj(eta)))
+        assert same_triple(algebra.mul(mu_b, algebra.conj(mu_b)), mu_a)  # norm one
+        eta = _hilbert90(algebra, mu_a, mu_b)
+        assert algebra.is_unit(eta)
+        assert eta == algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))  # witness c
+        assert c == (one, zero, one) or not algebra.is_unit(algebra.add(mu_a, mu_b))  # c = i: c = 1 fails
+        assert same_triple(algebra.mul(eta, algebra.conj(mu_a)), algebra.mul(mu_b, algebra.conj(eta)))
 
 
 def test_conjugator_entries_born_reduced():
@@ -382,7 +382,8 @@ def test_conjugator_entries_born_reduced():
     for form, pattern, degrees in pairs:
         a, c = form.matrix(), pattern.matrix()
         b = c * a * c.inverse()
-        gamma = _conjugator_entries(a, b)
+        born = _conjugator_entries(a, b)
+        gamma = (born.a, born.b * ONE_MINUS_Z2, born.b.conj(), born.a.conj())
         assert [e.degree for e in gamma] == degrees
         assert construct_conjugator(a, b).conjugator.fiber == ProjMat.of(*gamma)
 
@@ -403,7 +404,7 @@ def test_conjugator_born_reduced_verifies(p, q, a, b):
     """Every closed-form conjugator of a random conjugate pair passes the
     reference projective and reality checks.  No draw is rejected: q and b
     are nonzero by construction, or q = 0 is its own case (the diagonal
-    source, which _OFF_DIAGONAL_MOVER moves), with p = 0 read as 1 there;
+    source, which the lift of _MOVER moves), with p = 0 read as 1 there;
     D = p^2 + |q|^2 (z^2 - 1) and |a|^2 + |b|^2 (z^2 - 1) are then nonzero,
     the leads of their terms being positive."""
     from birsphere.sphere import FiberPattern
@@ -475,7 +476,7 @@ def _undivided_entries(mat_a, mat_b, hilbert90):
     p, q = form_a.p, form_a.q
     mu_a = (p.scale(I), Poly.const(-1), q)
     mu_b = (form_b.p.scale(I) * u_num, -u_den, form_b.q * u_num)
-    _, _, (x, y, _) = hilbert90(algebra, mu_a, mu_b)
+    x, y, _ = hilbert90(algebra, mu_a, mu_b)
     zero = Poly()
     beta = (zero, form_b.q * ONE_MINUS_Z2, Poly.const(-1), form_b.p.scale(-I))
     tail = raw_mul((x, f * y, y, x), (q.conj(), -p.scale(I), zero, Poly.const(-1)))
@@ -508,17 +509,76 @@ def test_conjugator_entries_divide_the_product():
         hilbert90 = inv._hilbert90
         if witness is not None and any(witness):
             def hilbert90(algebra, mu_a, mu_b, c=(*witness, Poly.const(1))):
-                c_mu_a = algebra.mul(c, mu_a)
-                return c, c_mu_a, algebra.add(c_mu_a, algebra.mul(algebra.conj(c), mu_b))
+                return algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
 
             with_r_part.append(bool(witness[1]))
         expected, factor = _undivided_entries(mat_a, mat_b, hilbert90)
         with mock.patch.object(inv, "_hilbert90", hilbert90):
-            entries = inv._conjugator_entries(mat_a, mat_b)
+            born = inv._conjugator_entries(mat_a, mat_b)
+        entries = (born.a, born.b * ONE_MINUS_Z2, born.b.conj(), born.a.conj())
         assert tuple(e * factor for e in entries) == expected
 
     check()
     assert any(with_r_part)
+
+
+def _four_entry_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
+    """Oracle: involution_conjugator as it was built before it was born as
+    a pattern, ProjMat.of on the four entries of the lift (a gcd of four
+    entries, then the monic scale) and ProjMat products with the mover
+    where a form has q = 0, [[z, h], [1, z]] and its inverse."""
+    import birsphere.involutions as inv
+
+    mover = ProjMat.of(Z, ONE_MINUS_Z2, 1, Z)
+    if mat_a == mat_b:
+        return ProjMat.identity()
+    if not involution_normal_form(mat_a).q:
+        return _four_entry_conjugator(inv._OFF_DIAGONAL, mat_b) * mover
+    if not involution_normal_form(mat_b).q:
+        return mover.inverse() * _four_entry_conjugator(mat_a, inv._OFF_DIAGONAL)
+    born = inv._conjugator_entries(mat_a, mat_b)
+    return ProjMat.of(born.a, born.b * ONE_MINUS_Z2, born.b.conj(), born.a.conj())
+
+
+def _of_degree(coeffs, degree: int) -> Poly:
+    """The polynomial of exactly this degree (0 or 1) on the first
+    coefficients, a zero lead read as 1, so no draw is rejected."""
+    return Poly([*coeffs[:degree], coeffs[degree] or CoeffScalar(1)])
+
+
+# (deg p, deg q, deg a, deg b) of the certify workload: every pattern in {0, 1}^4
+DEGREE_PATTERNS = [tuple(v >> k & 1 for k in (3, 2, 1, 0)) for v in range(16)]
+scalar_pairs = st.tuples(gaussian_scalars, gaussian_scalars)
+
+
+@settings(max_examples=80, deadline=None)
+@given(degrees=st.sampled_from(DEGREE_PATTERNS), p=st.tuples(rational_scalars, rational_scalars), q=scalar_pairs,
+       a=scalar_pairs, b=scalar_pairs, diagonal=st.sampled_from((None, "source", "target")))
+@example(degrees=(0, 0, 1, 0), p=(CoeffScalar(1), CoeffScalar(0)), q=(CoeffScalar(1), CoeffScalar(0)),
+         a=(CoeffScalar(2), CoeffScalar(1)), b=(CoeffScalar(0, 1), CoeffScalar(0)), diagonal="source")
+@example(degrees=(1, 1, 1, 1), p=(CoeffScalar(1), CoeffScalar(2)), q=(CoeffScalar(1, 1), CoeffScalar(0, 1)),
+         a=(CoeffScalar(3), CoeffScalar(0, 1)), b=(CoeffScalar(1), CoeffScalar(1)), diagonal="target")
+def test_conjugator_born_as_pattern_matches_four_entry_path(degrees, p, q, a, b, diagonal):
+    """On a random involution A = [[i p, q h], [~q, -i p]] and its conjugate
+    B by a random reality element [[a, b h], [~b, ~a]], every degree pattern
+    of the certify workload, with q = 0 (diag(1, -1), moved by
+    [[z, h], [1, z]]) as the source or the target: the printed conjugator
+    equals the four-entry oracle's, and the pattern it was born with is the
+    one canonical_pattern reads off it, so proportional_to it."""
+    dp, dq, da, db = degrees
+    form = InvolutionForm(_of_degree(p, dp), Poly() if diagonal else _of_degree(q, dq))
+    mat_a, c = form.matrix(), FiberPattern(_of_degree(a, da), _of_degree(b, db)).matrix()
+    mat_b = c * mat_a * c.inverse()
+    if diagonal == "target":
+        mat_a, mat_b = mat_b, mat_a
+    conjugator = construct_conjugator(mat_a, mat_b).conjugator.fiber
+    oracle = _four_entry_conjugator(mat_a, mat_b)
+    assert conjugator == oracle
+    out = decide_conjugacy(SphereMap.trivial_base(mat_a), SphereMap.trivial_base(mat_b))
+    assert out["verified"] and out["conjugator"] == _matrix_json(oracle)
+    born = conjugator.born_pattern
+    assert born is not None and canonical_pattern(conjugator) == born
+    assert canonical_pattern(conjugator).proportional_to(born)
 
 
 ROTATION_ANGLES = [(k, n) for n in (3, 4, 6, 8, 12, 24) for k in range(1, n) if math.gcd(k, n) == 1]

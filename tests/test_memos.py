@@ -43,7 +43,6 @@ PACKAGE_MEMOS = {
     ("involutions", "_split"): "lru_cache",
     ("involutions", "_flip_fiber"): "cache",
     ("involutions", "_diagonal_involution"): "cache",
-    ("involutions", "_mover_inverse"): "cache",
     ("involutions", "_rotation_target"): "cache",
 }
 MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
