@@ -987,9 +987,9 @@ def test_projmat_constructed_only_in_projmat():
     are correct only because every ProjMat is canonical, so the constructor
     is called directly, as ProjMat(...) or as cls(...) inside the class,
     only by the projmat methods that prove their result canonical:
-    _monic_lead (entries of gcd 1, reached from _canonical and inverse),
-    identity and reflect_z.  Everything else, in the package, the tests and
-    perfbench, goes through ProjMat.of or those methods."""
+    _monic_lead (entries of gcd 1, reached from _canonical, inverse and
+    of_coprime), identity and reflect_z.  Everything else, in the package,
+    the tests and perfbench, goes through ProjMat.of or those methods."""
     import ast
     from pathlib import Path
 
