@@ -571,50 +571,35 @@ def poly_gcd(*ps: Poly) -> Poly:
     return g.monic()
 
 
-def cofactors(*ps: Poly) -> list[Poly]:
-    """p / poly_gcd(*ps) for each p of ps, not all zero.  Inputs over Q(i)
-    take the quotients of the one kernel call that certifies their gcd G
+def cofactors(*ps: Poly, real: bool = False) -> list[Poly]:
+    """p / poly_gcd(*ps) for each p of ps, not all zero; with real, p / G
+    for G = gcd(g, ~g), the greatest real divisor of g = poly_gcd(*ps), as
+    conjugation maps g to the gcd of the ~p.  Inputs over Q(i) take the
+    quotients of the one kernel call that certifies their gcd G
     (`factor.gaussian_cofactors`): an input's columns over its denominator
     are G times the quotient over that denominator, so the quotient times
     lead(G), over the same denominator, is its cofactor by the monic gcd,
-    in one integer pass.  Tower inputs take poly_gcd and exact_div, which a
-    gcd of 1 skips."""
+    in one integer pass.  The kernel leaves G primitive with its lead at
+    re > 0, im >= 0 (`factor._zi_primitive`), so G is real up to a constant
+    exactly when its imaginary column is zero.  Tower inputs, and a
+    non-real G with real, take poly_gcd and exact_div, which a gcd of 1
+    skips."""
     if all(p._cols.keys() <= _GAUSSIAN_KEYS for p in ps):
-        return _kernel_cofactors(ps)[1]
+        (re, im), quotients = gaussian_cofactors(*((p._cols.get(_ONE_KEY, ()), p._cols.get(_I_KEY, ())) for p in ps))
+        if len(re) == 1:
+            return list(ps)
+        if not (real and any(im)):
+            a, b = re[-1], im[-1] if im else 0
+            out = []
+            for p, (qr, qi) in zip(ps, quotients):  # (qr + i qi)(a + i b) over p's denominator
+                qi = qi or [0] * len(qr)
+                cols = {_ONE_KEY: [x * a - y * b for x, y in zip(qr, qi)], _I_KEY: [x * b + y * a for x, y in zip(qr, qi)]}
+                out.append(_poly(cols, p._den))
+            return out
     g = poly_gcd(*ps)
-    return [p.exact_div(g) if p else p for p in ps] if g.degree else list(ps)
-
-
-def _kernel_cofactors(ps) -> tuple[list[int], list[Poly]]:
-    """(im, cofactors) over Q(i) from one kernel call, im the imaginary
-    column of the gcd as `factor._zi_primitive` leaves it (lead at re > 0,
-    im >= 0): the gcd is real up to a constant exactly when im is zero."""
-    (re, im), quotients = gaussian_cofactors(*((p._cols.get(_ONE_KEY, ()), p._cols.get(_I_KEY, ())) for p in ps))
-    if len(re) == 1:
-        return im, list(ps)
-    a, b = re[-1], im[-1] if im else 0
-    out = []
-    for p, (qr, qi) in zip(ps, quotients):  # (qr + i qi)(a + i b) over p's denominator
-        qi = qi or [0] * len(qr)
-        cols = {_ONE_KEY: [x * a - y * b for x, y in zip(qr, qi)], _I_KEY: [x * b + y * a for x, y in zip(qr, qi)]}
-        out.append(_poly(cols, p._den))
-    return im, out
-
-
-def real_cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """a / G and b / G for G = gcd(a, b, ~a, ~b) = gcd(g, ~g), g = gcd(a, b):
-    the greatest real divisor of g, as conjugation maps g to gcd(~a, ~b).
-    Over Q(i) one two-entry kernel call gives the cofactors by g, which are
-    the answer when g is real (`_kernel_cofactors`).  Otherwise, and over
-    the tower, G = gcd(g, ~g) is divided out exactly."""
-    if (a._cols.keys() | b._cols.keys()) <= _GAUSSIAN_KEYS:
-        im, out = _kernel_cofactors((a, b))
-        if not any(im):
-            return out[0], out[1]
-    g = poly_gcd(a, b)
-    if g.degree > 0 and g != g.conj():
+    if real and g.degree > 0 and g != g.conj():
         g = poly_gcd(g, g.conj())
-    return (a.exact_div(g), b.exact_div(g)) if g.degree > 0 else (a, b)
+    return [p.exact_div(g) if p else p for p in ps] if g.degree else list(ps)
 
 
 def require_real(p: Poly) -> None:

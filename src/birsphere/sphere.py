@@ -40,7 +40,7 @@ from .errors import (
     NotRealityMember,
     UnsupportedExtension,
 )
-from .poly import ONE_MINUS_Z2, Poly, dot, over_h, real_cofactors, real_roots_in_tower_poly, sturm_count, times_h
+from .poly import ONE_MINUS_Z2, Poly, cofactors, dot, over_h, real_roots_in_tower_poly, sturm_count, times_h
 from .projmat import INF, TWO_COS, ProjMat, angle_of_entries, angle_of_trace, proportional, raw_mul
 from .scalars import CoeffScalar, TowerReal, scalar
 
@@ -77,7 +77,7 @@ class FiberPattern:
         """The canonical form of the lift L, for a pattern whose D != 0 the
         caller proves, born with the pattern canonical_pattern reads off it,
         by canonical_pattern's own closed form less its closing check, which
-        L's reality makes redundant: one two-entry gcd (`real_cofactors`),
+        L's reality makes redundant: one two-entry gcd (`cofactors`, real),
         no four-entry gcd, no determinant, and no reality check downstream
         (SphereMap.pattern).
 
@@ -87,7 +87,7 @@ class FiberPattern:
         is real, so pi^e | ~b gives pi^e | b.  So L / G is the lift of
         (a, b) / G, G real, with entries of gcd 1, and the canonical matrix is
         a constant times it, which is real."""
-        a, b = real_cofactors(self.a, self.b)
+        a, b = cofactors(self.a, self.b, real=True)
         return ProjMat.of_coprime((a, times_h(b), b.conj(), a.conj()), _summed_pattern)
 
     def __mul__(self, other: FiberPattern) -> FiberPattern:

@@ -13,7 +13,7 @@ from birsphere import factor
 from birsphere import poly as poly_mod
 from birsphere.classify import classify_spheremap, decide_conjugacy
 from birsphere.involutions import InvolutionForm
-from birsphere.poly import ONE_MINUS_Z2, Poly, RealAlgebraic, cofactors, dot, poly_gcd, real_cofactors
+from birsphere.poly import ONE_MINUS_Z2, Poly, RealAlgebraic, cofactors, dot, poly_gcd
 from birsphere.projmat import ProjMat
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import FiberPattern, SphereMap, builtin_map
@@ -92,14 +92,14 @@ def test_canonical_form_matches_gcd_then_division(entries, common):
 @example((Z, Poly.const(1)), Z - I, Z * Z + 1)  # a non-real and a real common factor
 @example((Poly(), Z.scale(I) + 1), Z.scale(I) + 3, Poly.const(1))  # one nonzero entry, non-real
 def test_real_cofactors_divide_by_the_lift_content(pair, common, other):
-    """real_cofactors(a, b), from a gcd of two entries, divides a and b by
-    gcd(a, b, ~a, ~b), the reference gcd of the lift's four entries: the
-    non-real part of gcd(a, b) stays."""
+    """cofactors(a, b, real=True), from a gcd of two entries, divides a and
+    b by gcd(a, b, ~a, ~b), the reference gcd of the lift's four entries:
+    the non-real part of gcd(a, b) stays."""
     a, b = (e * common * other for e in pair)
     if not (a or b):
         return
     g = poly_gcd(a, b, a.conj(), b.conj())
-    assert real_cofactors(a, b) == (a.exact_div(g), b.exact_div(g))
+    assert cofactors(a, b, real=True) == [a.exact_div(g), b.exact_div(g)]
 
 
 def test_quotient_routine_returns_none_on_a_non_divisor():
