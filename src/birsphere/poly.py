@@ -572,8 +572,8 @@ def poly_gcd(*ps: Poly) -> Poly:
 
 
 def cofactors(*ps: Poly, real: bool = False) -> list[Poly]:
-    """p / poly_gcd(*ps) for each p of ps, not all zero; with real, p / G
-    for G = gcd(g, ~g), the greatest real divisor of g = poly_gcd(*ps), as
+    """p / poly_gcd(*ps) for each p of ps, not all zero; with real,
+    p / gcd(g, ~g), the greatest real divisor of g = poly_gcd(*ps), as
     conjugation maps g to the gcd of the ~p.  Inputs over Q(i) take the
     quotients of the one kernel call that certifies their gcd G
     (`factor.gaussian_cofactors`): an input's columns over its denominator
