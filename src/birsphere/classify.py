@@ -378,9 +378,11 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
         if angles[0] != angles[1]:
             return {"conjugate": False, "angles": angles}
         ra, rb = rotation_normal_form(r1.fiber), rotation_normal_form(r2.fiber)
-        # both targets are diag(1, zeta^{+-1}); x_flip swaps the two
-        swap = _flip_fiber() if ra.target != rb.target else ProjMat.identity()
-        conjugator = SphereMap.trivial_base(rb.conjugator.fiber.inverse() * swap * ra.conjugator.fiber)
+        # J_B^-1 swap J_A as one pattern product (D != 0: invertible factors); x_flip swaps the targets
+        pa, pb = (r.conjugator.fiber.real_pattern for r in (ra, rb))
+        if ra.target != rb.target:
+            pa = _flip_fiber().real_pattern * pa
+        conjugator = SphereMap.trivial_base((pb.inverse() * pa).lift_matrix())
     ConjugacyCertificate("conjugation", g1, g2, conjugator).verified()
     shown = _matrix_json(conjugator.fiber) if conjugator.base.kind == "id" else spheremap_to_json(conjugator)
     return {"conjugate": True, "conjugator": shown, "verified": True}

@@ -14,14 +14,14 @@ read off the two models' scales, and glued by a Hilbert-90 element
 c + w conj(c) of the algebra C(z)[r]/(r^2 - f), w the quotient of the two
 twist units.  The witness c is 1 or i, and a proof says one of them works.
 The conjugator is born divided by q_B u_num, the factor all its entries
-share, as the lift of a pattern, and is canonicalised on the pattern's two
-entries.
+share, as the lift of a pattern, canonicalised on the pattern's two entries.
+An input's pattern memoises its involution form and fixed-curve model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 from .errors import (
     HasRealRoot,
@@ -37,7 +37,6 @@ from .poly import (
     cofactors,
     dot,
     real_roots_in_tower_poly,
-    squarefree_decomposition,
     sturm_count,
     times_h,
 )
@@ -46,6 +45,7 @@ from .scalars import CoeffScalar, TowerReal
 from .sphere import (
     ConjugacyCertificate,
     FiberPattern,
+    HyperellipticModel,
     InvolutionForm,
     SphereMap,
     canonical_pattern,
@@ -66,49 +66,11 @@ def involution_normal_form(mat: ProjMat) -> InvolutionForm:
     return form
 
 
-@dataclass(frozen=True)
-class HyperellipticModel:
-    """Canonical fixed-curve datum: w^2 = -m(z) with m square-free and
-    monic.  The monic scale polynomial and the content -lead(-D) > 0, a
-    TowerReal, record the exact relation -D = -content * m * scale^2 to the
-    raw form determinant, for the fiberwise oracle and the conjugator's
-    square roots.  No sign is kept: -D = -p^2 - |q|^2 (z^2 - 1) has a
-    negative lead (_hilbert90)."""
-
-    m: Poly
-    scale: Poly
-    content: TowerReal = TowerReal.from_rational(1)
-
-    @property
-    def degree(self) -> int:
-        return self.m.degree
-
-    def genus(self) -> int:
-        d = self.degree
-        return 0 if d <= 2 else (d + 1) // 2 - 1
-
-
 def fixed_curve(mat: ProjMat) -> HyperellipticModel:
-    """The double cover w^2 = -D traced by the fiberwise fixed points,
-    reduced to its square-free model; D = p^2 - q conj(q) h is memoised on
-    the pattern, and keys the split."""
+    """The double cover w^2 = -D traced by the fiberwise fixed points, reduced
+    to its square-free model: FiberPattern.fixed_model, D = p^2 - q conj(q) h."""
     involution_normal_form(mat)  # NotInvolution unless mat has order 2
-    return _split(canonical_pattern(mat).determinant())
-
-
-@lru_cache(maxsize=512)
-def _split(d: Poly) -> HyperellipticModel:
-    """The model of w^2 = -D from one square-free decomposition
-    D = lead * prod f_k^k, f_k monic: m is the product of the f_k of odd k,
-    scale that of the f_k^(k // 2), and lead = content > 0
-    (HyperellipticModel).  Memoised, so the decision, the conjugator and the
-    report share one split."""
-    m = scale = Poly.const(1)
-    for factor, k in squarefree_decomposition(d):
-        if k % 2:
-            m = m * factor
-        scale = scale * factor ** (k // 2)
-    return HyperellipticModel(m, scale, d.lead().as_real())
+    return canonical_pattern(mat).fixed_model
 
 
 def _orientation(mat: ProjMat) -> int:
@@ -156,9 +118,8 @@ class _QuadAlgebra(_TripleAlgebra):
 
 
 # The lift [[z, h], [1, z]] of the pattern (z, 1) moves diag(1, -1) to
-# [[1, -2 z h], [2 z, -1]]; its adjugate, the lift of (z, -1), moves it back
-# (the adjugate of the lift of (a, b) is the lift of (~a, -b)).
-_MOVER, _MOVER_BACK = FiberPattern(Poly.z(), Poly.const(1)), FiberPattern(Poly.z(), Poly.const(-1))
+# [[1, -2 z h], [2 z, -1]], and the lift of its inverse (z, -1) moves it back.
+_MOVER = FiberPattern(Poly.z(), Poly.const(1))
 _OFF_DIAGONAL = ProjMat.of(Poly.const(1), (Poly.z() * ONE_MINUS_Z2).scale(-2), Poly.z().scale(2), Poly.const(-1))
 _IDENTITY = FiberPattern(Poly.const(1), Poly())
 
@@ -219,7 +180,7 @@ def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
 
 
 def _conjugator_pattern(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
-    """A pattern of involution_conjugator's C, times _MOVER or _MOVER_BACK
+    """A pattern of involution_conjugator's C, times _MOVER or its inverse
     where A or B has q = 0.  Its D is nonzero, as lift_matrix requires: the
     movers are invertible, and for q, q_B != 0 the undivided product has
     determinant -q_B h u_den u_num ~q (x^2 - f y^2), eta = (x + y r)/d,
@@ -229,7 +190,7 @@ def _conjugator_pattern(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
     if not involution_normal_form(mat_a).q:
         return _conjugator_pattern(_OFF_DIAGONAL, mat_b) * _MOVER
     if not involution_normal_form(mat_b).q:
-        return _MOVER_BACK * _conjugator_pattern(mat_a, _OFF_DIAGONAL)
+        return _MOVER.inverse() * _conjugator_pattern(mat_a, _OFF_DIAGONAL)
     return _conjugator_entries(mat_a, mat_b)
 
 
@@ -276,16 +237,15 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
     q_B u_num h q ~y = q_B u_num ~a, as f + p^2 = q ~q h.  Dividing by
     q_B u_num, the matrix is the same projectively, so lift_matrix takes
     the content of what is left, and the bottom row is two conjugations."""
-    form_a, form_b = involution_normal_form(mat_a), involution_normal_form(mat_b)
     model_a, model_b = fixed_curve(mat_a), fixed_curve(mat_b)
-    algebra = _QuadAlgebra(-canonical_pattern(mat_a).determinant())
+    pat_a, pat_b = canonical_pattern(mat_a), canonical_pattern(mat_b)
+    algebra = _QuadAlgebra(-pat_a.determinant())
     u_num, u_den = cofactors(model_a.scale, model_b.scale)
     u_num = u_num.scale(CoeffScalar(model_a.content * model_b.content).sqrt())
     u_den = u_den.scale(CoeffScalar(-model_b.content))
-    i = CoeffScalar.i()
-    p, q = form_a.p.scale(i), form_a.q  # p is i p_A from here on
+    p, q = pat_a.a, pat_a.b  # the pattern of A is (i p_A, q_A): p is i p_A from here on
     mu_a = (p, Poly.const(-1), q)
-    mu_b = (form_b.p.scale(i) * u_num, -u_den, form_b.q * u_num)
+    mu_b = (pat_b.a * u_num, -u_den, pat_b.b * u_num)
     x, y, _ = _hilbert90(algebra, mu_a, mu_b)
     return FiberPattern(times_h(q.conj() * y), -(p * y + x))
 

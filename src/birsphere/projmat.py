@@ -16,9 +16,9 @@ finite-order detection: a non-scalar matrix has finite order n
 exactly when kappa = trace^2/det is a constant 2 + zeta + 1/zeta for a
 primitive n-th root of unity zeta, so the order is one lookup of kappa in
 the table of the cosines the tower contains.
-A ProjMat is immutable, so its hash and its rotation angle (hence its
-order) are memoised on it: each is computed once per matrix.  A matrix
-built from a real pattern (`of_coprime`) carries that pattern from birth.
+A ProjMat is immutable, so its rotation angle (hence its order) and its
+real pattern are memoised on it, once per matrix; a matrix built from a
+pattern (`of_coprime`) has the pattern memo filled at birth.
 """
 
 from __future__ import annotations
@@ -141,11 +141,6 @@ class ProjMat:
     a21: Poly
     a22: Poly
 
-    # The real pattern (sphere.FiberPattern) a matrix is born with, set by
-    # of_coprime on that matrix alone: every other reads this class default,
-    # so it costs them no memory.  Not a field: equality ignores it.
-    born_pattern = None
-
     @classmethod
     def of(cls, a11, a12, a21, a22) -> ProjMat:
         """The canonical form of four polynomial or scalar entries."""
@@ -173,7 +168,7 @@ class ProjMat:
         read_pattern reads off it (sphere.FiberPattern.lift_matrix): the
         first nonzero entry made monic, with no gcd and no determinant."""
         mat = cls._monic_lead(polys)
-        object.__setattr__(mat, "born_pattern", read_pattern(mat))
+        object.__setattr__(mat, "real_pattern", read_pattern(mat))
         return mat
 
     @classmethod
@@ -194,16 +189,6 @@ class ProjMat:
 
     def entries(self) -> tuple[Poly, Poly, Poly, Poly]:
         return (self.a11, self.a12, self.a21, self.a22)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.entries())
-
-    def __hash__(self):
-        """The dataclass hash of the entries, computed once per matrix: a
-        ProjMat is immutable, and lru_cache hashes the same one on every
-        lookup."""
-        return self._hash
 
     def det(self) -> Poly:
         return dot(((1, self.a11, self.a22), (-1, self.a12, self.a21)))
@@ -241,6 +226,14 @@ class ProjMat:
     @cached_property
     def _angle(self) -> tuple[int, int] | None:
         return angle_of_entries(self.entries())
+
+    @cached_property
+    def real_pattern(self):
+        """The pattern (a, b) of a real matrix, None for a non-real one: the
+        checked closed form of sphere.canonical_pattern, or set at birth."""
+        from .sphere import _summed_pattern
+
+        return _summed_pattern(self, checked=True)
 
     def rotation_angle(self) -> tuple[int, int] | None:
         """angle_of_entries of the canonical entries, computed once per

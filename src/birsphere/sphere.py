@@ -14,9 +14,9 @@ membership and orientation from a(+-1) and the real-root count of the
 stripped determinant D', whose real roots all lie in (-1, 1) and are the
 contracted fibers, maps with nontrivial action on the base interval, exact
 images of sphere points, and the builtin catalogue of named maps.
-canonical_pattern is memoised per matrix, and a pattern memoises what is
-read off it: its determinant D, D' with its real-root count, and the
-involution form of an element of order 2.
+A matrix memoises its pattern (ProjMat.real_pattern), and a pattern what
+is read off it: D, D' with its real-root count, the involution form and
+the fixed-curve model of an element of order 2.  No memo outlives its object.
 The group's arithmetic runs on patterns, two entries each: a product is two
 fused sums, the reflection z -> -z acts entrywise (h is even), and two
 patterns give one map when a b' = a' b and a ~a' is real (b ~b' when
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import (
     BasePointHit,
@@ -40,7 +40,17 @@ from .errors import (
     NotRealityMember,
     UnsupportedExtension,
 )
-from .poly import ONE_MINUS_Z2, Poly, cofactors, dot, over_h, real_roots_in_tower_poly, sturm_count, times_h
+from .poly import (
+    ONE_MINUS_Z2,
+    Poly,
+    cofactors,
+    dot,
+    over_h,
+    real_roots_in_tower_poly,
+    squarefree_decomposition,
+    sturm_count,
+    times_h,
+)
 from .projmat import INF, TWO_COS, ProjMat, angle_of_entries, angle_of_trace, proportional, raw_mul
 from .scalars import CoeffScalar, TowerReal, scalar
 
@@ -75,8 +85,8 @@ class FiberPattern:
 
     def lift_matrix(self) -> ProjMat:
         """The canonical form of the lift L, for a pattern whose D != 0 the
-        caller proves, born with the pattern canonical_pattern reads off it,
-        by canonical_pattern's own closed form less its closing check, which
+        caller proves, born with its real_pattern memo filled by
+        canonical_pattern's own closed form less its closing check, which
         L's reality makes redundant: one two-entry gcd (`cofactors`, real),
         no four-entry gcd, no determinant, and no reality check downstream
         (SphereMap.pattern).
@@ -102,6 +112,10 @@ class FiberPattern:
         return FiberPattern(
             dot(((1, a1, a2), (1, times_h(b1), b2.conj()))), dot(((1, a1, b2), (1, b1, a2.conj())))
         )
+
+    def inverse(self) -> FiberPattern:
+        """(~a, -b), the pattern of the lift's adjugate [[~a, -b h], [-~b, a]]."""
+        return FiberPattern(self.a.conj(), -self.b)
 
     def reflect_z(self) -> FiberPattern:
         """The pattern of the lift at -z: h is even, so it is (a(-z), b(-z))."""
@@ -168,7 +182,7 @@ class FiberPattern:
         gcd(b h, a), which is the product of the z - e with a(e) = 0, so its
         determinant is -h D / r^2: positive on R iff r^2 = h^2 and -D / h = D'
         has no real root (with one e it changes sign at the other, with none
-        it vanishes at +-1).  Memoised with the pattern canonical_pattern caches."""
+        it vanishes at +-1).  Memoised on the pattern."""
         north, south = not self.a(1), not self.a(-1)
         det = _primitive_real(self.determinant())
         for e, zero in ((1, north), (-1, south)):
@@ -184,6 +198,12 @@ class FiberPattern:
         times a rational polynomial, `_primitive_real`): the orientation reads
         it, and the contracted fibers are isolated only when it is positive."""
         return sturm_count(self.stripped_determinant[2])
+
+    @cached_property
+    def fixed_model(self) -> HyperellipticModel:
+        """The model of an involution's fixed curve w^2 = -D, once per pattern:
+        the decision, the conjugator and the report share it."""
+        return HyperellipticModel.of_determinant(self.determinant())
 
 
 @dataclass(frozen=True)
@@ -204,6 +224,40 @@ class InvolutionForm:
         return dot(((1, self.p, self.p), (-1, times_h(self.q), self.q.conj())))
 
 
+@dataclass(frozen=True)
+class HyperellipticModel:
+    """Canonical fixed-curve datum: w^2 = -m(z) with m square-free and
+    monic.  The monic scale polynomial and the content -lead(-D) > 0, a
+    TowerReal, record the exact relation -D = -content * m * scale^2 to the
+    raw form determinant, for the fiberwise oracle and the conjugator's
+    square roots.  No sign is kept: -D = -p^2 - |q|^2 (z^2 - 1) has a
+    negative lead (involutions._hilbert90)."""
+
+    m: Poly
+    scale: Poly
+    content: TowerReal = TowerReal.from_rational(1)
+
+    @classmethod
+    def of_determinant(cls, d: Poly) -> HyperellipticModel:
+        """The model of w^2 = -D from one square-free decomposition
+        D = lead * prod f_k^k, f_k monic: m is the product of the f_k of odd
+        k, scale that of the f_k^(k // 2), and lead = content > 0."""
+        m = scale = Poly.const(1)
+        for factor, k in squarefree_decomposition(d):
+            if k % 2:
+                m = m * factor
+            scale = scale * factor ** (k // 2)
+        return cls(m, scale, d.lead().as_real())
+
+    @property
+    def degree(self) -> int:
+        return self.m.degree
+
+    def genus(self) -> int:
+        d = self.degree
+        return 0 if d <= 2 else (d + 1) // 2 - 1
+
+
 def _constant_multiple(lift: tuple[Poly, ...], entries: tuple[Poly, ...]) -> bool:
     """Whether lift = kappa entries for a constant kappa, given that the
     first nonzero entry is monic: kappa is then the lead of lift there."""
@@ -214,7 +268,6 @@ def _constant_multiple(lift: tuple[Poly, ...], entries: tuple[Poly, ...]) -> boo
     return all(x == e.scale(kappa) for x, e in zip(lift, entries))
 
 
-@lru_cache(maxsize=512)
 def canonical_pattern(mat: ProjMat) -> FiberPattern:
     """Rewrite a reality-group element in the shape [[a, b*h], [~b, ~a]].
 
@@ -250,11 +303,11 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
     h ~m21 = (kappa - 1) m12 makes h | m12 | B, the lift is S, and
     tau ~M tau^-1 = S - M = (kappa - 1) M.  So the closing check
     (`_summed_pattern`, checked) refuses exactly the non-real matrices, and
-    SphereMap.reality_check reads a b = 0 map's reality off it.  A matrix
-    born from a pattern is real, and reads the same closed form unchecked
-    (FiberPattern.lift_matrix).
+    SphereMap.reality_check reads a b = 0 map's reality off it.  The
+    matrix memoises it (ProjMat.real_pattern), or at birth, unchecked, when
+    born from a pattern, hence real (FiberPattern.lift_matrix).
     """
-    pattern = _summed_pattern(mat, checked=True)
+    pattern = mat.real_pattern
     if pattern is None:
         raise NotRealityMember(f"{mat} does not satisfy the reality condition")
     return pattern
@@ -465,18 +518,9 @@ class SphereMap:
         return SphereMap(minv.substitute_matrix(self.fiber.inverse()), minv)
 
     def pattern(self) -> FiberPattern | None:
-        """The fiber's pattern when the base keeps h = 1 - z^2 (b = 0) and the
-        fiber is real, the one it was born with (FiberPattern.lift_matrix) or
-        the memoised canonical_pattern; None for a moving base or a non-real
-        fiber."""
-        if self.base.b:
-            return None
-        if self.fiber.born_pattern is not None:
-            return self.fiber.born_pattern
-        try:
-            return canonical_pattern(self.fiber)
-        except NotRealityMember:
-            return None
+        """The fiber's memoised pattern (ProjMat.real_pattern) when the base
+        keeps h = 1 - z^2 (b = 0); None for a moving base or a non-real fiber."""
+        return None if self.base.b else self.fiber.real_pattern
 
     def order(self) -> int | None:
         """A flipped base action is an involution, so the square has trivial
@@ -503,9 +547,9 @@ class SphereMap:
         This is the package's one reality test.  For b = 0, m(z) = +-z keeps
         h = 1 - z^2, so tau(m(z)) = tau(z) and the condition is the fiber's
         own: it holds exactly when the fiber has a pattern (SphereMap.pattern),
-        one it was born with or the memoised canonical_pattern, whose closing
-        check refuses exactly the non-real matrices; the diffeomorphism check
-        and the certificate that follow read the same pattern."""
+        the memo canonical_pattern reads, whose closing check refuses exactly
+        the non-real matrices; the diffeomorphism check and the certificate
+        that follow read the same pattern."""
         if not self.base.b:
             return self.pattern() is not None
         num, den = self.base.num_den_polys()
@@ -588,9 +632,9 @@ class ConjugacyCertificate:
         """C is real and C S = T C: exactly on the base, projectively on the
         fiber.  When no base moves (b = 0), the fibers are compared as
         patterns: C S is P_C(sigma_S) P_S and T C is P_T(sigma_C) P_C, with
-        P(sigma) the pattern reflected z -> -z for a base flip; C's pattern
-        is its reality check, the one C was born with if it was built from
-        a pattern (FiberPattern.lift_matrix), and S's and T's are memoised
+        P(sigma) the pattern reflected z -> -z for a base flip; each pattern
+        is its matrix's memo, filled at birth for a C built from a pattern
+        (FiberPattern.lift_matrix), and C's is its reality check
         (FiberPattern.__mul__, proportional_to).  A map without a pattern (a
         moving base, or a non-real source or target) keeps the two
         unreduced 4-entry products."""

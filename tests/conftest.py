@@ -45,6 +45,14 @@ def random_reality_element(rng, max_degree=2) -> ProjMat:
         return mat
 
 
+def checked_pattern(mat: ProjMat) -> FiberPattern | None:
+    """The oracle of a memoised pattern (ProjMat.real_pattern): sphere's
+    checked closed form on a fresh equal matrix, None for a non-real one."""
+    from birsphere.sphere import _summed_pattern
+
+    return _summed_pattern(ProjMat.of(*mat.entries()), checked=True)
+
+
 def same_triple(u, v) -> bool:
     """(x1 + y1 r)/d1 = (x2 + y2 r)/d2 in the package's triple algebras
     (_QuadAlgebra, TwistedAlgebra), cross-multiplied."""

@@ -633,9 +633,9 @@ def test_catalogue_classify_tests_positivity_once(monkeypatch):
     test: one Sturm count of the stripped determinant for every map whose
     trivial-base part is a diffeomorphism, of either orientation, and none
     for an interval shift, whose infinite order ends the routing.  The count
-    is memoised on the pattern, so each command starts from an empty
-    pattern cache: a matrix met in an earlier command (rot:1/2 and rot:2/4 are
-    one) would read 0."""
+    is memoised on the pattern, which is memoised on its matrix, so each
+    command reads a fresh copy of its fiber: a matrix met before (the
+    catalogue's reality twist is one object) would read 0."""
     import birsphere.sphere as sphere
 
     calls = []
@@ -648,7 +648,7 @@ def test_catalogue_classify_tests_positivity_once(monkeypatch):
         if verb != "classify" or not args[0].startswith("builtin:"):
             continue
         g = parse_element(args[0])
-        sphere.canonical_pattern.cache_clear()
+        g = SphereMap(ProjMat.of(*g.fiber.entries()), g.base)
         calls.clear()
         classify_spheremap(g)
         counts[command] = (len(calls), 0 if g.base.kind == "shift" else 1)
@@ -668,7 +668,6 @@ def test_flip_classify_work(monkeypatch, name, family, shape):
     canonical form: z -> -z substitutes by reflection, the order reads
     kappa off the unreduced square A(-z) A, and the diffeomorphism test
     reads the flip's own fiber."""
-    import birsphere.involutions as inv
     import birsphere.sphere as sphere
     from birsphere.poly import Poly
     from birsphere.scalars import CoeffScalar
@@ -682,8 +681,6 @@ def test_flip_classify_work(monkeypatch, name, family, shape):
     real_sub, real_canonical = sphere.cleared_substitution, ProjMat._canonical
     monkeypatch.setattr(sphere, "cleared_substitution", lambda *args: substitutions.append(1) or real_sub(*args))
     monkeypatch.setattr(ProjMat, "_canonical", classmethod(lambda cls, polys: canonical.append(1) or real_canonical(polys)))
-    for memo in (sphere.canonical_pattern, inv._split):
-        memo.cache_clear()
     assert classify_spheremap(g).family == family
     assert (len(substitutions), len(canonical)) == (0, 0)
 

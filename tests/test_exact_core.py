@@ -698,7 +698,6 @@ def test_canonical_pattern_lemma(a, b, c, d, k):
             perturbed.append(ProjMat.of(*entries))
         except ValueError:
             continue
-    canonical_pattern.cache_clear()
     work = mock.Mock(side_effect=AssertionError("canonical_pattern took a gcd or a proportional"))
     with mock.patch.object(poly_mod, "poly_gcd", work), mock.patch.object(projmat_mod, "cofactors", work), \
             mock.patch.object(sphere_mod, "proportional", work):
@@ -786,7 +785,6 @@ def test_membership_builds_one_determinant(monkeypatch):
         (z * z - Poly.const(1), Poly.const(3), True, 0),  # D = (z^2 - 1)(z^2 + 8)
         (z * z - Poly.const(1), Poly.const(Fraction(1, 2)), False, 2),  # D = (z^2 - 1)(z^2 - 3/4)
     ):
-        canonical_pattern.cache_clear()
         mat = FiberPattern(a, b).matrix()
         dets.clear()
         factored.clear()

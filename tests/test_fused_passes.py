@@ -18,7 +18,7 @@ from birsphere.projmat import ProjMat
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import FiberPattern, SphereMap, builtin_map
 from test_exact_core import coeff_scalars, gaussian_scalars, polys, ref_poly_mul, trim
-from test_memos import clear_lru_caches
+from test_memos import clear_caches
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -183,8 +183,8 @@ def test_equal_constants_of_every_kind_are_one_dict_key():
 
 def _count_work(run):
     """run() with `poly._product` calls counted, and Poly.exact_div calls
-    made inside ProjMat._canonical; the package's lru_caches start empty."""
-    clear_lru_caches()
+    made inside ProjMat._canonical; the package's caches start empty."""
+    clear_caches()
     counts = {"product": 0, "canonical_exact_div": 0}
     product, exact_div = poly_mod._product, Poly.exact_div
     canonical_code = ProjMat._canonical.__func__.__code__
@@ -212,8 +212,9 @@ def test_certify_and_classify_work_is_counted():
     """One certified involution pair and one conjugate of rot:1/2, both over
     Q(i).  The canonical form divides no entry (the gcd kernel's cofactors
     replace poly_gcd and exact_div), and the column products are pinned:
-    44 for the pair and 51 for the classification.  They were 59 and 67
-    before the conjugator was born as a pattern (its content taken on two
+    42 for the pair and 49 for the classification.  They were 44 and 51
+    before the involution conjugator read i p_A and i p_B off the memoised
+    patterns in place of scaling the forms back by i; 59 and 67 before the conjugator was born as a pattern (its content taken on two
     entries, no determinant and no reality check formed for it) and the
     twist units' norms, equal by construction, stopped being compared; 68
     and 76 before the conjugator's bottom row was built as the conjugate of
@@ -227,29 +228,35 @@ def test_certify_and_classify_work_is_counted():
     pair = SphereMap.trivial_base(a), SphereMap.trivial_base(c * a * c.inverse())
     answer, counts = _count_work(lambda: decide_conjugacy(*pair))
     assert answer["conjugate"] and answer["verified"]
-    assert counts == {"product": 44, "canonical_exact_div": 0}
+    assert counts == {"product": 42, "canonical_exact_div": 0}
 
     mover = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix()  # det 8 + 2 z^2 > 0
     rotation = SphereMap.trivial_base(mover * builtin_map("rot:1/2").fiber * mover.inverse())
     report, counts = _count_work(lambda: classify_spheremap(rotation))
     assert report.family == 3 and report.moduli["angle"] == [1, 2]
-    assert counts == {"product": 51, "canonical_exact_div": 0}
+    assert counts == {"product": 49, "canonical_exact_div": 0}
 
 
 def test_conjugator_gcd_takes_two_entries_and_verify_reads_its_born_pattern(monkeypatch):
     """involution_conjugator takes every gcd kernel call on two entries,
     never on the four of the lift, and verify reads the conjugator's
-    reality off the pattern it was born with: no canonical_pattern call on
-    it.  Pairs with q != 0, and with the diagonal source or target that the
-    mover moves."""
+    reality off the pattern it was born with: the checked closed form never
+    reads it.  Pairs with q != 0, and with the diagonal source or target
+    that the mover moves."""
     from birsphere import sphere as sphere_mod
     from birsphere.involutions import involution_conjugator
     from birsphere.sphere import ConjugacyCertificate, canonical_pattern
 
     kernel_inputs, read = [], []
-    kernel = poly_mod.gaussian_cofactors
+    kernel, summed = poly_mod.gaussian_cofactors, sphere_mod._summed_pattern
     monkeypatch.setattr(poly_mod, "gaussian_cofactors", lambda *fs: kernel_inputs.append(len(fs)) or kernel(*fs))
-    monkeypatch.setattr(sphere_mod, "canonical_pattern", lambda mat: read.append(mat) or canonical_pattern(mat))
+
+    def recorded(mat, checked=False):
+        if checked:
+            read.append(mat)
+        return summed(mat, checked)
+
+    monkeypatch.setattr(sphere_mod, "_summed_pattern", recorded)
     a = InvolutionForm(Z + 2, Z.scale(I) + 1 - I).matrix()
     diagonal = InvolutionForm(Poly.const(1), Poly()).matrix()
     c = FiberPattern(Z + 2 + I, Poly.const(CoeffScalar(1, 1))).matrix()
@@ -258,10 +265,9 @@ def test_conjugator_gcd_takes_two_entries_and_verify_reads_its_born_pattern(monk
         canonical_pattern(source), canonical_pattern(target)  # the inputs' patterns, memoised
         kernel_inputs.clear()
         conjugator = involution_conjugator(source, target)
-        assert kernel_inputs and set(kernel_inputs) == {2}
-        read.clear()
+        assert kernel_inputs and set(kernel_inputs) == {2} and "real_pattern" in vars(conjugator)
         cert = ConjugacyCertificate("conjugation", *(SphereMap.trivial_base(m) for m in (source, target, conjugator)))
-        assert cert.verify() and conjugator not in read
+        assert cert.verify() and not any(mat is conjugator for mat in read)
 
 
 def test_rotation_swap_is_the_catalogue_flip():
@@ -284,6 +290,39 @@ def test_rotation_swap_is_the_catalogue_flip():
             answer = decide_conjugacy(g1, g2)
             assert answer["conjugate"] and answer["verified"]
     assert built and flip not in built
+
+
+def test_rotation_conjugator_is_one_pattern_product():
+    """conj of two rotations of one angle lifts the one pattern product
+    J_B^-1 swap J_A on two entries: no four-entry canonical form
+    (ProjMat._canonical), and the printed conjugator is the ProjMat product
+    of the two normal-form conjugators and the swap.  Conjugated pairs of
+    rot:1/3, 1/4, 1/8 and 1/12 share a target; a given rotation and a
+    conjugate of it or of its inverse have different targets."""
+    from unittest import mock
+
+    from birsphere.classify import _matrix_json
+    from birsphere.involutions import _flip_fiber, rotation_normal_form
+
+    movers = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix(), FiberPattern(Z + 2 + I, Poly.const(1 + I)).matrix()
+
+    def conjugate(c, name):
+        return SphereMap.trivial_base(c * builtin_map(name).fiber * c.inverse())
+
+    pairs = [(conjugate(movers[0], f"rot:1/{n}"), conjugate(movers[1], f"rot:1/{n}")) for n in (3, 4, 8, 12)]
+    pairs += [(builtin_map(f"rot:1/{n}"), conjugate(movers[0], f"rot:{k}/{n}")) for n in (3, 6, 8) for k in (1, n - 1)]
+    canonical, swapped = [], 0
+    real_canonical = ProjMat._canonical
+    counted = classmethod(lambda cls, polys: canonical.append(1) or real_canonical(polys))
+    for g1, g2 in pairs:
+        ra, rb = rotation_normal_form(g1.fiber), rotation_normal_form(g2.fiber)
+        swap = _flip_fiber() if ra.target != rb.target else ProjMat.identity()
+        swapped += ra.target != rb.target
+        oracle = rb.conjugator.fiber.inverse() * swap * ra.conjugator.fiber  # the product conj formed before
+        with mock.patch.object(ProjMat, "_canonical", counted):
+            answer = decide_conjugacy(g1, g2)
+        assert answer["conjugate"] and answer["verified"] and answer["conjugator"] == _matrix_json(oracle)
+    assert swapped == 6 and canonical == []
 
 
 def test_rotation_target_and_twist_class_work_is_counted(monkeypatch):

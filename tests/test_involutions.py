@@ -46,7 +46,7 @@ from birsphere.sphere import (
     z_flip,
 )
 
-from conftest import random_reality_element, ref_square_class, same_triple, same_up_to_positive_rational
+from conftest import checked_pattern, random_reality_element, ref_square_class, same_triple, same_up_to_positive_rational
 from test_exact_core import gaussian_scalars, polys, rational_scalars, ref_in_reality_group, ref_proportional
 
 Z = Poly.z()
@@ -266,8 +266,8 @@ def test_reality_tested_once_per_input(monkeypatch, rng):
     canonical_pattern finding S = 0, which is the reality condition itself,
     or by its check that the pattern lifts to a constant multiple of the
     entries.  Routing's SphereMap.reality_check and the decision read that
-    memoised pattern.  An involution with p != 0 has S = 0; a rotation does
-    not."""
+    pattern, memoised on the matrix, so each round builds a fresh source.
+    An involution with p != 0 has S = 0; a rotation does not."""
     import birsphere.sphere as sphere
     from birsphere.classify import decide_conjugacy
     from birsphere.sphere import SphereMap
@@ -287,11 +287,11 @@ def test_reality_tested_once_per_input(monkeypatch, rng):
         return not (a11 + a22.conj() or a12 + ONE_MINUS_Z2 * a21.conj())
 
     kinds = set()
-    for source in (InvolutionForm(Poly.const(1), Poly.const(1)).matrix(), rotation(1, 3).fiber):
+    for first in (InvolutionForm(Poly.const(1), Poly.const(1)).matrix(), rotation(1, 3).fiber):
         for _ in range(3):
+            source = ProjMat.of(*first.entries())
             c = random_reality_element(rng, max_degree=1)
             target = c * source * c.inverse()
-            sphere.canonical_pattern.cache_clear()
             checked.clear()
             patterns.clear()
             out = decide_conjugacy(SphereMap.trivial_base(source), SphereMap.trivial_base(target))
@@ -306,15 +306,14 @@ def test_reality_tested_once_per_input(monkeypatch, rng):
 def test_one_split_per_involution(monkeypatch):
     """decide_conjugacy splits each determinant once: the decision, the
     conjugator's square roots and the fixed curves of a false answer all
-    read the memoised fixed-curve models.  It builds no stripped
-    determinant, as it asks for no orientation, so the pattern cache pins
-    no D'."""
-    import birsphere.involutions as inv
+    read the fixed-curve models memoised on the patterns.  It builds no
+    stripped determinant, as it asks for no orientation."""
+    import birsphere.sphere as sphere
 
     degrees, stripped = [], []
-    real = inv.squarefree_decomposition
-    # _split is the one caller in the decision path
-    monkeypatch.setattr(inv, "squarefree_decomposition", lambda p: degrees.append(p.degree) or real(p))
+    real = sphere.squarefree_decomposition
+    # HyperellipticModel.of_determinant is the one caller in the decision path
+    monkeypatch.setattr(sphere, "squarefree_decomposition", lambda p: degrees.append(p.degree) or real(p))
     real_stripped = FiberPattern.stripped_determinant.func
     counted = property(lambda pat: stripped.append(1) or real_stripped(pat))
     monkeypatch.setattr(FiberPattern, "stripped_determinant", counted)
@@ -323,7 +322,6 @@ def test_one_split_per_involution(monkeypatch):
     pairs = [(a, c * a * c.inverse(), True, [4, 12]),
              (realize_no_oval(Z * Z + 3), realize_no_oval((Z * Z + 3) * (Z * Z + 4)), False, [2, 4])]
     for x, y, conjugate, split_degrees in pairs:
-        inv._split.cache_clear()
         degrees.clear()
         out = decide_conjugacy(SphereMap.trivial_base(x), SphereMap.trivial_base(y))
         assert out["conjugate"] == conjugate
@@ -464,11 +462,11 @@ def _undivided_entries(mat_a, mat_b, hilbert90):
     beta diag(u_den, u_num) M(x + y r) [[conj q, -i p], [0, -1]], with
     u = s / f_B reduced by gcd(s, f_B), s = sqrt(c_A c_B) m scale_A scale_B.
     Returns the entries and q_B u_num."""
-    from birsphere.involutions import _QuadAlgebra, _split
+    from birsphere.involutions import _QuadAlgebra
 
     form_a, form_b = involution_normal_form(mat_a), involution_normal_form(mat_b)
     f, f_b = -form_a.determinant(), -form_b.determinant()
-    model_a, model_b = _split(-f), _split(-f_b)
+    model_a, model_b = HyperellipticModel.of_determinant(-f), HyperellipticModel.of_determinant(-f_b)
     s = (model_a.m * model_a.scale * model_b.scale).scale(CoeffScalar(model_a.content * model_b.content).sqrt())
     g = poly_gcd(s, f_b)
     u_num, u_den = s.exact_div(g), f_b.exact_div(g)
@@ -564,7 +562,8 @@ def test_conjugator_born_as_pattern_matches_four_entry_path(degrees, p, q, a, b,
     of the certify workload, with q = 0 (diag(1, -1), moved by
     [[z, h], [1, z]]) as the source or the target: the printed conjugator
     equals the four-entry oracle's, and the pattern it was born with is the
-    one canonical_pattern reads off it, so proportional_to it."""
+    one the checked closed form reads off a fresh equal matrix
+    (checked_pattern), so proportional_to it."""
     dp, dq, da, db = degrees
     form = InvolutionForm(_of_degree(p, dp), Poly() if diagonal else _of_degree(q, dq))
     mat_a, c = form.matrix(), FiberPattern(_of_degree(a, da), _of_degree(b, db)).matrix()
@@ -576,9 +575,8 @@ def test_conjugator_born_as_pattern_matches_four_entry_path(degrees, p, q, a, b,
     assert conjugator == oracle
     out = decide_conjugacy(SphereMap.trivial_base(mat_a), SphereMap.trivial_base(mat_b))
     assert out["verified"] and out["conjugator"] == _matrix_json(oracle)
-    born = conjugator.born_pattern
-    assert born is not None and canonical_pattern(conjugator) == born
-    assert canonical_pattern(conjugator).proportional_to(born)
+    born, checked = conjugator.real_pattern, checked_pattern(conjugator)
+    assert born == checked and checked.proportional_to(born)
 
 
 ROTATION_ANGLES = [(k, n) for n in (3, 4, 6, 8, 12, 24) for k in range(1, n) if math.gcd(k, n) == 1]

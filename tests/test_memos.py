@@ -1,14 +1,18 @@
-"""The package's memos: every `lru_cache` and `cached_property` is listed
-here, so adding one is a reviewed decision; each per-matrix invariant is
-computed once per object (counted), and the memoised values equal the
-formulas they cache on fresh objects."""
+"""The package's memos: every `cache` and `cached_property` is listed here,
+so adding one is a reviewed decision.  Each invariant is memoised on the
+object it describes: it is computed once per object (counted), the
+memoised values equal the formulas they cache on fresh equal objects, and
+no input or its pattern outlives the query that built them."""
 
 import ast
+import gc
 import importlib
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,31 +20,38 @@ import birsphere
 from birsphere import projmat as projmat_mod
 from birsphere import sphere as sphere_mod
 from birsphere.classify import classify_spheremap, decide_conjugacy
-from birsphere.involutions import InvolutionForm
+from birsphere.errors import NotRealityMember
+from birsphere.involutions import InvolutionForm, rotation_normal_form
 from birsphere.poly import ONE_MINUS_Z2, Poly
 from birsphere.projmat import ProjMat, angle_of_entries
 from birsphere.scalars import CoeffScalar
-from birsphere.sphere import FiberPattern, SphereMap, builtin_map, canonical_pattern
+from birsphere.sphere import (
+    ConjugacyCertificate,
+    FiberPattern,
+    SphereMap,
+    builtin_map,
+    canonical_pattern,
+    in_diffeo_group,
+)
+from conftest import checked_pattern
 from test_exact_core import gaussian_scalars, polys
 
 Z = Poly.z()
 I = CoeffScalar.i()
 
 # (module, qualified name) -> decorator.  The per-object memos cache an
-# invariant of an immutable object on it; the lru_caches are keyed by a
-# matrix (the pattern) or by the pattern determinant D (the fixed-curve
-# split); the caches hold constants built on first use: the rotation
-# target per angle and sign, and the catalogue involutions certificates
-# are built against.
+# invariant of an immutable object on it: a matrix's angle and real
+# pattern, a pattern's D, D', involution form and fixed-curve model; the
+# caches hold constants built on first use: the rotation target per angle
+# and sign, and the catalogue involutions certificates are built against.
 PACKAGE_MEMOS = {
-    ("projmat", "ProjMat._hash"): "cached_property",
     ("projmat", "ProjMat._angle"): "cached_property",
+    ("projmat", "ProjMat.real_pattern"): "cached_property",
     ("sphere", "FiberPattern._determinant"): "cached_property",
     ("sphere", "FiberPattern.involution_form"): "cached_property",
     ("sphere", "FiberPattern.stripped_determinant"): "cached_property",
     ("sphere", "FiberPattern.contracted_count"): "cached_property",
-    ("sphere", "canonical_pattern"): "lru_cache",
-    ("involutions", "_split"): "lru_cache",
+    ("sphere", "FiberPattern.fixed_model"): "cached_property",
     ("involutions", "_flip_fiber"): "cache",
     ("involutions", "_diagonal_involution"): "cache",
     ("involutions", "_rotation_target"): "cache",
@@ -69,8 +80,8 @@ def package_memos() -> dict[tuple[str, str], str]:
     return found
 
 
-def clear_lru_caches() -> None:
-    """Empty every lru_cache of the package, as package_memos finds them."""
+def clear_caches() -> None:
+    """Empty every cache of the package, as package_memos finds them."""
     for (module, name), decorator in package_memos().items():
         if decorator != "cached_property":
             getattr(importlib.import_module(f"birsphere.{module}"), name).cache_clear()
@@ -111,7 +122,6 @@ def test_classify_forms_the_input_angle_once(monkeypatch):
 def test_classify_forms_an_involutions_determinant_once(monkeypatch):
     """The orientation (through D') and the fixed curve (through -D) of an
     involution read one pattern determinant."""
-    clear_lru_caches()
     for name, family in (("upsilon", 4), ("tau", 4)):
         g = _conjugate(name)
         pattern = canonical_pattern(g.fiber)
@@ -133,7 +143,6 @@ def test_certify_builds_each_involution_form_once(monkeypatch):
     """A certified pair builds the involution form of each matrix once: the
     order-2 test, the conjugator's off-diagonal check and its closed form
     read one form, memoised on the pattern."""
-    clear_lru_caches()
     built = Counter()
     real = InvolutionForm.__init__
 
@@ -183,3 +192,58 @@ def test_memoised_invariants_match_their_formulas(quad, rotation, conjugate, a, 
             assert form is None
         else:
             assert form == InvolutionForm(pattern.a.scale(-I), pattern.b) and pattern.involution_form is form
+
+
+# -- memos live and die with their objects ----------------------------------------------
+
+
+def test_memoised_patterns_match_the_checked_closed_form(monkeypatch):
+    """Every memoised pattern (ProjMat.real_pattern) equals the checked
+    closed form on a fresh equal matrix (checked_pattern): the inputs of a
+    decision, the involution conjugators born as patterns (q != 0, and the
+    diagonal moved), a rotation's normal-form conjugator J and the conjugator
+    conj builds for two rotations.  A non-real matrix has no pattern, and
+    canonical_pattern refuses it on every call."""
+    certified = []
+    verified = ConjugacyCertificate.verified
+    monkeypatch.setattr(ConjugacyCertificate, "verified", lambda cert: certified.append(cert) or verified(cert))
+    a = InvolutionForm(Z + 2, Z.scale(I) + 1 - I).matrix()
+    diagonal = InvolutionForm(Poly.const(1), Poly()).matrix()
+    pairs = [(SphereMap.trivial_base(x), SphereMap.trivial_base(MOVER * x * MOVER.inverse())) for x in (a, diagonal)]
+    pairs += [(pair[1], pair[0]) for pair in pairs]
+    pairs.append((_conjugate("rot:1/8"), SphereMap.trivial_base(MOVER.inverse() * builtin_map("rot:7/8").fiber * MOVER)))
+    for g1, g2 in pairs:
+        assert decide_conjugacy(g1, g2)["verified"]
+    rotation = rotation_normal_form(pairs[-1][0].fiber).conjugator.fiber
+    mats = [rotation, *(m.fiber for cert in certified for m in (cert.source, cert.target, cert.conjugator))]
+    assert len(mats) == 1 + 3 * len(pairs) and all("real_pattern" in vars(m) for m in mats)
+    for mat in mats:
+        assert mat.real_pattern == checked_pattern(mat) and canonical_pattern(mat) is mat.real_pattern
+    non_real = ProjMat.of(Z + 2, 1, Fraction(1, 3), Z.scale(I))
+    for _ in range(2):
+        with pytest.raises(NotRealityMember):
+            canonical_pattern(non_real)
+    assert non_real.real_pattern is None and checked_pattern(non_real) is None
+
+
+def _weak_query(query: str):
+    """Weak references to a fresh input fiber and its pattern, taken after
+    the query has run and its answer has been dropped."""
+    g = _conjugate("rot:1/3" if query == "classify" else "upsilon")
+    if query == "classify":
+        answer = classify_spheremap(g)
+    elif query == "conj":
+        answer = decide_conjugacy(g, SphereMap.trivial_base(MOVER.inverse() * builtin_map("upsilon").fiber * MOVER))
+    else:
+        answer = in_diffeo_group(g.fiber)
+    assert answer
+    return weakref.ref(g.fiber), weakref.ref(canonical_pattern(g.fiber))
+
+
+def test_nothing_outlives_its_query():
+    """An input fiber and its pattern, read by classify_spheremap,
+    decide_conjugacy and in_diffeo_group, are freed with the input and the
+    answer: no memo of the package holds a query's objects past it."""
+    refs = [ref for query in ("classify", "conj", "member") for ref in _weak_query(query)]
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)

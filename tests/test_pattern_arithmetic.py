@@ -214,7 +214,6 @@ def test_canonical_pattern_refuses_exactly_the_non_real(e, p, k, f):
             mat = ProjMat.of(*entries)
         except ValueError:  # zero matrix or zero determinant
             continue
-        canonical_pattern.cache_clear()
         if ref_in_reality_group(mat):
             canonical_pattern(mat)
         else:
@@ -234,7 +233,8 @@ def test_pattern_paths_form_no_four_entry_product():
     mover = SphereMap(FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix(), BaseMobius.negation())
     flip_cert = ConjugacyCertificate("conjugation", flip, mover.compose(flip).compose(mover.inverse()), mover)
     cert = construct_conjugator(a, b)
-    canonical_pattern.cache_clear()
+    fresh = (SphereMap.trivial_base(ProjMat.of(*m.fiber.entries())) for m in (cert.source, cert.target))
+    cert = ConjugacyCertificate(cert.kind, *fresh, cert.conjugator)  # source and target patterns not yet read
     refuse = mock.Mock(side_effect=AssertionError("a 4-entry product or comparison was formed"))
     with mock.patch.object(projmat_mod, "raw_mul", refuse), mock.patch.object(sphere_mod, "raw_mul", refuse), \
             mock.patch.object(sphere_mod, "proportional", refuse):

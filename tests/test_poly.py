@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from birsphere import factor
 from birsphere.errors import NotRationalPolynomial, NotRealPolynomial
-from birsphere.involutions import _split
 from birsphere.poly import (
     ONE_MINUS_Z2,
     Poly,
@@ -27,6 +26,7 @@ from birsphere.poly import (
     sturm_count,
 )
 from birsphere.scalars import CoeffScalar, TowerReal
+from birsphere.sphere import HyperellipticModel
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -384,18 +384,18 @@ def test_squarefree_decomposition_examples():
     assert squarefree_decomposition((Z * Z + 1) ** 2 * (Z * Z + 4)) == [(Z * Z + 4, 1), (Z * Z + 1, 2)]
     assert squarefree_decomposition(Z**3) == [(Z, 3)]
     assert squarefree_decomposition(-2 * Z * Z + 2) == [(Z * Z - 1, 1)]
-    model = _split(2 * Z * Z - 2)
+    model = HyperellipticModel.of_determinant(2 * Z * Z - 2)
     assert (model.m, model.content) == (Z * Z - 1, 2)
 
 
 def test_split_square_class():
-    """The square class of p is -m in the fixed-curve model _split(-p) of
+    """The square class of p is -m in the fixed-curve model of
     D = -p, for p of negative lead, as -D always has."""
     for p, m in (
         (-(Z * Z - 1) ** 2, Poly.const(1)),
         (-3 * (Z * Z + 1) ** 2 * (Z * Z + 4), Z * Z + 4),
     ):
-        model = _split(-p)
+        model = HyperellipticModel.of_determinant(-p)
         assert model.m == m and p == (m * model.scale * model.scale).scale(CoeffScalar(-model.content))
 
 

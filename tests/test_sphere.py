@@ -447,7 +447,6 @@ def test_degree_ladder_takes_no_galois_norm(monkeypatch):
     non_member = FiberPattern(Poly.const(1), Poly.const(2)).matrix()  # D' = 4 z^2 - 3
     root = TowerReal.sqrt_rational(3) / 2
     for mat, member, degree in ((h0(128), True, 258), (h0(32) * non_member, False, 68)):
-        canonical_pattern.cache_clear()
         d_prime = canonical_pattern(mat).stripped_determinant[2]
         assert d_prime.is_rational() and d_prime.degree == degree
         assert in_diffeo_group(mat) == member
@@ -473,7 +472,6 @@ def test_tower_determinants_are_counted_on_integer_columns(monkeypatch):
     mover = FiberPattern(Poly.const(5), Z.scale(CoeffScalar.i()) + 1).matrix()  # det z^4 + 24 > 0
     no_oval = SphereMap.trivial_base(realize_no_oval((Z * Z + 1) * (Z * Z + 2)))
     for g, family in ((builtin_map("rot:1/8"), 3), (builtin_map("rot:1/12"), 3), (no_oval, 6)):
-        canonical_pattern.cache_clear()
         counted.clear()
         assert classify_spheremap(SphereMap.trivial_base(mover * g.fiber * mover.inverse())).family == family
         assert counted and all(d.is_rational() for d in counted)
