@@ -227,8 +227,8 @@ def test_memoised_patterns_match_the_checked_closed_form(monkeypatch):
 
 
 def _weak_query(query: str):
-    """Weak references to a fresh input fiber and its pattern, taken after
-    the query has run and its answer has been dropped."""
+    """Weak references to a fresh input fiber and its pattern, once the
+    query has run; the input and the answer die with this call."""
     g = _conjugate("rot:1/3" if query == "classify" else "upsilon")
     if query == "classify":
         answer = classify_spheremap(g)
