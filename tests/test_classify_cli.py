@@ -586,10 +586,11 @@ def test_cli_linear_stratum_exit_code(capsys):
 
 def test_catalogue_golden(capsys):
     """classify, order, member, fix, h2 and eval print exactly the recorded
-    JSON for every builtin, and conj for the builtin pairs of
+    JSON for every builtin, and conj for every ordered pair of
+    CONJ_CATALOGUE and the half-turn, and for the builtin pairs of
     test_decide_conjugacy, test_conj_rotations and test_conj_infinite_order;
     tests/data/catalogue_cli.json maps each command line to its exit code
-    and stdout."""
+    and stdout (tests/data/record_catalogue.py re-records named lines)."""
     golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())
     mismatched = []
     for command, want in sorted(golden.items()):
@@ -603,9 +604,10 @@ def test_catalogue_certificates_verify():
     """Every certificate in tests/data/catalogue_cli.json verifies once it is
     parsed back from its JSON: each classify certificate maps the classified
     element to its target, and each conj conjugator maps the first element
-    to the second.  The one conj `true` without a certificate is g2p:1/2
-    against g2p:-1/2, two base flips decided by their twist class alone (the
-    open ROADMAP item on base flips)."""
+    to the second.  The conj lines cover every ordered pair of CONJ_CATALOGUE
+    and the half-turn; the only `true`s without a certificate are g2p:1/2
+    against g2p:-1/2, in both orders, two base flips decided by their twist
+    class alone (the open ROADMAP item on base flips)."""
     golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())
     checked = {"classify": 0, "conj": 0}
     uncertified = []
@@ -624,8 +626,8 @@ def test_catalogue_certificates_verify():
                 checked[verb] += 1
             elif res["conjugate"]:
                 uncertified.append(command)
-    assert checked == {"classify": 54, "conj": 3}
-    assert uncertified == ["conj builtin:g2p:1/2 builtin:g2p:-1/2"]
+    assert checked == {"classify": 54, "conj": 16}
+    assert uncertified == ["conj builtin:g2p:-1/2 builtin:g2p:1/2", "conj builtin:g2p:1/2 builtin:g2p:-1/2"]
 
 
 def test_catalogue_classify_tests_positivity_once(monkeypatch):
