@@ -54,7 +54,6 @@ from .involutions import (
     HyperellipticModel,
     InvolutionForm,
     basis_equiv_moduli,
-    classify_trivialbase,
     construct_conjugator,
     fixed_curve,
     involution_normal_form,
@@ -62,12 +61,18 @@ from .involutions import (
     realize_oval,
     rotation_normal_form,
 )
-from .classify import ClassificationReport, classify_spheremap, decide_conjugacy
+from .classify import (
+    ClassificationReport,
+    classify_flip_involution,
+    classify_spheremap,
+    classify_trivialbase,
+    decide_conjugacy,
+)
 
 _DEFERRED_MODULES = ("etatwist", "parsing", "picard", "positivity")
 _DEFERRED = {
     **dict.fromkeys(
-        ("TwistClass", "classify_flip_involution", "factor_even", "h2_invariant", "h2_reduce", "twisted_square"),
+        ("TwistClass", "factor_even", "h2_invariant", "h2_reduce", "twisted_square"),
         "etatwist",
     ),
     **dict.fromkeys(

@@ -5,8 +5,13 @@ two special degree-4 involutions, (3) rotations, (4) the reflection, (5)
 the antipodal map, (6) fiberwise involutions with a pointless fixed curve
 of positive genus, (7) the orientation-reversing ones with a one-oval
 fixed curve, and (8) base-flip involutions with nontrivial twist class.
-Reports carry the family, its moduli datum, any certificates produced, and
-explicit caveats for the strata the invariants do not separate.
+The family table is read here, off the order, the orientation character
+(diffeo_orientation) and then the angle, the fixed-curve model or the twist
+class: classify_trivialbase and classify_flip_involution for the two routed
+base actions, classify_spheremap in front of both, and decide_conjugacy
+comparing the same invariants for two elements.  ClassificationReport is the
+one report type: the family, its moduli datum, any certificates produced,
+and explicit caveats for the strata the invariants do not separate.
 """
 
 from __future__ import annotations
@@ -16,20 +21,26 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .errors import NotDiffeomorphism, NotRealityMember, ParseError, UndecidedExact, UnsupportedExtension
+from .errors import (
+    NotDiffeomorphism,
+    NotFiniteOrder,
+    NotRealityMember,
+    ParseError,
+    UndecidedExact,
+    UnsupportedExtension,
+)
 from .factor import is_prime
 from .involutions import (
-    HyperellipticModel,
-    TrivialBaseReport,
+    _diagonal_involution,
     _flip_fiber,
     basis_equiv_moduli,
-    classify_trivialbase,
+    construct_conjugator,
     fixed_curve,
     involution_conjugator,
     rotation_normal_form,
 )
 from .projmat import ProjMat
-from .scalars import scalar
+from .scalars import CoeffScalar, scalar
 from .sphere import (
     BaseMobius,
     ConjugacyCertificate,
@@ -55,11 +66,6 @@ class ClassificationReport:
             "certificates": [certificate_json(c) for c in self.certificates],
             "caveats": self.caveats,
         }
-
-
-def model_to_json(model: HyperellipticModel) -> dict:
-    """w^2 = -m: -D has a negative lead for every real involution (HyperellipticModel)."""
-    return {"m": str(model.m), "sign": "-"}
 
 
 def _matrix_json(mat: ProjMat) -> list[list[str]]:
@@ -217,44 +223,100 @@ def classify_spheremap(g: SphereMap) -> ClassificationReport:
         f"order {n} is not prime; reporting the family of the cyclic generator"
     ]
     if g.base.kind == "neg":
-        from .etatwist import classify_flip_involution
+        report = classify_flip_involution(g)
+    else:
+        try:
+            report = classify_trivialbase(g.fiber)
+        except NotDiffeomorphism:
+            out = ClassificationReport(
+                family="out-of-scope",
+                caveats=caveats
+                + [
+                    "element is birational but contracts a real fiber, so it is not a "
+                    "birational diffeomorphism; fixed-curve data is still reported"
+                ],
+            )
+            if n == 2:
+                out.moduli["fixed_curve"] = fixed_curve(g.fiber).to_json()
+            return out
+    report.certificates = certificates + report.certificates
+    report.caveats = caveats + report.caveats
+    return report
 
-        flip = classify_flip_involution(g)
-        moduli = {"twist_class": flip.twist_class.to_json()}
-        return ClassificationReport(flip.family, moduli, certificates, caveats + list(flip.caveats))
-    try:
-        report = classify_trivialbase(g.fiber)
-    except NotDiffeomorphism:
-        out = ClassificationReport(
-            family="out-of-scope",
-            caveats=caveats
-            + [
-                "element is birational but contracts a real fiber, so it is not a "
-                "birational diffeomorphism; fixed-curve data is still reported"
-            ],
-        )
-        if n == 2:
-            out.moduli["fixed_curve"] = model_to_json(fixed_curve(g.fiber))
-        return out
-    return _from_trivial_report(report, caveats, certificates)
+
+def classify_trivialbase(mat: ProjMat) -> ClassificationReport:
+    """Sort a finite-order birational diffeomorphism with trivial base
+    action into its conjugacy family: 3, 4, 6, 7 or "rational-special";
+    NotDiffeomorphism for a map that is not defined at every real point.
+
+    Lemma: the two certified involutions share their target's model, so
+    construct_conjugator need not decide them.
+    - Orientation-reversing, degree <= 2: a(1) = a(-1) = 0, and then
+      b(+-1) != 0 (FiberPattern.stripped_determinant), so z = +-1 are simple
+      roots of D and z^2 - 1 divides m.  With degree <= 2, m = z^2 - 1, the
+      model of x_flip.
+    - Orientation-preserving, degree 0: m is monic, so m = 1, the model of
+      diag(1, -1)."""
+    orientation = diffeo_orientation(mat)
+    if not orientation:
+        raise NotDiffeomorphism(f"{mat} is not defined at every real point")
+    angle = mat.rotation_angle()
+    if angle is None:
+        raise NotFiniteOrder(f"{mat} has infinite order")
+    if angle[1] == 1:
+        return ClassificationReport(3, {"angle": list(angle)})
+    if angle[1] > 2:
+        return ClassificationReport(3, {"angle": list(angle)}, [rotation_normal_form(mat).verified()])
+    model = fixed_curve(mat)
+    moduli = {"fixed_curve": model.to_json(), "genus": model.genus()}
+    if orientation < 0:  # one oval
+        if model.degree <= 2:
+            return ClassificationReport(4, moduli, [construct_conjugator(mat, _flip_fiber())])
+        return ClassificationReport(7, moduli)
+    if model.degree == 0:
+        cert = construct_conjugator(mat, _diagonal_involution())
+        return ClassificationReport(3, {"angle": [1, 2]} | moduli, [cert])
+    if model.degree == 2:
+        # rational curve without real points: the one-parameter stratum
+        # conjugate to base-flip representatives.  The shift by the root b of
+        # beta b^2 + 2 (1 + gamma) b + beta in (-1, 1) makes
+        # m = z^2 + beta z + gamma even, with branch points z^2 = -c; the two
+        # roots multiply to 1 and 1 + gamma > |beta| since m > 0 at +-1
+        one = CoeffScalar(1)
+        beta, gamma = model.m[1] / model.m[2], model.m[0] / model.m[2]
+        b = -beta / (one + gamma + ((one + gamma) * (one + gamma) - beta * beta).sqrt())
+        c = (b * b + beta * b + gamma) / (one + beta * b + gamma * b * b)
+        caveat = ("rational fixed curve without real points: conjugate to the base-flip "
+                  "family; the parameter is the branch value t^2")
+        return ClassificationReport("rational-special", moduli | {"parameter": str(c)}, caveats=[caveat])
+    return ClassificationReport(6, moduli)
 
 
-def _from_trivial_report(rep: TrivialBaseReport, caveats, certificates) -> ClassificationReport:
-    moduli: dict = {}
-    if rep.angle is not None:
-        moduli["angle"] = list(rep.angle)
-    if rep.model is not None:
-        moduli["fixed_curve"] = model_to_json(rep.model)
-        moduli["genus"] = rep.model.genus()
-    if rep.parameter is not None:
-        moduli["parameter"] = str(rep.parameter)
-        caveats = caveats + [
-            "rational fixed curve without real points: conjugate to the base-flip "
-            "family; the parameter is the branch value t^2"
-        ]
-    if rep.certificate is not None:
-        certificates = certificates + [rep.certificate]
-    return ClassificationReport(rep.family, moduli, certificates, caveats)
+def classify_flip_involution(pair: SphereMap) -> ClassificationReport:
+    """Family report for an involution acting by z -> -z on the base: 8 for
+    a nontrivial twist class; for a linear one, 5 when no real point is
+    fixed and "linear-stratum" otherwise, or when the fixed-locus probe
+    leaves the tower.  The base-flip layer etatwist loads on the first call."""
+    from .etatwist import h2_invariant, real_fixed_points_on_flip
+
+    if pair.base.kind != "neg":
+        raise ValueError("base action must be the flip z -> -z")
+    if not diffeo_orientation(pair.fiber):  # b = 0: the fiber decides (SphereMap._diffeo_fiber)
+        raise NotDiffeomorphism("the pair is not defined at every real point")
+    twist_class = h2_invariant(pair)
+    moduli = {"twist_class": twist_class.to_json()}
+    if not twist_class.is_linear_model():
+        return ClassificationReport(8, moduli)
+    fixed = real_fixed_points_on_flip(pair)
+    if fixed == []:
+        return ClassificationReport(5, moduli)
+    caveats = [
+        "class is linear at the birational level; the finer conjugacy "
+        "within birational diffeomorphisms is reported, not decided"
+    ]
+    if fixed is None:
+        caveats.append("real fixed locus probe left the tower")
+    return ClassificationReport("linear-stratum", moduli, caveats=caveats)
 
 
 # -- the degree-4 and degree-2 routes ------------------------------------------------------------
@@ -303,33 +365,44 @@ def classify_dp4_datum(op: str, mu=None) -> ClassificationReport:
 
 
 def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
-    """Conjugacy of two finite-order elements.  Every `true` but a base
-    flip's carries a conjugator verified once against the inputs; routing,
-    as in classify_spheremap, keeps trivial-base inputs as they are.
+    """Conjugacy of two finite-order elements.  Both are routed as in
+    classify_spheremap (a non-real input raises NotRealityMember, naming the
+    argument), so each is a map r of order n with base id or z -> -z, b = 0,
+    and the pair is decided in this order:
 
-    Equal inputs are conjugate by the identity (equal routed maps are not
-    enough: a flipped shift routes to the flip it is conjugate to).
-    Trivial-base rotations are decided by their angle, and trivial-base
-    involutions on one path by their fixed-curve models up to the interval
-    group: basis_equiv_moduli finds the base map S carrying the fixed curve
-    of r1 to that of r2 (S = id for equal models) or refutes one, and the
-    conjugator of (S r1 S^-1, r2) composed with S conjugates r1 to r2
-    (UnsupportedExtension when S leaves the tower).  Lemma: S r1 S^-1 has
-    r2's model, so it is not compared again.  Its fiber is Q (A o sigma^-1)
-    Q^-1, sigma^-1 = num/den the inverse base action of S and A the pattern
-    lift of r1, so its pattern determinant is lam^2 E, lam in C(z) and E
-    = D_A o sigma^-1 cleared by den^(deg D_A), an even power.  sigma keeps
-    |z| > 1, where D_A > 0, so E has a positive lead like every pattern
-    determinant; lam^2 is then real with a positive lead, so lam is real.
-    The model is thus E's square-free part: m_A o sigma^-1 cleared, which
-    is a constant times m_B when basis_equiv_moduli reads "equivalent".
-    Two diffeomorphisms of different orientation characters are not
-    conjugate among diffeomorphisms, which is all that decides a pair with
-    different base actions (trivial and z -> -z); base flips of order 2 that
-    agree there are decided in the fiber-compatible birational group by the
-    twist class.  Two infinite-order inputs, other elements with different
-    base actions and base flips of another order raise UndecidedExact; a
-    non-real input raises NotRealityMember."""
+    1. two infinite orders raise UndecidedExact, two different orders read
+       false;
+    2. the orientation character chi = diffeo_orientation(r.fiber) *
+       r.base.sign() (1 preserving, -1 reversing, 0 not a diffeomorphism),
+       read when the base actions differ or both are base flips of order 2:
+       two diffeomorphisms with different chi read false.  Lemma: chi is a
+       conjugacy invariant among diffeomorphisms, and for b = 0 the fiber
+       decides it: the trivial-base part of (A, z -> -z) is (A(-z), id) =
+       z_flip (A, id) z_flip, a conjugate of (A, id) by a diffeomorphism,
+       and the base flip reverses orientation (SphereMap._diffeo_fiber);
+    3. other pairs with different base actions, and base flips of an order
+       other than 2, raise UndecidedExact;
+    4. equal inputs are conjugate by the identity (equal routed maps are not
+       enough: a flipped shift routes to the flip it is conjugate to);
+    5. base flips of order 2 are decided in the fiber-compatible birational
+       group by the twist class, a `true` without a conjugator;
+    6. trivial-base involutions by their fixed-curve models up to the
+       interval group, and trivial-base rotations by their angle, each
+       `true` with a conjugator verified once against the inputs.
+
+    For involutions, basis_equiv_moduli finds the base map S carrying the
+    fixed curve of r1 to that of r2 (S = id for equal models) or refutes
+    one, and the conjugator of (S r1 S^-1, r2) composed with S conjugates r1
+    to r2 (UnsupportedExtension when S leaves the tower).  Lemma: S r1 S^-1
+    has r2's model, so it is not compared again.  Its fiber is Q (A o
+    sigma^-1) Q^-1, sigma^-1 = num/den the inverse base action of S and A
+    the pattern lift of r1, so its pattern determinant is lam^2 E, lam in
+    C(z) and E = D_A o sigma^-1 cleared by den^(deg D_A), an even power.
+    sigma keeps |z| > 1, where D_A > 0, so E has a positive lead like every
+    pattern determinant; lam^2 is then real with a positive lead, so lam is
+    real.  The model is thus E's square-free part: m_A o sigma^-1 cleared,
+    which is a constant times m_B when basis_equiv_moduli reads
+    "equivalent"."""
     routed = []
     for which, g in (("first", g1), ("second", g2)):
         try:
@@ -341,32 +414,27 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
         raise UndecidedExact("conjugacy of infinite-order elements is not decided")
     if n1 != n2:
         return {"conjugate": False, "reason": "different orders"}
-    if r1.base.kind != r2.base.kind:
-        if r1.is_diffeo() and r2.is_diffeo() and (
-            r1.is_orientation_preserving_diffeo() != r2.is_orientation_preserving_diffeo()
-        ):
+    across, flips = r1.base.kind != r2.base.kind, r1.base.kind == r2.base.kind == "neg"
+    if across or flips and n1 == 2:
+        chi1, chi2 = (diffeo_orientation(r.fiber) * r.base.sign() for r in (r1, r2))
+        if chi1 and chi2 and chi1 != chi2:
             return {"conjugate": False, "reason": "different orientation characters"}
+    if across:
         raise UndecidedExact(f"conjugacy of elements of order {n1} with different base actions is not decided")
-    if r1.base.kind == "neg" and n1 != 2:
+    if flips and n1 != 2:
         raise UndecidedExact(f"conjugacy of base-flip elements of order {n1} is not decided")
     if g1 == g2:
         conjugator = SphereMap.identity()
-    elif r1.base.kind == "neg":
+    elif flips:
         from .etatwist import h2_invariant
 
-        # for base z -> -z the fiber carries the diffeomorphism membership
-        # and the orientation character, which conjugation by a diffeomorphism
-        # preserves
-        o1, o2 = (diffeo_orientation(r.fiber) for r in (r1, r2))
-        if o1 and o2 and o1 != o2:
-            return {"conjugate": False, "reason": "different orientation characters"}
         t1, t2 = h2_invariant(r1), h2_invariant(r2)
         return {"conjugate": t1 == t2, "invariants": [t1.to_json(), t2.to_json()]}
     elif n1 == 2:
         models = [fixed_curve(r.fiber) for r in (r1, r2)]
         moduli = basis_equiv_moduli(*models)
         if moduli.status == "inequivalent":
-            return {"conjugate": False, "fixed_curves": [model_to_json(m) for m in models]}
+            return {"conjugate": False, "fixed_curves": [m.to_json() for m in models]}
         if moduli.status != "equivalent":
             raise UnsupportedExtension("the interval map between the fixed curves leaves the tower")
         s = base_realisation(BaseMobius(BaseMobius.shift(-moduli.witness_b).b, moduli.flipped))

@@ -87,7 +87,7 @@ def cmd_fix(args) -> int:
     if g.base.kind != "id":
         raise UnsupportedExtension("fixed curves are computed for trivial base action")
     model = fixed_curve(g.fiber)
-    _emit(routing.model_to_json(model) | {"genus": model.genus()})
+    _emit(model.to_json() | {"genus": model.genus()})
     return 0
 
 

@@ -5,7 +5,9 @@ involution exactly when A * A(-z) is a scalar mu on the pattern lift, an
 even real polynomial.  The class of mu modulo the norms f(z) * f(-z) is a
 sign together with a multiset of positive reals (one generator z^2 + b for
 each b > 0), computed here by factoring in w = z^2.  Equality of classes
-decides conjugacy among all fiber-compatible birational maps.
+decides conjugacy among all fiber-compatible birational maps.  The family
+report of such a map, which reads the class and the real fixed points on
+the fiber z = 0 probed here, is classify.classify_flip_involution.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    NotDiffeomorphism,
     NotEvenFunction,
     NotInvolution,
     UnsupportedExtension,
@@ -228,7 +229,7 @@ class TwistedAlgebra(_TripleAlgebra):
         raise RuntimeError("no invertible coboundary witness in the trial set")
 
 
-# -- real fixed locus probe and the family report ----------------------------------------------
+# -- real fixed locus probe ----------------------------------------------
 
 
 def real_fixed_points_on_flip(pair: SphereMap):
@@ -257,35 +258,3 @@ def real_fixed_points_on_flip(pair: SphereMap):
         for sign in (1, -1):
             candidates.append((a - d + root * CoeffScalar(Fraction(sign))) / (2 * c))
     return [t for t in candidates if t * t.conj() == CoeffScalar(1)]
-
-
-@dataclass(frozen=True)
-class FlipReport:
-    family: object  # 8, 5 or "linear-stratum"
-    twist_class: TwistClass
-    caveats: tuple[str, ...] = ()
-
-
-def classify_flip_involution(pair: SphereMap) -> FlipReport:
-    """Family report for an involution acting by z -> -z on the base."""
-    if pair.base.kind != "neg":
-        raise ValueError("base action must be the flip z -> -z")
-    if not pair.is_diffeo():
-        raise NotDiffeomorphism("the pair is not defined at every real point")
-    cls = h2_invariant(pair)
-    if not cls.is_linear_model():
-        return FlipReport(family=8, twist_class=cls)
-    fixed = real_fixed_points_on_flip(pair)
-    caveats = (
-        "class is linear at the birational level; the finer conjugacy "
-        "within birational diffeomorphisms is reported, not decided",
-    )
-    if fixed is None:
-        return FlipReport(
-            family="linear-stratum",
-            twist_class=cls,
-            caveats=caveats + ("real fixed locus probe left the tower",),
-        )
-    if not fixed:
-        return FlipReport(family=5, twist_class=cls)
-    return FlipReport(family="linear-stratum", twist_class=cls, caveats=caveats)

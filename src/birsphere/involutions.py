@@ -1,6 +1,7 @@
 """Involutions among fiberwise-real maps: normal forms, fixed curves,
-conjugacy decisions with certificates, realization, and rotation normal
-forms for higher order.
+conjugators with certificates, the moduli comparison, realization, and
+rotation normal forms for higher order.  The family table that reads these
+invariants is classify's (classify_trivialbase, decide_conjugacy).
 
 An involution with trivial base action has the shape
 [[i*p, q*h], [conj q, -i*p]] with p real; its fixed curve is the double
@@ -25,7 +26,6 @@ from functools import cache
 
 from .errors import (
     HasRealRoot,
-    NotDiffeomorphism,
     NotInvolution,
     NotFiniteOrder,
     UnsupportedExtension,
@@ -50,7 +50,6 @@ from .sphere import (
     SphereMap,
     canonical_pattern,
     cleared_substitution,
-    diffeo_orientation,
     x_flip,
 )
 
@@ -71,14 +70,6 @@ def fixed_curve(mat: ProjMat) -> HyperellipticModel:
     to its square-free model: FiberPattern.fixed_model, D = p^2 - q conj(q) h."""
     involution_normal_form(mat)  # NotInvolution unless mat has order 2
     return canonical_pattern(mat).fixed_model
-
-
-def _orientation(mat: ProjMat) -> int:
-    """diffeo_orientation, raising NotDiffeomorphism in place of 0."""
-    orientation = diffeo_orientation(mat)
-    if not orientation:
-        raise NotDiffeomorphism(f"{mat} is not defined at every real point")
-    return orientation
 
 
 # -- conjugacy decision and certificates --------------------------------------------------
@@ -142,7 +133,8 @@ def _diagonal_involution() -> ProjMat:
 def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate:
     """The "conjugation" certificate of involution_conjugator's C, verified
     once, for two involutions with one fixed-curve model m.  Nothing is
-    decided here: classify_trivialbase proves its two pairs have one m."""
+    decided here: classify.classify_trivialbase proves its two pairs have
+    one m."""
     maps = (SphereMap.trivial_base(m) for m in (mat_a, mat_b, involution_conjugator(mat_a, mat_b)))
     return ConjugacyCertificate("conjugation", *maps).verified()
 
@@ -446,60 +438,3 @@ def _scaling(source: list[TowerReal], target: list[TowerReal]) -> RealAlgebraic 
         if x.sign() < 0 or x**e != rho ** (k - k0):
             return None
     return real_roots_in_tower_poly(Poly([-rho] + [0] * (e - 1) + [1]))[-1]
-
-
-# -- family report for trivial-base elements ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrivialBaseReport:
-    family: object  # 3, 4, 6, 7 or "rational-special"
-    angle: tuple[int, int] | None = None
-    model: HyperellipticModel | None = None
-    parameter: object | None = None
-    certificate: ConjugacyCertificate | None = None
-
-
-def classify_trivialbase(mat: ProjMat) -> TrivialBaseReport:
-    """Sort a finite-order birational diffeomorphism with trivial base
-    action into its conjugacy family; NotDiffeomorphism for a map that is
-    not defined at every real point.
-
-    Lemma: the two certified involutions share their target's model, so
-    construct_conjugator need not decide them.
-    - Orientation-reversing, degree <= 2: a(1) = a(-1) = 0, and then
-      b(+-1) != 0 (FiberPattern.stripped_determinant), so z = +-1 are simple
-      roots of D and z^2 - 1 divides m.  With degree <= 2, m = z^2 - 1, the
-      model of x_flip.
-    - Orientation-preserving, degree 0: m is monic, so m = 1, the model of
-      diag(1, -1)."""
-    orientation = _orientation(mat)
-    angle = mat.rotation_angle()
-    if angle is None:
-        raise NotFiniteOrder(f"{mat} has infinite order")
-    n = angle[1]
-    if n == 1:
-        return TrivialBaseReport(family=3, angle=angle)
-    if n > 2:
-        return TrivialBaseReport(family=3, angle=angle, certificate=rotation_normal_form(mat).verified())
-    model = fixed_curve(mat)
-    if orientation < 0:  # one oval
-        if model.degree <= 2:
-            cert = construct_conjugator(mat, _flip_fiber())
-            return TrivialBaseReport(family=4, model=model, certificate=cert)
-        return TrivialBaseReport(family=7, model=model)
-    if model.degree == 0:
-        cert = construct_conjugator(mat, _diagonal_involution())
-        return TrivialBaseReport(family=3, angle=(1, 2), model=model, certificate=cert)
-    if model.degree == 2:
-        # rational curve without real points: the one-parameter stratum
-        # conjugate to base-flip representatives.  The shift by the root b of
-        # beta b^2 + 2 (1 + gamma) b + beta in (-1, 1) makes
-        # m = z^2 + beta z + gamma even, with branch points z^2 = -c; the two
-        # roots multiply to 1 and 1 + gamma > |beta| since m > 0 at +-1
-        one = CoeffScalar(1)
-        beta, gamma = model.m[1] / model.m[2], model.m[0] / model.m[2]
-        b = -beta / (one + gamma + ((one + gamma) * (one + gamma) - beta * beta).sqrt())
-        c = (b * b + beta * b + gamma) / (one + beta * b + gamma * b * b)
-        return TrivialBaseReport(family="rational-special", model=model, parameter=c)
-    return TrivialBaseReport(family=6, model=model)

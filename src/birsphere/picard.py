@@ -48,28 +48,27 @@ def _identity(n: int) -> Matrix:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
+def _gauss_jordan(rows: list[list]) -> tuple[list[list], list[int]]:
+    """The reduced row echelon form of rows over a field, with entries all
+    Fraction or all CoeffScalar, and its pivot columns."""
     rows = [list(r) for r in rows]
-    rank, ncols = 0, len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [c / pv for c in rows[rank]]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [c * inv for c in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 factor = rows[r][col]
                 rows[r] = [c - factor * p for c, p in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    return rank
+    return rows, pivots
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,7 @@ def invariant_rank(lat: PicLattice, gens) -> int:
     for m in mats:
         for i in range(lat.rank):
             stacked.append([m[i][j] - ident[i][j] for j in range(lat.rank)])
-    return lat.rank - _rank(stacked)
+    return lat.rank - len(_gauss_jordan(stacked)[1])
 
 
 def geiser_matrix(lat: PicLattice) -> Matrix:
@@ -412,20 +411,14 @@ def anticanonical_matrices(mu) -> dict[str, tuple[tuple[CoeffScalar, ...], ...]]
 
 
 def _cmat_inverse(a):
+    """The inverse of a square matrix of CoeffScalar entries, read off the
+    reduced form of (a | 1); ZeroDivisionError when a is singular."""
     n = len(a)
     aug = [list(row) + [CoeffScalar(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [c - factor * p for c, p in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    reduced, pivots = _gauss_jordan(aug)
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def verify_anticanonical_dataset(mu) -> bool:

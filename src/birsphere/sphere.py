@@ -257,6 +257,10 @@ class HyperellipticModel:
         d = self.degree
         return 0 if d <= 2 else (d + 1) // 2 - 1
 
+    def to_json(self) -> dict:
+        """The report form: w^2 = -m, as -D has a negative lead for every real involution."""
+        return {"m": str(self.m), "sign": "-"}
+
 
 def _constant_multiple(lift: tuple[Poly, ...], entries: tuple[Poly, ...]) -> bool:
     """Whether lift = kappa entries for a constant kappa, given that the

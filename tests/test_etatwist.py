@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from birsphere.classify import classify_flip_involution
 from birsphere.errors import NotEvenFunction, UnsupportedExtension
 from birsphere.etatwist import (
     TwistClass,
     TwistedAlgebra,
-    classify_flip_involution,
     factor_even,
     h2_invariant,
     h2_reduce,
@@ -167,8 +167,10 @@ def test_real_fixed_locus_probe():
 def test_classification():
     assert classify_flip_involution(antipodal_map()).family == 5
     assert classify_flip_involution(z_flip()).family == "linear-stratum"
-    rep = classify_flip_involution(builtin_map("g2p:1/2"))
+    g = builtin_map("g2p:1/2")
+    rep = classify_flip_involution(g)
     assert rep.family == 8
-    assert rep.twist_class.gens[0] == Fraction(1, 4)
+    assert rep.moduli == {"twist_class": h2_invariant(g).to_json()}
+    assert h2_invariant(g).gens[0] == Fraction(1, 4)
     linear = classify_flip_involution(SphereMap(y_flip().fiber, BaseMobius.negation()))
     assert linear.family == "linear-stratum" and linear.caveats

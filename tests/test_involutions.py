@@ -7,14 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from birsphere.classify import _matrix_json, decide_conjugacy, spheremap_from_json
+from birsphere.classify import _matrix_json, classify_trivialbase, decide_conjugacy, spheremap_from_json
 from birsphere.errors import HasRealRoot, NotInvolution, NotRealityMember
 from birsphere.involutions import (
     HyperellipticModel,
     InvolutionForm,
     ModuliComparison,
     basis_equiv_moduli,
-    classify_trivialbase,
     construct_conjugator,
     fixed_curve,
     involution_normal_form,
@@ -742,12 +741,12 @@ def test_classify_trivialbase_families():
     assert classify_trivialbase(TAU).family == 4
     assert classify_trivialbase(UPS).family == 4
     assert classify_trivialbase(rotation(1, 2).fiber).family == 3
-    assert classify_trivialbase(rotation(1, 3).fiber).angle == (1, 3)
+    assert classify_trivialbase(rotation(1, 3).fiber).moduli["angle"] == [1, 3]
     assert classify_trivialbase(realize_oval(Z + Poly.const(I))).family == 7
     assert classify_trivialbase(realize_no_oval((Z * Z + 1) * (Z * Z + 4))).family == 6
     rep = classify_trivialbase(builtin_map("g1p:1/2").fiber)
     assert rep.family == "rational-special"
-    assert rep.parameter == CoeffScalar(Fraction(1, 4))
+    assert rep.moduli["parameter"] == str(CoeffScalar(Fraction(1, 4)))
 
 
 def test_rational_special_parameter_under_shifts():
@@ -758,16 +757,15 @@ def test_rational_special_parameter_under_shifts():
         s = interval_shift(t)
         rep = classify_trivialbase(s.compose(g).compose(s.inverse()).fiber)
         if t == Fraction(1, 2):
-            assert str(rep.model.m) == "z^2-50/29*z+89/116"
+            assert rep.moduli["fixed_curve"]["m"] == "z^2-50/29*z+89/116"
         assert rep.family == "rational-special"
-        assert rep.parameter == CoeffScalar(Fraction(1, 4))
+        assert rep.moduli["parameter"] == str(CoeffScalar(Fraction(1, 4)))
 
 
 def test_classify_certificates_attached():
-    rep = classify_trivialbase(TAU)
-    assert rep.certificate is not None and rep.certificate.verify()
-    rep = classify_trivialbase(rotation(1, 2).fiber)
-    assert rep.certificate is not None and rep.certificate.verify()
+    for mat in (TAU, rotation(1, 2).fiber):
+        [certificate] = classify_trivialbase(mat).certificates
+        assert certificate.verify()
 
 
 def test_basis_equiv_moduli():

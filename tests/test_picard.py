@@ -181,6 +181,18 @@ def test_anticanonical_dataset():
     assert set(data) == {"gamma1", "gamma2", "gamma", "N"}
 
 
+def test_cmat_inverse_inverts_n_and_refuses_a_singular_matrix():
+    """The base change N times its inverse is the identity, and a matrix of
+    rank one raises ZeroDivisionError."""
+    from birsphere.picard import _cmat_inverse, _mat_mul
+
+    n = anticanonical_matrices(MU_UNIT)["N"]
+    one, zero = CoeffScalar(1), CoeffScalar(0)
+    assert _mat_mul(n, _cmat_inverse(n)) == tuple(tuple(one if r == c else zero for c in range(5)) for r in range(5))
+    with pytest.raises(ZeroDivisionError):
+        _cmat_inverse(((one, I), (I, -one)))
+
+
 def test_sigma_commutes_with_shipped_automorphisms():
     lat = lattice_make(4)
     from birsphere.picard import _mat_mul
