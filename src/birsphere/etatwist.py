@@ -229,7 +229,7 @@ class TwistedAlgebra(_TripleAlgebra):
         raise RuntimeError("no invertible coboundary witness in the trial set")
 
 
-# -- real fixed locus probe ----------------------------------------------
+# -- real fixed locus probe --------------------------------------------------------------------
 
 
 def real_fixed_points_on_flip(pair: SphereMap):
