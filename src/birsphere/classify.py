@@ -27,7 +27,6 @@ from .errors import (
     NotRealityMember,
     ParseError,
     UndecidedExact,
-    UnsupportedExtension,
 )
 from .factor import is_prime
 from .involutions import (
@@ -390,19 +389,19 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
        interval group, and trivial-base rotations by their angle, each
        `true` with a conjugator verified once against the inputs.
 
-    For involutions, basis_equiv_moduli finds the base map S carrying the
-    fixed curve of r1 to that of r2 (S = id for equal models) or refutes
-    one, and the conjugator of (S r1 S^-1, r2) composed with S conjugates r1
-    to r2 (UnsupportedExtension when S leaves the tower).  Lemma: S r1 S^-1
-    has r2's model, so it is not compared again.  Its fiber is Q (A o
-    sigma^-1) Q^-1, sigma^-1 = num/den the inverse base action of S and A
-    the pattern lift of r1, so its pattern determinant is lam^2 E, lam in
-    C(z) and E = D_A o sigma^-1 cleared by den^(deg D_A), an even power.
-    sigma keeps |z| > 1, where D_A > 0, so E has a positive lead like every
-    pattern determinant; lam^2 is then real with a positive lead, so lam is
-    real.  The model is thus E's square-free part: m_A o sigma^-1 cleared,
-    which is a constant times m_B when basis_equiv_moduli reads
-    "equivalent"."""
+    For involutions, basis_equiv_moduli returns the base action of a map S
+    carrying the fixed curve of r1 to that of r2 (the identity for equal
+    models) or None, and the conjugator of (S r1 S^-1, r2) composed with S
+    conjugates r1 to r2 (UnsupportedExtension when the base action or S
+    leaves the tower).  Lemma: S r1 S^-1 has r2's model, so it is not
+    compared again.  Its fiber is Q (A o sigma^-1) Q^-1, sigma^-1 = num/den
+    the inverse base action of S and A the pattern lift of r1, so its
+    pattern determinant is lam^2 E, lam in C(z) and E = D_A o sigma^-1
+    cleared by den^(deg D_A), an even power.  sigma keeps |z| > 1, where
+    D_A > 0, so E has a positive lead like every pattern determinant; lam^2
+    is then real with a positive lead, so lam is real.  The model is thus
+    E's square-free part: m_A o sigma^-1 cleared, which is a constant times
+    m_B for the base action basis_equiv_moduli returns."""
     routed = []
     for which, g in (("first", g1), ("second", g2)):
         try:
@@ -432,12 +431,10 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
         return {"conjugate": t1 == t2, "invariants": [t1.to_json(), t2.to_json()]}
     elif n1 == 2:
         models = [fixed_curve(r.fiber) for r in (r1, r2)]
-        moduli = basis_equiv_moduli(*models)
-        if moduli.status == "inequivalent":
+        base = basis_equiv_moduli(*models)
+        if base is None:
             return {"conjugate": False, "fixed_curves": [m.to_json() for m in models]}
-        if moduli.status != "equivalent":
-            raise UnsupportedExtension("the interval map between the fixed curves leaves the tower")
-        s = base_realisation(BaseMobius(BaseMobius.shift(-moduli.witness_b).b, moduli.flipped))
+        s = base_realisation(base)
         moved = s.compose(r1).compose(s.inverse()).fiber
         conjugator = SphereMap.trivial_base(involution_conjugator(moved, r2.fiber)).compose(s)
     else:

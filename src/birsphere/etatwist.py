@@ -20,10 +20,10 @@ from .errors import (
     NotInvolution,
     UnsupportedExtension,
 )
-from .involutions import _TripleAlgebra
 from .poly import (
     Poly,
     RealAlgebraic,
+    dot,
     factor_rational_poly,
 )
 from .projmat import ProjMat
@@ -186,11 +186,18 @@ def factor_even(f: Poly) -> Poly:
 # -- the twisted group algebra, for coboundary witnesses ----------------------------------
 
 
-class TwistedAlgebra(_TripleAlgebra):
+class TwistedAlgebra:
     """C(z) + C(z) xi with xi^2 = 1 - z^2 and  a(z) xi = xi conj(a)(z);
     elements are triples (a, b, d) of polynomials standing for
     (a + b xi) / d, with d real and hence central.  Its unit group is the
     matrix group of pattern lifts."""
+
+    @staticmethod
+    def add(u, v):
+        """Cross-multiplied over d1 d2, each part one fused sum (`dot`), unreduced."""
+        a1, b1, d1 = u
+        a2, b2, d2 = v
+        return (dot(((1, a1, d2), (1, a2, d1))), dot(((1, b1, d2), (1, b2, d1))), d1 * d2)
 
     @staticmethod
     def mul(u, v):

@@ -8,20 +8,22 @@ An involution with trivial base action has the shape
 cover w^2 = -D with D the pattern determinant.  -D has a negative lead, so
 its square class in R(z)* is -m for one monic square-free m, and m up to
 the interval group is a complete conjugacy invariant, compared once by
-classify.decide_conjugacy (basis_equiv_moduli).  Conjugators are produced
-in closed form: with f = -D, both sides are companions
-alpha [[0, f], [1, 0]] alpha^-1, aligned by a rescale u in lowest terms
-read off the two models' scales, and glued by a Hilbert-90 element
-c + w conj(c) of the algebra C(z)[r]/(r^2 - f), w the quotient of the two
-twist units.  The witness c is 1 or i, and a proof says one of them works.
-The conjugator is born divided by q_B u_num, the factor all its entries
-share, as the lift of a pattern, canonicalised on the pattern's two entries.
+classify.decide_conjugacy: basis_equiv_moduli returns the base action that
+carries one m to the other, or None.  Conjugators are produced in closed
+form: with f = -D, both sides are companions alpha [[0, f], [1, 0]]
+alpha^-1, aligned by a rescale u in lowest terms read off the two models'
+scales, and glued by a Hilbert-90 element c + w conj(c) of the algebra
+C(z)[r]/(r^2 - f), w the quotient of the two twist units mu_B / mu_A.  The
+witness c is 1 or i, and a proof says one of them works; the conjugator
+needs only the two numerators of c mu_A + conj(c) mu_B, two fused sums over
+the patterns (_hilbert90).  The conjugator is born divided by q_B u_num, the
+factor all its entries share, as the lift of a pattern, canonicalised on the
+pattern's two entries.
 An input's pattern memoises its involution form and fixed-curve model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import (
@@ -43,6 +45,7 @@ from .poly import (
 from .projmat import TWO_COS, ProjMat
 from .scalars import CoeffScalar, TowerReal
 from .sphere import (
+    BaseMobius,
     ConjugacyCertificate,
     FiberPattern,
     HyperellipticModel,
@@ -73,39 +76,6 @@ def fixed_curve(mat: ProjMat) -> HyperellipticModel:
 
 
 # -- conjugacy decision and certificates --------------------------------------------------
-
-
-class _TripleAlgebra:
-    """Elements (x, y, d) standing for (x + y r)/d, r the algebra's
-    generator, with d central; a sum cross-multiplies the denominators,
-    each part one fused sum of products (`dot`), and no reduction is
-    performed."""
-
-    @staticmethod
-    def add(u, v):
-        x1, y1, d1 = u
-        x2, y2, d2 = v
-        return (dot(((1, x1, d2), (1, x2, d1))), dot(((1, y1, d2), (1, y2, d1))), d1 * d2)
-
-
-class _QuadAlgebra(_TripleAlgebra):
-    """The commutative algebra C(z)[r]/(r^2 - f), f a real polynomial, with
-    the conjugation of the coefficients (it fixes r)."""
-
-    def __init__(self, f: Poly):
-        self.f = f
-
-    def mul(self, u, v):
-        x1, y1, d1 = u
-        x2, y2, d2 = v
-        return (dot(((1, x1, x2), (1, self.f * y1, y2))), dot(((1, x1, y2), (1, y1, x2))), d1 * d2)
-
-    def conj(self, u):
-        return (u[0].conj(), u[1].conj(), u[2].conj())
-
-    def is_unit(self, u) -> bool:
-        x, y, _ = u
-        return bool(dot(((1, x, x), (-1, self.f * y, y))))
 
 
 # The lift [[z, h], [1, z]] of the pattern (z, 1) moves diag(1, -1) to
@@ -176,12 +146,13 @@ def _conjugator_pattern(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
     where A or B has q = 0.  Its D is nonzero, as lift_matrix requires: the
     movers are invertible, and for q, q_B != 0 the undivided product has
     determinant -q_B h u_den u_num ~q (x^2 - f y^2), eta = (x + y r)/d,
-    which is nonzero exactly as the Hilbert-90 witness makes eta a unit."""
+    which is nonzero exactly as the Hilbert-90 witness makes eta a unit.
+    The q of an involution's form is its pattern's b (FiberPattern.involution_form)."""
     if mat_a == mat_b:
         return _IDENTITY
-    if not involution_normal_form(mat_a).q:
+    if not canonical_pattern(mat_a).b:
         return _conjugator_pattern(_OFF_DIAGONAL, mat_b) * _MOVER
-    if not involution_normal_form(mat_b).q:
+    if not canonical_pattern(mat_b).b:
         return _MOVER.inverse() * _conjugator_pattern(mat_a, _OFF_DIAGONAL)
     return _conjugator_entries(mat_a, mat_b)
 
@@ -230,22 +201,32 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
     q_B u_num, the matrix is the same projectively, so lift_matrix takes
     the content of what is left, and the bottom row is two conjugations."""
     model_a, model_b = fixed_curve(mat_a), fixed_curve(mat_b)
-    pat_a, pat_b = canonical_pattern(mat_a), canonical_pattern(mat_b)
-    algebra = _QuadAlgebra(-pat_a.determinant())
     u_num, u_den = cofactors(model_a.scale, model_b.scale)
     u_num = u_num.scale(CoeffScalar(model_a.content * model_b.content).sqrt())
     u_den = u_den.scale(CoeffScalar(-model_b.content))
+    pat_a = canonical_pattern(mat_a)
+    x, y = _hilbert90(pat_a, canonical_pattern(mat_b), u_num, u_den)
     p, q = pat_a.a, pat_a.b  # the pattern of A is (i p_A, q_A): p is i p_A from here on
-    mu_a = (p, Poly.const(-1), q)
-    mu_b = (pat_b.a * u_num, -u_den, pat_b.b * u_num)
-    x, y, _ = _hilbert90(algebra, mu_a, mu_b)
     return FiberPattern(times_h(q.conj() * y), -(p * y + x))
 
 
-def _hilbert90(algebra: _QuadAlgebra, mu_a, mu_b):
-    """eta = c mu_a + conj(c) mu_b for the first of c = 1, i that makes eta
-    a unit.  Then xi = eta / mu_a = c + w conj(c), with w = mu_b / mu_a of
-    norm w conj(w) = 1, is a unit with xi = w conj(xi).
+def _hilbert90(pat_a: FiberPattern, pat_b: FiberPattern, u_num: Poly, u_den: Poly) -> tuple[Poly, Poly]:
+    """The numerators (x, y) of eta = c mu_A + conj(c) mu_B = (x + y r)/(b b_B
+    u_num) in C(z)[r]/(r^2 - f), f = -D_A, for the first of c = 1, i that
+    makes eta a unit, read off the patterns (a, b) of A and (a_B, b_B) of B
+    and the rescale u_num / u_den of _conjugator_entries.  The twist units
+    are mu_A = (a - r)/b and mu_B = (a_B u_num - u_den r)/(b_B u_num), so
+
+        x = u_num (c a b_B + conj(c) a_B b),  y = -(c b_B u_num + conj(c) b u_den),
+
+    and eta is a unit exactly when its norm x^2 - f y^2 = x^2 + D_A y^2 is
+    nonzero.  With e = conj(c)/c, that is 1 or -1, (x, y) is c times the two
+    sums with 1 and e in place of c and conj(c): each is one fused sum over
+    integer signs (`dot`), the norm is read on them, as a constant factor
+    keeps a unit a unit, and only c = i scales them.
+
+    Then xi = eta / mu_A = c + w conj(c), with w = mu_B / mu_A of norm
+    w conj(w) = 1, is a unit with xi = w conj(xi).
 
     One of the two works for f = -D, D = p^2 + q conj(q) (z^2 - 1) the
     determinant of a real involution: the leads of both terms of D are
@@ -258,11 +239,12 @@ def _hilbert90(algebra: _QuadAlgebra, mu_a, mu_b):
       w = (v, 1/conj(v)); 1 + w is singular only for v = -1, i.e. w = -1,
       and then i (1 - w) = 2i.
     So the RuntimeError below is unreachable."""
-    one = Poly.const(1)
-    for c in ((one, Poly(), one), (Poly.const(CoeffScalar.i()), Poly(), one)):
-        eta = algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
-        if algebra.is_unit(eta):
-            return eta
+    a, b, a_b, b_b = pat_a.a, pat_a.b, pat_b.a, pat_b.b
+    for e in (1, -1):
+        x = u_num * dot(((1, a, b_b), (e, a_b, b)))
+        y = dot(((-1, b_b, u_num), (-e, b, u_den)))
+        if dot(((1, x, x), (1, pat_a.determinant(), y * y))):
+            return (x, y) if e == 1 else (x.scale(CoeffScalar.i()), y.scale(CoeffScalar.i()))
     raise RuntimeError("no invertible Hilbert-90 witness in {1, i}")
 
 
@@ -362,16 +344,11 @@ def _rotation_target(angle: tuple[int, int], sign: int) -> tuple[CoeffScalar, Pr
 # -- moduli comparison under the interval group ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModuliComparison:
-    status: str  # equivalent | inequivalent | undecided_exact
-    witness_b: TowerReal | None = None
-    flipped: bool = False
-
-
-def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel) -> ModuliComparison:
-    """Decide whether an interval-preserving base map carries the branch
-    divisor of one fixed-curve model to the other, in closed form.
+def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel) -> BaseMobius | None:
+    """The base action sigma, shift_-b with the flip z -> -z applied first
+    or not, that carries the branch divisor of model_a to that of model_b, in
+    closed form (classify.decide_conjugacy moves model_a's involution by its
+    realisation); None when no interval-preserving base map does.
 
     In u = (1 + z)/(1 - z) the shift z -> (z + b)/(1 + b z) is u -> lam u with
     lam = (1 + b)/(1 - b) > 0, and the flip z -> -z is u -> 1/u.  With
@@ -382,20 +359,22 @@ def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel)
     on S, k0 < k1 its two least indices.  As positive e-th roots are unique,
     e = k1 - k0, that holds for some lam > 0 exactly when r_k / r_k0 > 0 and
     (r_k / r_k0)^e = (r_k1 / r_k0)^(k - k0) for k in S; then lam is the
-    positive e-th root of r_k1 / r_k0, and b = (lam - 1)/(lam + 1).  When
-    |S| = 1 every shift works, and b = 0.  The comparison is undecided when
-    lam has no tower form (`RealAlgebraic.to_tower`).  A symmetric model passes
-    both orientations: one whose shift base_realisation builds (sqrt(lam) in
-    the tower) comes first.
+    positive e-th root of r_k1 / r_k0, b = (lam - 1)/(lam + 1), and sigma
+    has -b = (1 - lam)/(1 + lam), in (-1, 1) as lam > 0.  When |S| = 1 every
+    shift works, and b = 0.  UnsupportedExtension when lam has no tower
+    form (`RealAlgebraic.to_tower`) and no other orientation is found.  A
+    symmetric model passes both orientations: one whose shift
+    base_realisation builds (sqrt(lam) in the tower) comes first.
 
-    Equal models are answered first, as the flip-free pass would answer
-    them: c^b = c^a makes every r_k equal to 1, so lam = 1 and b = 0.  No
-    sign is compared: both curves are w^2 = -m (HyperellipticModel).
+    Equal models are answered first with the identity, as the flip-free
+    pass would answer them: c^b = c^a makes every r_k equal to 1, so
+    lam = 1 and b = 0.  No sign is compared: both curves are w^2 = -m
+    (HyperellipticModel).
     """
     if model_a.m == model_b.m:
-        return ModuliComparison("equivalent", TowerReal())
+        return BaseMobius.identity()
     if model_a.degree != model_b.degree:
-        return ModuliComparison("inequivalent")
+        return None
     source, target = _u_coefficients(model_a), _u_coefficients(model_b)
     undecided, found = False, []
     for flipped in (False, True):
@@ -407,13 +386,17 @@ def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel)
         except ValueError:
             undecided = True
             continue
-        found.append(ModuliComparison("equivalent", (lam - 1) / (lam + 1), flipped))
+        found.append(BaseMobius((1 - lam) / (1 + lam), flipped))
         try:
             lam.sqrt()  # base_realisation's sqrt(1 - b^2) is 2 sqrt(lam)/(lam + 1)
             return found[-1]
         except UnsupportedExtension:
             continue
-    return found[0] if found else ModuliComparison("undecided_exact" if undecided else "inequivalent")
+    if found:
+        return found[0]
+    if undecided:
+        raise UnsupportedExtension("the interval map between the fixed curves leaves the tower")
+    return None
 
 
 def _u_coefficients(model: HyperellipticModel) -> list[TowerReal]:

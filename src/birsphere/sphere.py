@@ -231,7 +231,7 @@ class HyperellipticModel:
     TowerReal, record the exact relation -D = -content * m * scale^2 to the
     raw form determinant, for the fiberwise oracle and the conjugator's
     square roots.  No sign is kept: -D = -p^2 - |q|^2 (z^2 - 1) has a
-    negative lead (involutions._hilbert90)."""
+    negative lead (the witness lemma of involutions._hilbert90)."""
 
     m: Poly
     scale: Poly

@@ -54,9 +54,57 @@ def checked_pattern(mat: ProjMat) -> FiberPattern | None:
 
 
 def same_triple(u, v) -> bool:
-    """(x1 + y1 r)/d1 = (x2 + y2 r)/d2 in the package's triple algebras
-    (_QuadAlgebra, TwistedAlgebra), cross-multiplied."""
+    """(x1 + y1 r)/d1 = (x2 + y2 r)/d2 in a triple algebra (QuadAlgebra,
+    etatwist.TwistedAlgebra), cross-multiplied."""
     return u[0] * v[2] == v[0] * u[2] and u[1] * v[2] == v[1] * u[2]
+
+
+class QuadAlgebra:
+    """The reference algebra of the involution conjugator's Hilbert-90 step:
+    C(z)[r]/(r^2 - f), f a real polynomial, its elements triples (x, y, d)
+    standing for (x + y r)/d with d central, the conjugation acting on the
+    coefficients (it fixes r).  Plain ring operations; nothing is reduced."""
+
+    def __init__(self, f: Poly):
+        self.f = f
+
+    @classmethod
+    def of_patterns(cls, pat_a: FiberPattern, pat_b: FiberPattern, u_num: Poly, u_den: Poly):
+        """The algebra of f = -D_A and the twist units mu_A = (a - r)/b and
+        mu_B = (a_B u_num - u_den r)/(b_B u_num) of the patterns (a, b) of A
+        and (a_B, b_B) of B, for the rescale u_num / u_den."""
+        mu_a = (pat_a.a, Poly.const(-1), pat_a.b)
+        mu_b = (pat_b.a * u_num, -u_den, pat_b.b * u_num)
+        return cls(-pat_a.determinant()), mu_a, mu_b
+
+    @staticmethod
+    def add(u, v):
+        return (u[0] * v[2] + v[0] * u[2], u[1] * v[2] + v[1] * u[2], u[2] * v[2])
+
+    def mul(self, u, v):
+        x1, y1, d1 = u
+        x2, y2, d2 = v
+        return (x1 * x2 + self.f * y1 * y2, x1 * y2 + y1 * x2, d1 * d2)
+
+    @staticmethod
+    def conj(u):
+        return tuple(p.conj() for p in u)
+
+    def is_unit(self, u) -> bool:
+        return bool(u[0] * u[0] - self.f * u[1] * u[1])
+
+    def eta(self, c, mu_a, mu_b):
+        """c mu_a + conj(c) mu_b."""
+        return self.add(self.mul(c, mu_a), self.mul(self.conj(c), mu_b))
+
+    def hilbert90(self, mu_a, mu_b):
+        """eta for the first witness c of 1, i that makes it a unit."""
+        one = Poly.const(1)
+        for c in ((one, Poly(), one), (Poly.const(CoeffScalar.i()), Poly(), one)):
+            eta = self.eta(c, mu_a, mu_b)
+            if self.is_unit(eta):
+                return eta
+        raise AssertionError("no invertible Hilbert-90 witness in {1, i}")
 
 
 def same_up_to_positive_rational(p, q) -> bool:

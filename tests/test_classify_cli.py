@@ -589,6 +589,10 @@ def test_catalogue_golden(capsys):
     JSON for every builtin, and conj for every ordered pair of
     CONJ_CATALOGUE and the half-turn, and for the builtin pairs of
     test_decide_conjugacy, test_conj_rotations and test_conj_infinite_order;
+    so do four interval-moved involution pairs under conj, builtin, every
+    picard subcommand and check, the dp4 and geiser routes of classify, and
+    a matrix literal and a JSON input under each element subcommand, among
+    them a flipped shift and sqrt(2) entries;
     tests/data/catalogue_cli.json maps each command line to its exit code
     and stdout (tests/data/record_catalogue.py re-records named lines)."""
     golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())
@@ -603,11 +607,13 @@ def test_catalogue_golden(capsys):
 def test_catalogue_certificates_verify():
     """Every certificate in tests/data/catalogue_cli.json verifies once it is
     parsed back from its JSON: each classify certificate maps the classified
-    element to its target, and each conj conjugator maps the first element
-    to the second.  The conj lines cover every ordered pair of CONJ_CATALOGUE
-    and the half-turn; the only `true`s without a certificate are g2p:1/2
-    against g2p:-1/2, in both orders, two base flips decided by their twist
-    class alone (the open ROADMAP item on base flips)."""
+    element to its target, a base reduction's printed sphere-map conjugator
+    carrying it to a map of the printed residual base, and each conj
+    conjugator maps the first element to the second.  The conj lines cover
+    every ordered pair of CONJ_CATALOGUE and the half-turn, and four
+    interval-moved involution pairs; the only `true`s without a certificate
+    are g2p:1/2 against g2p:-1/2, in both orders, two base flips decided by
+    their twist class alone (the open ROADMAP item on base flips)."""
     golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())
     checked = {"classify": 0, "conj": 0}
     uncertified = []
@@ -616,7 +622,12 @@ def test_catalogue_certificates_verify():
         if verb == "classify":
             for cert in json.loads(want["stdout"]).get("certificates", []):
                 source = parse_element(args[0])
-                target, conjugator = _fiber_from_json(cert["target"]), _fiber_from_json(cert["conjugator"])
+                if cert["kind"] == "base-reduction":
+                    conjugator = spheremap_from_json(cert["conjugator"])
+                    target = conjugator.compose(source).compose(conjugator.inverse())
+                    assert target.base.kind == cert["residual_base"], command
+                else:
+                    target, conjugator = _fiber_from_json(cert["target"]), _fiber_from_json(cert["conjugator"])
                 assert ConjugacyCertificate(cert["kind"], source, target, conjugator).verify(), command
                 checked[verb] += 1
         elif verb == "conj" and want["exit"] == 0:
@@ -626,7 +637,7 @@ def test_catalogue_certificates_verify():
                 checked[verb] += 1
             elif res["conjugate"]:
                 uncertified.append(command)
-    assert checked == {"classify": 54, "conj": 16}
+    assert checked == {"classify": 56, "conj": 19}
     assert uncertified == ["conj builtin:g2p:-1/2 builtin:g2p:1/2", "conj builtin:g2p:1/2 builtin:g2p:-1/2"]
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from birsphere import factor
 from birsphere import poly as poly_mod
 from birsphere.classify import classify_spheremap, decide_conjugacy
-from birsphere.involutions import InvolutionForm
+from birsphere.involutions import InvolutionForm, involution_conjugator
 from birsphere.poly import ONE_MINUS_Z2, Poly, RealAlgebraic, cofactors, dot, poly_gcd
 from birsphere.projmat import ProjMat
 from birsphere.scalars import CoeffScalar, TowerReal
@@ -212,7 +212,9 @@ def test_certify_and_classify_work_is_counted():
     """One certified involution pair and one conjugate of rot:1/2, both over
     Q(i).  The canonical form divides no entry (the gcd kernel's cofactors
     replace poly_gcd and exact_div), and the column products are pinned:
-    42 for the pair and 49 for the classification.  They were 44 and 51
+    34 for the pair and 40 for the classification.  They were 42 and 49
+    before the Hilbert-90 witness's numerators were read off the two
+    patterns in two fused sums, with no algebra triples; 44 and 51
     before the involution conjugator read i p_A and i p_B off the memoised
     patterns in place of scaling the forms back by i; 59 and 67 before the conjugator was born as a pattern (its content taken on two
     entries, no determinant and no reality check formed for it) and the
@@ -228,13 +230,26 @@ def test_certify_and_classify_work_is_counted():
     pair = SphereMap.trivial_base(a), SphereMap.trivial_base(c * a * c.inverse())
     answer, counts = _count_work(lambda: decide_conjugacy(*pair))
     assert answer["conjugate"] and answer["verified"]
-    assert counts == {"product": 42, "canonical_exact_div": 0}
+    assert counts == {"product": 34, "canonical_exact_div": 0}
 
     mover = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix()  # det 8 + 2 z^2 > 0
     rotation = SphereMap.trivial_base(mover * builtin_map("rot:1/2").fiber * mover.inverse())
     report, counts = _count_work(lambda: classify_spheremap(rotation))
     assert report.family == 3 and report.moduli["angle"] == [1, 2]
-    assert counts == {"product": 49, "canonical_exact_div": 0}
+    assert counts == {"product": 40, "canonical_exact_div": 0}
+
+
+def test_involution_conjugator_work_is_counted():
+    """One involution_conjugator call on a fixed involution over Q(i) and a
+    conjugate by a reality element: at most 28 column products, 36 when
+    the Hilbert-90 witness was formed in an algebra of triples, with a
+    product for each multiplication by the constants 1 and i."""
+    a = InvolutionForm(Z + 2, Z.scale(I) + 1 - I).matrix()
+    c = FiberPattern(Z + 2 + I, Poly.const(CoeffScalar(1, 1))).matrix()
+    b = c * a * c.inverse()
+    conjugator, counts = _count_work(lambda: involution_conjugator(a, b))
+    assert conjugator * a * conjugator.inverse() == b
+    assert counts["product"] <= 28
 
 
 def test_conjugator_gcd_takes_two_entries_and_verify_reads_its_born_pattern(monkeypatch):

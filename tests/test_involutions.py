@@ -8,11 +8,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from birsphere.classify import _matrix_json, classify_trivialbase, decide_conjugacy, spheremap_from_json
-from birsphere.errors import HasRealRoot, NotInvolution, NotRealityMember
+from birsphere.errors import HasRealRoot, NotInvolution, NotRealityMember, UnsupportedExtension
 from birsphere.involutions import (
     HyperellipticModel,
     InvolutionForm,
-    ModuliComparison,
     basis_equiv_moduli,
     construct_conjugator,
     fixed_curve,
@@ -45,7 +44,14 @@ from birsphere.sphere import (
     z_flip,
 )
 
-from conftest import checked_pattern, random_reality_element, ref_square_class, same_triple, same_up_to_positive_rational
+from conftest import (
+    QuadAlgebra,
+    checked_pattern,
+    random_reality_element,
+    ref_square_class,
+    same_triple,
+    same_up_to_positive_rational,
+)
 from test_exact_core import gaussian_scalars, polys, rational_scalars, ref_in_reality_group, ref_proportional
 
 Z = Poly.z()
@@ -339,12 +345,13 @@ def test_conjugator_identity_case():
 
 
 def test_hilbert90_witness_set():
-    """_hilbert90 returns eta = c mu_a + conj(c) mu_b for the first witness c
-    of 1, i that makes it a unit, and xi = eta / mu_a solves xi = w conj(xi)
-    for w = mu_b / mu_a.  Here mu_a = 1, so w = mu_b.  f is a non-square or
-    -s^2 with s real, as -D of a real involution always is."""
-    from birsphere.involutions import _hilbert90, _QuadAlgebra
-
+    """The witness lemma of _hilbert90 on the reference algebra
+    (conftest.QuadAlgebra): eta = c mu_a + conj(c) mu_b for the first witness
+    c of 1, i that makes it a unit, and xi = eta / mu_a solves
+    xi = w conj(xi) for w = mu_b / mu_a.  Here mu_a = 1, so w = mu_b.  f is a
+    non-square or -s^2 with s real, as -D of a real involution always is.
+    The package reads the same numerators off two patterns
+    (test_hilbert90_matches_the_reference_algebra)."""
     one, zero, i = Poly.const(1), Poly(), Poly.const(I)
     s = Z + 1  # conj(s) = s
     cases = [
@@ -355,11 +362,11 @@ def test_hilbert90_witness_set():
     ]
     mu_a = (one, zero, one)
     for f, mu_b, c in cases:
-        algebra = _QuadAlgebra(f)
+        algebra = QuadAlgebra(f)
         assert same_triple(algebra.mul(mu_b, algebra.conj(mu_b)), mu_a)  # norm one
-        eta = _hilbert90(algebra, mu_a, mu_b)
+        eta = algebra.hilbert90(mu_a, mu_b)
         assert algebra.is_unit(eta)
-        assert eta == algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))  # witness c
+        assert eta == algebra.eta(c, mu_a, mu_b)  # witness c
         assert c == (one, zero, one) or not algebra.is_unit(algebra.add(mu_a, mu_b))  # c = i: c = 1 fails
         assert same_triple(algebra.mul(eta, algebra.conj(mu_a)), algebra.mul(mu_b, algebra.conj(eta)))
 
@@ -447,34 +454,40 @@ def test_moved_involution_has_target_model(p, q, t, flip):
     r1 = SphereMap.trivial_base(InvolutionForm(p, q).matrix())
     s = interval_shift(t).compose(z_flip()) if flip else interval_shift(t)
     r2 = s.compose(r1).compose(s.inverse())
-    moduli = basis_equiv_moduli(fixed_curve(r1.fiber), fixed_curve(r2.fiber))
-    assert moduli.status == "equivalent"
-    back = base_realisation(BaseMobius(BaseMobius.shift(-moduli.witness_b).b, moduli.flipped))
+    base = basis_equiv_moduli(fixed_curve(r1.fiber), fixed_curve(r2.fiber))
+    assert base is not None
+    back = base_realisation(base)
     moved = back.compose(r1).compose(back.inverse()).fiber
     assert fixed_curve(moved).m == fixed_curve(r2.fiber).m
     out = decide_conjugacy(r1, r2)
     assert out["conjugate"] and out["verified"]
 
 
-def _undivided_entries(mat_a, mat_b, hilbert90):
-    """Reference: the conjugator as the plain product
-    beta diag(u_den, u_num) M(x + y r) [[conj q, -i p], [0, -1]], with
-    u = s / f_B reduced by gcd(s, f_B), s = sqrt(c_A c_B) m scale_A scale_B.
-    Returns the entries and q_B u_num."""
-    from birsphere.involutions import _QuadAlgebra
-
-    form_a, form_b = involution_normal_form(mat_a), involution_normal_form(mat_b)
-    f, f_b = -form_a.determinant(), -form_b.determinant()
-    model_a, model_b = HyperellipticModel.of_determinant(-f), HyperellipticModel.of_determinant(-f_b)
+def _reference_rescale(mat_a, mat_b) -> tuple[Poly, Poly]:
+    """(u_num, u_den): u = s / f_B reduced by gcd(s, f_B), with
+    s = sqrt(c_A c_B) m scale_A scale_B and f_B = -D_B, from the forms'
+    determinants."""
+    f_b = -involution_normal_form(mat_b).determinant()
+    model_a = HyperellipticModel.of_determinant(involution_normal_form(mat_a).determinant())
+    model_b = HyperellipticModel.of_determinant(-f_b)
     s = (model_a.m * model_a.scale * model_b.scale).scale(CoeffScalar(model_a.content * model_b.content).sqrt())
     g = poly_gcd(s, f_b)
-    u_num, u_den = s.exact_div(g), f_b.exact_div(g)
-    algebra = _QuadAlgebra(f)
+    return s.exact_div(g), f_b.exact_div(g)
+
+
+def _undivided_entries(mat_a, mat_b, witness=None):
+    """Reference: the conjugator as the plain product
+    beta diag(u_den, u_num) M(x + y r) [[conj q, -i p], [0, -1]], with
+    x + y r the numerator of eta = c mu_A + conj(c) mu_B in the reference
+    algebra for the witness c (the reference's own choice of 1 or i when
+    None) and u from _reference_rescale.  Returns the entries and q_B u_num."""
+    form_a, form_b = involution_normal_form(mat_a), involution_normal_form(mat_b)
+    u_num, u_den = _reference_rescale(mat_a, mat_b)
     p, q = form_a.p, form_a.q
-    mu_a = (p.scale(I), Poly.const(-1), q)
-    mu_b = (form_b.p.scale(I) * u_num, -u_den, form_b.q * u_num)
-    x, y, _ = hilbert90(algebra, mu_a, mu_b)
-    zero = Poly()
+    pat_a, pat_b = (FiberPattern(form.p.scale(I), form.q) for form in (form_a, form_b))
+    algebra, mu_a, mu_b = QuadAlgebra.of_patterns(pat_a, pat_b, u_num, u_den)
+    x, y, _ = algebra.hilbert90(mu_a, mu_b) if witness is None else algebra.eta(witness, mu_a, mu_b)
+    f, zero = algebra.f, Poly()
     beta = (zero, form_b.q * ONE_MINUS_Z2, Poly.const(-1), form_b.p.scale(-I))
     tail = raw_mul((x, f * y, y, x), (q.conj(), -p.scale(I), zero, Poly.const(-1)))
     return raw_mul(raw_mul(beta, (u_den, zero, zero, u_num)), tail), form_b.q * u_num
@@ -492,6 +505,14 @@ def test_conjugator_entries_divide_the_product():
 
     with_r_part = []
 
+    def forced(witness):
+        """_hilbert90 with the witness c = witness, in the reference algebra."""
+        def hilbert90(pat_a, pat_b, u_num, u_den):
+            algebra, mu_a, mu_b = QuadAlgebra.of_patterns(pat_a, pat_b, u_num, u_den)
+            return algebra.eta(witness, mu_a, mu_b)[:2]
+
+        return hilbert90
+
     @settings(max_examples=40, deadline=None)
     @given(p=real_polys, q=nonzero_complex_polys, a=complex_polys, b=nonzero_complex_polys,
            witness=st.none() | st.tuples(complex_polys, complex_polys))
@@ -503,13 +524,12 @@ def test_conjugator_entries_divide_the_product():
             assume(False)
         mat_b = g * mat_a * g.inverse()
         assume(involution_normal_form(mat_a).q and involution_normal_form(mat_b).q)  # off the diagonal
-        hilbert90 = inv._hilbert90
+        hilbert90, c = inv._hilbert90, None
         if witness is not None and any(witness):
-            def hilbert90(algebra, mu_a, mu_b, c=(*witness, Poly.const(1))):
-                return algebra.add(algebra.mul(c, mu_a), algebra.mul(algebra.conj(c), mu_b))
-
+            c = (*witness, Poly.const(1))
+            hilbert90 = forced(c)
             with_r_part.append(bool(witness[1]))
-        expected, factor = _undivided_entries(mat_a, mat_b, hilbert90)
+        expected, factor = _undivided_entries(mat_a, mat_b, c)
         with mock.patch.object(inv, "_hilbert90", hilbert90):
             born = inv._conjugator_entries(mat_a, mat_b)
         entries = (born.a, born.b * ONE_MINUS_Z2, born.b.conj(), born.a.conj())
@@ -576,6 +596,50 @@ def test_conjugator_born_as_pattern_matches_four_entry_path(degrees, p, q, a, b,
     assert out["verified"] and out["conjugator"] == _matrix_json(oracle)
     born, checked = conjugator.real_pattern, checked_pattern(conjugator)
     assert born == checked and checked.proportional_to(born)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degrees=st.sampled_from(DEGREE_PATTERNS), p=st.tuples(rational_scalars, rational_scalars), q=scalar_pairs,
+       a=scalar_pairs, b=scalar_pairs)
+@example(degrees=(1, 1, 1, 1), p=(CoeffScalar(1), CoeffScalar(2)), q=(CoeffScalar(1, 1), CoeffScalar(0, 1)),
+         a=(CoeffScalar(3), CoeffScalar(0, 1)), b=(CoeffScalar(1), CoeffScalar(1)))
+def test_hilbert90_matches_the_reference_algebra(degrees, p, q, a, b):
+    """On a random involution A = [[i p, q h], [~q, -i p]] and its conjugate
+    B by a random reality element [[a, b h], [~b, ~a]], every degree pattern
+    of the certify workload, the (x, y) that _hilbert90 reads off the two
+    patterns and the rescale are the numerators of the reference algebra's
+    eta = c mu_A + conj(c) mu_B, for the reference's own witness c."""
+    import birsphere.involutions as inv
+
+    dp, dq, da, db = degrees
+    mat_a = InvolutionForm(_of_degree(p, dp), _of_degree(q, dq)).matrix()
+    c = FiberPattern(_of_degree(a, da), _of_degree(b, db)).matrix()
+    mat_b = c * mat_a * c.inverse()
+    pat_a, pat_b = canonical_pattern(mat_a), canonical_pattern(mat_b)
+    u_num, u_den = _reference_rescale(mat_a, mat_b)
+    algebra, mu_a, mu_b = QuadAlgebra.of_patterns(pat_a, pat_b, u_num, u_den)
+    x, y, _ = algebra.hilbert90(mu_a, mu_b)
+    assert inv._hilbert90(pat_a, pat_b, u_num, u_den) == (x, y)
+
+
+def test_hilbert90_takes_i_where_1_fails():
+    """For the patterns (a, b) and (-a, b), two patterns of one involution,
+    and u = -1, mu_B = -mu_A: c = 1 gives eta = 0, and _hilbert90 returns
+    the numerators of the witness i, as the reference algebra does.  No pair
+    that canonical_pattern reads takes this branch: w = -1 needs B's pattern
+    to be (a, -b) u_den / u_num, a pattern of D A D with D = diag(1, -1);
+    canonical_pattern reads that matrix as (a, -b), as its canonical form
+    shares A's first entry, so u_num = u_den, while two patterns of one
+    determinant give u = -1."""
+    import birsphere.involutions as inv
+
+    pat = canonical_pattern(InvolutionForm(Z + 2, Z.scale(I) + 1 - I).matrix())
+    mirror, one, zero = FiberPattern(-pat.a, pat.b), Poly.const(1), Poly()
+    algebra, mu_a, mu_b = QuadAlgebra.of_patterns(pat, mirror, one, -one)
+    assert not algebra.is_unit(algebra.eta((one, zero, one), mu_a, mu_b))
+    x, y, _ = algebra.eta((Poly.const(I), zero, one), mu_a, mu_b)
+    assert algebra.is_unit((x, y, one))
+    assert inv._hilbert90(pat, mirror, one, -one) == (x, y)
 
 
 ROTATION_ANGLES = [(k, n) for n in (3, 4, 6, 8, 12, 24) for k in range(1, n) if math.gcd(k, n) == 1]
@@ -771,9 +835,9 @@ def test_classify_certificates_attached():
 def test_basis_equiv_moduli():
     m_a = fixed_curve(realize_no_oval((Z * Z + 1) * (Z * Z + 4)))
     m_b = fixed_curve(realize_no_oval((Z * Z + 1) * (Z * Z + 9)))
-    assert basis_equiv_moduli(m_a, m_a) == ModuliComparison("equivalent", TowerReal(), flipped=False)
-    assert isinstance(basis_equiv_moduli(m_a, m_a).witness_b, TowerReal)
-    assert basis_equiv_moduli(m_a, m_b).status == "inequivalent"
+    assert basis_equiv_moduli(m_a, m_a) == BaseMobius.identity()
+    assert isinstance(basis_equiv_moduli(m_a, m_a).b, TowerReal)
+    assert basis_equiv_moduli(m_a, m_b) is None
 
 
 def test_basis_equiv_after_interval_pullback():
@@ -788,17 +852,17 @@ def test_basis_equiv_after_interval_pullback():
             acc = acc + (num**k * den ** (m_a.m.degree - k)).scale(c)
     sf = ref_square_class(acc)
     m_pulled = HyperellipticModel(sf if sf.lead().as_real().sign() > 0 else -sf, Poly.const(1))
-    cmp = basis_equiv_moduli(m_a, m_pulled)
-    assert cmp.status == "equivalent"
-    assert isinstance(cmp.witness_b, TowerReal) and cmp.witness_b == b
+    base = basis_equiv_moduli(m_a, m_pulled)
+    assert base == BaseMobius.shift(-b)
+    assert isinstance(base.b, TowerReal)
 
 
 def test_basis_equiv_flip_only():
     # branch data {1 + i, 1 - i, 3i, -3i} needs the flip to reach its mirror
     m_a = HyperellipticModel((Z * Z - 2 * Z + 2) * (Z * Z + 9), Poly.const(1))
     m_b = HyperellipticModel((Z * Z + 2 * Z + 2) * (Z * Z + 9), Poly.const(1))
-    cmp = basis_equiv_moduli(m_a, m_b)
-    assert cmp.status == "equivalent" and cmp.flipped
+    base = basis_equiv_moduli(m_a, m_b)
+    assert base is not None and base.flip
 
 
 # -- basis_equiv_moduli in closed form against a root search -------------------
@@ -841,23 +905,31 @@ def _proportionality_minors(cols: list[Poly], target: Poly) -> list[Poly]:
     return minors
 
 
-def ref_basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel) -> ModuliComparison:
+def _witnessed(b, flipped: bool) -> BaseMobius:
+    """The base action conj realises for a witness b: shift_-b, the flip
+    first when flipped."""
+    return BaseMobius(BaseMobius.shift(-b).b, flipped)
+
+
+def ref_basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel) -> BaseMobius | None:
     """The comparison by root search: the gcd of all proportionality minors
     of the transported polynomial cuts out the candidate parameters, and
-    each real candidate in (-1, 1) with a tower form is checked by
-    substitution."""
+    each real candidate b in (-1, 1) with a tower form is checked by
+    substitution.  Returns the base action of the first b found, None when
+    there is none, and raises UnsupportedExtension when a candidate has no
+    tower form and none is found."""
     if model_a.degree != model_b.degree:
-        return ModuliComparison("inequivalent")
+        return None
     if model_a.m == model_b.m:
-        return ModuliComparison("equivalent", witness_b=Fraction(0))
+        return _witnessed(Fraction(0), False)
     undecided = False
     for flipped in (False, True):
         source = model_a.m.reflect_z() if flipped else model_a.m
         if source == model_b.m:
-            return ModuliComparison("equivalent", witness_b=Fraction(0), flipped=True)
+            return _witnessed(Fraction(0), True)
         minors = _proportionality_minors(_transport_poly(source), model_b.m)
         if not minors:
-            return ModuliComparison("equivalent", witness_b=Fraction(0), flipped=flipped)
+            return _witnessed(Fraction(0), flipped)
         g = minors[0]
         for minor in minors[1:]:
             g = poly_gcd(g, minor)
@@ -880,11 +952,19 @@ def ref_basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticMo
                 continue
             moved = BaseMobius.shift(b).substitute_into(source)
             if not (moved * Poly.const(model_b.m.lead()) - model_b.m.scale(moved.lead())):
-                witness = root.as_rational() if root.is_rational() else b
-                return ModuliComparison("equivalent", witness_b=witness, flipped=flipped)
+                return _witnessed(root.as_rational() if root.is_rational() else b, flipped)
     if undecided:
-        return ModuliComparison("undecided_exact")
-    return ModuliComparison("inequivalent")
+        raise UnsupportedExtension("a candidate interval map leaves the tower")
+    return None
+
+
+def _outcome(compare, model_a: HyperellipticModel, model_b: HyperellipticModel):
+    """compare's answer, a BaseMobius or None, or UnsupportedExtension when
+    it raises that."""
+    try:
+        return compare(model_a, model_b)
+    except UnsupportedExtension:
+        return UnsupportedExtension
 
 
 def _model(m: Poly) -> HyperellipticModel:
@@ -912,35 +992,40 @@ def squarefree_rational_polys(draw):
 @example(m=(Z * Z - 2 * Z + 2) * (Z * Z + 9), b=Fraction(0), flip=True, unrelated=None)
 @example(m=Z * Z - 1, b=Fraction(1, 2), flip=False, unrelated=None)  # one u-coefficient
 def test_basis_equiv_moduli_matches_root_search(m, b, flip, unrelated):
-    """Shifted, flipped and unrelated pairs get the same status, flip and
-    witness from the closed form as from the root search."""
+    """Shifted, flipped and unrelated pairs get the same answer from the
+    closed form as from the root search: one base action, None, or
+    UnsupportedExtension."""
     target = unrelated or BaseMobius.shift(b).substitute_into(m.reflect_z() if flip else m)
-    got = basis_equiv_moduli(_model(m), _model(target))
-    assert got == ref_basis_equiv_moduli(_model(m), _model(target))
+    got = _outcome(basis_equiv_moduli, _model(m), _model(target))
+    assert got == _outcome(ref_basis_equiv_moduli, _model(m), _model(target))
     if unrelated is None and target.degree == m.degree:
-        assert got.status == "equivalent"
+        assert isinstance(got, BaseMobius)
 
 
 def test_basis_equiv_moduli_closed_form_cases():
     """In u = (1 + z)/(1 - z): u^3 + 3 against 8u^3 + 3 is lam = 2, b = 1/3;
     against 2u^3 + 3 lam = 2^(1/3) has no tower form; against -8u^3 + 3 the
-    ratio is negative.  m is the form in z: (1 + z)^3 c_3 + (1 - z)^3 c_0."""
+    ratio is negative.  m is the form in z: (1 + z)^3 c_3 + (1 - z)^3 c_0.
+    The answers: the base action shift_-1/3, UnsupportedExtension, None."""
     one_plus, one_minus = Z + 1, 1 - Z
 
     def form(c3, c0):
         return _model(one_plus**3 * Poly.const(c3) + one_minus**3 * Poly.const(c0))
 
-    cases = {8: ("equivalent", Fraction(1, 3)), 2: ("undecided_exact", None), -8: ("inequivalent", None)}
-    for c3, (status, witness) in cases.items():
-        got = basis_equiv_moduli(form(1, 3), form(c3, 3))
-        assert (got.status, got.witness_b, got.flipped) == (status, witness, False)
-        assert got == ref_basis_equiv_moduli(form(1, 3), form(c3, 3))
+    cases = {8: _witnessed(Fraction(1, 3), False), 2: UnsupportedExtension, -8: None}
+    for c3, want in cases.items():
+        got = _outcome(basis_equiv_moduli, form(1, 3), form(c3, 3))
+        assert got == want
+        assert got == _outcome(ref_basis_equiv_moduli, form(1, 3), form(c3, 3))
+    with pytest.raises(UnsupportedExtension, match="the interval map between the fixed curves leaves the tower"):
+        basis_equiv_moduli(form(1, 3), form(2, 3))
     # u^2 + 3 against 2u^2 + 3: lam = sqrt(2), and the witness 3 - 2 sqrt(2)
     # is a TowerReal that BaseMobius.shift takes as it is
     quad_a, quad_b = _model(one_plus**2 + 3 * one_minus**2), _model(2 * one_plus**2 + 3 * one_minus**2)
     got = basis_equiv_moduli(quad_a, quad_b)
-    assert got.witness_b == 3 - 2 * TowerReal.sqrt_rational(2)
-    assert BaseMobius.shift(got.witness_b).substitute_into(quad_a.m).monic() == quad_b.m
+    witness = 3 - 2 * TowerReal.sqrt_rational(2)
+    assert got == _witnessed(witness, False)
+    assert BaseMobius.shift(witness).substitute_into(quad_a.m).monic() == quad_b.m
 
 
 REPRO_ELEMENTS = {
@@ -971,10 +1056,10 @@ def test_basis_equiv_moduli_interval_conjugates(name, t, b, flip):
     model_g, model_h = fixed_curve(g.fiber), fixed_curve(h.fiber)
     got = basis_equiv_moduli(model_g, model_h)
     if name == "oval z+1+2i" and flip:  # a shift alone also carries m to its mirror image
-        assert got.status == "equivalent"
+        assert isinstance(got, BaseMobius)
     else:
-        assert (got.status, got.witness_b, got.flipped) == ("equivalent", -b, flip and name == "oval (z-1-i)(z-3i)")
-    assert got == ref_basis_equiv_moduli(model_g, model_h)
+        assert got == _witnessed(-b, flip and name == "oval (z-1-i)(z-3i)")
+    assert got == _outcome(ref_basis_equiv_moduli, model_g, model_h)
     out = decide_conjugacy(g, h)
     assert out["conjugate"] and out["verified"]
     conjugator = spheremap_from_json(json.loads(json.dumps(out["conjugator"])))
