@@ -201,7 +201,7 @@ def cmd_picard(args) -> int:
             return 0
         if args.check == "rho":
             mu = parse_scalar(args.mu)
-            _emit({"mu": args.mu, "extra_symmetry": image_rho_check(mu)})
+            _emit({"mu": str(mu), "extra_symmetry": image_rho_check(mu)})
             return 0
         raise ParseError(f"unknown check {args.check!r}")
     if args.picard_cmd == "geiser":

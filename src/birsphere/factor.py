@@ -10,9 +10,14 @@ gcd divides nothing again; `gaussian_gcd` is its gcd alone and `gcd` that on
 Z[x].  `squarefree` is Yun's algorithm (MCA 14.21) on primitive parts,
 written once in `yun` for any ring that supplies its operations,
 `squarefree_part` is one gcd and one exact division, and
-`factor_squarefree` is Zassenhaus' algorithm (MCA ch. 14-15).  A polynomial
-is a list of Python ints in ascending powers with no trailing zero; modulo m
-its entries lie in [0, m).  A Gaussian polynomial re + i im is a pair (re, im) of such lists.
+`factor_squarefree` is Zassenhaus' algorithm (MCA ch. 14-15) with early
+factor detection (Abbott, Shoup & Zimmermann, ISSAC 2000; MCA 15.6): the
+Hensel factor tree is lifted one quadratic step at a time, each lifted
+factor is tried alone by exact division after every step, and the lifting
+stops once every factor is proved irreducible, or at Mignotte's bound,
+where subsets of the factors left are searched.  A polynomial is a list of
+Python ints in ascending powers with no trailing zero; modulo m its entries
+lie in [0, m).  A Gaussian polynomial re + i im is a pair (re, im) of such lists.
 """
 
 from __future__ import annotations
@@ -442,7 +447,8 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     kernel of Q - I, with x^(ip) mod f as row i of Q.  Its dimension is the
     number r of irreducible factors, and any two of them are separated by
     gcd(u, g - s) for some kernel element g and some s in F_p, so splitting
-    every factor u by every basis element and every s finds all r.
+    every factor u by every basis element and every s finds all r, and
+    the splitting stops as soon as it holds r factors.
     """
     n = len(f) - 1
     xp = [1]
@@ -453,14 +459,14 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
         q_rows.append(row + [0] * (n - len(row)))
         row = _divmod(mul(row, xp), f, p)[1]
     basis = _kernel([[(q_rows[i][j] - (i == j)) % p for i in range(n)] for j in range(n)], p)
-    factors = [f]
+    r, factors = len(basis), [f]
     for v in basis[1:]:  # basis[0] is the constant 1, which splits nothing
-        if len(factors) == len(basis):
+        if len(factors) == r:
             break
         split = []
-        for u in factors:
+        for k, u in enumerate(factors):
             for s in range(p):
-                if len(u) <= 2:
+                if len(u) <= 2 or len(split) + len(factors) - k == r:  # u and factors[k + 1:] are irreducible
                     break
                 g = _gcd(u, _reduce([v[0] - s] + v[1:], p), p)
                 if 1 < len(g) < len(u):
@@ -499,76 +505,112 @@ def _kernel(rows: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def _hensel_step(m: int, f, g, h, s, t):
-    """MCA 15.10: from f = g h and s g + t h = 1 modulo m, with h monic,
-    deg s < deg h and deg t < deg g, the same relations modulo m^2."""
+def _hensel_step(m: int, f, g, h, s, t) -> tuple[list[int], list[int]]:
+    """MCA 15.10, the factors: from f = g h and s g + t h = 1 modulo m, with
+    h monic, deg s < deg h and deg t < deg g, g and h with f = g h modulo
+    m^2, h still monic of the same degree."""
     m2 = m * m
     e = _reduce(_add(f, mul(g, h), -1), m2)
     q, r = _divmod(mul(s, e), h, m2)
-    g = _reduce(_add(_add(g, mul(t, e)), mul(q, g)), m2)
-    h = _reduce(_add(h, r), m2)
+    return _reduce(_add(_add(g, mul(t, e)), mul(q, g)), m2), _reduce(_add(h, r), m2)
+
+
+def _bezout_step(m: int, g, h, s, t) -> tuple[list[int], list[int]]:
+    """MCA 15.10, the Bezout pair: from s g + t h = 1 modulo m, with g and h
+    given modulo m^2 and h monic, s and t with the same relation and degree
+    bounds modulo m^2."""
+    m2 = m * m
     b = _reduce(_add(_add(mul(s, g), mul(t, h)), [1], -1), m2)
     c, d = _divmod(mul(s, b), h, m2)
-    s = _reduce(_add(s, d, -1), m2)
-    t = _reduce(_add(_add(t, mul(t, b), -1), mul(c, g), -1), m2)
-    return g, h, s, t
+    return _reduce(_add(s, d, -1), m2), _reduce(_add(_add(t, mul(t, b), -1), mul(c, g), -1), m2)
 
 
-def _hensel_lift(p: int, f: list[int], factors: list[list[int]], k: int) -> list[list[int]]:
-    """MCA 15.17: monic F_i modulo p^(2^k) with f = lead(f) prod F_i, from
-    the monic factors F_i modulo p of f, pairwise coprime modulo p.
-
-    The factors are split into two halves g = lead(f) prod(first half) and
-    h = prod(second half), the pair is lifted by k quadratic Hensel steps,
-    and each half is lifted again against its own product.
-    """
+def _factor_tree(p: int, lead: int, factors: list[list[int]]):
+    """The factor tree of MCA 15.17 over monic factors modulo p, pairwise
+    coprime: None for one factor, else a node [g, h, s, t, left, right]
+    with g = lead times the product of the first half, h the product of
+    the second, s g + t h = 1 modulo p, and the trees of the two halves
+    (the first under lead, the second under 1)."""
     if len(factors) == 1:
-        m = p ** (1 << k)
-        return [_reduce([c * pow(f[-1], -1, m) for c in f], m)]
+        return None
     half = len(factors) // 2
-    g = _reduce(reduce(mul, factors[:half], [f[-1]]), p)
+    g = _reduce(reduce(mul, factors[:half], [lead]), p)
     h = _reduce(reduce(mul, factors[half:]), p)
-    s, t = _gcdex(g, h, p)
-    for i in range(k):
-        g, h, s, t = _hensel_step(p ** (1 << i), f, g, h, s, t)
-    return _hensel_lift(p, g, factors[:half], k) + _hensel_lift(p, h, factors[half:], k)
+    return [g, h, *_gcdex(g, h, p), _factor_tree(p, lead, factors[:half]), _factor_tree(p, 1, factors[half:])]
+
+
+def _lift_tree(node, f: list[int], q: int, m: int, leaves: list[list[int]]) -> None:
+    """One quadratic step of a factor tree: each node's f = g h modulo m
+    becomes f = g h modulo m^2, top down, where f is the node's polynomial
+    modulo m^2 (the integer f at the root, its parent's new g or h below);
+    the leaves, made monic modulo m^2, are appended to leaves in order.
+
+    Each node's s g + t h = 1 holds modulo q, with q = m at the first step
+    and q^2 = m after it: s and t are brought up to m at the start of the
+    step that needs them, so the last step lifts g and h alone.
+    """
+    if node is None:
+        m2 = m * m
+        leaves.append(f if f[-1] == 1 else _reduce([c * pow(f[-1], -1, m2) for c in f], m2))
+        return
+    g, h, s, t, left, right = node
+    if q != m:
+        s, t = _bezout_step(q, g, h, s, t)
+    g, h = _hensel_step(m, f, g, h, s, t)
+    node[:4] = g, h, s, t
+    _lift_tree(left, g, q, m, leaves)
+    _lift_tree(right, h, q, m, leaves)
+
+
+def _trial(f: list[int], us: list[list[int]], m: int) -> tuple[list[int], list[int]] | None:
+    """(G, f / G) for G the primitive part of lead(f) prod us in symmetric
+    residues modulo m, when G divides f over Z; None otherwise.
+
+    A constant-term test comes first.  When the residue is lead(f)/lead(G) G
+    for a factor G of f, its constant term divides lead(f) f(0), so a
+    residue whose constant term does not is no such product.  Above the
+    bound of `factor_squarefree` every factor has that residue, so the test
+    rejects none; below it a factor's residue may be another, and a
+    rejection only leaves the factor to a larger modulus.
+    """
+    lead, tail = f[-1], f[0]
+    if tail:
+        c = lead
+        for u in us:
+            c = c * u[0] % m
+        c = c - m if 2 * c > m else c
+        if not c or lead * tail % c:
+            return None
+    g = [lead]
+    for u in us:
+        g = _reduce(mul(g, u), m)
+    g = _primitive([c - m if 2 * c > m else c for c in g])
+    q = _exact_quotient(f, g)
+    return None if q is None else (g, q)
 
 
 def _recombine(f: list[int], lifted: list[list[int]], m: int) -> list[list[int]]:
-    """The irreducible factors over Z of f, from its monic factors modulo m
-    (MCA 15.19, with exact division in place of the norm test).
+    """The irreducible factors over Z of a primitive f from its monic
+    factors modulo m > 2 |lead(f)| 2^deg(f) ||f||_2 (MCA 15.19, with exact
+    division in place of the norm test): subsets of the lifted factors in
+    increasing size, each tried by `_trial`.
 
-    Subsets of the lifted factors are tried in increasing size: lead(f)
-    times their product, in symmetric residues and made primitive, is a
-    factor exactly when it divides f over Z.  For a true factor G with the
-    subset as its image, that product is lead(f)/lead(G) G, with
-    coefficients below m/2 (`factor_squarefree`), so no factor is missed.
-    The cofactor left when every subset of at most half of the remaining
+    No factor is missed.  For a factor G of f whose image is the subset S,
+    lead(f) prod_S u_i is lead(f)/lead(G) G modulo m, whose coefficients lie
+    below m/2 (`factor_squarefree`), so the trial finds G.  A found G is
+    irreducible: a factor of G of positive degree would have a smaller
+    subset as its image, tried before G while it divided the cofactor.  The
+    cofactor left when every subset of at most half of the remaining
     factors has failed is irreducible: one side of a splitting would be one.
     """
     found = []
     size = 1
     while 2 * size <= len(lifted):
-        lead, tail = f[-1], f[0]
         for subset in combinations(range(len(lifted)), size):
-            if tail:
-                # the constant term of a factor divides lead(f) f(0)
-                c = lead
-                for i in subset:
-                    c = c * lifted[i][0] % m
-                c = c - m if 2 * c > m else c
-                if not c or lead * tail % c:
-                    continue
-            g = [lead]
-            for i in subset:
-                g = _reduce(mul(g, lifted[i]), m)
-            g = [c - m if 2 * c > m else c for c in g]
-            content = math.gcd(*g)
-            g = [c // content for c in g]
-            q = _exact_quotient(f, g)
-            if q is not None:
+            hit = _trial(f, [lifted[i] for i in subset], m)
+            if hit:
+                g, f = hit
                 found.append(g)
-                f = q
                 lifted = [u for i, u in enumerate(lifted) if i not in subset]
                 break
         else:
@@ -595,18 +637,46 @@ def factor_squarefree(f: list[int]) -> list[list[int]]:
     """The irreducible factors over Z of a primitive square-free f of
     positive degree and positive lead, each primitive with positive lead.
 
-    f is factored modulo p = `suitable_prime(f)` by Berlekamp; one modular
-    factor proves f irreducible.  Otherwise the factors are lifted to
-    p^(2^k) > 2 |lead(f)| 2^n ||f||_2 and recombined.  That modulus exceeds
-    twice the coefficients of lead(f)/lead(G) G for any factor G of f, by
-    Mignotte's bound ||G||_1 <= 2^deg(G) |lead(G)/lead(f)| ||f||_2.
+    f is factored modulo p = `suitable_prime(f)` by Berlekamp, the factor
+    tree of its modular factors is built once, and the tree is lifted one
+    quadratic step at a time (`_lift_tree`), giving monic u_1, ..., u_r with
+    f = lead(f) prod u_i modulo m = p^2, p^4, ...  F is the cofactor of the
+    factors found so far, and the u_i of F are those whose images are not
+    yet taken: for f = G F over Z, lead(G) and lead(F) divide lead(f) and
+    are prime to p, so the monic lifts of the images of G and F multiply to
+    a lift of the same modular factorisation, and Hensel lifts are unique
+    (MCA ch. 15).  After each step every u_i of F is tried alone
+    (`_trial`).  Three rules hold at any modulus:
+
+    1. A trial G that divides F over Z is a factor of f.
+    2. That G is irreducible.  lead(F) u_i = k G modulo m, k the content of
+       the residue, whose lead is lead(F) modulo p, so p divides neither k
+       nor lead(G): G modulo p is a unit times u_i modulo p, irreducible in
+       F_p[x].  A splitting of the primitive G would have two factors of
+       positive degree, whose images would split it there.
+    3. F is irreducible when one u_i is left, by the argument of rule 2, or
+       when the search of `_recombine` over subsets of at most half of its
+       u_i is complete at m > 2 |lead(F)| 2^deg(F) ||F||_2.  Such an m
+       exceeds twice the coefficients of lead(F)/lead(G) G for every factor
+       G of F, by Mignotte's bound ||G||_1 <= 2^deg(G) |lead(G)/lead(F)| ||F||_2.
+
+    The lifting stops at the first m above that bound, which shrinks with
+    F; there `_recombine` searches all subsets.  One modular factor proves
+    f irreducible before any lifting.
     """
     p, fp = suitable_prime(f)
     modular = _berlekamp(fp, p)
-    if len(modular) == 1:
-        return [f]
-    bound = 2 * f[-1] * 2 ** (len(f) - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
-    k = 0
-    while p ** (1 << k) <= bound:
-        k += 1
-    return _recombine(f, _hensel_lift(p, f, modular, k), p ** (1 << k))
+    tree = _factor_tree(p, f[-1], modular)
+    found, cofactor, alive, lifted, q, m = [], f, list(range(len(modular))), modular, p, p
+    while len(alive) > 1:
+        if m > 2 * cofactor[-1] * 2 ** (len(cofactor) - 1) * (math.isqrt(sum(c * c for c in cofactor)) + 1):
+            return found + _recombine(cofactor, [lifted[i] for i in alive], m)
+        lifted = []
+        _lift_tree(tree, f, q, m, lifted)
+        q, m = m, m * m
+        for i in list(alive):
+            if len(alive) > 1 and (hit := _trial(cofactor, [lifted[i]], m)):
+                g, cofactor = hit
+                found.append(g)
+                alive.remove(i)
+    return found + [cofactor]

@@ -62,7 +62,8 @@ gcd is taken), and one `compare` orders two numbers by narrowing both with
 doubling bits, each round continuing from the last.  Minimal polynomials
 come from `factor_rational_poly`: Yun's square-free split, then Zassenhaus'
 factorisation of each part over Z in the factor module (Berlekamp modulo the
-least suitable prime, Hensel lifting, recombination by exact division).
+least suitable prime, Hensel lifting that stops once the factors are proved,
+recombination by exact division).
 """
 
 from __future__ import annotations
@@ -895,12 +896,16 @@ def factor_rational_poly(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     and Zassenhaus' algorithm factors each part f
     (`factor.factor_squarefree`): the least prime dividing neither lead(f)
     nor disc(f) (the search ends, as lead(f) disc(f) != 0), Berlekamp
-    modulo it, Hensel lifting to a modulus above 2 |lead(f)| 2^n ||f||_2
-    (twice Mignotte's bound), and subsets of the lifted factors in
-    increasing size tried by exact division over Z.
-    The cofactor left when every subset of at most half of the remaining
-    factors has failed is irreducible: one side of a splitting would be
-    such a subset.  The factors must multiply back to p (else RuntimeError).
+    modulo it, and Hensel lifting one quadratic step at a time.  After each
+    step the single lifted factors are tried by exact division over Z, and
+    the lifting stops once every factor is proved irreducible (a found
+    factor whose image is one modular factor is, and so is a cofactor with
+    one left).  Otherwise it stops at the first modulus above the cofactor's
+    2 |lead| 2^deg ||.||_2 (twice Mignotte's bound), where subsets of the
+    lifted factors in increasing size are tried, and the cofactor left when
+    every subset of at most half of them has failed is irreducible: one side
+    of a splitting would be such a subset.  The factors must multiply back
+    to p (else RuntimeError).
     """
     coeffs = p.rational_coeffs()
     if p.degree <= 0:

@@ -472,6 +472,39 @@ def test_least_suitable_prime():
         assert suitable_prime(f)[0] == expected
 
 
+def test_factors_found_below_the_bound_are_primitive():
+    """3x^2 + x with p = 2: at m = 4 the symmetric residue of 3 x is -x,
+    a factor with negative lead until it is made primitive."""
+    assert factor.factor_squarefree([0, 1, 3]) == [[0, 1], [1, 3]]
+
+
+@pytest.mark.parametrize(
+    "parts, prime, modular, steps",
+    [
+        # 3x^2+x+2 and x^2-7 stay irreducible modulo 5; Mignotte's bound needs 5^8
+        (([2, 1, 3], [-7, 0, 1]), 5, 2, 1),
+        # x^2+2 splits modulo 3, x^2+1 does not; the bound needs 3^8
+        (([1, 0, 1], [2, 0, 1]), 3, 3, 4),
+    ],
+    ids=["two-modular-factors", "three-modular-factors"],
+)
+def test_lifting_stops_once_the_factors_are_proved(monkeypatch, parts, prime, modular, steps):
+    """Hensel steps of g and h, counted over the whole factor tree: a
+    factor whose image is one modular factor is found by exact division
+    after the first step, so lifting to Mignotte's bound (three steps per
+    tree node) is not needed.  With two modular factors one step ends it;
+    with three, x^2+1 is found at 9 and its cofactor x^2+2, whose bound is
+    24, needs one more step on both nodes."""
+    f = factor.mul(*parts)
+    p, fp = factor.suitable_prime(f)
+    assert p == prime and len(factor._berlekamp(fp, p)) == modular
+    calls = []
+    real = factor._hensel_step
+    monkeypatch.setattr(factor, "_hensel_step", lambda *args: calls.append(args[0]) or real(*args))
+    assert sorted(factor.factor_squarefree(f)) == sorted(parts)
+    assert len(calls) == steps
+
+
 _COEFF = st.builds(
     Fraction,
     st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80)),
