@@ -156,23 +156,10 @@ def parse_element(text: str) -> SphereMap:
         return builtin_map(text[len("builtin:") :])
     if text.startswith("{"):
         return spheremap_from_json(json.loads(text))
-    from .parsing import parse_matrix, parse_poly
+    from .parsing import parse_diag, parse_matrix
 
-    if text.startswith("diag(") and text.endswith(")"):
-        inner = text[len("diag(") : -1]
-        depth, cut = 0, None
-        for k, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                cut = k
-                break
-        if cut is None:
-            raise ParseError("diag(...) needs two comma-separated entries")
-        a, d = parse_poly(inner[:cut]), parse_poly(inner[cut + 1 :])
-        return SphereMap.trivial_base(ProjMat.diag(a, d))
+    if text.startswith("diag("):
+        return SphereMap.trivial_base(parse_diag(text[len("diag") :]))
     if text.startswith("[["):
         return SphereMap.trivial_base(parse_matrix(text))
     raise ParseError(f"cannot interpret element {text!r}")

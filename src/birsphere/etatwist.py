@@ -80,10 +80,6 @@ class TwistClass:
             ],
         }
 
-    def __str__(self):
-        gens = ", ".join(f"{float(g):.6g}" for g in self.gens)
-        return f"({'+' if self.sign > 0 else '-'}1, {{{gens}}})"
-
 
 def _even_to_w(p: Poly) -> Poly:
     if not p.is_even():

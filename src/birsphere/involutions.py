@@ -14,9 +14,9 @@ form: with f = -D, both sides are companions alpha [[0, f], [1, 0]]
 alpha^-1, aligned by a rescale u in lowest terms read off the two models'
 scales, and glued by a Hilbert-90 element c + w conj(c) of the algebra
 C(z)[r]/(r^2 - f), w the quotient of the two twist units mu_B / mu_A.  The
-witness c is 1 or i, and a proof says one of them works; the conjugator
-needs only the two numerators of c mu_A + conj(c) mu_B, two fused sums over
-the patterns (_hilbert90).  The conjugator is born divided by q_B u_num, the
+witness c is 1, by a lemma on canonical patterns; the conjugator needs only
+the two numerators of mu_A + mu_B, two fused sums over the patterns
+(_hilbert90).  The conjugator is born divided by q_B u_num, the
 factor all its entries share, as the lift of a pattern, canonicalised on the
 pattern's two entries.
 An input's pattern memoises its involution form and fixed-curve model.
@@ -130,7 +130,7 @@ def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
     (a, b) (_conjugator_entries proves both), and C is returned as the
     canonical form of that lift, born with its pattern
     (FiberPattern.lift_matrix), so its content is taken on two entries and
-    its reality is not derived again.  The witness c is 1 or i, with a proof
+    its reality is not derived again.  The witness c is 1, with a proof
     (_hilbert90).
 
     The closed form needs q != 0.  The only involution with q = 0 is
@@ -211,41 +211,48 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
 
 
 def _hilbert90(pat_a: FiberPattern, pat_b: FiberPattern, u_num: Poly, u_den: Poly) -> tuple[Poly, Poly]:
-    """The numerators (x, y) of eta = c mu_A + conj(c) mu_B = (x + y r)/(b b_B
-    u_num) in C(z)[r]/(r^2 - f), f = -D_A, for the first of c = 1, i that
-    makes eta a unit, read off the patterns (a, b) of A and (a_B, b_B) of B
-    and the rescale u_num / u_den of _conjugator_entries.  The twist units
-    are mu_A = (a - r)/b and mu_B = (a_B u_num - u_den r)/(b_B u_num), so
+    """The numerators (x, y) of eta = mu_A + mu_B = (x + y r)/(b b_B u_num)
+    in C(z)[r]/(r^2 - f), f = -D_A, the witness c = 1 of
+    eta = c mu_A + conj(c) mu_B, read off the canonical patterns (a, b) of A
+    and (a_B, b_B) of B and the rescale u_num / u_den of _conjugator_entries.
+    The twist units are mu_A = (a - r)/b and mu_B = (a_B u_num - u_den r)/(b_B
+    u_num), so
 
-        x = u_num (c a b_B + conj(c) a_B b),  y = -(c b_B u_num + conj(c) b u_den),
+        x = u_num (a b_B + a_B b),  y = -(b_B u_num + b u_den),
 
-    and eta is a unit exactly when its norm x^2 - f y^2 = x^2 + D_A y^2 is
-    nonzero.  With e = conj(c)/c, that is 1 or -1, (x, y) is c times the two
-    sums with 1 and e in place of c and conj(c): each is one fused sum over
-    integer signs (`dot`), the norm is read on them, as a constant factor
-    keeps a unit a unit, and only c = i scales them.
+    each one fused sum (`dot`).  Then xi = eta / mu_A = 1 + w, with
+    w = mu_B / mu_A of norm w conj(w) = 1, satisfies xi = w conj(xi), and
+    eta is a unit exactly when its norm x^2 - f y^2 = x^2 + D_A y^2 is
+    nonzero, as mu_A is a unit.
 
-    Then xi = eta / mu_A = c + w conj(c), with w = mu_B / mu_A of norm
-    w conj(w) = 1, is a unit with xi = w conj(xi).
-
-    One of the two works for f = -D, D = p^2 + q conj(q) (z^2 - 1) the
-    determinant of a real involution: the leads of both terms of D are
-    positive, so f has a negative lead and is not s^2 for a real s.
-    - f is not a square: the algebra is a field, and c = 1, i give
-      xi = 1 + w and i (1 - w), which do not both vanish.
-    - f = s^2: conj(s)^2 = f, so conj(s) = +-s, and conj(s) = s is excluded,
-      so conj(s) = -s.  x + y r -> (x + y s, x - y s) splits the algebra
-      into two copies of C(z), which conjugation swaps, so
-      w = (v, 1/conj(v)); 1 + w is singular only for v = -1, i.e. w = -1,
-      and then i (1 - w) = 2i.
-    So the RuntimeError below is unreachable."""
+    Lemma: for two different involutions A and B of one model whose
+    patterns are canonical_pattern's, xi is a unit, so c = 1 always works.
+    - xi = 1 + w is singular exactly when w = -1.  Where f is not a square
+      the algebra is a field.  Where f = s^2, conj(s)^2 = f gives
+      conj(s) = +-s, and conj(s) = s is excluded, as f = -D < 0 for real
+      |z| > 1.  x + y r -> (x + y s, x - y s) splits the algebra into two
+      copies of C(z), which conjugation swaps, so w = (v, 1/conj(v)) and
+      1 + w is singular only for v = -1.
+    - w = -1 is mu_B = -mu_A.  Its r-parts give b_B = -(u_den/u_num) b, and
+      then its scalar parts a_B = (u_den/u_num) a: B's pattern is
+      (u_den/u_num)(a, -b), whose lift is D L D with D = diag(1, -1) and L
+      the lift of (a, b).  So B = D A D.
+    - canonical_pattern reads the canonical form of D A D as e (a, -b),
+      e = +-1: the canonical form is k L with k the constant that makes the
+      first nonzero entry monic, and `_summed_pattern` reads off k L a real
+      constant times (a, b) that changes sign with k.  D L D has L's first
+      entry a when a != 0, so the same k and e = 1; only for a = 0 is its
+      first entry -b h, and then e = -1.  A pattern born with its matrix
+      (FiberPattern.lift_matrix) is `_summed_pattern` of that canonical
+      matrix too.
+    - The patterns e (a, -b) and (a, b) have one determinant, so A and B
+      have one fixed-curve model (m, scale and content c > 0), and
+      _conjugator_entries gives u = u_num / u_den = sqrt(c c) / (-c) = -1.
+      Then w = -1 needs (a_B, b_B) = -(a, -b) = e (a, -b), so e = -1, so
+      a = 0, and B's pattern is (0, b), A's own: B = A.  _conjugator_pattern
+      answers A = B with _IDENTITY before it reaches this function."""
     a, b, a_b, b_b = pat_a.a, pat_a.b, pat_b.a, pat_b.b
-    for e in (1, -1):
-        x = u_num * dot(((1, a, b_b), (e, a_b, b)))
-        y = dot(((-1, b_b, u_num), (-e, b, u_den)))
-        if dot(((1, x, x), (1, pat_a.determinant(), y * y))):
-            return (x, y) if e == 1 else (x.scale(CoeffScalar.i()), y.scale(CoeffScalar.i()))
-    raise RuntimeError("no invertible Hilbert-90 witness in {1, i}")
+    return u_num * dot(((1, a, b_b), (1, a_b, b))), dot(((-1, b_b, u_num), (-1, b, u_den)))
 
 
 # -- realization ---------------------------------------------------------------------------

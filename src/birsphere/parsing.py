@@ -4,7 +4,8 @@ Polynomial literals use rationals ``a/b``, the imaginary unit ``i``, tower
 generators ``sqrt(d)`` with ``d`` a positive rational literal, the variable
 ``z`` and the operators ``+ - * ^`` with parentheses, e.g.
 ``(1-1/2*i)*z^2 + sqrt(3)*z - 2``.  Matrices are two-row bracket literals
-``[[p11, p12],[p21, p22]]`` over the same grammar.
+``[[p11, p12],[p21, p22]]`` over the same grammar, and diagonal ones may be
+written ``diag(p, q)``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ class _Parser:
         got = self.next()
         if got != tok:
             raise ParseError(f"expected {tok!r}, got {got!r}")
+
+    def end(self) -> None:
+        if self.peek() is not None:
+            raise ParseError(f"trailing input from token {self.peek()!r}")
 
     # precedence climbing: sum -> product -> power -> atom
     def parse_sum(self) -> Poly:
@@ -136,8 +141,7 @@ class _Parser:
 def parse_poly(text: str) -> Poly:
     parser = _Parser(_tokenize(text))
     out = parser.parse_sum()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input from token {parser.peek()!r}")
+    parser.end()
     return out
 
 
@@ -162,7 +166,19 @@ def parse_matrix(text: str) -> ProjMat:
         if k == 0:
             parser.expect(",")
     parser.expect("]")
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input from token {parser.peek()!r}")
+    parser.end()
     return ProjMat.of(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
 
+
+def parse_diag(text: str) -> ProjMat:
+    """diag(p, q) from the text after "diag": "(" sum "," sum ")"."""
+    parser = _Parser(_tokenize(text))
+    parser.expect("(")
+    a = parser.parse_sum()
+    if parser.peek() != ",":
+        raise ParseError("diag(...) needs two comma-separated entries")
+    parser.next()
+    d = parser.parse_sum()
+    parser.expect(")")
+    parser.end()
+    return ProjMat.diag(a, d)

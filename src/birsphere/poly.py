@@ -379,9 +379,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return _coerce_poly(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
@@ -455,10 +452,6 @@ class Poly:
         if not n:
             return CoeffScalar(0)
         return _scalar({key: _horner(c, r, d, n) for key, c in cols.items()}, self._den * d ** (n - 1))
-
-    def eval_rational(self, q: Fraction) -> CoeffScalar:
-        q = Fraction(q)
-        return self._at_rational(q.numerator, q.denominator)
 
     def monic(self) -> Poly:
         """self divided by its lead (`monic_lead`); zero stays zero."""
@@ -609,7 +602,7 @@ def require_real(p: Poly) -> None:
 
 
 def real_sign_at(p: Poly, x: Fraction) -> int:
-    return p.eval_rational(x).as_real().sign()
+    return p(x).as_real().sign()
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
@@ -1046,15 +1039,6 @@ class RealAlgebraic:
     def __lt__(self, other):
         return self.compare(other) < 0
 
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
     def __neg__(self) -> RealAlgebraic:
         mp = self.minpoly.reflect_z()
         return RealAlgebraic(_canonical_minpoly(mp), -self.hi, -self.lo)
@@ -1079,9 +1063,6 @@ class RealAlgebraic:
     def __float__(self) -> float:
         narrow = self.refined(60)
         return float((narrow.lo + narrow.hi) / 2)
-
-    def __repr__(self):
-        return f"RealAlgebraic({self.minpoly}, ({self.lo}, {self.hi}))"
 
 
 def _canonical_minpoly(p: Poly) -> Poly:

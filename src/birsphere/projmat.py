@@ -162,13 +162,16 @@ class ProjMat:
         return mat
 
     @classmethod
-    def of_coprime(cls, polys, read_pattern) -> ProjMat:
+    def of_coprime(cls, polys) -> ProjMat:
         """The canonical form of four entries of gcd 1 and nonzero
         determinant, both proved by the caller, born with the real pattern
-        read_pattern reads off it (sphere.FiberPattern.lift_matrix): the
-        first nonzero entry made monic, with no gcd and no determinant."""
+        sphere._summed_pattern reads off it unchecked, as the entries are a
+        pattern's lift (sphere.FiberPattern.lift_matrix): the first nonzero
+        entry made monic, with no gcd and no determinant."""
+        from .sphere import _summed_pattern
+
         mat = cls._monic_lead(polys)
-        object.__setattr__(mat, "real_pattern", read_pattern(mat))
+        object.__setattr__(mat, "real_pattern", _summed_pattern(mat))
         return mat
 
     @classmethod

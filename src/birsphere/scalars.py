@@ -393,34 +393,8 @@ class TowerReal(CoeffScalar):
     def __lt__(self, other):
         return (self - other).sign() < 0
 
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
-
     def __abs__(self) -> TowerReal:
         return -self if self.sign() < 0 else self
-
-    def interval(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Rational enclosure with width about 2^-bits per term: each sqrt(m)
-        is replaced by [s, s + 1] / 2^bits with s = isqrt(m * 4^bits)."""
-        lo = hi = 0
-        for (m, _), c in self._num.items():
-            s = c * math.isqrt(m << 2 * bits)
-            if c >= 0:
-                lo, hi = lo + s, hi + s + c
-            else:
-                lo, hi = lo + s + c, hi + s
-        scale = self._den << bits
-        return Fraction(lo, scale), Fraction(hi, scale)
-
-    def __float__(self) -> float:
-        lo, hi = self.interval(64)
-        return float((lo + hi) / 2)
 
     # -- square roots ----------------------------------------------------------
 

@@ -98,7 +98,7 @@ class FiberPattern:
         (a, b) / G, G real, with entries of gcd 1, and the canonical matrix is
         a constant times it, which is real."""
         a, b = cofactors(self.a, self.b, real=True)
-        return ProjMat.of_coprime((a, times_h(b), b.conj(), a.conj()), _summed_pattern)
+        return ProjMat.of_coprime((a, times_h(b), b.conj(), a.conj()))
 
     def __mul__(self, other: FiberPattern) -> FiberPattern:
         """The pattern of the product of the two lifts, two fused sums.
@@ -231,7 +231,7 @@ class HyperellipticModel:
     TowerReal, record the exact relation -D = -content * m * scale^2 to the
     raw form determinant, for the fiberwise oracle and the conjugator's
     square roots.  No sign is kept: -D = -p^2 - |q|^2 (z^2 - 1) has a
-    negative lead (the witness lemma of involutions._hilbert90)."""
+    negative lead, as both terms of D have positive leads."""
 
     m: Poly
     scale: Poly
@@ -588,9 +588,6 @@ class SphereMap:
     def is_orientation_preserving_diffeo(self) -> bool:
         # the base flip reverses orientation, the shifts preserve it
         return diffeo_orientation(self._diffeo_fiber()) == self.base.sign()
-
-    def __str__(self):
-        return f"SphereMap(fiber={self.fiber}, base={self.base})"
 
 
 def base_realisation(base: BaseMobius) -> SphereMap:

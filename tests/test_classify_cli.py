@@ -592,7 +592,11 @@ def test_catalogue_golden(capsys):
     so do four interval-moved involution pairs under conj, builtin, every
     picard subcommand and check, the dp4 and geiser routes of classify, and
     a matrix literal and a JSON input under each element subcommand, among
-    them a flipped shift and sqrt(2) entries;
+    them a flipped shift and sqrt(2) entries; and the lines that pin a path
+    no other line runs (tests/test_reach.py): a member with a D' over the
+    tower, eval on the conic at infinity, an order that factors by Pollard's
+    rho, a conjugated rotation's normal form, diag(...), and a twist class of
+    two generators whose w-polynomial Hensel-lifts in several steps;
     tests/data/catalogue_cli.json maps each command line to its exit code
     and stdout (tests/data/record_catalogue.py re-records named lines)."""
     golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())
@@ -637,7 +641,7 @@ def test_catalogue_certificates_verify():
                 checked[verb] += 1
             elif res["conjugate"]:
                 uncertified.append(command)
-    assert checked == {"classify": 56, "conj": 19}
+    assert checked == {"classify": 57, "conj": 19}
     assert uncertified == ["conj builtin:g2p:-1/2 builtin:g2p:1/2", "conj builtin:g2p:1/2 builtin:g2p:-1/2"]
 
 

@@ -62,7 +62,7 @@ def test_h2_reduce_irrational_generators():
     cls = h2_reduce(Z**4 - 2)
     assert cls.sign == -1 and len(cls.gens) == 1
     gen = cls.gens[0]
-    assert str(gen.minpoly) == "z^2-2" and gen > Fraction(1) and gen < Fraction(2)
+    assert str(gen.minpoly) == "z^2-2" and gen.compare(Fraction(1)) > 0 and gen < Fraction(2)
 
 
 def test_group_law():

@@ -208,8 +208,6 @@ def test_tower_matches_fraction_reference(a, b):
     assert (x - y).terms == ref_add(a, {m: -c for m, c in b.items()})
     assert (x * y).terms == ref_mul(a, b)
     assert x.sign() == ref_sign(a)
-    for bits in (8, 64):
-        assert x.interval(bits) == ref_interval(a, bits)
     for v in (x, y, x + y, x * y, -x, x - x):
         assert_canonical(v)
 
@@ -408,7 +406,7 @@ def test_poly_call_matches_horner_loop(a, x):
     p = Poly(a)
     assert p(x) == ref_horner(a, x)
     if x.is_rational():
-        assert p.eval_rational(x.as_rational()) == ref_horner(a, x)
+        assert p(x.as_rational()) == ref_horner(a, x)
 
 
 @settings(max_examples=150, deadline=None)

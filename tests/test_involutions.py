@@ -345,13 +345,13 @@ def test_conjugator_identity_case():
 
 
 def test_hilbert90_witness_set():
-    """The witness lemma of _hilbert90 on the reference algebra
+    """The witness lemma for any two twist units, on the reference algebra
     (conftest.QuadAlgebra): eta = c mu_a + conj(c) mu_b for the first witness
     c of 1, i that makes it a unit, and xi = eta / mu_a solves
     xi = w conj(xi) for w = mu_b / mu_a.  Here mu_a = 1, so w = mu_b.  f is a
     non-square or -s^2 with s real, as -D of a real involution always is.
-    The package reads the same numerators off two patterns
-    (test_hilbert90_matches_the_reference_algebra)."""
+    On canonical patterns w = -1 never occurs and the package takes c = 1
+    alone (the lemma of _hilbert90, test_hilbert90_witness_one_on_the_mirror)."""
     one, zero, i = Poly.const(1), Poly(), Poly.const(I)
     s = Z + 1  # conj(s) = s
     cases = [
@@ -435,7 +435,7 @@ def test_neg_determinant_has_negative_lead(p, q, a, b):
     mat = c * InvolutionForm(p, q).matrix() * c.inverse()
     neg_d, model = -canonical_pattern(mat).determinant(), fixed_curve(mat)
     assert neg_d.lead().as_real().sign() < 0
-    assert isinstance(model.content, TowerReal) and model.content > 0
+    assert isinstance(model.content, TowerReal) and model.content.sign() > 0
     assert neg_d == (model.m * model.scale * model.scale).scale(CoeffScalar(-model.content))
 
 
@@ -497,8 +497,8 @@ def test_conjugator_entries_divide_the_product():
     """The entries of _conjugator_entries times q_B u_num are the undivided
     product, as polynomials, on random conjugate pairs.  The lemma holds for
     every witness c, so besides the package's own witness the draws force
-    random ones, at least one with an r-part (the package's witnesses 1 and
-    i have none)."""
+    random ones, at least one with an r-part (the package's witness 1 has
+    none)."""
     from unittest import mock
 
     import birsphere.involutions as inv
@@ -524,6 +524,7 @@ def test_conjugator_entries_divide_the_product():
             assume(False)
         mat_b = g * mat_a * g.inverse()
         assume(involution_normal_form(mat_a).q and involution_normal_form(mat_b).q)  # off the diagonal
+        assume(mat_a != mat_b)  # _conjugator_pattern answers A = B with the identity
         hilbert90, c = inv._hilbert90, None
         if witness is not None and any(witness):
             c = (*witness, Poly.const(1))
@@ -598,48 +599,60 @@ def test_conjugator_born_as_pattern_matches_four_entry_path(degrees, p, q, a, b,
     assert born == checked and checked.proportional_to(born)
 
 
-@settings(max_examples=60, deadline=None)
-@given(degrees=st.sampled_from(DEGREE_PATTERNS), p=st.tuples(rational_scalars, rational_scalars), q=scalar_pairs,
-       a=scalar_pairs, b=scalar_pairs)
-@example(degrees=(1, 1, 1, 1), p=(CoeffScalar(1), CoeffScalar(2)), q=(CoeffScalar(1, 1), CoeffScalar(0, 1)),
-         a=(CoeffScalar(3), CoeffScalar(0, 1)), b=(CoeffScalar(1), CoeffScalar(1)))
-def test_hilbert90_matches_the_reference_algebra(degrees, p, q, a, b):
-    """On a random involution A = [[i p, q h], [~q, -i p]] and its conjugate
-    B by a random reality element [[a, b h], [~b, ~a]], every degree pattern
-    of the certify workload, the (x, y) that _hilbert90 reads off the two
-    patterns and the rescale are the numerators of the reference algebra's
-    eta = c mu_A + conj(c) mu_B, for the reference's own witness c."""
+def _witness_one_is_a_unit(mat_a, mat_b) -> bool:
+    """The lemma of _hilbert90 on one pair: the numerators (x, y) it reads
+    off the canonical patterns and the rescale have the norm
+    x^2 + D_A y^2 != 0, and they are those of the reference algebra's
+    eta = mu_A + mu_B, the witness c = 1."""
     import birsphere.involutions as inv
 
-    dp, dq, da, db = degrees
-    mat_a = InvolutionForm(_of_degree(p, dp), _of_degree(q, dq)).matrix()
-    c = FiberPattern(_of_degree(a, da), _of_degree(b, db)).matrix()
-    mat_b = c * mat_a * c.inverse()
     pat_a, pat_b = canonical_pattern(mat_a), canonical_pattern(mat_b)
     u_num, u_den = _reference_rescale(mat_a, mat_b)
     algebra, mu_a, mu_b = QuadAlgebra.of_patterns(pat_a, pat_b, u_num, u_den)
-    x, y, _ = algebra.hilbert90(mu_a, mu_b)
-    assert inv._hilbert90(pat_a, pat_b, u_num, u_den) == (x, y)
+    x, y = inv._hilbert90(pat_a, pat_b, u_num, u_den)
+    one = Poly.const(1)
+    return bool(x * x + pat_a.determinant() * y * y) and (x, y) == algebra.eta((one, Poly(), one), mu_a, mu_b)[:2]
 
 
-def test_hilbert90_takes_i_where_1_fails():
-    """For the patterns (a, b) and (-a, b), two patterns of one involution,
-    and u = -1, mu_B = -mu_A: c = 1 gives eta = 0, and _hilbert90 returns
-    the numerators of the witness i, as the reference algebra does.  No pair
-    that canonical_pattern reads takes this branch: w = -1 needs B's pattern
-    to be (a, -b) u_den / u_num, a pattern of D A D with D = diag(1, -1);
-    canonical_pattern reads that matrix as (a, -b), as its canonical form
-    shares A's first entry, so u_num = u_den, while two patterns of one
-    determinant give u = -1."""
-    import birsphere.involutions as inv
+@settings(max_examples=60, deadline=None)
+@given(degrees=st.sampled_from(DEGREE_PATTERNS), p=st.tuples(rational_scalars, rational_scalars), q=scalar_pairs,
+       a=scalar_pairs, b=scalar_pairs, mirror=st.booleans())
+@example(degrees=(1, 1, 1, 1), p=(CoeffScalar(1), CoeffScalar(2)), q=(CoeffScalar(1, 1), CoeffScalar(0, 1)),
+         a=(CoeffScalar(3), CoeffScalar(0, 1)), b=(CoeffScalar(1), CoeffScalar(1)), mirror=False)
+def test_hilbert90_matches_the_reference_algebra(degrees, p, q, a, b, mirror):
+    """On a random involution A = [[i p, q h], [~q, -i p]] and its conjugate
+    B by a random reality element [[a, b h], [~b, ~a]], or by that element
+    times D = diag(1, -1), every degree pattern of the certify workload, the
+    (x, y) that _hilbert90 reads off the two canonical patterns and the
+    rescale are the numerators of the reference algebra's eta = mu_A + mu_B,
+    and eta is a unit: c = 1 is a witness."""
+    dp, dq, da, db = degrees
+    mat_a = InvolutionForm(_of_degree(p, dp), _of_degree(q, dq)).matrix()
+    c = FiberPattern(_of_degree(a, da), _of_degree(b, db)).matrix()
+    if mirror:
+        c = ProjMat.diag(Poly.const(1), Poly.const(-1)) * c
+    mat_b = c * mat_a * c.inverse()
+    assume(mat_b != mat_a)
+    assert _witness_one_is_a_unit(mat_a, mat_b)
 
-    pat = canonical_pattern(InvolutionForm(Z + 2, Z.scale(I) + 1 - I).matrix())
-    mirror, one, zero = FiberPattern(-pat.a, pat.b), Poly.const(1), Poly()
-    algebra, mu_a, mu_b = QuadAlgebra.of_patterns(pat, mirror, one, -one)
-    assert not algebra.is_unit(algebra.eta((one, zero, one), mu_a, mu_b))
-    x, y, _ = algebra.eta((Poly.const(I), zero, one), mu_a, mu_b)
-    assert algebra.is_unit((x, y, one))
-    assert inv._hilbert90(pat, mirror, one, -one) == (x, y)
+
+def test_hilbert90_witness_one_on_the_mirror():
+    """The case of the lemma of _hilbert90 where c = 1 could fail: B = D A D
+    with D = diag(1, -1), whose pattern (a, -b) has A's determinant, so
+    u = -1.  The canonical pattern of D A D is (a, -b) for a != 0, so w = 1,
+    not -1, and c = 1 works; for a = 0 it is (0, b), A's own, and
+    D A D = A, which _conjugator_pattern answers with the identity."""
+    d = ProjMat.diag(Poly.const(1), Poly.const(-1))
+    for p in (Z + 2, Poly()):
+        mat_a = InvolutionForm(p, Z.scale(I) + 1 - I).matrix()
+        mat_b = d * mat_a * d
+        pat_a, pat_b = canonical_pattern(mat_a), canonical_pattern(mat_b)
+        if p:
+            assert pat_b == FiberPattern(pat_a.a, -pat_a.b)
+            assert _reference_rescale(mat_a, mat_b) == (Poly.const(1), Poly.const(-1))
+            assert _witness_one_is_a_unit(mat_a, mat_b)
+        else:
+            assert mat_b == mat_a and construct_conjugator(mat_a, mat_b).conjugator == SphereMap.identity()
 
 
 ROTATION_ANGLES = [(k, n) for n in (3, 4, 6, 8, 12, 24) for k in range(1, n) if math.gcd(k, n) == 1]
@@ -943,7 +956,7 @@ def ref_basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticMo
                 continue
             g = real_part
         for root in real_roots_in_tower_poly(g):
-            if not (root > Fraction(-1) and root < Fraction(1)):
+            if not (root.compare(Fraction(-1)) > 0 and root < Fraction(1)):
                 continue
             try:
                 b = root.to_tower()
@@ -1007,7 +1020,7 @@ def test_basis_equiv_moduli_closed_form_cases():
     against 2u^3 + 3 lam = 2^(1/3) has no tower form; against -8u^3 + 3 the
     ratio is negative.  m is the form in z: (1 + z)^3 c_3 + (1 - z)^3 c_0.
     The answers: the base action shift_-1/3, UnsupportedExtension, None."""
-    one_plus, one_minus = Z + 1, 1 - Z
+    one_plus, one_minus = Z + 1, -Z + 1
 
     def form(c3, c0):
         return _model(one_plus**3 * Poly.const(c3) + one_minus**3 * Poly.const(c0))

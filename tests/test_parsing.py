@@ -4,7 +4,7 @@ import pytest
 
 from birsphere.cli import main
 from birsphere.errors import ParseError
-from birsphere.parsing import parse_matrix, parse_poly, parse_scalar
+from birsphere.parsing import parse_diag, parse_matrix, parse_poly, parse_scalar
 from birsphere.poly import Poly
 from birsphere.projmat import ProjMat
 from birsphere.scalars import CoeffScalar, TowerReal
@@ -46,6 +46,15 @@ def test_matrix_literal():
     assert m == ProjMat.of(Poly(), Poly([1, 0, -1]), Poly.const(1), Poly())
     with pytest.raises(ParseError):
         parse_matrix("[[1,2],[3]]")
+
+
+def test_diag_literal():
+    """diag(p, q) splits at the comma outside parentheses."""
+    assert parse_diag("((z+1)*(z-1), 2-i)") == ProjMat.diag(Z * Z - 1, Poly.const(CoeffScalar(2, -1)))
+    for text, message in (("(z)", "diag(...) needs two comma-separated entries"),
+                          ("(z, 1) 2", "trailing input from token '2'"), ("(z, 1, 2)", "expected ')', got ','")):
+        with pytest.raises(ParseError, match=message.replace("(", r"\(").replace(")", r"\)")):
+            parse_diag(text)
 
 
 def test_parse_errors():

@@ -219,7 +219,7 @@ def _sturm_reference_isolation(s: Poly) -> list[tuple[Fraction, Fraction]]:
             out.append((lo, hi))
         elif n > 1:
             mid = (lo + hi) / 2
-            while not s.eval_rational(mid):
+            while not s(mid):
                 mid = (mid + hi) / 2
             left = _chain_count(chain, lo, mid)
             todo += [(lo, mid, left), (mid, hi, n - left)]
@@ -309,7 +309,7 @@ def test_tower_paths_match_the_sturm_oracle(parts, data):
     assert all(a < b for a, b in zip(found, found[1:]))
     for r in found:
         if r.is_rational():
-            assert not p.eval_rational(r.as_rational())
+            assert not p(r.as_rational())
             continue
         bits = 16
         while sturm_count(norm, r.lo, r.hi) > 1:
@@ -545,7 +545,7 @@ def test_root_isolation_and_real_algebraic():
     roots = RealAlgebraic.roots_of_rational_poly(2 * Z * Z - 1)
     assert len(roots) == 2
     assert roots[0] == -roots[1]
-    assert roots[1] > Fraction(0) and roots[1] < Fraction(1)
+    assert roots[1].sign() > 0 and roots[1] < Fraction(1)
     assert roots[1].to_tower() == TowerReal.sqrt_rational(2) / 2
     r = RealAlgebraic.from_rational(Fraction(3, 7))
     assert r.is_rational() and r.as_rational() == Fraction(3, 7)
@@ -574,10 +574,10 @@ def test_tower_root_near_a_conjugate_root(e):
 
 def test_to_tower_picks_the_root_in_the_interval():
     # the roots 1 +- sqrt(2) 2^-100 lie 2^-99 apart, and the interval ends
-    # 2^-190 below the upper one, so 64-bit enclosures meet both roots
+    # 2^-190 below the upper one (isqrt(2 4^200) / 2^300 is sqrt(2) 2^-100
+    # to within 2^-300), so 64-bit enclosures meet both roots
     d = Fraction(2, 4**100)
-    root = 1 + TowerReal.from_rational(d).sqrt()
-    hi = root.interval(200)[0] - Fraction(1, 1 << 190)
+    hi = 1 + Fraction(math.isqrt(2 << 400), 1 << 300) - Fraction(1, 1 << 190)
     minpoly = _canonical_minpoly(Z * Z - Z.scale(2) + Poly.const(1 - d))
     r = RealAlgebraic(minpoly, hi - 1, hi)
     assert r.to_tower() == 1 - TowerReal.from_rational(d).sqrt()

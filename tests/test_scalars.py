@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -62,13 +63,15 @@ def test_sign_decisions():
 
 
 def test_sign_stable_under_refinement():
-    # once decided, finer enclosures agree with the decision
-    x = sqrt2() - TowerReal.from_rational(Fraction(141421356, 100000000))
+    # once decided, finer enclosures agree with the decision: x lies in
+    # [lo, lo + 2^-bits] with lo = isqrt(2 4^bits) / 2^bits - q
+    q = Fraction(141421356, 100000000)
+    x = sqrt2() - TowerReal.from_rational(q)
     s = x.sign()
     for bits in (32, 64, 128, 256):
-        lo, hi = x.interval(bits)
+        lo = Fraction(math.isqrt(2 << 2 * bits), 1 << bits) - q
         assert not (lo > 0 and s < 0)
-        assert not (hi < 0 and s > 0)
+        assert not (lo + Fraction(1, 1 << bits) < 0 and s > 0)
     assert s == x.sign()
 
 

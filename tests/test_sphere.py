@@ -151,7 +151,7 @@ def test_determinant_positive_outside_interval(rng):
         det = fiber_determinant(mat)
         assert sturm_count(det, Fraction(1), None) == 0
         assert sturm_count(det, None, Fraction(-1)) == 0
-        assert det.eval_rational(Fraction(2)).as_real().sign() > 0
+        assert det(Fraction(2)).as_real().sign() > 0
 
 
 def test_determinant_multiplicative_up_to_norm(rng):
