@@ -85,7 +85,7 @@ def cmd_fix(args) -> int:
     if g.base.kind == "shift":
         raise InfiniteOrderBase("interval shifts with b != 0 have infinite order, so they fix no curve")
     if g.base.kind != "id":
-        raise UnsupportedExtension("fixed curves are computed for trivial base action")
+        raise UndecidedExact(f"fixed curves are computed for trivial base action, not for base action {g.base.kind}")
     model = fixed_curve(g.fiber)
     _emit(model.to_json() | {"genus": model.genus()})
     return 0

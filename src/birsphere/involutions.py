@@ -14,11 +14,12 @@ form: with f = -D, both sides are companions alpha [[0, f], [1, 0]]
 alpha^-1, aligned by a rescale u in lowest terms read off the two models'
 scales, and glued by a Hilbert-90 element c + w conj(c) of the algebra
 C(z)[r]/(r^2 - f), w the quotient of the two twist units mu_B / mu_A.  The
-witness c is 1, by a lemma on canonical patterns; the conjugator needs only
-the two numerators of mu_A + mu_B, two fused sums over the patterns
-(_hilbert90).  The conjugator is born divided by q_B u_num, the
-factor all its entries share, as the lift of a pattern, canonicalised on the
-pattern's two entries.
+witness c is 1: a lemma on canonical patterns proves it a unit, so the
+conjugator is invertible.  The conjugator is born divided by q_B u_num,
+the factor all its entries share, as the lift of a pattern in closed form:
+two fused sums over the two canonical patterns and the rescale, and two
+products (_conjugator_entries).  The lift is canonicalised on the pattern's
+two entries.
 An input's pattern memoises its involution form and fixed-curve model.
 """
 
@@ -131,7 +132,7 @@ def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
     canonical form of that lift, born with its pattern
     (FiberPattern.lift_matrix), so its content is taken on two entries and
     its reality is not derived again.  The witness c is 1, with a proof
-    (_hilbert90).
+    that it makes C invertible (_conjugator_entries).
 
     The closed form needs q != 0.  The only involution with q = 0 is
     [[i p, 0], [0, -i p]], projectively diag(1, -1), so at most one of two
@@ -146,7 +147,8 @@ def _conjugator_pattern(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
     where A or B has q = 0.  Its D is nonzero, as lift_matrix requires: the
     movers are invertible, and for q, q_B != 0 the undivided product has
     determinant -q_B h u_den u_num ~q (x^2 - f y^2), eta = (x + y r)/d,
-    which is nonzero exactly as the Hilbert-90 witness makes eta a unit.
+    which is nonzero exactly as the witness c = 1 makes eta a unit (the
+    last lemma of _conjugator_entries).
     The q of an involution's form is its pattern's b (FiberPattern.involution_form)."""
     if mat_a == mat_b:
         return _IDENTITY
@@ -158,23 +160,32 @@ def _conjugator_pattern(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
 
 
 def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
-    """The pattern (a, b) of the conjugator C of involution_conjugator, whose
-    lift is C born divided by q_B u_num.
+    """The pattern of the conjugator C of involution_conjugator, whose lift
+    is C born divided by q_B u_num, in closed form: with (a, b) and
+    (a_B, b_B) the canonical patterns of A and B,
 
-    Notation: h = 1 - z^2; (p, q) and (p_B, q_B) the forms of A and B;
-    f = -D_A and f_B = -D_B; the algebra C(z)[r]/(r^2 - f), whose
-    conjugation ~ acts on the coefficients.  With -D = -content m scale^2
-    and both models sharing m, u^2 = f / f_B gives u = sqrt(c_A c_B)
-    scale_A / (-c_B scale_B), in lowest terms u_num / u_den after dividing
-    both by g = gcd(scale_A, scale_B), their `cofactors`; u_num and u_den
-    are real.  The twist units are mu_A = (i p - r)/q and
-    mu_B = nu / (q_B u_num) with nu = i p_B u_num - u_den r, and for the
-    witness c, eta = c mu_A + ~c mu_B is (x + y r)/(q q_B u_num).
-    Multiplying out C = beta diag(u_den, u_num) M(x + y r) [[~q, -i p],
-    [0, -1]], with beta = [[0, q_B h], [-1, -i p_B]], gives the first row
-    q_B u_num h [~q y, -(i p y + x)] and the second row [-~q L, i p L + K],
+        (-h ~b y, b (u_den a - u_num a_B)),  y = u_num b_B + u_den b,
+
+    where y and u_den a - u_num a_B are each one fused sum (`dot`).
+
+    Notation: h = 1 - z^2; (p, q) and (p_B, q_B) the forms of A and B, so
+    (a, b) = (i p, q) and (a_B, b_B) = (i p_B, q_B); f = -D_A and
+    f_B = -D_B; the algebra C(z)[r]/(r^2 - f), whose conjugation ~ acts on
+    the coefficients.  With -D = -content m scale^2 and both models sharing
+    m, u^2 = f / f_B gives u = sqrt(c_A c_B) scale_A / (-c_B scale_B), in
+    lowest terms u_num / u_den after dividing both by
+    g = gcd(scale_A, scale_B), their `cofactors`; u_num and u_den are real.
+    The twist units are mu_A = (i p - r)/q and mu_B = nu / (q_B u_num) with
+    nu = i p_B u_num - u_den r, and for a witness c, eta = c mu_A + ~c mu_B
+    is (x + y' r)/(q q_B u_num).  Multiplying out C = beta diag(u_den,
+    u_num) M(x + y' r) [[~q, -i p], [0, -1]], with
+    beta = [[0, q_B h], [-1, -i p_B]], gives the first row
+    q_B u_num h [~q y', -(i p y' + x)] and the second row [-~q L, i p L + K],
     where L and K are the r-part and the scalar part of
-    (i p_B u_num + u_den r)(x + y r) = -~nu (x + y r).
+    (i p_B u_num + u_den r)(x + y' r) = -~nu (x + y' r).  The witness is
+    c = 1: eta = mu_A + mu_B has x = u_num (a b_B + a_B b) and y' = -y, so
+    h ~q y' = -h ~b y and -(i p y' + x) = a y - x = b (u_den a - u_num a_B),
+    the closed form.
 
     Lemma: the twist units have equal norms, so nothing checks them.
     mu_A ~mu_A = (p^2 + f)/(q ~q) = h, as f + p^2 = q ~q h, and mu_B ~mu_B =
@@ -183,56 +194,34 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
     models share m: f / f_B = c_A scale_A^2 / (c_B scale_B^2) = u^2.  The
     callers prove the shared m; verify checks every printed conjugator.
 
-    Lemma: with a = h ~q y and b = -(i p y + x),
+    Lemma: with a' = h ~q y' and b' = -(i p y' + x),
 
-        C / (q_B u_num) = [[a, b h], [~b, ~a]],
+        C / (q_B u_num) = [[a', b' h], [~b', ~a']],
 
-    the lift of the pattern (a, b): the bottom row is the conjugate of the
+    the lift of the pattern (a', b'): the bottom row is the conjugate of the
     top row, with factor 1, for every witness c.
-    Proof, by the reality argument of _hilbert90: the twist units have equal
-    norms (above), so eta ~mu_A = c mu_A ~mu_A + ~c mu_B ~mu_A =
-    mu_B ~eta.  Times q_B u_num ~q this reads
-    (x + y r)(-i p - r)/q = nu (~x + ~y r)/(~q_B u_num), and its conjugate,
-    negated, reads -~nu (x + y r) = q_B u_num (~x + ~y r)(r - i p)/~q, as p,
-    p_B, u_num and u_den are real.  Its r-part and scalar part give
-    L = q_B u_num (~x - i p ~y)/~q and K = q_B u_num (f ~y - i p ~x)/~q.  So
-    -~q L = q_B u_num ~b, and i p L + K = q_B u_num (p^2 + f) ~y/~q =
-    q_B u_num h q ~y = q_B u_num ~a, as f + p^2 = q ~q h.  Dividing by
-    q_B u_num, the matrix is the same projectively, so lift_matrix takes
-    the content of what is left, and the bottom row is two conjugations."""
-    model_a, model_b = fixed_curve(mat_a), fixed_curve(mat_b)
-    u_num, u_den = cofactors(model_a.scale, model_b.scale)
-    u_num = u_num.scale(CoeffScalar(model_a.content * model_b.content).sqrt())
-    u_den = u_den.scale(CoeffScalar(-model_b.content))
-    pat_a = canonical_pattern(mat_a)
-    x, y = _hilbert90(pat_a, canonical_pattern(mat_b), u_num, u_den)
-    p, q = pat_a.a, pat_a.b  # the pattern of A is (i p_A, q_A): p is i p_A from here on
-    return FiberPattern(times_h(q.conj() * y), -(p * y + x))
+    Proof: the twist units have equal norms (above), so eta ~mu_A =
+    c mu_A ~mu_A + ~c mu_B ~mu_A = mu_B ~eta.  Times q_B u_num ~q this reads
+    (x + y' r)(-i p - r)/q = nu (~x + ~y' r)/(~q_B u_num), and its
+    conjugate, negated, reads -~nu (x + y' r) = q_B u_num (~x + ~y' r)(r -
+    i p)/~q, as p, p_B, u_num and u_den are real.  Its r-part and scalar
+    part give L = q_B u_num (~x - i p ~y')/~q and K = q_B u_num (f ~y' -
+    i p ~x)/~q.  So -~q L = q_B u_num ~b', and i p L + K = q_B u_num
+    (p^2 + f) ~y'/~q = q_B u_num h q ~y' = q_B u_num ~a', as
+    f + p^2 = q ~q h.  Dividing by q_B u_num, the matrix is the same
+    projectively, so lift_matrix takes the content of what is left, and
+    the bottom row is two conjugations.
 
-
-def _hilbert90(pat_a: FiberPattern, pat_b: FiberPattern, u_num: Poly, u_den: Poly) -> tuple[Poly, Poly]:
-    """The numerators (x, y) of eta = mu_A + mu_B = (x + y r)/(b b_B u_num)
-    in C(z)[r]/(r^2 - f), f = -D_A, the witness c = 1 of
-    eta = c mu_A + conj(c) mu_B, read off the canonical patterns (a, b) of A
-    and (a_B, b_B) of B and the rescale u_num / u_den of _conjugator_entries.
-    The twist units are mu_A = (a - r)/b and mu_B = (a_B u_num - u_den r)/(b_B
-    u_num), so
-
-        x = u_num (a b_B + a_B b),  y = -(b_B u_num + b u_den),
-
-    each one fused sum (`dot`).  Then xi = eta / mu_A = 1 + w, with
-    w = mu_B / mu_A of norm w conj(w) = 1, satisfies xi = w conj(xi), and
-    eta is a unit exactly when its norm x^2 - f y^2 = x^2 + D_A y^2 is
-    nonzero, as mu_A is a unit.
-
-    Lemma: for two different involutions A and B of one model whose
-    patterns are canonical_pattern's, xi is a unit, so c = 1 always works.
+    Lemma: C is invertible, that is the witness c = 1 makes eta a unit, for
+    two different involutions A and B of one model whose patterns are
+    canonical_pattern's.  eta = mu_A xi with xi = 1 + w, w = mu_B / mu_A
+    of norm w ~w = 1, and mu_A is a unit, so eta is one exactly when xi is.
     - xi = 1 + w is singular exactly when w = -1.  Where f is not a square
-      the algebra is a field.  Where f = s^2, conj(s)^2 = f gives
-      conj(s) = +-s, and conj(s) = s is excluded, as f = -D < 0 for real
-      |z| > 1.  x + y r -> (x + y s, x - y s) splits the algebra into two
-      copies of C(z), which conjugation swaps, so w = (v, 1/conj(v)) and
-      1 + w is singular only for v = -1.
+      the algebra is a field.  Where f = s^2, ~s^2 = f gives ~s = +-s, and
+      ~s = s is excluded, as f = -D < 0 for real |z| > 1.
+      t_0 + t_1 r -> (t_0 + t_1 s, t_0 - t_1 s) splits the algebra into two
+      copies of C(z), which conjugation swaps, so w = (v, 1/~v) and 1 + w is singular
+      only for v = -1.
     - w = -1 is mu_B = -mu_A.  Its r-parts give b_B = -(u_den/u_num) b, and
       then its scalar parts a_B = (u_den/u_num) a: B's pattern is
       (u_den/u_num)(a, -b), whose lift is D L D with D = diag(1, -1) and L
@@ -247,12 +236,18 @@ def _hilbert90(pat_a: FiberPattern, pat_b: FiberPattern, u_num: Poly, u_den: Pol
       matrix too.
     - The patterns e (a, -b) and (a, b) have one determinant, so A and B
       have one fixed-curve model (m, scale and content c > 0), and
-      _conjugator_entries gives u = u_num / u_den = sqrt(c c) / (-c) = -1.
-      Then w = -1 needs (a_B, b_B) = -(a, -b) = e (a, -b), so e = -1, so
-      a = 0, and B's pattern is (0, b), A's own: B = A.  _conjugator_pattern
-      answers A = B with _IDENTITY before it reaches this function."""
+      u = u_num / u_den = sqrt(c c) / (-c) = -1.  Then w = -1 needs
+      (a_B, b_B) = -(a, -b) = e (a, -b), so e = -1, so a = 0, and B's
+      pattern is (0, b), A's own: B = A.  _conjugator_pattern answers A = B
+      with _IDENTITY before it reaches this function."""
+    model_a, model_b = fixed_curve(mat_a), fixed_curve(mat_b)
+    u_num, u_den = cofactors(model_a.scale, model_b.scale)
+    u_num = u_num.scale(CoeffScalar(model_a.content * model_b.content).sqrt())
+    u_den = u_den.scale(CoeffScalar(-model_b.content))
+    pat_a, pat_b = canonical_pattern(mat_a), canonical_pattern(mat_b)
     a, b, a_b, b_b = pat_a.a, pat_a.b, pat_b.a, pat_b.b
-    return u_num * dot(((1, a, b_b), (1, a_b, b))), dot(((-1, b_b, u_num), (-1, b, u_den)))
+    y = dot(((1, u_num, b_b), (1, u_den, b)))
+    return FiberPattern(-times_h(b.conj() * y), b * dot(((1, u_den, a), (-1, u_num, a_b))))
 
 
 # -- realization ---------------------------------------------------------------------------

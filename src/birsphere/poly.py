@@ -45,21 +45,24 @@ call and one integer pass, and divides nothing again; over the tower it is
 its inverse's integer row.  Square-free splits of rational polynomials run on
 their primitive (1, 0) column (Yun's algorithm on Z[x]).  Polynomials with
 other tower coefficients use Euclid's algorithm and the same Yun loop over
-the field.  Real roots are counted and isolated by one algorithm, on
-integer lists: the square-free part of the integer column (one modular gcd,
-`factor.squarefree_part`), then Descartes' rule of signs with bisection by
-Taylor shifts and halvings (Vincent-Collins-Akritas, in the integer form of
-Rouillier and Zimmermann), with no remainder sequence.  A polynomial with
-other real tower coefficients answers through the rational Galois norm of
-its square-free part s: of the isolating intervals of the norm's
+the field.  Real roots are counted on the whole line and isolated by one
+algorithm, on integer lists: the square-free part of the integer column
+(one modular gcd, `factor.squarefree_part`), then Descartes' rule of signs
+with bisection by Taylor shifts and halvings (Vincent-Collins-Akritas, in
+the integer form of Rouillier and Zimmermann), with no remainder sequence.
+A polynomial with other real tower coefficients answers through the
+rational Galois norm of its square-free part s, folded as one conjugate
+per prime of its radicands: of the isolating intervals of the norm's
 square-free part, those across which s changes sign hold its roots, one
-each (`_tower_intervals`).  The dispatch is the coefficient type alone.
-Real algebraic numbers are carried as an irreducible rational minimal
-polynomial plus an isolating rational interval.  `refined` returns the same
-number with a narrower interval; equality is one Descartes count on the
-overlap of the two intervals (the minimal polynomial is square-free, so no
-gcd is taken), and one `compare` orders two numbers by narrowing both with
-doubling bits, each round continuing from the last.  Minimal polynomials
+each (`_tower_intervals`), and each root is the root of the norm that
+`compare` places between its interval's rational ends.  The dispatch is
+the coefficient type alone.  Real algebraic numbers are carried as an
+irreducible rational minimal polynomial plus an isolating rational
+interval.  `refined` returns the same number with a narrower interval;
+equality is one Descartes count on the overlap of the two intervals (the
+minimal polynomial is square-free, so no gcd is taken), and one `compare`
+orders two numbers by narrowing both with doubling bits, each round
+continuing from the last.  Minimal polynomials
 come from `factor_rational_poly`: Yun's square-free split, then Zassenhaus'
 factorisation of each part over Z in the factor module (Berlekamp modulo the
 least suitable prime, Hensel lifting that stops once the factors are proved,
@@ -575,9 +578,10 @@ def cofactors(*ps: Poly, real: bool = False) -> list[Poly]:
     lead(G), over the same denominator, is its cofactor by the monic gcd,
     in one integer pass.  The kernel leaves G primitive with its lead at
     re > 0, im >= 0 (`factor._zi_primitive`), so G is real up to a constant
-    exactly when its imaginary column is zero.  Tower inputs, and a
-    non-real G with real, take poly_gcd and exact_div, which a gcd of 1
-    skips."""
+    exactly when its imaginary column is zero.  A non-real G with real is
+    made monic from the kernel's columns, not formed again, and replaced
+    by gcd(G, ~G); tower inputs take poly_gcd; both then take exact_div,
+    which a gcd of 1 skips."""
     if all(p._cols.keys() <= _GAUSSIAN_KEYS for p in ps):
         (re, im), quotients = gaussian_cofactors(*((p._cols.get(_ONE_KEY, ()), p._cols.get(_I_KEY, ())) for p in ps))
         if len(re) == 1:
@@ -590,7 +594,9 @@ def cofactors(*ps: Poly, real: bool = False) -> list[Poly]:
                 cols = {_ONE_KEY: [x * a - y * b for x, y in zip(qr, qi)], _I_KEY: [x * b + y * a for x, y in zip(qr, qi)]}
                 out.append(_poly(cols, p._den))
             return out
-    g = poly_gcd(*ps)
+        g = _poly({_ONE_KEY: re, _I_KEY: im}, 1).monic()
+    else:
+        g = poly_gcd(*ps)
     if real and g.degree > 0 and g != g.conj():
         g = poly_gcd(g, g.conj())
     return [p.exact_div(g) if p else p for p in ps] if g.degree else list(ps)
@@ -718,24 +724,11 @@ def _unit_count(q: list[int]) -> int:
     return count
 
 
-def _positive_count(q: list[int]) -> int:
-    """The number of roots in (0, inf) of a square-free q in Z[x]: those in
-    (0, 1), those in (1, inf) as the roots in (0, 1) of x^n q(1 / x), and 1."""
-    return _unit_count(q) + _unit_count(q[::-1]) + (not sum(q))
-
-
-def _column_count(s: list[int], lo: Fraction | None, hi: Fraction | None) -> int:
-    """sturm_count of a square-free s in Z[x] of positive degree, lo < hi:
-    the whole line as (0, inf) for s and for s(-x), plus 0; a lower end lo
-    as (0, inf) for s(lo + x); an upper end hi as the lower end -hi of
-    s(-x); and a finite interval by one transform onto (0, 1)."""
-    if lo is None and hi is None:
-        return _positive_count(s) + _positive_count(_reflect(s)) + (not s[0])
-    if lo is None:
-        s, lo, hi = _reflect(s), -hi, None
-    if hi is None:
-        return _positive_count(_shift(_scale(s, 1, lo.denominator), lo.numerator))
-    return _unit_count(_on_unit(s, lo, hi))
+def _line_count(s: list[int]) -> int:
+    """The number of real roots of a square-free s in Z[x] of positive
+    degree: for q = s and q = s(-x), the roots of q in (0, 1), those in
+    (1, inf) as the roots in (0, 1) of x^n q(1 / x), and 1; plus 0."""
+    return sum(_unit_count(q) + _unit_count(q[::-1]) + (not sum(q)) for q in (s, _reflect(s))) + (not s[0])
 
 
 def _column_isolate(s: list[int], b: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -755,7 +748,7 @@ def _column_isolate(s: list[int], b: Fraction) -> list[tuple[Fraction, Fraction]
     line, on the small entries of s: with 0 or 1 roots no transform of s
     onto (-b, b), whose entries carry b's digits n times, is made.
     """
-    total = _column_count(s, None, None)
+    total = _line_count(s)
     if total <= 1:
         return [(-b, b)] * total
     nodes: list[list] = []  # [lo, hi, parent, count]
@@ -792,52 +785,39 @@ def _column_isolate(s: list[int], b: Fraction) -> list[tuple[Fraction, Fraction]
 # -- real-root entry points ---------------------------------------------------------
 
 
-def sturm_count(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
-    """Number of distinct real roots of p in the open interval (lo, hi).
+def sturm_count(p: Poly) -> int:
+    """Number of distinct real roots of p on the whole line.
 
-    None endpoints mean -infinity / +infinity.  Endpoint roots are excluded.
     A rational p is counted on the square-free part of its integer column
-    (`factor.squarefree_part`, one gcd) by Descartes' rule
-    (`_column_count`); a tower p through its rational Galois norm
-    (`_tower_intervals`).
+    (`factor.squarefree_part`, one gcd) by Descartes' rule (`_line_count`);
+    a tower p through its rational Galois norm (`_tower_intervals`).
     """
     require_real(p)
     if not p:
         raise ValueError("zero polynomial")
-    lo, hi = (None if e is None else Fraction(e) for e in (lo, hi))
-    if p.degree == 0 or (lo is not None and hi is not None and lo >= hi):
+    if p.degree == 0:
         return 0
     if p.is_rational():
-        return _column_count(squarefree_part(_integer_coeffs(p)), lo, hi)
-    return len(_tower_intervals(p, lo, hi)[1])
+        return _line_count(squarefree_part(_integer_coeffs(p)))
+    return len(_tower_intervals(p)[1])
 
 
-def _tower_intervals(p: Poly, lo: Fraction | None, hi: Fraction | None) -> tuple[Poly, list]:
+def _tower_intervals(p: Poly) -> tuple[Poly, list]:
     """(n, intervals) for a real p of positive degree with a coefficient
     outside Q: n is the square-free part of the rational Galois norm of the
     square-free part s = p / gcd(p, dp/dz) (`cofactors`), as an integer
     column, and the intervals, sorted, are the isolating intervals (a, b) of
-    n (`isolate_real_roots_poly`), cut to (max(lo, a), min(hi, b)), that
-    hold a root of p, one each; None ends cut nothing.
+    n (`isolate_real_roots_poly`) that hold a root of p, one each.
 
     Lemma.  Every root of s is a root of n.  An isolating interval (a, b) of
     n holds exactly one root of n, so it holds at most one root of s, and
-    that root is simple; its ends are not roots of n.
-    - So s changes sign across (a, b) exactly when p has a root there.
-    - On the cut interval the test still holds, and a cut end that is a root
-      of s gives a sign product of 0, so that root, which is not in the open
-      interval, is excluded.
-    Every root of p is in one of the intervals of n, so none is missed.
+    that root is simple; its ends are not roots of n.  So s changes sign
+    across (a, b) exactly when p has a root there.  Every root of p is in
+    one of the intervals of n, so none is missed.
     """
     s = cofactors(p, p.derivative())[0]
-    norm = galois_norm_poly(s)
-    n = _new({_ONE_KEY: tuple(squarefree_part(_integer_coeffs(norm)))}, 1)
-    out = []
-    for a, b in isolate_real_roots_poly(n):
-        a, b = a if lo is None else max(lo, a), b if hi is None else min(hi, b)
-        if a < b and real_sign_at(s, a) * real_sign_at(s, b) < 0:
-            out.append((a, b))
-    return n, out
+    n = _new({_ONE_KEY: tuple(squarefree_part(_integer_coeffs(galois_norm_poly(s))))}, 1)
+    return n, [(a, b) for a, b in isolate_real_roots_poly(n) if real_sign_at(s, a) * real_sign_at(s, b) < 0]
 
 
 def cauchy_bound(p: Poly) -> Fraction:
@@ -914,24 +894,23 @@ def factor_rational_poly(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
 def galois_norm_poly(p: Poly) -> Poly:
     """Product of the Galois conjugates of a real tower polynomial.
 
-    The conjugates are those of every subset of the primes dividing p's
-    radicands: the conjugate flipping a subset negates each column (m, 0)
-    whose radicand m has an odd number of its primes.  The result has
+    The Galois group of the field of p's radicands is generated by one
+    conjugation sigma_q per prime q dividing a radicand: sigma_q negates
+    each column (m, 0) whose radicand m is divisible by q.  The
+    conjugations commute, so folding N <- N sigma_q(N) over the primes,
+    from N = p, leaves after j primes the product of p's conjugates by
+    every subset of those j: k primes take k products.  The result has
     rational coefficients and is divisible by p (over the tower); roots of
     p are among its roots.
     """
     require_real(p)
-    cols = p._cols
-    primes = sorted({q for m, _ in cols if m != 1 for q in _factorint(m)})
-    result = p
-    for mask in range(1, 1 << len(primes)):
-        flips = [q for k, q in enumerate(primes) if mask >> k & 1]
-        odd = {m for m, _ in cols if sum(m % q == 0 for q in flips) & 1}
-        conj = {(m, t): tuple(-x for x in c) if m in odd else c for (m, t), c in cols.items()}
-        result = result * _new(conj, p._den)
-    if not result.is_rational():
+    norm = p
+    for q in sorted({q for m, _ in p._cols if m != 1 for q in _factorint(m)}):
+        conj = {(m, t): tuple(-x for x in c) if m % q == 0 else c for (m, t), c in norm._cols.items()}
+        norm = norm * _new(conj, norm._den)
+    if not norm.is_rational():
         raise ValueError("norm polynomial is not rational")
-    return result
+    return norm
 
 
 # -- real algebraic numbers -----------------------------------------------------------
@@ -1016,8 +995,9 @@ class RealAlgebraic:
         return self.compare(0)
 
     def __eq__(self, other):
-        """Exact equality by one Descartes count (`_column_count`, no gcd:
-        the minimal polynomial is irreducible) on the overlap of the two
+        """Exact equality by one Descartes count (`_unit_count` of the
+        minimal polynomial moved onto (0, 1) by `_on_unit`, no gcd: it is
+        irreducible, so square-free) on the overlap of the two
         intervals: equal values lie in it, and a root of the common minimal
         polynomial found there is the one root in each interval, so it is
         both values."""
@@ -1030,7 +1010,7 @@ class RealAlgebraic:
         if self.is_rational():
             return True
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return lo < hi and _column_count(_integer_coeffs(self.minpoly), lo, hi) >= 1
+        return lo < hi and _unit_count(_on_unit(_integer_coeffs(self.minpoly), lo, hi)) >= 1
 
     def __hash__(self):
         """A rational value hashes as its Fraction, which it equals."""
@@ -1078,26 +1058,16 @@ def real_roots_in_tower_poly(p: Poly) -> list[RealAlgebraic]:
     root r of p lies in an interval (lo, hi) of `_tower_intervals`, which
     holds no other root of the square-free part n of p's rational Galois
     norm, so r is the one root of n, as `roots_of_rational_poly(n)`
-    isolates it (by n's irreducible factors, which are the norm's), whose
-    value lies in (lo, hi).  The roots of n whose intervals meet (lo, hi)
-    are narrowed with doubling bits, each round continuing from the last,
-    until one is left: the ends are not roots of n, so every other value
-    leaves once its interval no longer meets (lo, hi).  It is returned with
-    its interval as isolated.
+    isolates it (by n's irreducible factors, which are the norm's), that
+    `compare` places strictly between lo and hi: the ends are rational and
+    not roots of n, so the comparison is exact and ends.  It is returned
+    with its interval as isolated.
     """
     require_real(p)
     if p.degree <= 0:
         return []
     if p.is_rational():
         return RealAlgebraic.roots_of_rational_poly(p)
-    n, intervals = _tower_intervals(p, None, None)
+    n, intervals = _tower_intervals(p)
     candidates = RealAlgebraic.roots_of_rational_poly(n)
-    out = []
-    for lo, hi in intervals:
-        # pairs (candidate, narrowed candidate)
-        near, bits = [(c, c) for c in candidates if c.lo < hi and lo < c.hi], 16
-        while len(near) > 1:
-            near, bits = [(c, n.refined(bits)) for c, n in near], 2 * bits
-            near = [(c, n) for c, n in near if n.lo < hi and lo < n.hi]
-        out.append(near[0][0])
-    return out
+    return [next(c for c in candidates if c.compare(lo) > 0 > c.compare(hi)) for lo, hi in intervals]

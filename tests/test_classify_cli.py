@@ -357,7 +357,7 @@ def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "fix", "builtin:gb:1/2")
     assert code == 5 and "infinite order" in err  # an interval shift fixes no curve
     code, _, err = run_cli(capsys, "fix", "builtin:tilde_eta")
-    assert code == 3  # base flips are outside the fixed-curve surface
+    assert code == 4 and "base action neg" in err  # no fixed curve is computed for a base flip
     code, _, err = run_cli(capsys, "h2", "builtin:rot:1/3")
     assert code == 5  # base action is not the flip
     code, _, err = run_cli(capsys, "classify", "builtin:rot:1/0")

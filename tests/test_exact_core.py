@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from birsphere.classify import _route, classify_spheremap
 from birsphere.errors import NotRealityMember
-from birsphere.poly import ONE_MINUS_Z2, Poly, poly_gcd, sturm_count
+from birsphere.poly import ONE_MINUS_Z2, Poly, cauchy_bound, poly_gcd
 from birsphere.positivity import is_real_positive
 from birsphere.projmat import ProjMat, proportional, raw_mul
 from birsphere.scalars import ZERO, CoeffScalar, TowerReal
@@ -746,7 +746,8 @@ def test_stripped_determinant_lemma(mat):
     polynomial (which divides D) and increasing order."""
     pat = canonical_pattern(mat)
     det = pat.determinant()
-    assert sturm_count(det, None, Fraction(-1)) == sturm_count(det, Fraction(1), None) == 0
+    b = cauchy_bound(det)
+    assert ref_real_roots(det, -b, Fraction(-1)) == ref_real_roots(det, Fraction(1), b) == []
     north, south, stripped = pat.stripped_determinant
     for e, zero in ((1, north), (-1, south)):
         assert zero == (not pat.a(e)) == (not det(e))

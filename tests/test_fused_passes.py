@@ -212,9 +212,13 @@ def test_certify_and_classify_work_is_counted():
     """One certified involution pair and one conjugate of rot:1/2, both over
     Q(i).  The canonical form divides no entry (the gcd kernel's cofactors
     replace poly_gcd and exact_div), and the column products are pinned:
-    32 for the pair and 38 for the classification.  They were 34 and 40
-    while _hilbert90 formed the norm x^2 + D_A y^2 to choose between the
-    witnesses 1 and i, before a lemma proved that 1 always works; 42 and 49
+    31 for the pair and 37 for the classification, which certifies the
+    rotation against diag(1, -1).  They were 32 and 38 while the conjugator
+    formed the Hilbert-90 witness's two numerators x and y, then ~q y and
+    p y + x, in place of its closed form's two fused sums and two products;
+    34 and 40 while the Hilbert-90 step formed the norm x^2 + D_A y^2 to
+    choose between the witnesses 1 and i, before a lemma proved that 1
+    always works; 42 and 49
     before the Hilbert-90 witness's numerators were read off the two
     patterns in two fused sums, with no algebra triples; 44 and 51
     before the involution conjugator read i p_A and i p_B off the memoised
@@ -232,13 +236,13 @@ def test_certify_and_classify_work_is_counted():
     pair = SphereMap.trivial_base(a), SphereMap.trivial_base(c * a * c.inverse())
     answer, counts = _count_work(lambda: decide_conjugacy(*pair))
     assert answer["conjugate"] and answer["verified"]
-    assert counts == {"product": 32, "canonical_exact_div": 0}
+    assert counts == {"product": 31, "canonical_exact_div": 0}
 
     mover = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix()  # det 8 + 2 z^2 > 0
     rotation = SphereMap.trivial_base(mover * builtin_map("rot:1/2").fiber * mover.inverse())
     report, counts = _count_work(lambda: classify_spheremap(rotation))
     assert report.family == 3 and report.moduli["angle"] == [1, 2]
-    assert counts == {"product": 38, "canonical_exact_div": 0}
+    assert counts == {"product": 37, "canonical_exact_div": 0}
 
 
 def test_involution_conjugator_work_is_counted():

@@ -351,7 +351,8 @@ def test_hilbert90_witness_set():
     xi = w conj(xi) for w = mu_b / mu_a.  Here mu_a = 1, so w = mu_b.  f is a
     non-square or -s^2 with s real, as -D of a real involution always is.
     On canonical patterns w = -1 never occurs and the package takes c = 1
-    alone (the lemma of _hilbert90, test_hilbert90_witness_one_on_the_mirror)."""
+    alone (the last lemma of _conjugator_entries,
+    test_hilbert90_witness_one_on_the_mirror)."""
     one, zero, i = Poly.const(1), Poly(), Poly.const(I)
     s = Z + 1  # conj(s) = s
     cases = [
@@ -475,18 +476,19 @@ def _reference_rescale(mat_a, mat_b) -> tuple[Poly, Poly]:
     return s.exact_div(g), f_b.exact_div(g)
 
 
-def _undivided_entries(mat_a, mat_b, witness=None):
+def _undivided_entries(mat_a, mat_b):
     """Reference: the conjugator as the plain product
     beta diag(u_den, u_num) M(x + y r) [[conj q, -i p], [0, -1]], with
-    x + y r the numerator of eta = c mu_A + conj(c) mu_B in the reference
-    algebra for the witness c (the reference's own choice of 1 or i when
-    None) and u from _reference_rescale.  Returns the entries and q_B u_num."""
+    x + y r the numerator of eta = mu_A + mu_B in the reference algebra,
+    the witness c = 1, and u from _reference_rescale.  Returns the entries
+    and q_B u_num."""
     form_a, form_b = involution_normal_form(mat_a), involution_normal_form(mat_b)
     u_num, u_den = _reference_rescale(mat_a, mat_b)
     p, q = form_a.p, form_a.q
     pat_a, pat_b = (FiberPattern(form.p.scale(I), form.q) for form in (form_a, form_b))
     algebra, mu_a, mu_b = QuadAlgebra.of_patterns(pat_a, pat_b, u_num, u_den)
-    x, y, _ = algebra.hilbert90(mu_a, mu_b) if witness is None else algebra.eta(witness, mu_a, mu_b)
+    one = Poly.const(1)
+    x, y, _ = algebra.eta((one, Poly(), one), mu_a, mu_b)
     f, zero = algebra.f, Poly()
     beta = (zero, form_b.q * ONE_MINUS_Z2, Poly.const(-1), form_b.p.scale(-I))
     tail = raw_mul((x, f * y, y, x), (q.conj(), -p.scale(I), zero, Poly.const(-1)))
@@ -495,29 +497,14 @@ def _undivided_entries(mat_a, mat_b, witness=None):
 
 def test_conjugator_entries_divide_the_product():
     """The entries of _conjugator_entries times q_B u_num are the undivided
-    product, as polynomials, on random conjugate pairs.  The lemma holds for
-    every witness c, so besides the package's own witness the draws force
-    random ones, at least one with an r-part (the package's witness 1 has
-    none)."""
-    from unittest import mock
-
+    product of the reference algebra at the witness c = 1, as polynomials,
+    on random conjugate pairs."""
     import birsphere.involutions as inv
 
-    with_r_part = []
-
-    def forced(witness):
-        """_hilbert90 with the witness c = witness, in the reference algebra."""
-        def hilbert90(pat_a, pat_b, u_num, u_den):
-            algebra, mu_a, mu_b = QuadAlgebra.of_patterns(pat_a, pat_b, u_num, u_den)
-            return algebra.eta(witness, mu_a, mu_b)[:2]
-
-        return hilbert90
-
     @settings(max_examples=40, deadline=None)
-    @given(p=real_polys, q=nonzero_complex_polys, a=complex_polys, b=nonzero_complex_polys,
-           witness=st.none() | st.tuples(complex_polys, complex_polys))
-    @example(p=Poly.const(1), q=Poly.const(1), a=Z + 2, b=Poly.const(1), witness=(Z + 1, Poly.const(1 - I)))
-    def check(p, q, a, b, witness):
+    @given(p=real_polys, q=nonzero_complex_polys, a=complex_polys, b=nonzero_complex_polys)
+    @example(p=Poly.const(1), q=Poly.const(1), a=Z + 2, b=Poly.const(1))
+    def check(p, q, a, b):
         try:
             mat_a, g = InvolutionForm(p, q).matrix(), FiberPattern(a, b).matrix()
         except ValueError:  # zero matrix or zero determinant
@@ -525,19 +512,12 @@ def test_conjugator_entries_divide_the_product():
         mat_b = g * mat_a * g.inverse()
         assume(involution_normal_form(mat_a).q and involution_normal_form(mat_b).q)  # off the diagonal
         assume(mat_a != mat_b)  # _conjugator_pattern answers A = B with the identity
-        hilbert90, c = inv._hilbert90, None
-        if witness is not None and any(witness):
-            c = (*witness, Poly.const(1))
-            hilbert90 = forced(c)
-            with_r_part.append(bool(witness[1]))
-        expected, factor = _undivided_entries(mat_a, mat_b, c)
-        with mock.patch.object(inv, "_hilbert90", hilbert90):
-            born = inv._conjugator_entries(mat_a, mat_b)
+        expected, factor = _undivided_entries(mat_a, mat_b)
+        born = inv._conjugator_entries(mat_a, mat_b)
         entries = (born.a, born.b * ONE_MINUS_Z2, born.b.conj(), born.a.conj())
         assert tuple(e * factor for e in entries) == expected
 
     check()
-    assert any(with_r_part)
 
 
 def _four_entry_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
@@ -600,18 +580,21 @@ def test_conjugator_born_as_pattern_matches_four_entry_path(degrees, p, q, a, b,
 
 
 def _witness_one_is_a_unit(mat_a, mat_b) -> bool:
-    """The lemma of _hilbert90 on one pair: the numerators (x, y) it reads
-    off the canonical patterns and the rescale have the norm
-    x^2 + D_A y^2 != 0, and they are those of the reference algebra's
-    eta = mu_A + mu_B, the witness c = 1."""
+    """The last lemma of _conjugator_entries on one pair: the numerators
+    (x, y) of the reference algebra's eta = mu_A + mu_B, the witness c = 1,
+    have the norm x^2 + D_A y^2 != 0, and the closed form is the pattern
+    (h ~b y, -(a y + x)) that the lemmas build from them, (a, b) A's
+    canonical pattern."""
     import birsphere.involutions as inv
 
     pat_a, pat_b = canonical_pattern(mat_a), canonical_pattern(mat_b)
     u_num, u_den = _reference_rescale(mat_a, mat_b)
     algebra, mu_a, mu_b = QuadAlgebra.of_patterns(pat_a, pat_b, u_num, u_den)
-    x, y = inv._hilbert90(pat_a, pat_b, u_num, u_den)
     one = Poly.const(1)
-    return bool(x * x + pat_a.determinant() * y * y) and (x, y) == algebra.eta((one, Poly(), one), mu_a, mu_b)[:2]
+    x, y, _ = algebra.eta((one, Poly(), one), mu_a, mu_b)
+    a, b = pat_a.a, pat_a.b
+    closed = FiberPattern(b.conj() * y * ONE_MINUS_Z2, -(a * y + x))
+    return bool(x * x + pat_a.determinant() * y * y) and inv._conjugator_entries(mat_a, mat_b) == closed
 
 
 @settings(max_examples=60, deadline=None)
@@ -623,9 +606,9 @@ def test_hilbert90_matches_the_reference_algebra(degrees, p, q, a, b, mirror):
     """On a random involution A = [[i p, q h], [~q, -i p]] and its conjugate
     B by a random reality element [[a, b h], [~b, ~a]], or by that element
     times D = diag(1, -1), every degree pattern of the certify workload, the
-    (x, y) that _hilbert90 reads off the two canonical patterns and the
-    rescale are the numerators of the reference algebra's eta = mu_A + mu_B,
-    and eta is a unit: c = 1 is a witness."""
+    reference algebra's eta = mu_A + mu_B is a unit, so c = 1 is a witness,
+    and the closed form of _conjugator_entries is the pattern built from
+    eta's numerators."""
     dp, dq, da, db = degrees
     mat_a = InvolutionForm(_of_degree(p, dp), _of_degree(q, dq)).matrix()
     c = FiberPattern(_of_degree(a, da), _of_degree(b, db)).matrix()
@@ -637,7 +620,8 @@ def test_hilbert90_matches_the_reference_algebra(degrees, p, q, a, b, mirror):
 
 
 def test_hilbert90_witness_one_on_the_mirror():
-    """The case of the lemma of _hilbert90 where c = 1 could fail: B = D A D
+    """The case of the last lemma of _conjugator_entries where c = 1 could
+    fail: B = D A D
     with D = diag(1, -1), whose pattern (a, -b) has A's determinant, so
     u = -1.  The canonical pattern of D A D is (a, -b) for a != 0, so w = 1,
     not -1, and c = 1 works; for a = 0 it is (0, b), A's own, and

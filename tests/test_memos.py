@@ -7,6 +7,7 @@ no input or its pattern outlives the query that built them."""
 import ast
 import gc
 import importlib
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -81,10 +82,21 @@ def package_memos() -> dict[tuple[str, str], str]:
 
 
 def clear_caches() -> None:
-    """Empty every cache of the package, as package_memos finds them."""
+    """Empty every cache of the package, as package_memos finds them: each
+    function cache, and each cached_property memoised on a module-level
+    constant of a loaded package module (involutions._OFF_DIAGONAL's
+    pattern, say), which no query's end would drop."""
+    properties = {}
     for (module, name), decorator in package_memos().items():
         if decorator != "cached_property":
             getattr(importlib.import_module(f"birsphere.{module}"), name).cache_clear()
+        else:
+            cls, _, attr = name.rpartition(".")
+            properties.setdefault(cls, []).append(attr)
+    for module in [m for key, m in sys.modules.items() if key.startswith("birsphere.")]:
+        for value in vars(module).values():
+            for attr in properties.get(type(value).__name__, ()):
+                vars(value).pop(attr, None)
 
 
 def test_every_package_memo_is_listed():

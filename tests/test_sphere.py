@@ -10,7 +10,7 @@ from birsphere.errors import (
     InfiniteOrderBase,
     NotOnSphere,
 )
-from birsphere.poly import ONE_MINUS_Z2, Poly
+from birsphere.poly import ONE_MINUS_Z2, Poly, cauchy_bound
 from birsphere.projmat import INF, ProjMat
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import (
@@ -38,6 +38,7 @@ from birsphere.sphere import (
 from conftest import (
     random_reality_element,
     random_sphere_point,
+    ref_real_roots,
     ref_square_class,
     same_up_to_positive_rational,
     same_function,
@@ -144,13 +145,11 @@ def test_fiber_determinant_examples():
 
 
 def test_determinant_positive_outside_interval(rng):
-    from birsphere.poly import sturm_count
-
     for _ in range(15):
         mat = random_reality_element(rng)
         det = fiber_determinant(mat)
-        assert sturm_count(det, Fraction(1), None) == 0
-        assert sturm_count(det, None, Fraction(-1)) == 0
+        b = cauchy_bound(det)
+        assert ref_real_roots(det, Fraction(1), b) == ref_real_roots(det, -b, Fraction(-1)) == []
         assert det(Fraction(2)).as_real().sign() > 0
 
 
