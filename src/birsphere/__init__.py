@@ -8,7 +8,10 @@ involutions and classify.  The layers most answers never reach load on
 first use: etatwist (the twist classes of base-flip involutions), parsing
 (the text grammar of literals), picard (the lattices of the blown-up
 surfaces) and positivity (the decompositions behind `realize_no_oval`).
-Their public names stay reachable here through the module `__getattr__`."""
+Their public names stay reachable here through the module `__getattr__`.
+The package's classes are plain classes, so the import loads no
+`dataclasses` (nor the `inspect` it imports), and `json` loads only for a
+JSON literal or the command line's output."""
 
 from .errors import (
     BasePointHit,

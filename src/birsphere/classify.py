@@ -16,8 +16,6 @@ and explicit caveats for the strata the invariants do not separate.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -51,12 +49,18 @@ from .sphere import (
 )
 
 
-@dataclass
 class ClassificationReport:
-    family: object  # 1..8, "linear-stratum", "rational-special", "reality-only", "out-of-scope"
-    moduli: dict = field(default_factory=dict)
-    certificates: list[ConjugacyCertificate] = field(default_factory=list)
-    caveats: list = field(default_factory=list)
+    """A family, its moduli datum, the certificates produced and the caveats;
+    each report holds its own dict and lists."""
+
+    __slots__ = ("family", "moduli", "certificates", "caveats")
+
+    def __init__(self, family, moduli: dict | None = None, certificates: list[ConjugacyCertificate] | None = None,
+                 caveats: list | None = None):
+        self.family = family  # 1..8, "linear-stratum", "rational-special", "reality-only", "out-of-scope"
+        self.moduli = {} if moduli is None else moduli
+        self.certificates = [] if certificates is None else certificates
+        self.caveats = [] if caveats is None else caveats
 
     def to_json(self) -> dict:
         return {
@@ -150,18 +154,26 @@ def spheremap_from_json(data: dict) -> SphereMap:
 def parse_element(text: str) -> SphereMap:
     """Accept builtin:NAME, a matrix literal (trivial base), a diag(...)
     shorthand, or inline/loaded JSON.  The text grammar loads on the
-    first literal: a builtin needs none of it."""
+    first literal, and json on the first JSON: a builtin needs neither.
+    A literal that names no element (a zero matrix or determinant, a
+    builtin parameter out of range) is a ParseError in every syntax, as
+    spheremap_from_json makes it for JSON."""
     text = text.strip()
-    if text.startswith("builtin:"):
-        return builtin_map(text[len("builtin:") :])
     if text.startswith("{"):
-        return spheremap_from_json(json.loads(text))
-    from .parsing import parse_diag, parse_matrix
+        import json
 
-    if text.startswith("diag("):
-        return SphereMap.trivial_base(parse_diag(text[len("diag") :]))
-    if text.startswith("[["):
-        return SphereMap.trivial_base(parse_matrix(text))
+        return spheremap_from_json(json.loads(text))
+    try:
+        if text.startswith("builtin:"):
+            return builtin_map(text[len("builtin:") :])
+        from .parsing import parse_diag, parse_matrix
+
+        if text.startswith("diag("):
+            return SphereMap.trivial_base(parse_diag(text[len("diag") :]))
+        if text.startswith("[["):
+            return SphereMap.trivial_base(parse_matrix(text))
+    except ValueError as exc:
+        raise ParseError(f"{text} names no element: {exc}") from exc
     raise ParseError(f"cannot interpret element {text!r}")
 
 

@@ -105,8 +105,8 @@ def cmd_eval(args) -> int:
 
     g = _load_element(args.element)
     coords = [parse_scalar(c) for c in args.point.split(",")]
-    if len(coords) != 4:
-        raise ParseError("point must have four comma-separated coordinates w,x,y,z")
+    if len(coords) != 4 or not any(coords):
+        raise ParseError("point must have four comma-separated coordinates w,x,y,z, not all zero")
     formula = SphereFormula(g)
     from .errors import BasePointHit
 

@@ -12,7 +12,6 @@ the fiber z = 0 probed here, is classify.classify_flip_involution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -43,13 +42,23 @@ def twisted_square(mat: ProjMat) -> Poly | None:
     return square.a
 
 
-@dataclass(frozen=True)
 class TwistClass:
     """Sign and multiset of positive reals; the group law is componentwise
-    mod 2 (signs multiply, generator multisets add symmetric-difference)."""
+    mod 2 (signs multiply, generator multisets add symmetric-difference).
+    Two classes are equal when their signs and sorted generators are."""
 
-    sign: int
-    gens: tuple[RealAlgebraic, ...]
+    __slots__ = ("sign", "gens")
+
+    def __init__(self, sign: int, gens: tuple[RealAlgebraic, ...]):
+        self.sign, self.gens = sign, gens
+
+    def __eq__(self, other):
+        if not isinstance(other, TwistClass):
+            return NotImplemented
+        return self.sign == other.sign and self.gens == other.gens
+
+    def __hash__(self):
+        return hash((self.sign, self.gens))
 
     def is_linear_model(self) -> bool:
         """True for the two classes realised by linear maps: (+-1, {})."""

@@ -13,7 +13,6 @@ half-integer actions) ship as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateConfiguration, NotAutomorphism
@@ -71,15 +70,13 @@ def _gauss_jordan(rows: list[list]) -> tuple[list[list], list[int]]:
     return rows, pivots
 
 
-@dataclass(frozen=True)
 class PicLattice:
-    """Intersection lattice with canonical class and real-structure action."""
+    """Intersection lattice with canonical class K and real-structure action."""
 
-    degree: int
-    labels: tuple[str, ...]
-    gram: Matrix
-    canonical: Vector  # K
-    sigma: Matrix
+    __slots__ = ("degree", "labels", "gram", "canonical", "sigma")
+
+    def __init__(self, degree: int, labels: tuple[str, ...], gram: Matrix, canonical: Vector, sigma: Matrix):
+        self.degree, self.labels, self.gram, self.canonical, self.sigma = degree, labels, gram, canonical, sigma
 
     @property
     def rank(self) -> int:
@@ -306,17 +303,16 @@ def rejected_half_integer_matrices() -> tuple[Matrix, Matrix]:
 # -- the degree-4 surface in P^4 ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DP4Surface:
     """Intersection of the two quadrics cut out by blowing up the two pairs
     (1:0)(0:1), (1:1)(1:mu) and embedding anticanonically."""
 
-    mu: CoeffScalar
+    __slots__ = ("mu",)
 
-    def __post_init__(self):
-        m = self.mu
-        if not m or m == CoeffScalar(1) or m == CoeffScalar(-1):
+    def __init__(self, mu: CoeffScalar):
+        if not mu or mu == CoeffScalar(1) or mu == CoeffScalar(-1):
             raise DegenerateConfiguration("mu must avoid {0, 1, -1}")
+        self.mu = mu
 
     def quadrics(self) -> tuple[dict, dict]:
         """Monomial dictionaries {(i, j): coeff} for the two quadrics, with

@@ -74,7 +74,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -916,15 +915,15 @@ def galois_norm_poly(p: Poly) -> Poly:
 # -- real algebraic numbers -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RealAlgebraic:
     """Real algebraic number: irreducible rational minimal polynomial plus
     an isolating open interval (endpoints are not roots), or for a rational
     number q possibly the point interval [q, q]."""
 
-    minpoly: Poly
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("minpoly", "lo", "hi")
+
+    def __init__(self, minpoly: Poly, lo: Fraction, hi: Fraction):
+        self.minpoly, self.lo, self.hi = minpoly, lo, hi
 
     @classmethod
     def from_rational(cls, q) -> RealAlgebraic:

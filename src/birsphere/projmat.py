@@ -23,7 +23,6 @@ pattern (`of_coprime`) has the pattern memo filled at birth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BasePointHit, IndeterminateFiber
@@ -118,7 +117,6 @@ def proportional(p, q) -> bool:
     return not any(dot(((1, p[j], q[k]), (-1, q[j], p[k]))) for j in range(4) if j != k)
 
 
-@dataclass(frozen=True)
 class ProjMat:
     """Element of PGL(2, C(z)), stored in canonical polynomial form: the one
     representative whose entries have gcd 1 and whose first nonzero entry in
@@ -134,12 +132,26 @@ class ProjMat:
       scaling to monic;
     - a product with the identity is the other factor.
     The constructor is called in this module only (a test guards it), so
-    every ProjMat satisfies the invariant these closed forms rely on."""
+    every ProjMat satisfies the invariant these closed forms rely on, and
+    equal matrices compare and hash as their tuples of entries.  Setting an
+    attribute raises: the memos assume the entries never change."""
 
-    a11: Poly
-    a12: Poly
-    a21: Poly
-    a22: Poly
+    def __init__(self, a11: Poly, a12: Poly, a21: Poly, a22: Poly):
+        object.__setattr__(self, "a11", a11)
+        object.__setattr__(self, "a12", a12)
+        object.__setattr__(self, "a21", a21)
+        object.__setattr__(self, "a22", a22)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ProjMat is immutable: cannot set {name}")
+
+    def __eq__(self, other):
+        if not isinstance(other, ProjMat):
+            return NotImplemented
+        return self.entries() == other.entries()
+
+    def __hash__(self):
+        return hash(self.entries())
 
     @classmethod
     def of(cls, a11, a12, a21, a22) -> ProjMat:

@@ -29,12 +29,12 @@ the unreduced 4-entry products of `raw_mul` and `proportional`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
     BasePointHit,
+    DegenerateConfiguration,
     InfiniteOrderBase,
     NotOnSphere,
     NotRealityMember,
@@ -67,15 +67,19 @@ def reality_twist() -> ProjMat:
 # -- membership and patterns -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FiberPattern:
     """The normal shape (a, b) with lift [[a, b*h], [conj b, conj a]].
 
     The reality group's arithmetic acts on the two entries: a product, the
-    reflection z -> -z and the projective comparison never form the lift."""
+    reflection z -> -z and the projective comparison never form the lift.
+    Setting an attribute raises: what is read off a pattern is memoised on it."""
 
-    a: Poly
-    b: Poly
+    def __init__(self, a: Poly, b: Poly):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FiberPattern is immutable: cannot set {name}")
 
     def matrix(self) -> ProjMat:
         """lift_matrix, with ValueError for D = 0 (the zero pattern too)."""
@@ -206,12 +210,13 @@ class FiberPattern:
         return HyperellipticModel.of_determinant(self.determinant())
 
 
-@dataclass(frozen=True)
 class InvolutionForm:
     """The pair (p, q) with matrix [[i*p, q*h], [conj q, -i*p]], p real."""
 
-    p: Poly
-    q: Poly
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: Poly, q: Poly):
+        self.p, self.q = p, q
 
     def matrix(self) -> ProjMat:
         i = CoeffScalar.i()
@@ -224,7 +229,6 @@ class InvolutionForm:
         return dot(((1, self.p, self.p), (-1, times_h(self.q), self.q.conj())))
 
 
-@dataclass(frozen=True)
 class HyperellipticModel:
     """Canonical fixed-curve datum: w^2 = -m(z) with m square-free and
     monic.  The monic scale polynomial and the content -lead(-D) > 0, a
@@ -233,9 +237,10 @@ class HyperellipticModel:
     square roots.  No sign is kept: -D = -p^2 - |q|^2 (z^2 - 1) has a
     negative lead, as both terms of D have positive leads."""
 
-    m: Poly
-    scale: Poly
-    content: TowerReal = TowerReal.from_rational(1)
+    __slots__ = ("m", "scale", "content")
+
+    def __init__(self, m: Poly, scale: Poly, content: TowerReal = TowerReal.from_rational(1)):
+        self.m, self.scale, self.content = m, scale, content
 
     @classmethod
     def of_determinant(cls, d: Poly) -> HyperellipticModel:
@@ -374,16 +379,29 @@ def contracted_fibers(mat: ProjMat):
 # -- the base interval group ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BaseMobius:
     """Möbius map of the base line preserving the pair {1, -1}.
 
     Every such map is shift_b : z -> (z+b)/(bz+1) for b in (-1,1), possibly
-    composed with the flip z -> -z applied first.
+    composed with the flip z -> -z applied first.  Two are equal when b and
+    flip are, and the repr names both, so equal maps print alike.
     """
 
-    b: TowerReal
-    flip: bool
+    __slots__ = ("b", "flip")
+
+    def __init__(self, b: TowerReal, flip: bool):
+        self.b, self.flip = b, flip
+
+    def __eq__(self, other):
+        if not isinstance(other, BaseMobius):
+            return NotImplemented
+        return self.flip == other.flip and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.b, self.flip))
+
+    def __repr__(self):
+        return f"BaseMobius(b={self.b!r}, flip={self.flip!r})"
 
     @classmethod
     def identity(cls) -> BaseMobius:
@@ -491,12 +509,26 @@ def cleared_substitution(p: Poly, num: Poly, den: Poly, degree: int) -> Poly:
 # -- sphere maps ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SphereMap:
-    """Fiber matrix plus base action: (t, z) -> (A(z) . t, m(z))."""
+    """Fiber matrix plus base action: (t, z) -> (A(z) . t, m(z)).  Two are
+    equal when fiber and base are, and the repr names both, so equal maps
+    print alike."""
 
-    fiber: ProjMat
-    base: BaseMobius
+    __slots__ = ("fiber", "base")
+
+    def __init__(self, fiber: ProjMat, base: BaseMobius):
+        self.fiber, self.base = fiber, base
+
+    def __eq__(self, other):
+        if not isinstance(other, SphereMap):
+            return NotImplemented
+        return self.fiber == other.fiber and self.base == other.base
+
+    def __hash__(self):
+        return hash((self.fiber, self.base))
+
+    def __repr__(self):
+        return f"SphereMap(fiber={self.fiber!r}, base={self.base!r})"
 
     @classmethod
     def trivial_base(cls, fiber: ProjMat) -> SphereMap:
@@ -612,16 +644,15 @@ def base_realisation(base: BaseMobius) -> SphereMap:
     return parts
 
 
-@dataclass(frozen=True)
 class ConjugacyCertificate:
     """A real conjugator C with C source C^-1 = target, all sphere maps; kind
     is "conjugation", "rotation-normal-form" (target diag(1, zeta^{+-1})) or
     "base-reduction" (target base z -> -z).  `verified` checks it once."""
 
-    kind: str
-    source: SphereMap
-    target: SphereMap
-    conjugator: SphereMap
+    __slots__ = ("kind", "source", "target", "conjugator")
+
+    def __init__(self, kind: str, source: SphereMap, target: SphereMap, conjugator: SphereMap):
+        self.kind, self.source, self.target, self.conjugator = kind, source, target, conjugator
 
     def verified(self) -> ConjugacyCertificate:
         """This certificate, once `verify` has passed; RuntimeError else."""
@@ -838,7 +869,7 @@ def interval_shift(t) -> SphereMap:
 def _special_mu(t: Fraction) -> CoeffScalar:
     t = Fraction(t)
     if t == 0:
-        raise ValueError("parameter 0 degenerates the surface (mu = 1)")
+        raise DegenerateConfiguration("parameter 0 degenerates the surface (mu = 1)")
     den = 1 + t * t
     return CoeffScalar(Fraction(1 - t * t, den), Fraction(2 * t, den))
 

@@ -53,6 +53,12 @@ def checked_pattern(mat: ProjMat) -> FiberPattern | None:
     return _summed_pattern(ProjMat.of(*mat.entries()), checked=True)
 
 
+def pattern_pair(pattern: FiberPattern) -> tuple[Poly, Poly]:
+    """The entries (a, b) of a pattern: two patterns are the same when these
+    are (FiberPattern defines no equality, as the package compares none)."""
+    return pattern.a, pattern.b
+
+
 def same_triple(u, v) -> bool:
     """(x1 + y1 r)/d1 = (x2 + y2 r)/d2 in a triple algebra (QuadAlgebra,
     etatwist.TwistedAlgebra), cross-multiplied."""

@@ -364,6 +364,22 @@ def test_cli_exit_codes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "classify", "builtin:rot:1/-3")
     assert code == 2
+    # a literal that names no element exits 2 in every syntax, as it does in JSON:
+    # zero matrices, zero determinants and interval parameters outside (-1, 1)
+    for element in ("[[0,0],[0,0]]", "diag(0,0)", "[[1,1],[1,1]]", "builtin:gb:1", "builtin:gb:0", "builtin:gb:3/2",
+                    '{"fiber": [["0", "0"], ["0", "0"]]}',
+                    '{"fiber": [["1", "0"], ["0", "1"]], "base": {"interval_t": "1"}}'):
+        code, _, err = run_cli(capsys, "classify", element)
+        assert code == 2 and err.startswith("parse error:"), (element, code, err)
+    # errors of the package's own types keep their codes
+    code, _, err = run_cli(capsys, "classify", "builtin:rot:1/5")
+    assert code == 3
+    code, _, err = run_cli(capsys, "classify", "builtin:g1p:0")
+    assert code == 5 and "degenerates the surface" in err
+    # a point is checked before the map is evaluated: all zero, like three coordinates, is a parse error
+    for point in ("0,0,0,0", "0,0,0"):
+        code, _, err = run_cli(capsys, "eval", "builtin:tau", "--point", point)
+        assert code == 2 and "not all zero" in err, point
     # a base action is no conjugacy invariant: tilde_eta and tau are both
     # reflections, rot:1/2 and tau composed with tilde_eta are half-turns,
     # and classify calls g1p:1/2 conjugate to the base-flip family

@@ -28,7 +28,7 @@ TAU = ProjMat.of(Poly(), ONE_MINUS_Z2, Poly.const(1), Poly())
 
 
 def test_hash_is_computed_once_per_matrix():
-    """A ProjMat hashes as the tuple of its entries (the dataclass hash)."""
+    """A ProjMat hashes as the tuple of its entries, which it compares by."""
     m = ProjMat.of(Z + I, ONE_MINUS_Z2, Poly.const(3), Z * Z - 2)
     assert hash(m) == hash(m) == hash(m.entries())
 

@@ -97,6 +97,29 @@ def test_import_builds_no_memo_and_flip_free_queries_leave_etatwist_unloaded():
     assert run.returncode == 0, run.stderr
 
 
+def test_startup_loads_no_generated_class_machinery():
+    """In a fresh interpreter, the import and a library classification that
+    loads etatwist, a conjugacy decision, a membership query and a lattice
+    that loads picard leave dataclasses (and the inspect it imports) and
+    json unloaded: the package's classes are plain, and json loads only
+    for JSON input."""
+    script = (
+        "import sys\n"
+        "import birsphere\n"
+        "from birsphere import builtin_map, classify_spheremap, decide_conjugacy, in_diffeo_group\n"
+        "assert classify_spheremap(builtin_map('g2p:1/2')).family == 8\n"
+        "assert decide_conjugacy(builtin_map('g1p:1/2'), builtin_map('g1p:-1/2'))['conjugate'] is True\n"
+        "assert in_diffeo_group(builtin_map('tau').fiber)\n"
+        "assert birsphere.lattice_make(4).degree == 4\n"
+        "assert 'birsphere.etatwist' in sys.modules and 'birsphere.picard' in sys.modules\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": SRC}, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         birsphere.no_such_name  # noqa: B018
