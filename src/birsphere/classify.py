@@ -151,18 +151,29 @@ def spheremap_from_json(data: dict) -> SphereMap:
         raise ParseError(f"malformed sphere map JSON: {exc}") from exc
 
 
+def spheremap_from_json_text(text: str) -> SphereMap:
+    """spheremap_from_json of JSON text, inline, from a file or from stdin:
+    json loads on the first call, and text that is no JSON is a ParseError,
+    as every malformed literal is."""
+    import json
+
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed sphere map JSON: {exc}") from exc
+    return spheremap_from_json(data)
+
+
 def parse_element(text: str) -> SphereMap:
     """Accept builtin:NAME, a matrix literal (trivial base), a diag(...)
-    shorthand, or inline/loaded JSON.  The text grammar loads on the
-    first literal, and json on the first JSON: a builtin needs neither.
+    shorthand, or inline JSON.  The text grammar loads on the first
+    literal, and json on the first JSON: a builtin needs neither.
     A literal that names no element (a zero matrix or determinant, a
     builtin parameter out of range) is a ParseError in every syntax, as
     spheremap_from_json makes it for JSON."""
     text = text.strip()
     if text.startswith("{"):
-        import json
-
-        return spheremap_from_json(json.loads(text))
+        return spheremap_from_json_text(text)
     try:
         if text.startswith("builtin:"):
             return builtin_map(text[len("builtin:") :])

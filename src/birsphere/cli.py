@@ -1,6 +1,6 @@
 """Command-line surface: classify, conj, member, fix, h2, eval, order,
 picard, builtin.  All output is machine-readable JSON; exit codes are 2 for
-parse errors, 3 for tower-frontier failures, 4 for undecided answers and 5
+parse errors (malformed JSON too), 3 for tower-frontier failures, 4 for undecided answers and 5
 for domain errors."""
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ EXIT_DOMAIN = 5
 
 def _load_element(text: str):
     if text == "-":
-        return routing.spheremap_from_json(json.load(sys.stdin))
+        return routing.spheremap_from_json_text(sys.stdin.read())
     path = Path(text)
     if not text.startswith(("builtin:", "[[", "{", "diag(")) and path.is_file():
-        return routing.spheremap_from_json(json.loads(path.read_text()))
+        return routing.spheremap_from_json_text(path.read_text())
     return routing.parse_element(text)
 
 
@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     except UndecidedExact as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except (BirsphereError, ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
+    except (BirsphereError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -86,7 +86,8 @@ def angle_of_entries(entries) -> tuple[int, int] | None:
     conjugate over an algebraic closure to the matrix of 4 entries, None at
     infinite order (kappa = trace^2/det non-constant, not in the table, or 4
     on a unipotent matrix).  kappa and the identity test (zero off-diagonal,
-    equal diagonal) are projective: the entries need not be canonical."""
+    equal diagonal) are projective; ProjMat's memo reads it off the
+    canonical entries."""
     a11, a12, a21, a22 = entries
     tr = a11 + a22
     if not tr:
@@ -103,18 +104,6 @@ def angle_of_trace(tr: Poly, det: Poly, is_scalar: bool) -> tuple[int, int] | No
     if angle == (0, 1) and not is_scalar:
         return None
     return angle
-
-
-def proportional(p, q) -> bool:
-    """Projective equality of two nonzero entry 4-tuples over a domain.
-
-    With k the first index where p[k] != 0, p ~ q iff q[k] != 0 and
-    p[j] q[k] = q[j] p[k] for the other j: then q = (q[k]/p[k]) p, so all
-    six 2x2 minors vanish and the zero patterns agree."""
-    k = next((k for k in range(4) if p[k]), None)
-    if k is None or not q[k]:
-        return False
-    return not any(dot(((1, p[j], q[k]), (-1, q[j], p[k]))) for j in range(4) if j != k)
 
 
 class ProjMat:

@@ -23,8 +23,9 @@ patterns give one map when a b' = a' b and a ~a' is real (b ~b' when
 a = a' = 0).  So a certificate whose bases do not move is checked as
 P_C P_S proportional to P_T P_C, each factor reflected where a base flips,
 and a base flip's order and twisted square are one pattern product.  Maps
-with a moving base (b != 0), and non-real inputs, have no pattern and keep
-the unreduced 4-entry products of `raw_mul` and `proportional`.
+with a moving base (b != 0), and non-real inputs, have no pattern: they
+multiply by SphereMap.compose, hence ProjMat's canonical product, and
+compare as canonical matrices.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .poly import (
     sturm_count,
     times_h,
 )
-from .projmat import INF, TWO_COS, ProjMat, angle_of_entries, angle_of_trace, proportional, raw_mul
+from .projmat import INF, TWO_COS, ProjMat, angle_of_trace
 from .scalars import CoeffScalar, TowerReal, scalar
 
 
@@ -465,25 +466,16 @@ class BaseMobius:
         den = Poly([CoeffScalar(1), CoeffScalar(self.b) * CoeffScalar(e)])
         return num, den
 
-    def substitute_into(self, p: Poly, degree: int | None = None) -> Poly:
-        """p(m(z)) * den^deg, cleared to a polynomial."""
-        return cleared_substitution(p, *self.num_den_polys(), p.degree if degree is None else degree)
-
-    def substitute_entries(self, mat: ProjMat) -> tuple[Poly, Poly, Poly, Poly]:
-        """The entries of mat(m(z)) over one common denominator, unreduced.
-        For b = 0 the denominator is 1 and m(z) = +-z, so the entries are
-        those of mat, or their reflections z -> -z."""
-        if not self.b:
-            return tuple(p.reflect_z() for p in mat.entries()) if self.flip else mat.entries()
-        d = max(p.degree for p in mat.entries())
-        return tuple(self.substitute_into(p, d) for p in mat.entries())
-
     def substitute_matrix(self, mat: ProjMat) -> ProjMat:
         """mat(m(z)) in canonical form; for b = 0 it is mat or
-        mat.reflect_z(), canonical in closed form."""
+        mat.reflect_z(), canonical in closed form, and otherwise the
+        canonical form of the entries over the common denominator den^d,
+        d the largest entry degree."""
         if not self.b:
             return mat.reflect_z() if self.flip else mat
-        return ProjMat.of(*self.substitute_entries(mat))
+        num, den = self.num_den_polys()
+        d = max(p.degree for p in mat.entries())
+        return ProjMat.of(*(cleared_substitution(p, num, den, d) for p in mat.entries()))
 
     def __str__(self):
         return self.kind if not self.b else f"{self.kind}({self.b})"
@@ -563,7 +555,8 @@ class SphereMap:
         base and self twice its order.  For base z -> -z and a real fiber A
         the square's fiber A(-z) A is the pattern product P(-z) P, whose
         angle is read off the pattern (FiberPattern.angle); without a
-        pattern the square is the unreduced 4-entry product."""
+        pattern (a flipped shift, or a non-real fiber) it is the canonical
+        fiber of self.compose(self)."""
         kind = self.base.kind
         if kind == "shift":
             return None
@@ -571,7 +564,7 @@ class SphereMap:
             return self.fiber.order()
         pattern = self.pattern()
         if pattern is None:
-            angle = angle_of_entries(raw_mul(self.base.substitute_entries(self.fiber), self.fiber.entries()))
+            angle = self.compose(self).fiber.rotation_angle()
         else:
             angle = (pattern.reflect_z() * pattern).angle()
         return None if angle is None else 2 * angle[1]
@@ -592,8 +585,8 @@ class SphereMap:
         d2 = den * den
         h_m = d2 - num * num
         a, b, c, d = self.fiber.entries()
-        lhs = (h_m * d, h_m * times_h(c), d2 * b, d2 * times_h(a))
-        return proportional(lhs, (a.conj(), b.conj(), c.conj(), d.conj()))
+        lhs = ProjMat.of(h_m * d, h_m * times_h(c), d2 * b, d2 * times_h(a))
+        return lhs == ProjMat.of(a.conj(), b.conj(), c.conj(), d.conj())
 
     def trivial_base_part(self) -> SphereMap:
         """The composition with a base realisation killing the base action;
@@ -667,9 +660,9 @@ class ConjugacyCertificate:
         P(sigma) the pattern reflected z -> -z for a base flip; each pattern
         is its matrix's memo, filled at birth for a C built from a pattern
         (FiberPattern.lift_matrix), and C's is its reality check
-        (FiberPattern.__mul__, proportional_to).  A map without a pattern (a
-        moving base, or a non-real source or target) keeps the two
-        unreduced 4-entry products."""
+        (FiberPattern.__mul__, proportional_to).  When a map has no pattern
+        (a moving base, or a non-real source or target), C S and T C are
+        composed (SphereMap.compose) and compared as canonical matrices."""
         c, s, t = self.conjugator, self.source, self.target
         if not (c.reality_check() and c.base.compose(s.base) == t.base.compose(c.base)):
             return False
@@ -677,10 +670,7 @@ class ConjugacyCertificate:
         if ps is not None and pt is not None and pc is not None:
             lhs = (pc.reflect_z() if s.base.flip else pc) * ps
             return lhs.proportional_to((pt.reflect_z() if c.base.flip else pt) * pc)
-        return proportional(
-            raw_mul(s.base.substitute_entries(c.fiber), s.fiber.entries()),
-            raw_mul(c.base.substitute_entries(t.fiber), c.fiber.entries()),
-        )
+        return c.compose(s) == t.compose(c)
 
 
 def reduce_to_trivial_base(g: SphereMap) -> ConjugacyCertificate:

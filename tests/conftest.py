@@ -1,17 +1,171 @@
+import ast
+import importlib
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from birsphere.poly import Poly
-from birsphere.projmat import ProjMat
-from birsphere.scalars import CoeffScalar
-from birsphere.sphere import FiberPattern, SphereMap
+import birsphere
+from birsphere.poly import ONE_MINUS_Z2, Poly
+from birsphere.projmat import ProjMat, raw_mul
+from birsphere.scalars import ZERO, CoeffScalar, TowerReal
+from birsphere.sphere import FiberPattern, SphereMap, interval_shift, z_flip
 
 
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+# -- hypothesis strategies for scalars and polynomials -------------------------------------------
+
+RADICANDS = (1, 2, 3, 5, 6)
+fractions = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+sparse_fractions = st.one_of(st.just(Fraction(0)), fractions)
+
+
+def tower_terms(radicands=RADICANDS):
+    return st.dictionaries(st.sampled_from(radicands), sparse_fractions, max_size=len(radicands))
+
+
+def coeff_scalars(radicands=RADICANDS):
+    parts = tower_terms(radicands).map(TowerReal)
+    return st.builds(CoeffScalar, parts, parts)
+
+
+gaussian_scalars = coeff_scalars((1,))
+scalars_any = st.one_of(gaussian_scalars, coeff_scalars())
+rational_scalars = st.builds(CoeffScalar, fractions)
+
+
+def coeff_lists(coeffs=scalars_any, max_degree=5):
+    # zero coefficients are drawn on purpose, also in the leading position
+    return st.lists(st.one_of(st.just(ZERO), coeffs), max_size=max_degree + 1)
+
+
+def polys(coeffs=scalars_any, max_degree=5):
+    return coeff_lists(coeffs, max_degree).map(Poly)
+
+
+# -- CoeffScalar-loop and four-entry references ------------------------------------------------
+
+
+def trim(cs) -> tuple:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_poly_mul(a, b) -> tuple:
+    a, b = trim(a), trim(b)
+    if not a or not b:
+        return ()
+    out = [CoeffScalar(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return trim(out)
+
+
+def ref_proportional(p, q) -> bool:
+    """The six-minor test: every 2x2 minor of (p; q) vanishes and the zero
+    patterns agree."""
+    if not any(p) or not any(q):
+        return False
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if p[i] * q[j] != p[j] * q[i]:
+                return False
+    return all(bool(p[k]) == bool(q[k]) for k in range(4))
+
+
+def ref_in_reality_group(mat: ProjMat, m: Poly = Poly.z(), den: Poly = Poly.const(1)) -> bool:
+    """tau(m(z)) mat tau(z) = conj(mat) projectively, tau(z) = [[0, 1 - z^2],
+    [1, 0]], as two twist products: the reality condition of the map with
+    fiber mat and base action z -> m(z)/den(z).  tau(m/den) is cleared to
+    [[0, den^2 - m^2], [den^2, 0]]."""
+    d2 = den * den
+    tw_m = (Poly(), d2 - m * m, d2, Poly())
+    tw = (Poly(), ONE_MINUS_Z2, Poly.const(1), Poly())
+    product = raw_mul(raw_mul(tw_m, mat.entries()), tw)
+    return ref_proportional(product, tuple(p.conj() for p in mat.entries()))
+
+
+def member_entries(a, b):
+    return (a, b * ONE_MINUS_Z2, b.conj(), a.conj())
+
+
+# Real maps with a moving base: the interval shifts by b = 2t/(1 + t^2), t in
+# {1/2, -1/3, 2/3}, whose sqrt(1 - b^2) is rational, alone and after z -> -z.
+SHIFTS = tuple(interval_shift(Fraction(t)) for t in ("1/2", "-1/3", "2/3"))
+MOVING_MAPS = SHIFTS + tuple(shift.compose(z_flip()) for shift in SHIFTS)
+
+
+# -- the package's memos -------------------------------------------------------------------------
+
+# (module, qualified name) -> decorator.  The per-object memos cache an
+# invariant of an immutable object on it: a matrix's angle and real
+# pattern, a pattern's D, D', involution form and fixed-curve model; the
+# caches hold constants built on first use: the rotation target per angle
+# and sign, and the catalogue involutions certificates are built against.
+PACKAGE_MEMOS = {
+    ("projmat", "ProjMat._angle"): "cached_property",
+    ("projmat", "ProjMat.real_pattern"): "cached_property",
+    ("sphere", "FiberPattern._determinant"): "cached_property",
+    ("sphere", "FiberPattern.involution_form"): "cached_property",
+    ("sphere", "FiberPattern.stripped_determinant"): "cached_property",
+    ("sphere", "FiberPattern.contracted_count"): "cached_property",
+    ("sphere", "FiberPattern.fixed_model"): "cached_property",
+    ("involutions", "_flip_fiber"): "cache",
+    ("involutions", "_diagonal_involution"): "cache",
+    ("involutions", "_rotation_target"): "cache",
+}
+MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def package_memos() -> dict[tuple[str, str], str]:
+    """Every memoising decorator in src/birsphere, found by an AST scan:
+    (module, qualified name) -> decorator name."""
+    found = {}
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in child.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                    if name in MEMO_DECORATORS:
+                        found[(module, f"{prefix}{child.name}")] = name
+
+    for path in sorted(Path(birsphere.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def clear_caches() -> None:
+    """Empty every cache of the package, as package_memos finds them: each
+    function cache, and each cached_property memoised on a module-level
+    constant of a loaded package module (involutions._OFF_DIAGONAL's
+    pattern, say), which no query's end would drop."""
+    properties = {}
+    for (module, name), decorator in package_memos().items():
+        if decorator != "cached_property":
+            getattr(importlib.import_module(f"birsphere.{module}"), name).cache_clear()
+        else:
+            cls, _, attr = name.rpartition(".")
+            properties.setdefault(cls, []).append(attr)
+    for module in [m for key, m in sys.modules.items() if key.startswith("birsphere.")]:
+        for value in vars(module).values():
+            for attr in properties.get(type(value).__name__, ()):
+                vars(value).pop(attr, None)
 
 
 def random_scalar(rng, size=4, complex_ok=True):

@@ -63,12 +63,11 @@ from birsphere.sphere import (
 )
 from birsphere.classify import classify_spheremap, decide_conjugacy
 
-from test_exact_core import ref_in_reality_group
-
 from conftest import (
     random_poly,
     random_reality_element,
     random_sphere_point,
+    ref_in_reality_group,
     ref_square_class,
     same_function,
     same_triple,

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from fractions import Fraction
@@ -349,7 +350,7 @@ def test_classify_dp4_mu_is_parsed_and_checked(capsys):
         assert code == 2 and not out and "--mu applies to dp4:alpha1 and dp4:alpha2 only" in err
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "classify", "builtin:nonsense")
     assert code == 2
     code, _, err = run_cli(capsys, "order", "not a matrix")
@@ -371,6 +372,13 @@ def test_cli_exit_codes(capsys):
                     '{"fiber": [["1", "0"], ["0", "1"]], "base": {"interval_t": "1"}}'):
         code, _, err = run_cli(capsys, "classify", element)
         assert code == 2 and err.startswith("parse error:"), (element, code, err)
+    # so does malformed JSON, inline, in a file and on stdin
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    monkeypatch.setattr("sys.stdin", io.StringIO("{bad"))
+    for element in ("{bad", str(bad), "-"):
+        code, _, err = run_cli(capsys, "classify", element)
+        assert code == 2 and err.startswith("parse error: malformed sphere map JSON"), (element, code, err)
     # errors of the package's own types keep their codes
     code, _, err = run_cli(capsys, "classify", "builtin:rot:1/5")
     assert code == 3

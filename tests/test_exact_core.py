@@ -6,9 +6,9 @@ every polynomial operation as a loop of CoeffScalar operations over the
 coefficient lists the polynomials were built from.  Results are compared
 coefficient by coefficient, so a wrong column constructor cannot hide behind
 Poly equality.  The integer representation must give equal results on every
-input.  The projective checks are compared with the forms they replaced:
-the six-minor proportionality test and the reality condition written as two
-matrix products with the twist.
+input.  The projective checks are compared with the form they replaced:
+the reality condition written as two matrix products with the twist,
+compared by the six-minor proportionality test.
 """
 
 import math
@@ -22,7 +22,7 @@ from birsphere.classify import _route, classify_spheremap
 from birsphere.errors import NotRealityMember
 from birsphere.poly import ONE_MINUS_Z2, Poly, cauchy_bound, poly_gcd
 from birsphere.positivity import is_real_positive
-from birsphere.projmat import ProjMat, proportional, raw_mul
+from birsphere.projmat import ProjMat, raw_mul
 from birsphere.scalars import ZERO, CoeffScalar, TowerReal
 from birsphere.sphere import (
     BaseMobius,
@@ -37,9 +37,22 @@ from birsphere.sphere import (
     y_flip,
 )
 
-from conftest import ref_real_roots, same_up_to_positive_rational
-
-RADICANDS = (1, 2, 3, 5, 6)
+from conftest import (
+    MOVING_MAPS,
+    coeff_lists,
+    coeff_scalars,
+    gaussian_scalars,
+    member_entries,
+    polys,
+    rational_scalars,
+    ref_in_reality_group,
+    ref_poly_mul,
+    ref_real_roots,
+    same_up_to_positive_rational,
+    scalars_any,
+    tower_terms,
+    trim,
+)
 
 # -- dict-of-Fraction reference for tower reals ------------------------------------------
 
@@ -94,29 +107,9 @@ def ref_sign(a: dict) -> int:
 # -- CoeffScalar-loop references for polynomials ------------------------------------------------
 
 
-def trim(cs) -> tuple:
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
 def padded(a, b) -> tuple[list, list]:
     n = max(len(a), len(b))
     return list(a) + [ZERO] * (n - len(a)), list(b) + [ZERO] * (n - len(b))
-
-
-def ref_poly_mul(a, b) -> tuple:
-    a, b = trim(a), trim(b)
-    if not a or not b:
-        return ()
-    out = [CoeffScalar(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return trim(out)
 
 
 def ref_poly_divmod(a, b) -> tuple[tuple, tuple]:
@@ -154,35 +147,8 @@ def ref_derivative(a) -> tuple:
 
 # -- strategies --------------------------------------------------------------------------------
 
-fractions = st.fractions(min_value=-12, max_value=12, max_denominator=12)
-sparse_fractions = st.one_of(st.just(Fraction(0)), fractions)
-
-
-def tower_terms(radicands=RADICANDS):
-    return st.dictionaries(st.sampled_from(radicands), sparse_fractions, max_size=len(radicands))
-
-
-def coeff_scalars(radicands=RADICANDS):
-    parts = tower_terms(radicands).map(TowerReal)
-    return st.builds(CoeffScalar, parts, parts)
-
-
-gaussian_scalars = coeff_scalars((1,))
-scalars_any = st.one_of(gaussian_scalars, coeff_scalars())
-
-
-def coeff_lists(coeffs=scalars_any, max_degree=5):
-    # zero coefficients are drawn on purpose, also in the leading position
-    return st.lists(st.one_of(st.just(ZERO), coeffs), max_size=max_degree + 1)
-
-
-def polys(coeffs=scalars_any, max_degree=5):
-    return coeff_lists(coeffs, max_degree).map(Poly)
-
-
 nonzero_lists = coeff_lists().filter(lambda cs: any(cs))
 nonzero_polys = polys().filter(bool)
-rational_scalars = st.builds(CoeffScalar, fractions)
 
 
 def assert_canonical(x: TowerReal) -> None:
@@ -481,47 +447,8 @@ def test_poly_operations_leave_operands_unchanged(a, b, x):
 # -- projective checks --------------------------------------------------------------------------
 
 
-def ref_proportional(p, q) -> bool:
-    """The six-minor test: every 2x2 minor of (p; q) vanishes and the zero
-    patterns agree."""
-    if not any(p) or not any(q):
-        return False
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if p[i] * q[j] != p[j] * q[i]:
-                return False
-    return all(bool(p[k]) == bool(q[k]) for k in range(4))
-
-
-def ref_in_reality_group(mat: ProjMat, m: Poly = Poly.z()) -> bool:
-    """tau(m(z)) mat tau(z) = conj(mat) projectively, tau(z) = [[0, 1 - z^2],
-    [1, 0]], as two twist products: the reality condition of the map with
-    fiber mat and base action z -> m(z) = +-z."""
-    tw_m = (Poly(), Poly.const(1) - m * m, Poly.const(1), Poly())
-    tw = (Poly(), ONE_MINUS_Z2, Poly.const(1), Poly())
-    product = raw_mul(raw_mul(tw_m, mat.entries()), tw)
-    return ref_proportional(product, tuple(p.conj() for p in mat.entries()))
-
-
-ZERO4 = (Poly(), Poly(), Poly(), Poly())
 small_polys = st.one_of(polys(gaussian_scalars, max_degree=2), polys(coeff_scalars((1, 2, 3)), max_degree=2))
 quads = st.tuples(small_polys, small_polys, small_polys, small_polys)
-
-
-@settings(max_examples=100, deadline=None)
-@given(p=quads, q=quads, r=small_polys.filter(bool), j=st.integers(0, 3))
-def test_proportional_matches_six_minors(p, q, r, j):
-    scaled = tuple(r * x for x in p)
-    mismatched = list(scaled)
-    mismatched[j] = Poly() if mismatched[j] else r  # zero patterns differ at j
-    for x, y in ((p, q), (p, scaled), (scaled, p), (p, tuple(mismatched)), (p, ZERO4), (ZERO4, p), (ZERO4, ZERO4)):
-        assert proportional(x, y) == ref_proportional(x, y)
-    assert proportional(p, scaled) == any(p)
-    assert not proportional(p, tuple(mismatched))
-
-
-def member_entries(a, b):
-    return (a, b * ONE_MINUS_Z2, b.conj(), a.conj())
 
 
 def route_verdict(g: SphereMap) -> bool:
@@ -540,7 +467,10 @@ def route_verdict(g: SphereMap) -> bool:
 def test_reality_check_matches_twist_products(a, b, e, k):
     """SphereMap.reality_check with base z -> z or z -> -z, which reads
     reality off canonical_pattern, and routing's verdict on the same map all
-    equal the twist-product reference for that base."""
+    equal the twist-product reference for that base.  So they do with a
+    moving base: the map followed by an interval shift, with or without
+    z -> -z (real exactly when the map is), and the fiber alone over that
+    base (mostly non-real)."""
     candidates = [member_entries(a, b), e]
     perturbed = list(member_entries(a, b))
     perturbed[k] = perturbed[k] * Poly([1, 2])  # breaks the pattern unless that entry is 0
@@ -553,6 +483,9 @@ def test_reality_check_matches_twist_products(a, b, e, k):
         for base, m in ((BaseMobius.identity(), Poly.z()), (BaseMobius.negation(), -Poly.z())):
             g = SphereMap(mat, base)
             assert g.reality_check() == ref_in_reality_group(mat, m) == route_verdict(g)
+        for mover in MOVING_MAPS:
+            for g in (SphereMap.trivial_base(mat).compose(mover), SphereMap(mat, mover.base)):
+                assert g.reality_check() == ref_in_reality_group(g.fiber, *g.base.num_den_polys()) == route_verdict(g)
         if entries is candidates[0]:
             assert ref_in_reality_group(mat)
             h = ONE_MINUS_Z2
@@ -669,14 +602,13 @@ def test_canonical_pattern_lemma(a, b, c, d, k):
     whenever p != 0), products and a conjugate.  S = M + tau ~M tau^-1 is a
     constant multiple kappa M, the pattern lifts to a constant multiple of
     M, and the real part of gcd(a, b) is 1, so the reference's gcd strip has
-    nothing to strip; canonical_pattern runs no gcd and no proportional.
+    nothing to strip; canonical_pattern runs no gcd.
     Multiplying one entry by 1 + 2z raises NotRealityMember exactly when the
     twist-product reference finds the result non-real."""
     from unittest import mock
 
     import birsphere.poly as poly_mod
     import birsphere.projmat as projmat_mod
-    import birsphere.sphere as sphere_mod
 
     p = a + a.conj()
     involution = member_entries(p.scale(CoeffScalar.i()), b)
@@ -696,9 +628,8 @@ def test_canonical_pattern_lemma(a, b, c, d, k):
             perturbed.append(ProjMat.of(*entries))
         except ValueError:
             continue
-    work = mock.Mock(side_effect=AssertionError("canonical_pattern took a gcd or a proportional"))
-    with mock.patch.object(poly_mod, "poly_gcd", work), mock.patch.object(projmat_mod, "cofactors", work), \
-            mock.patch.object(sphere_mod, "proportional", work):
+    work = mock.Mock(side_effect=AssertionError("canonical_pattern took a gcd"))
+    with mock.patch.object(poly_mod, "poly_gcd", work), mock.patch.object(projmat_mod, "cofactors", work):
         patterns = [canonical_pattern(mat) for mat, _ in mats]
     for (mat, s_is_zero), pat in zip(mats, patterns):
         kappa = constant_ratio(twisted_sum(mat), mat.entries())

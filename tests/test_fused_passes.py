@@ -17,8 +17,7 @@ from birsphere.poly import ONE_MINUS_Z2, Poly, RealAlgebraic, cofactors, dot, po
 from birsphere.projmat import ProjMat
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import FiberPattern, SphereMap, builtin_map
-from test_exact_core import coeff_scalars, gaussian_scalars, polys, ref_poly_mul, trim
-from test_memos import clear_caches
+from conftest import clear_caches, coeff_scalars, gaussian_scalars, polys, ref_poly_mul, trim
 
 Z = Poly.z()
 I = CoeffScalar.i()

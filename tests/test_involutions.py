@@ -36,6 +36,7 @@ from birsphere.sphere import (
     base_realisation,
     builtin_map,
     canonical_pattern,
+    cleared_substitution,
     diffeo_orientation,
     interval_shift,
     rotation,
@@ -47,13 +48,17 @@ from birsphere.sphere import (
 from conftest import (
     QuadAlgebra,
     checked_pattern,
+    gaussian_scalars,
     pattern_pair,
+    polys,
     random_reality_element,
+    rational_scalars,
+    ref_in_reality_group,
+    ref_proportional,
     ref_square_class,
     same_triple,
     same_up_to_positive_rational,
 )
-from test_exact_core import gaussian_scalars, polys, rational_scalars, ref_in_reality_group, ref_proportional
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -948,7 +953,7 @@ def ref_basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticMo
             except ValueError:
                 undecided = True
                 continue
-            moved = BaseMobius.shift(b).substitute_into(source)
+            moved = cleared_substitution(source, *BaseMobius.shift(b).num_den_polys(), source.degree)
             if not (moved * Poly.const(model_b.m.lead()) - model_b.m.scale(moved.lead())):
                 return _witnessed(root.as_rational() if root.is_rational() else b, flipped)
     if undecided:
@@ -993,7 +998,8 @@ def test_basis_equiv_moduli_matches_root_search(m, b, flip, unrelated):
     """Shifted, flipped and unrelated pairs get the same answer from the
     closed form as from the root search: one base action, None, or
     UnsupportedExtension."""
-    target = unrelated or BaseMobius.shift(b).substitute_into(m.reflect_z() if flip else m)
+    target = unrelated or cleared_substitution(m.reflect_z() if flip else m, *BaseMobius.shift(b).num_den_polys(),
+                                               m.degree)
     got = _outcome(basis_equiv_moduli, _model(m), _model(target))
     assert got == _outcome(ref_basis_equiv_moduli, _model(m), _model(target))
     if unrelated is None and target.degree == m.degree:
@@ -1023,7 +1029,8 @@ def test_basis_equiv_moduli_closed_form_cases():
     got = basis_equiv_moduli(quad_a, quad_b)
     witness = 3 - 2 * TowerReal.sqrt_rational(2)
     assert got == _witnessed(witness, False)
-    assert BaseMobius.shift(witness).substitute_into(quad_a.m).monic() == quad_b.m
+    moved = cleared_substitution(quad_a.m, *BaseMobius.shift(witness).num_den_polys(), quad_a.m.degree)
+    assert moved.monic() == quad_b.m
 
 
 REPRO_ELEMENTS = {
@@ -1089,8 +1096,6 @@ def ref_cleared_substitution(p: Poly, num: Poly, den: Poly, degree: int) -> Poly
 def test_cleared_substitution_matches_sum(p, extra, b, tower, flip):
     """Horner's accumulation equals the sum of separately built powers, for
     rational and tower b, flipped or not, also above the degree of p."""
-    from birsphere.sphere import cleared_substitution
-
     shift = BaseMobius.shift(b * TowerReal.sqrt_rational(2) / 2 if tower else b)
     num, den = BaseMobius(shift.b, flip).num_den_polys()
     degree = max(p.degree, 0) + extra

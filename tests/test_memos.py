@@ -1,23 +1,18 @@
-"""The package's memos: every `cache` and `cached_property` is listed here,
-so adding one is a reviewed decision.  Each invariant is memoised on the
+"""The package's memos: every `cache` and `cached_property` is listed in
+conftest.PACKAGE_MEMOS, so adding one is a reviewed decision.  Each invariant is memoised on the
 object it describes: it is computed once per object (counted), the
 memoised values equal the formulas they cache on fresh equal objects, and
 no input or its pattern outlives the query that built them."""
 
-import ast
 import gc
-import importlib
-import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import birsphere
 from birsphere import projmat as projmat_mod
 from birsphere import sphere as sphere_mod
 from birsphere.classify import classify_spheremap, decide_conjugacy
@@ -34,69 +29,10 @@ from birsphere.sphere import (
     canonical_pattern,
     in_diffeo_group,
 )
-from conftest import checked_pattern, pattern_pair
-from test_exact_core import gaussian_scalars, polys
+from conftest import PACKAGE_MEMOS, checked_pattern, gaussian_scalars, package_memos, pattern_pair, polys
 
 Z = Poly.z()
 I = CoeffScalar.i()
-
-# (module, qualified name) -> decorator.  The per-object memos cache an
-# invariant of an immutable object on it: a matrix's angle and real
-# pattern, a pattern's D, D', involution form and fixed-curve model; the
-# caches hold constants built on first use: the rotation target per angle
-# and sign, and the catalogue involutions certificates are built against.
-PACKAGE_MEMOS = {
-    ("projmat", "ProjMat._angle"): "cached_property",
-    ("projmat", "ProjMat.real_pattern"): "cached_property",
-    ("sphere", "FiberPattern._determinant"): "cached_property",
-    ("sphere", "FiberPattern.involution_form"): "cached_property",
-    ("sphere", "FiberPattern.stripped_determinant"): "cached_property",
-    ("sphere", "FiberPattern.contracted_count"): "cached_property",
-    ("sphere", "FiberPattern.fixed_model"): "cached_property",
-    ("involutions", "_flip_fiber"): "cache",
-    ("involutions", "_diagonal_involution"): "cache",
-    ("involutions", "_rotation_target"): "cache",
-}
-MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
-
-
-def package_memos() -> dict[tuple[str, str], str]:
-    """Every memoising decorator in src/birsphere, found by an AST scan:
-    (module, qualified name) -> decorator name."""
-    found = {}
-
-    def visit(node, module, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, module, f"{prefix}{child.name}.")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for dec in child.decorator_list:
-                    target = dec.func if isinstance(dec, ast.Call) else dec
-                    name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
-                    if name in MEMO_DECORATORS:
-                        found[(module, f"{prefix}{child.name}")] = name
-
-    for path in sorted(Path(birsphere.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, "")
-    return found
-
-
-def clear_caches() -> None:
-    """Empty every cache of the package, as package_memos finds them: each
-    function cache, and each cached_property memoised on a module-level
-    constant of a loaded package module (involutions._OFF_DIAGONAL's
-    pattern, say), which no query's end would drop."""
-    properties = {}
-    for (module, name), decorator in package_memos().items():
-        if decorator != "cached_property":
-            getattr(importlib.import_module(f"birsphere.{module}"), name).cache_clear()
-        else:
-            cls, _, attr = name.rpartition(".")
-            properties.setdefault(cls, []).append(attr)
-    for module in [m for key, m in sys.modules.items() if key.startswith("birsphere.")]:
-        for value in vars(module).values():
-            for attr in properties.get(type(value).__name__, ()):
-                vars(value).pop(attr, None)
 
 
 def test_every_package_memo_is_listed():

@@ -1,9 +1,10 @@
 """The reality group's arithmetic on patterns (a, b), against the 4-entry
 oracle: the lift [[a, b h], [~b, ~a]] multiplied by `raw_mul` and compared
-by the six-minor test `ref_proportional`.  Also the exact division by
-h = 1 - z^2 that reads b off a matrix, and counts that pin the pattern
-paths: a trivial-base certificate, a base flip's order and its twisted
-square form no 4-entry product."""
+by the six-minor test `ref_proportional`; certificates and orders with a
+moving base against the same oracle over cleared substitutions.  Also the
+exact division by h = 1 - z^2 that reads b off a matrix, and counts that
+pin the pattern paths: a trivial-base certificate, a base flip's order and
+its twisted square form no canonical ProjMat product."""
 
 from unittest import mock
 
@@ -12,7 +13,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from birsphere import projmat as projmat_mod
-from birsphere import sphere as sphere_mod
 from birsphere.errors import NotRealityMember
 from birsphere.etatwist import twisted_square
 from birsphere.involutions import InvolutionForm, construct_conjugator
@@ -26,8 +26,10 @@ from birsphere.sphere import (
     SphereMap,
     builtin_map,
     canonical_pattern,
+    cleared_substitution,
 )
-from test_exact_core import (
+from conftest import (
+    MOVING_MAPS,
     coeff_scalars,
     gaussian_scalars,
     member_entries,
@@ -111,15 +113,24 @@ def test_pattern_comparison_matches_six_minors(p, q, r, c):
     assert p.proportional_to(FiberPattern(p.a * r, p.b * r))
 
 
+def ref_substituted_entries(base: BaseMobius, mat: ProjMat) -> tuple[Poly, Poly, Poly, Poly]:
+    """The entries of mat(m(z)) for the base action m = num/den, each
+    cleared by den^d with d the largest entry degree, unreduced."""
+    num, den = base.num_den_polys()
+    d = max(p.degree for p in mat.entries())
+    return tuple(cleared_substitution(p, num, den, d) for p in mat.entries())
+
+
 def old_verify(cert: ConjugacyCertificate) -> bool:
-    """ConjugacyCertificate.verify as two 4-entry products and the six-minor test."""
+    """ConjugacyCertificate.verify as two 4-entry products over cleared
+    substitutions and the six-minor test."""
     c, s, t = cert.conjugator, cert.source, cert.target
     return (
         c.reality_check()
         and c.base.compose(s.base) == t.base.compose(c.base)
         and ref_proportional(
-            raw_mul(s.base.substitute_entries(c.fiber), s.fiber.entries()),
-            raw_mul(c.base.substitute_entries(t.fiber), c.fiber.entries()),
+            raw_mul(ref_substituted_entries(s.base, c.fiber), s.fiber.entries()),
+            raw_mul(ref_substituted_entries(c.base, t.fiber), c.fiber.entries()),
         )
     )
 
@@ -129,14 +140,17 @@ BASES = (BaseMobius.identity(), BaseMobius.negation())
 
 @st.composite
 def reality_maps(draw):
-    """A reality element over Q(i) with base z -> z or z -> -z."""
+    """A reality element over Q(i) with base z -> z or z -> -z, followed
+    by nothing or by an interval shift, with or without z -> -z."""
     p = draw(patterns(gaussian_polys))
     assume(invertible(p))
     try:
         fiber = p.matrix()
     except ValueError:
         assume(False)
-    return SphereMap(fiber, draw(st.sampled_from(BASES)))
+    g = SphereMap(fiber, draw(st.sampled_from(BASES)))
+    mover = draw(st.sampled_from((None,) + MOVING_MAPS))
+    return g if mover is None else g.compose(mover)
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,8 +159,8 @@ def reality_maps(draw):
 def test_verify_matches_the_four_entry_check(s, c, other, k):
     """On the true certificate C S C^-1 and on corrupted ones (C with one
     entry perturbed, C times another element, the target swapped for the
-    source or another element), with id and neg bases, verify gives the
-    answer of the 4-entry check."""
+    source or another element), with id and neg bases, shifts and flipped
+    shifts, verify gives the answer of the 4-entry check."""
     t = c.compose(s).compose(c.inverse())
     entries = list(c.fiber.entries())
     entries[k] = entries[k] * Poly([1, 2])
@@ -171,14 +185,20 @@ def test_verify_matches_the_four_entry_check(s, c, other, k):
 def test_flip_order_matches_the_four_entry_square(p, e):
     """A base flip's order, read off the pattern product P(-z) P for a real
     fiber (the 4-entry square for a non-real one), is twice the order of
-    the 4-entry square, or None with it."""
+    the 4-entry square, or None with it; so is a flipped shift's, on the
+    fiber alone and on the map followed by the flipped shift."""
+    flipped_shifts = [mover for mover in MOVING_MAPS if mover.base.flip]
     for entries in (lift(p), e):
         try:
-            g = SphereMap(ProjMat.of(*entries), BaseMobius.negation())
+            fiber = ProjMat.of(*entries)
         except ValueError:  # zero matrix or zero determinant
             continue
-        angle = angle_of_entries(raw_mul(tuple(x.reflect_z() for x in g.fiber.entries()), g.fiber.entries()))
-        assert g.order() == (None if angle is None else 2 * angle[1])
+        maps = [SphereMap(fiber, BaseMobius.negation())]
+        maps += [SphereMap(fiber, mover.base) for mover in flipped_shifts]
+        maps += [SphereMap.trivial_base(fiber).compose(mover) for mover in flipped_shifts]
+        for g in maps:
+            angle = angle_of_entries(raw_mul(ref_substituted_entries(g.base, g.fiber), g.fiber.entries()))
+            assert g.order() == (None if angle is None else 2 * angle[1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -224,7 +244,8 @@ def test_canonical_pattern_refuses_exactly_the_non_real(e, p, k, f):
 def test_pattern_paths_form_no_four_entry_product():
     """A trivial-base certificate and one with base flips verify, a base
     flip's order is read and its twisted square taken, all without raw_mul
-    or the six-minor proportional: the patterns carry the arithmetic."""
+    or a canonical form (ProjMat._canonical): the patterns carry the
+    arithmetic."""
     a = InvolutionForm(Z + 2, Z.scale(I) + 1 - I).matrix()
     c = FiberPattern(Z + 2 + I, Poly.const(CoeffScalar(1, 1))).matrix()
     b = c * a * c.inverse()
@@ -235,9 +256,8 @@ def test_pattern_paths_form_no_four_entry_product():
     cert = construct_conjugator(a, b)
     fresh = (SphereMap.trivial_base(ProjMat.of(*m.fiber.entries())) for m in (cert.source, cert.target))
     cert = ConjugacyCertificate(cert.kind, *fresh, cert.conjugator)  # source and target patterns not yet read
-    refuse = mock.Mock(side_effect=AssertionError("a 4-entry product or comparison was formed"))
-    with mock.patch.object(projmat_mod, "raw_mul", refuse), mock.patch.object(sphere_mod, "raw_mul", refuse), \
-            mock.patch.object(sphere_mod, "proportional", refuse):
+    refuse = mock.Mock(side_effect=AssertionError("a 4-entry product or a canonical form was formed"))
+    with mock.patch.object(projmat_mod, "raw_mul", refuse), mock.patch.object(ProjMat, "_canonical", refuse):
         assert cert.verify()
         assert flip_cert.verify()
         assert not ConjugacyCertificate("conjugation", flip, antipodal, mover).verify()

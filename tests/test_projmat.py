@@ -20,7 +20,7 @@ from birsphere.sphere import (
     interval_shift,
     z_flip,
 )
-from test_exact_core import ref_in_reality_group, ref_proportional
+from conftest import gaussian_scalars, polys, ref_in_reality_group, ref_proportional
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -100,7 +100,6 @@ CATALOGUE = ("tau", "upsilon", "antipodal", "tilde_eta", "rot:1/3", "rot:1/4", "
 def reality_elements(draw):
     """A reality element from a random pattern of degree <= 2 or the
     catalogue, or a product of two of them."""
-    from test_exact_core import gaussian_scalars, polys
 
     def one():
         if draw(st.booleans()):
@@ -130,8 +129,8 @@ def test_closed_forms_match_canonical_route(m):
     assert m.is_identity() == (m == ProjMat._canonical([Poly.const(1), Poly(), Poly(), Poly.const(1)]))
     flip = BaseMobius.negation()
     d = max(p.degree for p in m.entries())
-    assert flip.substitute_entries(m) == tuple(cleared_substitution(p, -Z, Poly.const(1), d) for p in m.entries())
-    assert flip.substitute_matrix(m) == ProjMat._canonical(list(flip.substitute_entries(m)))
+    assert flip.substitute_matrix(m) == ProjMat._canonical([cleared_substitution(p, -Z, Poly.const(1), d)
+                                                            for p in m.entries()])
     orientation = diffeo_orientation(m)
     assert diffeo_orientation(m.reflect_z()) == orientation
     pair = SphereMap(m, flip)

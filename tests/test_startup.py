@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import birsphere
-from test_memos import PACKAGE_MEMOS
+from conftest import PACKAGE_MEMOS
 
 SRC = str(Path(birsphere.__file__).parent.parent)
 
