@@ -44,6 +44,7 @@ from .sphere import (
     SphereMap,
     base_realisation,
     builtin_map,
+    canonical_pattern,
     diffeo_orientation,
     reduce_to_trivial_base,
 )
@@ -304,27 +305,42 @@ def classify_trivialbase(mat: ProjMat) -> ClassificationReport:
 def classify_flip_involution(pair: SphereMap) -> ClassificationReport:
     """Family report for an involution acting by z -> -z on the base: 8 for
     a nontrivial twist class; for a linear one, 5 when no real point is
-    fixed and "linear-stratum" otherwise, or when the fixed-locus probe
-    leaves the tower.  The base-flip layer etatwist loads on the first call."""
-    from .etatwist import h2_invariant, real_fixed_points_on_flip
+    fixed and "linear-stratum" otherwise.  With o = diffeo_orientation and
+    P = (a, b) the memoised pattern, no real point is fixed exactly when
+    o = 1 and P(0) is not scalar, that is a(0) is not real.  The base-flip
+    layer etatwist loads on the first call.
+
+    Lemma.  The flip moves every real z but 0, so the real fixed points lie
+    on the fiber z = 0, the circle t conj(t) = 1, acted on by P(0) = [[a0, b0],
+    [~b0, ~a0]] (h(0) = 1).  P P(-z) is scalar (twisted_square), so P(0)^2 is:
+    P(0) is scalar and fixes the whole circle, or has trace 0, a0 = i p with
+    p real.  Then the fixed points (i p +- sqrt(|b0|^2 - p^2)) / ~b0 (0 and
+    infinity for b0 = 0) lie on the circle exactly when D(0) = p^2 - |b0|^2
+    < 0.  A diffeomorphism's D has no real root in (-1, 1), its only real
+    roots are the e = +-1 with a(e) = 0 (FiberPattern.stripped_determinant),
+    and D > 0 for |z| > 1: so D(0) > 0 exactly when o = 1.  For o = 1 a
+    trace-0 P(0) has p^2 > |b0|^2 >= 0, so P(0) is scalar exactly when a0 is
+    real.  The antipodal map has o = 1 and P(0) not scalar, no fixed point;
+    tilde_eta has P(0) scalar, a circle; the fiber of tau over the flip has
+    o = -1, two points."""
+    from .etatwist import h2_invariant
 
     if pair.base.kind != "neg":
         raise ValueError("base action must be the flip z -> -z")
-    if not diffeo_orientation(pair.fiber):  # b = 0: the fiber decides (SphereMap._diffeo_fiber)
+    orientation = diffeo_orientation(pair.fiber)  # b = 0: the fiber decides (SphereMap._diffeo_fiber)
+    if not orientation:
         raise NotDiffeomorphism("the pair is not defined at every real point")
     twist_class = h2_invariant(pair)
     moduli = {"twist_class": twist_class.to_json()}
     if not twist_class.is_linear_model():
         return ClassificationReport(8, moduli)
-    fixed = real_fixed_points_on_flip(pair)
-    if fixed == []:
+    pattern = canonical_pattern(pair.fiber)
+    if orientation > 0 and not pattern.a(0).is_real():
         return ClassificationReport(5, moduli)
     caveats = [
         "class is linear at the birational level; the finer conjugacy "
         "within birational diffeomorphisms is reported, not decided"
     ]
-    if fixed is None:
-        caveats.append("real fixed locus probe left the tower")
     return ClassificationReport("linear-stratum", moduli, caveats=caveats)
 
 

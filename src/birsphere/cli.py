@@ -29,11 +29,13 @@ EXIT_DOMAIN = 5
 
 
 def _load_element(text: str):
-    if text == "-":
-        return routing.spheremap_from_json_text(sys.stdin.read())
     path = Path(text)
-    if not text.startswith(("builtin:", "[[", "{", "diag(")) and path.is_file():
-        return routing.spheremap_from_json_text(path.read_text())
+    if text == "-" or (not text.startswith(("builtin:", "[[", "{", "diag(")) and path.is_file()):
+        try:
+            source = sys.stdin.read() if text == "-" else path.read_text()
+        except UnicodeDecodeError as exc:  # a ValueError, which main would call a domain error
+            raise ParseError(f"malformed sphere map JSON: {exc}") from exc
+        return routing.spheremap_from_json_text(source)
     return routing.parse_element(text)
 
 

@@ -6,8 +6,9 @@ even real polynomial.  The class of mu modulo the norms f(z) * f(-z) is a
 sign together with a multiset of positive reals (one generator z^2 + b for
 each b > 0), computed here by factoring in w = z^2.  Equality of classes
 decides conjugacy among all fiber-compatible birational maps.  The family
-report of such a map, which reads the class and the real fixed points on
-the fiber z = 0 probed here, is classify.classify_flip_involution.
+report of such a map, which reads this class, and the real fixed locus off
+the orientation character and the pattern at z = 0, is
+classify.classify_flip_involution.
 """
 
 from __future__ import annotations
@@ -239,34 +240,3 @@ class TwistedAlgebra:
                 continue
             return cand
         raise RuntimeError("no invertible coboundary witness in the trial set")
-
-
-# -- real fixed locus probe --------------------------------------------------------------------
-
-
-def real_fixed_points_on_flip(pair: SphereMap):
-    """Exact real fixed points of a base-flip involution.
-
-    Real fixed points can only sit on the fiber z = 0; they are the fixed
-    points of the z = 0 Möbius action lying on the unit circle t conj(t)=1.
-    Returns a list of fiber coordinates (possibly a marker for the whole
-    circle), or None when the needed square root leaves the tower.
-    """
-    a, b, c, d = (p(CoeffScalar(0)) for p in pair.fiber.entries())
-    # fixed points of t -> (a t + b)/(c t + d)
-    if not c and a == d:
-        if not b:
-            return ["circle"]  # identity on the fiber: the whole circle is fixed
-        return []
-    candidates = []
-    if not c:
-        candidates.append(b / (d - a))
-    else:
-        disc = (a - d) * (a - d) + 4 * b * c
-        try:
-            root = disc.sqrt()
-        except UnsupportedExtension:
-            return None
-        for sign in (1, -1):
-            candidates.append((a - d + root * CoeffScalar(Fraction(sign))) / (2 * c))
-    return [t for t in candidates if t * t.conj() == CoeffScalar(1)]

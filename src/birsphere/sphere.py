@@ -240,7 +240,7 @@ class HyperellipticModel:
 
     __slots__ = ("m", "scale", "content")
 
-    def __init__(self, m: Poly, scale: Poly, content: TowerReal = TowerReal.from_rational(1)):
+    def __init__(self, m: Poly, scale: Poly, content: TowerReal):
         self.m, self.scale, self.content = m, scale, content
 
     @classmethod

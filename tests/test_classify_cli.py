@@ -379,6 +379,13 @@ def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
     for element in ("{bad", str(bad), "-"):
         code, _, err = run_cli(capsys, "classify", element)
         assert code == 2 and err.startswith("parse error: malformed sphere map JSON"), (element, code, err)
+    # and so does input that is not UTF-8, in a file and on a stdin that decodes strictly
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8"))
+    for element in (str(undecodable), "-"):
+        code, _, err = run_cli(capsys, "classify", element)
+        assert code == 2 and err.startswith("parse error:"), (element, code, err)
     # errors of the package's own types keep their codes
     code, _, err = run_cli(capsys, "classify", "builtin:rot:1/5")
     assert code == 3

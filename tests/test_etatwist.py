@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birsphere.classify import classify_flip_involution
 from birsphere.errors import NotEvenFunction, UnsupportedExtension
@@ -10,7 +12,6 @@ from birsphere.etatwist import (
     factor_even,
     h2_invariant,
     h2_reduce,
-    real_fixed_points_on_flip,
     twisted_square,
 )
 from birsphere.poly import Poly
@@ -18,9 +19,11 @@ from birsphere.projmat import ProjMat
 from birsphere.scalars import CoeffScalar
 from birsphere.sphere import (
     BaseMobius,
+    FiberPattern,
     SphereMap,
     antipodal_map,
     builtin_map,
+    x_flip,
     y_flip,
     z_flip,
 )
@@ -148,22 +151,6 @@ def test_twisted_algebra_coboundary(rng):
         alg.inverse((Poly(), Poly(), Poly.const(1)))
 
 
-def test_real_fixed_locus_probe():
-    assert real_fixed_points_on_flip(antipodal_map()) == []
-    assert real_fixed_points_on_flip(z_flip()) == ["circle"]
-    # (w:x:-y:-z): fiber tau, base flip: two real fixed points on the equator
-    tau_pair = SphereMap(y_flip().fiber, BaseMobius.negation())
-    pts = real_fixed_points_on_flip(tau_pair)
-    assert pts and all(t * t.conj() == CoeffScalar(1) for t in pts)
-    # (w:-x:y:-z): fiber upsilon, base flip: a rotation by pi about the
-    # y-axis; trivial twist class, real fixed points on the equator
-    from birsphere.sphere import x_flip
-
-    ups_pair = SphereMap(x_flip().fiber, BaseMobius.negation())
-    assert h2_invariant(ups_pair) == TwistClass(1, ())
-    assert real_fixed_points_on_flip(ups_pair)
-
-
 def test_classification():
     assert classify_flip_involution(antipodal_map()).family == 5
     assert classify_flip_involution(z_flip()).family == "linear-stratum"
@@ -174,3 +161,42 @@ def test_classification():
     assert h2_invariant(g).gens[0] == Fraction(1, 4)
     linear = classify_flip_involution(SphereMap(y_flip().fiber, BaseMobius.negation()))
     assert linear.family == "linear-stratum" and linear.caveats
+    # (w:-x:y:-z): fiber upsilon, base flip, a rotation by pi about the
+    # y-axis: trivial twist class, two real fixed points on the equator
+    ups_pair = SphereMap(x_flip().fiber, BaseMobius.negation())
+    assert h2_invariant(ups_pair) == TwistClass(1, ())
+    assert classify_flip_involution(ups_pair).family == "linear-stratum"
+
+
+FLIP_FAMILIES = (
+    (antipodal_map(), 5),
+    (z_flip(), "linear-stratum"),
+    (SphereMap(y_flip().fiber, BaseMobius.negation()), "linear-stratum"),  # the fiber of tau
+    (SphereMap(x_flip().fiber, BaseMobius.negation()), "linear-stratum"),  # the fiber of upsilon
+)
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def diffeo_conjugators(draw) -> ProjMat:
+    """A reality element [[a, b h], [~b, ~a]] of degree <= 1 that is a
+    birational diffeomorphism by construction, as perfbench's
+    diffeo_conjugator builds one: a = a0 + a1 z, b = b0 + b1 z with a0 real
+    and a0 > |a1| + |b0| + |b1| (each modulus bounded by |re| + |im|), so
+    |a| > |b| on [-1, 1] and D = |a|^2 - |b|^2 (1 - z^2) > 0 on R."""
+    parts = draw(st.lists(small_fractions, min_size=6, max_size=6))
+    a0 = sum(map(abs, parts)) + draw(st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=3))
+    a1, b0, b1 = (CoeffScalar(re, im) for re, im in zip(parts[::2], parts[1::2]))
+    return FiberPattern(Poly([CoeffScalar(a0), a1]), Poly([b0, b1])).matrix()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FLIP_FAMILIES), diffeo_conjugators())
+def test_flip_family_is_a_conjugacy_invariant(case, c):
+    """Conjugating a linear base-flip involution (A, flip) by a diffeomorphism
+    c, to (c(-z) A c^-1, flip), keeps its family: 5 for antipodal, whose
+    conjugates fix no real point, and "linear-stratum" for z_flip and the
+    fibers of tau and upsilon over the flip."""
+    g, family = case
+    conj = SphereMap(c.reflect_z() * g.fiber * c.inverse(), BaseMobius.negation())
+    assert classify_flip_involution(conj).family == family

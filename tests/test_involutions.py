@@ -854,7 +854,8 @@ def test_basis_equiv_after_interval_pullback():
         if c:
             acc = acc + (num**k * den ** (m_a.m.degree - k)).scale(c)
     sf = ref_square_class(acc)
-    m_pulled = HyperellipticModel(sf if sf.lead().as_real().sign() > 0 else -sf, Poly.const(1))
+    m_pulled = HyperellipticModel(sf if sf.lead().as_real().sign() > 0 else -sf, Poly.const(1),
+                                  TowerReal.from_rational(1))
     base = basis_equiv_moduli(m_a, m_pulled)
     assert base == BaseMobius.shift(-b)
     assert isinstance(base.b, TowerReal)
@@ -862,8 +863,8 @@ def test_basis_equiv_after_interval_pullback():
 
 def test_basis_equiv_flip_only():
     # branch data {1 + i, 1 - i, 3i, -3i} needs the flip to reach its mirror
-    m_a = HyperellipticModel((Z * Z - 2 * Z + 2) * (Z * Z + 9), Poly.const(1))
-    m_b = HyperellipticModel((Z * Z + 2 * Z + 2) * (Z * Z + 9), Poly.const(1))
+    m_a = HyperellipticModel((Z * Z - 2 * Z + 2) * (Z * Z + 9), Poly.const(1), TowerReal.from_rational(1))
+    m_b = HyperellipticModel((Z * Z + 2 * Z + 2) * (Z * Z + 9), Poly.const(1), TowerReal.from_rational(1))
     base = basis_equiv_moduli(m_a, m_b)
     assert base is not None and base.flip
 
@@ -971,7 +972,7 @@ def _outcome(compare, model_a: HyperellipticModel, model_b: HyperellipticModel):
 
 
 def _model(m: Poly) -> HyperellipticModel:
-    return HyperellipticModel(m.monic(), Poly.const(1))
+    return HyperellipticModel(m.monic(), Poly.const(1), TowerReal.from_rational(1))
 
 
 @st.composite
