@@ -6,7 +6,7 @@ the antipodal map, (6) fiberwise involutions with a pointless fixed curve
 of positive genus, (7) the orientation-reversing ones with a one-oval
 fixed curve, and (8) base-flip involutions with nontrivial twist class.
 The family table is read here, off the order, the orientation character
-(diffeo_orientation) and then the angle, the fixed-curve model or the twist
+(SphereMap.orientation) and then the angle, the fixed-curve model or the twist
 class: classify_trivialbase and classify_flip_involution for the two routed
 base actions, classify_spheremap in front of both, and decide_conjugacy
 comparing the same invariants for two elements.  ClassificationReport is the
@@ -232,23 +232,22 @@ def classify_spheremap(g: SphereMap) -> ClassificationReport:
     caveats = [] if is_prime(n) else [
         f"order {n} is not prime; reporting the family of the cyclic generator"
     ]
-    if g.base.kind == "neg":
-        report = classify_flip_involution(g)
-    else:
-        try:
-            report = classify_trivialbase(g.fiber)
-        except NotDiffeomorphism:
-            out = ClassificationReport(
-                family="out-of-scope",
-                caveats=caveats
-                + [
-                    "element is birational but contracts a real fiber, so it is not a "
-                    "birational diffeomorphism; fixed-curve data is still reported"
-                ],
-            )
-            if n == 2:
-                out.moduli["fixed_curve"] = fixed_curve(g.fiber).to_json()
-            return out
+    flip = g.base.kind == "neg"
+    if not g.orientation():
+        moduli = {}
+        if n == 2 and flip:
+            from .etatwist import h2_invariant
+
+            moduli["twist_class"] = h2_invariant(g).to_json()
+        elif n == 2:
+            moduli["fixed_curve"] = fixed_curve(g.fiber).to_json()
+        caveat = "element is birational but contracts a real fiber, so it is not a birational diffeomorphism"
+        if moduli:
+            caveat += f"; {'twist-class' if flip else 'fixed-curve'} data is still reported"
+        return ClassificationReport("out-of-scope", moduli, certificates, caveats + [caveat])
+    if flip and n != 2:
+        raise UndecidedExact(f"classification of base-flip elements of order {n} is not decided")
+    report = classify_flip_involution(g) if flip else classify_trivialbase(g.fiber)
     report.certificates = certificates + report.certificates
     report.caveats = caveats + report.caveats
     return report
@@ -305,10 +304,10 @@ def classify_trivialbase(mat: ProjMat) -> ClassificationReport:
 def classify_flip_involution(pair: SphereMap) -> ClassificationReport:
     """Family report for an involution acting by z -> -z on the base: 8 for
     a nontrivial twist class; for a linear one, 5 when no real point is
-    fixed and "linear-stratum" otherwise.  With o = diffeo_orientation and
-    P = (a, b) the memoised pattern, no real point is fixed exactly when
-    o = 1 and P(0) is not scalar, that is a(0) is not real.  The base-flip
-    layer etatwist loads on the first call.
+    fixed and "linear-stratum" otherwise.  With chi = pair.orientation()
+    and P = (a, b) the memoised pattern, no real point is fixed exactly when
+    chi = -1 and P(0) is not scalar, that is a(0) is not real.  The
+    base-flip layer etatwist loads on the first call.
 
     Lemma.  The flip moves every real z but 0, so the real fixed points lie
     on the fiber z = 0, the circle t conj(t) = 1, acted on by P(0) = [[a0, b0],
@@ -318,16 +317,17 @@ def classify_flip_involution(pair: SphereMap) -> ClassificationReport:
     infinity for b0 = 0) lie on the circle exactly when D(0) = p^2 - |b0|^2
     < 0.  A diffeomorphism's D has no real root in (-1, 1), its only real
     roots are the e = +-1 with a(e) = 0 (FiberPattern.stripped_determinant),
-    and D > 0 for |z| > 1: so D(0) > 0 exactly when o = 1.  For o = 1 a
-    trace-0 P(0) has p^2 > |b0|^2 >= 0, so P(0) is scalar exactly when a0 is
-    real.  The antipodal map has o = 1 and P(0) not scalar, no fixed point;
+    and D > 0 for |z| > 1: so D(0) > 0 exactly when the fiber preserves
+    orientation, chi = -1 as the base flip reverses it.  Then a trace-0
+    P(0) has p^2 > |b0|^2 >= 0, so P(0) is scalar exactly when a0 is real.
+    The antipodal map has chi = -1 and P(0) not scalar, no fixed point;
     tilde_eta has P(0) scalar, a circle; the fiber of tau over the flip has
-    o = -1, two points."""
+    chi = 1, two points."""
     from .etatwist import h2_invariant
 
     if pair.base.kind != "neg":
         raise ValueError("base action must be the flip z -> -z")
-    orientation = diffeo_orientation(pair.fiber)  # b = 0: the fiber decides (SphereMap._diffeo_fiber)
+    orientation = pair.orientation()
     if not orientation:
         raise NotDiffeomorphism("the pair is not defined at every real point")
     twist_class = h2_invariant(pair)
@@ -335,7 +335,7 @@ def classify_flip_involution(pair: SphereMap) -> ClassificationReport:
     if not twist_class.is_linear_model():
         return ClassificationReport(8, moduli)
     pattern = canonical_pattern(pair.fiber)
-    if orientation > 0 and not pattern.a(0).is_real():
+    if orientation < 0 and not pattern.a(0).is_real():
         return ClassificationReport(5, moduli)
     caveats = [
         "class is linear at the birational level; the finer conjugacy "
@@ -397,14 +397,10 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
 
     1. two infinite orders raise UndecidedExact, two different orders read
        false;
-    2. the orientation character chi = diffeo_orientation(r.fiber) *
-       r.base.sign() (1 preserving, -1 reversing, 0 not a diffeomorphism),
-       read when the base actions differ or both are base flips of order 2:
-       two diffeomorphisms with different chi read false.  Lemma: chi is a
-       conjugacy invariant among diffeomorphisms, and for b = 0 the fiber
-       decides it: the trivial-base part of (A, z -> -z) is (A(-z), id) =
-       z_flip (A, id) z_flip, a conjugate of (A, id) by a diffeomorphism,
-       and the base flip reverses orientation (SphereMap._diffeo_fiber);
+    2. the orientation character chi (SphereMap.orientation), read when
+       the base actions differ or both are base flips of order 2: two
+       diffeomorphisms with different chi read false, as chi is a conjugacy
+       invariant among diffeomorphisms;
     3. other pairs with different base actions, and base flips of an order
        other than 2, raise UndecidedExact;
     4. equal inputs are conjugate by the identity (equal routed maps are not
@@ -441,7 +437,7 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
         return {"conjugate": False, "reason": "different orders"}
     across, flips = r1.base.kind != r2.base.kind, r1.base.kind == r2.base.kind == "neg"
     if across or flips and n1 == 2:
-        chi1, chi2 = (diffeo_orientation(r.fiber) * r.base.sign() for r in (r1, r2))
+        chi1, chi2 = r1.orientation(), r2.orientation()
         if chi1 and chi2 and chi1 != chi2:
             return {"conjugate": False, "reason": "different orientation characters"}
     if across:

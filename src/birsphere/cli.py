@@ -77,7 +77,7 @@ def cmd_member(args) -> int:
     elif args.group == "H":
         ok = g.reality_check() and g.is_diffeo()
     else:
-        ok = g.reality_check() and g.is_orientation_preserving_diffeo()
+        ok = g.reality_check() and g.orientation() == 1
     _emit({"group": args.group, "member": ok})
     return 0
 
@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_conj)
 
     p = sub.add_parser("member", help="group membership tests")
-    p.add_argument("--group", choices=("G", "H", "H0"), required=True)
+    p.add_argument("--group", choices=("G", "H", "H0"), required=True,
+                   help="G: real maps; H: diffeomorphisms, chi != 0; H0: orientation-preserving ones, chi = 1")
     p.add_argument("element")
     p.set_defaults(func=cmd_member)
 

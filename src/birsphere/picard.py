@@ -48,8 +48,7 @@ def _identity(n: int) -> Matrix:
 
 
 def _gauss_jordan(rows: list[list]) -> tuple[list[list], list[int]]:
-    """The reduced row echelon form of rows over a field, with entries all
-    Fraction or all CoeffScalar, and its pivot columns."""
+    """The reduced row echelon form of Fraction rows and its pivot columns."""
     rows = [list(r) for r in rows]
     pivots: list[int] = []
     for col in range(len(rows[0]) if rows else 0):
@@ -216,8 +215,8 @@ def geiser_matrix(lat: PicLattice) -> Matrix:
 
 
 def geiser_action(lat: PicLattice, v) -> Vector:
-    kv = lat.dot(v, lat.canonical)
-    return tuple(int(kv * k - vi) for k, vi in zip(lat.canonical, v))
+    """The image of the class v under geiser_matrix."""
+    return tuple(int(c) for c in _mat_vec(geiser_matrix(lat), v))
 
 
 # -- shipped degree-4 matrices (basis f, fbar, E_p, E_pbar, E_q, E_qbar) ------------------
@@ -406,39 +405,16 @@ def anticanonical_matrices(mu) -> dict[str, tuple[tuple[CoeffScalar, ...], ...]]
     return {"gamma1": m1, "gamma2": m2, "gamma": mm, "N": n}
 
 
-def _cmat_inverse(a):
-    """The inverse of a square matrix of CoeffScalar entries, read off the
-    reduced form of (a | 1); ZeroDivisionError when a is singular."""
-    n = len(a)
-    aug = [list(row) + [CoeffScalar(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    reduced, pivots = _gauss_jordan(aug)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("singular matrix")
-    return tuple(tuple(row[n:]) for row in reduced)
-
-
 def verify_anticanonical_dataset(mu) -> bool:
     """Check that the base change N diagonalises the three shipped actions
-    to the +-1 diagonals of the matching coordinate sign maps (up to an
-    overall projective sign)."""
+    M to the +-1 diagonals S of the matching coordinate sign maps, up to an
+    overall projective sign: N M = +-S N, which is N M N^-1 = +-S as
+    det N = 4i/mu != 0."""
     data = anticanonical_matrices(mu)
     n = data["N"]
-    n_inv = _cmat_inverse(n)
     for name in ("gamma1", "gamma2", "gamma"):
-        diag = _mat_mul(n, _mat_mul(data[name], n_inv))
-        expected = SIGN_MAPS[name]
-        for overall in (1, -1):
-            ok = True
-            for r in range(5):
-                for c in range(5):
-                    want = CoeffScalar(Fraction(overall * expected[r])) if r == c else CoeffScalar(0)
-                    if diag[r][c] != want:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                break
-        else:
+        nm = _mat_mul(n, data[name])
+        sn = tuple(tuple(x if s > 0 else -x for x in row) for s, row in zip(SIGN_MAPS[name], n))
+        if nm != sn and nm != tuple(tuple(-x for x in row) for row in sn):
             return False
     return True

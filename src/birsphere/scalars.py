@@ -262,9 +262,6 @@ class CoeffScalar:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)

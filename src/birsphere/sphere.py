@@ -598,21 +598,25 @@ class SphereMap:
         assert out.base.is_identity()
         return out
 
-    def _diffeo_fiber(self) -> ProjMat:
-        """A trivial-base fiber with the diffeomorphism membership and the
-        orientation character of trivial_base_part().  For base z -> -z that
-        part is (A(-z), id) = z_flip (A, id) z_flip, a conjugate of (A, id)
-        by a birational diffeomorphism, which preserves both; so for b = 0
-        the fiber A itself decides, and its pattern is the one the twist
-        class reads next."""
-        return self.fiber if not self.base.b else self.trivial_base_part().fiber
+    def orientation(self) -> int:
+        """The orientation character chi: 1 for a birational diffeomorphism
+        preserving orientation, -1 for one reversing it, 0 when the map is
+        not defined at every real point; the package's one reader of chi.
+        It is diffeo_orientation of the trivial-base part's fiber times the
+        base's sign, as the realisation is a diffeomorphism whose shift
+        preserves orientation and whose flip reverses it.
+
+        Lemma.  For b = 0 the fiber A itself decides: for base z -> -z the
+        trivial-base part is (A(-z), id) = z_flip (A, id) z_flip, a conjugate
+        of (A, id) by a birational diffeomorphism, which keeps membership and
+        orientation; so the pattern of A is the one the twist class reads
+        next.  A moving base (b != 0) is first undone (trivial_base_part)."""
+        fiber = self.trivial_base_part().fiber if self.base.b else self.fiber
+        return diffeo_orientation(fiber) * self.base.sign()
 
     def is_diffeo(self) -> bool:
-        return in_diffeo_group(self._diffeo_fiber())
-
-    def is_orientation_preserving_diffeo(self) -> bool:
-        # the base flip reverses orientation, the shifts preserve it
-        return diffeo_orientation(self._diffeo_fiber()) == self.base.sign()
+        """Whether chi != 0: the map is defined at every real point."""
+        return self.orientation() != 0
 
 
 def base_realisation(base: BaseMobius) -> SphereMap:

@@ -106,7 +106,7 @@ def test_conj_flip_orientation_characters():
     from birsphere.etatwist import h2_invariant
 
     half_turn, eta = builtin_map("tau").compose(builtin_map("tilde_eta")), builtin_map("tilde_eta")
-    assert half_turn.is_orientation_preserving_diffeo() and not eta.is_orientation_preserving_diffeo()
+    assert (half_turn.orientation(), eta.orientation()) == (1, -1)
     assert h2_invariant(half_turn) == h2_invariant(eta)
     for pair in ((half_turn, eta), (eta, half_turn)):
         assert decide_conjugacy(*pair) == {"conjugate": False, "reason": "different orientation characters"}
@@ -155,12 +155,11 @@ def test_conj_catalogue_answers_are_sound():
             uncertified.append((name1, name2))
             assert g1 != g2 and g1.base.kind == g2.base.kind == "neg", (g1, g2)
             assert h2_invariant(g1) == h2_invariant(g2)
-            characters = [(g.is_diffeo(), g.is_orientation_preserving_diffeo()) for g in (g1, g2)]
-            assert characters[0] == characters[1], (g1, g2)
+            assert g1.orientation() == g2.orientation(), (g1, g2)
     assert uncertified == [("g2p:1/2", "g2p:-1/2"), ("g2p:-1/2", "g2p:1/2")]
-    characters = [(g.is_diffeo(), g.is_orientation_preserving_diffeo()) for g in maps]
+    characters = [g.orientation() for g in maps]
     across = [
-        (names[j], names[k], characters[j][0] and characters[k][0] and characters[j][1] != characters[k][1])
+        (names[j], names[k], characters[j] and characters[k] and characters[j] != characters[k])
         for j, g1 in enumerate(maps)
         for k, g2 in enumerate(maps)
         if g1.base.kind != g2.base.kind and g1.order() == g2.order()
@@ -608,6 +607,34 @@ def test_cli_out_of_scope_contracting_involution(capsys):
     assert payload["moduli"]["fixed_curve"]["m"] == "z^2-1/2"
 
 
+def test_classify_base_flip_outside_the_diffeomorphisms():
+    """A base-flip involution whose D = 4 z^2 - 3 contracts the real fibers
+    z = +-sqrt(3)/2 reads "out-of-scope" with its twist class, as its
+    trivial-base twin reads it with its fixed curve, and a conjugate of
+    rot:1/3 by that fiber reads it with no datum and says none; a base flip
+    of order 4 that is a diffeomorphism is undecided and names its order."""
+    from birsphere.errors import UndecidedExact
+
+    flip = spheremap_from_json({"fiber": [["i", "2-2*z^2"], ["2", "-i"]], "base": "neg"})
+    assert not flip.is_diffeo() and flip.order() == 2
+    report = classify_spheremap(flip).to_json()
+    assert report["family"] == "out-of-scope"
+    assert report["moduli"] == {"twist_class": {"gens": [], "sign": "+"}}
+    assert "contracts a real fiber" in report["caveats"][0]
+    twin = classify_spheremap(SphereMap.trivial_base(flip.fiber)).to_json()
+    assert twin["family"] == "out-of-scope" and set(twin["moduli"]) == {"fixed_curve"}
+    third = SphereMap.trivial_base(flip.fiber * builtin_map("rot:1/3").fiber * flip.fiber.inverse())
+    assert third.order() == 3
+    report = classify_spheremap(third).to_json()
+    assert (report["moduli"], report["caveats"]) == (
+        {}, ["element is birational but contracts a real fiber, so it is not a birational diffeomorphism"]
+    )
+    quarter = spheremap_from_json({"fiber": [["1", "0"], ["0", "i"]], "base": "neg"})
+    assert quarter.is_diffeo() and quarter.order() == 4
+    with pytest.raises(UndecidedExact, match="order 4"):
+        classify_spheremap(quarter)
+
+
 def test_cli_linear_stratum_exit_code(capsys):
     code, out, _ = run_cli(capsys, "classify", "builtin:tilde_eta")
     assert code == 4  # explicitly-undecided stratum
@@ -620,14 +647,17 @@ def test_catalogue_golden(capsys):
     JSON for every builtin, and conj for every ordered pair of
     CONJ_CATALOGUE and the half-turn, and for the builtin pairs of
     test_decide_conjugacy, test_conj_rotations and test_conj_infinite_order;
-    so do four interval-moved involution pairs under conj, builtin, every
+    so do five interval-moved involution pairs under conj, builtin, every
     picard subcommand and check, the dp4 and geiser routes of classify, and
     a matrix literal and a JSON input under each element subcommand, among
     them a flipped shift and sqrt(2) entries; and the lines that pin a path
     no other line runs (tests/test_reach.py): a member with a D' over the
     tower, eval on the conic at infinity, an order that factors by Pollard's
-    rho, a conjugated rotation's normal form, diag(...), and a twist class of
-    two generators whose w-polynomial Hensel-lifts in several steps;
+    rho, a conjugated rotation's normal form, diag(...), a twist class of
+    two generators whose w-polynomial Hensel-lifts in several steps, an
+    interval_b base, eval at a point with a sqrt(2) coordinate, and two base
+    flips that classify does not sort (one contracts a real fiber, one has
+    order 4);
     tests/data/catalogue_cli.json maps each command line to its exit code
     and stdout (tests/data/record_catalogue.py re-records named lines)."""
     golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())
@@ -645,7 +675,7 @@ def test_catalogue_certificates_verify():
     element to its target, a base reduction's printed sphere-map conjugator
     carrying it to a map of the printed residual base, and each conj
     conjugator maps the first element to the second.  The conj lines cover
-    every ordered pair of CONJ_CATALOGUE and the half-turn, and four
+    every ordered pair of CONJ_CATALOGUE and the half-turn, and five
     interval-moved involution pairs; the only `true`s without a certificate
     are g2p:1/2 against g2p:-1/2, in both orders, two base flips decided by
     their twist class alone (the open ROADMAP item on base flips)."""
@@ -654,7 +684,7 @@ def test_catalogue_certificates_verify():
     uncertified = []
     for command, want in sorted(golden.items()):
         verb, *args = command.split()
-        if verb == "classify":
+        if verb == "classify" and want["stdout"]:  # an undecided classify prints nothing
             for cert in json.loads(want["stdout"]).get("certificates", []):
                 source = parse_element(args[0])
                 if cert["kind"] == "base-reduction":
@@ -672,7 +702,7 @@ def test_catalogue_certificates_verify():
                 checked[verb] += 1
             elif res["conjugate"]:
                 uncertified.append(command)
-    assert checked == {"classify": 57, "conj": 19}
+    assert checked == {"classify": 57, "conj": 20}
     assert uncertified == ["conj builtin:g2p:-1/2 builtin:g2p:1/2", "conj builtin:g2p:1/2 builtin:g2p:-1/2"]
 
 

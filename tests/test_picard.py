@@ -181,16 +181,12 @@ def test_anticanonical_dataset():
     assert set(data) == {"gamma1", "gamma2", "gamma", "N"}
 
 
-def test_cmat_inverse_inverts_n_and_refuses_a_singular_matrix():
-    """The base change N times its inverse is the identity, and a matrix of
-    rank one raises ZeroDivisionError."""
-    from birsphere.picard import _cmat_inverse, _mat_mul
+def test_anticanonical_dataset_refuses_a_wrong_sign_map(monkeypatch):
+    """N M = +-S N fails for a sign map S that N does not diagonalise M to."""
+    import birsphere.picard as picard
 
-    n = anticanonical_matrices(MU_UNIT)["N"]
-    one, zero = CoeffScalar(1), CoeffScalar(0)
-    assert _mat_mul(n, _cmat_inverse(n)) == tuple(tuple(one if r == c else zero for c in range(5)) for r in range(5))
-    with pytest.raises(ZeroDivisionError):
-        _cmat_inverse(((one, I), (I, -one)))
+    monkeypatch.setitem(picard.SIGN_MAPS, "gamma1", picard.SIGN_MAPS["gamma2"])
+    assert not verify_anticanonical_dataset(MU_UNIT)
 
 
 def test_sigma_commutes_with_shipped_automorphisms():

@@ -136,7 +136,7 @@ def test_closed_forms_match_canonical_route(m):
     pair = SphereMap(m, flip)
     assert pair.trivial_base_part().fiber == m.reflect_z()
     assert pair.is_diffeo() == (orientation != 0)
-    assert pair.is_orientation_preserving_diffeo() == (orientation == -1)
+    assert pair.orientation() == -orientation
 
 
 @st.composite

@@ -274,7 +274,7 @@ def test_interval_shift_is_pythagorean_diffeo():
         assert g.base.b == TowerReal.from_rational(b)
         assert g.base.apply(CoeffScalar(0)) == CoeffScalar(b)
         assert g.reality_check()
-        assert g.is_orientation_preserving_diffeo()
+        assert g.orientation() == 1
 
 
 def test_reduce_to_trivial_base():
@@ -414,7 +414,7 @@ def test_rotation_angle_of_constant_diagonals():
 def test_interval_shift_base_action_on_zero():
     g = interval_shift(Fraction(1, 2))
     assert g.base.apply(CoeffScalar(0)) == CoeffScalar(Fraction(4, 5))
-    assert g.is_orientation_preserving_diffeo()
+    assert g.orientation() == 1
 
 
 def _count_norms(monkeypatch) -> list:
@@ -475,3 +475,33 @@ def test_tower_determinants_are_counted_on_integer_columns(monkeypatch):
         assert classify_spheremap(SphereMap.trivial_base(mover * g.fiber * mover.inverse())).family == family
         assert counted and all(d.is_rational() for d in counted)
     assert norms == []
+
+
+def test_orientation_character_read_only_by_spheremap_orientation():
+    """chi joins diffeo_orientation with the base's sign in one place,
+    SphereMap.orientation: outside sphere.py only classify_trivialbase
+    calls diffeo_orientation, for a trivial base, and no package function
+    but SphereMap.orientation reads a base's sign (x.base.sign())."""
+    import ast
+
+    import birsphere
+
+    callers, sign_readers = set(), set()
+
+    def visit(node, path, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "diffeo_orientation" and path.name != "sphere.py":
+                callers.add((path.name, function))
+            if name == "sign" and isinstance(func.value, ast.Attribute) and func.value.attr == "base":
+                sign_readers.add((path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for path in Path(birsphere.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path, None)
+    assert callers == {("classify.py", "classify_trivialbase")}
+    assert sign_readers == {("sphere.py", "orientation")}
