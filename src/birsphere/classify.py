@@ -348,38 +348,23 @@ def classify_flip_involution(pair: SphereMap) -> ClassificationReport:
 
 
 def classify_dp4_datum(op: str, mu=None) -> ClassificationReport:
-    """Family report for a named automorphism of the blown-up surfaces.  A
-    surface parameter mu is checked by DP4Surface (DegenerateConfiguration
-    for mu in {0, 1, -1}) and reported; it applies to the degree-4 surface
-    only, so with geiser it is a ParseError."""
-    from .picard import (
-        DP4Surface,
-        alpha1_matrix,
-        alpha2_matrix,
-        geiser_matrix,
-        invariant_rank,
-        lattice_make,
-        minus_one_classes,
-    )
+    """Family report for a named automorphism of the blown-up surfaces, read
+    off the lattice facts of picard.  A surface parameter mu is checked by
+    DP4Surface (DegenerateConfiguration for mu in {0, 1, -1}) and reported;
+    it applies to the degree-4 surface only, so with geiser it is a
+    ParseError."""
+    from .picard import DP4_ACTIONS, DP4Surface, geiser_facts, lattice_make, real_invariant_rank
 
     if op == "geiser":
         if mu is not None:
             raise ParseError("--mu applies to dp4:alpha1 and dp4:alpha2 only")
-        lat = lattice_make(2)
-        rank = invariant_rank(lat, [geiser_matrix(lat), lat.sigma])
-        return ClassificationReport(
-            family=1,
-            moduli={
-                "surface_degree": 2,
-                "invariant_rank": rank,
-                "minus_one_classes": len(minus_one_classes(lat)),
-            },
-        )
+        facts = geiser_facts()
+        moduli = {"surface_degree": 2, "invariant_rank": facts["invariant_rank"],
+                  "minus_one_classes": facts["minus_one_classes"]}
+        return ClassificationReport(family=1, moduli=moduli)
     if op in ("alpha1", "alpha2"):
-        lat = lattice_make(4)
-        mat = alpha1_matrix() if op == "alpha1" else alpha2_matrix()
-        rank = invariant_rank(lat, [mat, lat.sigma])
-        moduli = {"surface_degree": 4, "operator": op, "invariant_rank": rank}
+        moduli = {"surface_degree": 4, "operator": op,
+                  "invariant_rank": real_invariant_rank(lattice_make(4), DP4_ACTIONS[op])}
         if mu is not None:
             moduli["mu"] = str(DP4Surface(scalar(mu)).mu)
         return ClassificationReport(family=2, moduli=moduli)

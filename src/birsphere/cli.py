@@ -134,22 +134,18 @@ def cmd_builtin(args) -> int:
 
 
 def cmd_picard(args) -> int:
+    from .parsing import parse_scalar
     from .picard import (
+        DP4_ACTIONS,
         SIGN_MAPS,
         DP4Surface,
-        alpha1_matrix,
-        alpha2_matrix,
         conic_pairs,
-        g1_matrix,
-        g2_matrix,
-        geiser_action,
-        geiser_matrix,
+        geiser_facts,
         image_rho_check,
-        invariant_rank,
         is_lattice_aut,
         lattice_make,
         minus_one_classes,
-        rejected_half_integer_matrices,
+        real_invariant_rank,
         sign_map_preserves_quadric,
         verify_anticanonical_dataset,
     )
@@ -164,65 +160,27 @@ def cmd_picard(args) -> int:
         if args.degree == 4:
             payload["conic_pairs"] = len(conic_pairs(lat))
         _emit(payload)
-        return 0
-    if args.picard_cmd == "dp4":
-        from .parsing import parse_scalar
-
-        mats = {
-            "alpha1": alpha1_matrix,
-            "alpha2": alpha2_matrix,
-            "g1": g1_matrix,
-            "g2": g2_matrix,
-        }
-        ops = {"rank": mats, "aut": (*mats, "rejected1", "rejected2"), "preserves": SIGN_MAPS}.get(args.check)
+    elif args.picard_cmd == "geiser":
+        _emit(geiser_facts())
+    else:
+        lat = lattice_make(4)
+        automorphisms = [name for name, mat in DP4_ACTIONS.items() if is_lattice_aut(lat, mat)]
+        ops = {"rank": automorphisms, "aut": DP4_ACTIONS, "preserves": SIGN_MAPS}.get(args.check)
         if ops is not None and args.op not in ops:
             raise ParseError(f"unknown --op {args.op!r} for --check {args.check} (expected {', '.join(ops)})")
-        lat = lattice_make(4)
         if args.check == "rank":
-            mat = mats[args.op]()
-            _emit({"op": args.op, "invariant_rank": invariant_rank(lat, [mat, lat.sigma])})
-            return 0
-        if args.check == "aut":
-            if args.op in mats:
-                mat = mats[args.op]()
-            else:
-                idx = {"rejected1": 0, "rejected2": 1}[args.op]
-                mat = rejected_half_integer_matrices()[idx]
-            _emit({"op": args.op, "lattice_automorphism": is_lattice_aut(lat, mat)})
-            return 0
-        if args.check == "preserves":
-            mu = parse_scalar(args.mu)
-            surface = DP4Surface(mu)
-            q1, q2 = surface.quadrics()
-            ok = sign_map_preserves_quadric(args.op, q1) and sign_map_preserves_quadric(args.op, q2)
-            _emit({"op": args.op, "preserves_quadrics": ok})
-            return 0
-        if args.check == "dataset":
-            mu = parse_scalar(args.mu)
-            _emit({"dataset_verifies": verify_anticanonical_dataset(mu)})
-            return 0
-        if args.check == "rho":
+            _emit({"op": args.op, "invariant_rank": real_invariant_rank(lat, DP4_ACTIONS[args.op])})
+        elif args.check == "aut":
+            _emit({"op": args.op, "lattice_automorphism": is_lattice_aut(lat, DP4_ACTIONS[args.op])})
+        elif args.check == "preserves":
+            quadrics = DP4Surface(parse_scalar(args.mu)).quadrics()
+            _emit({"op": args.op, "preserves_quadrics": all(sign_map_preserves_quadric(args.op, q) for q in quadrics)})
+        elif args.check == "dataset":
+            _emit({"dataset_verifies": verify_anticanonical_dataset(parse_scalar(args.mu))})
+        else:
             mu = parse_scalar(args.mu)
             _emit({"mu": str(mu), "extra_symmetry": image_rho_check(mu)})
-            return 0
-        raise ParseError(f"unknown check {args.check!r}")
-    if args.picard_cmd == "geiser":
-        lat = lattice_make(2)
-        nu = geiser_matrix(lat)
-        classes = minus_one_classes(lat)
-        ok = all(
-            geiser_action(lat, c) == tuple(-k - ci for k, ci in zip(lat.canonical, c))
-            for c in classes
-        )
-        _emit(
-            {
-                "minus_one_classes": len(classes),
-                "swaps_with_minus_k": ok,
-                "invariant_rank": invariant_rank(lat, [nu, lat.sigma]),
-            }
-        )
-        return 0
-    raise ParseError(f"unknown picard subcommand {args.picard_cmd!r}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,9 +6,12 @@ has basis f, fbar (the two rulings) and the exceptional classes in
 conjugate pairs.  The real structure swaps f with fbar and each class with
 its partner.  Curve classes are enumerated by exact search, automorphisms
 are validated against the intersection form and the canonical class, and
-the printed matrices of the degree-4 story (the two order-2 automorphisms
-preserving a conic bundle, the rank-1 kernel elements, and the rejected
-half-integer actions) ship as data.
+the printed matrices of the degree-4 story (the rank-1 involutions, the two
+order-2 automorphisms preserving a conic bundle, and the rejected
+half-integer actions) ship as one name -> matrix mapping, DP4_ACTIONS.
+Each lattice fact the command line prints has one function here, which
+both `picard` and `classify dp4:OP|geiser` call: real_invariant_rank,
+geiser_facts, and DP4Surface for the check of mu.
 """
 
 from __future__ import annotations
@@ -202,28 +205,66 @@ def invariant_rank(lat: PicLattice, gens) -> int:
     return lat.rank - len(_gauss_jordan(stacked)[1])
 
 
-def geiser_matrix(lat: PicLattice) -> Matrix:
-    """The involution D -> (D*K) K - D on the degree-2 lattice."""
-    if lat.degree != 2:
-        raise ValueError("the anticanonical double cover involution needs degree 2")
-    cols = []
-    for j in range(lat.rank):
-        e = tuple(1 if i == j else 0 for i in range(lat.rank))
-        ke = lat.dot(e, lat.canonical)
-        cols.append([ke * k - ei for k, ei in zip(lat.canonical, e)])
-    return tuple(tuple(Fraction(cols[j][i]) for j in range(lat.rank)) for i in range(lat.rank))
+def real_invariant_rank(lat: PicLattice, m) -> int:
+    """Rank of the sublattice fixed by the automorphism m and the real
+    structure sigma together."""
+    return invariant_rank(lat, [m, lat.sigma])
 
 
 def geiser_action(lat: PicLattice, v) -> Vector:
-    """The image of the class v under geiser_matrix."""
-    return tuple(int(c) for c in _mat_vec(geiser_matrix(lat), v))
+    """The image (v*K) K - v of the class v under the involution of the
+    degree-2 surface swapping the sheets of its anticanonical double cover."""
+    if lat.degree != 2:
+        raise ValueError("the anticanonical double cover involution needs degree 2")
+    kv = lat.dot(v, lat.canonical)
+    return tuple(int(kv * k - c) for k, c in zip(lat.canonical, v))
 
 
-# -- shipped degree-4 matrices (basis f, fbar, E_p, E_pbar, E_q, E_qbar) ------------------
+def geiser_matrix(lat: PicLattice) -> Matrix:
+    """The matrix of geiser_action, whose columns are the images of the basis."""
+    cols = [geiser_action(lat, tuple(int(i == j) for i in range(lat.rank))) for j in range(lat.rank)]
+    return _frac_matrix(_mat_transpose(cols))
 
 
-def g1_matrix() -> Matrix:
-    return _frac_matrix(
+def geiser_facts() -> dict:
+    """The Geiser involution nu of the degree-2 lattice: the number of
+    (-1)-classes, whether nu sends each class C to -K - C, and the rank
+    fixed by nu and sigma."""
+    lat = lattice_make(2)
+    nu = geiser_matrix(lat)
+    classes = minus_one_classes(lat)
+    swaps = all(_mat_vec(nu, c) == tuple(-k - ci for k, ci in zip(lat.canonical, c)) for c in classes)
+    return {
+        "minus_one_classes": len(classes),
+        "swaps_with_minus_k": swaps,
+        "invariant_rank": real_invariant_rank(lat, nu),
+    }
+
+
+# -- printed degree-4 actions (basis f, fbar, E_p, E_pbar, E_q, E_qbar) -------------------
+
+_ALPHA1 = _frac_matrix(
+    [
+        [1, 2, 1, 1, 1, 1],
+        [2, 1, 1, 1, 1, 1],
+        [-1, -1, -1, -1, -1, 0],
+        [-1, -1, -1, -1, 0, -1],
+        [-1, -1, -1, 0, -1, -1],
+        [-1, -1, 0, -1, -1, -1],
+    ]
+)
+_SWAP_Q = (0, 1, 2, 3, 5, 4)
+_H = Fraction(1, 2)
+
+# In the order printed: the two involutions fixing a rank-1 real sublattice
+# (family 2), the two order-2 automorphisms preserving a conic bundle, and the
+# two candidate actions that fail integrality (the would-be exchanges of a
+# single conic-bundle pair).
+DP4_ACTIONS: dict[str, Matrix] = {
+    "alpha1": _ALPHA1,
+    # alpha1 conjugated by the swap of E_q with E_qbar
+    "alpha2": tuple(tuple(_ALPHA1[i][j] for j in _SWAP_Q) for i in _SWAP_Q),
+    "g1": _frac_matrix(
         [
             [2, 1, 1, 1, 1, 1],
             [1, 2, 1, 1, 1, 1],
@@ -232,11 +273,8 @@ def g1_matrix() -> Matrix:
             [-1, -1, -1, -1, -1, 0],
             [-1, -1, -1, -1, 0, -1],
         ]
-    )
-
-
-def g2_matrix() -> Matrix:
-    return _frac_matrix(
+    ),
+    "g2": _frac_matrix(
         [
             [2, 1, 1, 1, 1, 1],
             [1, 2, 1, 1, 1, 1],
@@ -245,58 +283,28 @@ def g2_matrix() -> Matrix:
             [-1, -1, -1, -1, 0, -1],
             [-1, -1, -1, -1, -1, 0],
         ]
-    )
-
-
-def alpha1_matrix() -> Matrix:
-    return _frac_matrix(
-        [
-            [1, 2, 1, 1, 1, 1],
-            [2, 1, 1, 1, 1, 1],
-            [-1, -1, -1, -1, -1, 0],
-            [-1, -1, -1, -1, 0, -1],
-            [-1, -1, -1, 0, -1, -1],
-            [-1, -1, 0, -1, -1, -1],
-        ]
-    )
-
-
-def alpha2_matrix() -> Matrix:
-    """alpha1 conjugated by the swap of E_q with E_qbar."""
-    swap = _frac_matrix(
+    ),
+    "rejected1": _frac_matrix(
         [
             [1, 0, 0, 0, 0, 0],
             [0, 1, 0, 0, 0, 0],
-            [0, 0, 1, 0, 0, 0],
-            [0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1, 0],
+            [0, 0, _H, -_H, _H, _H],
+            [0, 0, -_H, _H, _H, _H],
+            [0, 0, _H, _H, -_H, _H],
+            [0, 0, _H, _H, _H, -_H],
         ]
-    )
-    return _mat_mul(swap, _mat_mul(alpha1_matrix(), swap))
-
-
-def rejected_half_integer_matrices() -> tuple[Matrix, Matrix]:
-    """The two printed candidate actions that fail integrality (the would-be
-    exchanges of a single conic-bundle pair)."""
-    h = Fraction(1, 2)
-    first = (
-        (1, 0, 0, 0, 0, 0),
-        (0, 1, 0, 0, 0, 0),
-        (0, 0, h, -h, h, h),
-        (0, 0, -h, h, h, h),
-        (0, 0, h, h, -h, h),
-        (0, 0, h, h, h, -h),
-    )
-    second = (
-        (0, 1, 0, 0, 0, 0),
-        (1, 0, 0, 0, 0, 0),
-        (0, 0, h, h, -h, h),
-        (0, 0, h, h, h, -h),
-        (0, 0, -h, h, h, h),
-        (0, 0, h, -h, h, h),
-    )
-    return _frac_matrix(first), _frac_matrix(second)
+    ),
+    "rejected2": _frac_matrix(
+        [
+            [0, 1, 0, 0, 0, 0],
+            [1, 0, 0, 0, 0, 0],
+            [0, 0, _H, _H, -_H, _H],
+            [0, 0, _H, _H, _H, -_H],
+            [0, 0, -_H, _H, _H, _H],
+            [0, 0, _H, -_H, _H, _H],
+        ]
+    ),
+}
 
 
 # -- the degree-4 surface in P^4 ----------------------------------------------------------
@@ -355,9 +363,7 @@ def sign_map_preserves_quadric(name: str, q: dict) -> bool:
 def image_rho_check(mu) -> bool:
     """Whether the surface has the extra automorphism swapping the two
     middle conic-bundle pairs: exactly when mu * conj(mu) = 1."""
-    m = scalar(mu)
-    if not m or m == CoeffScalar(1) or m == CoeffScalar(-1):
-        raise DegenerateConfiguration("mu must avoid {0, 1, -1}")
+    m = DP4Surface(scalar(mu)).mu
     return m * m.conj() == CoeffScalar(1)
 
 

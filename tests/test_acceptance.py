@@ -26,10 +26,8 @@ from birsphere.involutions import (
     rotation_normal_form,
 )
 from birsphere.picard import (
-    alpha1_matrix,
+    DP4_ACTIONS,
     conic_pairs,
-    g1_matrix,
-    g2_matrix,
     geiser_action,
     geiser_matrix,
     image_rho_check,
@@ -37,7 +35,6 @@ from birsphere.picard import (
     is_lattice_aut,
     lattice_make,
     minus_one_classes,
-    rejected_half_integer_matrices,
     sign_map_preserves_quadric,
 )
 from birsphere.picard import DP4Surface, SIGN_MAPS
@@ -456,13 +453,11 @@ def test_criterion_9_picard_suite():
         assert len(minus_one_classes(lattice_make(2))) == 56
         lat4 = lattice_make(4)
         assert len(conic_pairs(lat4)) == 5 and len(conic_pairs(lat4)) * 2 == 10
-        from birsphere.picard import alpha2_matrix
-
-        for mat, rank in ((alpha1_matrix(), 1), (alpha2_matrix(), 1), (g1_matrix(), 2), (g2_matrix(), 2)):
-            assert is_lattice_aut(lat4, mat)
-            assert invariant_rank(lat4, [mat, lat4.sigma]) == rank
-        for bad in rejected_half_integer_matrices():
-            assert not is_lattice_aut(lat4, bad)
+        for name, rank in (("alpha1", 1), ("alpha2", 1), ("g1", 2), ("g2", 2)):
+            assert is_lattice_aut(lat4, DP4_ACTIONS[name])
+            assert invariant_rank(lat4, [DP4_ACTIONS[name], lat4.sigma]) == rank
+        for bad in ("rejected1", "rejected2"):
+            assert not is_lattice_aut(lat4, DP4_ACTIONS[bad])
         lat2 = lattice_make(2)
         nu = geiser_matrix(lat2)
         classes = minus_one_classes(lat2)

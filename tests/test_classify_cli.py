@@ -655,9 +655,11 @@ def test_catalogue_golden(capsys):
     tower, eval on the conic at infinity, an order that factors by Pollard's
     rho, a conjugated rotation's normal form, diag(...), a twist class of
     two generators whose w-polynomial Hensel-lifts in several steps, an
-    interval_b base, eval at a point with a sqrt(2) coordinate, and two base
+    interval_b base, eval at a point with a sqrt(2) coordinate, two base
     flips that classify does not sort (one contracts a real fiber, one has
-    order 4);
+    order 4), and three trivial-base branches of classify_spheremap: the
+    identity, an infinite-order diagonal map and an involution that
+    contracts a real fiber;
     tests/data/catalogue_cli.json maps each command line to its exit code
     and stdout (tests/data/record_catalogue.py re-records named lines)."""
     golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())

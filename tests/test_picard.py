@@ -4,23 +4,21 @@ import pytest
 
 from birsphere.errors import DegenerateConfiguration, NotAutomorphism
 from birsphere.picard import (
-    DP4Surface,
+    DP4_ACTIONS,
     SIGN_MAPS,
-    alpha1_matrix,
-    alpha2_matrix,
+    DP4Surface,
     anticanonical_matrices,
     conic_classes,
     conic_pairs,
-    g1_matrix,
-    g2_matrix,
     geiser_action,
+    geiser_facts,
     geiser_matrix,
     image_rho_check,
     invariant_rank,
     is_lattice_aut,
     lattice_make,
     minus_one_classes,
-    rejected_half_integer_matrices,
+    real_invariant_rank,
     sign_map_preserves_quadric,
     verify_anticanonical_dataset,
 )
@@ -76,30 +74,28 @@ def test_conic_classes_and_pairs():
 
 def test_shipped_automorphisms():
     lat = lattice_make(4)
-    for mat in (g1_matrix(), g2_matrix(), alpha1_matrix(), alpha2_matrix()):
-        assert is_lattice_aut(lat, mat)
-    bad1, bad2 = rejected_half_integer_matrices()
-    assert not is_lattice_aut(lat, bad1)
-    assert not is_lattice_aut(lat, bad2)
+    for name in ("alpha1", "alpha2", "g1", "g2"):
+        assert is_lattice_aut(lat, DP4_ACTIONS[name])
+    assert not is_lattice_aut(lat, DP4_ACTIONS["rejected1"])
+    assert not is_lattice_aut(lat, DP4_ACTIONS["rejected2"])
 
 
 def test_invariant_ranks():
     lat = lattice_make(4)
-    assert invariant_rank(lat, [alpha1_matrix(), lat.sigma]) == 1
-    assert invariant_rank(lat, [alpha2_matrix(), lat.sigma]) == 1
-    assert invariant_rank(lat, [g1_matrix(), lat.sigma]) == 2
-    assert invariant_rank(lat, [g2_matrix(), lat.sigma]) == 2
+    for name, rank in (("alpha1", 1), ("alpha2", 1), ("g1", 2), ("g2", 2)):
+        mat = DP4_ACTIONS[name]
+        assert real_invariant_rank(lat, mat) == invariant_rank(lat, [mat, lat.sigma]) == rank
     # sigma-fixed sublattice: f+fbar plus one class per pair of points
     assert invariant_rank(lat, [lat.sigma]) == 3
     assert invariant_rank(lattice_make(8), [lattice_make(8).sigma]) == 1
     with pytest.raises(NotAutomorphism):
-        invariant_rank(lat, [rejected_half_integer_matrices()[0]])
+        invariant_rank(lat, [DP4_ACTIONS["rejected1"]])
 
 
 def test_alpha1_eigenspace_structure():
     # the fixed space of alpha1 alone is 2-dimensional, cut to rank 1 by sigma
     lat = lattice_make(4)
-    assert invariant_rank(lat, [alpha1_matrix()]) == 2
+    assert invariant_rank(lat, [DP4_ACTIONS["alpha1"]]) == 2
 
 
 def test_geiser():
@@ -112,7 +108,10 @@ def test_geiser():
         assert img == tuple(-k - x for k, x in zip(lat.canonical, c))
         assert img in classes
     assert geiser_action(lat, lat.canonical) == lat.canonical
-    assert invariant_rank(lat, [nu, lat.sigma]) == 1
+    assert real_invariant_rank(lat, nu) == 1
+    assert geiser_facts() == {"minus_one_classes": 56, "swaps_with_minus_k": True, "invariant_rank": 1}
+    with pytest.raises(ValueError, match="needs degree 2"):
+        geiser_matrix(lattice_make(4))
     # nu^2 = 1 and D + nu(D) is a multiple of K on the basis
     for j in range(lat.rank):
         e = tuple(1 if i == j else 0 for i in range(lat.rank))
@@ -193,5 +192,31 @@ def test_sigma_commutes_with_shipped_automorphisms():
     lat = lattice_make(4)
     from birsphere.picard import _mat_mul
 
-    for mat in (g1_matrix(), g2_matrix(), alpha1_matrix(), alpha2_matrix()):
+    for name in ("alpha1", "alpha2", "g1", "g2"):
+        mat = DP4_ACTIONS[name]
         assert _mat_mul(lat.sigma, mat) == _mat_mul(mat, lat.sigma)
+
+
+def test_operator_table_is_single():
+    """The printed degree-4 actions are one mapping, DP4_ACTIONS, in the order
+    the `--op` lists print, and the lattice facts are read through picard:
+    outside picard.py no package module spells g1, g2, rejected1 or
+    rejected2 as a string literal or calls invariant_rank."""
+    import ast
+    from pathlib import Path
+
+    import birsphere
+
+    assert list(DP4_ACTIONS) == ["alpha1", "alpha2", "g1", "g2", "rejected1", "rejected2"]
+    spelled, callers = [], []
+    for path in sorted(Path(birsphere.__file__).parent.glob("*.py")):
+        if path.name == "picard.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in {"g1", "g2", "rejected1", "rejected2"}:
+                spelled.append((path.name, node.lineno))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "invariant_rank":
+                    callers.append((path.name, node.lineno))
+    assert spelled == [] and callers == []
