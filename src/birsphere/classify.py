@@ -394,17 +394,37 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
        group by the twist class, a `true` without a conjugator;
     6. trivial-base involutions by their fixed-curve models up to the
        interval group, and trivial-base rotations by their angle, each
-       `true` with a conjugator verified once against the inputs.
+       `true` with a conjugator verified once against the inputs.  An
+       involution pair whose determinants multiply to a constant times a
+       square shares its model, and is `true` with base action the
+       identity, its conjugator read off that square root
+       (involution_conjugator); no model is built.  Only the other pairs
+       build both models and compare them under the interval group.
 
-    For involutions, basis_equiv_moduli returns the base action of a map S
-    carrying the fixed curve of r1 to that of r2 (the identity for equal
-    models) or None, and the conjugator of (S r1 S^-1, r2) composed with S
-    conjugates r1 to r2 (UnsupportedExtension when the base action or S
-    leaves the tower).  Lemma: S r1 S^-1 has r2's model, so it is not
-    compared again.  Its fiber is Q (A o sigma^-1) Q^-1, sigma^-1 = num/den
-    the inverse base action of S and A the pattern lift of r1, so its
-    pattern determinant is lam^2 E, lam in C(z) and E = D_A o sigma^-1
-    cleared by den^(deg D_A), an even power.  sigma keeps |z| > 1, where
+    Lemma: for square-free monic m_A and m_B, D_A D_B = c m_A m_B
+    (scale_A scale_B)^2, from the square-free splits D = lead m scale^2
+    and c the product of the two leads, is a constant times a square
+    exactly when m_A = m_B.  If m_A = m_B,
+    D_A D_B = c (m_A scale_A scale_B)^2.  Conversely, if D_A D_B = k t^2,
+    then m_A m_B = (k / c) (t / (scale_A scale_B))^2 is a constant times
+    the square of a polynomial (a rational function whose square is a
+    polynomial is one), so every irreducible factor of m_A m_B divides it
+    an even number of times; each divides m_A and m_B at most once, so
+    every factor of one divides the other, and the two monic square-free
+    polynomials are equal.  Square-freeness does not depend on the field
+    (characteristic 0), so the test may run over the coefficient field of
+    D_A D_B.
+
+    For the other involution pairs, basis_equiv_moduli returns the base
+    action of a map S carrying the fixed curve of r1 to that of r2 or
+    None, and the conjugator of (S r1 S^-1, r2) composed with S conjugates
+    r1 to r2 (UnsupportedExtension when the base action or S leaves the
+    tower).  Lemma: S r1 S^-1 has r2's model, so it is not compared again,
+    and the square root of its conjugator exists.  Its fiber is
+    Q (A o sigma^-1) Q^-1, sigma^-1 = num/den the inverse base action of S
+    and A the pattern lift of r1, so its pattern determinant is lam^2 E,
+    lam in C(z) and E = D_A o sigma^-1 cleared by den^(deg D_A), an even
+    power.  sigma keeps |z| > 1, where
     D_A > 0, so E has a positive lead like every pattern determinant; lam^2
     is then real with a positive lead, so lam is real.  The model is thus
     E's square-free part: m_A o sigma^-1 cleared, which is a constant times
@@ -437,13 +457,19 @@ def decide_conjugacy(g1: SphereMap, g2: SphereMap) -> dict:
         t1, t2 = h2_invariant(r1), h2_invariant(r2)
         return {"conjugate": t1 == t2, "invariants": [t1.to_json(), t2.to_json()]}
     elif n1 == 2:
-        models = [fixed_curve(r.fiber) for r in (r1, r2)]
-        base = basis_equiv_moduli(*models)
-        if base is None:
-            return {"conjugate": False, "fixed_curves": [m.to_json() for m in models]}
-        s = base_realisation(base)
-        moved = s.compose(r1).compose(s.inverse()).fiber
-        conjugator = SphereMap.trivial_base(involution_conjugator(moved, r2.fiber)).compose(s)
+        fiber = involution_conjugator(r1.fiber, r2.fiber)
+        if fiber is not None:
+            conjugator = SphereMap.trivial_base(fiber)
+        else:
+            models = [fixed_curve(r.fiber) for r in (r1, r2)]
+            base = basis_equiv_moduli(*models)
+            if base is None:
+                return {"conjugate": False, "fixed_curves": [m.to_json() for m in models]}
+            s = base_realisation(base)
+            fiber = involution_conjugator(s.compose(r1).compose(s.inverse()).fiber, r2.fiber)
+            if fiber is None:
+                raise RuntimeError("the moved involution does not have the second model")
+            conjugator = SphereMap.trivial_base(fiber).compose(s)
     else:
         # the angle is a conjugacy invariant: equal to that of the normal form
         angles = [list(r.fiber.rotation_angle()) for r in (r1, r2)]

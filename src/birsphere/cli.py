@@ -166,15 +166,18 @@ def cmd_picard(args) -> int:
         lat = lattice_make(4)
         automorphisms = [name for name, mat in DP4_ACTIONS.items() if is_lattice_aut(lat, mat)]
         ops = {"rank": automorphisms, "aut": DP4_ACTIONS, "preserves": SIGN_MAPS}.get(args.check)
-        if ops is not None and args.op not in ops:
-            raise ParseError(f"unknown --op {args.op!r} for --check {args.check} (expected {', '.join(ops)})")
+        if ops is None and args.op is not None:
+            raise ParseError(f"--op applies to --check rank, aut and preserves only, not {args.check}")
+        op = "alpha1" if args.op is None else args.op
+        if ops is not None and op not in ops:
+            raise ParseError(f"unknown --op {op!r} for --check {args.check} (expected {', '.join(ops)})")
         if args.check == "rank":
-            _emit({"op": args.op, "invariant_rank": real_invariant_rank(lat, DP4_ACTIONS[args.op])})
+            _emit({"op": op, "invariant_rank": real_invariant_rank(lat, DP4_ACTIONS[op])})
         elif args.check == "aut":
-            _emit({"op": args.op, "lattice_automorphism": is_lattice_aut(lat, DP4_ACTIONS[args.op])})
+            _emit({"op": op, "lattice_automorphism": is_lattice_aut(lat, DP4_ACTIONS[op])})
         elif args.check == "preserves":
             quadrics = DP4Surface(parse_scalar(args.mu)).quadrics()
-            _emit({"op": args.op, "preserves_quadrics": all(sign_map_preserves_quadric(args.op, q) for q in quadrics)})
+            _emit({"op": op, "preserves_quadrics": all(sign_map_preserves_quadric(op, q) for q in quadrics)})
         elif args.check == "dataset":
             _emit({"dataset_verifies": verify_anticanonical_dataset(parse_scalar(args.mu))})
         else:
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("degree", type=int, choices=(8, 6, 4, 2))
     pc.set_defaults(func=cmd_picard)
     pd = psub.add_parser("dp4")
-    pd.add_argument("--op", default="alpha1")
+    pd.add_argument("--op", help="the operator of --check rank, aut or preserves (default alpha1)")
     pd.add_argument("--check", default="rank", choices=("rank", "aut", "preserves", "dataset", "rho"))
     pd.add_argument("--mu", default="1/2+i")
     pd.set_defaults(func=cmd_picard)

@@ -8,11 +8,15 @@ An involution with trivial base action has the shape
 cover w^2 = -D with D the pattern determinant.  -D has a negative lead, so
 its square class in R(z)* is -m for one monic square-free m, and m up to
 the interval group is a complete conjugacy invariant, compared once by
-classify.decide_conjugacy: basis_equiv_moduli returns the base action that
-carries one m to the other, or None.  Conjugators are produced in closed
-form: with f = -D, both sides are companions alpha [[0, f], [1, 0]]
-alpha^-1, aligned by a rescale u in lowest terms read off the two models'
-scales, and glued by a Hilbert-90 element c + w conj(c) of the algebra
+classify.decide_conjugacy.  Two involutions share m exactly when D_A D_B
+is a constant times a square (`monic_square_root`), so a shared m is
+found without either model, and only a pair that fails that test has its
+models compared: basis_equiv_moduli returns the base action that carries
+one m to the other, or None.  Conjugators are produced in closed form:
+with f = -D, both sides are companions alpha [[0, f], [1, 0]] alpha^-1,
+aligned by a rescale u with u^2 = D_A / D_B in lowest terms, read off the
+square root s of D_A D_B / lead as D_A / s reduced by gcd(D_A, s), and
+glued by a Hilbert-90 element c + w conj(c) of the algebra
 C(z)[r]/(r^2 - f), w the quotient of the two twist units mu_B / mu_A.  The
 witness c is 1: a lemma on canonical patterns proves it a unit, so the
 conjugator is invertible.  The conjugator is born divided by q_B u_num,
@@ -39,6 +43,7 @@ from .poly import (
     RealAlgebraic,
     cofactors,
     dot,
+    monic_square_root,
     real_roots_in_tower_poly,
     sturm_count,
     times_h,
@@ -103,24 +108,28 @@ def _diagonal_involution() -> ProjMat:
 
 def construct_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ConjugacyCertificate:
     """The "conjugation" certificate of involution_conjugator's C, verified
-    once, for two involutions with one fixed-curve model m.  Nothing is
-    decided here: classify.classify_trivialbase proves its two pairs have
-    one m."""
-    maps = (SphereMap.trivial_base(m) for m in (mat_a, mat_b, involution_conjugator(mat_a, mat_b)))
+    once, for two involutions with one fixed-curve model m; RuntimeError
+    when they have two.  Nothing is decided here:
+    classify.classify_trivialbase proves its two pairs have one m."""
+    conjugator = involution_conjugator(mat_a, mat_b)
+    if conjugator is None:
+        raise RuntimeError("the two involutions have different fixed-curve models")
+    maps = (SphereMap.trivial_base(m) for m in (mat_a, mat_b, conjugator))
     return ConjugacyCertificate("conjugation", *maps).verified()
 
 
-def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
-    """An explicit conjugator C in the reality group with C A C^-1 = B, for
-    involutions with one fixed-curve model m; nothing is decided or
+def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat | None:
+    """An explicit conjugator C in the reality group with C A C^-1 = B for
+    two involutions with one fixed-curve model m, or None when their models
+    differ, decided by one square test (_conjugator_entries); nothing is
     verified here.
 
     Both involutions are written as alpha [[0, f], [1, 0]] alpha^-1 with
     f = -D, the companion of B is aligned to that of A by the rescale
-    diag(1, u) with u^2 = f_A / f_B in lowest terms, read off the two models'
-    scales, and the reality defect is repaired by a Hilbert-90 element
-    xi = c + w conj(c) of the algebra C(z)[r]/(r^2 - f), w = mu_B / mu_A the
-    quotient of the twist units.  Since xi mu_A = c mu_A + conj(c) mu_B and
+    diag(1, u) with u^2 = f_A / f_B in lowest terms, read off the square
+    root of D_A D_B, and the reality defect is repaired by a Hilbert-90
+    element xi = c + w conj(c) of the algebra C(z)[r]/(r^2 - f), w =
+    mu_B / mu_A the quotient of the twist units.  Since xi mu_A = c mu_A + conj(c) mu_B and
     alpha mu_A is proportional to tau conj(alpha), proportional to
     [[-1, i p], [0, conj q]], the conjugator is born without inverses:
 
@@ -138,14 +147,17 @@ def involution_conjugator(mat_a: ProjMat, mat_b: ProjMat) -> ProjMat:
     [[i p, 0], [0, -i p]], projectively diag(1, -1), so at most one of two
     different ones has it, and the constant lift of _MOVER conjugates it to
     the constant _OFF_DIAGONAL, whose form has p = 1 and q = -2 i z != 0,
-    and whose model is m = 1 like diag(1, -1)'s: -D = -(2 z^2 - 1)^2."""
-    return _conjugator_pattern(mat_a, mat_b).lift_matrix()
+    and whose model is m = 1 like diag(1, -1)'s: -D = -(2 z^2 - 1)^2.  So
+    moving A or B changes neither the answer None nor the model."""
+    pattern = _conjugator_pattern(mat_a, mat_b)
+    return None if pattern is None else pattern.lift_matrix()
 
 
-def _conjugator_pattern(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
+def _conjugator_pattern(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern | None:
     """A pattern of involution_conjugator's C, times _MOVER or its inverse
-    where A or B has q = 0.  Its D is nonzero, as lift_matrix requires: the
-    movers are invertible, and for q, q_B != 0 the undivided product has
+    where A or B has q = 0, or None for two models.  Its D is nonzero, as
+    lift_matrix requires: the movers are invertible, and for q, q_B != 0
+    the undivided product has
     determinant -q_B h u_den u_num ~q (x^2 - f y^2), eta = (x + y r)/d,
     which is nonzero exactly as the witness c = 1 makes eta a unit (the
     last lemma of _conjugator_entries).
@@ -153,16 +165,20 @@ def _conjugator_pattern(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
     if mat_a == mat_b:
         return _IDENTITY
     if not canonical_pattern(mat_a).b:
-        return _conjugator_pattern(_OFF_DIAGONAL, mat_b) * _MOVER
+        pattern = _conjugator_pattern(_OFF_DIAGONAL, mat_b)
+        return None if pattern is None else pattern * _MOVER
     if not canonical_pattern(mat_b).b:
-        return _MOVER.inverse() * _conjugator_pattern(mat_a, _OFF_DIAGONAL)
+        pattern = _conjugator_pattern(mat_a, _OFF_DIAGONAL)
+        return None if pattern is None else _MOVER.inverse() * pattern
     return _conjugator_entries(mat_a, mat_b)
 
 
-def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
+def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern | None:
     """The pattern of the conjugator C of involution_conjugator, whose lift
-    is C born divided by q_B u_num, in closed form: with (a, b) and
-    (a_B, b_B) the canonical patterns of A and B,
+    is C born divided by q_B u_num, in closed form, or None when D_A D_B is
+    not a constant times a square, that is when A and B have two models
+    (the lemma of classify.decide_conjugacy): with (a, b) and (a_B, b_B) the
+    canonical patterns of A and B,
 
         (-h ~b y, b (u_den a - u_num a_B)),  y = u_num b_B + u_den b,
 
@@ -171,10 +187,12 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
     Notation: h = 1 - z^2; (p, q) and (p_B, q_B) the forms of A and B, so
     (a, b) = (i p, q) and (a_B, b_B) = (i p_B, q_B); f = -D_A and
     f_B = -D_B; the algebra C(z)[r]/(r^2 - f), whose conjugation ~ acts on
-    the coefficients.  With -D = -content m scale^2 and both models sharing
-    m, u^2 = f / f_B gives u = sqrt(c_A c_B) scale_A / (-c_B scale_B), in
-    lowest terms u_num / u_den after dividing both by
-    g = gcd(scale_A, scale_B), their `cofactors`; u_num and u_den are real.
+    the coefficients; c_A, c_B > 0 the leads of D_A and D_B, and s the
+    monic square root of D_A D_B / (c_A c_B) (`monic_square_root`), taken
+    once per pair.  u = -D_A / (sqrt(c_A c_B) s) solves u^2 = f / f_B, as
+    u^2 = D_A^2 / (c_A c_B s^2) = D_A / D_B; in lowest terms u = u_num / u_den
+    with u_num = (D_A / G) sqrt(c_A c_B) / c_A and u_den = -c_B s / G, G =
+    gcd(D_A, s), their `cofactors`; u_num and u_den are real.
     The twist units are mu_A = (i p - r)/q and mu_B = nu / (q_B u_num) with
     nu = i p_B u_num - u_den r, and for a witness c, eta = c mu_A + ~c mu_B
     is (x + y' r)/(q q_B u_num).  Multiplying out C = beta diag(u_den,
@@ -190,9 +208,8 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
     Lemma: the twist units have equal norms, so nothing checks them.
     mu_A ~mu_A = (p^2 + f)/(q ~q) = h, as f + p^2 = q ~q h, and mu_B ~mu_B =
     (p_B^2 u_num^2 + u_den^2 f)/(q_B ~q_B u_num^2) is h exactly when
-    u_den^2 f = u_num^2 f_B, that is u^2 = f / f_B, which holds as both
-    models share m: f / f_B = c_A scale_A^2 / (c_B scale_B^2) = u^2.  The
-    callers prove the shared m; verify checks every printed conjugator.
+    u_den^2 f = u_num^2 f_B, that is u^2 = f / f_B, which holds by the
+    choice of u.  verify checks every printed conjugator.
 
     Lemma: with a' = h ~q y' and b' = -(i p y' + x),
 
@@ -234,17 +251,20 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern:
       first entry -b h, and then e = -1.  A pattern born with its matrix
       (FiberPattern.lift_matrix) is `_summed_pattern` of that canonical
       matrix too.
-    - The patterns e (a, -b) and (a, b) have one determinant, so A and B
-      have one fixed-curve model (m, scale and content c > 0), and
-      u = u_num / u_den = sqrt(c c) / (-c) = -1.  Then w = -1 needs
+    - The patterns e (a, -b) and (a, b) have one determinant D, so
+      s = D / c with c = lead D > 0, G = s, and u = u_num / u_den =
+      c / (-c) = -1.  Then w = -1 needs
       (a_B, b_B) = -(a, -b) = e (a, -b), so e = -1, so a = 0, and B's
       pattern is (0, b), A's own: B = A.  _conjugator_pattern answers A = B
       with _IDENTITY before it reaches this function."""
-    model_a, model_b = fixed_curve(mat_a), fixed_curve(mat_b)
-    u_num, u_den = cofactors(model_a.scale, model_b.scale)
-    u_num = u_num.scale(CoeffScalar(model_a.content * model_b.content).sqrt())
-    u_den = u_den.scale(CoeffScalar(-model_b.content))
     pat_a, pat_b = canonical_pattern(mat_a), canonical_pattern(mat_b)
+    d_a, d_b = pat_a.determinant(), pat_b.determinant()
+    s = monic_square_root(d_a * d_b)
+    if s is None:
+        return None
+    c_a, c_b = d_a.lead(), d_b.lead()
+    u_num, u_den = cofactors(d_a, s)
+    u_num, u_den = u_num.scale((c_a * c_b).sqrt() / c_a), u_den.scale(-c_b)
     a, b, a_b, b_b = pat_a.a, pat_a.b, pat_b.a, pat_b.b
     y = dot(((1, u_num, b_b), (1, u_den, b)))
     return FiberPattern(-times_h(b.conj() * y), b * dot(((1, u_den, a), (-1, u_num, a_b))))
@@ -366,15 +386,12 @@ def basis_equiv_moduli(model_a: HyperellipticModel, model_b: HyperellipticModel)
     shift works, and b = 0.  UnsupportedExtension when lam has no tower
     form (`RealAlgebraic.to_tower`) and no other orientation is found.  A
     symmetric model passes both orientations: one whose shift
-    base_realisation builds (sqrt(lam) in the tower) comes first.
-
-    Equal models are answered first with the identity, as the flip-free
-    pass would answer them: c^b = c^a makes every r_k equal to 1, so
-    lam = 1 and b = 0.  No sign is compared: both curves are w^2 = -m
-    (HyperellipticModel).
+    base_realisation builds (sqrt(lam) in the tower) comes first.  Equal
+    models take the identity from the flip-free pass: c^b = c^a makes every
+    r_k equal to 1, so lam = 1 and b = 0; decide_conjugacy never asks, as
+    its square test answers them.  No sign is compared: both curves are
+    w^2 = -m (HyperellipticModel).
     """
-    if model_a.m == model_b.m:
-        return BaseMobius.identity()
     if model_a.degree != model_b.degree:
         return None
     source, target = _u_coefficients(model_a), _u_coefficients(model_b)

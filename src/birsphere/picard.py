@@ -373,8 +373,9 @@ def image_rho_check(mu) -> bool:
 def anticanonical_matrices(mu) -> dict[str, tuple[tuple[CoeffScalar, ...], ...]]:
     """The printed 5x5 actions of the three kernel generators on the
     anticanonical basis, plus the base change N to the diagonalising
-    coordinates.  Shipped as verification data, not as lattice actions."""
-    m = scalar(mu)
+    coordinates.  Shipped as verification data, not as lattice actions.
+    mu is validated by DP4Surface, as for every other surface check."""
+    m = DP4Surface(scalar(mu)).mu
     mb = m.conj()
     i = CoeffScalar.i()
     one = CoeffScalar(1)

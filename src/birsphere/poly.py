@@ -43,7 +43,9 @@ quotient, so `cofactors`, the inputs divided by their gcd, takes one kernel
 call and one integer pass, and divides nothing again; over the tower it is
 `poly_gcd` and `exact_div`.  `monic_lead` divides by a lead over Q(i) with
 its inverse's integer row.  Square-free splits of rational polynomials run on
-their primitive (1, 0) column (Yun's algorithm on Z[x]).  Polynomials with
+their primitive (1, 0) column (Yun's algorithm on Z[x]), and so does the
+test for a constant times a square (`monic_square_root`: a coefficient
+recurrence, checked by one exact product).  Polynomials with
 other tower coefficients use Euclid's algorithm and the same Yun loop over
 the field.  Real roots are counted on the whole line and isolated by one
 algorithm, on integer lists: the square-free part of the integer column
@@ -618,6 +620,43 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     if p.is_rational():
         return [(_from_integers(f), k) for f, k in squarefree(_integer_coeffs(p))]
     return yun(p.monic(), Poly.derivative, Poly.__sub__, poly_gcd, Poly.exact_div)
+
+
+def monic_square_root(p: Poly) -> Poly | None:
+    """The monic s with p = lead(p) s^2 for a nonzero p, or None when p is
+    not a constant times a square.  The top half of s^2's coefficients fixes
+    s (with s_n = 1, n = deg p / 2, coefficient n + k of s^2 is 2 s_k plus
+    products of s_j with j > k), and the exact product s^2 is compared
+    with p; no float is used and nothing is sampled.
+
+    A rational p runs on its primitive integer column c, its sign made
+    positive: by Gauss's lemma the square of a primitive t in Z[x] is
+    primitive, so p is a constant times a square exactly when c = t^2 for
+    a t in Z[x], whose lead isqrt(lead c) > 0 makes the recurrence divide
+    exactly by 2 t_n.  A tower p runs the same recurrence over the scalars,
+    on p / lead(p)."""
+    if p.degree % 2:
+        return None
+    n = p.degree // 2
+    if p.is_rational():
+        c = _integer_coeffs(p)
+        if c[-1] < 0:
+            c = [-x for x in c]
+        t = [0] * n + [math.isqrt(c[-1])]
+        if t[n] * t[n] != c[-1]:
+            return None
+        for k in range(n - 1, -1, -1):
+            k_th, rest = divmod(c[n + k] - sum(t[j] * t[n + k - j] for j in range(k + 1, n)), 2 * t[n])
+            if rest:
+                return None
+            t[k] = k_th
+        return _from_integers(t) if mul(t, t) == c else None
+    q = p.monic()
+    s = [CoeffScalar(0)] * n + [CoeffScalar(1)]
+    for k in range(n - 1, -1, -1):
+        s[k] = (q[n + k] - sum((s[j] * s[n + k - j] for j in range(k + 1, n)), CoeffScalar(0))) / 2
+    root = Poly(s)
+    return root if root * root == q else None
 
 
 # -- Descartes' rule: real roots of rational polynomials on integer lists -----------

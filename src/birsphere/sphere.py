@@ -207,7 +207,8 @@ class FiberPattern:
     @cached_property
     def fixed_model(self) -> HyperellipticModel:
         """The model of an involution's fixed curve w^2 = -D, once per pattern:
-        the decision, the conjugator and the report share it."""
+        the reports and the involution pairs that the square test of
+        classify.decide_conjugacy leaves open share it."""
         return HyperellipticModel.of_determinant(self.determinant())
 
 
@@ -232,28 +233,26 @@ class InvolutionForm:
 
 class HyperellipticModel:
     """Canonical fixed-curve datum: w^2 = -m(z) with m square-free and
-    monic.  The monic scale polynomial and the content -lead(-D) > 0, a
-    TowerReal, record the exact relation -D = -content * m * scale^2 to the
-    raw form determinant, for the fiberwise oracle and the conjugator's
-    square roots.  No sign is kept: -D = -p^2 - |q|^2 (z^2 - 1) has a
-    negative lead, as both terms of D have positive leads."""
+    monic, the square class of -D in R(z)*.  No sign is kept: -D = -p^2 -
+    |q|^2 (z^2 - 1) has a negative lead, as both terms of D have positive
+    leads.  The conjugator's rescale reads no model: it is read off the
+    square root of D_A D_B (involutions._conjugator_entries)."""
 
-    __slots__ = ("m", "scale", "content")
+    __slots__ = ("m",)
 
-    def __init__(self, m: Poly, scale: Poly, content: TowerReal):
-        self.m, self.scale, self.content = m, scale, content
+    def __init__(self, m: Poly):
+        self.m = m
 
     @classmethod
     def of_determinant(cls, d: Poly) -> HyperellipticModel:
         """The model of w^2 = -D from one square-free decomposition
         D = lead * prod f_k^k, f_k monic: m is the product of the f_k of odd
-        k, scale that of the f_k^(k // 2), and lead = content > 0."""
-        m = scale = Poly.const(1)
+        k."""
+        m = Poly.const(1)
         for factor, k in squarefree_decomposition(d):
             if k % 2:
                 m = m * factor
-            scale = scale * factor ** (k // 2)
-        return cls(m, scale, d.lead().as_real())
+        return cls(m)
 
     @property
     def degree(self) -> int:

@@ -294,6 +294,22 @@ def ref_square_class(p: Poly) -> Poly:
     return Poly.from_rational_coeffs([Fraction(int(c.p), int(c.q)) for c in reversed(out.all_coeffs())])
 
 
+def ref_square_split(d: Poly) -> tuple[Poly, Poly, CoeffScalar]:
+    """(m, scale, lead) with d = lead m scale^2, m and scale monic and m
+    square-free, from one square-free decomposition d = lead prod f_k^k:
+    m is the product of the f_k of odd k, scale that of the f_k^(k // 2).
+    A reference for the rescale and the fixed-curve model that reads no
+    square root."""
+    from birsphere.poly import squarefree_decomposition
+
+    m = scale = Poly.const(1)
+    for factor, k in squarefree_decomposition(d):
+        if k % 2:
+            m = m * factor
+        scale = scale * factor ** (k // 2)
+    return m, scale, d.lead()
+
+
 def sympy_poly(p: Poly, var):
     """p as a sympy expression in var, each coefficient exact:
     the sum of q * sqrt(m) over the terms {m: q} of its real part, plus i

@@ -66,6 +66,7 @@ from conftest import (
     random_sphere_point,
     ref_in_reality_group,
     ref_square_class,
+    ref_square_split,
     same_function,
     same_triple,
     sphere_coordinates,
@@ -303,13 +304,15 @@ def test_criterion_5_fixed_curve_oracle(rng):
         for mat in involutions:
             form = involution_normal_form(mat)
             model = fixed_curve(mat)
+            m, scale, content = ref_square_split(form.determinant())  # D = content m scale^2
+            assert m == model.m
             checked = 0
             z0 = Fraction(-21, 20)
             while checked < 20:
                 z0 += Fraction(1, 9)
                 zval = CoeffScalar(z0)
                 qbar, p, q = form.q.conj()(zval), form.p(zval), form.q(zval)
-                if not qbar or not model.scale(zval):
+                if not qbar or not scale(zval):
                     continue
                 h = CoeffScalar(1 - z0 * z0)
                 disc = (2 * I * p) * (2 * I * p) + 4 * qbar * q * h
@@ -320,7 +323,7 @@ def test_criterion_5_fixed_curve_oracle(rng):
                     w = qbar * t - I * p
                     assert w * w == -form.determinant()(zval)
                 checked += 1
-            neg_d = (model.m * model.scale * model.scale).scale(-CoeffScalar(model.content))
+            neg_d = (model.m * scale * scale).scale(-content)
             assert -form.determinant() == neg_d
             # real locus class against the model sign on the open interval:
             # no real points (orientation 1) or one oval (orientation -1)

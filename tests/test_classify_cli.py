@@ -335,6 +335,25 @@ def test_picard_dp4_unknown_op_is_a_parse_error(capsys, check, valid):
     assert code == 2 and not out and f"(expected {valid})" in err and "'foo'" in err
 
 
+@pytest.mark.parametrize("mu", ["0", "1", "-1"])
+def test_picard_dp4_dataset_validates_mu(capsys, mu):
+    """--check dataset validates mu through DP4Surface, as the other checks
+    do: 1 and -1 verified a degenerate surface, and 0 failed on an inverse."""
+    code, out, err = run_cli(capsys, "picard", "dp4", "--check", "dataset", "--mu", mu)
+    assert code == 5 and not out and "mu must avoid {0, 1, -1}" in err
+
+
+@pytest.mark.parametrize("check", ["rho", "dataset"])
+def test_picard_dp4_op_is_refused_where_unused(capsys, check):
+    """--check rho and --check dataset read no operator, so an --op, even a
+    valid one, is a parse error rather than ignored; without it they answer."""
+    for op in ("foo", "alpha1"):
+        code, out, err = run_cli(capsys, "picard", "dp4", "--check", check, "--op", op)
+        assert code == 2 and not out and "--op applies to --check rank, aut and preserves only" in err
+    code, out, _ = run_cli(capsys, "picard", "dp4", "--check", check, "--mu", "3/5+4/5i")
+    assert code == 0 and json.loads(out)
+
+
 def test_classify_dp4_mu_is_parsed_and_checked(capsys):
     code, out, _ = run_cli(capsys, "classify", "dp4:alpha1", "--mu", "3/5+4/5i")
     assert code == 0 and json.loads(out)["moduli"]["mu"] == str(CoeffScalar(Fraction(3, 5), Fraction(4, 5)))

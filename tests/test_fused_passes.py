@@ -211,8 +211,11 @@ def test_certify_and_classify_work_is_counted():
     """One certified involution pair and one conjugate of rot:1/2, both over
     Q(i).  The canonical form divides no entry (the gcd kernel's cofactors
     replace poly_gcd and exact_div), and the column products are pinned:
-    31 for the pair and 37 for the classification, which certifies the
-    rotation against diag(1, -1).  They were 32 and 38 while the conjugator
+    23 for the pair and 31 for the classification, which certifies the
+    rotation against diag(1, -1).  They were 31 and 37 while the pair was
+    decided by two square-free splits, whose models' m were compared, and
+    the rescale read the two models' scales, before one square root of
+    D_A D_B (tested on integers) did both.  They were 32 and 38 while the conjugator
     formed the Hilbert-90 witness's two numerators x and y, then ~q y and
     p y + x, in place of its closed form's two fused sums and two products;
     34 and 40 while the Hilbert-90 step formed the norm x^2 + D_A y^2 to
@@ -235,13 +238,13 @@ def test_certify_and_classify_work_is_counted():
     pair = SphereMap.trivial_base(a), SphereMap.trivial_base(c * a * c.inverse())
     answer, counts = _count_work(lambda: decide_conjugacy(*pair))
     assert answer["conjugate"] and answer["verified"]
-    assert counts == {"product": 31, "canonical_exact_div": 0}
+    assert counts == {"product": 23, "canonical_exact_div": 0}
 
     mover = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix()  # det 8 + 2 z^2 > 0
     rotation = SphereMap.trivial_base(mover * builtin_map("rot:1/2").fiber * mover.inverse())
     report, counts = _count_work(lambda: classify_spheremap(rotation))
     assert report.family == 3 and report.moduli["angle"] == [1, 2]
-    assert counts == {"product": 37, "canonical_exact_div": 0}
+    assert counts == {"product": 31, "canonical_exact_div": 0}
 
 
 def test_involution_conjugator_work_is_counted():

@@ -23,6 +23,7 @@ from birsphere.involutions import (
 from birsphere.poly import (
     ONE_MINUS_Z2,
     Poly,
+    monic_square_root,
     poly_gcd,
     real_roots_in_tower_poly,
 )
@@ -48,6 +49,7 @@ from birsphere.sphere import (
 from conftest import (
     QuadAlgebra,
     checked_pattern,
+    coeff_scalars,
     gaussian_scalars,
     pattern_pair,
     polys,
@@ -56,8 +58,10 @@ from conftest import (
     ref_in_reality_group,
     ref_proportional,
     ref_square_class,
+    ref_square_split,
     same_triple,
     same_up_to_positive_rational,
+    tower_terms,
 )
 
 Z = Poly.z()
@@ -115,13 +119,16 @@ def test_fixed_curve_conjugacy_invariant(rng):
 
 def test_fixed_curve_fiberwise_oracle(rng):
     """Brute-force fixed points on 20 fibers satisfy w^2 = -m(z0), times the
-    content and the square of the scale."""
+    lead and the square of the scale of one square-free split of D
+    (ref_square_split)."""
     mats = [TAU, UPS, realize_oval(Z + Poly.const(I)), realize_no_oval((Z * Z + 1) * (Z * Z + 4))]
     for _ in range(6):
         mats.append(random_involution(rng, max_degree=1))
     for mat in mats:
         form = involution_normal_form(mat)
         model = fixed_curve(mat)
+        m, scale_poly, content = ref_square_split(form.determinant())
+        assert m == model.m
         checked = 0
         z0 = Fraction(-17, 16)
         while checked < 20:
@@ -129,7 +136,7 @@ def test_fixed_curve_fiberwise_oracle(rng):
             zval = CoeffScalar(z0)
             qbar, p, q = form.q.conj()(zval), form.p(zval), form.q(zval)
             h = CoeffScalar(1 - z0 * z0)
-            scale = model.scale(zval)
+            scale = scale_poly(zval)
             if not qbar or not scale:
                 continue
             # fixed points solve qbar t^2 - 2 i p t - q h = 0; solve by radicals
@@ -141,7 +148,7 @@ def test_fixed_curve_fiberwise_oracle(rng):
                 w = qbar * t - I * p
                 assert w * w == -form.determinant()(zval)
             checked += 1
-        assert -form.determinant() == (model.m * model.scale * model.scale).scale(-CoeffScalar(model.content))
+        assert -form.determinant() == (model.m * scale_poly * scale_poly).scale(-content)
 
 
 def test_real_locus_class():
@@ -187,10 +194,11 @@ def test_conjugator_certificates_random(rng):
 
 
 def test_conjugacy_decided_once(monkeypatch, rng):
-    """decide_conjugacy decides an involution pair once, by
-    basis_equiv_moduli, and a false answer takes that one call too;
-    construct_conjugator decides nothing, also for the diagonal source that
-    the lift of _MOVER moves off the diagonal first."""
+    """decide_conjugacy decides an involution pair of one model by the square
+    test alone, with no call of basis_equiv_moduli (one call, before
+    D_A D_B was tested for a square first), and a false answer takes one
+    call; construct_conjugator decides nothing, also for the diagonal
+    source that the lift of _MOVER moves off the diagonal first."""
     import birsphere.classify as classify
     import birsphere.involutions as inv
 
@@ -208,7 +216,7 @@ def test_conjugacy_decided_once(monkeypatch, rng):
         assert construct_conjugator(a, b).verify()
         out = decide_conjugacy(SphereMap.trivial_base(a), SphereMap.trivial_base(b))
         assert out["conjugate"] and out["verified"]
-        assert len(calls) == (a != b)  # equal inputs take the identity
+        assert not calls
     calls.clear()
     x, y = (SphereMap.trivial_base(realize_oval(beta)) for beta in (Z + Poly.const(I), Z + 2 * I))
     assert not decide_conjugacy(x, y)["conjugate"]
@@ -315,9 +323,12 @@ def test_reality_tested_once_per_input(monkeypatch, rng):
 
 
 def test_one_split_per_involution(monkeypatch):
-    """decide_conjugacy splits each determinant once: the decision, the
-    conjugator's square roots and the fixed curves of a false answer all
-    read the fixed-curve models memoised on the patterns.  It builds no
+    """decide_conjugacy splits each determinant at most once: a pair of one
+    model is decided, and its conjugator's rescale read, off the square
+    root of D_A D_B, with no split (the split degrees were [4, 12] while
+    the decision compared the two models and the rescale read their
+    scales); the decision and the fixed curves of a false answer read the
+    models memoised on the patterns, one split each.  It builds no
     stripped determinant, as it asks for no orientation."""
     import birsphere.sphere as sphere
 
@@ -330,7 +341,7 @@ def test_one_split_per_involution(monkeypatch):
     monkeypatch.setattr(FiberPattern, "stripped_determinant", counted)
     a = InvolutionForm(Z + 2, Z + Poly.const(I)).matrix()
     c = FiberPattern(Z + Poly.const(I), Z - 1).matrix()
-    pairs = [(a, c * a * c.inverse(), True, [4, 12]),
+    pairs = [(a, c * a * c.inverse(), True, []),
              (realize_no_oval(Z * Z + 3), realize_no_oval((Z * Z + 3) * (Z * Z + 4)), False, [2, 4])]
     for x, y, conjugate, split_degrees in pairs:
         degrees.clear()
@@ -434,16 +445,18 @@ def test_conjugator_born_reduced_verifies(p, q, a, b):
 @given(p=real_polys, q=nonzero_complex_polys, a=complex_polys, b=nonzero_complex_polys)
 def test_neg_determinant_has_negative_lead(p, q, a, b):
     """For a random real involution, a conjugate of a random form by a
-    random reality element, -D has a negative lead, and its model records
-    -D = -content m scale^2 with content > 0: the curve is w^2 = -m, so the
-    model carries no sign.  q and b are nonzero by construction, so D and
+    random reality element, -D has a negative lead, and one square-free
+    split (ref_square_split) gives -D = -content m scale^2 with content > 0
+    and the model's m: the curve is w^2 = -m, so the model carries no
+    sign.  q and b are nonzero by construction, so D and
     |a|^2 + |b|^2 (z^2 - 1) are nonzero and no draw is rejected."""
     c = FiberPattern(a, b).matrix()
     mat = c * InvolutionForm(p, q).matrix() * c.inverse()
     neg_d, model = -canonical_pattern(mat).determinant(), fixed_curve(mat)
     assert neg_d.lead().as_real().sign() < 0
-    assert isinstance(model.content, TowerReal) and model.content.sign() > 0
-    assert neg_d == (model.m * model.scale * model.scale).scale(CoeffScalar(-model.content))
+    m, scale, content = ref_square_split(-neg_d)
+    assert content.as_real().sign() > 0 and m == model.m
+    assert neg_d == (m * scale * scale).scale(-content)
 
 
 PYTHAGOREAN_T = [Fraction(k, n) for n in range(2, 9) for k in range(1 - n, n) if k]
@@ -470,14 +483,57 @@ def test_moved_involution_has_target_model(p, q, t, flip):
     assert out["conjugate"] and out["verified"]
 
 
+# rational and sqrt(2) coefficients: real ones for p, complex ones for q, a and b
+SQRT2_REAL = st.builds(CoeffScalar, tower_terms((1, 2)).map(TowerReal))
+SQRT2_COMPLEX = coeff_scalars((1, 2))
+# positive f that realize_no_oval realizes: the models 1, z^2 + 3, z^2 + 1/2, (z^2 + 1)(z^2 + 4), z^4 + 5 z^2 + 6
+NO_OVAL_F = [Poly.const(4), Z * Z + 3, 2 * Z * Z + 1, (Z * Z + 1) * (Z * Z + 4), Z**4 + 5 * Z * Z + 6]
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(("rational", "sqrt2")), data=st.data(),
+       partner=st.sampled_from(("conjugate", "shift", "no_oval")))
+@example(field="rational", data=None, partner="no_oval")
+def test_square_test_decides_the_shared_model(field, data, partner):
+    """For a random involution A, rational or with sqrt(2) coefficients,
+    and B a conjugate of A by a random reality element, a Pythagorean
+    interval shift of A, or realize_no_oval of an unrelated f: D_A D_B has
+    a monic square root exactly when the two fixed curves have one m
+    (fixed_curve, Yun's split), and then decide_conjugacy answers a
+    verified true without building either model.  q and b are nonzero by
+    construction, so no matrix has D = 0 and no draw is rejected."""
+    if data is None:  # the example: A of model z^2 + 3, B = realize_no_oval(z^2 + 3)
+        mat_a, mat_b = realize_no_oval(Z * Z + 3), realize_no_oval((Z * Z + 3) * Poly.const(9))
+    else:
+        real, cplx = (rational_scalars, gaussian_scalars) if field == "rational" else (SQRT2_REAL, SQRT2_COMPLEX)
+        nonzero = st.builds(lambda low, lead: Poly([*low, lead or CoeffScalar(1)]), st.lists(cplx, max_size=1), cplx)
+        mat_a = InvolutionForm(data.draw(polys(real, max_degree=1)), data.draw(nonzero)).matrix()
+        if partner == "conjugate":
+            c = FiberPattern(data.draw(polys(cplx, max_degree=1)), data.draw(nonzero)).matrix()
+            mat_b = c * mat_a * c.inverse()
+        elif partner == "shift":
+            s = interval_shift(data.draw(st.sampled_from(PYTHAGOREAN_T)))
+            mat_b = s.compose(SphereMap.trivial_base(mat_a)).compose(s.inverse()).fiber
+        else:
+            mat_b = realize_no_oval(data.draw(st.sampled_from(NO_OVAL_F)))
+    d_a, d_b = (canonical_pattern(m).determinant() for m in (mat_a, mat_b))
+    root = monic_square_root(d_a * d_b)
+    assert (root is not None) == (fixed_curve(mat_a).m == fixed_curve(mat_b).m)
+    if root is not None:
+        assert (root * root).scale((d_a * d_b).lead()) == d_a * d_b
+        out = decide_conjugacy(SphereMap.trivial_base(mat_a), SphereMap.trivial_base(mat_b))
+        assert out["conjugate"] and out["verified"]
+
+
 def _reference_rescale(mat_a, mat_b) -> tuple[Poly, Poly]:
     """(u_num, u_den): u = s / f_B reduced by gcd(s, f_B), with
-    s = sqrt(c_A c_B) m scale_A scale_B and f_B = -D_B, from the forms'
-    determinants."""
+    s = sqrt(c_A c_B) m scale_A scale_B and f_B = -D_B, from one square-free
+    split of each form's determinant (ref_square_split), not from the
+    package's square root."""
     f_b = -involution_normal_form(mat_b).determinant()
-    model_a = HyperellipticModel.of_determinant(involution_normal_form(mat_a).determinant())
-    model_b = HyperellipticModel.of_determinant(-f_b)
-    s = (model_a.m * model_a.scale * model_b.scale).scale(CoeffScalar(model_a.content * model_b.content).sqrt())
+    m, scale_a, c_a = ref_square_split(involution_normal_form(mat_a).determinant())
+    _, scale_b, c_b = ref_square_split(-f_b)
+    s = (m * scale_a * scale_b).scale((c_a * c_b).sqrt())
     g = poly_gcd(s, f_b)
     return s.exact_div(g), f_b.exact_div(g)
 
@@ -854,8 +910,7 @@ def test_basis_equiv_after_interval_pullback():
         if c:
             acc = acc + (num**k * den ** (m_a.m.degree - k)).scale(c)
     sf = ref_square_class(acc)
-    m_pulled = HyperellipticModel(sf if sf.lead().as_real().sign() > 0 else -sf, Poly.const(1),
-                                  TowerReal.from_rational(1))
+    m_pulled = HyperellipticModel(sf if sf.lead().as_real().sign() > 0 else -sf)
     base = basis_equiv_moduli(m_a, m_pulled)
     assert base == BaseMobius.shift(-b)
     assert isinstance(base.b, TowerReal)
@@ -863,8 +918,8 @@ def test_basis_equiv_after_interval_pullback():
 
 def test_basis_equiv_flip_only():
     # branch data {1 + i, 1 - i, 3i, -3i} needs the flip to reach its mirror
-    m_a = HyperellipticModel((Z * Z - 2 * Z + 2) * (Z * Z + 9), Poly.const(1), TowerReal.from_rational(1))
-    m_b = HyperellipticModel((Z * Z + 2 * Z + 2) * (Z * Z + 9), Poly.const(1), TowerReal.from_rational(1))
+    m_a = HyperellipticModel((Z * Z - 2 * Z + 2) * (Z * Z + 9))
+    m_b = HyperellipticModel((Z * Z + 2 * Z + 2) * (Z * Z + 9))
     base = basis_equiv_moduli(m_a, m_b)
     assert base is not None and base.flip
 
@@ -978,7 +1033,7 @@ def _kind(outcome):
 
 
 def _model(m: Poly) -> HyperellipticModel:
-    return HyperellipticModel(m.monic(), Poly.const(1), TowerReal.from_rational(1))
+    return HyperellipticModel(m.monic())
 
 
 @st.composite

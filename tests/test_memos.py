@@ -88,9 +88,10 @@ def test_classify_forms_an_involutions_determinant_once(monkeypatch):
 
 
 def test_certify_builds_each_involution_form_once(monkeypatch):
-    """A certified pair builds the involution form of each matrix once: the
-    order-2 test, the conjugator's off-diagonal check and its closed form
-    read one form, memoised on the pattern."""
+    """A certified pair builds the involution form of each matrix at most
+    once, memoised on the pattern.  A pair of one model now builds none:
+    the order, the square test and the conjugator read the canonical
+    patterns; each form was built once while fixed_curve decided the pair."""
     built = Counter()
     real = InvolutionForm.__init__
 
@@ -104,7 +105,7 @@ def test_certify_builds_each_involution_form_once(monkeypatch):
     monkeypatch.setattr(InvolutionForm, "__init__", counted)
     answer = decide_conjugacy(SphereMap.trivial_base(a), SphereMap.trivial_base(b))
     assert answer["conjugate"] and answer["verified"]
-    assert len(built) == 2 and set(built.values()) == {1}, built
+    assert set(built.values()) <= {1}, built
 
 
 # -- memoised values on fresh objects ----------------------------------------------------

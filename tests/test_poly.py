@@ -19,6 +19,7 @@ from birsphere.poly import (
     factor_rational_poly,
     galois_norm_poly,
     isolate_real_roots_poly,
+    monic_square_root,
     poly_gcd,
     real_roots_in_tower_poly,
     real_sign_at,
@@ -27,6 +28,8 @@ from birsphere.poly import (
 )
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import HyperellipticModel
+
+from conftest import ref_square_split
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -358,8 +361,29 @@ def test_squarefree_decomposition_examples():
     assert squarefree_decomposition((Z * Z + 1) ** 2 * (Z * Z + 4)) == [(Z * Z + 4, 1), (Z * Z + 1, 2)]
     assert squarefree_decomposition(Z**3) == [(Z, 3)]
     assert squarefree_decomposition(-2 * Z * Z + 2) == [(Z * Z - 1, 1)]
-    model = HyperellipticModel.of_determinant(2 * Z * Z - 2)
-    assert (model.m, model.content) == (Z * Z - 1, 2)
+    assert HyperellipticModel.of_determinant(2 * Z * Z - 2).m == Z * Z - 1
+    assert ref_square_split(2 * Z * Z - 2) == (Z * Z - 1, Poly.const(1), 2)
+
+
+def test_monic_square_root_examples():
+    """p = lead(p) s^2, s monic, or None: odd degree; a lead that is not a
+    square; a negative lead; z^2 + 1, a sum of squares, and (z + 1)^2 + 1,
+    whose recurrence divides exactly; squares over the tower and over Q(i);
+    and entries above 2^64."""
+    r2 = CoeffScalar(TowerReal.sqrt_rational(2))
+    i = CoeffScalar.i()
+    assert monic_square_root(Z**3) is None and monic_square_root(Z**3 + 1) is None
+    assert monic_square_root(2 * (Z + 1) ** 2) == Z + 1
+    assert monic_square_root(-3 * (Z + 1) ** 2 * (Z - 2) ** 2) == (Z + 1) * (Z - 2)
+    assert monic_square_root(Z * Z + 1) is None and monic_square_root((Z + 1) ** 2 + 1) is None
+    assert monic_square_root(Poly.const(Fraction(-2, 3))) == Poly.const(1)
+    assert monic_square_root((Z.scale(r2) + 1) ** 2) == Z + Poly.const(r2 / 2)
+    assert monic_square_root((Z.scale(r2) + 1) ** 2 + Z) is None
+    assert monic_square_root((Z + Poly.const(i)) ** 2 * (Z - 2).scale(i) ** 2) == (Z + Poly.const(i)) * (Z - 2)
+    big = Z**3 + Z * Z * 2**70 + Poly.const(3**45)
+    assert monic_square_root((big * big).scale(Fraction(5, 7))) == big
+    assert monic_square_root(big * big + Poly.const(1)) is None
+    assert monic_square_root(((big * (Z + Poly.const(r2))) ** 2).scale(1 + r2)) == big * (Z + Poly.const(r2))
 
 
 def test_split_square_class():
@@ -369,8 +393,8 @@ def test_split_square_class():
         (-(Z * Z - 1) ** 2, Poly.const(1)),
         (-3 * (Z * Z + 1) ** 2 * (Z * Z + 4), Z * Z + 4),
     ):
-        model = HyperellipticModel.of_determinant(-p)
-        assert model.m == m and p == (m * model.scale * model.scale).scale(CoeffScalar(-model.content))
+        _, scale, content = ref_square_split(-p)
+        assert HyperellipticModel.of_determinant(-p).m == m and p == (m * scale * scale).scale(-content)
 
 
 def test_factor_rational():

@@ -163,7 +163,7 @@ def sphere_conjugators(draw):
 
 def _curve_model(curve: dict) -> HyperellipticModel:
     assert curve["sign"] == "-"  # w^2 = -m for every real involution
-    return HyperellipticModel(parse_poly(curve["m"]), Poly.const(1), TowerReal.from_rational(1))
+    return HyperellipticModel(parse_poly(curve["m"]))
 
 
 @settings(max_examples=30, deadline=None)
