@@ -15,7 +15,10 @@ factor detection (Abbott, Shoup & Zimmermann, ISSAC 2000; MCA 15.6): the
 Hensel factor tree is lifted one quadratic step at a time, each lifted
 factor is tried alone by exact division after every step, and the lifting
 stops once every factor is proved irreducible, or at Mignotte's bound,
-where subsets of the factors left are searched.  A polynomial is a list of
+where subsets of the factors left are searched.  Real roots in Z[x] are
+counted and isolated by Descartes' rule of signs with bisection
+(`line_count`, `column_isolate`, `unit_count`), for the poly module's
+real-root entry points.  A polynomial is a list of
 Python ints in ascending powers with no trailing zero; modulo m its entries
 lie in [0, m).  A Gaussian polynomial re + i im is a pair (re, im) of such lists.
 """
@@ -23,8 +26,10 @@ lie in [0, m).  A Gaussian polynomial re + i im is a pair (re, im) of such lists
 from __future__ import annotations
 
 import math
+import operator
+from fractions import Fraction
 from functools import reduce
-from itertools import combinations, count, zip_longest
+from itertools import accumulate, combinations, count, zip_longest
 
 
 def primes():
@@ -165,6 +170,167 @@ def _primitive(a: list[int]) -> list[int]:
     """a divided by its content, with positive lead; a is nonzero."""
     g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
     return a if g == 1 else [c // g for c in a]
+
+
+# -- Descartes' rule: real roots of rational polynomials on integer lists -----------
+
+
+def _shift(a: list[int], c: int = 1) -> list[int]:
+    """a(x + c) by Horner's scheme: pass k replaces the top k entries of a
+    by their running sums from the top weighted by c, s_j = a_j + c s_(j+1),
+    for k = n + 1 down to 2.  A negative c shifts a(-x) by -c."""
+    if c <= 0:
+        return _reflect(_shift(_reflect(a), -c)) if c else list(a)
+    b = a[::-1]
+    step = operator.add if c == 1 else lambda acc, x: acc * c + x
+    for k in range(len(b), 1, -1):
+        b[:k] = accumulate(b[:k], step)
+    return b[::-1]
+
+
+def _scale(a: list[int], c: int, d: int) -> list[int]:
+    """d^n a(c x / d) for n = len(a) - 1: entry k times c^k d^(n-k)."""
+    n = len(a) - 1
+    if c == 1 and d == 2:
+        return [x << (n - k) for k, x in enumerate(a)]
+    cs, ds = [1], [1]
+    for _ in range(n):
+        cs.append(cs[-1] * c)
+        ds.append(ds[-1] * d)
+    return [x * cs[k] * ds[n - k] for k, x in enumerate(a)]
+
+
+def _reflect(a: list[int]) -> list[int]:
+    """a(-x)."""
+    return [-x if k & 1 else x for k, x in enumerate(a)]
+
+
+def on_unit(s: list[int], lo: Fraction, hi: Fraction) -> list[int]:
+    """A positive multiple of s(lo + (hi - lo) t), whose roots in (0, 1)
+    are those of s in (lo, hi).  With m = (hi - lo) / r and lo / (hi - lo)
+    = p / r in lowest terms, lo + (hi - lo) t = m (p + r t): s is scaled by
+    m, shifted by the integer p (-1 on the symmetric (-b, b)) and scaled by
+    r, so the shift multiplies by no large number."""
+    w = hi - lo
+    pr = lo / w
+    m = w / pr.denominator
+    return _scale(_shift(_scale(s, m.numerator, m.denominator), pr.numerator), pr.denominator, 1)
+
+
+def _descartes(q: list[int]) -> int:
+    """Descartes' bound V of q on (0, 1): the sign variations of
+    Q(y) = (1 + y)^n q(1 / (1 + y)), n = len(q) - 1, the Taylor shift by 1
+    of q reversed.  y -> 1 / (1 + y) maps (0, inf) onto (0, 1), so the
+    positive roots of Q are the roots of q in (0, 1).
+
+    Lemma.  For a square-free q, V is at least the number N of roots of q
+    in (0, 1), and V = N (mod 2); so V <= 1 is N exactly.  This is
+    Descartes' rule of signs for Q, whose positive roots are simple as q is
+    square-free: they number at most V, and V is odd exactly when Q's
+    lowest and highest nonzero entries differ in sign, that is when Q has
+    an odd number of positive roots.  A root of q at 1 is a factor y of Q,
+    and a root at 0 (or a zero top entry) lowers the degree of Q; neither
+    adds a variation, so q may have them.
+    """
+    return _variations(_shift(q[::-1]))
+
+
+def _variations(a: list[int]) -> int:
+    signs = [x > 0 for x in a if x]
+    return sum(map(operator.ne, signs, signs[1:]))
+
+
+def unit_count(q: list[int]) -> int:
+    """The number of roots in (0, 1) of a square-free q in Z[x]: Vincent-
+    Collins-Akritas bisection (Collins & Akritas, SYMSAC 1976) in the
+    integer form of Rouillier & Zimmermann (J. Comput. Appl. Math. 162,
+    2004).  A q with `_descartes` bound V <= 1 has V roots there; any other
+    is split into its halves, the left one 2^n q(x / 2) and the right one
+    its Taylor shift by 1, 2^n q((x + 1) / 2), each on (0, 1) again.  A
+    root at the midpoint 1/2 is a zero constant entry of the right half,
+    counted once; it is an end of both halves, where V does not see it.
+
+    Termination, by the two-circle theorem (Alesina & Galuzzi 1998;
+    Krandick & Mehlhorn 2006): V = 0 on an interval (a, b) when the open
+    disc with diameter (a, b) holds no root, and V = 1 when the union of
+    the two open discs circumscribing the equilateral triangles on (a, b)
+    holds exactly one root.  That union contains the disc and lies within
+    (b - a) sqrt(3) / 2 of the midpoint, and it is symmetric about the real
+    line.  So once b - a is below sep / sqrt(3), sep the least distance
+    between two roots of q, the union holds at most one root, which is then
+    real: every interval has V <= 1.  Halving reaches that width after
+    finitely many levels.
+    """
+    count, todo = 0, [q]
+    while todo:
+        q = todo.pop()
+        v = _descartes(q)
+        if v <= 1:
+            count += v
+            continue
+        left = _scale(q, 1, 2)
+        right = _shift(left)
+        count += not right[0]
+        todo += (left, right)
+    return count
+
+
+def line_count(s: list[int]) -> int:
+    """The number of real roots of a square-free s in Z[x] of positive
+    degree: for q = s and q = s(-x), the roots of q in (0, 1), those in
+    (1, inf) as the roots in (0, 1) of x^n q(1 / x), and 1; plus 0."""
+    return sum(unit_count(q) + unit_count(q[::-1]) + (not sum(q)) for q in (s, _reflect(s))) + (not s[0])
+
+
+def column_isolate(s: list[int], b: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """isolate_real_roots_poly for a square-free s in Z[x] of positive
+    degree whose real roots lie in (-b, b).
+
+    The intervals are those of the exact-count tree on (-b, b): it splits
+    an interval that holds two or more roots at its midpoint, moved halfway
+    to the upper end while it is a root, and reports an interval that holds
+    one.  This tree makes the same splits; a node's count is its
+    `_descartes` bound V when V <= 1, and otherwise the sum of its
+    children's counts (no split point is a root).  A node with count >= 2
+    has V >= 2 and is split in both trees, so the exact-count tree is this
+    tree cut at its topmost nodes of count 1, which are reported: from each
+    leaf with V = 1, the last node of count 1 on its way up (counts only
+    grow from child to parent).  The root's count is taken first over the whole
+    line, on the small entries of s: with 0 or 1 roots no transform of s
+    onto (-b, b), whose entries carry b's digits n times, is made.
+    """
+    total = line_count(s)
+    if total <= 1:
+        return [(-b, b)] * total
+    nodes: list[list] = []  # [lo, hi, parent, count]
+    leaves = []
+    todo = [(-b, b, on_unit(s, -b, b), -1)]
+    while todo:
+        lo, hi, q, parent = todo.pop()
+        v = _descartes(q)
+        if not v:
+            continue
+        k = len(nodes)
+        nodes.append([lo, hi, parent, 0])
+        if v == 1:
+            leaves.append(k)
+            while k >= 0:
+                nodes[k][3] += 1
+                k = nodes[k][2]
+            continue
+        mid, left = (lo + hi) / 2, _scale(q, 1, 2)
+        right, j = _shift(left), 1
+        while not right[0]:  # mid is a root: the right half of the right half
+            mid, j = (mid + hi) / 2, j + 1
+            right = _shift(_scale(right, 1, 2))
+            left = _scale(q, (1 << j) - 1, 1 << j)
+        todo += [(mid, hi, right, k), (lo, mid, left, k)]
+    out = []
+    for k in leaves:
+        while (up := nodes[k][2]) >= 0 and nodes[up][3] == 1:
+            k = up
+        out.append((nodes[k][0], nodes[k][1]))
+    return sorted(out)
 
 
 # -- the modular gcd over Z and Z[i] -----------------------------------------------------

@@ -285,8 +285,14 @@ def realize_oval(beta: Poly) -> ProjMat:
 
 
 def realize_no_oval(f: Poly) -> ProjMat:
-    """An orientation-preserving involution with fixed curve w^2 = -f, for
-    strictly positive f, via the a^2 + P*(z^2-1) decomposition."""
+    """An orientation-preserving involution with fixed curve w^2 = -f, read
+    off the decomposition f = a^2 + P (z^2 - 1) (`v_decomp`) and P = b ~b
+    (`norm_factor`) as the form (a, b).  ValueError when f is not strictly
+    positive.  UnsupportedExtension when the decomposition needs a square
+    root outside the tower, as for z^2 + z + 1, z^2 + 2z + 2 and
+    z^2 + 2z + 5, whose P is a tower constant with no square root in the
+    tower; z^2 + 3 and (z^2 + 1)(z^2 + 4) are realised.  Whether such an f
+    has another realization over the tower is not decided here."""
     from .positivity import is_real_positive, norm_factor, v_decomp
 
     if not is_real_positive(f):

@@ -18,11 +18,15 @@ The ring operations run on the columns with integer arithmetic.  A product
 is one integer convolution per pair of keys, scaled by the factor that
 sqrt(m)*sqrt(n) = g*sqrt(mn/g^2) with g = gcd(m, n) and i*i = -1 give the
 pair (the scalars' `_key_product`); scaling by a scalar is the same loop
-against its row, read as columns of length one.  A sum of products +-a*b (`dot`: determinants, matrix
-products, the cross-multiplied tests of the conjugator's algebra) runs the
-same loop over all its terms at the least common denominator, into one set
-of columns normalised once, and a single product is its one-term case, so
-there is one convolution loop.  Division keeps the remainder as mutable integer columns over
+against its row, read as columns of length one.  A sum of products +-a*b (`dot`: matrix
+products and determinants, the cross-multiplied tests of the conjugator's
+algebra) runs the same loop over all its terms at the least common
+denominator, into one set of columns normalised once, and a single product
+is its one-term case, so there is one convolution loop.  A pattern's
+determinant a ~a - h b ~b (`pattern_determinant`) is two sums of squares:
+the key pairs of unequal t cancel in x ~x, so each unordered pair of equal
+t is convolved once, doubled, and each column with itself over i <= j
+(`_norm_cols`).  Division keeps the remainder as mutable integer columns over
 one denominator across its steps and divides out one gcd per step.
 Multiplication by h = 1 - z^2, the sphere's conic, and exact division by it
 are one integer recurrence per column (`times_h`, `over_h`).
@@ -48,10 +52,11 @@ test for a constant times a square (`monic_square_root`: a coefficient
 recurrence, checked by one exact product).  Polynomials with
 other tower coefficients use Euclid's algorithm and the same Yun loop over
 the field.  Real roots are counted on the whole line and isolated by one
-algorithm, on integer lists: the square-free part of the integer column
-(one modular gcd, `factor.squarefree_part`), then Descartes' rule of signs
-with bisection by Taylor shifts and halvings (Vincent-Collins-Akritas, in
-the integer form of Rouillier and Zimmermann), with no remainder sequence.
+algorithm, on integer lists in the factor module: the square-free part of
+the integer column (one modular gcd, `factor.squarefree_part`), then
+Descartes' rule of signs with bisection by Taylor shifts and halvings
+(Vincent-Collins-Akritas, in the integer form of Rouillier and Zimmermann),
+with no remainder sequence.
 A polynomial with other real tower coefficients answers through the
 rational Galois norm of its square-free part s, folded as one conjugate
 per prime of its radicands: of the isolating intervals of the norm's
@@ -75,12 +80,22 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
-from itertools import accumulate
 
 from .errors import NotRationalPolynomial, NotRealPolynomial
-from .factor import factor_squarefree, gaussian_cofactors, gaussian_gcd, mul, squarefree, squarefree_part, yun
+from .factor import (
+    column_isolate,
+    factor_squarefree,
+    gaussian_cofactors,
+    gaussian_gcd,
+    line_count,
+    mul,
+    on_unit,
+    squarefree,
+    squarefree_part,
+    unit_count,
+    yun,
+)
 from .scalars import (
     _I_KEY,
     _ONE_KEY,
@@ -203,6 +218,58 @@ def dot(terms) -> Poly:
     terms = [(s, a, b) for s, a, b in terms if a._cols and b._cols]
     den = math.lcm(*(a._den * b._den for _, a, b in terms))
     return _product([(s * (den // (a._den * b._den)), a._cols, b._cols) for s, a, b in terms], den)
+
+
+def _norm_cols(cols, f: int) -> dict[_Key, list[int]]:
+    """The columns of f x ~x for the columns cols of x, as f times the sum
+    over t of the squares of the real sums of the columns of key (m, t)
+    times sqrt(m).
+
+    Lemma.  For x = sum c_k e_k, e_k = sqrt(m_k) i^(t_k), the pair k, l
+    gives c_k c_l (e_k ~e_l + e_l ~e_k), and i^s (-i)^t + i^t (-i)^s is 0
+    when s != t, 2 when s = t.  So x ~x keeps only the key pairs of equal
+    t, each unordered pair once, doubled, with factor sqrt(m_k m_l); a key
+    with itself gives m times the self-convolution of its column, taken
+    over i <= j (c_i^2 at 2i, 2 c_i c_j at i + j)."""
+    acc: dict[_Key, list[int]] = {}
+    items = list(cols.items())
+    for k, ((m, t), x) in enumerate(items):
+        out = acc.setdefault(_ONE_KEY, [])
+        out.extend([0] * (2 * len(x) - 1 - len(out)))
+        fm = f * m
+        for i, u in enumerate(x):
+            if u:
+                out[2 * i] += fm * u * u
+                u *= 2 * fm
+                for j, v in enumerate(x[i + 1 :], 2 * i + 1):
+                    out[j] += u * v
+        for (n, s), y in items[k + 1 :]:
+            if s == t:
+                key, g = _key_product((m, 0), (n, 0))
+                out = acc.setdefault(key, [])
+                out.extend([0] * (len(x) + len(y) - 1 - len(out)))
+                g *= 2 * f
+                for i, u in enumerate(x):
+                    if u:
+                        u *= g
+                        for j, v in enumerate(y, i):
+                            out[j] += u * v
+    return acc
+
+
+def pattern_determinant(a: Poly, b: Poly) -> Poly:
+    """a ~a - h b ~b, the determinant of the lift [[a, b h], [~b, ~a]]: two
+    sums of squares (`_norm_cols`) at the common denominator lcm(den)^2,
+    the second shifted by h = 1 - z^2 into the first, normalised once."""
+    den = math.lcm(a._den, b._den)
+    acc = _norm_cols(a._cols, (den // a._den) ** 2)
+    for key, c in _norm_cols(b._cols, -((den // b._den) ** 2)).items():
+        out = acc.setdefault(key, [])
+        out.extend([0] * (len(c) + 2 - len(out)))
+        for j, x in enumerate(c):
+            out[j] += x
+            out[j + 2] -= x
+    return _poly(acc, den * den)
 
 
 def _divide(a: Poly, b: Poly) -> tuple[list[tuple[int, dict[_Key, int], int]], Poly, CoeffScalar | None]:
@@ -659,167 +726,6 @@ def monic_square_root(p: Poly) -> Poly | None:
     return root if root * root == q else None
 
 
-# -- Descartes' rule: real roots of rational polynomials on integer lists -----------
-
-
-def _shift(a: list[int], c: int = 1) -> list[int]:
-    """a(x + c) by Horner's scheme: pass k replaces the top k entries of a
-    by their running sums from the top weighted by c, s_j = a_j + c s_(j+1),
-    for k = n + 1 down to 2.  A negative c shifts a(-x) by -c."""
-    if c <= 0:
-        return _reflect(_shift(_reflect(a), -c)) if c else list(a)
-    b = a[::-1]
-    step = operator.add if c == 1 else lambda acc, x: acc * c + x
-    for k in range(len(b), 1, -1):
-        b[:k] = accumulate(b[:k], step)
-    return b[::-1]
-
-
-def _scale(a: list[int], c: int, d: int) -> list[int]:
-    """d^n a(c x / d) for n = len(a) - 1: entry k times c^k d^(n-k)."""
-    n = len(a) - 1
-    if c == 1 and d == 2:
-        return [x << (n - k) for k, x in enumerate(a)]
-    cs, ds = [1], [1]
-    for _ in range(n):
-        cs.append(cs[-1] * c)
-        ds.append(ds[-1] * d)
-    return [x * cs[k] * ds[n - k] for k, x in enumerate(a)]
-
-
-def _reflect(a: list[int]) -> list[int]:
-    """a(-x)."""
-    return [-x if k & 1 else x for k, x in enumerate(a)]
-
-
-def _on_unit(s: list[int], lo: Fraction, hi: Fraction) -> list[int]:
-    """A positive multiple of s(lo + (hi - lo) t), whose roots in (0, 1)
-    are those of s in (lo, hi).  With m = (hi - lo) / r and lo / (hi - lo)
-    = p / r in lowest terms, lo + (hi - lo) t = m (p + r t): s is scaled by
-    m, shifted by the integer p (-1 on the symmetric (-b, b)) and scaled by
-    r, so the shift multiplies by no large number."""
-    w = hi - lo
-    pr = lo / w
-    m = w / pr.denominator
-    return _scale(_shift(_scale(s, m.numerator, m.denominator), pr.numerator), pr.denominator, 1)
-
-
-def _descartes(q: list[int]) -> int:
-    """Descartes' bound V of q on (0, 1): the sign variations of
-    Q(y) = (1 + y)^n q(1 / (1 + y)), n = len(q) - 1, the Taylor shift by 1
-    of q reversed.  y -> 1 / (1 + y) maps (0, inf) onto (0, 1), so the
-    positive roots of Q are the roots of q in (0, 1).
-
-    Lemma.  For a square-free q, V is at least the number N of roots of q
-    in (0, 1), and V = N (mod 2); so V <= 1 is N exactly.  This is
-    Descartes' rule of signs for Q, whose positive roots are simple as q is
-    square-free: they number at most V, and V is odd exactly when Q's
-    lowest and highest nonzero entries differ in sign, that is when Q has
-    an odd number of positive roots.  A root of q at 1 is a factor y of Q,
-    and a root at 0 (or a zero top entry) lowers the degree of Q; neither
-    adds a variation, so q may have them.
-    """
-    return _variations(_shift(q[::-1]))
-
-
-def _variations(a: list[int]) -> int:
-    signs = [x > 0 for x in a if x]
-    return sum(map(operator.ne, signs, signs[1:]))
-
-
-def _unit_count(q: list[int]) -> int:
-    """The number of roots in (0, 1) of a square-free q in Z[x]: Vincent-
-    Collins-Akritas bisection (Collins & Akritas, SYMSAC 1976) in the
-    integer form of Rouillier & Zimmermann (J. Comput. Appl. Math. 162,
-    2004).  A q with `_descartes` bound V <= 1 has V roots there; any other
-    is split into its halves, the left one 2^n q(x / 2) and the right one
-    its Taylor shift by 1, 2^n q((x + 1) / 2), each on (0, 1) again.  A
-    root at the midpoint 1/2 is a zero constant entry of the right half,
-    counted once; it is an end of both halves, where V does not see it.
-
-    Termination, by the two-circle theorem (Alesina & Galuzzi 1998;
-    Krandick & Mehlhorn 2006): V = 0 on an interval (a, b) when the open
-    disc with diameter (a, b) holds no root, and V = 1 when the union of
-    the two open discs circumscribing the equilateral triangles on (a, b)
-    holds exactly one root.  That union contains the disc and lies within
-    (b - a) sqrt(3) / 2 of the midpoint, and it is symmetric about the real
-    line.  So once b - a is below sep / sqrt(3), sep the least distance
-    between two roots of q, the union holds at most one root, which is then
-    real: every interval has V <= 1.  Halving reaches that width after
-    finitely many levels.
-    """
-    count, todo = 0, [q]
-    while todo:
-        q = todo.pop()
-        v = _descartes(q)
-        if v <= 1:
-            count += v
-            continue
-        left = _scale(q, 1, 2)
-        right = _shift(left)
-        count += not right[0]
-        todo += (left, right)
-    return count
-
-
-def _line_count(s: list[int]) -> int:
-    """The number of real roots of a square-free s in Z[x] of positive
-    degree: for q = s and q = s(-x), the roots of q in (0, 1), those in
-    (1, inf) as the roots in (0, 1) of x^n q(1 / x), and 1; plus 0."""
-    return sum(_unit_count(q) + _unit_count(q[::-1]) + (not sum(q)) for q in (s, _reflect(s))) + (not s[0])
-
-
-def _column_isolate(s: list[int], b: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """isolate_real_roots_poly for a square-free s in Z[x] of positive
-    degree whose real roots lie in (-b, b).
-
-    The intervals are those of the exact-count tree on (-b, b): it splits
-    an interval that holds two or more roots at its midpoint, moved halfway
-    to the upper end while it is a root, and reports an interval that holds
-    one.  This tree makes the same splits; a node's count is its
-    `_descartes` bound V when V <= 1, and otherwise the sum of its
-    children's counts (no split point is a root).  A node with count >= 2
-    has V >= 2 and is split in both trees, so the exact-count tree is this
-    tree cut at its topmost nodes of count 1, which are reported: from each
-    leaf with V = 1, the last node of count 1 on its way up (counts only
-    grow from child to parent).  The root's count is taken first over the whole
-    line, on the small entries of s: with 0 or 1 roots no transform of s
-    onto (-b, b), whose entries carry b's digits n times, is made.
-    """
-    total = _line_count(s)
-    if total <= 1:
-        return [(-b, b)] * total
-    nodes: list[list] = []  # [lo, hi, parent, count]
-    leaves = []
-    todo = [(-b, b, _on_unit(s, -b, b), -1)]
-    while todo:
-        lo, hi, q, parent = todo.pop()
-        v = _descartes(q)
-        if not v:
-            continue
-        k = len(nodes)
-        nodes.append([lo, hi, parent, 0])
-        if v == 1:
-            leaves.append(k)
-            while k >= 0:
-                nodes[k][3] += 1
-                k = nodes[k][2]
-            continue
-        mid, left = (lo + hi) / 2, _scale(q, 1, 2)
-        right, j = _shift(left), 1
-        while not right[0]:  # mid is a root: the right half of the right half
-            mid, j = (mid + hi) / 2, j + 1
-            right = _shift(_scale(right, 1, 2))
-            left = _scale(q, (1 << j) - 1, 1 << j)
-        todo += [(mid, hi, right, k), (lo, mid, left, k)]
-    out = []
-    for k in leaves:
-        while (up := nodes[k][2]) >= 0 and nodes[up][3] == 1:
-            k = up
-        out.append((nodes[k][0], nodes[k][1]))
-    return sorted(out)
-
-
 # -- real-root entry points ---------------------------------------------------------
 
 
@@ -827,7 +733,7 @@ def sturm_count(p: Poly) -> int:
     """Number of distinct real roots of p on the whole line.
 
     A rational p is counted on the square-free part of its integer column
-    (`factor.squarefree_part`, one gcd) by Descartes' rule (`_line_count`);
+    (`factor.squarefree_part`, one gcd) by Descartes' rule (`line_count`);
     a tower p through its rational Galois norm (`_tower_intervals`).
     """
     require_real(p)
@@ -836,7 +742,7 @@ def sturm_count(p: Poly) -> int:
     if p.degree == 0:
         return 0
     if p.is_rational():
-        return _line_count(squarefree_part(_integer_coeffs(p)))
+        return line_count(squarefree_part(_integer_coeffs(p)))
     return len(_tower_intervals(p)[1])
 
 
@@ -875,10 +781,10 @@ def isolate_real_roots_poly(s: Poly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals, sorted, each holding one real root
     of the square-free rational s of positive degree; interval endpoints
     are never roots.  Descartes' rule bisects (-b, b), b = `cauchy_bound(s)`,
-    on s's integer column (`_column_isolate`).  Any other s raises
+    on s's integer column (`column_isolate`).  Any other s raises
     NotRationalPolynomial (a tower s answers through its rational Galois
     norm: `real_roots_in_tower_poly`)."""
-    return _column_isolate(_integer_coeffs(s), cauchy_bound(s))
+    return column_isolate(_integer_coeffs(s), cauchy_bound(s))
 
 
 # -- rational factorization -----------------------------------------------------
@@ -1033,8 +939,8 @@ class RealAlgebraic:
         return self.compare(0)
 
     def __eq__(self, other):
-        """Exact equality by one Descartes count (`_unit_count` of the
-        minimal polynomial moved onto (0, 1) by `_on_unit`, no gcd: it is
+        """Exact equality by one Descartes count (`unit_count` of the
+        minimal polynomial moved onto (0, 1) by `on_unit`, no gcd: it is
         irreducible, so square-free) on the overlap of the two
         intervals: equal values lie in it, and a root of the common minimal
         polynomial found there is the one root in each interval, so it is
@@ -1048,7 +954,7 @@ class RealAlgebraic:
         if self.is_rational():
             return True
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return lo < hi and _unit_count(_on_unit(_integer_coeffs(self.minpoly), lo, hi)) >= 1
+        return lo < hi and unit_count(on_unit(_integer_coeffs(self.minpoly), lo, hi)) >= 1
 
     def __hash__(self):
         """A rational value hashes as its Fraction, which it equals."""

@@ -47,6 +47,7 @@ from .poly import (
     cofactors,
     dot,
     over_h,
+    pattern_determinant,
     real_roots_in_tower_poly,
     squarefree_decomposition,
     sturm_count,
@@ -155,10 +156,12 @@ class FiberPattern:
 
     @cached_property
     def _determinant(self) -> Poly:
-        return dot(((1, self.a, self.a.conj()), (-1, times_h(self.b), self.b.conj())))
+        return pattern_determinant(self.a, self.b)
 
     def determinant(self) -> Poly:
-        """D = a conj(a) - b h conj(b), once per pattern: D' and a fixed curve share it."""
+        """D = a conj(a) - b h conj(b), once per pattern, as two sums of
+        squares on the key pairs of equal t (`poly.pattern_determinant`): D'
+        and a fixed curve share it."""
         return self._determinant
 
     @cached_property
@@ -174,7 +177,8 @@ class FiberPattern:
     @cached_property
     def stripped_determinant(self) -> tuple[bool, bool, Poly]:
         """(a(1) = 0, a(-1) = 0, D'): D' is the primitive determinant D
-        divided by z - e for each e = +-1 with a(e) = 0.
+        divided by z - e for each e = +-1 with a(e) = 0; by both at once,
+        when both vanish, as -D / h in one integer pass (`over_h`).
 
         Lemma.  If a and b share no real root (true of every canonical
         pattern: if a or b is 0, the other has none) and h = 1 - z^2, then
@@ -190,6 +194,8 @@ class FiberPattern:
         it vanishes at +-1).  Memoised on the pattern."""
         north, south = not self.a(1), not self.a(-1)
         det = _primitive_real(self.determinant())
+        if north and south:
+            return north, south, -over_h(det)
         for e, zero in ((1, north), (-1, south)):
             if zero:
                 det = det.exact_div(Poly([-e, 1]))
@@ -227,8 +233,9 @@ class InvolutionForm:
         )
 
     def determinant(self) -> Poly:
-        """p^2 - q conj(q) h: FiberPattern.determinant of the form's pattern."""
-        return dot(((1, self.p, self.p), (-1, times_h(self.q), self.q.conj())))
+        """p^2 - q conj(q) h: FiberPattern.determinant of the form's pattern
+        (i p, q), as (i p) conj(i p) = p p = p conj(p) for a real p."""
+        return pattern_determinant(self.p, self.q)
 
 
 class HyperellipticModel:
@@ -267,14 +274,26 @@ class HyperellipticModel:
         return {"m": str(self.m), "sign": "-"}
 
 
-def _constant_multiple(lift: tuple[Poly, ...], entries: tuple[Poly, ...]) -> bool:
-    """Whether lift = kappa entries for a constant kappa, given that the
-    first nonzero entry is monic: kappa is then the lead of lift there."""
-    pivot = next(k for k in range(4) if entries[k])
+def _constant_multiple(lift: tuple[Poly, Poly], entries: tuple[Poly, ...]) -> bool:
+    """Whether the lift [[A, B], [~B/h, ~A]] of canonical_pattern is
+    kappa M for a constant kappa, M = entries a canonical matrix, read on
+    the top row lift = (A, B): A = kappa m11, B = kappa m12 and
+    (kappa - 1) conj(kappa - 1) = 1.  Its first nonzero entry, m11 or m12
+    as det M != 0, is monic, so kappa is the lead of lift there.
+
+    Lemma.  A = m11 + ~m22 = kappa m11 gives m22 = (~kappa - 1) ~m11, and
+    then ~A = kappa m22 reads ~m11 ~kappa = kappa (~kappa - 1) ~m11, which
+    holds exactly when m11 = 0 or |kappa - 1|^2 = 1.  Likewise B = m12 +
+    h ~m21 = kappa m12 gives h m21 = (~kappa - 1) ~m12, and then ~B/h =
+    kappa m21 holds exactly when m12 = 0 or |kappa - 1|^2 = 1.  As m11 and
+    m12 are not both 0, the four equations hold exactly when the first two
+    do and |kappa - 1|^2 = 1."""
+    pivot = 0 if entries[0] else 1
     if not lift[pivot]:
         return False
     kappa = lift[pivot].lead()
-    return all(x == e.scale(kappa) for x, e in zip(lift, entries))
+    unit = kappa - 1
+    return unit * unit.conj() == 1 and all(x == e.scale(kappa) for x, e in zip(lift, entries))
 
 
 def canonical_pattern(mat: ProjMat) -> FiberPattern:
@@ -315,6 +334,11 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
     SphereMap.reality_check reads a b = 0 map's reality off it.  The
     matrix memoises it (ProjMat.real_pattern), or at birth, unchecked, when
     born from a pattern, hence real (FiberPattern.lift_matrix).
+    The check reads two entries: the lift is kappa M exactly when
+    A = kappa m11, B = kappa m12 and l ~l = 1 for l = kappa - 1, the
+    l ~l = 1 above.  For with A = kappa m11 the fourth equation reads
+    l ~l m11 = m11, with B = kappa m12 the third reads l ~l m12 = m12, and
+    m11, m12 are not both 0, as det M != 0 (`_constant_multiple`).
     """
     pattern = mat.real_pattern
     if pattern is None:
@@ -331,7 +355,7 @@ def _summed_pattern(mat: ProjMat, checked: bool = False) -> FiberPattern | None:
         i = CoeffScalar.i()
         return FiberPattern(a11.scale(-i), a21.conj().scale(i))
     b = over_h(lift_b)
-    if checked and (b is None or not _constant_multiple((a, lift_b, b.conj(), a.conj()), mat.entries())):
+    if checked and (b is None or not _constant_multiple((a, lift_b), mat.entries())):
         return None
     return FiberPattern(a, b)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 import birsphere
-from birsphere.poly import ONE_MINUS_Z2, Poly
+from birsphere.poly import ONE_MINUS_Z2, Poly, dot, times_h
 from birsphere.projmat import ProjMat, raw_mul
 from birsphere.scalars import ZERO, CoeffScalar, TowerReal
 from birsphere.sphere import FiberPattern, SphereMap, interval_shift, z_flip
@@ -99,6 +99,32 @@ def ref_in_reality_group(mat: ProjMat, m: Poly = Poly.z(), den: Poly = Poly.cons
 
 def member_entries(a, b):
     return (a, b * ONE_MINUS_Z2, b.conj(), a.conj())
+
+
+def ref_determinant(a: Poly, b: Poly) -> Poly:
+    """a ~a - h b ~b as one fused sum of products over all key pairs, the
+    formula the sums of squares of `poly.pattern_determinant` replaced."""
+    return dot(((1, a, a.conj()), (-1, times_h(b), b.conj())))
+
+
+def ref_lift_is_constant_multiple(mat: ProjMat) -> bool:
+    """canonical_pattern's closing check on all four entries, the form the
+    two-entry check replaced: S = 0, or h | B and [[A, B], [~B/h, ~A]] is
+    kappa M entrywise, kappa the lead of the lift at M's first nonzero
+    entry (monic), for A = m11 + ~m22 and B = m12 + h ~m21."""
+    m11, m12, m21, m22 = entries = mat.entries()
+    a, lift_b = m11 + m22.conj(), m12 + ONE_MINUS_Z2 * m21.conj()
+    if not (a or lift_b):
+        return True
+    b, rem = lift_b.divmod(ONE_MINUS_Z2)
+    if rem:
+        return False
+    lift = (a, lift_b, b.conj(), a.conj())
+    pivot = next(k for k in range(4) if entries[k])
+    if not lift[pivot]:
+        return False
+    kappa = lift[pivot].lead()
+    return all(x == e.scale(kappa) for x, e in zip(lift, entries))
 
 
 # Real maps with a moving base: the interval shifts by b = 2t/(1 + t^2), t in

@@ -39,6 +39,7 @@ from birsphere.sphere import (
 
 from conftest import (
     MOVING_MAPS,
+    checked_pattern,
     coeff_lists,
     coeff_scalars,
     gaussian_scalars,
@@ -46,6 +47,7 @@ from conftest import (
     polys,
     rational_scalars,
     ref_in_reality_group,
+    ref_lift_is_constant_multiple,
     ref_poly_mul,
     ref_real_roots,
     same_up_to_positive_rational,
@@ -646,6 +648,38 @@ def test_canonical_pattern_lemma(a, b, c, d, k):
                 canonical_pattern(mat)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    a=small_polys,
+    b=small_polys,
+    kappa=gaussian_scalars.filter(bool),
+    e=quads,
+    k=st.integers(0, 3),
+    extra=small_polys.filter(bool),
+)
+@example(a=Poly.const(1), b=Poly(), kappa=CoeffScalar(3, 4), e=(Poly.const(1),) * 4, k=3, extra=Poly.const(1))
+@example(
+    a=Poly.z(), b=Poly.const(1), kappa=CoeffScalar(0, 1), e=(Poly.z(), Poly(), Poly(), Poly.const(2)), k=1, extra=Poly.z()
+)
+def test_two_entry_reality_check_matches_the_four_entry_one(a, b, kappa, e, k, extra):
+    """The checked closed form (`_summed_pattern`, checked) refuses a matrix
+    exactly when the four-entry comparison of its lift with kappa M does:
+    it accepts pattern lifts scaled by a Gaussian constant, and refuses
+    random matrices and pattern lifts with one entry perturbed exactly when
+    the reference does, which agrees with the twist-product reference."""
+    entries = member_entries(a, b)
+    perturbed = list(entries)
+    perturbed[k] = perturbed[k] + extra
+    for quad, is_lift in ((tuple(x.scale(kappa) for x in entries), True), (e, False), (perturbed, False)):
+        try:
+            mat = ProjMat.of(*quad)
+        except ValueError:  # zero matrix or zero determinant
+            continue
+        ref = ref_lift_is_constant_multiple(mat)
+        assert ref == ref_in_reality_group(mat) and (ref or not is_lift)
+        assert (checked_pattern(mat) is None) == (not ref)
+
+
 @st.composite
 def stripped_pattern_matrices(draw):
     """A matrix [[a, b h], [~b, ~a]] over the Gaussian rationals, so its
@@ -680,10 +714,14 @@ def test_stripped_determinant_lemma(mat):
     b = cauchy_bound(det)
     assert ref_real_roots(det, -b, Fraction(-1)) == ref_real_roots(det, Fraction(1), b) == []
     north, south, stripped = pat.stripped_determinant
+    divided = stripped
     for e, zero in ((1, north), (-1, south)):
         assert zero == (not pat.a(e)) == (not det(e))
         assert not zero or det.derivative()(e)
         assert stripped(e)
+        if zero:
+            divided = divided * Poly([-e, 1])
+    assert divided == _primitive_real(det)
     fibers, ref = contracted_fibers(mat), ref_real_roots(det, Fraction(-1), Fraction(1))
     assert [root.minpoly for root in fibers] == [minpoly for minpoly, _ in ref]
     for root, (minpoly, inside) in zip(fibers, ref):

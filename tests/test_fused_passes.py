@@ -17,7 +17,7 @@ from birsphere.poly import ONE_MINUS_Z2, Poly, RealAlgebraic, cofactors, dot, po
 from birsphere.projmat import ProjMat
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import FiberPattern, SphereMap, builtin_map
-from conftest import clear_caches, coeff_scalars, gaussian_scalars, polys, ref_poly_mul, trim
+from conftest import clear_caches, coeff_scalars, gaussian_scalars, polys, ref_determinant, ref_poly_mul, trim
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -211,8 +211,11 @@ def test_certify_and_classify_work_is_counted():
     """One certified involution pair and one conjugate of rot:1/2, both over
     Q(i).  The canonical form divides no entry (the gcd kernel's cofactors
     replace poly_gcd and exact_div), and the column products are pinned:
-    23 for the pair and 31 for the classification, which certifies the
-    rotation against diag(1, -1).  They were 31 and 37 while the pair was
+    21 for the pair and 29 for the classification, which certifies the
+    rotation against diag(1, -1).  They were 23 and 31 while each pattern
+    determinant was a fused sum of products (`dot`), before it became two
+    sums of squares (`pattern_determinant`, no `_product` call); 31 and 37
+    while the pair was
     decided by two square-free splits, whose models' m were compared, and
     the rescale read the two models' scales, before one square root of
     D_A D_B (tested on integers) did both.  They were 32 and 38 while the conjugator
@@ -238,13 +241,13 @@ def test_certify_and_classify_work_is_counted():
     pair = SphereMap.trivial_base(a), SphereMap.trivial_base(c * a * c.inverse())
     answer, counts = _count_work(lambda: decide_conjugacy(*pair))
     assert answer["conjugate"] and answer["verified"]
-    assert counts == {"product": 23, "canonical_exact_div": 0}
+    assert counts == {"product": 21, "canonical_exact_div": 0}
 
     mover = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix()  # det 8 + 2 z^2 > 0
     rotation = SphereMap.trivial_base(mover * builtin_map("rot:1/2").fiber * mover.inverse())
     report, counts = _count_work(lambda: classify_spheremap(rotation))
     assert report.family == 3 and report.moduli["angle"] == [1, 2]
-    assert counts == {"product": 31, "canonical_exact_div": 0}
+    assert counts == {"product": 29, "canonical_exact_div": 0}
 
 
 def test_involution_conjugator_work_is_counted():
@@ -394,9 +397,41 @@ def test_rotation_target_and_twist_class_work_is_counted(monkeypatch):
 
 
 def test_determinants_match_the_ring_operations():
-    """InvolutionForm.determinant and FiberPattern.determinant, fused sums
-    of products, against the same formulas in plain ring operations."""
+    """InvolutionForm.determinant and FiberPattern.determinant, sums of
+    squares, against the same formulas in plain ring operations."""
     form = InvolutionForm(Z + 2, Z.scale(I) + 1 - I)
     assert form.determinant() == form.p * form.p - form.q * form.q.conj() * ONE_MINUS_Z2
     pattern = FiberPattern(Z + I, Poly.const(3))
     assert pattern.determinant() == pattern.a * pattern.a.conj() - pattern.b * pattern.b.conj() * ONE_MINUS_Z2
+
+
+def _column_polys(keys):
+    """Polys over the given keys built from integer columns: degrees 0 to 6,
+    small and negative entries and entries above 2^64, denominators up to
+    2^66, so two draws rarely share one; the zero Poly is drawn too."""
+    entries = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    cols = st.dictionaries(st.sampled_from(keys), st.lists(entries, min_size=1, max_size=7), max_size=len(keys))
+    return st.builds(poly_mod._poly, cols, st.integers(1, 2**66))
+
+
+_GAUSSIAN = ((1, 0), (1, 1))
+_TOWER = tuple((m, t) for m in (1, 2, 3, 6) for t in (0, 1))  # Q(i, sqrt 2, sqrt 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ab=st.sampled_from((_GAUSSIAN, _TOWER)).flatmap(lambda keys: st.tuples(_column_polys(keys), _column_polys(keys))))
+@example(ab=(Poly(), Poly()))
+@example(ab=(Poly(), Z * Z + I))
+@example(ab=(Z.scale(CoeffScalar(TowerReal.sqrt_rational(2), 3)) + Fraction(1, 5), Poly()))
+@example(ab=(Poly([Fraction(1, 3), I]), Poly([TowerReal.sqrt_rational(6), Fraction(2**65 + 1, 7)])))
+def test_pattern_determinant_matches_the_fused_sum(ab):
+    """pattern_determinant, two sums of squares on the key pairs of equal t,
+    equals the fused sum of all key pairs' products (`ref_determinant`) in
+    its columns and denominator, with a = 0 or b = 0, and so does the
+    determinant of an involution form (i p, q) with p the real part of a."""
+    a, b = ab
+    got, ref = poly_mod.pattern_determinant(a, b), ref_determinant(a, b)
+    assert (got._cols, got._den) == (ref._cols, ref._den)
+    p = poly_mod._poly({key: c for key, c in a._cols.items() if not key[1]}, a._den)
+    got, ref = InvolutionForm(p, b).determinant(), ref_determinant(p.scale(I), b)
+    assert (got._cols, got._den) == (ref._cols, ref._den)

@@ -791,6 +791,20 @@ def test_realize_no_oval_roundtrip():
         assert diffeo_orientation(mat) == 1  # no real points
 
 
+def test_realize_no_oval_contract():
+    """realize_no_oval raises UnsupportedExtension where its decomposition
+    needs a square root outside the tower, on strictly positive f too, and
+    realises the others."""
+    from birsphere.positivity import is_real_positive
+
+    for f in (Z * Z + Z + 1, Z * Z + 2 * Z + 2, Z * Z + 2 * Z + 5):
+        assert is_real_positive(f)
+        with pytest.raises(UnsupportedExtension, match="no tower square root"):
+            realize_no_oval(f)
+    for f in (Z * Z + 3, (Z * Z + 1) * (Z * Z + 4)):
+        assert fixed_curve(realize_no_oval(f)).m == ref_square_class(f)
+
+
 def test_realize_oval_roundtrip_squarefree(rng):
     for beta in (Poly.const(1), Z + Poly.const(I), Z * Z + Z.scale(I) + 1):
         mat = realize_oval(beta)

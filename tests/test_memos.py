@@ -69,20 +69,22 @@ def test_classify_forms_the_input_angle_once(monkeypatch):
 
 def test_classify_forms_an_involutions_determinant_once(monkeypatch):
     """The orientation (through D') and the fixed curve (through -D) of an
-    involution read one pattern determinant."""
+    involution read one pattern determinant: one `pattern_determinant` call
+    on the pattern's a (it counted the `dot` calls whose first term read a
+    while the determinant was a fused sum of products)."""
     for name, family in (("upsilon", 4), ("tau", 4)):
         g = _conjugate(name)
         pattern = canonical_pattern(g.fiber)
         formed = []
 
-        def counted(terms):
-            formed.append(terms[0][1] is pattern.a)
-            return real(terms)
+        def counted(a, b):
+            formed.append(a is pattern.a)
+            return real(a, b)
 
-        real = sphere_mod.dot
-        monkeypatch.setattr(sphere_mod, "dot", counted)
+        real = sphere_mod.pattern_determinant
+        monkeypatch.setattr(sphere_mod, "pattern_determinant", counted)
         report = classify_spheremap(g)
-        monkeypatch.setattr(sphere_mod, "dot", real)
+        monkeypatch.setattr(sphere_mod, "pattern_determinant", real)
         assert report.family == family and report.moduli["fixed_curve"]["m"] == "z^2-1"
         assert formed.count(True) == 1, name
 
