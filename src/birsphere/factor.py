@@ -15,7 +15,14 @@ factor detection (Abbott, Shoup & Zimmermann, ISSAC 2000; MCA 15.6): the
 Hensel factor tree is lifted one quadratic step at a time, each lifted
 factor is tried alone by exact division after every step, and the lifting
 stops once every factor is proved irreducible, or at Mignotte's bound,
-where subsets of the factors left are searched.  Real roots in Z[x] are
+where subsets of the factors left are searched; `factor_squarefree` picks
+the prime and `zassenhaus` runs at a given one.  `rational_roots` finds the
+rational roots of a square-free f by a Newton (p-adic) lift of its roots
+modulo Zassenhaus' prime p, each checked by exact division, and
+`real_root_factors` runs Zassenhaus at the same p only when no rational
+root is found or their cofactor still has a real root, so the factors that
+hold real roots are found without factoring the ones that hold none, for
+the poly module's real roots.  Real roots in Z[x] are
 counted and isolated by Descartes' rule of signs with bisection
 (`line_count`, `column_isolate`, `unit_count`), for the poly module's
 real-root entry points.  A polynomial is a list of
@@ -801,9 +808,16 @@ def suitable_prime(f: list[int]) -> tuple[int, list[int]]:
 
 def factor_squarefree(f: list[int]) -> list[list[int]]:
     """The irreducible factors over Z of a primitive square-free f of
-    positive degree and positive lead, each primitive with positive lead.
+    positive degree and positive lead, each primitive with positive lead:
+    `zassenhaus` at p = `suitable_prime(f)`."""
+    return zassenhaus(f, suitable_prime(f)[0])
 
-    f is factored modulo p = `suitable_prime(f)` by Berlekamp, the factor
+
+def zassenhaus(f: list[int], p: int) -> list[list[int]]:
+    """`factor_squarefree` of f at a prime p that divides neither lead(f)
+    nor, through f mod p failing to be square-free, disc(f).
+
+    f is factored modulo p by Berlekamp, the factor
     tree of its modular factors is built once, and the tree is lifted one
     quadratic step at a time (`_lift_tree`), giving monic u_1, ..., u_r with
     f = lead(f) prod u_i modulo m = p^2, p^4, ...  F is the cofactor of the
@@ -830,8 +844,7 @@ def factor_squarefree(f: list[int]) -> list[list[int]]:
     F; there `_recombine` searches all subsets.  One modular factor proves
     f irreducible before any lifting.
     """
-    p, fp = suitable_prime(f)
-    modular = _berlekamp(fp, p)
+    modular = _berlekamp(_monic(_reduce(f, p), p), p)
     tree = _factor_tree(p, f[-1], modular)
     found, cofactor, alive, lifted, q, m = [], f, list(range(len(modular))), modular, p, p
     while len(alive) > 1:
@@ -846,3 +859,85 @@ def factor_squarefree(f: list[int]) -> list[list[int]]:
                 found.append(g)
                 alive.remove(i)
     return found + [cofactor]
+
+
+# -- rational roots first ------------------------------------------------------------
+
+
+def _value(f: list[int], x: int, m: int) -> int:
+    """f(x) modulo m by Horner's scheme."""
+    v = 0
+    for c in reversed(f):
+        v = (v * x + c) % m
+    return v
+
+
+def rational_roots(f: list[int], p: int) -> tuple[list[list[int]], list[int]]:
+    """(linear, rest) for a primitive square-free f in Z[x] of positive
+    degree and positive lead L, and a prime p that divides neither L nor,
+    through f mod p failing to be square-free, disc(f): linear holds the
+    factor b x - a of each rational root a/b of f, in lowest terms with
+    b > 0, and rest is f divided by all of them.
+
+    The roots r of f mod p are found by evaluating f at 0, ..., p - 1.  Each
+    is lifted by Newton's method, r <- r - f(r) / f'(r) modulo m^2 from a
+    root modulo m, until m > 2 (|L| + max |f_i|), and c = L r is read as a
+    symmetric residue modulo m.  c / L is kept when its factor b x - a
+    divides the cofactor exactly over Z.
+
+    Lemma.  Every rational root is found, and every kept one is a root.
+    - A root a/b in lowest terms has b | L, by the rational root theorem,
+      so p does not divide b and a/b mod p is a root of f mod p.
+    - f mod p keeps its degree and is square-free, so that root is simple:
+      f'(r) is a unit modulo p.  By Hensel's lemma a simple root r modulo p
+      lifts to exactly one root modulo each power of p that is r modulo p,
+      and Newton's steps reach it, so the lift of r is a/b modulo m, and
+      L r = L a/b modulo m.
+    - L a/b is an integer, and by Cauchy's bound |a/b| < 1 + max |f_i| / |L|
+      it lies below |L| + max |f_i| < m/2 in absolute value: it is c.
+    - b x - a is primitive, so by Gauss' lemma it divides the cofactor over
+      Z exactly when a/b is a root of it, and the roots of f are distinct,
+      so every rational root's factor divides, and a kept c/L is a root.
+    """
+    lead, df = f[-1], _derivative(f)
+    bound = 2 * (lead + max(map(abs, f)))
+    linear, rest = [], f
+    for r in range(p):
+        if _value(f, r, p):
+            continue
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _value(f, r, m) * pow(_value(df, r, m), -1, m)) % m
+        c = lead * r % m
+        c = c - m if 2 * c > m else c
+        g = math.gcd(c, lead)
+        factor = [-c // g, lead // g]
+        q = _exact_quotient(rest, factor)
+        if q is not None:
+            linear.append(factor)
+            rest = q
+    return linear, rest
+
+
+def real_root_factors(f: list[int]) -> list[list[int]]:
+    """Irreducible factors of a primitive square-free f in Z[x] of positive
+    degree, each primitive with positive lead, among them every factor of f
+    with a real root.
+
+    f is oriented to a positive lead, and p = `suitable_prime(f)` serves
+    both stages.  The rational roots give the linear factors
+    (`rational_roots`).  With none, `zassenhaus` factors f at p.  Otherwise
+    it factors their cofactor at p only when the cofactor has a real root
+    (`line_count`), and a cofactor without one is left out.  The cofactor's
+    lead divides L and its image modulo p divides f mod p, so p is suitable
+    for it too.  By unique factorisation the factors are those of
+    `factor_squarefree(f)`, less the ones left out, which have no real root.
+    """
+    if f[-1] < 0:
+        f = [-c for c in f]
+    p = suitable_prime(f)[0]
+    linear, rest = rational_roots(f, p)
+    if len(rest) == 1 or linear and not line_count(rest):
+        return linear
+    return linear + zassenhaus(rest, p)

@@ -69,11 +69,12 @@ interval.  `refined` returns the same number with a narrower interval;
 equality is one Descartes count on the overlap of the two intervals (the
 minimal polynomial is square-free, so no gcd is taken), and one `compare`
 orders two numbers by narrowing both with doubling bits, each round
-continuing from the last.  Minimal polynomials
-come from `factor_rational_poly`: Yun's square-free split, then Zassenhaus'
-factorisation of each part over Z in the factor module (Berlekamp modulo the
-least suitable prime, Hensel lifting that stops once the factors are proved,
-recombination by exact division).
+continuing from the last.  Minimal polynomials of roots are irreducible
+factors of the square-free part over Z, found in the factor module: the
+rational roots by a p-adic lift at the least suitable prime p, then
+Zassenhaus' algorithm at p only on a cofactor that still has a real root
+(`real_root_factors`).  `factor_rational_poly`, for callers that need every
+factor with its multiplicity, is Yun's split, then Zassenhaus on each part.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ from .factor import (
     line_count,
     mul,
     on_unit,
+    real_root_factors,
     squarefree,
     squarefree_part,
     unit_count,
@@ -807,22 +809,10 @@ def factor_rational_poly(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     (0, []) for the zero polynomial and (c, []) for a constant c.  Factors
     are ordered by degree, then multiplicity, then the primitive integer
     coefficients from the leading one down (the order the recorded reports
-    were made with).
-
-    Yun's algorithm splits p made primitive over Z (`factor.squarefree`),
-    and Zassenhaus' algorithm factors each part f
-    (`factor.factor_squarefree`): the least prime dividing neither lead(f)
-    nor disc(f) (the search ends, as lead(f) disc(f) != 0), Berlekamp
-    modulo it, and Hensel lifting one quadratic step at a time.  After each
-    step the single lifted factors are tried by exact division over Z, and
-    the lifting stops once every factor is proved irreducible (a found
-    factor whose image is one modular factor is, and so is a cofactor with
-    one left).  Otherwise it stops at the first modulus above the cofactor's
-    2 |lead| 2^deg ||.||_2 (twice Mignotte's bound), where subsets of the
-    lifted factors in increasing size are tried, and the cofactor left when
-    every subset of at most half of them has failed is irreducible: one side
-    of a splitting would be such a subset.  The factors must multiply back
-    to p (else RuntimeError).
+    were made with).  Yun's algorithm splits p made primitive over Z
+    (`factor.squarefree`), and Zassenhaus' algorithm factors each part
+    (`factor.factor_squarefree`, whose docstring holds the proofs).  The
+    factors must multiply back to p (else RuntimeError).
     """
     coeffs = p.rational_coeffs()
     if p.degree <= 0:
@@ -878,10 +868,15 @@ class RealAlgebraic:
 
     @classmethod
     def roots_of_rational_poly(cls, p: Poly) -> list[RealAlgebraic]:
-        """All real roots of a rational p, sorted, by irreducible factor."""
-        _, factors = factor_rational_poly(p)
+        """All real roots of a rational p, sorted, by the irreducible factors
+        of its square-free part that can hold one (`factor.real_root_factors`)."""
+        if not p:
+            raise ValueError("zero polynomial")
+        if not p.is_rational():
+            raise NotRationalPolynomial(f"rational polynomial required, got {p}")
+        factors = real_root_factors(squarefree_part(_integer_coeffs(p))) if p.degree else []
         # the roots are distinct: the factors are distinct irreducibles
-        return sorted(root for f, _ in factors for root in cls.roots_of_irreducible(f))
+        return sorted(root for g in factors for root in cls.roots_of_irreducible(_from_integers(g)))
 
     @classmethod
     def roots_of_irreducible(cls, f: Poly) -> list[RealAlgebraic]:
@@ -1008,10 +1003,10 @@ def real_roots_in_tower_poly(p: Poly) -> list[RealAlgebraic]:
     with its interval as isolated.
     """
     require_real(p)
-    if p.degree <= 0:
-        return []
     if p.is_rational():
         return RealAlgebraic.roots_of_rational_poly(p)
+    if p.degree == 0:
+        return []
     n, intervals = _tower_intervals(p)
     candidates = RealAlgebraic.roots_of_rational_poly(n)
     return [next(c for c in candidates if c.compare(lo) > 0 > c.compare(hi)) for lo, hi in intervals]

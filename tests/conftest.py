@@ -9,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 import birsphere
-from birsphere.poly import ONE_MINUS_Z2, Poly, dot, times_h
+from birsphere.poly import ONE_MINUS_Z2, Poly, RealAlgebraic, dot, factor_rational_poly, times_h
 from birsphere.projmat import ProjMat, raw_mul
 from birsphere.scalars import ZERO, CoeffScalar, TowerReal
 from birsphere.sphere import FiberPattern, SphereMap, interval_shift, z_flip
@@ -426,3 +426,12 @@ def ref_real_roots(p: Poly, lo: Fraction, hi: Fraction) -> list:
             f = -f if f.LC() < 0 else f
             out.append((Poly.from_rational_coeffs([Fraction(int(c)) for c in reversed(f.all_coeffs())]), inside))
     return out
+
+
+def ref_roots_of_rational_poly(p: Poly) -> list[RealAlgebraic]:
+    """The real roots of a rational p by the full factorisation: every
+    irreducible factor of p (`factor_rational_poly`, Yun's split and then
+    Zassenhaus on each part), each one's roots isolated
+    (`RealAlgebraic.roots_of_irreducible`), all of them sorted."""
+    _, factors = factor_rational_poly(p)
+    return sorted(root for f, _ in factors for root in RealAlgebraic.roots_of_irreducible(f))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from birsphere.classify import _route, classify_spheremap
 from birsphere.errors import NotRealityMember
-from birsphere.poly import ONE_MINUS_Z2, Poly, cauchy_bound, poly_gcd
+from birsphere.poly import ONE_MINUS_Z2, Poly, RealAlgebraic, cauchy_bound, poly_gcd
 from birsphere.positivity import is_real_positive
 from birsphere.projmat import ProjMat, raw_mul
 from birsphere.scalars import ZERO, CoeffScalar, TowerReal
@@ -733,34 +733,45 @@ def test_stripped_determinant_lemma(mat):
 def test_membership_builds_one_determinant(monkeypatch):
     """in_diffeo_group then contracted_fibers on one matrix builds the
     pattern determinant once, counts the real roots of D' once (the count
-    is memoised on the pattern), and never factors z - 1 or z + 1: a(+-1) = 0
-    is read off the pattern and divided out before any root is sought.  A
-    member, whose count is 0, is never factored; a non-member is factored
-    once."""
-    import birsphere.poly as poly_mod
+    is memoised on the pattern), and never seeks the roots of z - 1 or
+    z + 1: a(+-1) = 0 is read off the pattern and divided out before any
+    root is sought.  A member, whose count is 0, never reaches root finding;
+    a non-member seeks the roots of D' once.  Its rational roots come from a
+    p-adic lift, and Zassenhaus runs only on a cofactor with a real root
+    left: a D' whose real roots are all rational makes no run, also when a
+    positive quadratic is left; 4 z^2 - 3 and an irreducible quartic make
+    one each.  Before the rational-root stage this test counted
+    factor_rational_poly calls, one per non-member."""
+    import birsphere.factor as factor
     import birsphere.sphere as sphere
 
-    dets, factored, counted = [], [], []
-    real_det, real_factor, real_count = FiberPattern.determinant, poly_mod.factor_rational_poly, sphere.sturm_count
+    dets, sought, counted, runs = [], [], [], []
+    real_det, real_roots, real_count = FiberPattern.determinant, RealAlgebraic.roots_of_rational_poly, sphere.sturm_count
+    real_zassenhaus = factor.zassenhaus
     monkeypatch.setattr(FiberPattern, "determinant", lambda self: dets.append(1) or real_det(self))
-    monkeypatch.setattr(poly_mod, "factor_rational_poly", lambda p: factored.append(p) or real_factor(p))
+    monkeypatch.setattr(RealAlgebraic, "roots_of_rational_poly", lambda p: sought.append(p) or real_roots(p))
     monkeypatch.setattr(sphere, "sturm_count", lambda p: counted.append(p) or real_count(p))
+    monkeypatch.setattr(factor, "zassenhaus", lambda f, p: runs.append(f) or real_zassenhaus(f, p))
     z = Poly.z()
-    for a, b, member, fibers in (
-        (Poly(), Poly.const(1), True, 0),  # tau: D = z^2 - 1, both ends divided out
-        (z - Poly.const(1), Poly.const(1), False, 1),  # D = 2 z (z - 1): one end, a root at 0
-        (Poly.const(1), Poly.const(2), False, 2),  # D = 4 z^2 - 3
-        (z * z - Poly.const(1), Poly.const(3), True, 0),  # D = (z^2 - 1)(z^2 + 8)
-        (z * z - Poly.const(1), Poly.const(Fraction(1, 2)), False, 2),  # D = (z^2 - 1)(z^2 - 3/4)
+    for a, b, member, fibers, zassenhaus_runs in (
+        (Poly(), Poly.const(1), True, 0, 0),  # tau: D = z^2 - 1, both ends divided out
+        (z - Poly.const(1), Poly.const(1), False, 1, 0),  # D = 2 z (z - 1): one end, a root at 0
+        (Poly.const(1), Poly.const(2), False, 2, 1),  # D = 4 z^2 - 3
+        (z * z - Poly.const(1), Poly.const(3), True, 0, 0),  # D = (z^2 - 1)(z^2 + 8)
+        (z * z - Poly.const(1), Poly.const(Fraction(1, 2)), False, 2, 1),  # D = (z^2 - 1)(z^2 - 3/4)
+        (Poly.const(1), z.scale(3), False, 4, 1),  # D = 9 z^4 - 9 z^2 + 1, irreducible
+        (2 * z * z - 2 * z + 2, z + 2, False, 2, 0),  # D = z (5 z - 4)(z^2 + 3)
     ):
         mat = FiberPattern(a, b).matrix()
         dets.clear()
-        factored.clear()
+        sought.clear()
         counted.clear()
+        runs.clear()
         assert in_diffeo_group(mat) == member
         assert len(contracted_fibers(mat)) == fibers
-        assert (len(dets), len(counted), len(factored)) == (1, 1, 0 if member else 1)
-        assert all(p(1) and p(-1) for p in factored)
+        assert (len(dets), len(counted), len(sought)) == (1, 1, 0 if member else 1)
+        assert len(runs) == zassenhaus_runs
+        assert all(p(1) and p(-1) for p in sought)
 
 
 def test_reality_twist_is_one_constant():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from birsphere import factor
@@ -15,6 +15,7 @@ from birsphere.poly import (
     Poly,
     RealAlgebraic,
     _canonical_minpoly,
+    _integer_coeffs,
     cauchy_bound,
     factor_rational_poly,
     galois_norm_poly,
@@ -29,7 +30,7 @@ from birsphere.poly import (
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import HyperellipticModel
 
-from conftest import ref_square_split
+from conftest import ref_roots_of_rational_poly, ref_square_split
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -295,14 +296,24 @@ def test_tower_paths_match_the_sturm_oracle(parts, data):
 
 
 def test_rational_paths_reject_other_input():
-    """isolate_real_roots_poly and cauchy_bound take rational polynomials
-    only; a tower or Gaussian one is a typed error, not wrong intervals."""
+    """isolate_real_roots_poly, cauchy_bound and roots_of_rational_poly take
+    rational polynomials only; a tower or Gaussian one is a typed error, not
+    wrong intervals or roots."""
     r2 = CoeffScalar(TowerReal.sqrt_rational(2))
     for p in (Z * Z - Poly.const(r2), Z + Poly.const(I)):
-        with pytest.raises(NotRationalPolynomial):
-            isolate_real_roots_poly(p)
-        with pytest.raises(NotRationalPolynomial):
-            cauchy_bound(p)
+        for rational_only in (isolate_real_roots_poly, cauchy_bound, RealAlgebraic.roots_of_rational_poly):
+            with pytest.raises(NotRationalPolynomial):
+                rational_only(p)
+
+
+def test_root_finding_rejects_the_zero_polynomial():
+    """The zero polynomial vanishes everywhere, so root finding raises, as
+    sturm_count does, instead of answering "no roots"; a nonzero constant
+    has none."""
+    for find in (real_roots_in_tower_poly, RealAlgebraic.roots_of_rational_poly):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            find(Poly())
+        assert find(Poly.const(Fraction(-7, 3))) == []
 
 
 def test_sturm_rejects_imaginary():
@@ -520,6 +531,51 @@ def test_factor_rational_matches_sympy(parts):
     for low, lead, mult in parts:
         p = p * Poly.from_rational_coeffs([*low, lead]) ** mult
     _assert_factors_like_sympy(p)
+
+
+_RATIONAL_ROOT = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+)
+_SMALL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+_ROOT_FACTOR = st.one_of(
+    _RATIONAL_ROOT.map(lambda r: Z - r),
+    # positive quadratics: no real root
+    st.builds(lambda t, c: (Z - t) ** 2 + c, _SMALL, st.builds(Fraction, st.integers(1, 99), st.integers(1, 9))),
+    # k z^2 - d: real roots, irrational unless d/k is a square
+    st.builds(lambda k, d: Z * Z * k - d, st.integers(1, 9), st.integers(1, 99)),
+    # quartics with integer entries, irreducible or not, with 0, 2 or 4 real roots
+    st.builds(lambda low, lead: Poly([*low, lead]), st.lists(st.integers(-20, 20), min_size=4, max_size=4),
+              st.integers(1, 5)),
+)
+_LEAD = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 50))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=_LEAD, parts=st.lists(st.tuples(_ROOT_FACTOR, st.integers(1, 3)), min_size=1, max_size=4))
+@example(lead=Fraction(1), parts=[(Z - 40000, 1)])  # lifted to 2^16 < 2 (1 + 40000) < 2^32
+@example(lead=Fraction(-3), parts=[(Z - Fraction(1, 2), 1), (Z * Z + 1, 1)])
+@example(lead=Fraction(-2, 7), parts=[(Z, 2), (Z - Fraction(999999, 1000000), 1), (Z**4 - 10 * Z * Z + 1, 1)])
+@example(lead=Fraction(5), parts=[(Z * Z * 4 - 3, 1), (5 * Z - 4, 3), (Z * Z + 3, 1), (Z, 1)])
+def test_roots_of_rational_poly_match_the_full_factorisation(lead, parts):
+    """roots_of_rational_poly, rational roots by a p-adic lift and Zassenhaus
+    only where a real root is left, gives byte-equal (minpoly, lo, hi) to
+    the roots of every irreducible factor (`ref_roots_of_rational_poly`):
+    products of rational linear factors with the root 0, denominators up to
+    10^6 and repeated roots, positive quadratics, quadratics and quartics
+    with irrational real roots, under negative and rational leads.  The
+    lift alone finds every rational root (a missed one would be left to
+    Zassenhaus, which answers the same)."""
+    p = Poly.const(lead)
+    for f, mult in parts:
+        p = p * f**mult
+    got = [(r.minpoly, r.lo, r.hi) for r in RealAlgebraic.roots_of_rational_poly(p)]
+    assert got == [(r.minpoly, r.lo, r.hi) for r in ref_roots_of_rational_poly(p)]
+    s = factor.squarefree_part(_integer_coeffs(p))
+    s = s if s[-1] > 0 else [-c for c in s]
+    linear, _ = factor.rational_roots(s, factor.suitable_prime(s)[0])
+    rational = {f[0].as_rational() for f, _ in factor_rational_poly(p)[1] if f.degree == 1}
+    assert {Fraction(-a, b) for a, b in linear} == {-c for c in rational}
 
 
 def test_real_roots_sorted_exactly():
