@@ -4,7 +4,9 @@ Such a map is a pair (A, flip) with A a fiberwise-real matrix; it is an
 involution exactly when A * A(-z) is a scalar mu on the pattern lift, an
 even real polynomial.  The class of mu modulo the norms f(z) * f(-z) is a
 sign together with a multiset of positive reals (one generator z^2 + b for
-each b > 0), computed here by factoring in w = z^2.  Equality of classes
+each b > 0), read here in w = z^2 off the real roots of odd multiplicity
+alone: Yun's split of the w-polynomial, and of each odd part only the
+irreducible factors that hold a real root (`h2_reduce`).  Equality of classes
 decides conjugacy among all fiber-compatible birational maps.  The family
 report of such a map, which reads this class, and the real fixed locus off
 the orientation character and the pattern at z = 0, is
@@ -14,15 +16,19 @@ classify.classify_flip_involution.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     NotEvenFunction,
     NotInvolution,
     UnsupportedExtension,
 )
+from .factor import _exact_quotient, line_count, mul, real_root_factors, squarefree
 from .poly import (
     Poly,
     RealAlgebraic,
+    _from_integers,
+    _integer_coeffs,
     dot,
     factor_rational_poly,
 )
@@ -103,6 +109,17 @@ def h2_reduce(mu: Poly) -> TwistClass:
     In the variable w = z^2: a negative constant flips the sign, a real
     w-root d >= 0 of odd multiplicity flips the sign, a real root d < 0
     contributes the generator b = -d, and imaginary root pairs vanish.
+
+    So the class reads only the sign of the lead and the real roots of odd
+    multiplicity.  Yun's split of the primitive integer column c of the
+    w-polynomial (`factor.squarefree`) gives the parts f_k of each
+    multiplicity k, and `factor.real_root_factors` of each odd part gives
+    its irreducible factors that hold a real root; their roots are
+    isolated, each once, as the parts are square-free and pairwise coprime.
+    Two checks make the reading complete (else RuntimeError): the parts,
+    each raised to its multiplicity, multiply back to c up to its sign, and
+    each odd part is the product of its factors times a cofactor with no
+    real root (`line_count`).
     """
     if not mu:
         raise ValueError("zero is not a unit")
@@ -111,17 +128,26 @@ def h2_reduce(mu: Poly) -> TwistClass:
     w_poly = _even_to_w(mu)
     if not w_poly.is_rational():
         raise UnsupportedExtension("twist class needs rational coefficients in z^2")
-    const, factors = factor_rational_poly(w_poly)
-    sign = 1 if const > 0 else -1
+    column = _integer_coeffs(w_poly)
+    sign = 1 if column[-1] > 0 else -1
     gens: list[RealAlgebraic] = []
-    for factor, mult in factors:
-        if mult % 2 == 0:
-            continue
-        for root in RealAlgebraic.roots_of_irreducible(factor):
-            if root.sign() >= 0:
-                sign = -sign
-            else:
-                gens.append(-root)
+    if len(column) > 1:
+        parts = squarefree(column)
+        if reduce(mul, (f for f, k in parts for _ in range(k))) != [sign * c for c in column]:
+            raise RuntimeError(f"the square-free split of {w_poly} does not multiply back")
+        for part, mult in parts:
+            if mult % 2 == 0:
+                continue
+            factors = real_root_factors(part)
+            rest = _exact_quotient(part, reduce(mul, factors, [1]))
+            if rest is None or len(rest) > 1 and line_count(rest):
+                raise RuntimeError(f"the real roots of {_from_integers(part)} are not all found")
+            for g in factors:
+                for root in RealAlgebraic.roots_of_irreducible(_from_integers(g)):
+                    if root.sign() >= 0:
+                        sign = -sign
+                    else:
+                        gens.append(-root)
     base = TwistClass(sign, ())
     for g in gens:
         base = base.combine(TwistClass(1, (g,)))

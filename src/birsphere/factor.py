@@ -21,13 +21,14 @@ rational roots of a square-free f by a Newton (p-adic) lift of its roots
 modulo Zassenhaus' prime p, each checked by exact division, and
 `real_root_factors` runs Zassenhaus at the same p only when no rational
 root is found or their cofactor still has a real root, so the factors that
-hold real roots are found without factoring the ones that hold none, for
-the poly module's real roots.  Real roots in Z[x] are
-counted and isolated by Descartes' rule of signs with bisection
-(`line_count`, `column_isolate`, `unit_count`), for the poly module's
-real-root entry points.  A polynomial is a list of
-Python ints in ascending powers with no trailing zero; modulo m its entries
-lie in [0, m).  A Gaussian polynomial re + i im is a pair (re, im) of such lists.
+hold real roots are found without factoring the ones that hold none: the
+poly module's real roots (`poly.RealRoots`) isolate on them, and the twist
+class (`etatwist.h2_reduce`) reads them off each odd part of a Yun split.
+Real roots in Z[x] are counted and isolated by Descartes' rule of signs
+with bisection (`line_count`, `column_isolate`, `unit_count`), for the poly
+module's real-root entry points.  A polynomial is a list of Python ints in
+ascending powers with no trailing zero; modulo m its entries lie in [0, m).
+A Gaussian polynomial re + i im is a pair (re, im) of such lists.
 """
 
 from __future__ import annotations

@@ -45,9 +45,13 @@ module: one modular gcd over Z[i] certified by exact division, for any number
 of inputs (`poly_gcd`).  The certifying divisions also give each input's
 quotient, so `cofactors`, the inputs divided by their gcd, takes one kernel
 call and one integer pass, and divides nothing again; over the tower it is
-`poly_gcd` and `exact_div`.  `monic_lead` divides by a lead over Q(i) with
-its inverse's integer row.  Square-free splits of rational polynomials run on
-their primitive (1, 0) column (Yun's algorithm on Z[x]), and so does the
+`poly_gcd` and `exact_div`.  With `real`, the inputs divided by their
+greatest real divisor (a lift's content, sphere.FiberPattern.lift_matrix),
+the kernel call is real: a real divisor of u + i v divides u and v, so it
+is the gcd over Z of all the inputs' real and imaginary columns.
+`monic_lead` divides by a lead over Q(i) with its inverse's integer row.
+Square-free splits of rational polynomials run on their primitive (1, 0)
+column (Yun's algorithm on Z[x]), and so does the
 test for a constant times a square (`monic_square_root`: a coefficient
 recurrence, checked by one exact product).  Polynomials with
 other tower coefficients use Euclid's algorithm and the same Yun loop over
@@ -56,7 +60,9 @@ algorithm, on integer lists in the factor module: the square-free part of
 the integer column (one modular gcd, `factor.squarefree_part`), then
 Descartes' rule of signs with bisection by Taylor shifts and halvings
 (Vincent-Collins-Akritas, in the integer form of Rouillier and Zimmermann),
-with no remainder sequence.
+with no remainder sequence.  One record (`RealRoots`) keeps the square-free
+part with the count, and the roots are isolated on it on demand, so a
+count and the roots of one polynomial take one square-free part.
 A polynomial with other real tower coefficients answers through the
 rational Galois norm of its square-free part s, folded as one conjugate
 per prime of its radicands: of the isolating intervals of the norm's
@@ -82,6 +88,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import NotRationalPolynomial, NotRealPolynomial
 from .factor import (
@@ -640,33 +647,43 @@ def poly_gcd(*ps: Poly) -> Poly:
 
 def cofactors(*ps: Poly, real: bool = False) -> list[Poly]:
     """p / poly_gcd(*ps) for each p of ps, not all zero; with real,
-    p / gcd(g, ~g), the greatest real divisor of g = poly_gcd(*ps), as
-    conjugation maps g to the gcd of the ~p.  Inputs over Q(i) take the
-    quotients of the one kernel call that certifies their gcd G
-    (`factor.gaussian_cofactors`): an input's columns over its denominator
-    are G times the quotient over that denominator, so the quotient times
-    lead(G), over the same denominator, is its cofactor by the monic gcd,
-    in one integer pass.  The kernel leaves G primitive with its lead at
-    re > 0, im >= 0 (`factor._zi_primitive`), so G is real up to a constant
-    exactly when its imaginary column is zero.  A non-real G with real is
-    made monic from the kernel's columns, not formed again, and replaced
-    by gcd(G, ~G); tower inputs take poly_gcd; both then take exact_div,
-    which a gcd of 1 skips."""
+    p / G for G the greatest real divisor of ps, gcd(g, ~g) for
+    g = poly_gcd(*ps), as conjugation maps g to the gcd of the ~p.
+    Inputs over Q(i) take the quotients of the one kernel call that
+    certifies their gcd G (`factor.gaussian_cofactors`): an input's
+    columns over its denominator are G times the quotient over that
+    denominator, so the quotient times lead(G), over the same
+    denominator, is its cofactor by the monic gcd, in one integer pass.
+    Without real the kernel reads each input's real and imaginary
+    columns as one Gaussian polynomial; with real it reads the columns
+    as real polynomials, each on its own, and G is their gcd over Z.
+
+    Lemma.  For real polynomials u, v and a real G, G divides u + i v
+    exactly when it divides u and v: if u + i v = G q then u - i v = G ~q,
+    and the sum and difference give 2 u and 2 i v.  A real polynomial over
+    Q(i) has its coefficients in Q(i) and fixed by conjugation, that is
+    rational.  So the real divisors of the inputs are the rational
+    divisors of all their real and imaginary columns, and the greatest is
+    the gcd of those columns over Z, made monic, which takes one image
+    modulo each prime and no gcd(g, ~g).  Tower inputs take poly_gcd,
+    with real its gcd with its conjugate, and then exact_div, which a gcd
+    of 1 skips."""
     if all(p._cols.keys() <= _GAUSSIAN_KEYS for p in ps):
-        (re, im), quotients = gaussian_cofactors(*((p._cols.get(_ONE_KEY, ()), p._cols.get(_I_KEY, ())) for p in ps))
+        if real:
+            (re, im), qs = gaussian_cofactors(*((p._cols.get(key, ()), ()) for p in ps for key in (_ONE_KEY, _I_KEY)))
+            quotients = [(qr, qi) for (qr, _), (qi, _) in zip(qs[0::2], qs[1::2])]
+        else:
+            (re, im), quotients = gaussian_cofactors(*((p._cols.get(_ONE_KEY, ()), p._cols.get(_I_KEY, ())) for p in ps))
         if len(re) == 1:
             return list(ps)
-        if not (real and any(im)):
-            a, b = re[-1], im[-1] if im else 0
-            out = []
-            for p, (qr, qi) in zip(ps, quotients):  # (qr + i qi)(a + i b) over p's denominator
-                qi = qi or [0] * len(qr)
-                cols = {_ONE_KEY: [x * a - y * b for x, y in zip(qr, qi)], _I_KEY: [x * b + y * a for x, y in zip(qr, qi)]}
-                out.append(_poly(cols, p._den))
-            return out
-        g = _poly({_ONE_KEY: re, _I_KEY: im}, 1).monic()
-    else:
-        g = poly_gcd(*ps)
+        a, b = re[-1], im[-1] if im else 0
+        out = []
+        for p, (qr, qi) in zip(ps, quotients):  # (qr + i qi)(a + i b) over p's denominator
+            pairs = list(zip_longest(qr, qi, fillvalue=0))
+            cols = {_ONE_KEY: [x * a - y * b for x, y in pairs], _I_KEY: [x * b + y * a for x, y in pairs]}
+            out.append(_poly(cols, p._den))
+        return out
+    g = poly_gcd(*ps)
     if real and g.degree > 0 and g != g.conj():
         g = poly_gcd(g, g.conj())
     return [p.exact_div(g) if p else p for p in ps] if g.degree else list(ps)
@@ -732,23 +749,13 @@ def monic_square_root(p: Poly) -> Poly | None:
 
 
 def sturm_count(p: Poly) -> int:
-    """Number of distinct real roots of p on the whole line.
-
-    A rational p is counted on the square-free part of its integer column
-    (`factor.squarefree_part`, one gcd) by Descartes' rule (`line_count`);
-    a tower p through its rational Galois norm (`_tower_intervals`).
-    """
-    require_real(p)
-    if not p:
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return 0
-    if p.is_rational():
-        return line_count(squarefree_part(_integer_coeffs(p)))
-    return len(_tower_intervals(p)[1])
+    """Number of distinct real roots of p on the whole line: the count of
+    its `RealRoots` record, by Descartes' rule on the square-free integer
+    column of a rational p, through the rational Galois norm of a tower p."""
+    return RealRoots(p).count
 
 
-def _tower_intervals(p: Poly) -> tuple[Poly, list]:
+def _tower_intervals(p: Poly) -> tuple[list[int], list]:
     """(n, intervals) for a real p of positive degree with a coefficient
     outside Q: n is the square-free part of the rational Galois norm of the
     square-free part s = p / gcd(p, dp/dz) (`cofactors`), as an integer
@@ -762,8 +769,56 @@ def _tower_intervals(p: Poly) -> tuple[Poly, list]:
     one of the intervals of n, so none is missed.
     """
     s = cofactors(p, p.derivative())[0]
-    n = _new({_ONE_KEY: tuple(squarefree_part(_integer_coeffs(galois_norm_poly(s))))}, 1)
-    return n, [(a, b) for a, b in isolate_real_roots_poly(n) if real_sign_at(s, a) * real_sign_at(s, b) < 0]
+    n = squarefree_part(_integer_coeffs(galois_norm_poly(s)))
+    norm = _new({_ONE_KEY: tuple(n)}, 1)
+    return n, [(a, b) for a, b in isolate_real_roots_poly(norm) if real_sign_at(s, a) * real_sign_at(s, b) < 0]
+
+
+class RealRoots:
+    """The distinct real roots of a nonzero real polynomial p, counted when
+    the record is built and isolated on demand (`roots`), from one
+    square-free part.  A rational p keeps the square-free part of its
+    integer column (`factor.squarefree_part`, one gcd) and counts its roots
+    by Descartes' rule (`line_count`); a tower p keeps the pair (n,
+    intervals) of `_tower_intervals`, one interval per root; a constant
+    has none.  `sturm_count`, `RealAlgebraic.roots_of_rational_poly` and
+    `real_roots_in_tower_poly` each build one, and a sphere pattern
+    memoises the record of its stripped determinant, so its count and its
+    roots share the square-free part."""
+
+    __slots__ = ("count", "_column", "_intervals")
+
+    def __init__(self, p: Poly):
+        require_real(p)
+        if not p:
+            raise ValueError("zero polynomial")
+        self._column, self._intervals, self.count = None, None, 0
+        if p.degree == 0:
+            return
+        if p.is_rational():
+            self._column = squarefree_part(_integer_coeffs(p))
+            self.count = line_count(self._column)
+        else:
+            self._column, self._intervals = _tower_intervals(p)
+            self.count = len(self._intervals)
+
+    def roots(self) -> list[RealAlgebraic]:
+        """The real roots, sorted.  Those of the square-free column come
+        from its irreducible factors that can hold one
+        (`factor.real_root_factors`), each factor's roots isolated; they are
+        distinct, as the factors are distinct irreducibles.  For a tower p
+        each interval (lo, hi) holds no other root of n, so p's root there
+        is the one root of n that `compare` places strictly between lo and
+        hi: the ends are rational and not roots of n, so the comparison is
+        exact and ends.  It is returned with its interval as isolated."""
+        if not self.count:
+            return []
+        found = sorted(
+            root for g in real_root_factors(self._column) for root in RealAlgebraic.roots_of_irreducible(_from_integers(g))
+        )
+        if self._intervals is None:
+            return found
+        return [next(c for c in found if c.compare(lo) > 0 > c.compare(hi)) for lo, hi in self._intervals]
 
 
 def cauchy_bound(p: Poly) -> Fraction:
@@ -869,14 +924,12 @@ class RealAlgebraic:
     @classmethod
     def roots_of_rational_poly(cls, p: Poly) -> list[RealAlgebraic]:
         """All real roots of a rational p, sorted, by the irreducible factors
-        of its square-free part that can hold one (`factor.real_root_factors`)."""
+        of its square-free part that can hold one (`RealRoots.roots`)."""
         if not p:
             raise ValueError("zero polynomial")
         if not p.is_rational():
             raise NotRationalPolynomial(f"rational polynomial required, got {p}")
-        factors = real_root_factors(squarefree_part(_integer_coeffs(p))) if p.degree else []
-        # the roots are distinct: the factors are distinct irreducibles
-        return sorted(root for g in factors for root in cls.roots_of_irreducible(_from_integers(g)))
+        return RealRoots(p).roots()
 
     @classmethod
     def roots_of_irreducible(cls, f: Poly) -> list[RealAlgebraic]:
@@ -991,22 +1044,11 @@ def _canonical_minpoly(p: Poly) -> Poly:
 
 
 def real_roots_in_tower_poly(p: Poly) -> list[RealAlgebraic]:
-    """Real roots of a real tower-coefficient polynomial as RealAlgebraic.
-
-    A rational p is factored (`roots_of_rational_poly`).  Otherwise each
-    root r of p lies in an interval (lo, hi) of `_tower_intervals`, which
-    holds no other root of the square-free part n of p's rational Galois
-    norm, so r is the one root of n, as `roots_of_rational_poly(n)`
-    isolates it (by n's irreducible factors, which are the norm's), that
-    `compare` places strictly between lo and hi: the ends are rational and
-    not roots of n, so the comparison is exact and ends.  It is returned
-    with its interval as isolated.
-    """
+    """Real roots of a real tower-coefficient polynomial as RealAlgebraic,
+    sorted: those of its `RealRoots` record, isolated through the rational
+    Galois norm for a p with a coefficient outside Q; a rational p is
+    `RealAlgebraic.roots_of_rational_poly`."""
     require_real(p)
     if p.is_rational():
         return RealAlgebraic.roots_of_rational_poly(p)
-    if p.degree == 0:
-        return []
-    n, intervals = _tower_intervals(p)
-    candidates = RealAlgebraic.roots_of_rational_poly(n)
-    return [next(c for c in candidates if c.compare(lo) > 0 > c.compare(hi)) for lo, hi in intervals]
+    return RealRoots(p).roots()

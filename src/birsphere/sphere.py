@@ -15,8 +15,14 @@ stripped determinant D', whose real roots all lie in (-1, 1) and are the
 contracted fibers, maps with nontrivial action on the base interval, exact
 images of sphere points, and the builtin catalogue of named maps.
 A matrix memoises its pattern (ProjMat.real_pattern), and a pattern what
-is read off it: D, D' with its real-root count, the involution form and
-the fixed-curve model of an element of order 2.  No memo outlives its object.
+is read off it: D, D', the one record of the real roots of D' (poly.RealRoots:
+their count, and the square-free part they are isolated on, so the
+orientation and the contracted fibers take one square-free part), the
+involution form and the fixed-curve model of an element of order 2.  No
+memo outlives its object.  A pattern's lift is brought to lowest terms by
+its content, the greatest real divisor of its two entries, which over Q(i)
+is one gcd over Z of their real and imaginary columns
+(FiberPattern.lift_matrix).
 The group's arithmetic runs on patterns, two entries each: a product is two
 fused sums, the reflection z -> -z acts entrywise (h is even), and two
 patterns give one map when a b' = a' b and a ~a' is real (b ~b' when
@@ -44,13 +50,12 @@ from .errors import (
 from .poly import (
     ONE_MINUS_Z2,
     Poly,
+    RealRoots,
     cofactors,
     dot,
     over_h,
     pattern_determinant,
-    real_roots_in_tower_poly,
     squarefree_decomposition,
-    sturm_count,
     times_h,
 )
 from .projmat import INF, TWO_COS, ProjMat, angle_of_trace
@@ -93,16 +98,19 @@ class FiberPattern:
         """The canonical form of the lift L, for a pattern whose D != 0 the
         caller proves, born with its real_pattern memo filled by
         canonical_pattern's own closed form less its closing check, which
-        L's reality makes redundant: one two-entry gcd (`cofactors`, real),
-        no four-entry gcd, no determinant, and no reality check downstream
-        (SphereMap.pattern).
+        L's reality makes redundant: one gcd of the two entries' real content
+        (`cofactors`, real), no four-entry gcd, no determinant, and no
+        reality check downstream (SphereMap.pattern).
 
         Lemma.  The content of L is G = gcd(a, b, ~a, ~b).  Every factor of G
         divides all four entries.  Conversely, let pi = z - c divide all four
         to order e: if c != +-1, pi is prime to h, so pi^e | b; if c = +-1, pi
         is real, so pi^e | ~b gives pi^e | b.  So L / G is the lift of
         (a, b) / G, G real, with entries of gcd 1, and the canonical matrix is
-        a constant times it, which is real."""
+        a constant times it, which is real.  G is the greatest real divisor
+        of a and b; over Q(i) it is the gcd over Z of their real and
+        imaginary columns (the lemma of `poly.cofactors`), and the lift
+        entry b h is never formed for it."""
         a, b = cofactors(self.a, self.b, real=True)
         return ProjMat.of_coprime((a, times_h(b), b.conj(), a.conj()))
 
@@ -202,13 +210,16 @@ class FiberPattern:
         return north, south, det
 
     @cached_property
-    def contracted_count(self) -> int:
-        """The number of real roots of D', from one `sturm_count` memoised
-        next to D' (Descartes' rule on its integer column when D' is
-        rational, as it is for every map over Q(i) and for a tower constant
-        times a rational polynomial, `_primitive_real`): the orientation reads
-        it, and the contracted fibers are isolated only when it is positive."""
-        return sturm_count(self.stripped_determinant[2])
+    def contracted(self) -> RealRoots:
+        """The real roots of D', the contracted fibers, as one record
+        memoised next to D' (`poly.RealRoots`): its count is Descartes' rule
+        on the square-free integer column when D' is rational, as it is for
+        every map over Q(i) and for a tower constant times a rational
+        polynomial (`_primitive_real`), and the record keeps that column, or
+        the intervals of the Galois norm of D', for the roots.  The orientation
+        reads the count, and the contracted fibers are isolated only when it
+        is positive, on the same square-free part."""
+        return RealRoots(self.stripped_determinant[2])
 
     @cached_property
     def fixed_model(self) -> HyperellipticModel:
@@ -379,10 +390,10 @@ def diffeo_orientation(mat: ProjMat) -> int:
     reversing it (mat * reality_twist() preserves it), 0 when the map is not
     defined at every real point: a(+-1) and the memoised real-root count of
     the stripped determinant, whose real roots all lie in (-1, 1)
-    (stripped_determinant, contracted_count)."""
+    (stripped_determinant, contracted)."""
     pattern = canonical_pattern(mat)
     north, south, _ = pattern.stripped_determinant
-    if north != south or pattern.contracted_count:
+    if north != south or pattern.contracted.count:
         return 0
     return -1 if north else 1
 
@@ -395,9 +406,9 @@ def in_diffeo_group(mat: ProjMat) -> bool:
 def contracted_fibers(mat: ProjMat):
     """Real z0 in the open interval (-1, 1) whose conic is contracted to a
     point: the real roots of the stripped determinant, which all lie there,
-    sought only when its memoised real-root count is positive."""
-    pattern = canonical_pattern(mat)
-    return real_roots_in_tower_poly(pattern.stripped_determinant[2]) if pattern.contracted_count else []
+    isolated on the pattern's memoised record of them (`contracted`) only
+    when its count is positive."""
+    return canonical_pattern(mat).contracted.roots()
 
 
 # -- the base interval group ----------------------------------------------------------

@@ -137,7 +137,8 @@ MOVING_MAPS = SHIFTS + tuple(shift.compose(z_flip()) for shift in SHIFTS)
 
 # (module, qualified name) -> decorator.  The per-object memos cache an
 # invariant of an immutable object on it: a matrix's angle and real
-# pattern, a pattern's D, D', involution form and fixed-curve model; the
+# pattern, a pattern's D, D', the real roots of D' (count and square-free
+# part), involution form and fixed-curve model; the
 # caches hold constants built on first use: the rotation target per angle
 # and sign, and the catalogue involutions certificates are built against.
 PACKAGE_MEMOS = {
@@ -146,7 +147,7 @@ PACKAGE_MEMOS = {
     ("sphere", "FiberPattern._determinant"): "cached_property",
     ("sphere", "FiberPattern.involution_form"): "cached_property",
     ("sphere", "FiberPattern.stripped_determinant"): "cached_property",
-    ("sphere", "FiberPattern.contracted_count"): "cached_property",
+    ("sphere", "FiberPattern.contracted"): "cached_property",
     ("sphere", "FiberPattern.fixed_model"): "cached_property",
     ("involutions", "_flip_fiber"): "cache",
     ("involutions", "_diagonal_involution"): "cache",
@@ -435,3 +436,55 @@ def ref_roots_of_rational_poly(p: Poly) -> list[RealAlgebraic]:
     (`RealAlgebraic.roots_of_irreducible`), all of them sorted."""
     _, factors = factor_rational_poly(p)
     return sorted(root for f, _ in factors for root in RealAlgebraic.roots_of_irreducible(f))
+
+
+# -- references for the real content of a lift and the twist class --------------------------------
+
+
+def ref_real_cofactors(*ps: Poly) -> list[Poly]:
+    """cofactors(*ps, real=True) as two gcds took it: over Q(i) the gcd G
+    of the inputs in Z[i][x] (`factor.gaussian_cofactors` on each input's
+    real and imaginary columns as one Gaussian polynomial); the kernel's
+    quotients times lead(G) when G is real up to a constant, else G made
+    monic, replaced by gcd(G, ~G) and divided out exactly; over the tower
+    poly_gcd, then the same gcd with the conjugate."""
+    from birsphere.factor import gaussian_cofactors
+    from birsphere.poly import _GAUSSIAN_KEYS, _I_KEY, _ONE_KEY, _poly, poly_gcd
+
+    if all(p._cols.keys() <= _GAUSSIAN_KEYS for p in ps):
+        (re, im), quotients = gaussian_cofactors(*((p._cols.get(_ONE_KEY, ()), p._cols.get(_I_KEY, ())) for p in ps))
+        if len(re) == 1:
+            return list(ps)
+        if not any(im):
+            lead = re[-1]
+            return [_poly({_ONE_KEY: [x * lead for x in qr], _I_KEY: [y * lead for y in qi]}, p._den)
+                    for p, (qr, qi) in zip(ps, quotients)]
+        g = _poly({_ONE_KEY: re, _I_KEY: im}, 1).monic()
+    else:
+        g = poly_gcd(*ps)
+    if g.degree > 0 and g != g.conj():
+        g = poly_gcd(g, g.conj())
+    return [p.exact_div(g) if p else p for p in ps] if g.degree else list(ps)
+
+
+def ref_h2_reduce(mu: Poly):
+    """The twist class of an even real mu with rational coefficients as the
+    full factorisation of its w-polynomial read it (`factor_rational_poly`:
+    Yun's split, then Zassenhaus on each part): the sign of the lead,
+    flipped by each real root d >= 0 of an irreducible factor of odd
+    multiplicity, and the generator -d for each root d < 0 of one."""
+    from birsphere.etatwist import TwistClass, _even_to_w
+
+    const, factors = factor_rational_poly(_even_to_w(mu))
+    sign, gens = (1 if const > 0 else -1), []
+    for factor, mult in factors:
+        if mult % 2:
+            for root in RealAlgebraic.roots_of_irreducible(factor):
+                if root.sign() >= 0:
+                    sign = -sign
+                else:
+                    gens.append(-root)
+    base = TwistClass(sign, ())
+    for g in gens:
+        base = base.combine(TwistClass(1, (g,)))
+    return base

@@ -12,6 +12,7 @@ package.  Lambdas and comprehensions are not definitions.
     PYTHONPATH=src python tests/data/reach.py
 
 tests/test_reach.py compares the printed names with reach_allowlist.json.
+record_work.py counts calls with the same hook (`profiled`, `named`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import contextlib
 import io
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 GOLDEN = Path(__file__).with_name("catalogue_cli.json")
@@ -45,34 +47,62 @@ def definitions(path: Path) -> dict[int, str]:
     return found
 
 
-def unreached() -> list[str]:
-    """Run every golden command under a profile hook and return the
-    definitions that never ran, as `file:line qualified.name`."""
-    called = set()
+@contextlib.contextmanager
+def profiled(calls: Counter):
+    """While the block runs, count each Python call event in `calls`, keyed
+    by code object.  A generator's every resumption is a call event too."""
 
     def hook(frame, event, arg):
         if event == "call":
-            called.add(frame.f_code)
+            calls[frame.f_code] += 1
 
     sys.setprofile(hook)
     try:
+        yield calls
+    finally:
+        sys.setprofile(None)
+
+
+def package_definitions() -> dict[tuple[Path, int], str]:
+    """(file, first line) -> `module.qualified.name` for every function
+    definition of the package, files resolved."""
+    import birsphere
+
+    package = Path(birsphere.__file__).resolve().parent
+    return {
+        (path.resolve(), line): f"{path.stem}.{name}"
+        for path in sorted(package.glob("*.py"))
+        for line, name in sorted(definitions(path).items())
+    }
+
+
+def named(calls: Counter) -> Counter:
+    """The counts of `calls` that belong to package definitions, keyed
+    `module.qualified.name`; lambdas and comprehensions are left out."""
+    where = package_definitions()
+    out = Counter()
+    for code, n in calls.items():
+        name = where.get((Path(code.co_filename).resolve(), code.co_firstlineno))
+        if name is not None:
+            out[name] += n
+    return out
+
+
+def unreached() -> list[str]:
+    """Run every golden command under a profile hook and return the
+    definitions that never ran, as `file:line qualified.name`."""
+    with profiled(Counter()) as called:
         from birsphere.cli import main
 
         for command in sorted(json.loads(GOLDEN.read_text())):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 main(command.split())
-    finally:
-        sys.setprofile(None)
 
-    import birsphere
-
-    package = Path(birsphere.__file__).resolve().parent
     ran = {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in called}
     return [
-        f"{path.name}:{line} {name}"
-        for path in sorted(package.glob("*.py"))
-        for line, name in sorted(definitions(path).items())
-        if (path.resolve(), line) not in ran
+        f"{path.name}:{line} {name.partition('.')[2]}"
+        for (path, line), name in package_definitions().items()
+        if (path, line) not in ran
     ]
 
 

@@ -40,16 +40,22 @@ def _load(name: str):
     return module
 
 
+def queries(wl: str):
+    """The corpus cases of workload wl, in order, drawn one at a time."""
+    workloads = _load("workloads")
+    seen = {workloads.case_key(workloads.warmup_case(wl, 0))}
+    cases = workloads.timed_cases(wl, SEED, seen)
+    for _ in range(ROUNDS * len(workloads.ROUNDS[wl])):
+        yield next(cases)
+
+
 def corpus() -> tuple[dict[str, str], list[str]]:
     """({workload: digest}, the oracle's reasons for every wrong answer)."""
     workloads, oracle = _load("workloads"), _load("oracle")
     digests, failures = {}, []
     for wl in workloads.WORKLOADS:
-        seen = {workloads.case_key(workloads.warmup_case(wl, 0))}
-        cases = workloads.timed_cases(wl, SEED, seen)
         digest = hashlib.sha256()
-        for _ in range(ROUNDS * len(workloads.ROUNDS[wl])):
-            case = next(cases)
+        for case in queries(wl):
             text = json.dumps(workloads.run_query(wl, case), sort_keys=True)
             digest.update(text.encode() + b"\n")
             err = oracle.check(wl, case, json.loads(text))

@@ -729,17 +729,18 @@ def test_catalogue_certificates_verify():
 
 def test_catalogue_classify_tests_positivity_once(monkeypatch):
     """classify decides membership and orientation from one diffeomorphism
-    test: one Sturm count of the stripped determinant for every map whose
-    trivial-base part is a diffeomorphism, of either orientation, and none
-    for an interval shift, whose infinite order ends the routing.  The count
-    is memoised on the pattern, which is memoised on its matrix, so each
-    command reads a fresh copy of its fiber: a matrix met before (the
+    test: one real-root record of the stripped determinant (`RealRoots`,
+    whose count it reads; a Sturm count before the record) for every map
+    whose trivial-base part is a diffeomorphism, of either orientation, and
+    none for an interval shift, whose infinite order ends the routing.  The
+    record is memoised on the pattern, which is memoised on its matrix, so
+    each command reads a fresh copy of its fiber: a matrix met before (the
     catalogue's reality twist is one object) would read 0."""
     import birsphere.sphere as sphere
 
     calls = []
-    real = sphere.sturm_count
-    monkeypatch.setattr(sphere, "sturm_count", lambda f: calls.append(f) or real(f))
+    real = sphere.RealRoots
+    monkeypatch.setattr(sphere, "RealRoots", lambda f: calls.append(f) or real(f))
     golden = json.loads((Path(__file__).parent / "data" / "catalogue_cli.json").read_text())
     counts, orientations = {}, set()
     for command in sorted(golden):

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from birsphere.classify import classify_flip_involution
@@ -28,7 +30,7 @@ from birsphere.sphere import (
     z_flip,
 )
 
-from conftest import random_reality_element, same_triple, same_up_to_positive_rational
+from conftest import ref_h2_reduce, random_reality_element, same_triple, same_up_to_positive_rational
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -66,6 +68,41 @@ def test_h2_reduce_irrational_generators():
     assert cls.sign == -1 and len(cls.gens) == 1
     gen = cls.gens[0]
     assert str(gen.minpoly) == "z^2-2" and gen.compare(Fraction(1)) > 0 and gen < Fraction(2)
+
+
+W = Poly.z()
+# w-factors: rational roots of each sign and 0, irrational real roots, and
+# factors with no real root (positive quadratics, w^4 + 1, an irreducible
+# quartic with two imaginary pairs)
+W_FACTORS = (W, W - 1, W + Fraction(1, 4), W - Fraction(9, 4), W + 3, W * W - 2, W * W + 1, 3 * W * W - 2 * W + 1,
+             W * W - W + 1, W**4 + 1, W**4 + 3 * W * W + 1, 4 * W * W - 3)
+
+
+def _even(w_poly: Poly) -> Poly:
+    """w_poly(z^2)."""
+    return Poly([c for x in w_poly.coeffs for c in (x, CoeffScalar(0))][:-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(lead=st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool),
+       parts=st.lists(st.tuples(st.sampled_from(W_FACTORS), st.integers(1, 3)), max_size=4))
+@example(lead=Fraction(-2, 3), parts=[])
+@example(lead=Fraction(-1), parts=[(W * W + 1, 1), (W**4 + 1, 3)])  # no real root at all
+@example(lead=Fraction(5), parts=[(W, 3), (W + 3, 2), (W * W - W + 1, 1)])
+@example(lead=Fraction(-7, 2), parts=[(W - 1, 1), (W * W + 1, 2), (4 * W * W - 3, 1), (W + Fraction(1, 4), 1)])
+def test_h2_reduce_matches_the_full_factorisation(lead, parts):
+    """h2_reduce, which factors only the real-root parts of the odd Yun
+    parts (`factor.real_root_factors`), gives the class of the full
+    factorisation (`conftest.ref_h2_reduce`, `factor_rational_poly`), byte
+    for byte in its report, on even polynomials with a negative or positive
+    lead and planted factors with and without real roots, of odd and even
+    multiplicity, a factor drawn twice adding its multiplicities."""
+    w_poly = Poly.const(lead)
+    for f, k in parts:
+        w_poly = w_poly * f**k
+    mu = _even(w_poly)
+    got, want = h2_reduce(mu), ref_h2_reduce(mu)
+    assert got == want and json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
 def test_group_law():

@@ -732,25 +732,32 @@ def test_stripped_determinant_lemma(mat):
 
 def test_membership_builds_one_determinant(monkeypatch):
     """in_diffeo_group then contracted_fibers on one matrix builds the
-    pattern determinant once, counts the real roots of D' once (the count
-    is memoised on the pattern), and never seeks the roots of z - 1 or
-    z + 1: a(+-1) = 0 is read off the pattern and divided out before any
-    root is sought.  A member, whose count is 0, never reaches root finding;
-    a non-member seeks the roots of D' once.  Its rational roots come from a
-    p-adic lift, and Zassenhaus runs only on a cofactor with a real root
-    left: a D' whose real roots are all rational makes no run, also when a
-    positive quadratic is left; 4 z^2 - 3 and an irreducible quartic make
-    one each.  Before the rational-root stage this test counted
-    factor_rational_poly calls, one per non-member."""
+    pattern determinant once, and one record of the real roots of D'
+    (`poly.RealRoots`, memoised on the pattern), which takes its square-free
+    part once: one gcd for a member and a non-member alike, none for a
+    constant D'.  Root finding never sees the roots of z - 1 or z + 1:
+    a(+-1) = 0 is read off the pattern and divided out before any root is
+    sought.  A member, whose count is 0, never reaches root finding; a
+    non-member seeks the real-root factors of the square-free part once.
+    Its rational roots come from a p-adic lift, and Zassenhaus runs only on
+    a cofactor with a real root left: a D' whose real roots are all
+    rational makes no run, also when a positive quadratic is left;
+    4 z^2 - 3 and an irreducible quartic make one each.  Before the record,
+    the count (`sturm_count`) and the roots (`roots_of_rational_poly`) each
+    took the square-free part of a non-member's D', two gcds; before the
+    rational-root stage this test counted factor_rational_poly calls, one
+    per non-member."""
     import birsphere.factor as factor
+    import birsphere.poly as poly_mod
     import birsphere.sphere as sphere
 
-    dets, sought, counted, runs = [], [], [], []
-    real_det, real_roots, real_count = FiberPattern.determinant, RealAlgebraic.roots_of_rational_poly, sphere.sturm_count
-    real_zassenhaus = factor.zassenhaus
+    dets, records, gcds, sought, runs = [], [], [], [], []
+    real_det, real_record, real_gcd = FiberPattern.determinant, sphere.RealRoots, factor.gcd
+    real_factors, real_zassenhaus = poly_mod.real_root_factors, factor.zassenhaus
     monkeypatch.setattr(FiberPattern, "determinant", lambda self: dets.append(1) or real_det(self))
-    monkeypatch.setattr(RealAlgebraic, "roots_of_rational_poly", lambda p: sought.append(p) or real_roots(p))
-    monkeypatch.setattr(sphere, "sturm_count", lambda p: counted.append(p) or real_count(p))
+    monkeypatch.setattr(sphere, "RealRoots", lambda p: records.append(p) or real_record(p))
+    monkeypatch.setattr(factor, "gcd", lambda *fs: gcds.append(fs) or real_gcd(*fs))
+    monkeypatch.setattr(poly_mod, "real_root_factors", lambda f: sought.append(f) or real_factors(f))
     monkeypatch.setattr(factor, "zassenhaus", lambda f, p: runs.append(f) or real_zassenhaus(f, p))
     z = Poly.z()
     for a, b, member, fibers, zassenhaus_runs in (
@@ -763,15 +770,14 @@ def test_membership_builds_one_determinant(monkeypatch):
         (2 * z * z - 2 * z + 2, z + 2, False, 2, 0),  # D = z (5 z - 4)(z^2 + 3)
     ):
         mat = FiberPattern(a, b).matrix()
-        dets.clear()
-        sought.clear()
-        counted.clear()
-        runs.clear()
+        for counter in (dets, records, gcds, sought, runs):
+            counter.clear()
         assert in_diffeo_group(mat) == member
         assert len(contracted_fibers(mat)) == fibers
-        assert (len(dets), len(counted), len(sought)) == (1, 1, 0 if member else 1)
+        assert (len(dets), len(records), len(sought)) == (1, 1, 0 if member else 1)
+        assert len(gcds) == (records[0].degree > 0)
         assert len(runs) == zassenhaus_runs
-        assert all(p(1) and p(-1) for p in sought)
+        assert all(sum(f) and sum(f[0::2]) != sum(f[1::2]) for f in sought)
 
 
 def test_reality_twist_is_one_constant():

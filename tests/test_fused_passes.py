@@ -17,7 +17,16 @@ from birsphere.poly import ONE_MINUS_Z2, Poly, RealAlgebraic, cofactors, dot, po
 from birsphere.projmat import ProjMat
 from birsphere.scalars import CoeffScalar, TowerReal
 from birsphere.sphere import FiberPattern, SphereMap, builtin_map
-from conftest import clear_caches, coeff_scalars, gaussian_scalars, polys, ref_determinant, ref_poly_mul, trim
+from conftest import (
+    clear_caches,
+    coeff_scalars,
+    gaussian_scalars,
+    polys,
+    ref_determinant,
+    ref_poly_mul,
+    ref_real_cofactors,
+    trim,
+)
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -99,6 +108,33 @@ def test_real_cofactors_divide_by_the_lift_content(pair, common, other):
         return
     g = poly_gcd(a, b, a.conj(), b.conj())
     assert cofactors(a, b, real=True) == [a.exact_div(g), b.exact_div(g)]
+
+
+H = ONE_MINUS_Z2
+# planted content: powers of h, a non-real factor alone and times h, a
+# real irreducible and a tower factor
+contents = st.sampled_from((Poly.const(1), H, H * H, Z - I, (Z.scale(I) + 3) * H, (Z - I) * (Z + I), Z * Z + 2,
+                            (Z - I) * (Z - 2), Z + CoeffScalar(SQRT2), H * (Z - CoeffScalar(SQRT3, 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(gaussian_polys, gaussian_polys) | st.tuples(tower_polys, gaussian_polys), contents, contents)
+@example((Z, Poly.const(1)), H, Z - I)  # content h, with a non-real common factor beside it
+@example((Poly(), Poly.const(3)), Z - I, H)  # a zero entry, and b a constant times the content
+@example((Poly.const(2), Poly()), Z.scale(I) + 3, Poly.const(1))  # a non-real G, b = 0: content 1
+@example((Z.scale(I), Z * Z + I), H, H)  # entries with only an imaginary column
+def test_real_cofactors_match_the_two_gcd_reference(pair, common, other):
+    """cofactors(a, b, real=True), one gcd over Z of the entries' real and
+    imaginary columns, equals the two-gcd path it replaced
+    (`conftest.ref_real_cofactors`: the Gaussian gcd G, then gcd(G, ~G))
+    in columns and denominator, on pattern entries over Q(i) and over the
+    tower sharing a planted content: powers of h = 1 - z^2 and non-real
+    common factors, with zero entries."""
+    a, b = (e * common * other for e in pair)
+    if not (a or b):
+        return
+    got, want = cofactors(a, b, real=True), ref_real_cofactors(a, b)
+    assert [(p._cols, p._den) for p in got] == [(p._cols, p._den) for p in want]
 
 
 def test_quotient_routine_returns_none_on_a_non_divisor():
@@ -211,8 +247,12 @@ def test_certify_and_classify_work_is_counted():
     """One certified involution pair and one conjugate of rot:1/2, both over
     Q(i).  The canonical form divides no entry (the gcd kernel's cofactors
     replace poly_gcd and exact_div), and the column products are pinned:
-    21 for the pair and 29 for the classification, which certifies the
-    rotation against diag(1, -1).  They were 23 and 31 while each pattern
+    21 for the pair and 27 for the classification, which certifies the
+    rotation against diag(1, -1).  The classification took 29 while the
+    conjugator's content was the greatest real divisor of a Gaussian gcd
+    G, made monic and then replaced by gcd(G, ~G), two products, before it
+    became one gcd over Z of the real and imaginary columns of the two
+    pattern entries.  They were 23 and 31 while each pattern
     determinant was a fused sum of products (`dot`), before it became two
     sums of squares (`pattern_determinant`, no `_product` call); 31 and 37
     while the pair was
@@ -247,7 +287,7 @@ def test_certify_and_classify_work_is_counted():
     rotation = SphereMap.trivial_base(mover * builtin_map("rot:1/2").fiber * mover.inverse())
     report, counts = _count_work(lambda: classify_spheremap(rotation))
     assert report.family == 3 and report.moduli["angle"] == [1, 2]
-    assert counts == {"product": 29, "canonical_exact_div": 0}
+    assert counts == {"product": 27, "canonical_exact_div": 0}
 
 
 def test_involution_conjugator_work_is_counted():
@@ -265,17 +305,21 @@ def test_involution_conjugator_work_is_counted():
 
 def test_conjugator_gcd_takes_two_entries_and_verify_reads_its_born_pattern(monkeypatch):
     """involution_conjugator takes every gcd kernel call on two entries,
-    never on the four of the lift, and verify reads the conjugator's
-    reality off the pattern it was born with: the checked closed form never
-    reads it.  Pairs with q != 0, and with the diagonal source or target
-    that the mover moves."""
+    never on the four of the lift: the rescale's gcd on two polynomials,
+    and the lift's content (`FiberPattern.lift_matrix`) on the real and
+    imaginary columns of its two pattern entries, each as a real
+    polynomial, never on a column of the lift entry b h.  verify reads the
+    conjugator's reality off the pattern it was born with: the checked
+    closed form never reads it.  Pairs with q != 0, and with the diagonal
+    source or target that the mover moves."""
     from birsphere import sphere as sphere_mod
     from birsphere.involutions import involution_conjugator
     from birsphere.sphere import ConjugacyCertificate, canonical_pattern
 
-    kernel_inputs, read = [], []
-    kernel, summed = poly_mod.gaussian_cofactors, sphere_mod._summed_pattern
-    monkeypatch.setattr(poly_mod, "gaussian_cofactors", lambda *fs: kernel_inputs.append(len(fs)) or kernel(*fs))
+    kernel_inputs, lifted, read = [], [], []
+    kernel, summed, lift = poly_mod.gaussian_cofactors, sphere_mod._summed_pattern, FiberPattern.lift_matrix
+    monkeypatch.setattr(poly_mod, "gaussian_cofactors", lambda *fs: kernel_inputs.append(fs) or kernel(*fs))
+    monkeypatch.setattr(FiberPattern, "lift_matrix", lambda self: lifted.append((self, len(kernel_inputs))) or lift(self))
 
     def recorded(mat, checked=False):
         if checked:
@@ -289,9 +333,15 @@ def test_conjugator_gcd_takes_two_entries_and_verify_reads_its_born_pattern(monk
     moved = c * diagonal * c.inverse()
     for source, target in ((a, c * a * c.inverse()), (diagonal, moved), (moved, diagonal)):
         canonical_pattern(source), canonical_pattern(target)  # the inputs' patterns, memoised
-        kernel_inputs.clear()
+        kernel_inputs.clear(), lifted.clear()
         conjugator = involution_conjugator(source, target)
-        assert kernel_inputs and set(kernel_inputs) == {2} and "real_pattern" in vars(conjugator)
+        [(pattern, at)] = lifted
+        columns = [tuple(p._cols.get(key, ())) for p in (pattern.a, pattern.b) for key in ((1, 0), (1, 1))]
+        lift_columns = set(poly_mod.times_h(pattern.b)._cols.values())
+        assert [tuple(re) for re, _ in kernel_inputs[at]] == columns and not any(im for _, im in kernel_inputs[at])
+        assert not lift_columns & {tuple(re) for re, _ in kernel_inputs[at]}
+        assert [len(fs) for k, fs in enumerate(kernel_inputs) if k != at] == [2] * (len(kernel_inputs) - 1)
+        assert "real_pattern" in vars(conjugator)
         cert = ConjugacyCertificate("conjugation", *(SphereMap.trivial_base(m) for m in (source, target, conjugator)))
         assert cert.verify() and not any(mat is conjugator for mat in read)
 
@@ -355,14 +405,20 @@ def test_rotation_target_and_twist_class_work_is_counted(monkeypatch):
     """A second rotation of an angle already seen takes no tower square
     root and no tower gcd for its target: the one tower poly_gcd left is
     the canonical form of its conjugator J.  The twist class of a conjugate
-    of g2p:1/2 factors once, in h2_reduce: the roots of its irreducible
-    factors are isolated without factoring them again."""
+    of g2p:1/2 takes one Yun split of its w-polynomial
+    -(4 w^2 - 3 w - 1)(w + 4)^2, in h2_reduce, and one `real_root_factors`
+    call, on its one odd part (4 w + 1)(w - 1), whose rational roots leave
+    nothing for Zassenhaus; the even part (w + 4)^2 is not factored.  Before
+    the twist class read only the real-root factors of the odd parts it
+    took one full factorisation (`factor_rational_poly`), which is now not
+    called, and the roots of its irreducible factors were isolated without
+    factoring them again, as they still are."""
     from birsphere import etatwist
     from birsphere.involutions import rotation_normal_form
     from birsphere.sphere import canonical_pattern
 
-    counts = {"sqrt": 0, "tower_gcd": 0, "factor": 0}
-    sqrt, gcd, factor_rational = TowerReal.sqrt, poly_mod.poly_gcd, poly_mod.factor_rational_poly
+    counts = {"sqrt": 0, "tower_gcd": 0}
+    sqrt, gcd = TowerReal.sqrt, poly_mod.poly_gcd
 
     def counted_sqrt(self):
         counts["sqrt"] += 1
@@ -371,10 +427,6 @@ def test_rotation_target_and_twist_class_work_is_counted(monkeypatch):
     def counted_gcd(*ps):
         counts["tower_gcd"] += not all(p._cols.keys() <= poly_mod._GAUSSIAN_KEYS for p in ps)
         return gcd(*ps)
-
-    def counted_factor(p):
-        counts["factor"] += 1
-        return factor_rational(p)
 
     movers = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix(), FiberPattern(Z + 2 + I, Poly.const(1 + I)).matrix()
     monkeypatch.setattr(TowerReal, "sqrt", counted_sqrt)
@@ -388,12 +440,19 @@ def test_rotation_target_and_twist_class_work_is_counted(monkeypatch):
         assert rotation_normal_form(second).verify()
         assert (counts["sqrt"], counts["tower_gcd"]) == (0, 1), name
 
-    monkeypatch.setattr(poly_mod, "factor_rational_poly", counted_factor)
-    monkeypatch.setattr(etatwist, "factor_rational_poly", counted_factor)
+    calls = {"yun": [], "real_root_factors": [], "zassenhaus": 0, "factor_rational_poly": 0}
+    yun, real_root_factors, zassenhaus = etatwist.squarefree, etatwist.real_root_factors, factor.zassenhaus
+    monkeypatch.setattr(etatwist, "squarefree", lambda f: calls["yun"].append(f) or yun(f))
+    monkeypatch.setattr(etatwist, "real_root_factors", lambda f: calls["real_root_factors"].append(f) or real_root_factors(f))
+    monkeypatch.setattr(factor, "zassenhaus", lambda f, p: calls.update(zassenhaus=calls["zassenhaus"] + 1) or zassenhaus(f, p))
+    for module in (poly_mod, etatwist):
+        monkeypatch.setattr(module, "factor_rational_poly", lambda p: calls.update(factor_rational_poly=1) or None)
     mover = SphereMap.trivial_base(movers[0])
     g = mover.compose(builtin_map("g2p:1/2")).compose(mover.inverse())
     twist = etatwist.h2_reduce(etatwist.twisted_square(g.fiber))
-    assert counts["factor"] == 1 and twist == etatwist.h2_invariant(builtin_map("g2p:1/2"))
+    assert calls == {"yun": [[16, 56, -39, -29, -4]], "real_root_factors": [[-1, -3, 4]], "zassenhaus": 0,
+                     "factor_rational_poly": 0}
+    assert twist == etatwist.h2_invariant(builtin_map("g2p:1/2"))
 
 
 def test_determinants_match_the_ring_operations():

@@ -664,9 +664,10 @@ def test_square_free_inputs_skip_the_gcd(monkeypatch):
     minimal polynomial is square-free already, so equality of real
     algebraic numbers takes none.  A tower count takes one of each: the
     tower gcd(p, p') of its square-free part s (`cofactors`), and the
-    integer gcd of the square-free part n of s's norm; tower root finding
-    also takes the factoriser's square-free split of n, which is one gcd
-    however often a factor divides the norm."""
+    integer gcd of the square-free part n of s's norm, however often a
+    factor divides the norm.  Tower root finding isolates on that n and
+    takes no further gcd; it took one more, a second square-free part of
+    n, before the count and the roots shared one record (`RealRoots`)."""
     import birsphere.poly as poly_mod
 
     calls = {"poly_gcd": 0, "factor.gcd": 0}
@@ -691,10 +692,10 @@ def test_square_free_inputs_skip_the_gcd(monkeypatch):
     # the norm's factors are irreducible, so isolating them takes no gcd,
     # and squaring the input adds none: the norm is of its square-free part
     for p in (quadratic, quadratic**2):
-        assert gcds(lambda: len(real_roots_in_tower_poly(p))) == (2, 1, 2)
+        assert gcds(lambda: len(real_roots_in_tower_poly(p))) == (2, 1, 1)
         assert gcds(sturm_count, p) == (2, 1, 1)
     # z - 3 divides the norm twice, and n once
-    assert gcds(lambda: len(real_roots_in_tower_poly(quadratic * (Z - 3)))) == (3, 1, 2)
+    assert gcds(lambda: len(real_roots_in_tower_poly(quadratic * (Z - 3)))) == (3, 1, 1)
     p = (Z - 1) ** 2 * (Z + 2) * (Z * Z - 2) ** 3
     assert gcds(sturm_count, p) == (4, 0, 1)
     assert gcds(sturm_count, Z**3 - 2) == (1, 0, 1)

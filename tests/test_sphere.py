@@ -458,7 +458,8 @@ def test_tower_determinants_are_counted_on_integer_columns(monkeypatch):
     diffeomorphism of shape [[5, (1 + i z) h], [1 - i z, 5]] have
     determinants over the tower that are a tower constant times a rational
     polynomial.  Made monic, each D' is rational, so classification counts
-    its real roots by Descartes' rule and takes no Galois norm."""
+    its real roots by Descartes' rule, in one real-root record (`RealRoots`)
+    per D', and takes no Galois norm."""
     import birsphere.sphere as sphere_mod
     from birsphere.classify import classify_spheremap
     from birsphere.involutions import realize_no_oval
@@ -466,14 +467,14 @@ def test_tower_determinants_are_counted_on_integer_columns(monkeypatch):
 
     norms = _count_norms(monkeypatch)
     counted = []
-    real = sphere_mod.sturm_count
-    monkeypatch.setattr(sphere_mod, "sturm_count", lambda p: counted.append(p) or real(p))
+    real = sphere_mod.RealRoots
+    monkeypatch.setattr(sphere_mod, "RealRoots", lambda p: counted.append(p) or real(p))
     mover = FiberPattern(Poly.const(5), Z.scale(CoeffScalar.i()) + 1).matrix()  # det z^4 + 24 > 0
     no_oval = SphereMap.trivial_base(realize_no_oval((Z * Z + 1) * (Z * Z + 2)))
     for g, family in ((builtin_map("rot:1/8"), 3), (builtin_map("rot:1/12"), 3), (no_oval, 6)):
         counted.clear()
         assert classify_spheremap(SphereMap.trivial_base(mover * g.fiber * mover.inverse())).family == family
-        assert counted and all(d.is_rational() for d in counted)
+        assert len(counted) == 1 and counted[0].is_rational()
     assert norms == []
 
 

@@ -71,10 +71,10 @@ def test_a_matrix_pickles_with_its_memos_and_stays_immutable():
 def test_memo_holders_refuse_new_attributes():
     mat = _matrix()
     pattern = FiberPattern(Z + 3, Poly.const(1))
-    for obj, name in ((mat, "a11"), (mat, "real_pattern"), (pattern, "a"), (pattern, "contracted_count")):
+    for obj, name in ((mat, "a11"), (mat, "real_pattern"), (pattern, "a"), (pattern, "contracted")):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(obj, name, None)
-    assert mat.a11 == Z + I and pattern.contracted_count == 0
+    assert mat.a11 == Z + I and pattern.contracted.count == 0
 
 
 def test_benchmark_keys_print_as_before():
