@@ -29,12 +29,14 @@ EXIT_DOMAIN = 5
 
 
 def _load_element(text: str):
-    path = Path(text)
-    if text == "-" or (not text.startswith(("builtin:", "[[", "{", "diag(")) and path.is_file()):
+    # os.path.isfile, unlike Path.is_file, is False for a name that cannot be stat'ed (one too long, say)
+    if text == "-" or (not text.startswith(("builtin:", "[[", "{", "diag(")) and os.path.isfile(text)):
         try:
-            source = sys.stdin.read() if text == "-" else path.read_text()
+            source = sys.stdin.read() if text == "-" else Path(text).read_text()
         except UnicodeDecodeError as exc:  # a ValueError, which main would call a domain error
             raise ParseError(f"malformed sphere map JSON: {exc}") from exc
+        except OSError as exc:
+            raise ParseError(f"cannot read {text}: {exc.strerror}") from exc
         return routing.spheremap_from_json_text(source)
     return routing.parse_element(text)
 

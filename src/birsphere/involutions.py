@@ -38,7 +38,6 @@ from .errors import (
     UnsupportedExtension,
 )
 from .poly import (
-    ONE_MINUS_Z2,
     Poly,
     RealAlgebraic,
     cofactors,
@@ -84,10 +83,10 @@ def fixed_curve(mat: ProjMat) -> HyperellipticModel:
 # -- conjugacy decision and certificates --------------------------------------------------
 
 
-# The lift [[z, h], [1, z]] of the pattern (z, 1) moves diag(1, -1) to
-# [[1, -2 z h], [2 z, -1]], and the lift of its inverse (z, -1) moves it back.
+# The lift [[z, h], [1, z]] of the pattern (z, 1) moves diag(1, -1) to the matrix
+# [[1, -2 z h], [2 z, -1]] of the form (1, -2 i z); the lift of (z, -1) moves it back.
 _MOVER = FiberPattern(Poly.z(), Poly.const(1))
-_OFF_DIAGONAL = ProjMat.of(Poly.const(1), (Poly.z() * ONE_MINUS_Z2).scale(-2), Poly.z().scale(2), Poly.const(-1))
+_OFF_DIAGONAL = InvolutionForm(Poly.const(1), Poly.z().scale(CoeffScalar(0, -2))).matrix()
 _IDENTITY = FiberPattern(Poly.const(1), Poly())
 
 
@@ -245,12 +244,12 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern | None:
       the lift of (a, b).  So B = D A D.
     - canonical_pattern reads the canonical form of D A D as e (a, -b),
       e = +-1: the canonical form is k L with k the constant that makes the
-      first nonzero entry monic, and `_summed_pattern` reads off k L a real
-      constant times (a, b) that changes sign with k.  D L D has L's first
+      first nonzero entry monic, and its pattern is (k + ~k)(a, b), or
+      -i k (a, b) for an imaginary k, a real constant times (a, b) that
+      changes sign with k, whether read off the matrix or born with it (the
+      second lemma of FiberPattern.lift_matrix).  D L D has L's first
       entry a when a != 0, so the same k and e = 1; only for a = 0 is its
-      first entry -b h, and then e = -1.  A pattern born with its matrix
-      (FiberPattern.lift_matrix) is `_summed_pattern` of that canonical
-      matrix too.
+      first entry -b h, and then e = -1.
     - The patterns e (a, -b) and (a, b) have one determinant D, so
       s = D / c with c = lead D > 0, G = s, and u = u_num / u_den =
       c / (-c) = -1.  Then w = -1 needs
@@ -274,14 +273,14 @@ def _conjugator_entries(mat_a: ProjMat, mat_b: ProjMat) -> FiberPattern | None:
 
 
 def realize_oval(beta: Poly) -> ProjMat:
-    """The involution [[0, beta*h], [conj beta, 0]]; orientation-reversing
-    with fixed curve w^2 = (1-z^2) * beta * conj(beta)."""
+    """The involution [[0, beta*h], [conj beta, 0]], the lift of (0, beta);
+    orientation-reversing with fixed curve w^2 = (1-z^2) * beta * conj(beta)."""
     if not beta:
         raise HasRealRoot("zero polynomial is not allowed")
     norm = beta * beta.conj()
     if sturm_count(norm) != 0:
         raise HasRealRoot(f"{beta} has a real root")
-    return ProjMat.of(Poly(), beta * ONE_MINUS_Z2, beta.conj(), Poly())
+    return FiberPattern(Poly(), beta).lift_matrix()
 
 
 def realize_no_oval(f: Poly) -> ProjMat:
@@ -298,11 +297,7 @@ def realize_no_oval(f: Poly) -> ProjMat:
     if not is_real_positive(f):
         raise ValueError("strictly positive polynomial required")
     a, p = v_decomp(f)
-    i = CoeffScalar.i()
-    if not p:
-        return ProjMat.diag(a.scale(i), a.scale(-i))
-    b = norm_factor(p)
-    return InvolutionForm(a, b).matrix()
+    return InvolutionForm(a, norm_factor(p) if p else Poly()).matrix()
 
 
 # -- rotation normal form ---------------------------------------------------------------------

@@ -18,7 +18,7 @@ primitive n-th root of unity zeta, so the order is one lookup of kappa in
 the table of the cosines the tower contains.
 A ProjMat is immutable, so its rotation angle (hence its order) and its
 real pattern are memoised on it, once per matrix; a matrix built from a
-pattern (`of_coprime`) has the pattern memo filled at birth.
+pattern (`of_coprime`) is born with it, so its reality is never tested.
 """
 
 from __future__ import annotations
@@ -163,16 +163,12 @@ class ProjMat:
         return mat
 
     @classmethod
-    def of_coprime(cls, polys) -> ProjMat:
-        """The canonical form of four entries of gcd 1 and nonzero
-        determinant, both proved by the caller, born with the real pattern
-        sphere._summed_pattern reads off it unchecked, as the entries are a
-        pattern's lift (sphere.FiberPattern.lift_matrix): the first nonzero
-        entry made monic, with no gcd and no determinant."""
-        from .sphere import _summed_pattern
-
+    def of_coprime(cls, polys, born) -> ProjMat:
+        """The canonical form of four entries of gcd 1 and nonzero determinant,
+        both proved by the caller (sphere.FiberPattern.lift_matrix): no gcd, no
+        determinant, and born with the real pattern born(mat), its closed form."""
         mat = cls._monic_lead(polys)
-        object.__setattr__(mat, "real_pattern", _summed_pattern(mat))
+        object.__setattr__(mat, "real_pattern", born(mat))
         return mat
 
     @classmethod
@@ -237,7 +233,7 @@ class ProjMat:
         checked closed form of sphere.canonical_pattern, or set at birth."""
         from .sphere import _summed_pattern
 
-        return _summed_pattern(self, checked=True)
+        return _summed_pattern(self)
 
     def rotation_angle(self) -> tuple[int, int] | None:
         """angle_of_entries of the canonical entries, computed once per

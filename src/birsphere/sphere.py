@@ -19,10 +19,10 @@ is read off it: D, D', the one record of the real roots of D' (poly.RealRoots:
 their count, and the square-free part they are isolated on, so the
 orientation and the contracted fibers take one square-free part), the
 involution form and the fixed-curve model of an element of order 2.  No
-memo outlives its object.  A pattern's lift is brought to lowest terms by
-its content, the greatest real divisor of its two entries, which over Q(i)
-is one gcd over Z of their real and imaginary columns
-(FiberPattern.lift_matrix).
+memo outlives its object.  A pattern's lift (FiberPattern.lift_matrix, the
+one builder of a real matrix from a pattern) is brought to lowest terms by
+its content, the greatest real divisor of its two entries, one gcd over Z
+of their columns over Q(i), and is born with its pattern in closed form.
 The group's arithmetic runs on patterns, two entries each: a product is two
 fused sums, the reflection z -> -z acts entrywise (h is even), and two
 patterns give one map when a b' = a' b and a ~a' is real (b ~b' when
@@ -95,24 +95,28 @@ class FiberPattern:
         return self.lift_matrix()
 
     def lift_matrix(self) -> ProjMat:
-        """The canonical form of the lift L, for a pattern whose D != 0 the
-        caller proves, born with its real_pattern memo filled by
-        canonical_pattern's own closed form less its closing check, which
-        L's reality makes redundant: one gcd of the two entries' real content
-        (`cofactors`, real), no four-entry gcd, no determinant, and no
-        reality check downstream (SphereMap.pattern).
+        """The canonical form M of the lift L, for a pattern whose D != 0 the
+        caller proves, and the one builder of a real matrix from a pattern:
+        one gcd of the entries' real content (`cofactors`, real), no
+        four-entry gcd, no determinant, and M born with its pattern.
 
         Lemma.  The content of L is G = gcd(a, b, ~a, ~b).  Every factor of G
         divides all four entries.  Conversely, let pi = z - c divide all four
         to order e: if c != +-1, pi is prime to h, so pi^e | b; if c = +-1, pi
         is real, so pi^e | ~b gives pi^e | b.  So L / G is the lift of
-        (a, b) / G, G real, with entries of gcd 1, and the canonical matrix is
-        a constant times it, which is real.  G is the greatest real divisor
-        of a and b; over Q(i) it is the gcd over Z of their real and
-        imaginary columns (the lemma of `poly.cofactors`), and the lift
-        entry b h is never formed for it."""
+        (a', b') = (a, b) / G, G real, with entries of gcd 1, and M is
+        lam L / G, real, for lam the inverse lead `monic_lead` applies.  G is
+        the greatest real divisor of a and b; over Q(i) it is the gcd over Z
+        of their real and imaginary columns (the lemma of `poly.cofactors`),
+        and the lift entry b h is never formed for it.
+
+        Lemma.  M's pattern (canonical_pattern, or `_born_pattern` at birth)
+        is k (a', b'), k = lam + ~lam, or -i lam when that is 0: its sum S
+        has A = m11 + ~m22 = k a' and B = m12 + h ~m21 = k b' h, both 0
+        exactly when lam + ~lam = 0, as (a', b') != 0, and then the pattern
+        is (-i m11, i ~m21) = -i lam (a', b'), as ~lam = -lam."""
         a, b = cofactors(self.a, self.b, real=True)
-        return ProjMat.of_coprime((a, times_h(b), b.conj(), a.conj()))
+        return ProjMat.of_coprime((a, times_h(b), b.conj(), a.conj()), _born_pattern)
 
     def __mul__(self, other: FiberPattern) -> FiberPattern:
         """The pattern of the product of the two lifts, two fused sums.
@@ -238,10 +242,8 @@ class InvolutionForm:
         self.p, self.q = p, q
 
     def matrix(self) -> ProjMat:
-        i = CoeffScalar.i()
-        return ProjMat.of(
-            self.p.scale(i), times_h(self.q), self.q.conj(), self.p.scale(-i)
-        )
+        """The lift of the pattern (i p, q) (FiberPattern.matrix)."""
+        return FiberPattern(self.p.scale(CoeffScalar.i()), self.q).matrix()
 
     def determinant(self) -> Poly:
         """p^2 - q conj(q) h: FiberPattern.determinant of the form's pattern
@@ -341,10 +343,10 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
     A = m11 and B = m12 would give ~m22 = ~m21 = 0 and det M = 0; so
     h ~m21 = (kappa - 1) m12 makes h | m12 | B, the lift is S, and
     tau ~M tau^-1 = S - M = (kappa - 1) M.  So the closing check
-    (`_summed_pattern`, checked) refuses exactly the non-real matrices, and
+    (`_summed_pattern`) refuses exactly the non-real matrices, and
     SphereMap.reality_check reads a b = 0 map's reality off it.  The
-    matrix memoises it (ProjMat.real_pattern), or at birth, unchecked, when
-    born from a pattern, hence real (FiberPattern.lift_matrix).
+    matrix memoises it (ProjMat.real_pattern), or is born with it in closed
+    form when built from a pattern (FiberPattern.lift_matrix).
     The check reads two entries: the lift is kappa M exactly when
     A = kappa m11, B = kappa m12 and l ~l = 1 for l = kappa - 1, the
     l ~l = 1 above.  For with A = kappa m11 the fourth equation reads
@@ -357,16 +359,25 @@ def canonical_pattern(mat: ProjMat) -> FiberPattern:
     return pattern
 
 
-def _summed_pattern(mat: ProjMat, checked: bool = False) -> FiberPattern | None:
-    """canonical_pattern's closed form on a real mat; checked, None for a
-    non-real one (its lemma's closing check, which S = 0 needs not)."""
+def _born_pattern(mat: ProjMat) -> FiberPattern:
+    """k (a', b') of a lift's canonical form (FiberPattern.lift_matrix)."""
+    a, b = mat.a11 + mat.a22.conj(), over_h(mat.a12) + mat.a21.conj()
+    if a or b:
+        return FiberPattern(a, b)
+    i = CoeffScalar.i()  # lam is imaginary
+    return FiberPattern(mat.a11.scale(-i), mat.a21.conj().scale(i))
+
+
+def _summed_pattern(mat: ProjMat) -> FiberPattern | None:
+    """canonical_pattern's closed form, None for a non-real mat (its
+    lemma's closing check, which S = 0 needs not)."""
     a11, a12, a21, a22 = mat.entries()
     a, lift_b = a11 + a22.conj(), a12 + times_h(a21.conj())
     if not (a or lift_b):  # S = 0: real, and the pattern lifts to -i M
         i = CoeffScalar.i()
         return FiberPattern(a11.scale(-i), a21.conj().scale(i))
     b = over_h(lift_b)
-    if checked and (b is None or not _constant_multiple((a, lift_b), mat.entries())):
+    if b is None or not _constant_multiple((a, lift_b), mat.entries()):
         return None
     return FiberPattern(a, b)
 
@@ -904,17 +915,11 @@ def _special_mu(t: Fraction) -> CoeffScalar:
 
 def special_involution(t) -> SphereMap:
     """Involution with trivial base whose fixed curve is rational with no
-    real points; the two isolated real fixed points sit at the poles."""
+    real points; the two isolated real fixed points sit at the poles.  Its
+    fiber [[-2 i mu, (1 + mu) h], [mu (1 + mu), 2 i mu]] is mu times the lift of (-2 i, 1 + ~mu)."""
     mu = _special_mu(t)
-    i = CoeffScalar.i()
-    h = ONE_MINUS_Z2
-    fiber = ProjMat.of(
-        Poly.const(-2 * i * mu),
-        h.scale(1 + mu),
-        Poly.const(mu * (1 + mu)),
-        Poly.const(2 * i * mu),
-    )
-    return SphereMap.trivial_base(fiber)
+    pattern = FiberPattern(Poly.const(CoeffScalar(0, -2)), Poly.const(1 + mu.conj()))
+    return SphereMap.trivial_base(pattern.matrix())
 
 
 def flipped_special_involution(t) -> SphereMap:

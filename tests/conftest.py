@@ -231,7 +231,7 @@ def checked_pattern(mat: ProjMat) -> FiberPattern | None:
     checked closed form on a fresh equal matrix, None for a non-real one."""
     from birsphere.sphere import _summed_pattern
 
-    return _summed_pattern(ProjMat.of(*mat.entries()), checked=True)
+    return _summed_pattern(ProjMat.of(*mat.entries()))
 
 
 def pattern_pair(pattern: FiberPattern) -> tuple[Poly, Poly]:

@@ -438,6 +438,33 @@ def test_python_m_birsphere_runs_the_cli():
     assert proc.returncode == 0 and "tau" in json.loads(proc.stdout)["builtins"]
 
 
+def test_an_unstattable_or_unreadable_argument_is_a_parse_error(capsys, tmp_path, monkeypatch):
+    """An argument too long to be a file name (stat raises ENAMETOOLONG) is
+    parsed as an element: exit 2 and one stderr line, no traceback.  A file
+    that cannot be read is a parse error too."""
+    import os
+    import subprocess
+    import sys
+
+    import birsphere
+
+    env = dict(os.environ, PYTHONPATH=str(Path(birsphere.__file__).parent.parent))
+    for name in ("z" * 5000, "a/" * 3000):
+        proc = subprocess.run([sys.executable, "-m", "birsphere", "classify", name], capture_output=True, env=env,
+                              timeout=60)
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 2 and len(lines) == 1 and lines[0].startswith("parse error:"), proc.stderr[-300:]
+    unreadable = tmp_path / "unreadable.json"
+    unreadable.write_text('{"fiber": [["1", "0"], ["0", "1"]]}')
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, out, err = run_cli(capsys, "classify", str(unreadable))
+    assert (code, out) == (2, "") and err == f"parse error: cannot read {unreadable}: Permission denied\n"
+
+
 def test_closed_pipe_ends_the_cli_quietly():
     """A reader that has closed its end of the pipe (`birsphere builtin |
     head -0`) ends the command with exit 0 and nothing on stderr."""

@@ -662,7 +662,7 @@ def test_canonical_pattern_lemma(a, b, c, d, k):
     a=Poly.z(), b=Poly.const(1), kappa=CoeffScalar(0, 1), e=(Poly.z(), Poly(), Poly(), Poly.const(2)), k=1, extra=Poly.z()
 )
 def test_two_entry_reality_check_matches_the_four_entry_one(a, b, kappa, e, k, extra):
-    """The checked closed form (`_summed_pattern`, checked) refuses a matrix
+    """The checked closed form (`_summed_pattern`) refuses a matrix
     exactly when the four-entry comparison of its lift with kappa M does:
     it accepts pattern lifts scaled by a Gaussian constant, and refuses
     random matrices and pattern lifts with one entry perturbed exactly when
@@ -971,8 +971,10 @@ def test_projmat_constructed_only_in_projmat():
     is called directly, as ProjMat(...) or as cls(...) inside the class,
     only by the projmat methods that prove their result canonical:
     _monic_lead (entries of gcd 1, reached from _canonical, inverse and
-    of_coprime), identity and reflect_z.  Everything else, in the package,
-    the tests and perfbench, goes through ProjMat.of or those methods."""
+    of_coprime, which also gives a pattern's lift the pattern its builder
+    forms in closed form), identity and reflect_z.  Everything else, in
+    the package, the tests and perfbench, goes through ProjMat.of or those
+    methods."""
     import ast
     from pathlib import Path
 

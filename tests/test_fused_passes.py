@@ -247,9 +247,12 @@ def test_certify_and_classify_work_is_counted():
     """One certified involution pair and one conjugate of rot:1/2, both over
     Q(i).  The canonical form divides no entry (the gcd kernel's cofactors
     replace poly_gcd and exact_div), and the column products are pinned:
-    21 for the pair and 27 for the classification, which certifies the
-    rotation against diag(1, -1).  The classification took 29 while the
-    conjugator's content was the greatest real divisor of a Gaussian gcd
+    19 for the pair and 27 for the classification, which certifies the
+    rotation against diag(1, -1).  The pair took 21 while its involution,
+    built from the form (`InvolutionForm.matrix`) outside the counted run,
+    came without a pattern and the run read it off in two products; built
+    as a lift, it is born with it.  Before that the classification took 29
+    while the conjugator's content was the greatest real divisor of a Gaussian gcd
     G, made monic and then replaced by gcd(G, ~G), two products, before it
     became one gcd over Z of the real and imaginary columns of the two
     pattern entries.  They were 23 and 31 while each pattern
@@ -281,7 +284,7 @@ def test_certify_and_classify_work_is_counted():
     pair = SphereMap.trivial_base(a), SphereMap.trivial_base(c * a * c.inverse())
     answer, counts = _count_work(lambda: decide_conjugacy(*pair))
     assert answer["conjugate"] and answer["verified"]
-    assert counts == {"product": 21, "canonical_exact_div": 0}
+    assert counts == {"product": 19, "canonical_exact_div": 0}
 
     mover = FiberPattern(Z.scale(I) + 3, Poly.const(1)).matrix()  # det 8 + 2 z^2 > 0
     rotation = SphereMap.trivial_base(mover * builtin_map("rot:1/2").fiber * mover.inverse())
@@ -308,10 +311,11 @@ def test_conjugator_gcd_takes_two_entries_and_verify_reads_its_born_pattern(monk
     never on the four of the lift: the rescale's gcd on two polynomials,
     and the lift's content (`FiberPattern.lift_matrix`) on the real and
     imaginary columns of its two pattern entries, each as a real
-    polynomial, never on a column of the lift entry b h.  verify reads the
-    conjugator's reality off the pattern it was born with: the checked
-    closed form never reads it.  Pairs with q != 0, and with the diagonal
-    source or target that the mover moves."""
+    polynomial, never on a column of the lift entry b h.  The conjugator
+    is born with its pattern in closed form, and verify reads its reality
+    off that pattern: `_summed_pattern` never runs on it, at birth or
+    after.  Pairs with q != 0, and with the diagonal source or target that
+    the mover moves."""
     from birsphere import sphere as sphere_mod
     from birsphere.involutions import involution_conjugator
     from birsphere.sphere import ConjugacyCertificate, canonical_pattern
@@ -321,10 +325,9 @@ def test_conjugator_gcd_takes_two_entries_and_verify_reads_its_born_pattern(monk
     monkeypatch.setattr(poly_mod, "gaussian_cofactors", lambda *fs: kernel_inputs.append(fs) or kernel(*fs))
     monkeypatch.setattr(FiberPattern, "lift_matrix", lambda self: lifted.append((self, len(kernel_inputs))) or lift(self))
 
-    def recorded(mat, checked=False):
-        if checked:
-            read.append(mat)
-        return summed(mat, checked)
+    def recorded(mat):
+        read.append(mat)
+        return summed(mat)
 
     monkeypatch.setattr(sphere_mod, "_summed_pattern", recorded)
     a = InvolutionForm(Z + 2, Z.scale(I) + 1 - I).matrix()

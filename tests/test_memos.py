@@ -10,15 +10,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from birsphere import involutions as involutions_mod
 from birsphere import projmat as projmat_mod
 from birsphere import sphere as sphere_mod
 from birsphere.classify import classify_spheremap, decide_conjugacy
 from birsphere.errors import NotRealityMember
-from birsphere.involutions import InvolutionForm, rotation_normal_form
-from birsphere.poly import ONE_MINUS_Z2, Poly
+from birsphere.involutions import InvolutionForm, realize_no_oval, realize_oval, rotation_normal_form
+from birsphere.poly import ONE_MINUS_Z2, Poly, times_h
+from birsphere.positivity import norm_factor, v_decomp
 from birsphere.projmat import ProjMat, angle_of_entries
 from birsphere.scalars import CoeffScalar
 from birsphere.sphere import (
@@ -29,7 +31,15 @@ from birsphere.sphere import (
     canonical_pattern,
     in_diffeo_group,
 )
-from conftest import PACKAGE_MEMOS, checked_pattern, gaussian_scalars, package_memos, pattern_pair, polys
+from conftest import (
+    PACKAGE_MEMOS,
+    checked_pattern,
+    gaussian_scalars,
+    package_memos,
+    pattern_pair,
+    polys,
+    scalars_any,
+)
 
 Z = Poly.z()
 I = CoeffScalar.i()
@@ -143,6 +153,67 @@ def test_memoised_invariants_match_their_formulas(quad, rotation, conjugate, a, 
             assert form is None
         else:
             assert (form.p, form.q) == (pattern.a.scale(-I), pattern.b) and pattern.involution_form is form
+
+
+pattern_entries = st.one_of(polys(gaussian_scalars, max_degree=3), polys(scalars_any, max_degree=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern_entries, pattern_entries)
+@example(Poly.const(I), Poly())  # the scale -i is imaginary
+@example(Z.scale(-I) + 1, Z - Poly.const(I))  # the scale is i
+@example(Z + 2, Poly.const(1))  # the scale is 1
+@example(Poly(), Z.scale(I) + 1)  # a = 0: the first nonzero entry is b h
+def test_a_lift_is_born_with_the_checked_pattern(a, b):
+    """FiberPattern.lift_matrix, the one builder of a real matrix from a
+    pattern, gives the canonical form of the lift, born with the pattern
+    memo k (a', b') in closed form, and that memo is the checked closed
+    form on a fresh equal matrix (checked_pattern), for Gaussian and tower
+    entries, a = 0 included, and for both branches of k: lam + ~lam, and
+    -i lam when the scale lam that made the lift monic is imaginary."""
+    pattern = FiberPattern(a, b)
+    assume(pattern.determinant())
+    mat = pattern.lift_matrix()
+    assert mat == ProjMat.of(a, times_h(b), b.conj(), a.conj())
+    assert pattern_pair(vars(mat)["real_pattern"]) == pattern_pair(checked_pattern(mat))
+
+
+def test_born_patterns_pin_both_scales_and_every_lift_source():
+    """The two branches of the born pattern, pinned: (i, 0) has the
+    imaginary scale -i, the canonical matrix diag(1, -1) and the memo
+    (-i, 0); (z + 2, 1) has the real scale 1 and the memo (2 z + 4, 2).
+    The matrices once written out entry by entry (the form's lift, the
+    realizations with and without an oval, the off-diagonal involution
+    certificates move a diagonal one to, and the special involution g1p:t)
+    are lifts born with the checked pattern, equal to the matrices those
+    entries gave."""
+    diagonal = FiberPattern(Poly.const(I), Poly()).lift_matrix()
+    assert diagonal == ProjMat.diag(Poly.const(1), Poly.const(-1))
+    assert pattern_pair(vars(diagonal)["real_pattern"]) == (Poly.const(-I), Poly())
+    real = FiberPattern(Z + 2, Poly.const(1)).lift_matrix()
+    assert real.entries() == (Z + 2, times_h(Poly.const(1)), Poly.const(1), Z + 2)
+    assert pattern_pair(vars(real)["real_pattern"]) == (Z.scale(2) + 4, Poly.const(2))
+
+    def form_entries(p, q):
+        return p.scale(I), times_h(q), q.conj(), p.scale(-I)
+
+    beta, no_oval = Z + Poly.const(I), (Z * Z + 1) * (Z * Z + 4)
+    (a0, _), (a, p) = v_decomp(Poly.const(4)), v_decomp(no_oval)
+    off_diagonal = Poly.const(1), Z.scale(-2 * I)
+    mu = sphere_mod._special_mu(Fraction(1, 2))
+    born = [
+        (builtin_map("g1p:1/2").fiber, (-2 * I * mu, ONE_MINUS_Z2.scale(1 + mu), mu * (1 + mu), 2 * I * mu)),
+        (InvolutionForm(Z + 2, Z.scale(I) + 1 - I).matrix(), form_entries(Z + 2, Z.scale(I) + 1 - I)),
+        (realize_oval(beta), (Poly(), beta * ONE_MINUS_Z2, beta.conj(), Poly())),
+        (realize_no_oval(Poly.const(4)), (a0.scale(I), Poly(), Poly(), a0.scale(-I))),
+        (realize_no_oval(no_oval), form_entries(a, norm_factor(p))),
+        (InvolutionForm(*off_diagonal).matrix(), (1, (Z * ONE_MINUS_Z2).scale(-2), Z.scale(2), -1)),
+    ]
+    for mat, entries in born:
+        assert mat == ProjMat.of(*entries)
+        assert pattern_pair(vars(mat)["real_pattern"]) == pattern_pair(checked_pattern(mat))
+    assert involutions_mod._OFF_DIAGONAL == born[-1][0]
+    assert pattern_pair(involutions_mod._OFF_DIAGONAL.real_pattern) == pattern_pair(born[-1][0].real_pattern)
 
 
 # -- memos live and die with their objects ----------------------------------------------
